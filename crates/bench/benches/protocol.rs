@@ -23,18 +23,49 @@ const POLICIES: [(&str, DupPolicy); 4] = [
     ("dynamic3", DupPolicy::Dynamic { counter_bits: 3 }),
 ];
 
+/// The geometries the controller is timed and allocation-gated at: the
+/// unit-test tree, where an eviction is 44 slots over a 96-slot stash,
+/// and the `fig17` sweep's (L=14, Z=A=5, stash 200, Table I caches),
+/// where it is 75 slots over 200 and the duplication queues run full.
+fn geometries() -> [(&'static str, OramConfig, u64); 2] {
+    let mut fig17 = OramConfig::paper_table1().with_levels(14);
+    fig17.stash_capacity = 200;
+    [
+        ("small_L10", OramConfig::small_test().with_levels(10), 400),
+        ("fig17_L14", fig17, 40_000),
+    ]
+}
+
+/// A prefilled controller and the address stream driven over it: a
+/// stride through the working set, every fourth access to a 96-block
+/// hot set so HD-Dup has counters to rank.
+fn prefilled(cfg: OramConfig, working_set: u64) -> (OramController, impl FnMut() -> BlockAddr) {
+    let mut ctl = OramController::new(cfg).unwrap();
+    ctl.prefill((0..working_set).map(|i| (BlockAddr::new(i), i)));
+    let (mut i, mut step) = (0u64, 0u64);
+    let next = move || {
+        step += 1;
+        i = (i + 17) % working_set;
+        BlockAddr::new(if step % 4 == 0 { i % 96 } else { i })
+    };
+    (ctl, next)
+}
+
 fn controller_access() {
     println!("-- controller access throughput --");
-    for (name, policy) in POLICIES {
-        let cfg = OramConfig::small_test().with_levels(10).with_dup_policy(policy);
-        let mut ctl = OramController::new(cfg).unwrap();
-        ctl.prefill((0..400u64).map(|i| (BlockAddr::new(i), i)));
-        let mut i = 0u64;
-        let r = bench(&format!("controller_access/{name}"), 20, 2000, || {
-            i = (i + 17) % 400;
-            black_box(ctl.access(Request::read(BlockAddr::new(i))))
-        });
-        println!("{r}");
+    for (geometry, cfg, working_set) in geometries() {
+        let mut medians = Vec::new();
+        for (name, policy) in POLICIES {
+            let (mut ctl, mut next) = prefilled(cfg.with_dup_policy(policy), working_set);
+            let r = bench(&format!("controller_access/{geometry}/{name}"), 20, 2000, || {
+                black_box(ctl.access(Request::read(next())))
+            });
+            println!("{r}");
+            medians.push(r.median_ns);
+        }
+        // What the duplication policies cost the host over Tiny ORAM.
+        let dup = medians[1..].iter().sum::<f64>() / (medians.len() - 1) as f64;
+        println!("controller_access/{geometry}/dup_over_tiny {:>20.2}x", dup / medians[0]);
     }
 }
 
@@ -68,35 +99,33 @@ fn eviction_path() {
 }
 
 /// The zero-allocation claim, checked: after warmup (position map grown
-/// to the working set, duplication queues at their high-water capacity),
-/// a sustained mixed read/write/dummy loop must perform **zero**
-/// allocator calls under every duplication policy.
+/// to the working set), a sustained mixed read/write/dummy loop must
+/// perform **zero** allocator calls under every duplication policy, at
+/// both geometries.
 fn steady_state_allocation_check() -> bool {
     println!("-- steady-state allocation check --");
     let mut ok = true;
-    for (name, policy) in POLICIES {
-        let cfg = OramConfig::small_test().with_levels(10).with_dup_policy(policy);
-        let mut ctl = OramController::new(cfg).unwrap();
-        ctl.prefill((0..400u64).map(|i| (BlockAddr::new(i), i)));
-        // Warmup: touch the whole working set, fire plenty of evictions.
-        let mut i = 0u64;
-        for _ in 0..4000 {
-            i = (i + 17) % 400;
-            black_box(ctl.access(Request::read(BlockAddr::new(i))));
+    for (geometry, cfg, working_set) in geometries() {
+        for (name, policy) in POLICIES {
+            let (mut ctl, mut next) = prefilled(cfg.with_dup_policy(policy), working_set);
+            // Warmup: fire plenty of evictions, fill the stash with shadows.
+            for _ in 0..4000 {
+                black_box(ctl.access(Request::read(next())));
+            }
+            let before = ALLOC.allocations();
+            for step in 0..10_000u64 {
+                match step % 5 {
+                    0 => black_box(ctl.access(Request::write(next(), step))),
+                    4 => black_box(ctl.dummy_access()),
+                    _ => black_box(ctl.access(Request::read(next()))),
+                };
+            }
+            let delta = ALLOC.allocations() - before;
+            let verdict = if delta == 0 { "OK" } else { "FAIL" };
+            let gate = format!("steady_state_allocs/{geometry}/{name}");
+            println!("{gate:<40} {delta:>6} allocs in 10k accesses  [{verdict}]");
+            ok &= delta == 0;
         }
-        let before = ALLOC.allocations();
-        for step in 0..10_000u64 {
-            i = (i + 17) % 400;
-            match step % 5 {
-                0 => black_box(ctl.access(Request::write(BlockAddr::new(i), step))),
-                4 => black_box(ctl.dummy_access()),
-                _ => black_box(ctl.access(Request::read(BlockAddr::new(i)))),
-            };
-        }
-        let delta = ALLOC.allocations() - before;
-        let verdict = if delta == 0 { "OK" } else { "FAIL" };
-        println!("steady_state_allocs/{name:<10} {delta:>6} allocs in 10k accesses  [{verdict}]");
-        ok &= delta == 0;
     }
     ok
 }

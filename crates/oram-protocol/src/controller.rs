@@ -189,8 +189,9 @@ pub struct OramController {
     level_reads: Vec<u64>,
     /// Off-chip bucket writes per tree level (eviction write half).
     level_writes: Vec<u64>,
-    /// Reusable duplication-candidate queues for the eviction write
-    /// half; cleared per eviction, capacity retained.
+    /// Duplication-candidate queues for the eviction write half, sized
+    /// here for the most one path write can offer them: every stash
+    /// slot a shadow, every path slot a real block.
     dup_queues: DupQueues,
     /// Optional bus observer (see [`oram_util::observe`]): `None` in
     /// production, so the hot path pays one branch and nothing else.
@@ -234,7 +235,7 @@ impl OramController {
             path_buf: Vec::with_capacity(cfg.levels as usize + 1),
             level_reads: vec![0; cfg.levels as usize + 1],
             level_writes: vec![0; cfg.levels as usize + 1],
-            dup_queues: DupQueues::new(),
+            dup_queues: DupQueues::new(shape, cfg.stash_capacity + shape.blocks_per_path()),
             observer: None,
             telemetry: None,
             #[cfg(feature = "mutants")]
@@ -657,9 +658,7 @@ impl OramController {
                     continue;
                 }
                 // Stale-copy invalidation (version or label mismatch).
-                let current = self.posmap.is_current(blk.addr, blk.version)
-                    && self.posmap.peek(blk.addr).map(|e| e.label) == Some(blk.label);
-                if !current {
+                if !self.is_current_copy(&blk) {
                     self.stats.stale_discarded += 1;
                     self.tl_count(MetricId::StaleDiscarded, 1);
                     continue;
@@ -745,17 +744,18 @@ impl OramController {
                 Op::Write => self.posmap.bump_version(r.addr),
                 Op::Read => self.posmap.version(r.addr),
             };
-            let data = match r.op {
-                Op::Write => r.data,
-                Op::Read => value,
-            };
+            // A write returns what it wrote, as one that hits the stash
+            // does, not the contents the path read forwarded.
+            if r.op == Op::Write {
+                value = r.data;
+            }
             if self.stash.peek(r.addr).is_some() {
-                self.stash.write(r.addr, data, version);
+                self.stash.write(r.addr, value, version);
                 self.stash.relabel(r.addr, new_label, version);
             } else {
                 // Fresh address (or the copy was dropped as stale): create
                 // the block in the stash.
-                let outcome = self.stash.insert(Block::real(r.addr, new_label, data, version));
+                let outcome = self.stash.insert(Block::real(r.addr, new_label, value, version));
                 assert!(
                     !matches!(outcome, crate::stash::InsertOutcome::Overflow),
                     "stash overflow inserting the accessed block: the \
@@ -772,6 +772,15 @@ impl OramController {
 
         self.path_buf = path;
         (phase, served, value)
+    }
+
+    /// Whether a tree copy is the one the position map vouches for: a
+    /// version or label mismatch marks it stale.
+    #[inline]
+    fn is_current_copy(&self, blk: &Block) -> bool {
+        self.posmap
+            .peek(blk.addr)
+            .is_some_and(|e| e.version == blk.version && e.label == blk.label)
     }
 
     /// Whether the injected mutant suppresses the rewrite (and therefore
@@ -809,16 +818,14 @@ impl OramController {
         treetop: u32,
         z: usize,
     ) -> Option<usize> {
+        let current_version = self.posmap.version(addr);
         let mut flat = 0usize;
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
             for slot in 0..z {
                 let blk = self.tree.bucket(bid).slots()[slot];
                 if !on_chip {
-                    if blk.is_real()
-                        && blk.addr == addr
-                        && self.posmap.is_current(addr, blk.version)
-                    {
+                    if blk.is_real() && blk.addr == addr && blk.version == current_version {
                         return Some(flat);
                     }
                     flat += 1;
@@ -858,9 +865,7 @@ impl OramController {
                 if blk.is_dummy() {
                     continue;
                 }
-                let current = self.posmap.is_current(blk.addr, blk.version)
-                    && self.posmap.peek(blk.addr).map(|e| e.label) == Some(blk.label);
-                if !current {
+                if !self.is_current_copy(&blk) {
                     self.stats.stale_discarded += 1;
                     self.tl_count(MetricId::StaleDiscarded, 1);
                     continue;
@@ -885,8 +890,12 @@ impl OramController {
         self.emit(BusEvent::PhaseEnd(BusPhase::EvictionRead));
 
         // ---- Write half: Algorithm 1, leaf to root. ----
+        let policy = self.cfg.dup_policy;
         let partition_level = self.current_partition_level();
-        self.dup_queues.clear();
+        // HD-Dup fills the levels root-ward of the partition, so level 0
+        // tells whether this path write reads priorities at all.
+        let hd_in_play = scheme_for_slot(policy, partition_level, 0) == SlotScheme::Hd;
+        self.dup_queues.begin(leaf);
         // Stash-resident shadows whose real copy is in the tree are also
         // duplication candidates (Sec. V-B2) — this recirculation is what
         // lets a block's shadow outlive the rewriting of its bucket.
@@ -894,21 +903,14 @@ impl OramController {
         let recirculate = self.cfg.recirculate_stash_shadows;
         for entry in self.stash.shadow_entries().filter(|_| recirculate) {
             let blk = entry.block;
-            if !self.posmap.is_current(blk.addr, blk.version) {
+            let Some(pe) = self.posmap.peek(blk.addr).filter(|pe| pe.version == blk.version)
+            else {
                 continue;
-            }
-            if let Some(pe) = self.posmap.peek(blk.addr) {
-                if let RealCopySite::Tree { level } = pe.site {
-                    stash_shadow_count += 1;
-                    self.dup_queues.push(DupCandidate {
-                        addr: blk.addr,
-                        label: blk.label,
-                        data: blk.data,
-                        version: blk.version,
-                        real_level: level,
-                        recirculated: true,
-                    });
-                }
+            };
+            if let RealCopySite::Tree { level } = pe.site {
+                stash_shadow_count += 1;
+                let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
+                self.dup_queues.push(DupCandidate::from_block(&blk, level, true), priority);
             }
         }
         self.stats.stash_shadow_candidates += stash_shadow_count;
@@ -929,6 +931,9 @@ impl OramController {
         }
         self.emit(BusEvent::PhaseEnd(BusPhase::EvictionWrite));
 
+        // stash_blk_select, for the whole path at once: the live blocks
+        // in the order the slots below take them.
+        self.stash.plan_eviction(&self.shape, leaf);
         for (level_idx, &bid) in path.iter().enumerate().rev() {
             if self.skip_rewrite(level_idx, path.len()) {
                 continue;
@@ -938,74 +943,42 @@ impl OramController {
             if !on_chip {
                 self.trace.record(bid, true);
             }
+            let scheme = scheme_for_slot(policy, partition_level, level);
             for slot in 0..z {
-                // stash_blk_select: deepest-fitting live block.
-                let chosen =
-                    self.stash.select_for_eviction(&self.shape, leaf, level);
-                let new_block = if let Some(addr) = chosen {
-                    let blk = self.stash.mark_evicted(addr);
-                    self.posmap.set_site(addr, RealCopySite::Tree { level });
+                let new_block = if let Some(blk) = self.stash.pop_planned(level) {
+                    self.posmap.set_site(blk.addr, RealCopySite::Tree { level });
                     self.stats.real_blocks_written += 1;
                     // Freshly written blocks become duplication candidates
                     // for shallower (later-written) slots.
-                    self.dup_queues.push(DupCandidate {
-                        addr: blk.addr,
-                        label: blk.label,
-                        data: blk.data,
-                        version: blk.version,
-                        real_level: level,
-                        recirculated: false,
-                    });
+                    if policy.is_enabled() {
+                        let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
+                        let fresh = DupCandidate::from_block(&blk, level, false);
+                        self.dup_queues.push(fresh, priority);
+                    }
                     blk
                 } else {
                     // dup_blk_select: fill the dummy with a shadow copy.
-                    match scheme_for_slot(self.cfg.dup_policy, partition_level, level) {
-                        SlotScheme::Rd => {
-                            match self.dup_queues.select_rd_with(
-                                &self.shape,
-                                leaf,
-                                level,
-                                self.cfg.chain_duplication,
-                            ) {
-                                Some(c) => {
-                                    self.stats.rd_shadows_written += 1;
-                                    self.tl_count(MetricId::RdShadowWritten, 1);
-                                    if c.recirculated {
-                                        self.stats.recirculated_shadows += 1;
-                                        self.tl_count(MetricId::RecirculatedShadow, 1);
-                                    }
-                                    c.to_shadow_block()
-                                }
-                                None => self.dummy_write(),
+                    match self.dup_queues.select(scheme, level, self.cfg.chain_duplication) {
+                        Some(c) => {
+                            if scheme == SlotScheme::Rd {
+                                self.stats.rd_shadows_written += 1;
+                                self.tl_count(MetricId::RdShadowWritten, 1);
+                            } else {
+                                self.stats.hd_shadows_written += 1;
+                                self.tl_count(MetricId::HdShadowWritten, 1);
                             }
-                        }
-                        SlotScheme::Hd => {
-                            match self.dup_queues.select_hd_with(
-                                &self.shape,
-                                leaf,
-                                level,
-                                &self.hot,
-                                self.cfg.chain_duplication,
-                            ) {
-                                Some(c) => {
-                                    self.stats.hd_shadows_written += 1;
-                                    self.tl_count(MetricId::HdShadowWritten, 1);
-                                    if c.recirculated {
-                                        self.stats.recirculated_shadows += 1;
-                                        self.tl_count(MetricId::RecirculatedShadow, 1);
-                                    }
-                                    c.to_shadow_block()
-                                }
-                                None => self.dummy_write(),
+                            if c.recirculated {
+                                self.stats.recirculated_shadows += 1;
+                                self.tl_count(MetricId::RecirculatedShadow, 1);
                             }
+                            c.to_shadow_block()
                         }
-                        SlotScheme::None => self.dummy_write(),
+                        None => self.dummy_write(),
                     }
                 };
                 self.tree.bucket_mut(bid).slots_mut()[slot] = new_block;
             }
         }
-        self.dup_queues.clear();
         self.path_buf = path;
 
         // The write loop above fills leaf-first, but the DRAM write order
@@ -1184,6 +1157,35 @@ mod tests {
             }
             ctl.check_invariants().expect("final invariants");
         }
+    }
+
+    #[test]
+    fn every_serve_path_returns_the_written_value() {
+        // Treetop + RD-Dup so that all four serve paths occur; the
+        // working set is prefilled so writes find old contents to
+        // (wrongly) return.
+        let cfg = OramConfig::small_test().with_dup_policy(DupPolicy::RdOnly).with_treetop(3);
+        let mut ctl = OramController::new(cfg).unwrap();
+        let mut reference: std::collections::HashMap<BlockAddr, u64> =
+            (0..150u64).map(|a| (BlockAddr::new(a), a + 1000)).collect();
+        ctl.prefill(reference.iter().map(|(&a, &v)| (a, v)));
+        let mut seen = std::collections::HashSet::new();
+        let mut rng = Rng64::seed_from_u64(7);
+        for step in 0..6000u64 {
+            // Mostly the prefilled set, sometimes a never-seen address.
+            let fresh = rng.gen_bool(0.02);
+            let addr = BlockAddr::new(if fresh { 10_000 + step } else { rng.below(150) });
+            let write = rng.gen_bool(0.5);
+            let (r, expect) = if write {
+                reference.insert(addr, step);
+                (ctl.access(Request::write(addr, step)), step)
+            } else {
+                (ctl.access(Request::read(addr)), reference.get(&addr).copied().unwrap_or(0))
+            };
+            assert_eq!(r.value, expect, "step {step} write={write} served {:?}", r.served);
+            seen.insert((std::mem::discriminant(&r.served), write));
+        }
+        assert_eq!(seen.len(), 8, "stash, treetop, DRAM and fresh, each read and written");
     }
 
     #[test]

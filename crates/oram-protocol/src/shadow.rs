@@ -11,7 +11,8 @@
 //! levels `>= P` are filled by RD-Dup, slots at levels `< P` by HD-Dup.
 
 
-use crate::hotcache::HotAddressCache;
+use std::collections::BinaryHeap;
+
 use crate::tree::TreeShape;
 use crate::types::{Block, BlockAddr, LeafLabel, Version};
 
@@ -64,6 +65,19 @@ pub struct DupCandidate {
 }
 
 impl DupCandidate {
+    /// The candidate offering a copy of `block`, whose real copy sits at
+    /// `real_level`.
+    pub fn from_block(block: &Block, real_level: u32, recirculated: bool) -> Self {
+        DupCandidate {
+            addr: block.addr,
+            label: block.label,
+            data: block.data,
+            version: block.version,
+            real_level,
+            recirculated,
+        }
+    }
+
     /// Materializes the shadow block for this candidate.
     pub fn to_shadow_block(&self) -> Block {
         Block {
@@ -76,132 +90,240 @@ impl DupCandidate {
     }
 
     /// Checks Rules 1 and 2 for placing this candidate's shadow at
-    /// `slot_level` on the path to `eviction_leaf`.
+    /// `slot_level` on the path to `eviction_leaf`. This is the statement
+    /// of the rules; [`DupQueues`] evaluates it once per candidate, as the
+    /// level from which the candidate is eligible.
     pub fn eligible_at(&self, shape: &TreeShape, eviction_leaf: LeafLabel, slot_level: u32) -> bool {
         slot_level < self.real_level
             && shape.common_level(eviction_leaf, self.label) >= slot_level
     }
 }
 
+/// Marks the end of a [`DupQueues`] filing list, and a popped candidate.
+const NIL: u32 = u32::MAX;
+
+/// One pooled candidate with what [`DupQueues::push`] precomputed for it.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    cand: DupCandidate,
+    /// Deepest level shared with the eviction path (Rule-1 bound).
+    common_level: u32,
+    /// Hot Address Cache counter at push time.
+    priority: u64,
+    /// Position in the pool's order — the tie-break among equal keys —
+    /// or [`NIL`] once popped.
+    index: u32,
+    /// Next candidate filed under the same level.
+    next: u32,
+}
+
 /// The duplication candidate pool built during one path write.
 ///
 /// The paper models this as two hardware queues (RD-queue sorted by level,
 /// HD-queue sorted by Hot Address Cache counters) that are cleared when the
-/// path write completes; this struct is the behavioural equivalent with a
-/// single pool and two selection orders.
-#[derive(Debug, Clone, Default)]
+/// path write completes. Here one pool serves both orders: a path write
+/// fills slots leaf to root, so a candidate eligible at one level stays
+/// eligible at every shallower one. [`DupQueues::push`] files each
+/// candidate under the level at which it first becomes eligible,
+/// `min(real_level − 1, common_level)`; [`DupQueues::select`] moves the
+/// lists of the levels it has reached into a max-heap keyed by the
+/// scheme's order and takes the top. A pick costs O(log n) instead of a
+/// scan of the pool, and the heap is re-keyed only when the scheme
+/// changes — once per path write, at the partition boundary.
+#[derive(Debug, Clone)]
 pub struct DupQueues {
-    candidates: Vec<DupCandidate>,
+    shape: TreeShape,
+    eviction_leaf: LeafLabel,
+    /// Every candidate pushed since [`DupQueues::begin`], by id.
+    pool: Vec<Queued>,
+    /// Ids in pool order: `order[i]` has `index == i`. Chained picks
+    /// leave it alone; a popped pick is `swap_remove`d, which moves the
+    /// last candidate into the hole and so changes its tie-break.
+    order: Vec<u32>,
+    /// Head of the list of ids that become eligible at each level.
+    filed: Vec<u32>,
+    /// Levels `>= reached` have been moved into `heap`.
+    reached: u32,
+    /// Eligible candidates as [`HeapEntry`]s keyed per `keyed_for`. An
+    /// entry whose index is no longer its candidate's is a leftover of a
+    /// `swap_remove` and is skipped.
+    heap: BinaryHeap<HeapEntry>,
+    keyed_for: SlotScheme,
+}
+
+/// `(key, index, id)` packed most significant first, so one integer
+/// comparison orders by key, then by place in the pool. The key is
+/// `real_level` for [`SlotScheme::Rd`], `priority` for [`SlotScheme::Hd`].
+type HeapEntry = u128;
+
+fn heap_entry(q: &Queued, id: u32, keyed_for: SlotScheme) -> HeapEntry {
+    let key = match keyed_for {
+        SlotScheme::Hd => q.priority,
+        _ => q.cand.real_level as u64,
+    };
+    (key as u128) << 64 | (q.index as u128) << 32 | id as u128
+}
+
+/// The `(index, id)` of a [`HeapEntry`].
+fn unpack(entry: HeapEntry) -> (u32, u32) {
+    ((entry >> 32) as u32, entry as u32)
 }
 
 impl DupQueues {
-    /// An empty pool.
-    pub fn new() -> Self {
-        DupQueues::default()
+    /// An empty pool for path writes in a tree of `shape`, with room for
+    /// `capacity` candidates per path write before it has to grow.
+    pub fn new(shape: TreeShape, capacity: usize) -> Self {
+        DupQueues {
+            shape,
+            eviction_leaf: LeafLabel::new(0),
+            pool: Vec::with_capacity(capacity),
+            order: Vec::with_capacity(capacity),
+            filed: vec![NIL; shape.levels() as usize + 1],
+            reached: shape.levels() + 1,
+            // Each pop-mode pick can leave one stale entry behind.
+            heap: BinaryHeap::with_capacity(capacity + shape.blocks_per_path()),
+            keyed_for: SlotScheme::None,
+        }
+    }
+
+    /// Empties the pool and starts the path write to `eviction_leaf`.
+    pub fn begin(&mut self, eviction_leaf: LeafLabel) {
+        self.eviction_leaf = eviction_leaf;
+        self.pool.clear();
+        self.order.clear();
+        self.filed.fill(NIL);
+        self.reached = self.shape.levels() + 1;
+        self.heap.clear();
     }
 
     /// Number of candidates currently enqueued.
     pub fn len(&self) -> usize {
-        self.candidates.len()
+        self.order.len()
     }
 
     /// Returns `true` when no candidates are enqueued.
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.order.is_empty()
     }
 
     /// Enqueues a candidate (a block just evicted deeper on this path, or a
-    /// stash-resident shadow whose real copy sits in the tree).
-    pub fn push(&mut self, c: DupCandidate) {
-        self.candidates.push(c);
+    /// stash-resident shadow whose real copy sits in the tree). `priority`
+    /// is its Hot Address Cache counter; only [`SlotScheme::Hd`] picks
+    /// read it. Neither it nor the common level can change during a path
+    /// write, so both are taken here, once.
+    pub fn push(&mut self, cand: DupCandidate, priority: u64) {
+        let id = self.pool.len() as u32;
+        let common_level = self.shape.common_level(self.eviction_leaf, cand.label);
+        self.pool.push(Queued {
+            cand,
+            common_level,
+            priority,
+            index: self.order.len() as u32,
+            next: NIL,
+        });
+        self.order.push(id);
+        if let Some(level) = self.eligible_from(id) {
+            self.file(id, level);
+        }
     }
 
-    /// RD-Dup selection: among the eligible candidates, the one whose
-    /// most-root-ward copy sits at the **deepest** level (the rear data).
+    /// The deepest level at which `id` satisfies Rules 1 and 2 (it then
+    /// does at every shallower level too): `min(real_level − 1,
+    /// common_level)`. `None` for a real copy in the root, which Rule-2
+    /// keeps out of every slot.
+    fn eligible_from(&self, id: u32) -> Option<u32> {
+        let q = &self.pool[id as usize];
+        Some(q.cand.real_level.checked_sub(1)?.min(q.common_level))
+    }
+
+    /// Makes `id` eligible from `level` on: into the heap if the path
+    /// write is already there, else onto that level's list.
+    fn file(&mut self, id: u32, level: u32) {
+        if level >= self.reached {
+            self.heap.push(heap_entry(&self.pool[id as usize], id, self.keyed_for));
+        } else {
+            self.pool[id as usize].next = std::mem::replace(&mut self.filed[level as usize], id);
+        }
+    }
+
+    /// Picks the candidate whose shadow fills a dummy slot at `slot_level`.
     ///
-    /// The candidate is *not* removed: following the paper's Fig. 4
-    /// ("the level of Data-A has changed to level-1 after duplication"),
-    /// its effective level becomes the new shadow's level, so the same
-    /// block can keep climbing through dummy slots toward the root across
-    /// the path write — that chain is what produces large advances.
-    pub fn select_rd(
+    /// [`SlotScheme::Rd`] takes, among the eligible candidates, the one
+    /// whose most-root-ward copy sits at the **deepest** level (the rear
+    /// data); [`SlotScheme::Hd`] the one with the highest Hot Address
+    /// Cache counter (zero when uncached). Equal keys go to the candidate
+    /// latest in pool order.
+    ///
+    /// With `chain` the pick is *not* removed: following the paper's
+    /// Fig. 4 ("the level of Data-A has changed to level-1 after
+    /// duplication"), its effective level becomes the new shadow's level,
+    /// so the same block can keep climbing through dummy slots toward the
+    /// root across the path write — that chain is what produces large
+    /// advances. Without it the pick leaves the pool (the ablation mode).
+    ///
+    /// Returns the candidate as it was before the pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot_level` is deeper than an earlier call's since
+    /// [`DupQueues::begin`]: slots are filled leaf to root.
+    pub fn select(
         &mut self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
-        slot_level: u32,
-    ) -> Option<DupCandidate> {
-        self.select_rd_with(shape, eviction_leaf, slot_level, true)
-    }
-
-    /// [`DupQueues::select_rd`] with the chain behaviour made explicit
-    /// (`chain = false` pops the candidate instead — the ablation mode).
-    pub fn select_rd_with(
-        &mut self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
+        scheme: SlotScheme,
         slot_level: u32,
         chain: bool,
     ) -> Option<DupCandidate> {
-        let idx = self
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
-            .max_by_key(|(_, c)| c.real_level)?
-            .0;
-        let picked = self.candidates[idx];
+        if scheme == SlotScheme::None {
+            return None;
+        }
+        assert!(slot_level <= self.reached, "duplication slots must be filled leaf to root");
+        if scheme != self.keyed_for {
+            self.keyed_for = scheme;
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.retain_mut(|e| {
+                let (index, id) = unpack(*e);
+                let q = &self.pool[id as usize];
+                *e = heap_entry(q, id, scheme);
+                q.index == index
+            });
+            self.heap = BinaryHeap::from(entries);
+        }
+        while self.reached > slot_level {
+            self.reached -= 1;
+            let mut id = std::mem::replace(&mut self.filed[self.reached as usize], NIL);
+            while id != NIL {
+                let q = &self.pool[id as usize];
+                self.heap.push(heap_entry(q, id, scheme));
+                id = q.next;
+            }
+        }
+
+        let (index, id) = loop {
+            let (index, id) = unpack(self.heap.pop()?);
+            if self.pool[id as usize].index == index {
+                break (index as usize, id);
+            }
+        };
+        let picked = self.pool[id as usize].cand;
+        debug_assert!(picked.eligible_at(&self.shape, self.eviction_leaf, slot_level));
         if chain {
-            self.candidates[idx].real_level = slot_level;
+            self.pool[id as usize].cand.real_level = slot_level;
+            if slot_level > 0 {
+                self.file(id, slot_level - 1);
+            }
         } else {
-            self.candidates.swap_remove(idx);
+            self.pool[id as usize].index = NIL;
+            self.order.swap_remove(index);
+            if let Some(&moved) = self.order.get(index) {
+                self.pool[moved as usize].index = index as u32;
+                // If it is in the heap, that entry carries its old index:
+                // add the one it now answers to.
+                if self.eligible_from(moved).is_some_and(|level| level >= self.reached) {
+                    self.heap.push(heap_entry(&self.pool[moved as usize], moved, self.keyed_for));
+                }
+            }
         }
         Some(picked)
-    }
-
-    /// HD-Dup selection: among the eligible candidates, the one with the
-    /// highest Hot Address Cache counter (zero when uncached). As with
-    /// [`DupQueues::select_rd`], the candidate's effective level becomes
-    /// the shadow's level, so a hot block is duplicated at most once per
-    /// level but can climb toward the root.
-    pub fn select_hd(
-        &mut self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
-        slot_level: u32,
-        hot: &HotAddressCache,
-    ) -> Option<DupCandidate> {
-        self.select_hd_with(shape, eviction_leaf, slot_level, hot, true)
-    }
-
-    /// [`DupQueues::select_hd`] with the chain behaviour made explicit
-    /// (`chain = false` pops the candidate instead — the ablation mode).
-    pub fn select_hd_with(
-        &mut self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
-        slot_level: u32,
-        hot: &HotAddressCache,
-        chain: bool,
-    ) -> Option<DupCandidate> {
-        let idx = self
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.eligible_at(shape, eviction_leaf, slot_level))
-            .max_by_key(|(_, c)| hot.priority(c.addr))?
-            .0;
-        let picked = self.candidates[idx];
-        if chain {
-            self.candidates[idx].real_level = slot_level;
-        } else {
-            self.candidates.swap_remove(idx);
-        }
-        Some(picked)
-    }
-
-    /// Clears the pool (called when the path write completes).
-    pub fn clear(&mut self) {
-        self.candidates.clear();
     }
 }
 
@@ -339,6 +461,7 @@ pub fn scheme_for_slot(policy: DupPolicy, partition_level: u32, slot_level: u32)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hotcache::HotAddressCache;
 
     fn cand(addr: u64, label: u64, real_level: u32) -> DupCandidate {
         DupCandidate {
@@ -365,49 +488,85 @@ mod tests {
         assert!(!c.eligible_at(&shape, far, 1), "Rule-1: off-path rejected");
     }
 
+    fn queues(shape: TreeShape) -> DupQueues {
+        let mut q = DupQueues::new(shape, 8);
+        q.begin(LeafLabel::new(0));
+        q
+    }
+
     #[test]
     fn rd_selection_prefers_deepest_real_copy() {
-        let shape = TreeShape::new(3, 2);
-        let mut q = DupQueues::new();
-        q.push(cand(1, 0, 2));
-        q.push(cand(2, 0, 3)); // rear data
-        q.push(cand(3, 0, 1));
-        let picked = q.select_rd(&shape, LeafLabel::new(0), 1).unwrap();
+        let mut q = queues(TreeShape::new(3, 2));
+        q.push(cand(1, 0, 2), 0);
+        q.push(cand(2, 0, 3), 0); // rear data
+        q.push(cand(3, 0, 1), 0);
+        let picked = q.select(SlotScheme::Rd, 1, true).unwrap();
         assert_eq!(picked.addr, BlockAddr::new(2));
         assert_eq!(q.len(), 3, "candidates stay queued with updated level");
         // The same block is no longer eligible at the same level (its
         // effective level is now 1), so the next pick differs.
-        let second = q.select_rd(&shape, LeafLabel::new(0), 1).unwrap();
+        let second = q.select(SlotScheme::Rd, 1, true).unwrap();
         assert_eq!(second.addr, BlockAddr::new(1));
         // At a shallower slot the chain continues: every candidate now
-        // sits at effective level 1, so any of them may be picked.
-        let third = q.select_rd(&shape, LeafLabel::new(0), 0).unwrap();
+        // sits at effective level 1, and the latest queued wins the tie.
+        let third = q.select(SlotScheme::Rd, 0, true).unwrap();
         assert_eq!(third.real_level, 1, "chain continues from level 1");
+        assert_eq!(third.addr, BlockAddr::new(3));
     }
 
     #[test]
     fn hd_selection_prefers_hottest() {
-        let shape = TreeShape::new(3, 2);
         let mut hot = HotAddressCache::new(8, 2);
         for _ in 0..5 {
             hot.observe(BlockAddr::new(3));
         }
         hot.observe(BlockAddr::new(1));
-        let mut q = DupQueues::new();
-        q.push(cand(1, 0, 2));
-        q.push(cand(3, 0, 2));
-        let picked = q.select_hd(&shape, LeafLabel::new(0), 0, &hot).unwrap();
+        let mut q = queues(TreeShape::new(3, 2));
+        for c in [cand(1, 0, 2), cand(3, 0, 2), cand(9, 0, 2)] {
+            q.push(c, hot.priority(c.addr));
+        }
+        let picked = q.select(SlotScheme::Hd, 0, true).unwrap();
         assert_eq!(picked.addr, BlockAddr::new(3));
     }
 
     #[test]
     fn selection_respects_eligibility() {
-        let shape = TreeShape::new(3, 2);
-        let mut q = DupQueues::new();
-        q.push(cand(1, 0b100, 3)); // off-path below level 0 for leaf 0
-        assert!(q.select_rd(&shape, LeafLabel::new(0), 1).is_none());
-        assert_eq!(q.len(), 1, "ineligible candidates stay queued");
-        assert!(q.select_rd(&shape, LeafLabel::new(0), 0).is_some());
+        let mut q = queues(TreeShape::new(3, 2));
+        q.push(cand(1, 0b100, 3), 0); // off-path below level 0 for leaf 0
+        q.push(cand(2, 0, 0), 0); // real copy in the root: Rule-2 bars it everywhere
+        assert!(q.select(SlotScheme::Rd, 1, true).is_none());
+        assert_eq!(q.len(), 2, "ineligible candidates stay queued");
+        assert_eq!(q.select(SlotScheme::Rd, 0, true).map(|c| c.addr), Some(BlockAddr::new(1)));
+        assert!(q.select(SlotScheme::Rd, 0, true).is_none());
+    }
+
+    #[test]
+    fn popped_pick_moves_the_last_candidate_into_its_place() {
+        let mut q = queues(TreeShape::new(3, 2));
+        for addr in 1..=4 {
+            q.push(cand(addr, 0, if addr == 1 { 3 } else { 2 }), 0);
+        }
+        // Pool order 1 2 3 4: the deepest (1) goes first, and 4 takes its
+        // index 0, so the tie among 2, 3, 4 now reads 4 2 3 — 3 is last.
+        let picks: Vec<u64> = std::iter::from_fn(|| q.select(SlotScheme::Rd, 1, false))
+            .map(|c| c.addr.raw())
+            .collect();
+        assert_eq!(picks, [1, 3, 2, 4]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn scheme_change_rekeys_the_eligible_set() {
+        let mut q = queues(TreeShape::new(3, 2));
+        q.push(cand(1, 0, 3), 1); // deepest, coldest
+        q.push(cand(2, 0, 2), 7); // shallower, hottest
+        q.push(cand(3, 0, 2), 3);
+        assert_eq!(q.select(SlotScheme::Rd, 1, true).map(|c| c.addr.raw()), Some(1));
+        assert_eq!(q.select(SlotScheme::Hd, 1, true).map(|c| c.addr.raw()), Some(2));
+        assert_eq!(q.select(SlotScheme::None, 1, true), None);
+        // Level 0: all three climb again, hottest first.
+        assert_eq!(q.select(SlotScheme::Hd, 0, true).map(|c| c.addr.raw()), Some(2));
+        assert_eq!(q.select(SlotScheme::Rd, 0, true).map(|c| c.addr.raw()), Some(3));
     }
 
     #[test]

@@ -87,6 +87,16 @@ pub struct Stash {
     /// Live (non-replaceable) entry count, maintained incrementally so
     /// the high-water bookkeeping is O(1) per insert instead of a scan.
     live_count: usize,
+    /// Replaceable sets, one bit per slot, kept in step with `slots` by
+    /// [`Stash::sync_replaceable_bits`]: victim selection is a
+    /// `trailing_zeros` instead of a scan of every slot.
+    evicted_real: Vec<u64>,
+    shadow: Vec<u64>,
+    /// The current eviction plan ([`Stash::plan_eviction`]): live real
+    /// blocks as `(common level with the eviction leaf, slot)`, deepest
+    /// first, drained from `plan_cursor` by [`Stash::pop_planned`].
+    plan: Vec<(u32, u32)>,
+    plan_cursor: usize,
     stats: StashStats,
 }
 
@@ -104,6 +114,10 @@ impl Stash {
             index: FixedAddrMap::with_capacity(capacity),
             free: (0..capacity).rev().collect(),
             live_count: 0,
+            evicted_real: vec![0; capacity.div_ceil(64)],
+            shadow: vec![0; capacity.div_ceil(64)],
+            plan: Vec::with_capacity(capacity),
+            plan_cursor: 0,
             stats: StashStats::default(),
         }
     }
@@ -232,6 +246,7 @@ impl Stash {
             // newer version always re-arms the entry as live if it is real.
             self.note_replaceable_change(resident.replaceable, incoming_replaceable);
             self.slots[slot] = Some(StashEntry { block, replaceable: incoming_replaceable });
+            self.sync_replaceable_bits(slot);
             self.touch_high_water();
             InsertOutcome::MergedUpgraded
         } else {
@@ -242,6 +257,7 @@ impl Stash {
     fn store(&mut self, slot: usize, block: Block, replaceable: bool) {
         debug_assert!(self.slots[slot].is_none());
         self.slots[slot] = Some(StashEntry { block, replaceable });
+        self.sync_replaceable_bits(slot);
         self.index.insert(block.addr.raw(), slot as u32);
         if !replaceable {
             self.live_count += 1;
@@ -268,31 +284,35 @@ impl Stash {
         }
     }
 
+    /// The slot an incoming block displaces when no slot is free, with
+    /// the address it holds: the lowest-index evicted-real entry, else
+    /// the lowest-index shadow.
     fn find_replaceable_victim(&self) -> Option<(usize, BlockAddr)> {
         // Prefer displacing evicted-real entries: their data lives intact
         // in the tree, while resident shadows double as HD-Dup's on-chip
         // cache and the recirculation supply for future duplication, so
         // shadows are victimized only when no other replaceable exists.
-        let mut shadow_victim = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(e) = s {
-                if e.replaceable {
-                    if e.block.is_shadow() {
-                        if shadow_victim.is_none() {
-                            shadow_victim = Some((i, e.block.addr));
-                        }
-                    } else {
-                        return Some((i, e.block.addr));
-                    }
-                }
-            }
-        }
-        shadow_victim
+        let slot = lowest_set_bit(&self.evicted_real).or_else(|| lowest_set_bit(&self.shadow))?;
+        let entry = self.slots[slot].as_ref().expect("replaceable bit set on an empty slot");
+        Some((slot, entry.block.addr))
+    }
+
+    /// Re-derives `slot`'s bits in the two replaceable sets from its
+    /// entry. Every site that changes `slots[slot]` or its replaceable
+    /// flag ends with this call.
+    fn sync_replaceable_bits(&mut self, slot: usize) {
+        let (evicted_real, shadow) = match &self.slots[slot] {
+            Some(e) if e.replaceable => (e.block.is_real(), e.block.is_shadow()),
+            _ => (false, false),
+        };
+        set_bit(&mut self.evicted_real, slot, evicted_real);
+        set_bit(&mut self.shadow, slot, shadow);
     }
 
     /// Frees `slot`, removing its index entry.
     fn evict_slot(&mut self, slot: usize) {
         if let Some(e) = self.slots[slot].take() {
+            self.sync_replaceable_bits(slot);
             self.index.remove(e.block.addr.raw());
             if !e.replaceable {
                 self.live_count -= 1;
@@ -306,6 +326,7 @@ impl Stash {
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Block> {
         let slot = self.index.get(addr.raw())? as usize;
         let e = self.slots[slot].take()?;
+        self.sync_replaceable_bits(slot);
         self.index.remove(addr.raw());
         if !e.replaceable {
             self.live_count -= 1;
@@ -321,18 +342,7 @@ impl Stash {
     ///
     /// Returns `false` if `addr` is not resident.
     pub fn write(&mut self, addr: BlockAddr, data: u64, version: Version) -> bool {
-        let Some(slot) = self.index.get(addr.raw()) else {
-            return false;
-        };
-        let Some(entry) = self.slots[slot as usize].as_mut() else {
-            return false;
-        };
-        entry.block = Block::real(addr, entry.block.label, data, version);
-        let was = entry.replaceable;
-        entry.replaceable = false;
-        self.note_replaceable_change(was, false);
-        self.touch_high_water();
-        true
+        self.promote_live(addr, |b| Block::real(addr, b.label, data, version))
     }
 
     /// Forces the resident entry for `addr` live (non-replaceable). Used by
@@ -347,9 +357,9 @@ impl Stash {
             return false;
         };
         if entry.block.is_real() {
-            let was = entry.replaceable;
-            entry.replaceable = false;
+            let was = std::mem::replace(&mut entry.replaceable, false);
             self.note_replaceable_change(was, false);
+            self.sync_replaceable_bits(slot as usize);
             self.touch_high_water();
         }
         true
@@ -358,45 +368,63 @@ impl Stash {
     /// Re-labels a resident entry (remap after an access) and promotes it to
     /// a live real block. Returns `false` if absent.
     pub fn relabel(&mut self, addr: BlockAddr, label: LeafLabel, version: Version) -> bool {
+        self.promote_live(addr, |b| Block::real(addr, label, b.data, version.max(b.version)))
+    }
+
+    /// Replaces the resident entry for `addr` with the live real block
+    /// `f(resident block)`. Returns `false` if `addr` is not resident.
+    fn promote_live(&mut self, addr: BlockAddr, f: impl FnOnce(Block) -> Block) -> bool {
         let Some(slot) = self.index.get(addr.raw()) else {
             return false;
         };
         let Some(entry) = self.slots[slot as usize].as_mut() else {
             return false;
         };
-        entry.block = Block::real(addr, label, entry.block.data, version.max(entry.block.version));
-        let was = entry.replaceable;
-        entry.replaceable = false;
+        entry.block = f(entry.block);
+        let was = std::mem::replace(&mut entry.replaceable, false);
         self.note_replaceable_change(was, false);
+        self.sync_replaceable_bits(slot as usize);
         self.touch_high_water();
         true
     }
 
-    /// Selects the live real block best suited for the bucket at
-    /// `slot_level` on the path to `eviction_leaf`: among the eligible
-    /// blocks (whose label path passes through that bucket) the one whose
-    /// path stays joined with the eviction path deepest — the standard
-    /// "as deep as possible" greedy of Path ORAM.
-    pub fn select_for_eviction(
-        &self,
-        shape: &TreeShape,
-        eviction_leaf: LeafLabel,
-        slot_level: u32,
-    ) -> Option<BlockAddr> {
-        let mut best: Option<(u32, BlockAddr)> = None;
-        for entry in self.slots.iter().flatten() {
-            if entry.replaceable || !entry.block.is_real() {
-                continue;
-            }
-            let cl = shape.common_level(eviction_leaf, entry.block.label);
-            if cl >= slot_level {
-                match best {
-                    Some((b, _)) if b >= cl => {}
-                    _ => best = Some((cl, entry.block.addr)),
+    /// Plans the write half of an eviction to `eviction_leaf`: lists the
+    /// live real blocks with the deepest level their label's path shares
+    /// with the eviction path, ordered deepest first (lowest slot first
+    /// among equals) — Path ORAM's "as deep as possible" greedy, sorted
+    /// once instead of searched once per path slot.
+    /// [`Stash::pop_planned`] drains the plan; any other mutation of the
+    /// stash invalidates it.
+    pub fn plan_eviction(&mut self, shape: &TreeShape, eviction_leaf: LeafLabel) {
+        self.plan.clear();
+        self.plan_cursor = 0;
+        for (slot, entry) in self.slots.iter().enumerate() {
+            if let Some(e) = entry {
+                if !e.replaceable && e.block.is_real() {
+                    let common = shape.common_level(eviction_leaf, e.block.label);
+                    self.plan.push((common, slot as u32));
                 }
             }
         }
-        best.map(|(_, a)| a)
+        self.plan.sort_unstable_by_key(|&(common, slot)| (std::cmp::Reverse(common), slot));
+    }
+
+    /// Takes the next planned block if it fits the bucket at `slot_level`
+    /// (its label's path passes through that bucket), marking it evicted
+    /// (replaceable) and returning the copy to write back. Levels must be
+    /// asked leaf to root: a block that fits no deeper level is the best
+    /// fit for every shallower one it reaches.
+    pub fn pop_planned(&mut self, slot_level: u32) -> Option<Block> {
+        let &(common, slot) = self.plan.get(self.plan_cursor)?;
+        if common < slot_level {
+            return None;
+        }
+        self.plan_cursor += 1;
+        debug_assert!(
+            self.slots[slot as usize].is_some_and(|e| !e.replaceable && e.block.is_real()),
+            "the stash changed under its eviction plan"
+        );
+        Some(self.mark_slot_evicted(slot as usize))
     }
 
     /// Marks `addr` as evicted (replaceable) after it has been written back
@@ -404,15 +432,18 @@ impl Stash {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is not resident — callers must only evict blocks
-    /// selected by [`Stash::select_for_eviction`].
+    /// Panics if `addr` is not resident.
     pub fn mark_evicted(&mut self, addr: BlockAddr) -> Block {
         let slot = self.index.get(addr.raw()).expect("evicted block resident") as usize;
+        self.mark_slot_evicted(slot)
+    }
+
+    fn mark_slot_evicted(&mut self, slot: usize) -> Block {
         let entry = self.slots[slot].as_mut().expect("selected entry present");
-        let was = entry.replaceable;
-        entry.replaceable = true;
+        let was = std::mem::replace(&mut entry.replaceable, true);
         let block = entry.block;
         self.note_replaceable_change(was, true);
+        self.sync_replaceable_bits(slot);
         block
     }
 
@@ -429,6 +460,22 @@ impl Stash {
     pub fn entries(&self) -> impl Iterator<Item = &StashEntry> {
         self.slots.iter().flatten()
     }
+}
+
+/// Sets or clears `slot`'s bit in a slot bitset.
+fn set_bit(words: &mut [u64], slot: usize, on: bool) {
+    let bit = 1u64 << (slot % 64);
+    if on {
+        words[slot / 64] |= bit;
+    } else {
+        words[slot / 64] &= !bit;
+    }
+}
+
+/// Index of the lowest set bit of a slot bitset.
+fn lowest_set_bit(words: &[u64]) -> Option<usize> {
+    let (i, w) = words.iter().enumerate().find(|(_, &w)| w != 0)?;
+    Some(i * 64 + w.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -553,23 +600,36 @@ mod tests {
         s.insert(real(1, 0b100, 0, 1)); // shares only root
         s.insert(real(2, 0b001, 0, 1)); // shares levels 0..=2
         s.insert(real(3, 0b000, 0, 1)); // shares full path
-        let leaf = LeafLabel::new(0);
+        s.plan_eviction(&shape, LeafLabel::new(0));
+        let mut pop = |level| s.pop_planned(level).map(|b| b.addr.raw());
         // For the leaf-level slot only blk 3 qualifies.
-        assert_eq!(
-            s.select_for_eviction(&shape, leaf, 3),
-            Some(BlockAddr::new(3))
-        );
-        // At level 1 the deepest-fitting candidate is still blk 3.
-        assert_eq!(
-            s.select_for_eviction(&shape, leaf, 1),
-            Some(BlockAddr::new(3))
-        );
-        // After evicting blk 3, blk 2 becomes the best at level ≤ 2.
-        s.mark_evicted(BlockAddr::new(3));
-        assert_eq!(
-            s.select_for_eviction(&shape, leaf, 2),
-            Some(BlockAddr::new(2))
-        );
+        assert_eq!(pop(3), Some(3));
+        assert_eq!(pop(3), None);
+        // With blk 3 evicted, blk 2 is the deepest fit at level ≤ 2.
+        assert_eq!(pop(2), Some(2));
+        assert_eq!(pop(1), None, "blk 1 only reaches the root");
+        assert_eq!(pop(0), Some(1));
+        assert_eq!(pop(0), None);
+        assert_eq!(s.live(), 0, "every planned block was marked evicted");
+    }
+
+    #[test]
+    fn victim_is_lowest_evicted_real_then_lowest_shadow() {
+        let mut s = Stash::new(70); // two bitset words
+        for a in 0..70 {
+            s.insert(real(a, 0, a, 1));
+        }
+        s.remove(BlockAddr::new(3));
+        s.insert(real(3, 0, 0, 1).to_shadow()); // slot 3: shadow
+        s.mark_evicted(BlockAddr::new(66)); // slot 66: evicted real
+        s.mark_evicted(BlockAddr::new(9)); // slot 9: evicted real
+        let outcomes: Vec<_> = (100..104).map(|a| s.insert(real(a, 0, 0, 1))).collect();
+        let replaced = |a| InsertOutcome::ReplacedVictim(BlockAddr::new(a));
+        assert_eq!(outcomes, [replaced(9), replaced(66), replaced(3), InsertOutcome::Overflow]);
+        // A promoted entry leaves the replaceable sets.
+        s.mark_evicted(BlockAddr::new(5));
+        s.write(BlockAddr::new(5), 1, 2);
+        assert_eq!(s.insert(real(200, 0, 0, 1)), InsertOutcome::Overflow);
     }
 
     #[test]
