@@ -285,13 +285,15 @@ fn miss_stream(n: u64, working_set: u64, rng: &mut Rng64) -> Vec<MissRecord> {
 }
 
 /// Drives a [`ServiceSim`] over a fresh engine with a recorder attached
-/// and returns the captured bus trace plus the bookkeeping the service
-/// checks need: the validated result, the engine-level stash peak, and
-/// the ORAM configuration the trace must be checked against.
-fn service_trace(
+/// and hands `read` the captured bus trace (in place) plus the
+/// bookkeeping the service checks need: the validated result, the
+/// engine-level stash peak, and the ORAM configuration the trace must be
+/// checked against.
+fn service_trace<R>(
     sys: &SystemConfig,
     cfg: ServiceConfig,
-) -> Result<(Vec<BusEvent>, ServiceResult, u64, OramConfig), String> {
+    read: impl FnOnce(&[BusEvent], &ServiceResult, u64, &OramConfig) -> R,
+) -> Result<R, String> {
     let rec = Recorder::unbounded();
     let mut engine =
         Engine::new(sys.clone()).map_err(|e| format!("engine rejected config: {e}"))?;
@@ -303,7 +305,7 @@ fn service_trace(
     engine.detach_bus_observer();
     res.validate()?;
     let stash_max = engine.stash_occupancy().max() as u64;
-    Ok((rec.snapshot(), res, stash_max, engine.config().oram))
+    Ok(rec.with_events(|events| read(events, &res, stash_max, &engine.config().oram)))
 }
 
 /// Drives one batch of workload through a fresh sharded backend with a
@@ -497,9 +499,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             engine.attach_bus_observer(rec.observer());
             engine.run(&mut ReplayMisses::new(misses));
             engine.detach_bus_observer();
-            let events = rec.snapshot();
             let spec = TraceSpec::from_oram(&engine.config().oram);
-            match check_trace(&spec, &events) {
+            rec.with_events(|events| match check_trace(&spec, events) {
                 Ok(s) if s.dram_blocks > 0 => {
                     let hist = engine.stash_occupancy();
                     report.ok(format!(
@@ -513,10 +514,10 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
                 Ok(_) => report.fail(
                     case,
                     "engine run produced no DRAM block events".into(),
-                    window_of(&events),
+                    window_of(events),
                 ),
-                Err(e) => report.fail(case, e, window_of(&events)),
-            }
+                Err(e) => report.fail(case, e, window_of(events)),
+            });
         }
         Err(e) => report.fail(case, format!("engine rejected config: {e}"), String::new()),
     }
@@ -529,30 +530,27 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         let case = format!("service/{} (seed {svc_seed:#x})", policy.name());
         let mut cfg = ServiceConfig::symmetric_open(4, per_client, 300.0, 256, svc_seed);
         cfg.scheduler = policy;
-        match service_trace(&sys, cfg) {
-            Ok((events, res, stash_max, oram)) => {
-                if stash_max > oram.stash_capacity as u64 {
-                    report.fail(
-                        case,
-                        format!(
-                            "stash peaked at {stash_max} blocks, capacity {}",
-                            oram.stash_capacity
-                        ),
-                        window_of(&events),
-                    );
-                    continue;
-                }
-                match check_service_trace(&oram, &events) {
-                    Ok(s) => report.ok(format!(
-                        "{case}: {} bus accesses for {} completed ({} coalesced, {} rejected), stash peak {stash_max}",
-                        s.accesses,
-                        res.completed(),
-                        res.coalesced(),
-                        res.rejected()
-                    )),
-                    Err(e) => report.fail(case, e, window_of(&events)),
-                }
+        let checked = service_trace(&sys, cfg, |events, res, stash_max, oram| {
+            if stash_max > oram.stash_capacity as u64 {
+                return Err((
+                    format!("stash peaked at {stash_max} blocks, capacity {}", oram.stash_capacity),
+                    window_of(events),
+                ));
             }
+            match check_service_trace(oram, events) {
+                Ok(s) => Ok(format!(
+                    "{case}: {} bus accesses for {} completed ({} coalesced, {} rejected), stash peak {stash_max}",
+                    s.accesses,
+                    res.completed(),
+                    res.coalesced(),
+                    res.rejected()
+                )),
+                Err(e) => Err((e, window_of(events))),
+            }
+        });
+        match checked {
+            Ok(Ok(line)) => report.ok(line),
+            Ok(Err((e, window))) => report.fail(case, e, window),
             Err(e) => report.fail(case, e, String::new()),
         }
     }
@@ -567,8 +565,9 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             for client in &mut cfg.clients {
                 client.addresses = mix;
             }
-            let (events, _res, _stash, oram) = service_trace(&sys, cfg)?;
-            Ok(check_trace(&TraceSpec::from_oram(&oram), &events)?.leaves)
+            service_trace(&sys, cfg, |events, _res, _stash, oram| {
+                check_trace(&TraceSpec::from_oram(oram), events).map(|s| s.leaves)
+            })?
         };
         let a = mix_leaves(AddressMix::Zipfian { domain: 256, theta: 0.99 }, svc_seed ^ 0xA);
         let b = mix_leaves(AddressMix::Uniform { domain: 256 }, svc_seed ^ 0xB);

@@ -457,10 +457,13 @@ fn run_policy_on<B: StorageBackend>(
     //    the data-path grammar (which skips posmap events) plus the
     //    recursive posmap's own structural grammar (vacuous under a
     //    flat posmap, which emits no posmap events).
-    let snapshot = trace.snapshot();
-    check_service_trace(&engine.config().oram, &snapshot)
-        .map_err(|e| format!("{name}: service trace audit: {e}"))?;
-    check_posmap_trace(&snapshot).map_err(|e| format!("{name}: posmap trace audit: {e}"))?;
+    trace.with_events(|events| {
+        check_service_trace(&engine.config().oram, events)
+            .map_err(|e| format!("{name}: service trace audit: {e}"))?;
+        check_posmap_trace(events)
+            .map(drop)
+            .map_err(|e| format!("{name}: posmap trace audit: {e}"))
+    })?;
     // 4. The live plane (when attached) conserved every count: folded +
     //    ring + open window totals equal the cumulative registry.
     finish_live(name, live)?;
@@ -548,14 +551,17 @@ fn run_policy_sharded(
     //    ORAM trace on its own (a shard that saw no traffic has nothing
     //    to check).
     for (i, trace) in traces.iter().enumerate() {
-        let snapshot = trace.snapshot();
-        if snapshot.is_empty() {
-            continue;
-        }
-        check_service_trace(&backend.engine_mut(i).config().oram, &snapshot)
-            .map_err(|e| format!("{name}: shard {i} service trace audit: {e}"))?;
-        check_posmap_trace(&snapshot)
-            .map_err(|e| format!("{name}: shard {i} posmap trace audit: {e}"))?;
+        let oram = backend.engine_mut(i).config().oram;
+        trace.with_events(|events| {
+            if events.is_empty() {
+                return Ok(());
+            }
+            check_service_trace(&oram, events)
+                .map_err(|e| format!("{name}: shard {i} service trace audit: {e}"))?;
+            check_posmap_trace(events)
+                .map(drop)
+                .map_err(|e| format!("{name}: shard {i} posmap trace audit: {e}"))
+        })?;
     }
     // 4. Live-plane window conservation, as in the single-engine path.
     finish_live(name, live)?;
@@ -1522,6 +1528,52 @@ mod tests {
         o.posmap_onchip_kb = 1;
         o.scheduler = Some(SchedPolicy::Fcfs);
         o
+    }
+
+    /// The bus trace of `repro serve --quick --posmap recursive
+    /// --posmap-onchip-kb 1 --plb-entries 4` (every scheduler, one engine
+    /// each; the small budget and PLB make the chain walk off chip), as
+    /// `(events, PosmapBucket events, hash)`. Wired like `run_policy_on`:
+    /// one recorder on both ends of the controller↔storage boundary.
+    fn quick_recursive_trace_pin() -> (usize, usize, u64) {
+        use std::hash::{BuildHasher, Hash, Hasher};
+
+        let mut opts = ServeOptions::quick();
+        opts.posmap = PosmapKind::Recursive;
+        opts.posmap_onchip_kb = 1;
+        opts.plb_entries = Some(4);
+        let (mut events, mut posmap_events) = (0, 0);
+        let mut hasher = oram_util::DetState.build_hasher();
+        for policy in SchedPolicy::ALL {
+            let mut cfg = opts.service_config(opts.load);
+            cfg.scheduler = policy;
+            let mut engine = Engine::new(serve_system(&opts).unwrap()).unwrap();
+            engine.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
+            let trace = Recorder::unbounded();
+            engine.attach_bus_observer(trace.observer());
+            let mut sim = ServiceSim::new(cfg, engine).unwrap();
+            sim.run();
+            let (_, mut engine) = sim.finish();
+            engine.detach_bus_observer();
+            trace.with_events(|trace| {
+                events += trace.len();
+                posmap_events += trace
+                    .iter()
+                    .filter(|e| matches!(e, oram_util::BusEvent::PosmapBucket { .. }))
+                    .count();
+                trace.hash(&mut hasher);
+            });
+        }
+        (events, posmap_events, hasher.finish())
+    }
+
+    /// Batched reporting must not move, add or drop a single bus event —
+    /// including the posmap walk's `PosmapBucket` events, which
+    /// interleave with the data access framing. The constants were
+    /// captured on the commit before reporting was batched.
+    #[test]
+    fn quick_recursive_serve_trace_is_pinned() {
+        assert_eq!(quick_recursive_trace_pin(), (363_786, 19_500, 0xd6c6_6065_a563_e9c0));
     }
 
     #[test]

@@ -36,13 +36,39 @@ pub enum Interleave {
     RowColRankBankChan,
 }
 
+/// One mixed-radix digit of the address decode. Every Table I dimension
+/// is a power of two, where peeling the digit is a mask and a shift; any
+/// other size keeps the exact division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digit {
+    size: u64,
+    /// `log2(size)` when `size` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Digit {
+    fn new(size: usize) -> Self {
+        let size = size as u64;
+        Digit { size, shift: size.is_power_of_two().then(|| size.trailing_zeros()) }
+    }
+
+    /// Splits `a` into `(a % size, a / size)`.
+    #[inline]
+    fn peel(self, a: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (a & (self.size - 1), a >> shift),
+            None => (a % self.size, a / self.size),
+        }
+    }
+}
+
 /// Physical-address → DRAM-location mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddressMapping {
-    channels: usize,
-    ranks: usize,
-    banks: usize,
-    bursts_per_row: usize,
+    channels: Digit,
+    ranks: Digit,
+    banks: Digit,
+    bursts_per_row: Digit,
     interleave: Interleave,
 }
 
@@ -50,40 +76,38 @@ impl AddressMapping {
     /// Builds the mapping for `cfg` with the given interleave order.
     pub fn new(cfg: &DramConfig, interleave: Interleave) -> Self {
         AddressMapping {
-            channels: cfg.channels,
-            ranks: cfg.ranks,
-            banks: cfg.banks,
-            bursts_per_row: cfg.bursts_per_row(),
+            channels: Digit::new(cfg.channels),
+            ranks: Digit::new(cfg.ranks),
+            banks: Digit::new(cfg.banks),
+            bursts_per_row: Digit::new(cfg.bursts_per_row()),
             interleave,
         }
     }
 
     /// Decodes a physical block address (units of one burst / 64 B).
+    #[inline]
     pub fn decode(&self, block_addr: u64) -> Location {
-        let mut a = block_addr;
-        match self.interleave {
+        let (channel, a) = self.channels.peel(block_addr);
+        let (rank, bank, column, row) = match self.interleave {
             Interleave::RowRankBankColChan => {
-                let channel = (a % self.channels as u64) as usize;
-                a /= self.channels as u64;
-                let column = (a % self.bursts_per_row as u64) as usize;
-                a /= self.bursts_per_row as u64;
-                let bank = (a % self.banks as u64) as usize;
-                a /= self.banks as u64;
-                let rank = (a % self.ranks as u64) as usize;
-                a /= self.ranks as u64;
-                Location { channel, rank, bank, row: a, column }
+                let (column, a) = self.bursts_per_row.peel(a);
+                let (bank, a) = self.banks.peel(a);
+                let (rank, row) = self.ranks.peel(a);
+                (rank, bank, column, row)
             }
             Interleave::RowColRankBankChan => {
-                let channel = (a % self.channels as u64) as usize;
-                a /= self.channels as u64;
-                let bank = (a % self.banks as u64) as usize;
-                a /= self.banks as u64;
-                let rank = (a % self.ranks as u64) as usize;
-                a /= self.ranks as u64;
-                let column = (a % self.bursts_per_row as u64) as usize;
-                a /= self.bursts_per_row as u64;
-                Location { channel, rank, bank, row: a, column }
+                let (bank, a) = self.banks.peel(a);
+                let (rank, a) = self.ranks.peel(a);
+                let (column, row) = self.bursts_per_row.peel(a);
+                (rank, bank, column, row)
             }
+        };
+        Location {
+            channel: channel as usize,
+            rank: rank as usize,
+            bank: bank as usize,
+            row,
+            column: column as usize,
         }
     }
 }
@@ -198,6 +222,20 @@ mod tests {
             for slot in 0..4 {
                 let a = layout.block_addr(heap, slot);
                 assert!(seen.insert(a), "collision at bucket {heap} slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn slots_of_a_bucket_are_contiguous() {
+        // The engine maps a bucket once and steps through its slots.
+        for (k, z) in [(1, 1), (3, 4), (4, 5)] {
+            let layout = SubtreeLayout::new(k, z);
+            for heap in (1u64..2048).chain([1 << 24, (1 << 25) - 1]) {
+                let base = layout.block_addr(heap, 0);
+                for slot in 0..z {
+                    assert_eq!(layout.block_addr(heap, slot), base + slot as u64);
+                }
             }
         }
     }

@@ -120,6 +120,9 @@ impl DramConfig {
         if self.channels == 0 || self.ranks == 0 || self.banks == 0 {
             return Err("channels, ranks and banks must be positive".into());
         }
+        if self.row_bytes == 0 || self.bus_bytes == 0 || self.burst_length == 0 {
+            return Err("row_bytes, bus_bytes and burst_length must be positive".into());
+        }
         if !self.row_bytes.is_multiple_of(self.burst_bytes()) {
             return Err("row size must be a whole number of bursts".into());
         }
@@ -178,5 +181,16 @@ mod tests {
         let mut c = DramConfig::ddr3_1333();
         c.tras = 1;
         assert!(c.validate().is_err());
+
+        // A zero size would make `bursts_per_row()` zero (or divide by
+        // zero computing it) and the address decode meaningless.
+        let zeroed: [fn(&mut DramConfig); 3] =
+            [|c| c.row_bytes = 0, |c| c.bus_bytes = 0, |c| c.burst_length = 0];
+        for zero in zeroed {
+            let mut c = DramConfig::ddr3_1333();
+            zero(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("must be positive"), "{err}");
+        }
     }
 }

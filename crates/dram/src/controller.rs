@@ -8,33 +8,51 @@
 //! transactions per access) fast to simulate while preserving the timing
 //! interactions that matter: row-buffer locality, bank parallelism, bus
 //! occupancy, tFAW, write turnaround and refresh.
-
-use std::collections::VecDeque;
-
+//!
+//! # Scheduler data structure
+//!
+//! A drain services a whole ORAM path phase, so the pick must not rescan
+//! the queue. The queue is a `Vec` in submission (= age) order that is
+//! never compacted; two bitsets over its indices drive FR-FCFS:
+//!
+//! * `live` — bit `i` set while transaction `i` is unserviced;
+//! * `hit` — bit `i` set while `i` is live **and** its bank's open row
+//!   is `i`'s row.
+//!
+//! The pick is the lowest set bit of `hit` (oldest row hit), else the
+//! lowest set bit of `live` (oldest overall) — exactly what a linear scan
+//! in age order returns. `hit` stays exact because a bit can only change
+//! when its transaction retires or when its bank's open row changes, and
+//! a bank's open row changes in three places only: an activate (row miss,
+//! or the second half of a conflict), the precharge that opens a conflict
+//! (always followed by that activate before the next pick), and a refresh
+//! idling every bank of a rank. A per-bank membership mask (`member`)
+//! names the queue entries of one bank, so those events recompute or
+//! clear just that bank's bits.
 
 use crate::address::Location;
 use crate::bank::{Bank, Command, RowState};
 use crate::config::DramConfig;
 use crate::energy::EnergyCounters;
 
-/// A memory transaction: one 64-byte burst read or write.
+/// A memory transaction: one 64-byte burst read or write. The
+/// transactions of a batch enter the queue together, at the `now` of the
+/// drain that services them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
     /// Caller-chosen identifier returned in the [`Completion`].
-    pub id: u64,
+    pub id: u32,
     /// Decoded target location.
     pub loc: Location,
     /// `true` for writes.
     pub is_write: bool,
-    /// Cycle (DRAM clock) at which the transaction enters the queue.
-    pub arrival: i64,
 }
 
 /// A finished transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The id given at submission.
-    pub id: u64,
+    pub id: u32,
     /// Cycle at which the data burst completed (read data valid at the
     /// pins / write data fully transferred).
     pub finish: i64,
@@ -163,18 +181,85 @@ pub struct ChannelStats {
     pub refreshes: u64,
 }
 
+/// A queued transaction, reduced to what servicing it needs.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    row: u64,
+    id: u32,
+    /// Flat bank index, `rank · banks + bank`.
+    bank: u32,
+    is_write: bool,
+}
+
+/// One bank with its utilization counters beside it.
+#[derive(Debug, Clone, Copy)]
+struct BankSlot {
+    bank: Bank,
+    /// Transactions serviced.
+    touches: u64,
+    /// Active service cycles.
+    busy: u64,
+}
+
+/// The last four activate times of one rank (tRRD looks at the newest,
+/// tFAW at the oldest), oldest at `next`.
+#[derive(Debug, Clone, Copy)]
+struct ActivateWindow {
+    at: [i64; 4],
+    next: usize,
+}
+
+impl ActivateWindow {
+    /// Far enough in the past that neither tRRD nor tFAW binds.
+    const LONG_AGO: i64 = i64::MIN / 2;
+
+    fn new() -> Self {
+        ActivateWindow { at: [Self::LONG_AGO; 4], next: 0 }
+    }
+
+    /// Earliest activate allowed by the window: tRRD after the newest
+    /// activate and tFAW after the fourth-newest.
+    #[inline]
+    fn earliest(&self, cfg: &DramConfig) -> i64 {
+        let newest = self.at[(self.next + 3) % 4];
+        (newest + cfg.trrd as i64).max(self.at[self.next] + cfg.tfaw as i64)
+    }
+
+    #[inline]
+    fn record(&mut self, at: i64) {
+        self.at[self.next] = at;
+        self.next = (self.next + 1) % 4;
+    }
+}
+
+const WORD: usize = u64::BITS as usize;
+
 /// One channel: banks, queue and data-bus state.
 #[derive(Debug, Clone)]
 pub struct Channel {
     cfg: DramConfig,
-    banks: Vec<Vec<Bank>>, // [rank][bank]
-    queue: VecDeque<Transaction>,
+    /// `[rank · banks + bank]`.
+    banks: Vec<BankSlot>,
+    /// The batch being collected, in submission (= age) order. Entries
+    /// stay in place while the batch drains; the bitsets below say which
+    /// are still waiting.
+    queue: Vec<Queued>,
+    /// Bit `i`: `queue[i]` is unserviced.
+    live: Vec<u64>,
+    /// Bit `i`: `queue[i]` is unserviced and its row is open in its bank.
+    hit: Vec<u64>,
+    /// Word `w · banks.len() + b`: the entries `queue[64w..64w + 64]`
+    /// that target flat bank `b`.
+    member: Vec<u64>,
     /// Cycle after which the shared data bus is free.
     bus_free: i64,
     /// Recent activate times per rank (for tFAW / tRRD).
-    recent_activates: Vec<VecDeque<i64>>,
-    /// Next refresh deadline per rank.
+    recent_activates: Vec<ActivateWindow>,
+    /// Next refresh deadline per rank (`i64::MAX` with refresh off).
     next_refresh: Vec<i64>,
+    /// Earliest deadline in `next_refresh`: one compare per transaction
+    /// rules refresh out.
+    refresh_due: i64,
     stats: ChannelStats,
     energy: EnergyCounters,
     /// Breakdown of the longest-finishing transaction since the last
@@ -184,28 +269,27 @@ pub struct Channel {
     busy_cycles: u64,
     /// Queue depth seen by each arriving transaction (dense, saturating).
     queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
-    /// Transactions serviced per bank (`[rank][bank]` flattened).
-    bank_touches: Vec<u64>,
-    /// Active service cycles per bank (`[rank][bank]` flattened).
-    bank_busy: Vec<u64>,
 }
 
 impl Channel {
     /// Creates an idle channel.
     pub fn new(cfg: DramConfig) -> Self {
+        let first_refresh = if cfg.trefi == 0 { i64::MAX } else { cfg.trefi as i64 };
         Channel {
-            banks: vec![vec![Bank::new(); cfg.banks]; cfg.ranks],
-            queue: VecDeque::new(),
+            banks: vec![BankSlot { bank: Bank::new(), touches: 0, busy: 0 }; cfg.ranks * cfg.banks],
+            queue: Vec::new(),
+            live: Vec::new(),
+            hit: Vec::new(),
+            member: Vec::new(),
             bus_free: 0,
-            recent_activates: vec![VecDeque::new(); cfg.ranks],
-            next_refresh: vec![cfg.trefi as i64; cfg.ranks],
+            recent_activates: vec![ActivateWindow::new(); cfg.ranks],
+            next_refresh: vec![first_refresh; cfg.ranks],
+            refresh_due: first_refresh,
             stats: ChannelStats::default(),
             energy: EnergyCounters::default(),
             batch_crit: None,
             busy_cycles: 0,
             queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
-            bank_touches: vec![0; cfg.ranks * cfg.banks],
-            bank_busy: vec![0; cfg.ranks * cfg.banks],
             cfg,
         }
     }
@@ -230,8 +314,8 @@ impl Channel {
             stats: self.stats,
             busy_cycles: self.busy_cycles,
             queue_depth_hist: self.queue_depth_hist.to_vec(),
-            bank_touches: self.bank_touches.clone(),
-            bank_busy: self.bank_busy.clone(),
+            bank_touches: self.banks.iter().map(|b| b.touches).collect(),
+            bank_busy: self.banks.iter().map(|b| b.busy).collect(),
         }
     }
 
@@ -251,9 +335,28 @@ impl Channel {
     }
 
     /// Enqueues a transaction.
+    #[inline]
     pub fn submit(&mut self, t: Transaction) {
-        self.queue_depth_hist[self.queue.len().min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
-        self.queue.push_back(t);
+        let i = self.queue.len();
+        self.queue_depth_hist[i.min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
+        let flat = t.loc.rank * self.cfg.banks + t.loc.bank;
+        let (w, bit) = (i / WORD, 1u64 << (i % WORD));
+        if w == self.live.len() {
+            self.live.push(0);
+            self.hit.push(0);
+            self.member.resize(self.member.len() + self.banks.len(), 0);
+        }
+        self.live[w] |= bit;
+        self.member[w * self.banks.len() + flat] |= bit;
+        if self.banks[flat].bank.is_open(t.loc.row) {
+            self.hit[w] |= bit;
+        }
+        self.queue.push(Queued {
+            row: t.loc.row,
+            id: t.id,
+            bank: flat as u32,
+            is_write: t.is_write,
+        });
     }
 
     /// Services the whole queue, returning completions in finish order.
@@ -281,79 +384,106 @@ impl Channel {
         occupy_bus: bool,
         mut sink: impl FnMut(Completion),
     ) {
-        while !self.queue.is_empty() {
+        for _ in 0..self.queue.len() {
             let idx = self.pick_fr_fcfs();
-            let t = self.queue.remove(idx).expect("index in range");
-            let finish = self.service_one(&t, now, occupy_bus);
+            let (w, bit) = (idx / WORD, 1u64 << (idx % WORD));
+            self.live[w] &= !bit;
+            self.hit[w] &= !bit;
+            let t = self.queue[idx];
+            let finish = self.service_one(t, now, occupy_bus);
             sink(Completion { id: t.id, finish });
         }
+        self.queue.clear();
+        self.live.clear();
+        self.hit.clear();
+        self.member.clear();
     }
 
     /// FR-FCFS: the oldest transaction whose row is open wins; otherwise
-    /// the oldest overall.
+    /// the oldest overall. Only called with a transaction waiting.
     fn pick_fr_fcfs(&self) -> usize {
-        for (i, t) in self.queue.iter().enumerate() {
-            let bank = &self.banks[t.loc.rank][t.loc.bank];
-            if bank.is_open(t.loc.row) {
-                return i;
+        let lowest = |words: &[u64]| {
+            words
+                .iter()
+                .position(|&w| w != 0)
+                .map(|w| w * WORD + words[w].trailing_zeros() as usize)
+        };
+        lowest(&self.hit).or_else(|| lowest(&self.live)).expect("a transaction is waiting")
+    }
+
+    /// Recomputes the `hit` bits of flat bank `flat` after its open row
+    /// changed to `open` (`None`: the bank went idle).
+    fn rescan_bank(&mut self, flat: usize, open: Option<u64>) {
+        let stride = self.banks.len();
+        for w in 0..self.live.len() {
+            let member = self.member[w * stride + flat];
+            let mut hits = 0u64;
+            if let Some(row) = open {
+                let mut waiting = member & self.live[w];
+                while waiting != 0 {
+                    let i = waiting.trailing_zeros() as usize;
+                    if self.queue[w * WORD + i].row == row {
+                        hits |= 1 << i;
+                    }
+                    waiting &= waiting - 1;
+                }
             }
+            self.hit[w] = (self.hit[w] & !member) | hits;
         }
-        0
     }
 
     /// Issues all commands needed by `t` and returns its data-finish time.
-    fn service_one(&mut self, t: &Transaction, now: i64, occupy_bus: bool) -> i64 {
-        let cfg = self.cfg;
-        let base = now.max(t.arrival);
-        self.maybe_refresh(t.loc.rank, base);
+    fn service_one(&mut self, t: Queued, base: i64, occupy_bus: bool) -> i64 {
+        let flat = t.bank as usize;
+        if self.refresh_due <= base {
+            self.maybe_refresh(flat / self.cfg.banks, base);
+        }
 
         // Row-operation interval [row_start, row_end] for attribution:
         // empty on a row hit, precharge-to-column-ready on a conflict,
         // activate-to-column-ready on a miss.
         let mut row_start = base;
         let mut row_end = base;
-        let bank_state = self.banks[t.loc.rank][t.loc.bank].state();
-        match bank_state {
-            RowState::Open(r) if r == t.loc.row => {
+        match self.banks[flat].bank.state() {
+            RowState::Open(r) if r == t.row => {
                 self.stats.row_hits += 1;
             }
             RowState::Open(_) => {
                 self.stats.row_conflicts += 1;
-                let at = self.banks[t.loc.rank][t.loc.bank]
-                    .earliest(Command::Precharge, &cfg)
-                    .max(base);
-                self.banks[t.loc.rank][t.loc.bank].issue(Command::Precharge, at, 0, &cfg);
+                let bank = &mut self.banks[flat].bank;
+                let at = bank.earliest(Command::Precharge, &self.cfg).max(base);
+                bank.issue(Command::Precharge, at, 0, &self.cfg);
                 self.stats.precharges += 1;
                 self.energy.precharges += 1;
-                self.activate(t.loc, base);
+                self.activate(t, base);
                 row_start = at;
-                row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                row_end = self.banks[flat].bank.row_ready(&self.cfg);
             }
             RowState::Idle => {
                 self.stats.row_misses += 1;
-                let act_at = self.activate(t.loc, base);
-                row_start = act_at;
-                row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                row_start = self.activate(t, base);
+                row_end = self.banks[flat].bank.row_ready(&self.cfg);
             }
         }
 
         // Column command: constrained by bank readiness and bus occupancy.
+        let burst = self.cfg.burst_cycles() as i64;
+        let slot = &mut self.banks[flat];
         let cmd = if t.is_write { Command::Write } else { Command::Read };
-        let bank_ready = self.banks[t.loc.rank][t.loc.bank].earliest(cmd, &cfg).max(base);
+        let bank_ready = slot.bank.earliest(cmd, &self.cfg).max(base);
         // The data burst occupies the bus [issue+latency, issue+latency+burst).
-        let latency = if t.is_write { cfg.cwl } else { cfg.cl } as i64;
+        let latency = if t.is_write { self.cfg.cwl } else { self.cfg.cl } as i64;
         let use_bus = occupy_bus || t.is_write;
         let issue = if use_bus {
             bank_ready.max(self.bus_free - latency)
         } else {
             bank_ready
         };
-        self.banks[t.loc.rank][t.loc.bank].issue(cmd, issue, t.loc.row, &cfg);
-        let data_start = issue + latency;
-        let finish = data_start + cfg.burst_cycles() as i64;
+        slot.bank.issue(cmd, issue, t.row, &self.cfg);
+        let finish = issue + latency + burst;
         if use_bus {
             self.bus_free = finish;
-            self.busy_cycles += cfg.burst_cycles();
+            self.busy_cycles += burst as u64;
         }
 
         // Exact decomposition of [base, finish]: row cycles are the part
@@ -362,13 +492,12 @@ impl Channel {
         let row_d = row_end.min(issue).saturating_sub(row_start.max(base)).max(0) as u64;
         let queue_d = (issue - base) as u64 - row_d;
         let transfer_d = (finish - issue) as u64;
-        let bd = TxBreakdown { queue: queue_d, row: row_d, transfer: transfer_d, finish };
         if self.batch_crit.is_none_or(|c| finish > c.finish) {
-            self.batch_crit = Some(bd);
+            self.batch_crit =
+                Some(TxBreakdown { queue: queue_d, row: row_d, transfer: transfer_d, finish });
         }
-        let flat = t.loc.rank * cfg.banks + t.loc.bank;
-        self.bank_touches[flat] += 1;
-        self.bank_busy[flat] += row_d + transfer_d;
+        slot.touches += 1;
+        slot.busy += row_d + transfer_d;
 
         if t.is_write {
             self.stats.writes += 1;
@@ -381,61 +510,55 @@ impl Channel {
         finish
     }
 
-    /// Issues an activate respecting tRRD and tFAW for the rank, returning
+    /// Opens `t`'s row respecting tRRD and tFAW for the rank, returning
     /// the cycle the activate was committed at.
-    fn activate(&mut self, loc: Location, base: i64) -> i64 {
-        let cfg = self.cfg;
-        let mut at = self.banks[loc.rank][loc.bank]
-            .earliest(Command::Activate, &cfg)
-            .max(base);
-        {
-            let recent = &mut self.recent_activates[loc.rank];
-            if let Some(&last) = recent.back() {
-                at = at.max(last + cfg.trrd as i64);
-            }
-            if recent.len() >= 4 {
-                let fourth_last = recent[recent.len() - 4];
-                at = at.max(fourth_last + cfg.tfaw as i64);
-            }
-        }
-        self.banks[loc.rank][loc.bank].issue(Command::Activate, at, loc.row, &cfg);
-        let recent = &mut self.recent_activates[loc.rank];
-        recent.push_back(at);
-        if recent.len() > 8 {
-            recent.pop_front();
-        }
+    fn activate(&mut self, t: Queued, base: i64) -> i64 {
+        let flat = t.bank as usize;
+        let window = &mut self.recent_activates[flat / self.cfg.banks];
+        let bank = &mut self.banks[flat].bank;
+        let at = bank
+            .earliest(Command::Activate, &self.cfg)
+            .max(base)
+            .max(window.earliest(&self.cfg));
+        bank.issue(Command::Activate, at, t.row, &self.cfg);
+        window.record(at);
         self.stats.activates += 1;
         self.energy.activates += 1;
+        self.rescan_bank(flat, Some(t.row));
         at
     }
 
     /// Performs any due refreshes for `rank` before `now` by stalling the
     /// whole rank for tRFC (all-bank refresh; rows must be precharged).
+    #[cold]
     fn maybe_refresh(&mut self, rank: usize, now: i64) {
-        if self.cfg.trefi == 0 {
+        if self.next_refresh[rank] > now {
             return;
         }
+        let banks = rank * self.cfg.banks..(rank + 1) * self.cfg.banks;
         while self.next_refresh[rank] <= now {
             let deadline = self.next_refresh[rank];
             // Precharge any open banks in the rank.
-            for b in 0..self.cfg.banks {
-                if self.banks[rank][b].state() != RowState::Idle {
-                    let at = self.banks[rank][b]
-                        .earliest(Command::Precharge, &self.cfg)
-                        .max(deadline);
-                    self.banks[rank][b].issue(Command::Precharge, at, 0, &self.cfg);
+            for slot in &mut self.banks[banks.clone()] {
+                if slot.bank.state() != RowState::Idle {
+                    let at = slot.bank.earliest(Command::Precharge, &self.cfg).max(deadline);
+                    slot.bank.issue(Command::Precharge, at, 0, &self.cfg);
                     self.stats.precharges += 1;
                     self.energy.precharges += 1;
                 }
             }
             // The whole rank is unavailable for tRFC.
             let resume = deadline + self.cfg.trfc as i64;
-            for b in 0..self.cfg.banks {
-                self.banks[rank][b].stall_until(resume, &self.cfg);
+            for slot in &mut self.banks[banks.clone()] {
+                slot.bank.stall_until(resume, &self.cfg);
             }
             self.stats.refreshes += 1;
             self.energy.refreshes += 1;
             self.next_refresh[rank] += self.cfg.trefi as i64;
+        }
+        self.refresh_due = self.next_refresh.iter().copied().min().expect("at least one rank");
+        for flat in banks {
+            self.rescan_bank(flat, None);
         }
     }
 }
@@ -451,9 +574,9 @@ mod tests {
         c
     }
 
-    fn tx(id: u64, addr: u64, write: bool, cfg: &DramConfig) -> Transaction {
+    fn tx(id: u32, addr: u64, write: bool, cfg: &DramConfig) -> Transaction {
         let m = AddressMapping::new(cfg, Interleave::RowRankBankColChan);
-        Transaction { id, loc: m.decode(addr), is_write: write, arrival: 0 }
+        Transaction { id, loc: m.decode(addr), is_write: write }
     }
 
     #[test]
@@ -474,8 +597,8 @@ mod tests {
         let mut ch = Channel::new(c);
         // Same row: columns 0..8 on channel 0 (addresses step by
         // channels to stay on channel 0's row).
-        for i in 0..8u64 {
-            ch.submit(tx(i, i * c.channels as u64, false, &c));
+        for i in 0..8u32 {
+            ch.submit(tx(i, u64::from(i) * c.channels as u64, false, &c));
         }
         let done = ch.drain(0);
         assert_eq!(ch.stats().row_hits, 7);
@@ -559,7 +682,7 @@ mod tests {
         ch.submit(tx(2, conflict.unwrap(), false, &c));
         ch.submit(tx(3, c.channels as u64, false, &c)); // same row as t1
         let done = ch.drain(0);
-        let order: Vec<u64> = done.iter().map(|d| d.id).collect();
+        let order: Vec<u32> = done.iter().map(|d| d.id).collect();
         assert_eq!(order, vec![1, 3, 2], "row hit t3 bypasses conflicting t2");
     }
 
@@ -601,8 +724,8 @@ mod tests {
         let c = cfg();
         let mut ch = Channel::new(c);
         let before = ch.utilization();
-        for i in 0..4u64 {
-            ch.submit(tx(i, i * c.channels as u64, false, &c));
+        for i in 0..4u32 {
+            ch.submit(tx(i, u64::from(i) * c.channels as u64, false, &c));
         }
         ch.drain(0);
         let d = ch.utilization().delta(&before);
@@ -625,9 +748,8 @@ mod tests {
         c.trfc = 50;
         let mut ch = Channel::new(c);
         // Arrival after two refresh intervals.
-        let m = AddressMapping::new(&c, Interleave::RowRankBankColChan);
-        ch.submit(Transaction { id: 1, loc: m.decode(0), is_write: false, arrival: 250 });
-        let done = ch.drain(0);
+        ch.submit(tx(1, 0, false, &c));
+        let done = ch.drain(250);
         assert!(ch.stats().refreshes >= 2);
         // Finish must be at least after the last refresh window + access.
         assert!(done[0].finish >= 250 + (c.trcd + c.cl + c.burst_cycles()) as i64);

@@ -47,4 +47,4 @@ pub use controller::{
     QUEUE_DEPTH_BUCKETS,
 };
 pub use energy::{EnergyCounters, EnergyModel};
-pub use system::{BlockRequest, DramSystem};
+pub use system::{report_blocks, BlockRequest, DramSystem};

@@ -1,7 +1,7 @@
 //! The multi-channel DRAM system facade used by the ORAM simulator.
 
 
-use oram_util::{BusEvent, MetricId, SharedObserver, SharedTelemetry};
+use oram_util::{BusEvent, EventBatch, MetricId, SharedObserver, SharedTelemetry};
 
 use crate::address::{AddressMapping, Interleave};
 use crate::config::DramConfig;
@@ -30,6 +30,15 @@ impl BlockRequest {
     }
 }
 
+/// Reports one storage batch to the bus observer behind `bus`: every
+/// request as a [`BusEvent::DramBlock`], in submission order, handed over
+/// in a single call. Every storage backend reports through here, so the
+/// device-level trace cannot drift between them.
+pub fn report_blocks(bus: &mut EventBatch, reqs: &[BlockRequest]) {
+    bus.extend(reqs.iter().map(|r| BusEvent::DramBlock { addr: r.addr, write: r.is_write }));
+    bus.flush();
+}
+
 /// The DRAM system: one controller per channel plus the shared address
 /// mapping. Bank and row-buffer state persists across batches, so
 /// consecutive ORAM path accesses interact (row reuse, open-page wins).
@@ -48,10 +57,12 @@ pub struct DramSystem {
     mapping: AddressMapping,
     channels: Vec<Channel>,
     /// Optional bus observer; cloning the system shares it.
-    observer: Option<SharedObserver>,
+    bus: EventBatch,
     /// Optional telemetry sink sampling per-channel queue occupancy at
     /// each batch submission; cloning the system shares it.
     telemetry: Option<SharedTelemetry>,
+    /// Completion buffer for [`DramSystem::single_read_latency`].
+    scratch: Vec<i64>,
 }
 
 impl DramSystem {
@@ -74,8 +85,9 @@ impl DramSystem {
         Ok(DramSystem {
             mapping: AddressMapping::new(&cfg, il),
             channels: (0..cfg.channels).map(|_| Channel::new(cfg)).collect(),
-            observer: None,
+            bus: EventBatch::default(),
             telemetry: None,
+            scratch: Vec::new(),
             cfg,
         })
     }
@@ -84,7 +96,7 @@ impl DramSystem {
     /// block request at submission, in order — the device-level half of
     /// the externally visible trace.
     pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.observer = observer;
+        self.bus.set_observer(observer);
     }
 
     /// Attaches (or with `None` detaches) a telemetry sink that samples
@@ -137,20 +149,12 @@ impl DramSystem {
         occupy_bus: bool,
         finishes: &mut Vec<i64>,
     ) {
-        if let Some(obs) = &self.observer {
-            let mut obs = obs.lock().expect("bus observer poisoned");
-            for r in reqs {
-                obs.on_event(BusEvent::DramBlock { addr: r.addr, write: r.is_write });
-            }
-        }
+        report_blocks(&mut self.bus, reqs);
+        assert!(u32::try_from(reqs.len()).is_ok(), "batch larger than 2^32 requests");
         for (i, r) in reqs.iter().enumerate() {
             let loc = self.mapping.decode(r.addr);
-            self.channels[loc.channel].submit(Transaction {
-                id: i as u64,
-                loc,
-                is_write: r.is_write,
-                arrival: now,
-            });
+            let t = Transaction { id: i as u32, loc, is_write: r.is_write };
+            self.channels[loc.channel].submit(t);
         }
         if let Some(t) = &self.telemetry {
             if !reqs.is_empty() {
@@ -190,8 +194,11 @@ impl DramSystem {
     /// Latency (in DRAM cycles, relative to `now`) of one isolated block
     /// read — the insecure-baseline cost of an LLC miss.
     pub fn single_read_latency(&mut self, now: i64, addr: u64) -> i64 {
-        let done = self.service_batch(now, &[BlockRequest::read(addr)]);
-        done[0] - now
+        let mut done = std::mem::take(&mut self.scratch);
+        self.service_batch_into(now, &[BlockRequest::read(addr)], true, &mut done);
+        let latency = done[0] - now;
+        self.scratch = done;
+        latency
     }
 
     /// Merged statistics across channels.

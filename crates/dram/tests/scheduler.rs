@@ -1,0 +1,469 @@
+//! Differential test of the channel scheduler against the model it
+//! replaced.
+//!
+//! `reference` below is the original per-channel controller kept as a
+//! test oracle: a `VecDeque` queue rescanned linearly through
+//! `banks[rank][bank]` for every FR-FCFS pick and compacted with
+//! `VecDeque::remove`, fed by the div/mod address decode. The shipped
+//! [`DramSystem`] (bitset pick, flat banks, shift/mask decode) must agree
+//! with it on every simulated output after every batch.
+
+use oram_dram::{
+    AddressMapping, BlockRequest, ChannelStats, ChannelUtilization, DramConfig, DramSystem,
+    EnergyCounters, Interleave, Location, TxBreakdown,
+};
+use oram_util::Rng64;
+
+mod reference {
+    use std::collections::VecDeque;
+
+    use oram_dram::{
+        Bank, BlockRequest, ChannelStats, ChannelUtilization, Command, DramConfig, EnergyCounters,
+        Interleave, Location, RowState, TxBreakdown, QUEUE_DEPTH_BUCKETS,
+    };
+
+    /// Exact div/mod decode, one runtime division pair per field.
+    pub fn decode(cfg: &DramConfig, interleave: Interleave, block_addr: u64) -> Location {
+        let (channels, ranks, banks, bursts) =
+            (cfg.channels as u64, cfg.ranks as u64, cfg.banks as u64, cfg.bursts_per_row() as u64);
+        let mut a = block_addr;
+        let channel = (a % channels) as usize;
+        a /= channels;
+        match interleave {
+            Interleave::RowRankBankColChan => {
+                let column = (a % bursts) as usize;
+                a /= bursts;
+                let bank = (a % banks) as usize;
+                a /= banks;
+                let rank = (a % ranks) as usize;
+                a /= ranks;
+                Location { channel, rank, bank, row: a, column }
+            }
+            Interleave::RowColRankBankChan => {
+                let bank = (a % banks) as usize;
+                a /= banks;
+                let rank = (a % ranks) as usize;
+                a /= ranks;
+                let column = (a % bursts) as usize;
+                a /= bursts;
+                Location { channel, rank, bank, row: a, column }
+            }
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct Transaction {
+        id: usize,
+        loc: Location,
+        is_write: bool,
+        arrival: i64,
+    }
+
+    pub struct Channel {
+        cfg: DramConfig,
+        banks: Vec<Vec<Bank>>, // [rank][bank]
+        queue: VecDeque<Transaction>,
+        bus_free: i64,
+        recent_activates: Vec<VecDeque<i64>>,
+        next_refresh: Vec<i64>,
+        pub stats: ChannelStats,
+        pub energy: EnergyCounters,
+        pub batch_crit: Option<TxBreakdown>,
+        busy_cycles: u64,
+        queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
+        bank_touches: Vec<u64>,
+        bank_busy: Vec<u64>,
+    }
+
+    impl Channel {
+        fn new(cfg: DramConfig) -> Self {
+            Channel {
+                banks: vec![vec![Bank::new(); cfg.banks]; cfg.ranks],
+                queue: VecDeque::new(),
+                bus_free: 0,
+                recent_activates: vec![VecDeque::new(); cfg.ranks],
+                next_refresh: vec![cfg.trefi as i64; cfg.ranks],
+                stats: ChannelStats::default(),
+                energy: EnergyCounters::default(),
+                batch_crit: None,
+                busy_cycles: 0,
+                queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
+                bank_touches: vec![0; cfg.ranks * cfg.banks],
+                bank_busy: vec![0; cfg.ranks * cfg.banks],
+                cfg,
+            }
+        }
+
+        pub fn utilization(&self) -> ChannelUtilization {
+            ChannelUtilization {
+                stats: self.stats,
+                busy_cycles: self.busy_cycles,
+                queue_depth_hist: self.queue_depth_hist.to_vec(),
+                bank_touches: self.bank_touches.clone(),
+                bank_busy: self.bank_busy.clone(),
+            }
+        }
+
+        fn submit(&mut self, t: Transaction) {
+            self.queue_depth_hist[self.queue.len().min(QUEUE_DEPTH_BUCKETS - 1)] += 1;
+            self.queue.push_back(t);
+        }
+
+        fn drain_unordered(
+            &mut self,
+            now: i64,
+            occupy_bus: bool,
+            mut sink: impl FnMut(usize, i64),
+        ) {
+            while !self.queue.is_empty() {
+                let idx = self.pick_fr_fcfs();
+                let t = self.queue.remove(idx).expect("index in range");
+                let finish = self.service_one(&t, now, occupy_bus);
+                sink(t.id, finish);
+            }
+        }
+
+        fn pick_fr_fcfs(&self) -> usize {
+            for (i, t) in self.queue.iter().enumerate() {
+                if self.banks[t.loc.rank][t.loc.bank].is_open(t.loc.row) {
+                    return i;
+                }
+            }
+            0
+        }
+
+        fn service_one(&mut self, t: &Transaction, now: i64, occupy_bus: bool) -> i64 {
+            let cfg = self.cfg;
+            let base = now.max(t.arrival);
+            self.maybe_refresh(t.loc.rank, base);
+
+            let mut row_start = base;
+            let mut row_end = base;
+            let bank_state = self.banks[t.loc.rank][t.loc.bank].state();
+            match bank_state {
+                RowState::Open(r) if r == t.loc.row => {
+                    self.stats.row_hits += 1;
+                }
+                RowState::Open(_) => {
+                    self.stats.row_conflicts += 1;
+                    let at = self.banks[t.loc.rank][t.loc.bank]
+                        .earliest(Command::Precharge, &cfg)
+                        .max(base);
+                    self.banks[t.loc.rank][t.loc.bank].issue(Command::Precharge, at, 0, &cfg);
+                    self.stats.precharges += 1;
+                    self.energy.precharges += 1;
+                    self.activate(t.loc, base);
+                    row_start = at;
+                    row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                }
+                RowState::Idle => {
+                    self.stats.row_misses += 1;
+                    let act_at = self.activate(t.loc, base);
+                    row_start = act_at;
+                    row_end = self.banks[t.loc.rank][t.loc.bank].row_ready(&cfg);
+                }
+            }
+
+            let cmd = if t.is_write { Command::Write } else { Command::Read };
+            let bank_ready = self.banks[t.loc.rank][t.loc.bank].earliest(cmd, &cfg).max(base);
+            let latency = if t.is_write { cfg.cwl } else { cfg.cl } as i64;
+            let use_bus = occupy_bus || t.is_write;
+            let issue = if use_bus { bank_ready.max(self.bus_free - latency) } else { bank_ready };
+            self.banks[t.loc.rank][t.loc.bank].issue(cmd, issue, t.loc.row, &cfg);
+            let data_start = issue + latency;
+            let finish = data_start + cfg.burst_cycles() as i64;
+            if use_bus {
+                self.bus_free = finish;
+                self.busy_cycles += cfg.burst_cycles();
+            }
+
+            let row_d = row_end.min(issue).saturating_sub(row_start.max(base)).max(0) as u64;
+            let queue_d = (issue - base) as u64 - row_d;
+            let transfer_d = (finish - issue) as u64;
+            let bd = TxBreakdown { queue: queue_d, row: row_d, transfer: transfer_d, finish };
+            if self.batch_crit.is_none_or(|c| finish > c.finish) {
+                self.batch_crit = Some(bd);
+            }
+            let flat = t.loc.rank * cfg.banks + t.loc.bank;
+            self.bank_touches[flat] += 1;
+            self.bank_busy[flat] += row_d + transfer_d;
+
+            if t.is_write {
+                self.stats.writes += 1;
+                self.energy.write_bursts += 1;
+            } else {
+                self.stats.reads += 1;
+                self.energy.read_bursts += 1;
+            }
+            self.energy.busy_until = self.energy.busy_until.max(finish);
+            finish
+        }
+
+        fn activate(&mut self, loc: Location, base: i64) -> i64 {
+            let cfg = self.cfg;
+            let mut at = self.banks[loc.rank][loc.bank].earliest(Command::Activate, &cfg).max(base);
+            {
+                let recent = &mut self.recent_activates[loc.rank];
+                if let Some(&last) = recent.back() {
+                    at = at.max(last + cfg.trrd as i64);
+                }
+                if recent.len() >= 4 {
+                    let fourth_last = recent[recent.len() - 4];
+                    at = at.max(fourth_last + cfg.tfaw as i64);
+                }
+            }
+            self.banks[loc.rank][loc.bank].issue(Command::Activate, at, loc.row, &cfg);
+            let recent = &mut self.recent_activates[loc.rank];
+            recent.push_back(at);
+            if recent.len() > 8 {
+                recent.pop_front();
+            }
+            self.stats.activates += 1;
+            self.energy.activates += 1;
+            at
+        }
+
+        fn maybe_refresh(&mut self, rank: usize, now: i64) {
+            if self.cfg.trefi == 0 {
+                return;
+            }
+            while self.next_refresh[rank] <= now {
+                let deadline = self.next_refresh[rank];
+                for b in 0..self.cfg.banks {
+                    if self.banks[rank][b].state() != RowState::Idle {
+                        let at = self.banks[rank][b]
+                            .earliest(Command::Precharge, &self.cfg)
+                            .max(deadline);
+                        self.banks[rank][b].issue(Command::Precharge, at, 0, &self.cfg);
+                        self.stats.precharges += 1;
+                        self.energy.precharges += 1;
+                    }
+                }
+                let resume = deadline + self.cfg.trfc as i64;
+                for b in 0..self.cfg.banks {
+                    self.banks[rank][b].stall_until(resume, &self.cfg);
+                }
+                self.stats.refreshes += 1;
+                self.energy.refreshes += 1;
+                self.next_refresh[rank] += self.cfg.trefi as i64;
+            }
+        }
+    }
+
+    /// The original `DramSystem::service_batch_into` over [`Channel`]s.
+    pub struct System {
+        cfg: DramConfig,
+        interleave: Interleave,
+        pub channels: Vec<Channel>,
+    }
+
+    impl System {
+        pub fn new(cfg: DramConfig, interleave: Interleave) -> Self {
+            System {
+                cfg,
+                interleave,
+                channels: (0..cfg.channels).map(|_| Channel::new(cfg)).collect(),
+            }
+        }
+
+        pub fn service_batch(
+            &mut self,
+            now: i64,
+            reqs: &[BlockRequest],
+            occupy_bus: bool,
+        ) -> Vec<i64> {
+            for (id, r) in reqs.iter().enumerate() {
+                let loc = decode(&self.cfg, self.interleave, r.addr);
+                self.channels[loc.channel].submit(Transaction {
+                    id,
+                    loc,
+                    is_write: r.is_write,
+                    arrival: now,
+                });
+            }
+            let mut finishes = vec![0; reqs.len()];
+            for ch in &mut self.channels {
+                ch.batch_crit = None;
+                ch.drain_unordered(now, occupy_bus, |id, finish| finishes[id] = finish);
+            }
+            finishes
+        }
+
+        pub fn last_batch_breakdown(&self) -> Option<TxBreakdown> {
+            self.channels.iter().filter_map(|ch| ch.batch_crit).max_by_key(|bd| bd.finish)
+        }
+    }
+}
+
+/// Table I shape: every dimension a power of two.
+fn two_channel(trefi: u64) -> DramConfig {
+    DramConfig { trefi, trfc: 40, ..DramConfig::ddr3_1333() }
+}
+
+fn one_channel(trefi: u64) -> DramConfig {
+    DramConfig { channels: 1, ..two_channel(trefi) }
+}
+
+/// No dimension a power of two: 3 channels × 1 rank × 6 banks, 96 bursts
+/// per row.
+fn odd_geometry(trefi: u64) -> DramConfig {
+    DramConfig { channels: 3, ranks: 1, banks: 6, row_bytes: 96 * 64, ..two_channel(trefi) }
+}
+
+/// One random batch: runs of consecutive blocks (an ORAM bucket is `z`
+/// contiguous blocks) at bases drawn from a window small enough that
+/// batches revisit rows and collide on banks.
+fn random_batch(rng: &mut Rng64, blocks: u64, max_len: u64) -> Vec<BlockRequest> {
+    let len = 1 + rng.below(max_len) as usize;
+    let write_share = [0.0, 0.3, 1.0][rng.below(3) as usize];
+    let mut reqs = Vec::with_capacity(len);
+    while reqs.len() < len {
+        let base = rng.below(blocks);
+        for i in 0..1 + rng.below(8) {
+            let addr = base + i;
+            reqs.push(if rng.gen_bool(write_share) {
+                BlockRequest::write(addr)
+            } else {
+                BlockRequest::read(addr)
+            });
+        }
+    }
+    reqs.truncate(len);
+    reqs
+}
+
+fn merged_stats(channels: &[reference::Channel]) -> ChannelStats {
+    let mut total = ChannelStats::default();
+    for ch in channels {
+        total.reads += ch.stats.reads;
+        total.writes += ch.stats.writes;
+        total.row_hits += ch.stats.row_hits;
+        total.row_misses += ch.stats.row_misses;
+        total.row_conflicts += ch.stats.row_conflicts;
+        total.activates += ch.stats.activates;
+        total.precharges += ch.stats.precharges;
+        total.refreshes += ch.stats.refreshes;
+    }
+    total
+}
+
+/// Drives `batches` random batches through both models and compares
+/// every simulated output after each one.
+fn assert_models_agree(
+    cfg: DramConfig,
+    interleave: Interleave,
+    max_len: u64,
+    batches: u32,
+    seed: u64,
+) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let mut new = DramSystem::with_interleave(cfg, interleave).expect("valid geometry");
+    let mut old = reference::System::new(cfg, interleave);
+    // About three rows per bank: hits, misses and conflicts all occur.
+    let blocks = (cfg.channels * cfg.ranks * cfg.banks * cfg.bursts_per_row() * 3) as u64;
+    let mut now = 0i64;
+    let mut finishes = Vec::new();
+    let mut refreshes_mid_run = false;
+    for batch in 0..batches {
+        let reqs = random_batch(&mut rng, blocks, max_len);
+        let occupy_bus = rng.gen_bool(0.7);
+        let ctx = format!("{cfg:?} {interleave:?} seed {seed} batch {batch} (n = {})", reqs.len());
+
+        new.service_batch_into(now, &reqs, occupy_bus, &mut finishes);
+        let expect = old.service_batch(now, &reqs, occupy_bus);
+        assert_eq!(finishes, expect, "finishes: {ctx}");
+        assert_eq!(new.stats(), merged_stats(&old.channels), "stats: {ctx}");
+        let energy =
+            old.channels.iter().fold(EnergyCounters::default(), |acc, ch| acc.merged(ch.energy));
+        assert_eq!(new.energy(), energy, "energy: {ctx}");
+        let util: Vec<ChannelUtilization> =
+            old.channels.iter().map(reference::Channel::utilization).collect();
+        assert_eq!(new.utilization(), util, "utilization: {ctx}");
+        let crit: Option<TxBreakdown> = old.last_batch_breakdown();
+        assert_eq!(new.last_batch_breakdown(), crit, "critical breakdown: {ctx}");
+
+        refreshes_mid_run |= batch > 0 && new.stats().refreshes > 0;
+        // Mostly back to back; sometimes an idle gap (several refresh
+        // intervals at once), sometimes issued under the previous
+        // batch's tail, as the pipelined engine does.
+        let end = finishes.iter().copied().max().expect("non-empty batch");
+        now = match rng.below(10) {
+            0 => end + rng.below(4_000) as i64,
+            1 | 2 => now + (end - now) / 2,
+            _ => end,
+        };
+    }
+    if cfg.trefi > 0 {
+        assert!(refreshes_mid_run, "refresh never fired: {cfg:?}");
+    }
+}
+
+#[test]
+fn bitset_scheduler_matches_the_linear_scan_model() {
+    // A refresh interval shorter than a long drain, so ranks go idle
+    // between two picks of one batch; and refresh off.
+    let mut seed = 0x5EED_0001;
+    for trefi in [0, 350] {
+        for cfg in [two_channel(trefi), one_channel(trefi), odd_geometry(trefi)] {
+            for interleave in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+                // Up to 300 requests on one channel: five bitset words.
+                let max_len = 300 * cfg.channels as u64;
+                assert_models_agree(cfg, interleave, max_len, 60, seed);
+                // Path-sized batches, many of them: state carried far.
+                assert_models_agree(cfg, interleave, 90, 300, seed + 1);
+                seed += 2;
+            }
+        }
+    }
+}
+
+#[test]
+fn deep_path_on_one_channel_spans_several_bitset_words() {
+    // L = 24, Z = 5: 125 blocks per phase, all on one channel.
+    let cfg = one_channel(350);
+    let mut new = DramSystem::new(cfg).unwrap();
+    let mut old = reference::System::new(cfg, Interleave::RowRankBankColChan);
+    let layout = oram_dram::SubtreeLayout::fit_to_row(&cfg, 5);
+    let mut rng = Rng64::seed_from_u64(24);
+    let mut now = 0;
+    for access in 0..200 {
+        let leaf = (1u64 << 24) + rng.below(1 << 24);
+        let write = access % 3 == 2;
+        let reqs: Vec<BlockRequest> = (0..=24)
+            .flat_map(|level| (0..5).map(move |slot| (leaf >> (24 - level), slot)))
+            .map(|(heap, slot)| BlockRequest {
+                addr: layout.block_addr(heap, slot),
+                is_write: write,
+            })
+            .collect();
+        assert_eq!(reqs.len(), 125);
+        let got = new.service_batch(now, &reqs);
+        assert_eq!(got, old.service_batch(now, &reqs, true), "access {access}");
+        assert_eq!(new.last_batch_breakdown(), old.last_batch_breakdown());
+        now = *got.iter().max().unwrap();
+    }
+    assert_eq!(new.stats(), merged_stats(&old.channels));
+    assert!(new.stats().refreshes > 0 && new.stats().row_conflicts > 0);
+}
+
+#[test]
+fn shift_mask_decode_matches_div_mod() {
+    let mut rng = Rng64::seed_from_u64(0xADD2);
+    // Mixed: some fields take the shift path, some the exact one.
+    let mixed =
+        DramConfig { channels: 2, ranks: 3, banks: 8, row_bytes: 96 * 64, ..two_channel(0) };
+    for cfg in [two_channel(0), one_channel(0), odd_geometry(0), mixed] {
+        for interleave in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+            let mapping = AddressMapping::new(&cfg, interleave);
+            let check = |addr: u64| {
+                let loc: Location = mapping.decode(addr);
+                assert_eq!(loc, reference::decode(&cfg, interleave, addr), "{cfg:?} {addr}");
+            };
+            (0..20_000).for_each(check);
+            for _ in 0..20_000 {
+                check(rng.next_u64() >> rng.below(40));
+            }
+            check(u64::MAX);
+        }
+    }
+}

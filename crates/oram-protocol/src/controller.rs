@@ -18,7 +18,9 @@
 //! available; the system simulator turns that into cycles via the DRAM
 //! model.
 
-use oram_util::{BusEvent, BusPhase, MetricId, Rng64, SharedObserver, SharedTelemetry};
+use oram_util::{
+    BusEvent, BusPhase, EventBatch, MetricId, Rng64, SharedObserver, SharedTelemetry,
+};
 
 use crate::access::{AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom, TraceRecorder};
 use crate::config::OramConfig;
@@ -193,9 +195,11 @@ pub struct OramController {
     /// here for the most one path write can offer them: every stash
     /// slot a shadow, every path slot a real block.
     dup_queues: DupQueues,
-    /// Optional bus observer (see [`oram_util::observe`]): `None` in
+    /// Optional bus observer (see [`oram_util::observe`]): detached in
     /// production, so the hot path pays one branch and nothing else.
-    observer: Option<SharedObserver>,
+    /// Attached, each access half buffers its events here and hands them
+    /// over in one call when it returns.
+    bus: EventBatch,
     /// Optional telemetry sink (see [`oram_util::telemetry`]): the
     /// designer-facing counterpart of the bus observer, with the same
     /// one-branch-when-detached cost model.
@@ -236,7 +240,7 @@ impl OramController {
             level_reads: vec![0; cfg.levels as usize + 1],
             level_writes: vec![0; cfg.levels as usize + 1],
             dup_queues: DupQueues::new(shape, cfg.stash_capacity + shape.blocks_per_path()),
-            observer: None,
+            bus: EventBatch::default(),
             telemetry: None,
             #[cfg(feature = "mutants")]
             mutant: Mutant::None,
@@ -246,14 +250,11 @@ impl OramController {
 
     /// Attaches (or with `None` detaches) a bus observer receiving every
     /// externally visible event: access framing, bucket reads and writes
-    /// in issue order. Stash hits emit nothing — they never reach the
-    /// bus.
+    /// in issue order, and — interleaved as `PosmapBucket` events — the
+    /// recursive position map's walk traffic. Stash hits emit nothing —
+    /// they never reach the bus.
     pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        // The posmap backend shares the handle: recursive posmap-ORAM
-        // bucket touches interleave into the same trace (as
-        // `PosmapBucket` events), flat backends emit nothing.
-        self.posmap.set_observer(observer.clone());
-        self.observer = observer;
+        self.bus.set_observer(observer);
     }
 
     /// Injects a deliberate protocol fault (auditor validation only).
@@ -272,10 +273,8 @@ impl OramController {
     }
 
     #[inline]
-    fn emit(&self, event: BusEvent) {
-        if let Some(obs) = &self.observer {
-            obs.lock().expect("bus observer poisoned").on_event(event);
-        }
+    fn emit(&mut self, event: BusEvent) {
+        self.bus.push(event);
     }
 
     #[inline]
@@ -500,6 +499,15 @@ impl OramController {
             e
         };
         let leaf = entry.label;
+        // The walk's bucket touches, in the order it made them.
+        for p in self.posmap.pending() {
+            let write = p.phase.kind == PhaseKind::EvictionWrite;
+            self.bus.extend(p.phase.buckets().map(|bid| BusEvent::PosmapBucket {
+                bucket: bid.raw(),
+                level: p.level,
+                write,
+            }));
+        }
 
         // Step-3: read-only path read.
         let (ro, served, value) = self.read_only_access(leaf, Some(req));
@@ -514,6 +522,7 @@ impl OramController {
             self.ro_since_eviction = 0;
         }
 
+        self.bus.flush();
         let result = AccessResult { served, value, stash_hit_shadow: false, phases };
         (result, AccessTicket { open: true, eviction_due })
     }
@@ -529,6 +538,7 @@ impl OramController {
         }
         let evicted = if ticket.eviction_due { Some(self.evict()) } else { None };
         self.emit(BusEvent::AccessEnd);
+        self.bus.flush();
         evicted
     }
 
@@ -557,6 +567,7 @@ impl OramController {
         }
 
         self.emit(BusEvent::AccessEnd);
+        self.bus.flush();
         AccessResult { served: ServedFrom::Stash, value: 0, stash_hit_shadow: false, phases }
     }
 

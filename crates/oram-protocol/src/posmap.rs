@@ -25,7 +25,7 @@
 //!   live copy sits in the stash), which Rule-2 needs when duplicating a
 //!   stash-resident shadow candidate.
 
-use oram_util::{DetHashMap, Rng64, SharedObserver};
+use oram_util::{DetHashMap, Rng64};
 
 use crate::access::PathPhase;
 use crate::config::{OramConfig, PosMapSelect};
@@ -185,10 +185,6 @@ pub trait PosMapBackend: std::fmt::Debug + Send {
     fn chain_levels(&self) -> u16 {
         0
     }
-
-    /// Attaches (or detaches) the bus observer posmap-ORAM bucket
-    /// touches are reported to. Flat backends generate no bus traffic.
-    fn set_observer(&mut self, _observer: Option<SharedObserver>) {}
 }
 
 /// Builds the position-map backend selected by `cfg.posmap` for a data

@@ -30,8 +30,9 @@
 //! each step issues one real read access to that level's ORAM, whose
 //! path phases are queued on [`PosMapBackend::pending`] for the engine
 //! to cost through the same DRAM/timing model as data accesses, and
-//! whose bucket touches surface as [`BusEvent::PosmapBucket`] events so
-//! the audit layer can check the posmap traffic itself is oblivious.
+//! whose bucket touches the controller mirrors onto the bus as
+//! [`oram_util::BusEvent::PosmapBucket`] events so the audit layer can
+//! check the posmap traffic itself is oblivious.
 //!
 //! ## Modeling shortcut (documented on purpose)
 //!
@@ -44,9 +45,8 @@
 //! property tests to hold. Only the terminal map, the PLB and the level
 //! stashes are counted as modeled on-chip state.
 
-use oram_util::{BusEvent, DetHashMap, Rng64, SharedObserver};
+use oram_util::{DetHashMap, Rng64};
 
-use crate::access::PhaseKind;
 use crate::config::{OramConfig, PosMapSelect};
 use crate::controller::OramController;
 use crate::posmap::{PlbStats, PosEntry, PosMapBackend, PosmapPhase, RealCopySite};
@@ -90,8 +90,6 @@ pub struct RecursivePosMap {
     top_count: u64,
     /// Path phases produced by PLB-miss walks since the last clear.
     pending: Vec<PosmapPhase>,
-    /// Observer receiving `PosmapBucket` events for walk traffic.
-    observer: Option<SharedObserver>,
 }
 
 impl RecursivePosMap {
@@ -163,7 +161,6 @@ impl RecursivePosMap {
             levels,
             top_count,
             pending: Vec::with_capacity(walk_capacity),
-            observer: None,
         }
     }
 
@@ -204,8 +201,9 @@ impl RecursivePosMap {
     }
 
     /// One real read access to level `l`'s ORAM for posmap block `b`:
-    /// queues every resulting path phase for engine costing and mirrors
-    /// the bucket touches to the observer. A stash hit inside the level
+    /// queues every resulting path phase for engine costing (and for the
+    /// controller to mirror onto the bus as [`oram_util::BusEvent::PosmapBucket`]
+    /// events). A stash hit inside the level
     /// controller produces no phases — the posmap block was still
     /// on-chip cached from an earlier walk, which is exactly the
     /// Freecursive behavior.
@@ -218,17 +216,6 @@ impl RecursivePosMap {
                 bucket_offset: lev.bucket_offset,
                 level: l as u16,
             });
-            if let Some(obs) = &self.observer {
-                let mut o = obs.lock().expect("bus observer poisoned");
-                let write = phase.kind == PhaseKind::EvictionWrite;
-                for bid in phase.buckets() {
-                    o.on_event(BusEvent::PosmapBucket {
-                        bucket: bid.raw(),
-                        level: l as u16,
-                        write,
-                    });
-                }
-            }
         }
     }
 
@@ -355,10 +342,6 @@ impl PosMapBackend for RecursivePosMap {
 
     fn chain_levels(&self) -> u16 {
         self.levels.len() as u16
-    }
-
-    fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.observer = observer;
     }
 }
 

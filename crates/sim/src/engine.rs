@@ -695,14 +695,9 @@ impl<B: StorageBackend> Engine<B> {
             let is_write = p.phase.kind == PhaseKind::EvictionWrite;
             self.reqs.clear();
             for b in p.phase.buckets() {
-                for slot in 0..z {
-                    let addr = self.layout.block_addr(b.raw() + p.bucket_offset, slot);
-                    self.reqs.push(if is_write {
-                        BlockRequest::write(addr)
-                    } else {
-                        BlockRequest::read(addr)
-                    });
-                }
+                // A bucket's slots are contiguous: map it once.
+                let base = self.layout.block_addr(b.raw() + p.bucket_offset, 0);
+                self.reqs.extend((0..z as u64).map(|slot| BlockRequest { addr: base + slot, is_write }));
             }
             if self.reqs.is_empty() {
                 continue;
@@ -762,14 +757,11 @@ impl<B: StorageBackend> Engine<B> {
         let is_write_phase = phase.kind == PhaseKind::EvictionWrite;
         self.reqs.clear();
         for b in phase.buckets() {
-            for slot in 0..z {
-                let addr = self.layout.block_addr(b.raw(), slot);
-                self.reqs.push(if is_write_phase {
-                    BlockRequest::write(addr)
-                } else {
-                    BlockRequest::read(addr)
-                });
-            }
+            // A bucket's slots are contiguous: map it once.
+            let base = self.layout.block_addr(b.raw(), 0);
+            self.reqs.extend(
+                (0..z as u64).map(|slot| BlockRequest { addr: base + slot, is_write: is_write_phase }),
+            );
         }
         if self.reqs.is_empty() {
             return t; // fully treetop-cached phase

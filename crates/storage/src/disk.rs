@@ -22,9 +22,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use oram_dram::{BlockRequest, ChannelStats, EnergyCounters};
+use oram_dram::{report_blocks, BlockRequest, ChannelStats, EnergyCounters};
 use oram_protocol::{Block, BlockAddr, BlockKind, LeafLabel};
-use oram_util::{BusEvent, SharedObserver, SharedTelemetry};
+use oram_util::{EventBatch, SharedObserver, SharedTelemetry};
 
 use crate::backend::{BatchBreakdown, StorageBackend};
 
@@ -360,7 +360,7 @@ impl DiskConfig {
 pub struct DiskBackend {
     cfg: DiskConfig,
     store: DiskStore,
-    observer: Option<SharedObserver>,
+    bus: EventBatch,
     stats: ChannelStats,
     last: Option<BatchBreakdown>,
     io_error: Option<String>,
@@ -378,7 +378,7 @@ impl DiskBackend {
             return Err("disk: per_block_cycles must be positive".into());
         }
         let store = DiskStore::open(&cfg.dir, cfg.z, cfg.bucket_count)?;
-        Ok(DiskBackend { cfg, store, observer: None, stats: ChannelStats::default(), last: None, io_error: None })
+        Ok(DiskBackend { cfg, store, bus: EventBatch::default(), stats: ChannelStats::default(), last: None, io_error: None })
     }
 
     /// The underlying persistent store.
@@ -402,12 +402,7 @@ impl StorageBackend for DiskBackend {
         occupy_bus: bool,
         finishes: &mut Vec<i64>,
     ) {
-        if let Some(obs) = &self.observer {
-            let mut obs = obs.lock().expect("bus observer poisoned");
-            for r in reqs {
-                obs.on_event(BusEvent::DramBlock { addr: r.addr, write: r.is_write });
-            }
-        }
+        report_blocks(&mut self.bus, reqs);
         finishes.clear();
         finishes.resize(reqs.len(), 0);
         if reqs.is_empty() {
@@ -443,7 +438,7 @@ impl StorageBackend for DiskBackend {
     }
 
     fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.observer = observer;
+        self.bus.set_observer(observer);
     }
 
     fn set_telemetry(&mut self, _telemetry: Option<SharedTelemetry>) {}

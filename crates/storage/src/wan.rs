@@ -2,8 +2,8 @@
 //! network, so the dominant cost is round-trip latency, and batching
 //! path requests amortizes it.
 
-use oram_dram::{BlockRequest, ChannelStats, EnergyCounters};
-use oram_util::{BusEvent, SharedObserver, SharedTelemetry};
+use oram_dram::{report_blocks, BlockRequest, ChannelStats, EnergyCounters};
+use oram_util::{EventBatch, SharedObserver, SharedTelemetry};
 
 use crate::backend::{BatchBreakdown, StorageBackend};
 
@@ -68,7 +68,7 @@ impl WanConfig {
 #[derive(Debug, Clone)]
 pub struct WanBackend {
     cfg: WanConfig,
-    observer: Option<SharedObserver>,
+    bus: EventBatch,
     stats: ChannelStats,
     last: Option<BatchBreakdown>,
 }
@@ -81,7 +81,7 @@ impl WanBackend {
     /// Returns the configuration validation error, if any.
     pub fn new(cfg: WanConfig) -> Result<Self, String> {
         cfg.validate()?;
-        Ok(WanBackend { cfg, observer: None, stats: ChannelStats::default(), last: None })
+        Ok(WanBackend { cfg, bus: EventBatch::default(), stats: ChannelStats::default(), last: None })
     }
 
     /// The cost model in force.
@@ -98,12 +98,7 @@ impl StorageBackend for WanBackend {
         occupy_bus: bool,
         finishes: &mut Vec<i64>,
     ) {
-        if let Some(obs) = &self.observer {
-            let mut obs = obs.lock().expect("bus observer poisoned");
-            for r in reqs {
-                obs.on_event(BusEvent::DramBlock { addr: r.addr, write: r.is_write });
-            }
-        }
+        report_blocks(&mut self.bus, reqs);
         finishes.clear();
         finishes.resize(reqs.len(), 0);
         if reqs.is_empty() {
@@ -141,7 +136,7 @@ impl StorageBackend for WanBackend {
     }
 
     fn set_observer(&mut self, observer: Option<SharedObserver>) {
-        self.observer = observer;
+        self.bus.set_observer(observer);
     }
 
     fn set_telemetry(&mut self, _telemetry: Option<SharedTelemetry>) {}
@@ -159,7 +154,7 @@ impl StorageBackend for WanBackend {
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use oram_util::BusObserver;
+    use oram_util::{BusEvent, BusObserver};
 
     use super::*;
 

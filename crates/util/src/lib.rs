@@ -31,7 +31,7 @@ pub mod telemetry;
 
 pub use addrmap::FixedAddrMap;
 pub use hash::{DetHashMap, DetState};
-pub use observe::{BusEvent, BusObserver, BusPhase, SharedObserver};
+pub use observe::{BusEvent, BusObserver, BusPhase, EventBatch, SharedObserver};
 pub use rng::Rng64;
 pub use telemetry::{
     AccessAttribution, AccessSpan, LiveObserver, MetricId, MetricKind, PhaseSpan, ServeClass,

@@ -75,11 +75,27 @@ pub enum BusEvent {
 
 /// An observer of the externally visible bus activity.
 ///
-/// Implementations must be cheap: hooks fire once per bucket/block in the
-/// hot loop whenever an observer is attached.
+/// Implementations must be cheap: hooks fire in the hot loop whenever an
+/// observer is attached.
+///
+/// **Batch-reporting contract.** Producers report through
+/// [`BusObserver::on_events`]: one call (under one lock of the
+/// [`SharedObserver`]) per storage batch, controller access half or
+/// posmap walk, with the events in issue order. An observer must treat
+/// `on_events(&[a, b, c])` exactly like `on_event(a); on_event(b);
+/// on_event(c)` — slice boundaries carry no meaning and may move between
+/// versions — so overriding `on_events` is purely an optimisation.
 pub trait BusObserver: std::fmt::Debug + Send {
     /// Called for every bus event, in issue order.
     fn on_event(&mut self, event: BusEvent);
+
+    /// Called with a run of consecutive bus events, in issue order.
+    /// Defaults to one [`BusObserver::on_event`] call per element.
+    fn on_events(&mut self, events: &[BusEvent]) {
+        for &event in events {
+            self.on_event(event);
+        }
+    }
 }
 
 /// A shareable, thread-safe observer handle.
@@ -88,6 +104,56 @@ pub trait BusObserver: std::fmt::Debug + Send {
 /// at once, producing one interleaved trace. Cloning shares the
 /// underlying observer.
 pub type SharedObserver = Arc<Mutex<dyn BusObserver>>;
+
+/// The producer's side of the batch-reporting contract: an optional
+/// observer plus a reused buffer the producer fills while it works and
+/// hands over with one lock and one [`BusObserver::on_events`] call.
+/// Detached, [`EventBatch::push`] is one branch and nothing is buffered.
+/// Cloning shares the observer.
+#[derive(Debug, Clone, Default)]
+pub struct EventBatch {
+    observer: Option<SharedObserver>,
+    events: Vec<BusEvent>,
+}
+
+impl EventBatch {
+    /// Attaches (or with `None` detaches) the observer. Call between
+    /// flushes: buffered events are not carried over.
+    pub fn set_observer(&mut self, observer: Option<SharedObserver>) {
+        debug_assert!(self.events.is_empty(), "observer swapped mid-batch");
+        self.observer = observer;
+    }
+
+    /// Buffers one event for the next [`EventBatch::flush`].
+    #[inline]
+    pub fn push(&mut self, event: BusEvent) {
+        if self.observer.is_some() {
+            self.events.push(event);
+        }
+    }
+
+    /// Buffers a run of events for the next [`EventBatch::flush`].
+    #[inline]
+    pub fn extend(&mut self, events: impl IntoIterator<Item = BusEvent>) {
+        if self.observer.is_some() {
+            self.events.extend(events);
+        }
+    }
+
+    /// Hands the buffered events to the observer, in order, and empties
+    /// the buffer (its capacity is kept, so steady state never
+    /// allocates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the observer's mutex is poisoned.
+    pub fn flush(&mut self) {
+        if let Some(obs) = &self.observer {
+            obs.lock().expect("bus observer poisoned").on_events(&self.events);
+            self.events.clear();
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -109,6 +175,53 @@ mod tests {
         obs.lock().unwrap().on_event(BusEvent::Bucket { bucket: 1, write: false });
         // Downcast-free check: debug formatting exposes the count.
         assert!(format!("{:?}", obs.lock().unwrap()).contains('2'));
+    }
+
+    #[test]
+    fn default_on_events_replays_each_event() {
+        let mut c = Counter::default();
+        c.on_events(&[BusEvent::AccessStart, BusEvent::AccessEnd, BusEvent::AccessStart]);
+        c.on_events(&[]);
+        assert_eq!(c.0, 3);
+    }
+
+    #[test]
+    fn event_batch_hands_over_in_order_and_only_when_attached() {
+        #[derive(Debug, Default)]
+        struct Tape(Vec<Vec<BusEvent>>);
+        impl BusObserver for Tape {
+            fn on_event(&mut self, _event: BusEvent) {
+                unreachable!("batches arrive through on_events");
+            }
+            fn on_events(&mut self, events: &[BusEvent]) {
+                self.0.push(events.to_vec());
+            }
+        }
+
+        let mut batch = EventBatch::default();
+        batch.push(BusEvent::AccessStart);
+        batch.flush(); // detached: nothing buffered, nothing delivered
+
+        let tape = Arc::new(Mutex::new(Tape::default()));
+        batch.set_observer(Some(tape.clone()));
+        batch.push(BusEvent::AccessStart);
+        batch.extend([1, 2].map(|bucket| BusEvent::Bucket { bucket, write: true }));
+        batch.push(BusEvent::AccessEnd);
+        batch.flush();
+        batch.push(BusEvent::AccessStart);
+        batch.flush();
+        assert_eq!(
+            tape.lock().unwrap().0,
+            vec![
+                vec![
+                    BusEvent::AccessStart,
+                    BusEvent::Bucket { bucket: 1, write: true },
+                    BusEvent::Bucket { bucket: 2, write: true },
+                    BusEvent::AccessEnd,
+                ],
+                vec![BusEvent::AccessStart],
+            ]
+        );
     }
 
     #[test]
