@@ -58,6 +58,51 @@ pub struct TraceSummary {
     pub leaves: Vec<u64>,
 }
 
+/// Bucket ids the layout table holds flat; ids past it (deeper levels of
+/// a billion-block tree, or ids a malformed trace invents) take the map.
+const FLAT_BUCKET_LIMIT: u64 = 1 << 21;
+
+/// The canonical bucket → physical-address mapping a trace has shown so
+/// far: `z` addresses per bucket id in one flat table.
+struct BucketLayout {
+    z: usize,
+    /// `z` addresses for each of the first `seen.len()` ids, valid where
+    /// `seen` is set.
+    addrs: Vec<u64>,
+    seen: Vec<bool>,
+    overflow: HashMap<u64, Vec<u64>>,
+}
+
+impl BucketLayout {
+    fn new(spec: &TraceSpec) -> Self {
+        // Ids are < 2^(L+1) in any trace that can pass; both tables come
+        // from the zeroed-allocation path, so only touched pages cost.
+        let ids = (2u64 << spec.levels).min(FLAT_BUCKET_LIMIT) as usize;
+        BucketLayout {
+            z: spec.z,
+            addrs: vec![0; ids * spec.z],
+            seen: vec![false; ids],
+            overflow: HashMap::new(),
+        }
+    }
+
+    /// Records `addrs` as the mapping of `bucket` on first sight;
+    /// afterwards returns the recorded mapping if `addrs` differs.
+    fn disagrees(&mut self, bucket: u64, addrs: &[u64]) -> Option<&[u64]> {
+        let known = match usize::try_from(bucket).ok().filter(|&ix| ix < self.seen.len()) {
+            Some(ix) => {
+                let known = &mut self.addrs[ix * self.z..][..self.z];
+                if !std::mem::replace(&mut self.seen[ix], true) {
+                    known.copy_from_slice(addrs);
+                }
+                &*known
+            }
+            None => self.overflow.entry(bucket).or_insert_with(|| addrs.to_vec()),
+        };
+        Some(known).filter(|known| *known != addrs)
+    }
+}
+
 fn level_of(bucket: u64) -> u32 {
     63 - (bucket.leading_zeros().min(63))
 }
@@ -111,7 +156,7 @@ pub fn check_trace(spec: &TraceSpec, events: &[BusEvent]) -> Result<TraceSummary
     let mut pending: VecDeque<(u64, bool)> = VecDeque::new();
     let mut consumed_of_front = 0usize;
     let mut front_addrs: Vec<u64> = Vec::new();
-    let mut bucket_map: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut layout = BucketLayout::new(spec);
 
     for (ix, &event) in events.iter().enumerate() {
         let err = |msg: String| -> Result<TraceSummary, String> {
@@ -276,17 +321,11 @@ pub fn check_trace(spec: &TraceSpec, events: &[BusEvent]) -> Result<TraceSummary
                 front_addrs.push(addr);
                 consumed_of_front += 1;
                 if consumed_of_front == spec.z {
-                    match bucket_map.get(&bucket) {
-                        None => {
-                            bucket_map.insert(bucket, front_addrs.clone());
-                        }
-                        Some(known) if *known != front_addrs => {
-                            return err(format!(
-                                "bucket {bucket} mapped to {front_addrs:?}, previously \
-                                 {known:?}: the layout must be a fixed public function"
-                            ));
-                        }
-                        Some(_) => {}
+                    if let Some(known) = layout.disagrees(bucket, &front_addrs) {
+                        return err(format!(
+                            "bucket {bucket} mapped to {front_addrs:?}, previously \
+                             {known:?}: the layout must be a fixed public function"
+                        ));
                     }
                     pending.pop_front();
                     consumed_of_front = 0;
@@ -373,6 +412,64 @@ mod tests {
             flipped[first_bucket] = BusEvent::Bucket { bucket, write: true };
         }
         assert!(check_trace(&spec, &flipped).is_err());
+    }
+
+    /// Device-level trace of a small engine run (`DramBlock` events
+    /// trailing their buckets).
+    fn record_engine(n: u64) -> (TraceSpec, Vec<BusEvent>) {
+        let sys = oram_sim::SystemConfig::small_test();
+        let spec = TraceSpec::from_oram(&sys.oram);
+        let rec = Recorder::unbounded();
+        let mut engine = oram_sim::Engine::new(sys).unwrap();
+        engine.attach_bus_observer(rec.observer());
+        let misses = (0..n)
+            .map(|i| oram_cpu::MissRecord {
+                block_addr: i * 7 % 40,
+                is_write: i % 3 == 0,
+                gap_cycles: 50,
+                blocking: true,
+            })
+            .collect();
+        engine.run(&mut oram_cpu::ReplayMisses::new(misses));
+        (spec, rec.snapshot())
+    }
+
+    #[test]
+    fn a_bucket_that_moves_is_rejected_with_both_mappings() {
+        let (spec, events) = record_engine(150);
+        let s = check_trace(&spec, &events).unwrap();
+        assert!(s.dram_blocks > 0);
+        // The root bucket is on every path: move one block of its last
+        // visit and the checker must quote both mappings.
+        let last = events
+            .iter()
+            .rposition(|e| matches!(e, BusEvent::DramBlock { .. }))
+            .unwrap();
+        let root_block = last + 1 - (spec.levels as usize + 1 - spec.treetop_levels as usize) * spec.z;
+        let mut moved = events.clone();
+        let BusEvent::DramBlock { addr, write } = moved[root_block] else { panic!("not a block") };
+        moved[root_block] = BusEvent::DramBlock { addr: addr + 1_000_000, write };
+        let e = check_trace(&spec, &moved).unwrap_err();
+        assert!(e.contains(&format!("mapped to [{}", addr + 1_000_000)), "{e}");
+        assert!(e.contains(&format!("previously [{addr}")), "{e}");
+        assert!(e.ends_with("the layout must be a fixed public function"), "{e}");
+    }
+
+    #[test]
+    fn layout_table_answers_alike_inside_and_past_the_flat_range() {
+        let spec = TraceSpec { levels: 3, z: 2, treetop_levels: 0, eviction_rate: 5 };
+        let mut layout = BucketLayout::new(&spec);
+        // 15 is the deepest id of an L=3 tree; 16 and 2^40 only occur in
+        // malformed traces and take the overflow map.
+        for bucket in [1u64, 15, 16, 1 << 40] {
+            assert_eq!(layout.disagrees(bucket, &[0, 9]), None, "first sight of {bucket}");
+            assert_eq!(layout.disagrees(bucket, &[0, 9]), None);
+            assert_eq!(layout.disagrees(bucket, &[0, 8]), Some(&[0u64, 9][..]));
+            assert_eq!(layout.disagrees(bucket, &[0, 9]), None, "the first mapping stays");
+        }
+        // An all-zero mapping is a mapping, not "unseen".
+        assert_eq!(layout.disagrees(2, &[0, 0]), None);
+        assert_eq!(layout.disagrees(2, &[0, 1]), Some(&[0u64, 0][..]));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Micro-benchmarks of the ORAM protocol layer: controller access
-//! throughput per duplication policy, stash primitives — and a hard
-//! zero-allocation check over the steady-state access loop.
+//! throughput per duplication policy, stash primitives, what it costs to
+//! build and drop a controller or an engine — and a hard zero-allocation
+//! check over the steady-state access loop.
 //!
-//! Run with `cargo bench --bench protocol`. The allocation check exits
-//! non-zero if the hot loop ever touches the heap again, so CI can use
-//! this bench as a regression gate.
+//! Run with `cargo bench --bench protocol`. The allocation checks exit
+//! non-zero if the hot loop ever touches the heap again, or if building
+//! a tree goes back to allocating per bucket, so CI can use this bench
+//! as a regression gate.
 
 use oram_bench::{bench, CountingAlloc};
 use oram_protocol::{
     Block, BlockAddr, DupPolicy, LeafLabel, OramConfig, OramController, PosMapSelect, Request,
     Stash,
 };
+use oram_sim::{Engine, SystemConfig};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -165,14 +168,64 @@ fn recursive_plb_hit_allocation_check() -> bool {
     delta == 0
 }
 
+/// Most allocator calls one build may make, at any depth. A tree is one
+/// allocation however many buckets it has (32 767 at L=14, 524 287 at
+/// L=18), so a build is a few dozen calls — components, plus the growth
+/// steps of whatever a 1024-block prefill fills.
+const CONSTRUCT_ALLOC_CAP: u64 = 256;
+
+/// Build + drop, timed and allocation-gated: the controller alone and
+/// the engine with a 1024-block prefill, at the `fig17`/`serve_flat`
+/// shape (L=14, flat position map) and the `serve_recursive` one (L=18,
+/// a level tree per recursion level on top of the data tree).
+fn construct() -> bool {
+    println!("-- construct: build + drop --");
+    let mut flat = SystemConfig::scaled_default();
+    flat.oram.levels = 14;
+    let mut recursive = SystemConfig::scaled_default();
+    recursive.oram.levels = 18;
+    recursive.oram.posmap = PosMapSelect::Recursive { onchip_kb: 1 };
+    let mut ok = true;
+    for (shape, sys) in [("L14_flat", flat), ("L18_recursive", recursive)] {
+        let builds: [(&str, &dyn Fn()); 2] = [
+            ("controller", &|| drop(black_box(OramController::new(sys.oram).unwrap()))),
+            ("engine_prefill1024", &|| {
+                let mut engine = Engine::new(sys.clone()).unwrap();
+                engine.prefill_working_set(1024);
+                drop(black_box(engine));
+            }),
+        ];
+        for (what, build) in builds {
+            let before = ALLOC.allocations();
+            build();
+            let allocs = ALLOC.allocations() - before;
+            let r = bench(&format!("construct/{what}/{shape}"), 10, 5, build);
+            let verdict = if allocs <= CONSTRUCT_ALLOC_CAP { "OK" } else { "FAIL" };
+            println!("{r}");
+            println!(
+                "construct_allocs/{what}/{shape:<19} {allocs:>6} allocs per build \
+                 (cap {CONSTRUCT_ALLOC_CAP})  [{verdict}]"
+            );
+            ok &= allocs <= CONSTRUCT_ALLOC_CAP;
+        }
+    }
+    ok
+}
+
 fn main() {
     controller_access();
     stash_ops();
     eviction_path();
-    let mut ok = steady_state_allocation_check();
-    ok &= recursive_plb_hit_allocation_check();
-    if !ok {
+    let built_flat = construct();
+    if !built_flat {
+        eprintln!("building a controller or an engine allocated per bucket — tree arena regression");
+    }
+    let mut steady = steady_state_allocation_check();
+    steady &= recursive_plb_hit_allocation_check();
+    if !steady {
         eprintln!("steady-state ORAM access loop allocated — zero-allocation regression");
+    }
+    if !(built_flat && steady) {
         std::process::exit(1);
     }
 }

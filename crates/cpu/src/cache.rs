@@ -49,8 +49,43 @@ impl CacheStats {
 struct Line {
     tag: u64,
     dirty: bool,
-    /// LRU timestamp: larger = more recent.
+    /// LRU timestamp: larger = more recent; 0 marks an empty way (the
+    /// clock is 1 at the first access).
     lru: u64,
+}
+
+impl Line {
+    const EMPTY: Line = Line { tag: 0, dirty: false, lru: 0 };
+
+    fn holds(&self, tag: u64) -> bool {
+        self.lru != 0 && self.tag == tag
+    }
+}
+
+/// Block address → `(set, tag)`: a mask and a shift when the set count is
+/// a power of two (every Table I cache), the exact `%` and `/` otherwise.
+/// (`oram_util::Digit` is the same decode; this crate has no dependencies
+/// and the benchmark's committed lock file records that.)
+#[derive(Debug, Clone, Copy)]
+struct SetIndex {
+    sets: u64,
+    /// `log2(sets)` when `sets` is a power of two.
+    shift: Option<u32>,
+}
+
+impl SetIndex {
+    fn new(sets: usize) -> Self {
+        let sets = sets as u64;
+        SetIndex { sets, shift: sets.is_power_of_two().then(|| sets.trailing_zeros()) }
+    }
+
+    #[inline]
+    fn split(self, block_addr: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (block_addr & (self.sets - 1), block_addr >> shift),
+            None => (block_addr % self.sets, block_addr / self.sets),
+        }
+    }
 }
 
 /// A set-associative cache over 64-byte lines, addressed by *block*
@@ -64,7 +99,9 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// Way `w` of set `s` at `s · ways + w`.
+    lines: Vec<Line>,
+    sets: SetIndex,
     ways: usize,
     clock: u64,
     stats: CacheStats,
@@ -86,7 +123,8 @@ impl Cache {
         );
         let sets = size_bytes / (64 * ways);
         Cache {
-            sets: vec![Vec::with_capacity(ways); sets],
+            lines: vec![Line::EMPTY; sets * ways],
+            sets: SetIndex::new(sets),
             ways,
             clock: 0,
             stats: CacheStats::default(),
@@ -95,7 +133,7 @@ impl Cache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.sets as usize
     }
 
     /// Associativity.
@@ -111,13 +149,11 @@ impl Cache {
     /// Accesses `block_addr`; `write` marks the line dirty on hit or fill.
     pub fn access(&mut self, block_addr: u64, write: bool) -> CacheAccess {
         self.clock += 1;
-        let set_count = self.sets.len() as u64;
-        let set_ix = (block_addr % set_count) as usize;
-        let tag = block_addr / set_count;
+        let (set_ix, tag) = self.sets.split(block_addr);
         let clock = self.clock;
-        let set = &mut self.sets[set_ix];
+        let set = &mut self.lines[set_ix as usize * self.ways..][..self.ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
             line.lru = clock;
             line.dirty |= write;
             self.stats.hits += 1;
@@ -125,37 +161,26 @@ impl Cache {
         }
 
         self.stats.misses += 1;
+        // Least recently used way; an empty one (stamp 0) always wins.
+        let victim = set.iter_mut().min_by_key(|l| l.lru).expect("ways > 0");
         let mut writeback = None;
-        if set.len() >= self.ways {
-            let victim_ix = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let victim = set.swap_remove(victim_ix);
-            if victim.dirty {
-                let victim_block = victim.tag * set_count + set_ix as u64;
-                writeback = Some(victim_block);
-                self.stats.writebacks += 1;
-            }
+        if victim.lru != 0 && victim.dirty {
+            writeback = Some(victim.tag * self.sets.sets + set_ix);
+            self.stats.writebacks += 1;
         }
-        set.push(Line { tag, dirty: write, lru: clock });
+        *victim = Line { tag, dirty: write, lru: clock };
         CacheAccess::Miss { writeback }
     }
 
     /// Returns `true` if `block_addr` is resident (no LRU update).
     pub fn contains(&self, block_addr: u64) -> bool {
-        let set_ix = (block_addr % self.sets.len() as u64) as usize;
-        let tag = block_addr / self.sets.len() as u64;
-        self.sets[set_ix].iter().any(|l| l.tag == tag)
+        let (set_ix, tag) = self.sets.split(block_addr);
+        self.lines[set_ix as usize * self.ways..][..self.ways].iter().any(|l| l.holds(tag))
     }
 
     /// Invalidates everything, keeping statistics.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.fill(Line::EMPTY);
     }
 }
 
@@ -240,6 +265,63 @@ mod tests {
                 if round > 0 {
                     assert!(hit, "addr {a} round {round} should hit");
                 }
+            }
+        }
+    }
+
+    /// The per-set `Vec` cache this one replaced (push until full, then
+    /// `swap_remove` the LRU way), kept as the oracle: way order inside a
+    /// set differs, outcomes must not.
+    struct SetVecCache {
+        sets: Vec<Vec<Line>>,
+        ways: usize,
+        clock: u64,
+    }
+
+    impl SetVecCache {
+        fn access(&mut self, block_addr: u64, write: bool) -> CacheAccess {
+            self.clock += 1;
+            let set_count = self.sets.len() as u64;
+            let (set_ix, tag) = ((block_addr % set_count) as usize, block_addr / set_count);
+            let set = &mut self.sets[set_ix];
+            if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
+                line.lru = self.clock;
+                line.dirty |= write;
+                return CacheAccess::Hit;
+            }
+            let mut writeback = None;
+            if set.len() >= self.ways {
+                let victim_ix = (0..set.len()).min_by_key(|&i| set[i].lru).unwrap();
+                let victim = set.swap_remove(victim_ix);
+                if victim.dirty {
+                    writeback = Some(victim.tag * set_count + set_ix as u64);
+                }
+            }
+            set.push(Line { tag, dirty: write, lru: self.clock });
+            CacheAccess::Miss { writeback }
+        }
+    }
+
+    #[test]
+    fn flat_store_matches_the_per_set_vec_cache() {
+        let mut rng = oram_util::Rng64::seed_from_u64(0xCAC4E);
+        // Power-of-two and odd set counts, 1 to 8 ways, tag 0 included.
+        for (sets, ways) in [(1usize, 1usize), (4, 2), (16, 8), (3, 2), (12, 4)] {
+            let mut flat = Cache::new(64 * sets * ways, ways);
+            assert_eq!((flat.set_count(), flat.ways()), (sets, ways));
+            let mut oracle = SetVecCache { sets: vec![Vec::new(); sets], ways, clock: 0 };
+            let span = (sets * ways * 3) as u64;
+            for step in 0..20_000 {
+                let (addr, write) = (rng.below(span), rng.below(4) == 0);
+                assert_eq!(
+                    flat.access(addr, write),
+                    oracle.access(addr, write),
+                    "{sets}x{ways} step {step} addr {addr}"
+                );
+            }
+            for addr in 0..span {
+                let resident = oracle.sets[addr as usize % sets].iter().any(|l| l.tag == addr / sets as u64);
+                assert_eq!(flat.contains(addr), resident, "{sets}x{ways} addr {addr}");
             }
         }
     }

@@ -9,6 +9,7 @@
 
 
 use crate::config::DramConfig;
+use oram_util::Digit;
 
 /// A decoded DRAM location for one 64-byte block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,32 +35,6 @@ pub enum Interleave {
     /// row : column : rank : bank : channel — consecutive blocks spread
     /// over banks first.
     RowColRankBankChan,
-}
-
-/// One mixed-radix digit of the address decode. Every Table I dimension
-/// is a power of two, where peeling the digit is a mask and a shift; any
-/// other size keeps the exact division.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Digit {
-    size: u64,
-    /// `log2(size)` when `size` is a power of two.
-    shift: Option<u32>,
-}
-
-impl Digit {
-    fn new(size: usize) -> Self {
-        let size = size as u64;
-        Digit { size, shift: size.is_power_of_two().then(|| size.trailing_zeros()) }
-    }
-
-    /// Splits `a` into `(a % size, a / size)`.
-    #[inline]
-    fn peel(self, a: u64) -> (u64, u64) {
-        match self.shift {
-            Some(shift) => (a & (self.size - 1), a >> shift),
-            None => (a % self.size, a / self.size),
-        }
-    }
 }
 
 /// Physical-address → DRAM-location mapping.

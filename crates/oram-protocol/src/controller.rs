@@ -383,9 +383,8 @@ impl OramController {
             // evictions would.
             for level in (0..=self.shape.levels()).rev() {
                 let bid = self.shape.bucket_on_path(label, level);
-                let bucket = self.tree.bucket_mut(bid);
-                if let Some(slot) = bucket.slots_mut().iter_mut().find(|s| s.is_dummy()) {
-                    *slot = blk;
+                if let Some(slot) = (0..self.cfg.z).find(|&s| self.tree.slot(bid, s).is_dummy()) {
+                    self.tree.set_slot(bid, slot, blk);
                     self.posmap.set_site(addr, RealCopySite::Tree { level });
                     placed = true;
                     break;
@@ -660,7 +659,7 @@ impl OramController {
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.slot(bid, slot);
                 let flat = if on_chip { None } else { Some(dram_index) };
                 if !on_chip {
                     dram_index += 1;
@@ -834,7 +833,7 @@ impl OramController {
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.slot(bid, slot);
                 if !on_chip {
                     if blk.is_real() && blk.addr == addr && blk.version == current_version {
                         return Some(flat);
@@ -872,7 +871,7 @@ impl OramController {
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
             for slot in 0..z {
-                let blk = self.tree.bucket(bid).slots()[slot];
+                let blk = self.tree.slot(bid, slot);
                 if blk.is_dummy() {
                     continue;
                 }
@@ -987,7 +986,7 @@ impl OramController {
                         None => self.dummy_write(),
                     }
                 };
-                self.tree.bucket_mut(bid).slots_mut()[slot] = new_block;
+                self.tree.set_slot(bid, slot, new_block);
             }
         }
         self.path_buf = path;
@@ -1033,7 +1032,8 @@ impl OramController {
         for raw in 1..=shape.bucket_count() {
             let bid = BucketId::new(raw);
             let level = bid.level();
-            for blk in self.tree.bucket(bid).slots() {
+            for slot in 0..shape.slots_per_bucket() {
+                let blk = self.tree.slot(bid, slot);
                 if blk.is_dummy() {
                     continue;
                 }

@@ -8,6 +8,7 @@
 
 
 use crate::types::BlockAddr;
+use oram_util::Digit;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
@@ -38,7 +39,9 @@ pub struct HotCacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HotAddressCache {
-    sets: Vec<Vec<Option<Line>>>,
+    /// Way `w` of set `s` at `s · ways + w`; empty when disabled.
+    lines: Vec<Option<Line>>,
+    sets: Digit,
     ways: usize,
     stats: HotCacheStats,
 }
@@ -54,7 +57,8 @@ impl HotAddressCache {
     pub fn new(sets: usize, ways: usize) -> Self {
         let sets = if ways == 0 { 0 } else { sets };
         HotAddressCache {
-            sets: vec![vec![None; ways]; sets],
+            lines: vec![None; sets * ways],
+            sets: Digit::new(sets),
             ways,
             stats: HotCacheStats::default(),
         }
@@ -62,12 +66,12 @@ impl HotAddressCache {
 
     /// `false` when the cache was built with zero sets or ways.
     pub fn is_enabled(&self) -> bool {
-        !self.sets.is_empty()
+        !self.lines.is_empty()
     }
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.sets.size() as usize
     }
 
     /// Associativity.
@@ -80,19 +84,20 @@ impl HotAddressCache {
         self.stats
     }
 
-    fn set_index(&self, addr: BlockAddr) -> usize {
-        (addr.raw() % self.sets.len() as u64) as usize
+    /// Index of way 0 of the set `addr` maps to.
+    fn set_base(&self, addr: BlockAddr) -> usize {
+        self.sets.peel(addr.raw()).0 as usize * self.ways
     }
 
     /// Records one LLC-miss observation of `addr`, incrementing its counter
     /// (allocating a line via LFU replacement if absent). A no-op when
     /// the cache is disabled.
     pub fn observe(&mut self, addr: BlockAddr) {
-        if self.sets.is_empty() {
+        if self.lines.is_empty() {
             return;
         }
-        let set = self.set_index(addr);
-        let lines = &mut self.sets[set];
+        let base = self.set_base(addr);
+        let lines = &mut self.lines[base..base + self.ways];
 
         if let Some(line) = lines.iter_mut().flatten().find(|l| l.tag == addr) {
             line.count += 1;
@@ -125,11 +130,11 @@ impl HotAddressCache {
     /// the address is not cached (paper Sec. IV-C2) or the cache is
     /// disabled.
     pub fn priority(&self, addr: BlockAddr) -> u64 {
-        if self.sets.is_empty() {
+        if self.lines.is_empty() {
             return 0;
         }
-        let set = self.set_index(addr);
-        self.sets[set]
+        let base = self.set_base(addr);
+        self.lines[base..base + self.ways]
             .iter()
             .flatten()
             .find(|l| l.tag == addr)
@@ -138,9 +143,7 @@ impl HotAddressCache {
 
     /// Clears all lines and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.fill(None);
-        }
+        self.lines.fill(None);
         self.stats = HotCacheStats::default();
     }
 }

@@ -77,5 +77,5 @@ pub use shadow::{
     SlotScheme,
 };
 pub use stash::{InsertOutcome, Stash, StashEntry, StashStats};
-pub use tree::{Bucket, BucketId, EvictionOrder, OramTree, PathIter, TreeShape};
+pub use tree::{BucketId, EvictionOrder, OramTree, PathIter, TreeShape};
 pub use types::{Block, BlockAddr, BlockKind, LeafLabel, Op, Request, Version};

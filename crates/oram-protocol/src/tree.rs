@@ -4,10 +4,10 @@
 //! levels (level 0 is the root, level `L` the leaves). Each node is a
 //! *bucket* of `Z` block slots. This module provides the index arithmetic —
 //! bucket ids, paths, common-prefix levels, the reverse-lexicographic
-//! eviction order — and the bucket storage itself.
+//! eviction order — and the bucket storage itself: one flat arena of
+//! packed slots per tree, a bucket being an index range of it.
 
-
-use crate::types::{Block, LeafLabel};
+use crate::types::{Block, BlockAddr, BlockKind, LeafLabel};
 use oram_util::DetHashMap;
 
 /// Identifier of a bucket: the 1-based heap index of the node
@@ -254,57 +254,69 @@ fn bit_reverse(v: u64, bits: u32) -> u64 {
     v.reverse_bits() >> (64 - bits)
 }
 
-/// One bucket: a fixed array of `Z` block slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bucket {
-    slots: Vec<Block>,
-}
-
-impl Bucket {
-    /// A bucket of `z` dummy slots.
-    pub fn empty(z: usize) -> Self {
-        Bucket { slots: vec![Block::DUMMY; z] }
-    }
-
-    /// Read-only view of the slots.
-    pub fn slots(&self) -> &[Block] {
-        &self.slots
-    }
-
-    /// Mutable view of the slots.
-    pub fn slots_mut(&mut self) -> &mut [Block] {
-        &mut self.slots
-    }
-
-    /// Number of non-dummy slots.
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|b| !b.is_dummy()).count()
-    }
-}
-
-/// Bucket count above which [`OramTree`] switches from a dense `Vec`
-/// to a sparse map. `2^21` buckets ≈ a few hundred MiB of dense dummy
-/// slots at Z = 5 — beyond that an all-dummy preallocation dominates
-/// memory for no benefit, since deep trees (billion-block address
+/// Bucket count above which [`OramTree`] switches from the dense arena
+/// to the sparse one. `2^21` buckets ≈ a few hundred MiB of address
+/// space at Z = 5 — beyond that deep trees (billion-block address
 /// domains) only ever materialize the buckets a run actually touches.
 const DENSE_BUCKET_LIMIT: u64 = 1 << 21;
 
-/// Physical storage behind [`OramTree`]: dense for small trees
-/// (identical layout and behavior to the original `Vec<Bucket>`),
-/// sparse for deep trees where untouched buckets stay implicit and
-/// read as the canonical empty bucket.
-#[derive(Debug, Clone)]
-enum BucketStore {
-    Dense(Vec<Bucket>),
-    Sparse {
-        map: DetHashMap<u64, Bucket>,
-        /// Shared all-dummy bucket returned for never-written ids.
-        empty: Bucket,
-        z: usize,
-    },
+/// One stored slot: `[addr, label | kind << 62, data, version]`.
+///
+/// The all-zero word *is* the dummy: a fresh arena comes from the
+/// zeroed-allocation path (`calloc`, untouched zero pages), so an
+/// all-dummy tree costs no writes to build and none to drop.
+type Word = [u64; 4];
+
+const KIND_SHIFT: u32 = 62;
+const KIND_REAL: u64 = 1;
+const KIND_SHADOW: u64 = 2;
+const LABEL_MASK: u64 = (1 << KIND_SHIFT) - 1;
+
+#[inline]
+fn pack(b: Block) -> Word {
+    let kind = match b.kind {
+        BlockKind::Dummy => return [0; 4],
+        BlockKind::Real => KIND_REAL,
+        BlockKind::Shadow => KIND_SHADOW,
+    };
+    // Labels are leaf indices (`< 2^48`, see `TreeShape::new`); one that
+    // reached the kind bits would read back as a different block.
+    assert!(b.label.raw() <= LABEL_MASK, "leaf label overlaps the kind bits");
+    [b.addr.raw(), b.label.raw() | kind << KIND_SHIFT, b.data, b.version]
 }
 
-/// The ORAM tree storage: geometry plus the bucket array.
+#[inline]
+fn unpack(w: &Word) -> Block {
+    let kind = match w[1] >> KIND_SHIFT {
+        0 => return Block::DUMMY,
+        KIND_REAL => BlockKind::Real,
+        _ => BlockKind::Shadow,
+    };
+    Block {
+        kind,
+        addr: BlockAddr::new(w[0]),
+        label: LeafLabel::new(w[1] & LABEL_MASK),
+        data: w[2],
+        version: w[3],
+    }
+}
+
+/// Physical storage behind [`OramTree`]: every slot of the tree in one
+/// allocation, a bucket being the index range `base .. base + Z`.
+#[derive(Debug, Clone)]
+enum SlotStore {
+    /// All `slot_count()` words; bucket `raw` starts at `(raw − 1) · Z`.
+    /// Bit `raw` of `written` is set once the bucket has been written: a
+    /// bucket that never was reads as all-dummy *without touching its
+    /// words*, so a read cannot fault in a page that a later write would
+    /// only have to fault in again.
+    Dense { words: Vec<Word>, written: Vec<u64> },
+    /// Only the buckets written so far, appended to `words` in first-
+    /// write order; a bucket absent from `base` reads as all-dummy.
+    Sparse { base: DetHashMap<u64, usize>, words: Vec<Word> },
+}
+
+/// The ORAM tree storage: geometry plus the slot arena.
 ///
 /// This models the *untrusted external memory*; the simulator separately
 /// charges DRAM timing for every slot touched. Contents here are the
@@ -312,21 +324,24 @@ enum BucketStore {
 #[derive(Debug, Clone)]
 pub struct OramTree {
     shape: TreeShape,
-    store: BucketStore,
+    store: SlotStore,
 }
 
 impl OramTree {
-    /// Creates an all-dummy tree of the given shape. Trees up to
-    /// [`DENSE_BUCKET_LIMIT`] buckets preallocate densely (unchanged
-    /// from the original representation); deeper trees store only the
-    /// buckets that are actually written, so a 2^30-address domain
-    /// costs memory proportional to the working set, not the tree.
+    /// Creates an all-dummy tree of the given shape in O(1): trees up to
+    /// [`DENSE_BUCKET_LIMIT`] buckets reserve one zeroed arena whose
+    /// pages are first touched when a block is written to them; deeper
+    /// trees store only the buckets that are actually written, so a
+    /// 2^30-address domain costs memory proportional to the working
+    /// set, not the tree.
     pub fn new(shape: TreeShape) -> Self {
-        let z = shape.slots_per_bucket();
         let store = if shape.bucket_count() <= DENSE_BUCKET_LIMIT {
-            BucketStore::Dense(vec![Bucket::empty(z); shape.bucket_count() as usize])
+            SlotStore::Dense {
+                words: vec![[0u64; 4]; shape.slot_count() as usize],
+                written: vec![0; shape.bucket_count() as usize / 64 + 1],
+            }
         } else {
-            BucketStore::Sparse { map: DetHashMap::default(), empty: Bucket::empty(z), z }
+            SlotStore::Sparse { base: DetHashMap::default(), words: Vec::new() }
         };
         OramTree { shape, store }
     }
@@ -336,49 +351,101 @@ impl OramTree {
         self.shape
     }
 
-    /// Immutable access to a bucket. In the sparse representation a
-    /// never-written bucket reads as all-dummy.
-    pub fn bucket(&self, id: BucketId) -> &Bucket {
+    /// Arena index of slot 0 of bucket `id`; `None` for a bucket that was
+    /// never written (it reads as all-dummy).
+    #[inline]
+    fn base_of(&self, id: BucketId) -> Option<usize> {
+        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
         match &self.store {
-            BucketStore::Dense(v) => &v[(id.raw() - 1) as usize],
-            BucketStore::Sparse { map, empty, .. } => map.get(&id.raw()).unwrap_or(empty),
+            SlotStore::Dense { written, .. } => {
+                let raw = id.raw() as usize;
+                (written[raw / 64] >> (raw % 64) & 1 == 1)
+                    .then(|| (raw - 1) * self.shape.slots_per_bucket)
+            }
+            SlotStore::Sparse { base, .. } => base.get(&id.raw()).copied(),
         }
     }
 
-    /// Mutable access to a bucket (materializes it when sparse).
-    pub fn bucket_mut(&mut self, id: BucketId) -> &mut Bucket {
-        match &mut self.store {
-            BucketStore::Dense(v) => &mut v[(id.raw() - 1) as usize],
-            BucketStore::Sparse { map, z, .. } => {
-                let z = *z;
-                map.entry(id.raw()).or_insert_with(|| Bucket::empty(z))
-            }
+    fn words(&self) -> &[Word] {
+        match &self.store {
+            SlotStore::Dense { words, .. } | SlotStore::Sparse { words, .. } => words,
         }
     }
 
-    /// Counts blocks matching `pred` across all materialized buckets
-    /// (order-independent, so sparse iteration order cannot leak).
-    fn count_blocks(&self, pred: impl Fn(&Block) -> bool) -> usize {
-        match &self.store {
-            BucketStore::Dense(v) => {
-                v.iter().flat_map(|b| b.slots()).filter(|b| pred(b)).count()
+    /// The block in slot `i` of bucket `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= Z` or the bucket is outside the tree.
+    #[inline]
+    pub fn slot(&self, id: BucketId, i: usize) -> Block {
+        assert!(i < self.shape.slots_per_bucket, "slot index out of range");
+        self.base_of(id).map_or(Block::DUMMY, |at| unpack(&self.words()[at + i]))
+    }
+
+    /// Overwrites slot `i` of bucket `id` (materializing the bucket when
+    /// sparse).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= Z` or the bucket is outside the tree.
+    #[inline]
+    pub fn set_slot(&mut self, id: BucketId, i: usize, block: Block) {
+        let z = self.shape.slots_per_bucket;
+        assert!(i < z, "slot index out of range");
+        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
+        let (words, at) = match &mut self.store {
+            SlotStore::Dense { words, written } => {
+                let raw = id.raw() as usize;
+                written[raw / 64] |= 1 << (raw % 64);
+                (words, (raw - 1) * z)
             }
-            BucketStore::Sparse { map, .. } => {
-                map.values().flat_map(|b| b.slots()).filter(|b| pred(b)).count()
+            SlotStore::Sparse { base, words } => {
+                let at = *base.entry(id.raw()).or_insert_with(|| {
+                    words.resize(words.len() + z, [0; 4]);
+                    words.len() - z
+                });
+                (words, at)
             }
+        };
+        words[at + i] = pack(block);
+    }
+
+    /// Copies bucket `id` into `out`, for callers that need a whole
+    /// bucket as `&[Block]` (the durable-store mirror); the access loops
+    /// read slot by slot instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != Z` or the bucket is outside the tree.
+    pub fn read_bucket(&self, id: BucketId, out: &mut [Block]) {
+        assert_eq!(out.len(), self.shape.slots_per_bucket, "buffer must hold exactly Z blocks");
+        match self.base_of(id) {
+            Some(at) => {
+                for (o, w) in out.iter_mut().zip(&self.words()[at..]) {
+                    *o = unpack(w);
+                }
+            }
+            None => out.fill(Block::DUMMY),
         }
+    }
+
+    /// Counts stored blocks of `kind` (order-independent, so sparse
+    /// materialization order cannot leak).
+    fn count_kind(&self, kind: u64) -> usize {
+        self.words().iter().filter(|w| w[1] >> KIND_SHIFT == kind).count()
     }
 
     /// Total number of real blocks currently stored in the tree
     /// (diagnostics only — O(size of tree)).
     pub fn real_block_count(&self) -> usize {
-        self.count_blocks(|b| b.is_real())
+        self.count_kind(KIND_REAL)
     }
 
     /// Total number of shadow blocks currently stored in the tree
     /// (diagnostics only — O(size of tree)).
     pub fn shadow_block_count(&self) -> usize {
-        self.count_blocks(|b| b.is_shadow())
+        self.count_kind(KIND_SHADOW)
     }
 }
 
@@ -473,12 +540,19 @@ mod tests {
         assert_eq!(order.count(), 16);
     }
 
+    fn occupancy(t: &OramTree, id: BucketId) -> usize {
+        let mut slots = vec![Block::DUMMY; t.shape().slots_per_bucket()];
+        t.read_bucket(id, &mut slots);
+        slots.iter().filter(|b| !b.is_dummy()).count()
+    }
+
     #[test]
     fn tree_starts_all_dummy() {
         let t = OramTree::new(TreeShape::new(4, 3));
         assert_eq!(t.real_block_count(), 0);
         assert_eq!(t.shadow_block_count(), 0);
-        assert_eq!(t.bucket(BucketId::ROOT).occupancy(), 0);
+        assert_eq!(occupancy(&t, BucketId::ROOT), 0);
+        assert_eq!(t.slot(BucketId::new(31), 2), Block::DUMMY);
     }
 
     #[test]
@@ -487,19 +561,45 @@ mod tests {
         // O(1) memory and absent buckets must read as all-dummy.
         let mut t = OramTree::new(TreeShape::new(30, 4));
         let deep = t.shape().bucket_on_path(LeafLabel::new(987_654_321), 30);
-        assert_eq!(t.bucket(deep).occupancy(), 0);
+        assert_eq!(occupancy(&t, deep), 0);
         assert_eq!(t.real_block_count(), 0);
-        t.bucket_mut(deep).slots_mut()[0] = Block::real(
-            crate::types::BlockAddr::new(7),
-            LeafLabel::new(987_654_321),
-            42,
-            1,
-        );
-        assert_eq!(t.bucket(deep).occupancy(), 1);
+        let blk = Block::real(BlockAddr::new(7), LeafLabel::new(987_654_321), 42, 1);
+        t.set_slot(deep, 0, blk);
+        assert_eq!(t.slot(deep, 0), blk);
+        assert_eq!(occupancy(&t, deep), 1);
         assert_eq!(t.real_block_count(), 1);
         // A neighbouring never-written bucket still reads empty.
         let sibling = BucketId::new(deep.raw() ^ 1);
-        assert_eq!(t.bucket(sibling).occupancy(), 0);
+        assert_eq!(occupancy(&t, sibling), 0);
+    }
+
+    /// The arena's word format: every kind survives the round trip with
+    /// extreme field values, and whatever a dummy carried comes back as
+    /// the canonical `Block::DUMMY` — the all-zero word a fresh arena is
+    /// made of.
+    #[test]
+    fn pack_round_trips_every_kind_and_canonicalizes_dummies() {
+        let real = Block::real(BlockAddr::new(u64::MAX), LeafLabel::new((1 << 47) - 1), u64::MAX, u64::MAX);
+        for blk in [real, real.to_shadow(), Block::real(BlockAddr::new(0), LeafLabel::new(0), 0, 0)] {
+            assert_ne!(pack(blk), [0; 4], "a data block never packs to the dummy word");
+            assert_eq!(unpack(&pack(blk)), blk);
+        }
+        assert_eq!(pack(Block::DUMMY), [0; 4]);
+        assert_eq!(unpack(&[0; 4]), Block::DUMMY);
+        let odd_dummy = Block { kind: BlockKind::Dummy, ..real };
+        assert_eq!(unpack(&pack(odd_dummy)), Block::DUMMY);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket outside the tree")]
+    fn bucket_past_the_tree_is_rejected() {
+        OramTree::new(TreeShape::new(3, 2)).slot(BucketId::new(16), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot index out of range")]
+    fn slot_index_past_z_is_rejected() {
+        OramTree::new(TreeShape::new(3, 2)).slot(BucketId::ROOT, 2);
     }
 
     #[test]

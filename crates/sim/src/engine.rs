@@ -17,7 +17,7 @@
 
 use oram_dram::{BlockRequest, DramSystem, SubtreeLayout};
 use oram_protocol::{
-    AccessResult, BlockAddr, BucketId, LeafLabel, OramController, PathPhase, PhaseKind,
+    AccessResult, Block, BlockAddr, BucketId, LeafLabel, OramController, PathPhase, PhaseKind,
     PosmapPhase, Request, ServedFrom, SharedObserver,
 };
 use oram_storage::{DramBackend, StorageBackend};
@@ -113,6 +113,10 @@ pub struct Engine<B: StorageBackend = DramBackend> {
     /// loop can borrow the backend mutably. Empty on flat backends and
     /// PLB hits, so the steady-state hot path never touches it.
     posmap_scratch: Vec<PosmapPhase>,
+    /// One bucket's worth of blocks (`Z`): the tree stores packed slots,
+    /// so a bucket headed for `StorageBackend::persist_bucket` is
+    /// unpacked here first.
+    bucket_scratch: Vec<Block>,
     /// The attached bus observer, kept so posmap walk batches can run
     /// with the backend observer detached (the combined trace carries
     /// `PosmapBucket` framing from the controller; device-level
@@ -187,6 +191,7 @@ impl<B: StorageBackend> Engine<B> {
             phase_scratch_len: 0,
             attr_scratch: AccessAttribution::ZERO,
             posmap_scratch: Vec::with_capacity(16),
+            bucket_scratch: vec![Block::DUMMY; cfg.oram.z],
             bus_observer: None,
             cfg,
         })
@@ -317,12 +322,16 @@ impl<B: StorageBackend> Engine<B> {
         self.controller
             .prefill((0..blocks).map(|a| (BlockAddr::new(a), 0)));
         if self.backend.wants_payloads() {
-            let tree = self.controller.tree();
-            for raw in 1..=tree.shape().bucket_count() {
-                let id = BucketId::new(raw);
-                self.backend.persist_bucket(raw - 1, tree.bucket(id).slots());
+            for raw in 1..=self.controller.shape().bucket_count() {
+                self.persist_bucket(BucketId::new(raw));
             }
         }
+    }
+
+    /// Mirrors the tree's current contents of bucket `id` to the backend.
+    fn persist_bucket(&mut self, id: BucketId) {
+        self.controller.tree().read_bucket(id, &mut self.bucket_scratch);
+        self.backend.persist_bucket(id.raw() - 1, &self.bucket_scratch);
     }
 
     /// Runs the whole miss stream to completion and returns the final
@@ -775,8 +784,7 @@ impl<B: StorageBackend> Engine<B> {
             // ran, so the bucket contents here are post-eviction: mirror
             // them to the durable store.
             for b in phase.buckets() {
-                self.backend
-                    .persist_bucket(b.raw() - 1, self.controller.tree().bucket(b).slots());
+                self.persist_bucket(b);
             }
         }
         let finishes = &self.finishes;
@@ -923,6 +931,46 @@ mod tests {
         e.prefill_working_set(64);
         let mut s = ReplayMisses::new(misses);
         e.run(&mut s)
+    }
+
+    /// The durable mirror goes through the engine's one-bucket scratch
+    /// buffer (the tree stores packed slots): after a prefill and a run
+    /// with evictions, every bucket on disk equals the controller's tree,
+    /// before and after the process "dies" and the store is reopened.
+    #[test]
+    fn disk_store_mirrors_the_tree_across_reopen() {
+        use oram_storage::{DiskBackend, DiskConfig, DiskStore};
+        let cfg = SystemConfig::small_test();
+        let shape = oram_protocol::TreeShape::new(cfg.oram.levels, cfg.oram.z);
+        let dir = std::env::temp_dir().join(format!("oram_engine_mirror_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = DiskConfig::new(dir.clone(), cfg.oram.z, shape.bucket_count());
+        let mut e = Engine::with_backend(cfg, DiskBackend::new(disk).unwrap()).unwrap();
+        e.prefill_working_set(64);
+        let misses = (0..120).map(|i| MissRecord { is_write: i % 3 == 0, ..miss(i * 5 % 64, 40) });
+        e.run(&mut ReplayMisses::new(misses.collect()));
+        assert!(e.controller().stats().evictions > 0, "the write half must have run");
+        assert_eq!(e.backend_mut().take_io_error(), None);
+
+        let tree: Vec<Vec<Block>> = (1..=shape.bucket_count())
+            .map(|raw| {
+                let mut slots = vec![Block::DUMMY; shape.slots_per_bucket()];
+                e.controller().tree().read_bucket(BucketId::new(raw), &mut slots);
+                slots
+            })
+            .collect();
+        assert!(tree.iter().flatten().any(|b| b.is_real()));
+        for (ix, slots) in tree.iter().enumerate() {
+            let on_disk = e.backend_mut().store().read_bucket(ix as u64).unwrap();
+            assert_eq!(on_disk.as_ref(), Some(slots), "bucket {ix} before the crash");
+        }
+        drop(e); // no checkpoint: the reopen replays the write-ahead log
+        let mut store = DiskStore::open(&dir, shape.slots_per_bucket(), shape.bucket_count()).unwrap();
+        for (ix, slots) in tree.iter().enumerate() {
+            assert_eq!(store.read_bucket(ix as u64).unwrap().as_ref(), Some(slots), "bucket {ix}");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * [`FixedAddrMap`] — a fixed-capacity open-addressed `u64 → u32`
 //!   map (linear probing, backward-shift deletion) for hot-path
 //!   indexes that must never allocate after construction.
+//! * [`Digit`] — `(v % n, v / n)` as a mask and a shift when `n` is a
+//!   power of two, for address decodes and cache set indexing.
 //! * [`DetHashMap`] — a `HashMap` alias with a fixed-seed hasher so
 //!   sparse simulator state (billion-block trees, recursive posmap
 //!   entries) stays bit-for-bit reproducible across processes.
@@ -24,12 +26,14 @@
 #![warn(missing_debug_implementations)]
 
 mod addrmap;
+mod digit;
 pub mod hash;
 pub mod observe;
 mod rng;
 pub mod telemetry;
 
 pub use addrmap::FixedAddrMap;
+pub use digit::Digit;
 pub use hash::{DetHashMap, DetState};
 pub use observe::{BusEvent, BusObserver, BusPhase, EventBatch, SharedObserver};
 pub use rng::Rng64;
