@@ -9,7 +9,7 @@
 //! admission/schedule/coalesce/issue loop may not.
 
 use oram_bench::{bench, CountingAlloc};
-use oram_service::{SchedPolicy, ServiceConfig, ServiceSim, ShardedServiceSim};
+use oram_service::{SchedPolicy, ServeTarget, ServiceConfig, ServiceDriver, ServiceSim};
 use oram_sim::{Engine, ShardedOram, SystemConfig};
 use std::hint::black_box;
 
@@ -40,28 +40,23 @@ fn service_roundtrip() {
 }
 
 /// The zero-allocation claim, extended through the service layer: with
-/// the engine warmed to its high-water marks and the service buffers
-/// sized at construction, a full generated run — Poisson admission,
-/// Zipfian draws, scheduling, MSHR coalescing, and the ORAM accesses
-/// themselves — must perform **zero** allocator calls.
-fn steady_state_allocation_check() -> bool {
-    println!("-- service steady-state allocation check --");
+/// the target's engines warmed to their high-water marks (DRAM queues,
+/// stash and duplication structures at steady-state capacity) and the
+/// service and dispatch buffers sized at construction, a full generated
+/// run — Poisson admission, Zipfian draws, scheduling, MSHR coalescing,
+/// batch partitioning and outcome scatter, and the ORAM accesses
+/// themselves — must perform **zero** allocator calls. `warmed` builds
+/// and warms one target off the books. (Multi-thread shard serving
+/// allocates per-shard result buffers by design; the sharded gate pins
+/// the single-thread path.)
+fn steady_state_allocation_check<T: ServeTarget>(label: &str, warmed: impl Fn() -> T) -> bool {
     let mut ok = true;
     for policy in SchedPolicy::ALL {
-        // Warm the engine off the books: DRAM queues, stash, and
-        // duplication structures grow to their steady-state capacity.
-        let mut eng = engine();
-        let mut i = 0u64;
-        for step in 0..4000u64 {
-            i = (i + 17) % 512;
-            black_box(eng.serve_request(i, step.is_multiple_of(5), 0));
-        }
-
         let mut cfg = ServiceConfig::symmetric_open(4, 2_500, 400.0, 512, 11);
         cfg.scheduler = policy;
         // Construction preallocates queues, waiter scratch, and latency
         // buffers — allowed to allocate.
-        let mut sim = ServiceSim::new(cfg, eng).expect("valid config");
+        let mut sim = ServiceDriver::new(cfg, warmed()).expect("valid config");
         let before = ALLOC.allocations();
         sim.run();
         let delta = ALLOC.allocations() - before;
@@ -69,7 +64,7 @@ fn steady_state_allocation_check() -> bool {
         assert_eq!(res.completed() + res.rejected(), 10_000, "{}", policy.name());
         let verdict = if delta == 0 { "OK" } else { "FAIL" };
         println!(
-            "service_steady_allocs/{:<12} {delta:>6} allocs in 10k requests  [{verdict}]",
+            "{label}/{:<12} {delta:>6} allocs in 10k requests  [{verdict}]",
             policy.name()
         );
         ok &= delta == 0;
@@ -77,50 +72,36 @@ fn steady_state_allocation_check() -> bool {
     ok
 }
 
-/// The same claim through the sharded dispatch path: with every shard
-/// engine warmed and the dispatch buffers sized at construction, a full
-/// generated run over a 4-shard backend (partitioning, per-shard
-/// sub-batching, outcome scatter) must perform **zero** allocator calls
-/// at one worker thread. (Multi-thread serving allocates per-shard
-/// result buffers by design; the gate pins the single-thread path.)
-fn sharded_steady_state_allocation_check() -> bool {
-    println!("-- sharded service steady-state allocation check (4 shards) --");
-    let mut ok = true;
-    for policy in SchedPolicy::ALL {
-        // Warm every shard off the books: (i + 17) % 512 cycles all
-        // residues mod 4, so each shard's DRAM queues, stash, and
-        // duplication structures reach steady-state capacity.
-        let mut backend =
-            ShardedOram::new(SystemConfig::small_test(), 4, 1).expect("valid config");
-        backend.prefill_working_set(512);
-        let mut i = 0u64;
-        for step in 0..8000u64 {
-            i = (i + 17) % 512;
-            black_box(backend.serve_request(i, step.is_multiple_of(5), 0));
-        }
-
-        let mut cfg = ServiceConfig::symmetric_open(4, 2_500, 400.0, 512, 11);
-        cfg.scheduler = policy;
-        let mut sim = ShardedServiceSim::new(cfg, backend).expect("valid config");
-        let before = ALLOC.allocations();
-        sim.run();
-        let delta = ALLOC.allocations() - before;
-        let (res, _) = sim.finish();
-        assert_eq!(res.completed() + res.rejected(), 10_000, "{}", policy.name());
-        let verdict = if delta == 0 { "OK" } else { "FAIL" };
-        println!(
-            "sharded_steady_allocs/{:<12} {delta:>6} allocs in 10k requests  [{verdict}]",
-            policy.name()
-        );
-        ok &= delta == 0;
+/// The engine with 4k accesses behind it.
+fn warmed_engine() -> Engine {
+    let mut eng = engine();
+    let mut i = 0u64;
+    for step in 0..4000u64 {
+        i = (i + 17) % 512;
+        black_box(eng.serve_request(i, step.is_multiple_of(5), 0));
     }
-    ok
+    eng
+}
+
+/// Four shards with 8k accesses behind them: (i + 17) % 512 cycles all
+/// residues mod 4, so every shard is warm.
+fn warmed_shards() -> ShardedOram {
+    let mut backend = ShardedOram::new(SystemConfig::small_test(), 4, 1).expect("valid config");
+    backend.prefill_working_set(512);
+    let mut i = 0u64;
+    for step in 0..8000u64 {
+        i = (i + 17) % 512;
+        black_box(backend.serve_request(i, step.is_multiple_of(5), 0));
+    }
+    backend
 }
 
 fn main() {
     service_roundtrip();
-    let mut ok = steady_state_allocation_check();
-    ok &= sharded_steady_state_allocation_check();
+    println!("-- service steady-state allocation check --");
+    let mut ok = steady_state_allocation_check("service_steady_allocs", warmed_engine);
+    println!("-- sharded service steady-state allocation check (4 shards) --");
+    ok &= steady_state_allocation_check("sharded_steady_allocs", warmed_shards);
     if !ok {
         eprintln!("service steady-state issue path allocated — zero-allocation regression");
         std::process::exit(1);

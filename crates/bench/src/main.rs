@@ -135,8 +135,8 @@ fn serve_usage() -> &'static str {
      --load <r>         offered-rate multiplier over the base rate (default 1.0)\n\
      --scheduler <s>    run one policy (fcfs, round_robin, oldest_first)\n\
      --shards <M>       partition the address space across M concurrent ORAM\n\
-                        shards with intra-shard pipelining (default 1 = the\n\
-                        single-engine path, byte-identical output)\n\
+                        shards with intra-shard pipelining, on any backend\n\
+                        (default 1 = the reference engine, unpipelined)\n\
      --threads <n>      worker threads serving shards (default 1; results are\n\
                         bit-identical at any thread count)\n\
      --json <path>      write the machine-readable report (the format\n\
@@ -920,14 +920,6 @@ fn serve_main(args: &[String]) -> ExitCode {
         },
         None => None,
     };
-    if opts.backend != BackendKind::Dram && (opts.shards > 1 || shard_sweep) {
-        eprintln!(
-            "--backend {} does not support sharding (the sharded path is DRAM-only)\n{}",
-            opts.backend.name(),
-            serve_usage()
-        );
-        return ExitCode::from(USAGE_ERROR);
-    }
     let stash_bound = {
         let mut probe = SystemConfig::scaled_default();
         probe.oram.levels = opts.levels;

@@ -24,11 +24,11 @@ use oram_obsv::{render_top, LivePlane};
 use oram_protocol::PosMapSelect;
 use oram_service::{
     LatencySummary, SchedPolicy, SchedulerSummary, ServiceConfig, ServiceMeta, ServiceReport,
-    ServiceResult, ServiceSim, ShardedServiceSim, SERVE_CLASS_NAMES,
+    ServiceResult, ShardedServiceSim, SERVE_CLASS_NAMES,
 };
 use oram_sim::{
-    build_miss_stream, scale_profile, DiskBackend, DiskConfig, Engine, RunOptions, ShardedOram,
-    StorageBackend, SystemConfig, WanBackend, WanConfig,
+    build_miss_stream, scale_profile, DiskBackend, DiskConfig, DramBackend, Engine, RunOptions,
+    ShardedOram, StorageBackend, SystemConfig, WanBackend, WanConfig,
 };
 use oram_telemetry::{validate_attribution, TeeSink, TelemetryConfig, TelemetryRecorder};
 use oram_util::MetricId;
@@ -327,169 +327,38 @@ fn serve_system(opts: &ServeOptions) -> Result<SystemConfig, String> {
     Ok(sys)
 }
 
-/// Builds the WAN backend for `sys` from the serve options.
-fn wan_backend(opts: &ServeOptions, sys: &SystemConfig) -> Result<WanBackend, String> {
+/// Builds a WAN backend with the given round-trip time and request
+/// batch, on `sys`'s clock.
+pub(crate) fn wan_backend(
+    rtt_us: f64,
+    batch: usize,
+    sys: &SystemConfig,
+) -> Result<WanBackend, String> {
     let per_block = WanConfig::default_wan().per_block_cycles;
-    let cfg = WanConfig::from_rtt_us(opts.rtt_us, sys.dram.tck_ns, per_block, opts.wan_batch);
-    WanBackend::new(cfg)
+    WanBackend::new(WanConfig::from_rtt_us(rtt_us, sys.dram.tck_ns, per_block, batch))
 }
 
-/// Builds the disk backend for `sys`, returning the backend plus the
-/// directory to remove after the run (`None` when the caller owns it).
-fn disk_backend(
-    opts: &ServeOptions,
-    sys: &SystemConfig,
-    tag: &str,
-) -> Result<(DiskBackend, Option<PathBuf>), String> {
-    let (dir, ephemeral) = match &opts.disk_dir {
-        Some(d) => (d.join(tag), None),
-        None => {
-            let d = std::env::temp_dir()
-                .join(format!("oram_serve_disk_{}_{tag}", std::process::id()));
-            (d.clone(), Some(d))
-        }
-    };
+/// Builds (or reopens) the disk bucket store for `sys`'s tree in `dir`.
+pub(crate) fn disk_backend(dir: PathBuf, sys: &SystemConfig) -> Result<DiskBackend, String> {
     let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
-    let backend = DiskBackend::new(DiskConfig::new(dir, sys.oram.z, bucket_count))?;
-    Ok((backend, ephemeral))
+    DiskBackend::new(DiskConfig::new(dir, sys.oram.z, bucket_count))
+}
+
+/// An ephemeral disk-store directory, removed when the guard drops —
+/// also when the run that owned it bails out early.
+#[derive(Debug)]
+pub(crate) struct EphemeralDir(pub(crate) PathBuf);
+
+impl Drop for EphemeralDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs one policy at one load factor through the full validation
-/// stack and returns the summary plus the raw result.
+/// stack and returns the summary plus the raw result: the backend
+/// ladder in front of [`run_policy_on`].
 fn run_policy(
-    opts: &ServeOptions,
-    policy: SchedPolicy,
-    load: f64,
-    live: Option<&LiveRun>,
-) -> Result<(SchedulerSummary, ServiceResult), String> {
-    if opts.shards > 1 {
-        if opts.backend != BackendKind::Dram {
-            return Err(format!(
-                "backend {:?} does not support --shards > 1 (the sharded path is DRAM-only)",
-                opts.backend.name()
-            ));
-        }
-        return run_policy_sharded(opts, policy, load, live);
-    }
-    let name = policy.name();
-    let sys = serve_system(opts).map_err(|e| format!("{name}: {e}"))?;
-    match opts.backend {
-        BackendKind::Dram => {
-            let engine = Engine::new(sys).map_err(|e| format!("{name}: engine: {e}"))?;
-            run_policy_on(opts, policy, load, engine, live)
-        }
-        BackendKind::Wan => {
-            let backend = wan_backend(opts, &sys).map_err(|e| format!("{name}: wan: {e}"))?;
-            let engine =
-                Engine::with_backend(sys, backend).map_err(|e| format!("{name}: engine: {e}"))?;
-            run_policy_on(opts, policy, load, engine, live)
-        }
-        BackendKind::Disk => {
-            let tag = format!("{name}_{load:.2}").replace('.', "p");
-            let (backend, cleanup) =
-                disk_backend(opts, &sys, &tag).map_err(|e| format!("{name}: disk: {e}"))?;
-            let engine =
-                Engine::with_backend(sys, backend).map_err(|e| format!("{name}: engine: {e}"))?;
-            let result = run_policy_on(opts, policy, load, engine, live);
-            if let Some(dir) = cleanup {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-            result
-        }
-    }
-}
-
-/// The backend-generic core of [`run_policy`]: drives the service
-/// front-end over a ready engine and applies the full validation stack.
-fn run_policy_on<B: StorageBackend>(
-    opts: &ServeOptions,
-    policy: SchedPolicy,
-    load: f64,
-    mut engine: Engine<B>,
-    live: Option<&LiveRun>,
-) -> Result<(SchedulerSummary, ServiceResult), String> {
-    let name = policy.name();
-    let mut cfg = opts.service_config(load);
-    cfg.scheduler = policy;
-
-    let trace = Recorder::unbounded();
-    let telem = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
-    engine.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
-    engine.attach_bus_observer(trace.observer());
-    // With a live plane attached the engine's telemetry stream is teed:
-    // the post-hoc recorder stays primary (validation reads it), and the
-    // plane sees the same spans, Eq. 1 windows, and stash samples as
-    // they happen.
-    let engine_sink = match live {
-        Some(lr) => {
-            TeeSink::shared(TelemetryRecorder::as_sink(&telem), LivePlane::as_sink(&lr.plane))
-        }
-        None => TelemetryRecorder::as_sink(&telem),
-    };
-    engine.attach_telemetry(engine_sink, 50_000);
-
-    let mut sim = ServiceSim::new(cfg, engine).map_err(|e| format!("{name}: {e}"))?;
-    sim.attach_telemetry(TelemetryRecorder::as_sink(&telem));
-    if let Some(lr) = live {
-        sim.attach_live(LivePlane::as_live(&lr.plane));
-    }
-    match live.and_then(|lr| lr.top.as_ref()) {
-        Some(top) => {
-            while sim.step() {
-                top.maybe_draw(&live.expect("top implies live").plane);
-            }
-        }
-        None => sim.run(),
-    }
-    let (res, mut engine) = sim.finish();
-    engine.detach_telemetry();
-    engine.detach_bus_observer();
-
-    // 1. Service conservation laws against the engine's own counters.
-    res.validate().map_err(|e| format!("{name}: {e}"))?;
-    // 2. Every span's attribution partitions its latency exactly, with
-    //    queue_wait = start − arrival.
-    {
-        let t = telem.lock().expect("recorder poisoned");
-        validate_attribution(t.spans()).map_err(|e| format!("{name}: attribution: {e}"))?;
-    }
-    // 3. The service-issued bus trace passes the obliviousness audit:
-    //    the data-path grammar (which skips posmap events) plus the
-    //    recursive posmap's own structural grammar (vacuous under a
-    //    flat posmap, which emits no posmap events).
-    trace.with_events(|events| {
-        check_service_trace(&engine.config().oram, events)
-            .map_err(|e| format!("{name}: service trace audit: {e}"))?;
-        check_posmap_trace(events)
-            .map(drop)
-            .map_err(|e| format!("{name}: posmap trace audit: {e}"))
-    })?;
-    // 4. The live plane (when attached) conserved every count: folded +
-    //    ring + open window totals equal the cumulative registry.
-    finish_live(name, live)?;
-
-    let summary = summarize(name, &res);
-    Ok((summary, res))
-}
-
-/// Closes the live plane's open window after a policy run and checks
-/// the window conservation law.
-fn finish_live(name: &str, live: Option<&LiveRun>) -> Result<(), String> {
-    if let Some(lr) = live {
-        let mut p = lr.plane.lock().expect("plane lock");
-        p.flush();
-        p.validate_conservation()
-            .map_err(|e| format!("{name}: observability conservation: {e}"))?;
-    }
-    Ok(())
-}
-
-/// The sharded counterpart of [`run_policy`]: partitions the address
-/// space across `opts.shards` engines (each with intra-shard pipelining
-/// enabled) and validates every shard independently — each shard's bus
-/// trace must pass the obliviousness audit on its own, and each shard's
-/// telemetry spans must partition their latencies exactly.
-fn run_policy_sharded(
     opts: &ServeOptions,
     policy: SchedPolicy,
     load: f64,
@@ -499,29 +368,83 @@ fn run_policy_sharded(
     let mut sys = serve_system(opts).map_err(|e| format!("{name}: {e}"))?;
     // Shards overlap access k+1's path read with access k's eviction
     // tail; the hazard check stalls same-path and stash-pressure cases.
-    sys.pipeline = true;
+    // One shard is the reference engine, unpipelined.
+    sys.pipeline = opts.shards > 1;
+    match opts.backend {
+        BackendKind::Dram => {
+            run_policy_on(opts, policy, load, &sys, live, |_| DramBackend::new(sys.dram))
+        }
+        BackendKind::Wan => run_policy_on(opts, policy, load, &sys, live, |_| {
+            wan_backend(opts.rtt_us, opts.wan_batch, &sys).map_err(|e| format!("wan: {e}"))
+        }),
+        BackendKind::Disk => {
+            let tag = format!("{name}_{load:.2}").replace('.', "p");
+            let (root, _cleanup) = match &opts.disk_dir {
+                Some(d) => (d.join(tag), None),
+                None => {
+                    let d = std::env::temp_dir()
+                        .join(format!("oram_serve_disk_{}_{tag}", std::process::id()));
+                    (d.clone(), Some(EphemeralDir(d)))
+                }
+            };
+            run_policy_on(opts, policy, load, &sys, live, |i| {
+                disk_backend(root.join(format!("shard_{i}")), &sys).map_err(|e| format!("disk: {e}"))
+            })
+        }
+    }
+}
 
+/// The backend-generic body of [`run_policy`]: builds `opts.shards`
+/// engines over `make_backend`'s stores (one shard keeps the seed
+/// verbatim — the reference engine; more derive a seed each), puts a bus
+/// recorder and a telemetry recorder on every shard, drives the service
+/// front-end over them and validates each shard independently — its bus
+/// trace must pass the obliviousness audit on its own, and its telemetry
+/// spans must partition their latencies exactly.
+fn run_policy_on<B: StorageBackend>(
+    opts: &ServeOptions,
+    policy: SchedPolicy,
+    load: f64,
+    sys: &SystemConfig,
+    live: Option<&LiveRun>,
+    make_backend: impl FnMut(usize) -> Result<B, String>,
+) -> Result<(SchedulerSummary, ServiceResult), String> {
+    let name = policy.name();
     let mut cfg = opts.service_config(load);
     cfg.scheduler = policy;
 
-    let mut backend = ShardedOram::new(sys, opts.shards, opts.threads)
-        .map_err(|e| format!("{name}: backend: {e}"))?;
+    let mut backend =
+        ShardedOram::with_backend_factory(sys.clone(), opts.shards, opts.threads, make_backend)
+            .map_err(|e| format!("{name}: {e}"))?;
     backend.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
-    let traces: Vec<Recorder> = (0..opts.shards).map(|_| Recorder::unbounded()).collect();
-    let telems: Vec<_> = (0..opts.shards)
-        .map(|_| TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 }))
+    let probes: Vec<_> = (0..opts.shards)
+        .map(|_| {
+            let telem = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
+            (Recorder::unbounded(), telem)
+        })
         .collect();
-    for i in 0..opts.shards {
-        backend.engine_mut(i).attach_bus_observer(traces[i].observer());
-        backend.engine_mut(i).attach_telemetry(TelemetryRecorder::as_sink(&telems[i]), 50_000);
+    for (i, (trace, telem)) in probes.iter().enumerate() {
+        // A lone engine runs on the service thread, so a live plane can
+        // be teed in engine-side: the post-hoc recorder stays primary
+        // (validation reads it) and the plane sees the same spans, Eq. 1
+        // windows and stash samples as they happen. With more shards the
+        // engine sinks fire on worker threads, and the plane stays off
+        // those so the deterministic schedule is untouched; completions
+        // still carry their shard id, so the per-shard breakdown is live.
+        let sink = match live {
+            Some(lr) if opts.shards == 1 => TeeSink::shared(
+                TelemetryRecorder::as_sink(telem),
+                LivePlane::as_sink(&lr.plane),
+            ),
+            _ => TelemetryRecorder::as_sink(telem),
+        };
+        let engine = backend.engine_mut(i);
+        engine.attach_bus_observer(trace.observer());
+        engine.attach_telemetry(sink, 50_000);
     }
 
     let mut sim = ShardedServiceSim::new(cfg, backend).map_err(|e| format!("{name}: {e}"))?;
-    sim.attach_telemetry(TelemetryRecorder::as_sink(&telems[0]));
-    // The plane attaches service-side only here: engine sinks fire on
-    // worker threads in the sharded path, and the plane stays off those
-    // threads so the deterministic schedule is untouched. Completions
-    // still carry their shard id, so the per-shard breakdown is live.
+    sim.attach_telemetry(TelemetryRecorder::as_sink(&probes[0].1));
     if let Some(lr) = live {
         sim.attach_live(LivePlane::as_live(&lr.plane));
     }
@@ -534,40 +457,50 @@ fn run_policy_sharded(
         None => sim.run(),
     }
     let (res, mut backend) = sim.finish();
-    for i in 0..opts.shards {
-        backend.engine_mut(i).detach_telemetry();
-        backend.engine_mut(i).detach_bus_observer();
-    }
 
     // 1. Service conservation laws against the merged engine counters.
     res.validate().map_err(|e| format!("{name}: {e}"))?;
-    // 2. Per-shard attribution: every span partitions its latency.
-    for (i, telem) in telems.iter().enumerate() {
-        let t = telem.lock().expect("recorder poisoned");
-        validate_attribution(t.spans())
+    for (i, (trace, telem)) in probes.iter().enumerate() {
+        let engine = backend.engine_mut(i);
+        engine.detach_telemetry();
+        engine.detach_bus_observer();
+        // 2. Every span's attribution partitions its latency exactly,
+        //    with queue_wait = start − arrival.
+        validate_attribution(telem.lock().expect("recorder poisoned").spans())
             .map_err(|e| format!("{name}: shard {i} attribution: {e}"))?;
-    }
-    // 3. Per-shard obliviousness: each shard's bus trace must be a valid
-    //    ORAM trace on its own (a shard that saw no traffic has nothing
-    //    to check).
-    for (i, trace) in traces.iter().enumerate() {
-        let oram = backend.engine_mut(i).config().oram;
+        // 3. The shard's bus trace is a valid ORAM trace on its own (a
+        //    shard that saw no traffic has nothing to check): the
+        //    data-path grammar (which skips posmap events) plus the
+        //    recursive posmap's own structural grammar (vacuous under a
+        //    flat posmap, which emits no posmap events).
         trace.with_events(|events| {
             if events.is_empty() {
                 return Ok(());
             }
-            check_service_trace(&oram, events)
+            check_service_trace(&engine.config().oram, events)
                 .map_err(|e| format!("{name}: shard {i} service trace audit: {e}"))?;
             check_posmap_trace(events)
                 .map(drop)
                 .map_err(|e| format!("{name}: shard {i} posmap trace audit: {e}"))
         })?;
     }
-    // 4. Live-plane window conservation, as in the single-engine path.
+    // 4. The live plane (when attached) conserved every count: folded +
+    //    ring + open window totals equal the cumulative registry.
     finish_live(name, live)?;
 
-    let summary = summarize(name, &res);
-    Ok((summary, res))
+    Ok((summarize(name, &res), res))
+}
+
+/// Closes the live plane's open window after a policy run and checks
+/// the window conservation law.
+fn finish_live(name: &str, live: Option<&LiveRun>) -> Result<(), String> {
+    if let Some(lr) = live {
+        let mut p = lr.plane.lock().expect("plane lock");
+        p.flush();
+        p.validate_conservation()
+            .map_err(|e| format!("{name}: observability conservation: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Renders one policy's per-client accounting lines.
@@ -634,12 +567,13 @@ pub fn run_serve_live(
             hb.tick(done + 1, policies.len());
         }
     }
+    let cfg = opts.service_config(opts.load);
     let report = ServiceReport {
         meta: ServiceMeta {
             clients: opts.clients as u64,
             requests_per_client: opts.requests,
-            queue_capacity: 16,
-            batch_size: 4,
+            queue_capacity: cfg.queue_capacity as u64,
+            batch_size: cfg.batch_size as u64,
             levels: opts.levels,
             seed: opts.seed,
             load: opts.load,
@@ -1072,8 +1006,8 @@ pub fn run_wan_sweep(
     for &rtt_us in &WAN_SWEEP_RTTS_US {
         let mut prev: Option<f64> = None;
         for &batch in &WAN_SWEEP_BATCHES {
-            let o = ServeOptions { rtt_us, wan_batch: batch, ..opts.clone() };
-            let backend = wan_backend(&o, &sys).map_err(|e| format!("wan sweep: {e}"))?;
+            let backend =
+                wan_backend(rtt_us, batch, &sys).map_err(|e| format!("wan sweep: {e}"))?;
             let mut engine = Engine::with_backend(sys.clone(), backend)
                 .map_err(|e| format!("wan sweep: engine: {e}"))?;
             engine.prefill_working_set(scaled.working_set_blocks);
@@ -1406,6 +1340,7 @@ pub fn run_posmap_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oram_service::ServiceSim;
 
     fn tiny() -> ServeOptions {
         // Small enough for debug-mode unit tests.
@@ -1496,14 +1431,107 @@ mod tests {
         assert_eq!(a.report, b.report);
     }
 
+    /// A fresh directory for a disk-backed test run, removed on drop
+    /// (named per caller: tests in this binary run concurrently).
+    fn scratch_dir(tag: &str) -> EphemeralDir {
+        let dir = std::env::temp_dir()
+            .join(format!("oram_serve_test_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        EphemeralDir(dir)
+    }
+
     #[test]
-    fn non_dram_backends_reject_sharding() {
+    fn sharded_wan_and_disk_validate() {
+        for backend in [BackendKind::Wan, BackendKind::Disk] {
+            let run = |threads: usize| {
+                let store = scratch_dir(&format!("sharded_{}_{threads}", backend.name()));
+                let mut o = tiny();
+                o.backend = backend;
+                o.shards = 2;
+                o.threads = threads;
+                o.scheduler = Some(SchedPolicy::Fcfs);
+                if backend == BackendKind::Disk {
+                    o.disk_dir = Some(store.0.clone());
+                }
+                let arts = run_serve(&o, None)
+                    .unwrap_or_else(|e| panic!("{} threads {threads}: {e}", backend.name()));
+                if backend == BackendKind::Disk {
+                    // One private store per shard.
+                    for shard in ["shard_0", "shard_1"] {
+                        let dat = store.0.join("fcfs_1p00").join(shard).join("buckets.dat");
+                        assert!(dat.is_file(), "{}", dat.display());
+                    }
+                }
+                arts
+            };
+            let one = run(1);
+            assert_eq!(one.report.meta.shards, 2);
+            assert_eq!(one.report.meta.backend, backend.name());
+            assert!(one.report.schedulers[0].completed > 0);
+            for threads in [2, 4] {
+                let again = run(threads);
+                assert_eq!(one.report, again.report, "{} threads {threads}", backend.name());
+                assert_eq!(one.client_section, again.client_section);
+            }
+        }
+    }
+
+    #[test]
+    fn ephemeral_disk_store_is_removed_when_a_later_shard_fails() {
         let mut o = tiny();
-        o.backend = BackendKind::Wan;
+        o.backend = BackendKind::Disk;
         o.shards = 2;
-        o.scheduler = Some(SchedPolicy::Fcfs);
-        let err = run_serve(&o, None).unwrap_err();
-        assert!(err.contains("DRAM-only"), "{err}");
+        let sys = serve_system(&o).unwrap();
+        let store = scratch_dir("failing_shard");
+        let err = run_policy_on(&o, SchedPolicy::Fcfs, 1.0, &sys, None, |i| match i {
+            0 => disk_backend(store.0.join("shard_0"), &sys),
+            _ => Err("disk: no space".to_string()),
+        })
+        .unwrap_err();
+        assert_eq!(err, "fcfs: disk: no space");
+        assert!(store.0.join("shard_0").is_dir(), "shard 0's store was created first");
+        let root = store.0.clone();
+        drop(store);
+        assert!(!root.exists(), "the guard removes what the failed run left behind");
+    }
+
+    /// Each shard's bus trace of a two-shard FCFS serve over `B`. Queues
+    /// deep enough never to bounce a request and no coalescing, so every
+    /// backend, however slow, issues the same per-shard access sequence.
+    fn shard_traces<B: StorageBackend>(
+        make_backend: impl FnMut(usize) -> Result<B, String>,
+    ) -> Vec<Vec<oram_util::BusEvent>> {
+        let o = tiny();
+        let mut sys = serve_system(&o).unwrap();
+        sys.pipeline = true;
+        let mut cfg = o.service_config(1.0);
+        cfg.scheduler = SchedPolicy::Fcfs;
+        cfg.coalescing = false;
+        cfg.queue_capacity = o.requests as usize;
+        let mut backend = ShardedOram::with_backend_factory(sys, 2, 2, make_backend).unwrap();
+        backend.prefill_working_set(cfg.address_span());
+        let traces = [Recorder::unbounded(), Recorder::unbounded()];
+        for (i, trace) in traces.iter().enumerate() {
+            backend.engine_mut(i).attach_bus_observer(trace.observer());
+        }
+        let mut sim = ShardedServiceSim::new(cfg, backend).unwrap();
+        sim.run();
+        let (res, _) = sim.finish();
+        res.validate().unwrap();
+        assert_eq!(res.rejected() + res.coalesced(), 0);
+        traces.iter().map(Recorder::snapshot).collect()
+    }
+
+    #[test]
+    fn shard_traces_are_backend_invariant() {
+        let sys = serve_system(&tiny()).unwrap();
+        let dram = shard_traces(|_| DramBackend::new(sys.dram));
+        assert!(dram.iter().all(|t| !t.is_empty()));
+        let wan = shard_traces(|_| wan_backend(200.0, 4, &sys));
+        assert!(dram == wan, "wan shard traces differ from dram");
+        let store = scratch_dir("trace_invariance");
+        let disk = shard_traces(|i| disk_backend(store.0.join(format!("shard_{i}")), &sys));
+        assert!(dram == disk, "disk shard traces differ from dram");
     }
 
     #[test]

@@ -27,14 +27,12 @@ use oram_obsv::{
     AlertKind, FlightConfig, IncidentMeta, LiveConfig, LivePlane, EQ1_RESIDUAL_PPM,
 };
 use oram_service::{AddressMix, ServiceConfig, ServiceSim};
-use oram_sim::{
-    DiskBackend, DiskConfig, Engine, StorageBackend, SystemConfig, WanBackend, WanConfig,
-};
+use oram_sim::{Engine, StorageBackend, SystemConfig};
 use oram_telemetry::json::{self, Value};
 
 use crate::incident::write_incident_bundle;
 use crate::progress::Heartbeat;
-use crate::serve::BackendKind;
+use crate::serve::{disk_backend, wan_backend, BackendKind, EphemeralDir};
 
 /// Seed-derivation constant shared with the service layer's per-client
 /// split (the golden-ratio multiplier).
@@ -369,22 +367,19 @@ fn run_segment_kind(
             run_segment(opts, engine, plan, start_cycle, plane, hb, out)
         }
         BackendKind::Wan => {
-            let per_block = WanConfig::default_wan().per_block_cycles;
-            let cfg = WanConfig::from_rtt_us(200.0, sys.dram.tck_ns, per_block, 4);
-            let backend = WanBackend::new(cfg).map_err(|e| format!("wan: {e}"))?;
+            let backend = wan_backend(200.0, 4, &sys).map_err(|e| format!("wan: {e}"))?;
             let engine = Engine::with_backend(sys, backend).map_err(|e| format!("engine: {e}"))?;
             run_segment(opts, engine, plan, start_cycle, plane, hb, out)
         }
         BackendKind::Disk => {
-            let dir = std::env::temp_dir()
-                .join(format!("oram_soak_disk_{}_{start_cycle}", std::process::id()));
-            let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
-            let backend = DiskBackend::new(DiskConfig::new(dir.clone(), sys.oram.z, bucket_count))
-                .map_err(|e| format!("disk: {e}"))?;
+            let cleanup = EphemeralDir(
+                std::env::temp_dir()
+                    .join(format!("oram_soak_disk_{}_{start_cycle}", std::process::id())),
+            );
+            let backend =
+                disk_backend(cleanup.0.clone(), &sys).map_err(|e| format!("disk: {e}"))?;
             let engine = Engine::with_backend(sys, backend).map_err(|e| format!("engine: {e}"))?;
-            let result = run_segment(opts, engine, plan, start_cycle, plane, hb, out);
-            let _ = std::fs::remove_dir_all(dir);
-            result
+            run_segment(opts, engine, plan, start_cycle, plane, hb, out)
         }
     }
 }

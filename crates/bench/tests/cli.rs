@@ -286,7 +286,6 @@ fn serve_usage_errors_exit_2() {
         &["serve", "--backend", "wan", "--rtt-us", "NaN"][..],
         &["serve", "--backend", "wan", "--batch", "0"][..],
         &["serve", "--backend", "dram", "--disk-dir", "/tmp/x"][..],
-        &["serve", "--backend", "wan", "--shards", "2"][..],
         &["serve", "--wan-sweep", "--backend", "disk"][..],
         &["serve", "--wan-sweep", "--rtt-us", "100"][..],
         &["serve", "--wan-sweep", "--batch", "8"][..],
@@ -531,6 +530,30 @@ fn wan_serve_tags_the_report_and_takes_wan_flags() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("backend wan"), "{stdout}");
     let j = std::fs::read_to_string(&json).expect("wan json");
+    assert!(j.contains("\"backend\":\"wan\""), "{j}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sharded_wan_serve_runs_through_the_full_validation_stack() {
+    let dir = std::env::temp_dir().join(format!("repro_serve_wan_shards_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let json = dir.join("wan_shards.json");
+    let out = repro(&[
+        "serve",
+        "--quick",
+        "--quiet",
+        "--backend",
+        "wan",
+        "--shards",
+        "2",
+        "--json",
+        json.to_str().expect("utf-8 temp path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let j = std::fs::read_to_string(&json).expect("sharded wan json");
+    assert!(j.contains("\"shards\":2"), "{j}");
     assert!(j.contains("\"backend\":\"wan\""), "{j}");
     let _ = std::fs::remove_dir_all(&dir);
 }

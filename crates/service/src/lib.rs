@@ -41,4 +41,7 @@ pub use report::{
     compare_service_reports, percentile, LatencySummary, SchedulerSummary, ServiceMeta,
     ServiceReport,
 };
-pub use sim::{ClientResult, ServiceResult, ServiceSim, ShardedServiceSim, SERVE_CLASS_NAMES};
+pub use sim::{
+    ClientResult, ServeTarget, ServiceDriver, ServiceResult, ServiceSim, ShardedServiceSim,
+    SERVE_CLASS_NAMES,
+};

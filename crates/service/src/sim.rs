@@ -2,14 +2,14 @@
 //! queues, a batch scheduler draining them into the ORAM engine, and
 //! MSHR-style coalescing of same-address reads before the issue point.
 //!
-//! Two back-ends share one scheduling front-end:
-//!
-//! * [`ServiceSim`] drives a single [`Engine`], issuing scheduled
-//!   requests one at a time — the reference path.
-//! * [`ShardedServiceSim`] drives a [`ShardedOram`]: each scheduling
-//!   round collects up to `batch_size` coalesced group leaders and
-//!   dispatches them as one batch, which the backend partitions across
-//!   its shards and serves concurrently.
+//! One driver, [`ServiceDriver`], runs the scheduling front-end over
+//! anything that implements [`ServeTarget`]: a single [`Engine`]
+//! ([`ServiceSim`], the reference path) or a [`ShardedOram`]
+//! ([`ShardedServiceSim`]). Each scheduling round issues up to
+//! `batch_size` coalesced group leaders; a one-lane target takes them
+//! one at a time, a multi-lane target as one batch that it partitions
+//! across its shards and serves concurrently (see
+//! [`ServiceDriver::step`]).
 //!
 //! ## Obliviousness note
 //!
@@ -28,13 +28,13 @@
 //!
 //! ## Determinism
 //!
-//! Every decision derives from the master seed and the backend clock:
+//! Every decision derives from the master seed and the target's clock:
 //! per-client generators are seeded by client index, admission
 //! processes arrivals in global time order (ties by client id), and the
 //! scheduler is a pure function of queue state. Two runs with the same
-//! configuration produce bit-identical results; for the sharded
-//! back-end that holds at any worker thread count, because batches
-//! partition to shards in input order before any shard runs.
+//! configuration produce bit-identical results; for a sharded target
+//! that holds at any worker thread count, because batches partition to
+//! shards in input order before any shard runs.
 
 use std::collections::VecDeque;
 
@@ -293,10 +293,8 @@ impl ServiceResult {
     }
 }
 
-/// The backend-independent scheduling front-end: client streams,
+/// The target-independent scheduling front-end: client streams,
 /// admission control, scheduler policy and completion accounting.
-/// [`ServiceSim`] and [`ShardedServiceSim`] differ only in how selected
-/// group leaders reach an engine.
 #[derive(Debug)]
 struct Frontend {
     cfg: ServiceConfig,
@@ -314,10 +312,6 @@ struct Frontend {
 }
 
 impl Frontend {
-    fn new(cfg: ServiceConfig) -> Result<Self, String> {
-        Frontend::new_at(cfg, 0)
-    }
-
     /// Builds the front-end with every client's *first* arrival offset
     /// by `start_cycle` — the resume point for phase-chained soak runs
     /// whose engine clock is already deep into a previous phase.
@@ -516,7 +510,7 @@ impl Frontend {
     }
 
     /// Records one completed request on its client. `shard` is the
-    /// public `addr mod M` routing slot (0 on single-engine back-ends).
+    /// public `addr mod M` routing slot (0 on a single engine).
     fn complete(
         &mut self,
         client: usize,
@@ -591,67 +585,158 @@ impl Frontend {
     }
 }
 
-/// The service front-end driving one [`Engine`].
+/// What the front-end needs from the thing it drives: a clock, the
+/// public routing function, a cumulative access counter and batch
+/// dispatch. [`Engine`] is the one-lane implementation, [`ShardedOram`]
+/// the `M`-lane one; every method mirrors the inherent method of the
+/// same name.
+pub trait ServeTarget {
+    /// Independent engines a batch can spread over.
+    fn lanes(&self) -> usize;
+    /// The current cycle: how far the memory system has advanced.
+    fn cycle(&self) -> u64;
+    /// The lane serving `addr` (the public `addr mod M` routing slot).
+    fn shard_of(&self, addr: u64) -> usize;
+    /// Accesses consumed so far, summed over the lanes.
+    fn consumed(&self) -> u64;
+    /// Sizes the dispatch buffers for batches of up to `n` requests.
+    fn reserve_batch(&mut self, n: usize);
+    /// Serves `reqs` and refills `outs` with their outcomes in input
+    /// order.
+    fn serve_batch(&mut self, reqs: &[ShardRequest], outs: &mut Vec<ServeOutcome>);
+    /// Closes the Eq. 1 accounting and returns the (merged) statistics.
+    fn finish(&mut self) -> SimStats;
+}
+
+impl<B: StorageBackend> ServeTarget for Engine<B> {
+    fn lanes(&self) -> usize {
+        1
+    }
+    fn cycle(&self) -> u64 {
+        Engine::cycle(self)
+    }
+    fn shard_of(&self, _addr: u64) -> usize {
+        0
+    }
+    fn consumed(&self) -> u64 {
+        self.stats().misses_consumed
+    }
+    fn reserve_batch(&mut self, _n: usize) {}
+    fn serve_batch(&mut self, reqs: &[ShardRequest], outs: &mut Vec<ServeOutcome>) {
+        outs.clear();
+        outs.extend(reqs.iter().map(|r| self.serve_request(r.addr, r.write, r.arrival)));
+    }
+    fn finish(&mut self) -> SimStats {
+        Engine::finish(self)
+    }
+}
+
+impl<B: StorageBackend> ServeTarget for ShardedOram<B> {
+    fn lanes(&self) -> usize {
+        self.shard_count()
+    }
+    fn cycle(&self) -> u64 {
+        ShardedOram::cycle(self)
+    }
+    fn shard_of(&self, addr: u64) -> usize {
+        ShardedOram::shard_of(self, addr)
+    }
+    fn consumed(&self) -> u64 {
+        (0..self.shard_count()).map(|s| self.shard_stats(s).misses_consumed).sum()
+    }
+    fn reserve_batch(&mut self, n: usize) {
+        ShardedOram::reserve_batch(self, n);
+    }
+    fn serve_batch(&mut self, reqs: &[ShardRequest], outs: &mut Vec<ServeOutcome>) {
+        ShardedOram::serve_batch(self, reqs, outs);
+    }
+    fn finish(&mut self) -> SimStats {
+        ShardedOram::finish(self)
+    }
+}
+
+/// A group leader selected this round: the request that becomes one
+/// ORAM access, and where its coalesced waiters end in the waiter buffer
+/// (they start where the previous leader's end).
+#[derive(Debug, Clone, Copy)]
+struct Leader {
+    client: u32,
+    req: QueuedRequest,
+    waiters_end: usize,
+}
+
+/// The service front-end driving a [`ServeTarget`].
 ///
-/// Construction wires the client streams; [`ServiceSim::step`] runs one
-/// scheduling round (admission plus one issue batch); [`ServiceSim::finish`]
-/// closes the engine accounting and returns the [`ServiceResult`].
+/// Construction wires the client streams; [`ServiceDriver::step`] runs
+/// one scheduling round (admission plus up to `batch_size` issued
+/// accesses); [`ServiceDriver::finish`] closes the target's accounting
+/// and returns the [`ServiceResult`]. Results are bit-identical for a
+/// fixed `(seed, lane count)` at any worker thread count.
 #[derive(Debug)]
-pub struct ServiceSim<B: StorageBackend = DramBackend> {
+pub struct ServiceDriver<T> {
     front: Frontend,
-    engine: Engine<B>,
-    /// Coalesce-sweep scratch: `(client, request)` waiters removed from
-    /// their queues, completed with the leader's outcome. Preallocated;
-    /// the steady-state issue path never allocates.
+    target: T,
+    /// The current dispatch's group leaders, by batch slot.
+    leaders: Vec<Leader>,
+    /// `(client, request)` waiters swept out of the queues by the
+    /// current dispatch, grouped by leader slot and completed with the
+    /// leader's outcome. Preallocated, like the other three buffers: the
+    /// steady-state issue path never allocates.
     waiter_buf: Vec<(u32, QueuedRequest)>,
-    /// Accesses the engine had consumed before this phase began.
+    /// The batch handed to the target, by batch slot.
+    batch: Vec<ShardRequest>,
+    /// Per-slot outcomes returned by the target.
+    outs: Vec<ServeOutcome>,
+    /// Accesses the target had consumed before this phase began.
     prior_issued: u64,
 }
 
-impl<B: StorageBackend> ServiceSim<B> {
-    /// Builds a front-end over a ready engine (prefill the working set
-    /// and attach observers/telemetry to the engine *before* handing it
+/// The driver over a single [`Engine`]: the one-lane case.
+pub type ServiceSim<B = DramBackend> = ServiceDriver<Engine<B>>;
+
+/// The driver over a [`ShardedOram`] backend.
+pub type ShardedServiceSim<B = DramBackend> = ServiceDriver<ShardedOram<B>>;
+
+impl<T: ServeTarget> ServiceDriver<T> {
+    /// Builds a front-end over a ready target (prefill the working set
+    /// and attach observers/telemetry to its engines *before* handing it
     /// in; the service never reconfigures it).
     ///
     /// # Errors
     ///
     /// Returns the configuration validation error.
-    pub fn new(cfg: ServiceConfig, engine: Engine<B>) -> Result<Self, String> {
-        let front = Frontend::new(cfg)?;
-        let waiter_cap = front.waiter_capacity();
-        Ok(ServiceSim {
-            front,
-            engine,
-            waiter_buf: Vec::with_capacity(waiter_cap),
-            prior_issued: 0,
-        })
+    pub fn new(cfg: ServiceConfig, target: T) -> Result<Self, String> {
+        ServiceDriver::resume(cfg, target, 0)
     }
 
-    /// Builds a front-end over an engine whose clock is already running
+    /// Builds a front-end over a target whose clock is already running
     /// — typically one returned by a previous phase's
-    /// [`ServiceSim::finish`] — with every client's first arrival offset
-    /// by `start_cycle`. Stash occupancy, position map and Eq. 1
+    /// [`ServiceDriver::finish`] — with every client's first arrival
+    /// offset by `start_cycle`. Stash occupancy, position map and Eq. 1
     /// accounting all carry over, so phase-chained soak runs observe one
     /// continuous ORAM rather than a sequence of cold starts.
     ///
     /// # Errors
     ///
     /// Returns the configuration validation error.
-    pub fn resume(cfg: ServiceConfig, engine: Engine<B>, start_cycle: u64) -> Result<Self, String> {
+    pub fn resume(cfg: ServiceConfig, mut target: T, start_cycle: u64) -> Result<Self, String> {
         let front = Frontend::new_at(cfg, start_cycle)?;
-        let waiter_cap = front.waiter_capacity();
-        let prior_issued = engine.stats().misses_consumed;
-        Ok(ServiceSim {
+        let batch = front.cfg.batch_size;
+        target.reserve_batch(batch);
+        Ok(ServiceDriver {
+            waiter_buf: Vec::with_capacity(front.waiter_capacity()),
+            leaders: Vec::with_capacity(batch),
+            batch: Vec::with_capacity(batch),
+            outs: Vec::with_capacity(batch),
+            prior_issued: target.consumed(),
             front,
-            engine,
-            waiter_buf: Vec::with_capacity(waiter_cap),
-            prior_issued,
+            target,
         })
     }
 
     /// Attaches a sink for the service-layer counters. (Engine-side
     /// telemetry — spans, windows, queue-wait samples — is attached to
-    /// the engine itself before construction.)
+    /// the engines themselves before construction.)
     pub fn attach_telemetry(&mut self, sink: SharedTelemetry) {
         self.front.telemetry = Some(sink);
     }
@@ -662,9 +747,9 @@ impl<B: StorageBackend> ServiceSim<B> {
         self.front.live = Some(live);
     }
 
-    /// The engine being driven.
-    pub fn engine(&self) -> &Engine<B> {
-        &self.engine
+    /// The target being driven.
+    pub fn target(&self) -> &T {
+        &self.target
     }
 
     /// The configuration in force.
@@ -673,7 +758,7 @@ impl<B: StorageBackend> ServiceSim<B> {
     }
 
     /// Injects one request directly into a client's queue at the
-    /// current engine cycle, subject to normal admission control.
+    /// current target cycle, subject to normal admission control.
     /// Returns `false` if the queue was full (request rejected). The
     /// deterministic entry point for invariant tests; generated streams
     /// use the client specs instead.
@@ -682,54 +767,89 @@ impl<B: StorageBackend> ServiceSim<B> {
     ///
     /// Panics if `client` is out of range.
     pub fn inject(&mut self, client: usize, addr: u64, write: bool) -> bool {
-        let now = self.engine.cycle();
+        let now = self.target.cycle();
         self.front.inject(now, client, addr, write)
     }
 
-    /// Issues one scheduled request (and its coalesced group) into the
-    /// engine.
-    fn issue_one(&mut self) -> bool {
-        let Some(ci) = self.front.select_client() else { return false };
-        let req = self.front.pop_leader(ci, self.engine.cycle());
+    /// Selects up to `max` group leaders against the current clock,
+    /// sweeps each one's coalesced waiters out of the queues, serves the
+    /// leaders as one batch and completes every group. Returns the
+    /// number of leaders issued.
+    fn dispatch(&mut self, max: usize) -> usize {
+        self.leaders.clear();
+        self.batch.clear();
+        let now = self.target.cycle();
+        while self.leaders.len() < max {
+            let Some(ci) = self.front.select_client() else { break };
+            let req = self.front.pop_leader(ci, now);
+            let first_waiter = self.waiter_buf.len();
 
-        // MSHR sweep: absorb every queued read of the same address
-        // (any client, any queue position) into this access. Writes
-        // never coalesce — they carry distinct payloads.
-        if self.front.cfg.coalescing && !req.write {
-            let buf = &mut self.waiter_buf;
-            for (i, c) in self.front.clients.iter_mut().enumerate() {
-                c.queue.retain(|q| {
-                    if q.addr == req.addr && !q.write {
-                        buf.push((i as u32, *q));
-                        false
-                    } else {
-                        true
-                    }
-                });
+            // MSHR sweep: absorb every queued read of the same address
+            // (any client, any queue position) into this access. Writes
+            // never coalesce — they carry distinct payloads. A later
+            // leader can never alias an earlier read leader's address —
+            // the sweep just emptied the queues of it.
+            if self.front.cfg.coalescing && !req.write {
+                let buf = &mut self.waiter_buf;
+                for (i, c) in self.front.clients.iter_mut().enumerate() {
+                    c.queue.retain(|q| {
+                        if q.addr == req.addr && !q.write {
+                            buf.push((i as u32, *q));
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                }
             }
-        }
 
-        // The group's effective arrival is its oldest member — the
-        // leader under FCFS/oldest-first, and still the honest choice
-        // under round-robin where an older waiter may ride along.
-        let mut group_arrival = req.arrival;
-        for k in 0..self.waiter_buf.len() {
-            group_arrival = group_arrival.min(self.waiter_buf[k].1.arrival);
+            // The group's effective arrival is its oldest member — the
+            // leader under FCFS/oldest-first, and still the honest choice
+            // under round-robin where an older waiter may ride along.
+            let arrival = self.waiter_buf[first_waiter..]
+                .iter()
+                .fold(req.arrival, |oldest, (_, w)| oldest.min(w.arrival));
+            self.leaders.push(Leader {
+                client: ci as u32,
+                req,
+                waiters_end: self.waiter_buf.len(),
+            });
+            self.batch.push(ShardRequest { addr: req.addr, write: req.write, arrival });
         }
-        let out = self.engine.serve_request(req.addr, req.write, group_arrival);
-        self.front.complete(ci, &req, &out, true, 0);
-        while let Some((wc, wreq)) = self.waiter_buf.pop() {
-            self.front.complete(wc as usize, &wreq, &out, false, 0);
+        if self.batch.is_empty() {
+            return 0;
         }
-        true
+        self.target.serve_batch(&self.batch, &mut self.outs);
+
+        // Complete leaders in slot order, each followed by its waiters,
+        // last swept first.
+        let mut waiters_start = 0;
+        for (leader, out) in self.leaders.iter().zip(&self.outs) {
+            let shard = self.target.shard_of(leader.req.addr) as u32;
+            self.front.complete(leader.client as usize, &leader.req, out, true, shard);
+            for (wc, wreq) in self.waiter_buf[waiters_start..leader.waiters_end].iter().rev() {
+                self.front.complete(*wc as usize, wreq, out, false, shard);
+            }
+            waiters_start = leader.waiters_end;
+        }
+        self.waiter_buf.clear();
+        self.leaders.len()
     }
 
     /// Runs one scheduling round: admits every arrival up to the
-    /// current engine cycle (advancing to the next pending arrival if
-    /// all queues are empty), then issues up to `batch_size` requests.
-    /// Returns `false` once the run is drained.
+    /// current target cycle (advancing to the next pending arrival if
+    /// all queues are empty), then issues up to `batch_size` group
+    /// leaders. Returns `false` once the run is drained.
+    ///
+    /// How the leaders reach the target follows from its lane count. A
+    /// one-lane target serves requests back to back, so each leader is
+    /// handed over as soon as it is selected: its queue wait is measured
+    /// against the clock the previous leader left, and its completion is
+    /// observed before the next selection. A multi-lane target serves
+    /// its lanes concurrently, so the round's leaders go out as one
+    /// batch against the round-start clock.
     pub fn step(&mut self) -> bool {
-        self.front.admit_until(self.engine.cycle());
+        self.front.admit_until(self.target.cycle());
         if self.front.queues_empty() {
             let next = self.front.next_pending_arrival();
             if next == NEVER {
@@ -737,8 +857,10 @@ impl<B: StorageBackend> ServiceSim<B> {
             }
             self.front.admit_until(next);
         }
-        for _ in 0..self.front.cfg.batch_size {
-            if !self.issue_one() {
+        let round = self.front.cfg.batch_size;
+        let group = if self.target.lanes() == 1 { 1 } else { round };
+        for _ in 0..round / group {
+            if self.dispatch(group) < group {
                 break;
             }
         }
@@ -750,216 +872,13 @@ impl<B: StorageBackend> ServiceSim<B> {
         while self.step() {}
     }
 
-    /// Closes the engine's Eq. 1 accounting and returns the result
-    /// together with the engine (so callers can inspect attached
-    /// observers or reuse it).
-    pub fn finish(mut self) -> (ServiceResult, Engine<B>) {
-        let stats = self.engine.finish();
+    /// Closes the target's Eq. 1 accounting and returns the result
+    /// together with the target (so callers can inspect engines,
+    /// attached observers and dispatch counters, or reuse it).
+    pub fn finish(mut self) -> (ServiceResult, T) {
+        let stats = self.target.finish();
         let clients = self.front.into_results();
-        (ServiceResult { stats, clients, prior_issued: self.prior_issued }, self.engine)
-    }
-}
-
-/// The service front-end driving a [`ShardedOram`] backend.
-///
-/// Shares the scheduling front-end with [`ServiceSim`] — same admission
-/// control, scheduler policies and MSHR coalescing — but each scheduling
-/// round collects up to `batch_size` coalesced group leaders first and
-/// dispatches them to the backend as one batch, which partitions them
-/// across its shards and serves the shards concurrently. Results are
-/// bit-identical for a fixed `(seed, shard count)` at any worker thread
-/// count.
-#[derive(Debug)]
-pub struct ShardedServiceSim<B: StorageBackend = DramBackend> {
-    front: Frontend,
-    backend: ShardedOram<B>,
-    /// Waiters swept out of the queues this round, tagged with the batch
-    /// slot of their group leader (pushed in slot-ascending order).
-    waiter_buf: Vec<(u32, QueuedRequest, u32)>,
-    /// This round's group leaders, by batch slot.
-    leaders: Vec<(u32, QueuedRequest)>,
-    /// The dispatch batch handed to the backend, by batch slot.
-    batch: Vec<ShardRequest>,
-    /// Per-slot outcomes scattered back by the backend.
-    outs: Vec<ServeOutcome>,
-    /// Accesses the backend had consumed before this phase began.
-    prior_issued: u64,
-}
-
-impl<B: StorageBackend> ShardedServiceSim<B> {
-    /// Builds a front-end over a ready sharded backend (prefill the
-    /// working set and attach per-shard observers/telemetry *before*
-    /// handing it in).
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration validation error.
-    pub fn new(cfg: ServiceConfig, backend: ShardedOram<B>) -> Result<Self, String> {
-        ShardedServiceSim::build(Frontend::new(cfg)?, backend)
-    }
-
-    /// Builds a front-end over a sharded backend whose clock is already
-    /// running, with every client's first arrival offset by
-    /// `start_cycle` — the sharded counterpart of [`ServiceSim::resume`]
-    /// for phase-chained soak runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration validation error.
-    pub fn resume(
-        cfg: ServiceConfig,
-        backend: ShardedOram<B>,
-        start_cycle: u64,
-    ) -> Result<Self, String> {
-        ShardedServiceSim::build(Frontend::new_at(cfg, start_cycle)?, backend)
-    }
-
-    fn build(front: Frontend, mut backend: ShardedOram<B>) -> Result<Self, String> {
-        let waiter_cap = front.waiter_capacity();
-        let batch = front.cfg.batch_size;
-        // Construction-time sizing keeps the steady-state dispatch path
-        // allocation-free.
-        backend.reserve_batch(batch);
-        let shards = backend.dispatch_counts().len();
-        let prior_issued =
-            (0..shards).map(|s| backend.shard_stats(s).misses_consumed).sum();
-        Ok(ShardedServiceSim {
-            front,
-            backend,
-            waiter_buf: Vec::with_capacity(waiter_cap),
-            leaders: Vec::with_capacity(batch),
-            batch: Vec::with_capacity(batch),
-            outs: Vec::with_capacity(batch),
-            prior_issued,
-        })
-    }
-
-    /// Attaches a sink for the service-layer counters.
-    pub fn attach_telemetry(&mut self, sink: SharedTelemetry) {
-        self.front.telemetry = Some(sink);
-    }
-
-    /// Attaches a live observer for per-request completion and
-    /// rejection events (tenant, shard, serve class, latency).
-    pub fn attach_live(&mut self, live: SharedLive) {
-        self.front.live = Some(live);
-    }
-
-    /// The backend being driven.
-    pub fn backend(&self) -> &ShardedOram<B> {
-        &self.backend
-    }
-
-    /// Mutable backend access (per-shard engines, dispatch counters).
-    pub fn backend_mut(&mut self) -> &mut ShardedOram<B> {
-        &mut self.backend
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.front.cfg
-    }
-
-    /// Injects one request directly into a client's queue at the current
-    /// backend cycle, subject to normal admission control. Returns
-    /// `false` if the queue was full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of range.
-    pub fn inject(&mut self, client: usize, addr: u64, write: bool) -> bool {
-        let now = self.backend.cycle();
-        self.front.inject(now, client, addr, write)
-    }
-
-    /// Collects up to `batch_size` coalesced group leaders and
-    /// dispatches them to the backend as one batch.
-    fn issue_batch(&mut self) {
-        self.leaders.clear();
-        self.batch.clear();
-        let now = self.backend.cycle();
-        for _ in 0..self.front.cfg.batch_size {
-            let Some(ci) = self.front.select_client() else { break };
-            let req = self.front.pop_leader(ci, now);
-            let slot = self.leaders.len() as u32;
-
-            // MSHR sweep, as in the single-engine path; waiters remember
-            // which batch slot completes them. A later leader can never
-            // alias an earlier read leader's address — the sweep just
-            // emptied the queues of it.
-            if self.front.cfg.coalescing && !req.write {
-                let buf = &mut self.waiter_buf;
-                for (i, c) in self.front.clients.iter_mut().enumerate() {
-                    c.queue.retain(|q| {
-                        if q.addr == req.addr && !q.write {
-                            buf.push((i as u32, *q, slot));
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            }
-            let mut group_arrival = req.arrival;
-            for (_, w, s) in &self.waiter_buf {
-                if *s == slot {
-                    group_arrival = group_arrival.min(w.arrival);
-                }
-            }
-            self.leaders.push((ci as u32, req));
-            self.batch.push(ShardRequest { addr: req.addr, write: req.write, arrival: group_arrival });
-        }
-        if self.batch.is_empty() {
-            return;
-        }
-        self.backend.serve_batch(&self.batch, &mut self.outs);
-
-        // Complete leaders in slot order, each followed by its waiters
-        // (the sweep pushed them in slot-ascending order).
-        let mut wi = 0;
-        for slot in 0..self.leaders.len() {
-            let (ci, req) = self.leaders[slot];
-            let out = self.outs[slot];
-            let shard = self.backend.shard_of(req.addr) as u32;
-            self.front.complete(ci as usize, &req, &out, true, shard);
-            while wi < self.waiter_buf.len() && self.waiter_buf[wi].2 == slot as u32 {
-                let (wc, wreq, _) = self.waiter_buf[wi];
-                self.front.complete(wc as usize, &wreq, &out, false, shard);
-                wi += 1;
-            }
-        }
-        self.waiter_buf.clear();
-    }
-
-    /// Runs one scheduling round: admits every arrival up to the current
-    /// backend cycle (advancing to the next pending arrival if all
-    /// queues are empty), then collects and dispatches one batch.
-    /// Returns `false` once the run is drained.
-    pub fn step(&mut self) -> bool {
-        self.front.admit_until(self.backend.cycle());
-        if self.front.queues_empty() {
-            let next = self.front.next_pending_arrival();
-            if next == NEVER {
-                return false;
-            }
-            self.front.admit_until(next);
-        }
-        self.issue_batch();
-        !self.front.drained()
-    }
-
-    /// Steps until drained.
-    pub fn run(&mut self) {
-        while self.step() {}
-    }
-
-    /// Closes every shard's Eq. 1 accounting and returns the merged
-    /// result together with the backend (so callers can inspect per-shard
-    /// engines, observers and dispatch counters).
-    pub fn finish(mut self) -> (ServiceResult, ShardedOram<B>) {
-        let stats = self.backend.finish();
-        let clients = self.front.into_results();
-        (ServiceResult { stats, clients, prior_issued: self.prior_issued }, self.backend)
+        (ServiceResult { stats, clients, prior_issued: self.prior_issued }, self.target)
     }
 }
 
@@ -1243,25 +1162,122 @@ mod tests {
         assert_eq!(one, run(4));
     }
 
-    #[test]
-    fn one_shard_backend_matches_single_engine_outcomes() {
-        // Same leaders, same coalescing, same engine stream: the latency
-        // profile and merged statistics must match the reference path
-        // (wait accounting may differ — batches snapshot the clock once).
-        let mut plain = ServiceSim::new(quick_cfg(SchedPolicy::Fcfs), engine()).unwrap();
-        plain.run();
-        let (pres, _) = plain.finish();
+    /// Records every hook call, service-side and engine-side, in order.
+    #[derive(Debug, Default)]
+    struct EventLog(Vec<String>);
 
-        let mut shardy = ShardedServiceSim::new(quick_cfg(SchedPolicy::Fcfs), sharded(1, 1)).unwrap();
-        shardy.run();
-        let (sres, _) = shardy.finish();
-
-        assert_eq!(pres.stats, sres.stats);
-        for (p, s) in pres.clients.iter().zip(&sres.clients) {
-            assert_eq!(p.latencies, s.latencies);
-            assert_eq!(p.served, s.served);
-            assert_eq!(p.issued, s.issued);
+    impl oram_util::TelemetrySink for EventLog {
+        fn count(&mut self, id: MetricId, delta: u64) {
+            self.0.push(format!("count {id:?} {delta}"));
         }
+        fn sample(&mut self, id: MetricId, value: u64) {
+            self.0.push(format!("sample {id:?} {value}"));
+        }
+        fn span(&mut self, span: &oram_util::AccessSpan) {
+            self.0.push(format!("{span:?}"));
+        }
+        fn window(&mut self, w: &oram_util::WindowSample) {
+            self.0.push(format!("{w:?}"));
+        }
+    }
+
+    impl oram_util::LiveObserver for EventLog {
+        fn request_complete(
+            &mut self,
+            now: u64,
+            tenant: u32,
+            shard: u32,
+            class: ServeClass,
+            latency: u64,
+            coalesced: bool,
+        ) {
+            self.0.push(format!("complete {now} {tenant} {shard} {class:?} {latency} {coalesced}"));
+        }
+        fn request_rejected(&mut self, now: u64, tenant: u32) {
+            self.0.push(format!("rejected {now} {tenant}"));
+        }
+        fn request_admitted(&mut self, now: u64, tenant: u32) {
+            self.0.push(format!("admitted {now} {tenant}"));
+        }
+    }
+
+    /// Runs `cfg` over `target` with one [`EventLog`] attached to the
+    /// engine (through `attach`) and to both service-side hooks.
+    fn logged_run<T: ServeTarget>(
+        cfg: ServiceConfig,
+        mut target: T,
+        attach: impl FnOnce(&mut T, SharedTelemetry),
+    ) -> (ServiceResult, Vec<String>) {
+        let log = std::sync::Arc::new(std::sync::Mutex::new(EventLog::default()));
+        attach(&mut target, log.clone());
+        let mut sim = ServiceDriver::new(cfg, target).unwrap();
+        sim.attach_telemetry(log.clone());
+        sim.attach_live(log.clone());
+        sim.run();
+        let (res, _) = sim.finish();
+        let events = std::mem::take(&mut log.lock().unwrap().0);
+        (res, events)
+    }
+
+    #[test]
+    fn one_lane_sharded_backend_is_the_single_engine() {
+        // An overloaded hot set: queues fill, requests bounce, groups
+        // coalesce, and several leaders issue per round — so the wait
+        // accounting depends on when each leader met the clock.
+        for policy in SchedPolicy::ALL {
+            for coalescing in [true, false] {
+                for closed in [false, true] {
+                    let mut cfg = ServiceConfig::symmetric_open(4, 60, 400.0, 32, 11);
+                    cfg.scheduler = policy;
+                    cfg.coalescing = coalescing;
+                    if closed {
+                        for c in &mut cfg.clients {
+                            c.arrivals = ArrivalModel::Closed { think_cycles: 300.0 };
+                        }
+                    }
+                    let tag = format!("{} coalescing={coalescing} closed={closed}", policy.name());
+                    let (plain, plain_events) =
+                        logged_run(cfg.clone(), engine(), |e, sink| e.attach_telemetry(sink, 50_000));
+                    let (lane, lane_events) = logged_run(cfg, sharded(1, 1), |b, sink| {
+                        b.engine_mut(0).attach_telemetry(sink, 50_000)
+                    });
+                    plain.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
+                    assert_eq!(plain, lane, "{tag}");
+                    assert_eq!(plain_events, lane_events, "{tag}");
+                    assert!(plain.clients.iter().any(|c| c.wait_max > 0), "{tag}: no queueing");
+                    if !closed {
+                        assert_eq!(coalescing, plain.coalesced() > 0, "{tag}");
+                        assert!(plain.rejected() > 0, "{tag}: no overload");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_lane_rounds_go_out_as_one_batch_against_the_round_start_clock() {
+        // Pinned on the commit that still had a separate sharded driver:
+        // per client (completed, issued, coalesced, rejected, wait_sum,
+        // wait_max, latency sum), then the merged clock.
+        let mut cfg = ServiceConfig::symmetric_open(4, 60, 100.0, 32, 11);
+        cfg.scheduler = SchedPolicy::RoundRobin;
+        let mut sim = ShardedServiceSim::new(cfg, sharded(4, 2)).unwrap();
+        sim.run();
+        let (res, _) = sim.finish();
+        res.validate().unwrap();
+        let got: Vec<_> = res
+            .clients
+            .iter()
+            .map(|c| {
+                let lat: u64 = c.latencies.iter().sum();
+                (c.completed, c.issued, c.coalesced, c.rejected, c.wait_sum, c.wait_max, lat)
+            })
+            .collect();
+        assert_eq!(
+            format!("{got:?} {}", res.stats.total_cycles),
+            "[(55, 29, 26, 5, 68460, 3596, 50871), (52, 31, 21, 8, 69902, 3544, 40932), \
+             (43, 22, 21, 17, 49072, 4302, 46614), (44, 28, 16, 16, 75428, 5078, 52429)] 10170"
+        );
     }
 
     #[test]

@@ -314,13 +314,18 @@ impl<B: StorageBackend> Engine<B> {
         &mut self.backend
     }
 
-    /// Pre-installs a working set (see
+    /// Pre-installs the working set `0..blocks`; see [`Engine::prefill`].
+    pub fn prefill_working_set(&mut self, blocks: u64) {
+        self.prefill(0..blocks);
+    }
+
+    /// Pre-installs the given block addresses (see
     /// [`OramController::prefill`]); call before [`Engine::run`]. For a
     /// persistent backend the whole post-prefill tree is synced so the
     /// durable image starts consistent.
-    pub fn prefill_working_set(&mut self, blocks: u64) {
+    pub fn prefill(&mut self, addrs: impl IntoIterator<Item = u64>) {
         self.controller
-            .prefill((0..blocks).map(|a| (BlockAddr::new(a), 0)));
+            .prefill(addrs.into_iter().map(|a| (BlockAddr::new(a), 0)));
         if self.backend.wants_payloads() {
             for raw in 1..=self.controller.shape().bucket_count() {
                 self.persist_bucket(BucketId::new(raw));

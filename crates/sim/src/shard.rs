@@ -204,10 +204,7 @@ impl<B: StorageBackend> ShardedOram<B> {
             per_shard[self.shard_of(addr)].push(self.local_addr(addr));
         }
         for (lane, addrs) in self.lanes.iter_mut().zip(per_shard) {
-            let engine = lane.get_mut().expect("shard engine poisoned");
-            engine.controller_mut().prefill(
-                addrs.into_iter().map(|a| (oram_protocol::BlockAddr::new(a), 0)),
-            );
+            lane.get_mut().expect("shard engine poisoned").prefill(addrs);
         }
     }
 
