@@ -22,7 +22,7 @@ use crate::distinguisher::{
     relabel_offset, relabeled_traces_identical, reuse_stream,
     timing_protected_relabeled_identical, PolicyUnderTest,
 };
-use crate::invariants::{check_trace, TraceSpec};
+use crate::invariants::{check_trace, TraceSpec, TraceSummary};
 use crate::posmap::{check_posmap_trace, recursive_flat_data_identity, strip_posmap_events};
 use crate::recorder::Recorder;
 use crate::stats::{bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform};
@@ -192,10 +192,18 @@ fn leaf_uniformity(leaves: &[u64], levels: u32) -> Result<(), String> {
 pub fn check_service_trace(
     cfg: &OramConfig,
     events: &[BusEvent],
-) -> Result<crate::invariants::TraceSummary, String> {
-    let summary = check_trace(&TraceSpec::from_oram(cfg), events)?;
+) -> Result<TraceSummary, String> {
+    uniform_when_sampled(check_trace(&TraceSpec::from_oram(cfg), events)?, cfg.levels)
+}
+
+/// The statistical half of [`check_service_trace`], over the summary of a
+/// structurally valid trace of a depth-`levels` tree.
+pub(crate) fn uniform_when_sampled(
+    summary: TraceSummary,
+    levels: u32,
+) -> Result<TraceSummary, String> {
     if summary.leaves.len() >= 128 {
-        leaf_uniformity(&summary.leaves, cfg.levels)?;
+        leaf_uniformity(&summary.leaves, levels)?;
     }
     Ok(summary)
 }

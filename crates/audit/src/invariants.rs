@@ -62,44 +62,65 @@ pub struct TraceSummary {
 /// a billion-block tree, or ids a malformed trace invents) take the map.
 const FLAT_BUCKET_LIMIT: u64 = 1 << 21;
 
+/// `compact` word of a bucket no trace event has mapped yet.
+const UNSEEN: u64 = 0;
+/// `compact` word of a bucket whose mapping lives in `overflow`.
+const IN_OVERFLOW: u64 = 1;
+
 /// The canonical bucket → physical-address mapping a trace has shown so
-/// far: `z` addresses per bucket id in one flat table.
+/// far. Every layout the engine produces gives a bucket `z` consecutive
+/// block addresses, so the flat table keeps one word per bucket id — the
+/// base address — and only a scattered mapping (or an id past the table)
+/// pays for a map entry.
+#[derive(Debug)]
 struct BucketLayout {
-    z: usize,
-    /// `z` addresses for each of the first `seen.len()` ids, valid where
-    /// `seen` is set.
-    addrs: Vec<u64>,
-    seen: Vec<bool>,
+    /// Per bucket id: [`UNSEEN`], [`IN_OVERFLOW`], or `base + 2` of a
+    /// consecutive mapping.
+    compact: Vec<u64>,
     overflow: HashMap<u64, Vec<u64>>,
+}
+
+/// The `compact` word for `addrs` when they are `base, base + 1, …`.
+fn compact_word(addrs: &[u64]) -> Option<u64> {
+    let (&base, rest) = addrs.split_first()?;
+    let consecutive = rest.iter().zip(1u64..).all(|(&a, k)| base.checked_add(k) == Some(a));
+    base.checked_add(2).filter(|_| consecutive)
 }
 
 impl BucketLayout {
     fn new(spec: &TraceSpec) -> Self {
-        // Ids are < 2^(L+1) in any trace that can pass; both tables come
+        // Ids are < 2^(L+1) in any trace that can pass; the table comes
         // from the zeroed-allocation path, so only touched pages cost.
         let ids = (2u64 << spec.levels).min(FLAT_BUCKET_LIMIT) as usize;
-        BucketLayout {
-            z: spec.z,
-            addrs: vec![0; ids * spec.z],
-            seen: vec![false; ids],
-            overflow: HashMap::new(),
-        }
+        BucketLayout { compact: vec![UNSEEN; ids], overflow: HashMap::new() }
+    }
+
+    /// Whether `bucket` is already mapped to the consecutive addresses
+    /// starting at `base` (the one lookup the per-bucket fast path makes).
+    #[inline]
+    fn is_consecutive_from(&self, bucket: u64, base: u64) -> bool {
+        let word = usize::try_from(bucket).ok().and_then(|ix| self.compact.get(ix));
+        base.checked_add(2).is_some_and(|w| word == Some(&w))
     }
 
     /// Records `addrs` as the mapping of `bucket` on first sight;
     /// afterwards returns the recorded mapping if `addrs` differs.
-    fn disagrees(&mut self, bucket: u64, addrs: &[u64]) -> Option<&[u64]> {
-        let known = match usize::try_from(bucket).ok().filter(|&ix| ix < self.seen.len()) {
-            Some(ix) => {
-                let known = &mut self.addrs[ix * self.z..][..self.z];
-                if !std::mem::replace(&mut self.seen[ix], true) {
-                    known.copy_from_slice(addrs);
+    fn disagrees(&mut self, bucket: u64, addrs: &[u64]) -> Option<Vec<u64>> {
+        let slot = usize::try_from(bucket).ok().and_then(|ix| self.compact.get_mut(ix));
+        let word = compact_word(addrs);
+        if let Some(slot) = slot {
+            if *slot == UNSEEN {
+                *slot = word.unwrap_or(IN_OVERFLOW);
+                if word.is_some() {
+                    return None;
                 }
-                &*known
+            } else if *slot != IN_OVERFLOW {
+                let base = *slot - 2;
+                return (word != Some(*slot)).then(|| (0..addrs.len() as u64).map(|k| base + k).collect());
             }
-            None => self.overflow.entry(bucket).or_insert_with(|| addrs.to_vec()),
-        };
-        Some(known).filter(|known| *known != addrs)
+        }
+        let known = self.overflow.entry(bucket).or_insert_with(|| addrs.to_vec());
+        (known != addrs).then(|| known.clone())
     }
 }
 
@@ -107,8 +128,389 @@ fn level_of(bucket: u64) -> u32 {
     63 - (bucket.leading_zeros().min(63))
 }
 
+fn err(ix: usize, msg: String) -> Result<(), String> {
+    Err(format!("event {ix}: {msg}"))
+}
+
+/// The protocol grammar as a resumable fold: [`TraceFold::feed`] consumes
+/// a trace in pieces of any size, [`TraceFold::finish`] applies the
+/// end-of-trace checks and hands back the [`TraceSummary`]. Feeding the
+/// pieces of a trace gives exactly the result — summary, or error string
+/// with its event index — of feeding the whole trace at once:
+/// boundaries between calls carry no meaning, and event indices count
+/// across calls.
+///
+/// Every buffer is sized from the [`TraceSpec`] at construction, so
+/// feeding a device-level trace allocates only as
+/// [`TraceSummary::leaves`] grows (8 B per path read). Kept state is
+/// O(`L` + `z`) plus the bucket-layout table, one word per bucket id the
+/// tree can hold. (A controller-only trace carries no `DramBlock` events,
+/// so its buckets queue up for the whole trace, as they always did.)
+///
+/// [`check_trace`] is this fold applied to a slice; see it for the
+/// invariants verified.
+#[derive(Debug)]
+pub struct TraceFold {
+    spec: TraceSpec,
+    /// Events consumed by earlier [`TraceFold::feed`] calls.
+    seen: usize,
+    summary: TraceSummary,
+    in_access: bool,
+    phases_this_access: usize,
+    cur_phase: Option<BusPhase>,
+    cur_buckets: Vec<u64>,
+    last_evict_read: Vec<u64>,
+    ro_since_evict: u64,
+    evict_order: EvictionOrder,
+    /// Device-level bookkeeping: buckets awaiting their `z` block
+    /// requests, the addresses the front one has received so far, and
+    /// the canonical bucket → physical-address mapping.
+    pending: VecDeque<(u64, bool)>,
+    front_addrs: Vec<u64>,
+    layout: BucketLayout,
+}
+
+impl TraceFold {
+    /// A fold at the origin of a trace (controller creation: the
+    /// eviction-order and cadence checks replay the schedule from there).
+    pub fn new(spec: &TraceSpec) -> Self {
+        let path = spec.levels as usize + 1;
+        TraceFold {
+            spec: *spec,
+            seen: 0,
+            summary: TraceSummary::default(),
+            in_access: false,
+            phases_this_access: 0,
+            cur_phase: None,
+            cur_buckets: Vec::with_capacity(path),
+            last_evict_read: Vec::with_capacity(path),
+            ro_since_evict: 0,
+            evict_order: EvictionOrder::new(spec.levels),
+            // The engine reports an access's three phases before its
+            // first storage batch.
+            pending: VecDeque::with_capacity(3 * path),
+            front_addrs: Vec::with_capacity(spec.z),
+            layout: BucketLayout::new(spec),
+        }
+    }
+
+    /// Events consumed so far.
+    pub(crate) fn events_seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Makes room for `path_reads` more entries of
+    /// [`TraceSummary::leaves`], so a run of known length never
+    /// reallocates them.
+    pub(crate) fn reserve_path_reads(&mut self, path_reads: usize) {
+        self.summary.leaves.reserve(path_reads);
+    }
+
+    /// Consumes the next `events` of the trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation, with its event
+    /// index in the whole trace. A fold that has returned an error must
+    /// not be fed again.
+    pub fn feed(&mut self, events: &[BusEvent]) -> Result<(), String> {
+        self.feed_with(events, |_, _, _, _| {})
+    }
+
+    /// [`TraceFold::feed`], handing each `PosmapBucket` event (which the
+    /// data-path grammar skips) to `posmap` as `(event index, bucket,
+    /// level, write)`, so one pass over a batch serves both grammars.
+    pub(crate) fn feed_with(
+        &mut self,
+        events: &[BusEvent],
+        mut posmap: impl FnMut(usize, u64, u16, bool),
+    ) -> Result<(), String> {
+        let mut i = 0;
+        while i < events.len() {
+            match events[i] {
+                BusEvent::DramBlock { addr, .. } if self.whole_bucket(&events[i..], addr) => {
+                    i += self.spec.z;
+                    continue;
+                }
+                BusEvent::PosmapBucket { bucket, level, write } => {
+                    posmap(self.seen + i, bucket, level, write);
+                }
+                event => self.step(self.seen + i, event)?,
+            }
+            i += 1;
+        }
+        self.seen += events.len();
+        Ok(())
+    }
+
+    /// The common case of device-level traffic, taken a bucket at a time:
+    /// when `events` opens with all `z` block requests of the bucket at
+    /// the head of the queue, in its direction and at exactly the
+    /// consecutive addresses (from `base`) the layout table already holds
+    /// for it, consumes the bucket and returns `true`. Everything else —
+    /// first sight of a bucket, a bucket split across calls, any
+    /// violation — returns `false` untouched and goes through
+    /// [`TraceFold::step`] one event at a time, which words the errors.
+    #[inline]
+    fn whole_bucket(&mut self, events: &[BusEvent], base: u64) -> bool {
+        let z = self.spec.z;
+        let Some(&(bucket, write)) = self.pending.front() else { return false };
+        if !self.front_addrs.is_empty()
+            || events.len() < z
+            || !self.layout.is_consecutive_from(bucket, base)
+        {
+            return false;
+        }
+        let matches = events[..z]
+            .iter()
+            .zip(0u64..)
+            .all(|(e, k)| *e == BusEvent::DramBlock { addr: base.wrapping_add(k), write });
+        if matches {
+            self.pending.pop_front();
+            self.summary.dram_blocks += z as u64;
+        }
+        matches
+    }
+
+    /// One event of the grammar; `ix` is its index in the whole trace.
+    fn step(&mut self, ix: usize, event: BusEvent) -> Result<(), String> {
+        let spec = self.spec;
+        match event {
+            BusEvent::AccessStart => {
+                if self.in_access {
+                    return err(ix, "nested AccessStart".into());
+                }
+                self.in_access = true;
+                self.phases_this_access = 0;
+            }
+            BusEvent::PhaseStart(kind) => {
+                if !self.in_access || self.cur_phase.is_some() {
+                    return err(ix, format!("{kind:?} phase outside access framing"));
+                }
+                let expected = match self.phases_this_access {
+                    0 => BusPhase::ReadOnly,
+                    1 => BusPhase::EvictionRead,
+                    2 => BusPhase::EvictionWrite,
+                    n => return err(ix, format!("access has more than {n} phases")),
+                };
+                if kind != expected {
+                    return err(
+                        ix,
+                        format!(
+                            "phase {} of access is {kind:?}, expected {expected:?}",
+                            self.phases_this_access
+                        ),
+                    );
+                }
+                self.cur_phase = Some(kind);
+                self.cur_buckets.clear();
+            }
+            BusEvent::Bucket { bucket, write } => {
+                let Some(kind) = self.cur_phase else {
+                    return err(ix, format!("bucket {bucket} outside any phase"));
+                };
+                let want_write = kind == BusPhase::EvictionWrite;
+                if write != want_write {
+                    return err(
+                        ix,
+                        format!("bucket {bucket} direction write={write} in {kind:?} phase"),
+                    );
+                }
+                if bucket == 0 {
+                    return err(ix, "bucket id 0 (heap indices start at 1)".into());
+                }
+                match self.cur_buckets.last() {
+                    None => {
+                        if level_of(bucket) != spec.treetop_levels {
+                            return err(
+                                ix,
+                                format!(
+                                    "phase starts at bucket {bucket} (level {}), expected the \
+                                     first DRAM level {}",
+                                    level_of(bucket),
+                                    spec.treetop_levels
+                                ),
+                            );
+                        }
+                    }
+                    Some(&prev) => {
+                        if bucket / 2 != prev {
+                            return err(
+                                ix,
+                                format!(
+                                    "bucket {bucket} is not a tree child of {prev}: the path \
+                                     must be issued root→leaf in layout order"
+                                ),
+                            );
+                        }
+                    }
+                }
+                self.cur_buckets.push(bucket);
+                self.pending.push_back((bucket, want_write));
+            }
+            BusEvent::PhaseEnd(kind) => {
+                if self.cur_phase != Some(kind) {
+                    return err(ix, format!("unbalanced PhaseEnd({kind:?})"));
+                }
+                let want_buckets = spec.buckets_per_phase();
+                if self.cur_buckets.len() != want_buckets {
+                    return err(
+                        ix,
+                        format!(
+                            "{kind:?} phase touched {} buckets, expected {want_buckets}: the \
+                             request count per access must be constant",
+                            self.cur_buckets.len()
+                        ),
+                    );
+                }
+                let leaf_count = 1u64 << spec.levels;
+                let leaf = self.cur_buckets.last().expect("non-empty phase") - leaf_count;
+                if leaf >= leaf_count {
+                    return err(ix, format!("path ends at non-leaf bucket (leaf {leaf})"));
+                }
+                match kind {
+                    BusPhase::ReadOnly => {
+                        self.summary.path_reads += 1;
+                        self.ro_since_evict += 1;
+                        self.summary.leaves.push(leaf);
+                    }
+                    BusPhase::EvictionRead => {
+                        let expected = self.evict_order.next_leaf().raw();
+                        if leaf != expected {
+                            return err(
+                                ix,
+                                format!(
+                                    "eviction read of leaf {leaf}, expected reverse-lexicographic \
+                                     leaf {expected}"
+                                ),
+                            );
+                        }
+                        self.last_evict_read.clear();
+                        self.last_evict_read.extend_from_slice(&self.cur_buckets);
+                    }
+                    BusPhase::EvictionWrite => {
+                        if self.cur_buckets != self.last_evict_read {
+                            return err(
+                                ix,
+                                format!(
+                                    "eviction write path {:?} differs from the path read {:?}",
+                                    self.cur_buckets, self.last_evict_read
+                                ),
+                            );
+                        }
+                    }
+                }
+                self.cur_phase = None;
+                self.phases_this_access += 1;
+            }
+            BusEvent::AccessEnd => {
+                if !self.in_access || self.cur_phase.is_some() {
+                    return err(ix, "unbalanced AccessEnd".into());
+                }
+                let ro_since_evict = self.ro_since_evict;
+                match self.phases_this_access {
+                    1 => {
+                        if ro_since_evict >= u64::from(spec.eviction_rate - 1) {
+                            return err(
+                                ix,
+                                format!(
+                                    "eviction overdue: {ro_since_evict} path reads since the \
+                                     last eviction (rate A = {})",
+                                    spec.eviction_rate
+                                ),
+                            );
+                        }
+                    }
+                    3 => {
+                        if ro_since_evict != u64::from(spec.eviction_rate - 1) {
+                            return err(
+                                ix,
+                                format!(
+                                    "eviction after {ro_since_evict} path reads, expected every \
+                                     {} (rate A = {})",
+                                    spec.eviction_rate - 1,
+                                    spec.eviction_rate
+                                ),
+                            );
+                        }
+                        self.ro_since_evict = 0;
+                        self.summary.evictions += 1;
+                    }
+                    n => {
+                        return err(ix, format!("access ended with {n} phases, expected 1 or 3"))
+                    }
+                }
+                self.in_access = false;
+                self.summary.accesses += 1;
+            }
+            BusEvent::PosmapBucket { .. } => {
+                // Posmap-ORAM traffic has its own grammar (recursion-chain
+                // paths, not data-tree paths) and is checked by the
+                // dedicated posmap fold; the data-path grammar skips it.
+            }
+            BusEvent::DramBlock { addr, write } => {
+                // Device requests trail their bucket events (the engine
+                // issues DRAM batches after the controller reports the
+                // access), consumed here in FIFO order, z per bucket.
+                self.summary.dram_blocks += 1;
+                let Some(&(bucket, bucket_write)) = self.pending.front() else {
+                    return err(ix, format!("DRAM block {addr:#x} with no bucket awaiting it"));
+                };
+                if write != bucket_write {
+                    return err(
+                        ix,
+                        format!(
+                            "DRAM block {addr:#x} direction write={write} under bucket {bucket} \
+                             (write={bucket_write})"
+                        ),
+                    );
+                }
+                self.front_addrs.push(addr);
+                if self.front_addrs.len() == spec.z {
+                    if let Some(known) = self.layout.disagrees(bucket, &self.front_addrs) {
+                        return err(
+                            ix,
+                            format!(
+                                "bucket {bucket} mapped to {:?}, previously {known:?}: the \
+                                 layout must be a fixed public function",
+                                self.front_addrs
+                            ),
+                        );
+                    }
+                    self.pending.pop_front();
+                    self.front_addrs.clear();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the trace: it must not stop inside an access, nor (when it
+    /// carries device-level requests at all) with a bucket still awaiting
+    /// some of its `z`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the end-of-trace violation.
+    pub fn finish(self) -> Result<TraceSummary, String> {
+        if self.in_access || self.cur_phase.is_some() {
+            return Err("trace ends inside an access".into());
+        }
+        if self.summary.dram_blocks > 0
+            && (!self.pending.is_empty() || !self.front_addrs.is_empty())
+        {
+            return Err(format!(
+                "trace ends with {} buckets still awaiting DRAM block requests",
+                self.pending.len()
+            ));
+        }
+        Ok(self.summary)
+    }
+}
+
 /// Checks a captured trace against every structural invariant of the
-/// protocol, returning a summary of what it contained.
+/// protocol, returning a summary of what it contained: [`TraceFold`]
+/// applied to one slice.
 ///
 /// The trace must start at controller creation (the eviction-order and
 /// cadence checks replay the schedule from its origin) and must be
@@ -138,213 +540,9 @@ fn level_of(bucket: u64) -> u32 {
 /// Returns a description of the first violation, with enough context to
 /// locate it in the trace.
 pub fn check_trace(spec: &TraceSpec, events: &[BusEvent]) -> Result<TraceSummary, String> {
-    let want_buckets = spec.buckets_per_phase();
-    let leaf_count = 1u64 << spec.levels;
-    let leaf_base = 1u64 << spec.levels;
-
-    let mut summary = TraceSummary::default();
-    let mut in_access = false;
-    let mut phases_this_access = 0usize;
-    let mut cur_phase: Option<BusPhase> = None;
-    let mut cur_buckets: Vec<u64> = Vec::new();
-    let mut last_evict_read: Vec<u64> = Vec::new();
-    let mut ro_since_evict = 0u64;
-    let mut evict_order = EvictionOrder::new(spec.levels);
-
-    // Device-level bookkeeping: buckets awaiting their z block requests,
-    // and the canonical bucket → physical-address mapping.
-    let mut pending: VecDeque<(u64, bool)> = VecDeque::new();
-    let mut consumed_of_front = 0usize;
-    let mut front_addrs: Vec<u64> = Vec::new();
-    let mut layout = BucketLayout::new(spec);
-
-    for (ix, &event) in events.iter().enumerate() {
-        let err = |msg: String| -> Result<TraceSummary, String> {
-            Err(format!("event {ix}: {msg}"))
-        };
-        match event {
-            BusEvent::AccessStart => {
-                if in_access {
-                    return err("nested AccessStart".into());
-                }
-                in_access = true;
-                phases_this_access = 0;
-            }
-            BusEvent::PhaseStart(kind) => {
-                if !in_access || cur_phase.is_some() {
-                    return err(format!("{kind:?} phase outside access framing"));
-                }
-                let expected = match phases_this_access {
-                    0 => BusPhase::ReadOnly,
-                    1 => BusPhase::EvictionRead,
-                    2 => BusPhase::EvictionWrite,
-                    n => return err(format!("access has more than {n} phases")),
-                };
-                if kind != expected {
-                    return err(format!(
-                        "phase {phases_this_access} of access is {kind:?}, expected {expected:?}"
-                    ));
-                }
-                cur_phase = Some(kind);
-                cur_buckets.clear();
-            }
-            BusEvent::Bucket { bucket, write } => {
-                let Some(kind) = cur_phase else {
-                    return err(format!("bucket {bucket} outside any phase"));
-                };
-                let want_write = kind == BusPhase::EvictionWrite;
-                if write != want_write {
-                    return err(format!(
-                        "bucket {bucket} direction write={write} in {kind:?} phase"
-                    ));
-                }
-                if bucket == 0 {
-                    return err("bucket id 0 (heap indices start at 1)".into());
-                }
-                match cur_buckets.last() {
-                    None => {
-                        if level_of(bucket) != spec.treetop_levels {
-                            return err(format!(
-                                "phase starts at bucket {bucket} (level {}), expected the \
-                                 first DRAM level {}",
-                                level_of(bucket),
-                                spec.treetop_levels
-                            ));
-                        }
-                    }
-                    Some(&prev) => {
-                        if bucket / 2 != prev {
-                            return err(format!(
-                                "bucket {bucket} is not a tree child of {prev}: the path \
-                                 must be issued root→leaf in layout order"
-                            ));
-                        }
-                    }
-                }
-                cur_buckets.push(bucket);
-                pending.push_back((bucket, want_write));
-            }
-            BusEvent::PhaseEnd(kind) => {
-                if cur_phase != Some(kind) {
-                    return err(format!("unbalanced PhaseEnd({kind:?})"));
-                }
-                if cur_buckets.len() != want_buckets {
-                    return err(format!(
-                        "{kind:?} phase touched {} buckets, expected {want_buckets}: the \
-                         request count per access must be constant",
-                        cur_buckets.len()
-                    ));
-                }
-                let leaf = cur_buckets.last().expect("non-empty phase") - leaf_base;
-                if leaf >= leaf_count {
-                    return err(format!("path ends at non-leaf bucket (leaf {leaf})"));
-                }
-                match kind {
-                    BusPhase::ReadOnly => {
-                        summary.path_reads += 1;
-                        ro_since_evict += 1;
-                        summary.leaves.push(leaf);
-                    }
-                    BusPhase::EvictionRead => {
-                        let expected = evict_order.next_leaf().raw();
-                        if leaf != expected {
-                            return err(format!(
-                                "eviction read of leaf {leaf}, expected reverse-lexicographic \
-                                 leaf {expected}"
-                            ));
-                        }
-                        last_evict_read.clear();
-                        last_evict_read.extend_from_slice(&cur_buckets);
-                    }
-                    BusPhase::EvictionWrite => {
-                        if cur_buckets != last_evict_read {
-                            return err(format!(
-                                "eviction write path {cur_buckets:?} differs from the path \
-                                 read {last_evict_read:?}"
-                            ));
-                        }
-                    }
-                }
-                cur_phase = None;
-                phases_this_access += 1;
-            }
-            BusEvent::AccessEnd => {
-                if !in_access || cur_phase.is_some() {
-                    return err("unbalanced AccessEnd".into());
-                }
-                match phases_this_access {
-                    1 => {
-                        if ro_since_evict >= u64::from(spec.eviction_rate - 1) {
-                            return err(format!(
-                                "eviction overdue: {ro_since_evict} path reads since the \
-                                 last eviction (rate A = {})",
-                                spec.eviction_rate
-                            ));
-                        }
-                    }
-                    3 => {
-                        if ro_since_evict != u64::from(spec.eviction_rate - 1) {
-                            return err(format!(
-                                "eviction after {ro_since_evict} path reads, expected every \
-                                 {} (rate A = {})",
-                                spec.eviction_rate - 1,
-                                spec.eviction_rate
-                            ));
-                        }
-                        ro_since_evict = 0;
-                        summary.evictions += 1;
-                    }
-                    n => return err(format!("access ended with {n} phases, expected 1 or 3")),
-                }
-                in_access = false;
-                summary.accesses += 1;
-            }
-            BusEvent::PosmapBucket { .. } => {
-                // Posmap-ORAM traffic has its own grammar (recursion-chain
-                // paths, not data-tree paths) and is checked by the
-                // dedicated posmap audit; the data-path checker skips it.
-            }
-            BusEvent::DramBlock { addr, write } => {
-                // Device requests trail their bucket events (the engine
-                // issues DRAM batches after the controller reports the
-                // access), consumed here in FIFO order, z per bucket.
-                summary.dram_blocks += 1;
-                let Some(&(bucket, bucket_write)) = pending.front() else {
-                    return err(format!("DRAM block {addr:#x} with no bucket awaiting it"));
-                };
-                if write != bucket_write {
-                    return err(format!(
-                        "DRAM block {addr:#x} direction write={write} under bucket {bucket} \
-                         (write={bucket_write})"
-                    ));
-                }
-                front_addrs.push(addr);
-                consumed_of_front += 1;
-                if consumed_of_front == spec.z {
-                    if let Some(known) = layout.disagrees(bucket, &front_addrs) {
-                        return err(format!(
-                            "bucket {bucket} mapped to {front_addrs:?}, previously \
-                             {known:?}: the layout must be a fixed public function"
-                        ));
-                    }
-                    pending.pop_front();
-                    consumed_of_front = 0;
-                    front_addrs.clear();
-                }
-            }
-        }
-    }
-
-    if in_access || cur_phase.is_some() {
-        return Err("trace ends inside an access".into());
-    }
-    if summary.dram_blocks > 0 && (!pending.is_empty() || consumed_of_front != 0) {
-        return Err(format!(
-            "trace ends with {} buckets still awaiting DRAM block requests",
-            pending.len()
-        ));
-    }
-    Ok(summary)
+    let mut fold = TraceFold::new(spec);
+    fold.feed(events)?;
+    fold.finish()
 }
 
 #[cfg(test)]
@@ -460,16 +658,39 @@ mod tests {
         let spec = TraceSpec { levels: 3, z: 2, treetop_levels: 0, eviction_rate: 5 };
         let mut layout = BucketLayout::new(&spec);
         // 15 is the deepest id of an L=3 tree; 16 and 2^40 only occur in
-        // malformed traces and take the overflow map.
+        // malformed traces and take the overflow map. A scattered mapping
+        // ([0, 9]) and a consecutive one ([8, 9], one table word) answer
+        // alike, whichever the other is compared against.
         for bucket in [1u64, 15, 16, 1 << 40] {
-            assert_eq!(layout.disagrees(bucket, &[0, 9]), None, "first sight of {bucket}");
-            assert_eq!(layout.disagrees(bucket, &[0, 9]), None);
-            assert_eq!(layout.disagrees(bucket, &[0, 8]), Some(&[0u64, 9][..]));
-            assert_eq!(layout.disagrees(bucket, &[0, 9]), None, "the first mapping stays");
+            for (first, other) in [([0, 9], [0, 8]), ([8, 9], [8, 10]), ([8, 9], [7, 8])] {
+                let mut layout = BucketLayout::new(&spec);
+                assert_eq!(layout.disagrees(bucket, &first), None, "first sight of {bucket}");
+                assert_eq!(layout.disagrees(bucket, &first), None);
+                assert_eq!(layout.disagrees(bucket, &other), Some(first.to_vec()));
+                assert_eq!(layout.disagrees(bucket, &first), None, "the first mapping stays");
+                let fast = bucket < 16 && first == [8, 9];
+                assert_eq!(layout.is_consecutive_from(bucket, first[0]), fast);
+                assert!(!layout.is_consecutive_from(bucket, first[0] + 1));
+            }
         }
-        // An all-zero mapping is a mapping, not "unseen".
+        // An all-zero mapping is a mapping, not "unseen"; nor is a
+        // consecutive one from address 0, nor one the word cannot encode.
         assert_eq!(layout.disagrees(2, &[0, 0]), None);
-        assert_eq!(layout.disagrees(2, &[0, 1]), Some(&[0u64, 0][..]));
+        assert_eq!(layout.disagrees(2, &[0, 1]), Some(vec![0, 0]));
+        assert_eq!(layout.disagrees(3, &[0, 1]), None);
+        assert!(layout.is_consecutive_from(3, 0));
+        assert_eq!(layout.disagrees(3, &[0, 0]), Some(vec![0, 1]));
+        assert!(!layout.is_consecutive_from(4, 0), "unseen is not a mapping from 0");
+        // The last mapping one word can hold ends at the last address.
+        assert_eq!(layout.disagrees(6, &[u64::MAX - 2, u64::MAX - 1]), None);
+        assert!(layout.is_consecutive_from(6, u64::MAX - 2));
+        assert_eq!(layout.disagrees(6, &[0, 1]), Some(vec![u64::MAX - 2, u64::MAX - 1]));
+        for base in [u64::MAX - 1, u64::MAX] {
+            assert_eq!(layout.disagrees(5, &[base, base.wrapping_add(1)]), None);
+            assert!(!layout.is_consecutive_from(5, base));
+            assert!(layout.disagrees(5, &[1, 2]).is_some());
+            layout = BucketLayout::new(&spec);
+        }
     }
 
     #[test]

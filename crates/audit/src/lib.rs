@@ -22,7 +22,11 @@
 //!    physical blocks every time. The [`posmap`] module supplies the
 //!    matching grammar for the recursive position map's own traffic
 //!    ([`check_posmap_trace`]) plus the flat-identity diff over the
-//!    data subsequence ([`recursive_flat_data_identity`]).
+//!    data subsequence ([`recursive_flat_data_identity`]). Both grammars
+//!    are resumable folds ([`TraceFold`], [`PosmapFold`]) — the slice
+//!    checkers are the fold applied once — and [`LaneAudit`] is the
+//!    `BusObserver` that runs them on a live engine, so a serving run is
+//!    audited as it goes instead of recorded and checked afterwards.
 //! 3. **Statistical tests** — hand-rolled [`chi_square_uniform`] /
 //!    [`ks_uniform`] over the observed leaf distribution, and the
 //!    [`distinguisher`] harness: two different secret access patterns
@@ -48,6 +52,7 @@
 pub mod distinguisher;
 pub mod fuzz;
 pub mod invariants;
+pub mod online;
 pub mod posmap;
 pub mod recorder;
 pub mod stats;
@@ -58,9 +63,11 @@ pub use distinguisher::{
     timing_protected_relabeled_identical, PolicyUnderTest,
 };
 pub use fuzz::{check_service_trace, run_audit, AuditFailure, AuditOptions, AuditReport};
-pub use invariants::{check_trace, TraceSpec, TraceSummary};
+pub use invariants::{check_trace, TraceFold, TraceSpec, TraceSummary};
+pub use online::LaneAudit;
 pub use posmap::{
-    check_posmap_trace, recursive_flat_data_identity, strip_posmap_events, PosmapSummary,
+    check_posmap_trace, recursive_flat_data_identity, strip_posmap_events, PosmapFold,
+    PosmapSummary,
 };
 pub use recorder::{Recorder, TraceBuffer};
 pub use stats::{bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform, GofTest};

@@ -57,85 +57,86 @@ pub fn strip_posmap_events(events: &[BusEvent]) -> Vec<BusEvent> {
         .collect()
 }
 
-/// One parsed chain, kept only as long as the next chain needs it for
-/// the eviction-rewrite check.
+/// One root→leaf chain. `buckets` is empty only while the chain does not
+/// exist: a chain starts with its root.
+#[derive(Debug, Default)]
 struct Chain {
     level: u16,
     write: bool,
     buckets: Vec<u64>,
 }
 
-/// Replays the `PosmapBucket` subsequence of `events` against the
-/// posmap grammar (module docs). Non-posmap events are ignored, so the
-/// combined trace can be passed directly.
+/// The posmap grammar (module docs) as a resumable fold:
+/// [`PosmapFold::feed`] consumes a combined trace in pieces of any size —
+/// non-posmap events are ignored but counted, so error indices are those
+/// of the whole trace — and [`PosmapFold::finish`] closes the last chain.
+/// Feeding the pieces of a trace gives exactly the result of feeding it
+/// whole. The two chain buffers are reused (swapped at every close), so
+/// once they have grown to the deepest level's path — at most 64 ids —
+/// nothing allocates.
 ///
-/// # Errors
-///
-/// Returns the first structural violation with its event index.
-pub fn check_posmap_trace(events: &[BusEvent]) -> Result<PosmapSummary, String> {
-    let mut summary = PosmapSummary::default();
-    // Expected chain length per recursion level, learned from the first
-    // chain of each level (index 0 unused; levels are 1-based).
-    let mut depth_of: Vec<Option<usize>> = Vec::new();
-    let mut cur: Option<Chain> = None;
-    let mut prev: Option<Chain> = None;
+/// [`check_posmap_trace`] is this fold applied to a slice.
+#[derive(Debug, Default)]
+pub struct PosmapFold {
+    /// Events (of any kind) consumed by earlier [`PosmapFold::feed`]
+    /// calls.
+    seen: usize,
+    summary: PosmapSummary,
+    /// Expected chain length per recursion level, learned from the first
+    /// chain of each level (index 0 unused; levels are 1-based).
+    depth_of: Vec<Option<usize>>,
+    /// The chain being parsed (none before a root opens one).
+    cur: Chain,
+    /// The chain closed before it, kept for the eviction-rewrite check
+    /// (none before the first close).
+    prev: Chain,
+}
 
-    let close = |chain: Chain,
-                     prev: &mut Option<Chain>,
-                     depth_of: &mut Vec<Option<usize>>,
-                     summary: &mut PosmapSummary,
-                     idx: usize|
-     -> Result<(), String> {
-        let l = chain.level as usize;
-        if depth_of.len() <= l {
-            depth_of.resize(l + 1, None);
-        }
-        match depth_of[l] {
-            None => depth_of[l] = Some(chain.buckets.len()),
-            Some(d) if d == chain.buckets.len() => {}
-            Some(d) => {
-                return Err(format!(
-                    "event {idx}: level {} chain of {} buckets, level paths are {d} deep",
-                    chain.level,
-                    chain.buckets.len()
-                ));
+impl PosmapFold {
+    /// A fold at the start of a trace.
+    pub fn new() -> Self {
+        PosmapFold::default()
+    }
+
+    /// Consumes the next `events` of the trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first structural violation with its event index in
+    /// the whole trace. A fold that has returned an error must not be fed
+    /// again.
+    pub fn feed(&mut self, events: &[BusEvent]) -> Result<(), String> {
+        for (i, event) in events.iter().enumerate() {
+            if let BusEvent::PosmapBucket { bucket, level, write } = *event {
+                self.step(self.seen + i, bucket, level, write)?;
             }
         }
-        if chain.write {
-            let ok = prev
-                .as_ref()
-                .is_some_and(|p| !p.write && p.level == chain.level && p.buckets == chain.buckets);
-            if !ok {
-                return Err(format!(
-                    "event {idx}: level {} eviction write does not rewrite the path just read",
-                    chain.level
-                ));
-            }
-            summary.eviction_writes += 1;
-        }
-        summary.chains += 1;
-        summary.max_level = summary.max_level.max(chain.level);
-        *prev = Some(chain);
+        self.seen += events.len();
         Ok(())
-    };
+    }
 
-    for (idx, event) in events.iter().enumerate() {
-        let BusEvent::PosmapBucket { bucket, level, write } = *event else {
-            continue;
-        };
-        summary.events += 1;
+    /// One `PosmapBucket` event; `idx` is its index in the whole trace.
+    pub(crate) fn step(
+        &mut self,
+        idx: usize,
+        bucket: u64,
+        level: u16,
+        write: bool,
+    ) -> Result<(), String> {
+        self.summary.events += 1;
         if level == 0 {
             return Err(format!("event {idx}: posmap level 0 does not exist (levels are 1-based)"));
         }
         if bucket == 1 {
             // Root: starts a new chain.
-            if let Some(done) = cur.take() {
-                close(done, &mut prev, &mut depth_of, &mut summary, idx)?;
-            }
-            cur = Some(Chain { level, write, buckets: vec![1] });
-            continue;
+            self.close(idx)?;
+            self.cur.level = level;
+            self.cur.write = write;
+            self.cur.buckets.push(1);
+            return Ok(());
         }
-        let Some(chain) = cur.as_mut() else {
+        let chain = &mut self.cur;
+        let Some(&parent) = chain.buckets.last() else {
             return Err(format!(
                 "event {idx}: bucket {bucket} outside any chain (chains start at the root)"
             ));
@@ -147,7 +148,6 @@ pub fn check_posmap_trace(events: &[BusEvent]) -> Result<PosmapSummary, String> 
                 chain.level, chain.write
             ));
         }
-        let parent = *chain.buckets.last().expect("chains are never empty");
         if bucket / 2 != parent {
             return Err(format!(
                 "event {idx}: bucket {bucket} is not a child of {parent} — path not a \
@@ -155,12 +155,82 @@ pub fn check_posmap_trace(events: &[BusEvent]) -> Result<PosmapSummary, String> 
             ));
         }
         chain.buckets.push(bucket);
+        Ok(())
     }
-    if let Some(done) = cur.take() {
-        let idx = events.len();
-        close(done, &mut prev, &mut depth_of, &mut summary, idx)?;
+
+    /// Closes the chain being parsed, if any, at event index `idx`: its
+    /// depth must be its level's, and a write must rewrite the chain
+    /// closed before it. The closed chain becomes the previous one and
+    /// the buffer of the chain before that is emptied for the next.
+    fn close(&mut self, idx: usize) -> Result<(), String> {
+        let (chain, prev) = (&self.cur, &self.prev);
+        if chain.buckets.is_empty() {
+            return Ok(());
+        }
+        let l = chain.level as usize;
+        if self.depth_of.len() <= l {
+            self.depth_of.resize(l + 1, None);
+        }
+        match self.depth_of[l] {
+            None => self.depth_of[l] = Some(chain.buckets.len()),
+            Some(d) if d == chain.buckets.len() => {}
+            Some(d) => {
+                return Err(format!(
+                    "event {idx}: level {} chain of {} buckets, level paths are {d} deep",
+                    chain.level,
+                    chain.buckets.len()
+                ));
+            }
+        }
+        if chain.write {
+            // (No previous chain: its empty `buckets` cannot match.)
+            if prev.write || prev.level != chain.level || prev.buckets != chain.buckets {
+                return Err(format!(
+                    "event {idx}: level {} eviction write does not rewrite the path just read",
+                    chain.level
+                ));
+            }
+            self.summary.eviction_writes += 1;
+        }
+        self.summary.chains += 1;
+        self.summary.max_level = self.summary.max_level.max(chain.level);
+        std::mem::swap(&mut self.cur, &mut self.prev);
+        self.cur.buckets.clear();
+        Ok(())
     }
-    Ok(summary)
+
+    /// Ends the trace, closing the last chain.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violation the last chain commits, indexed one past the
+    /// last event.
+    pub fn finish(self) -> Result<PosmapSummary, String> {
+        let events = self.seen;
+        self.finish_at(events)
+    }
+
+    /// [`PosmapFold::finish`] for a fold driven through
+    /// [`PosmapFold::step`], which does not count events: `events` is the
+    /// length of the whole trace.
+    pub(crate) fn finish_at(mut self, events: usize) -> Result<PosmapSummary, String> {
+        self.close(events)?;
+        Ok(self.summary)
+    }
+}
+
+/// Replays the `PosmapBucket` subsequence of `events` against the
+/// posmap grammar (module docs): [`PosmapFold`] applied to one slice.
+/// Non-posmap events are ignored, so the combined trace can be passed
+/// directly.
+///
+/// # Errors
+///
+/// Returns the first structural violation with its event index.
+pub fn check_posmap_trace(events: &[BusEvent]) -> Result<PosmapSummary, String> {
+    let mut fold = PosmapFold::new();
+    fold.feed(events)?;
+    fold.finish()
 }
 
 /// Records the same request stream under `cfg` with its recursive

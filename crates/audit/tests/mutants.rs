@@ -16,12 +16,15 @@
 //!
 //! Each test runs its positive control (the same audit with
 //! `Mutant::None`) first, so a pass means the check is discriminating,
-//! not merely strict.
+//! not merely strict. The two controller mutants are caught twice: by the
+//! slice checkers on a recorded trace, and by the [`LaneAudit`] observer
+//! folding the same grammars over a running engine's bus events — the
+//! path `repro serve` audits itself through.
 
-use oram_audit::{check_trace, Recorder, TraceSpec};
+use oram_audit::{check_trace, LaneAudit, Recorder, TraceSpec};
 use oram_audit::stats::{bin_counts, chi_square_uniform, ks_uniform};
 use oram_protocol::{BlockAddr, Mutant, OramConfig, OramController, Request};
-use oram_sim::{ShardMutant, ShardRequest, ShardedOram, SystemConfig};
+use oram_sim::{Engine, ShardMutant, ShardRequest, ShardedOram, SystemConfig};
 
 fn traced_run(cfg: OramConfig, mutant: Mutant, accesses: u64) -> Vec<oram_protocol::BusEvent> {
     let rec = Recorder::unbounded();
@@ -79,6 +82,48 @@ fn biased_remap_is_caught_by_the_statistical_layer() {
     assert!(!chi.pass, "chi-square missed the biased remap: {chi:?}");
     let ks = ks_uniform(&biased, domain);
     assert!(!ks.pass, "KS missed the biased remap: {ks:?}");
+}
+
+/// The verdict of a [`LaneAudit`] attached to an engine (controller and
+/// storage backend both) while it serves `accesses` requests under
+/// `mutant`.
+fn online_verdict(mutant: Mutant, accesses: u64) -> Result<u64, String> {
+    let sys = SystemConfig::small_test();
+    let audit = LaneAudit::shared(&sys.oram, 0);
+    let mut engine = Engine::new(sys).unwrap();
+    engine.controller_mut().set_mutant(mutant);
+    engine.attach_bus_observer(audit.clone());
+    for i in 0..accesses {
+        engine.serve_request(1 + i % 64, i % 3 == 2, i * 40);
+    }
+    engine.detach_bus_observer();
+    let (data, _) = audit.lock().unwrap().finish()?;
+    assert!(data.dram_blocks > 0, "the device side was audited too");
+    Ok(data.path_reads)
+}
+
+#[test]
+fn the_online_audit_catches_both_controller_mutants() {
+    // Positive control: the honest engine passes, with a leaf sample
+    // large enough that the uniformity tests ran.
+    let path_reads = online_verdict(Mutant::None, 3000).expect("honest engine passes");
+    assert!(path_reads > 500, "want a real sample, got {path_reads}");
+
+    let err = online_verdict(Mutant::SkipLeafRewrite, 300).expect_err("structural layer");
+    assert!(
+        err.starts_with("service trace audit: event ")
+            && err.ends_with(
+                "EvictionWrite phase touched 7 buckets, expected 8: the request count per \
+                 access must be constant"
+            ),
+        "unexpected rejection reason: {err}"
+    );
+
+    let err = online_verdict(Mutant::BiasedRemap, 3000).expect_err("statistical layer");
+    assert!(
+        err.starts_with("service trace audit: leaf distribution rejected by "),
+        "unexpected rejection reason: {err}"
+    );
 }
 
 /// Dispatch counts of a 4-shard backend fed a uniform address mix.

@@ -13,8 +13,8 @@
 use oram_cpu::ReplayMisses;
 use oram_sim::{build_miss_stream, scale_profile, Engine, RunOptions, SystemConfig};
 use oram_telemetry::{
-    validate_attribution, ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport,
-    TelemetryConfig, TelemetryRecorder,
+    ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, TelemetryConfig,
+    TelemetryRecorder,
 };
 use oram_util::MetricId;
 use oram_workloads::spec;
@@ -91,7 +91,7 @@ pub fn run_profile(
         };
 
         let rec = rec.lock().expect("recorder poisoned");
-        validate_attribution(rec.spans()).map_err(|e| format!("{name}: attribution: {e}"))?;
+        rec.attribution().map_err(|e| format!("{name}: attribution: {e}"))?;
         let m = rec.metrics();
         let sum = |id: MetricId| m.histogram(id).sum();
         let attr_queue = sum(MetricId::AttrQueueWait);

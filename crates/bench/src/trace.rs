@@ -16,8 +16,7 @@ use oram_telemetry::export::{
     spans_to_chrome_trace, spans_to_jsonl, validate_chrome_trace, validate_jsonl,
 };
 use oram_telemetry::{
-    validate_attribution, validate_timeseries_csv, PolicyReport, RunReport, TelemetryConfig,
-    TelemetryRecorder,
+    validate_timeseries_csv, PolicyReport, RunReport, TelemetryConfig, TelemetryRecorder,
 };
 use oram_util::MetricId;
 use oram_workloads::spec;
@@ -177,7 +176,7 @@ pub fn run_trace_with_progress(
         }
         // Every span's cycle attribution must partition its duration
         // exactly, with duplication credits only on eligible serves.
-        validate_attribution(rec.spans()).map_err(|e| format!("{name}: attribution: {e}"))?;
+        rec.attribution().map_err(|e| format!("{name}: attribution: {e}"))?;
 
         let spans_jsonl = spans_to_jsonl(rec.spans());
         let held = validate_jsonl(&spans_jsonl).map_err(|e| format!("{name}: JSONL: {e}"))?;

@@ -13,7 +13,7 @@
 //! effects are reported as credits on the side (RD-Dup early-forward
 //! savings, HD-Dup stash-pull credit), never folded into the latency sum.
 
-use oram_util::ServeClass;
+use oram_util::{AccessSpan, ServeClass};
 
 use crate::json::{self, Value};
 use crate::spans::SpanRing;
@@ -374,39 +374,46 @@ impl ProfileReport {
 /// classes that can earn them (`forward_saved` ⇒ shadow DRAM serve,
 /// `stash_pull_credit` ⇒ stash hit).
 ///
+/// A ring holds only its newest spans; a run longer than that reads
+/// [`TelemetryRecorder::attribution`](crate::TelemetryRecorder::attribution),
+/// which applies the same check to every span as it is recorded.
+///
 /// # Errors
 ///
 /// Returns a message naming the first offending span.
 pub fn validate_attribution(ring: &SpanRing) -> Result<(), String> {
-    for s in ring.iter() {
-        let a = &s.attr;
-        let sum = a.dram_queue + a.dram_row + a.network + a.dram_bus + a.eviction + a.posmap;
-        let dur = s.end - s.start;
-        if sum != dur {
-            return Err(format!(
-                "span {}: attribution {sum} != duration {dur} \
-                 (queue {} + row {} + network {} + bus {} + eviction {} + posmap {})",
-                s.seq, a.dram_queue, a.dram_row, a.network, a.dram_bus, a.eviction, a.posmap
-            ));
-        }
-        if a.queue_wait != s.start - s.arrival {
-            return Err(format!(
-                "span {}: queue_wait {} != start {} - arrival {}",
-                s.seq, a.queue_wait, s.start, s.arrival
-            ));
-        }
-        if a.forward_saved > 0 && s.served != ServeClass::DramShadow {
-            return Err(format!(
-                "span {}: forward_saved {} on {:?} serve",
-                s.seq, a.forward_saved, s.served
-            ));
-        }
-        if a.stash_pull_credit > 0 && s.served != ServeClass::Stash {
-            return Err(format!(
-                "span {}: stash_pull_credit {} on {:?} serve",
-                s.seq, a.stash_pull_credit, s.served
-            ));
-        }
+    ring.iter().try_for_each(span_attribution)
+}
+
+/// The attribution invariant ([`validate_attribution`]) on one span.
+pub(crate) fn span_attribution(s: &AccessSpan) -> Result<(), String> {
+    let a = &s.attr;
+    let sum = a.dram_queue + a.dram_row + a.network + a.dram_bus + a.eviction + a.posmap;
+    let dur = s.end - s.start;
+    if sum != dur {
+        return Err(format!(
+            "span {}: attribution {sum} != duration {dur} \
+             (queue {} + row {} + network {} + bus {} + eviction {} + posmap {})",
+            s.seq, a.dram_queue, a.dram_row, a.network, a.dram_bus, a.eviction, a.posmap
+        ));
+    }
+    if a.queue_wait != s.start - s.arrival {
+        return Err(format!(
+            "span {}: queue_wait {} != start {} - arrival {}",
+            s.seq, a.queue_wait, s.start, s.arrival
+        ));
+    }
+    if a.forward_saved > 0 && s.served != ServeClass::DramShadow {
+        return Err(format!(
+            "span {}: forward_saved {} on {:?} serve",
+            s.seq, a.forward_saved, s.served
+        ));
+    }
+    if a.stash_pull_credit > 0 && s.served != ServeClass::Stash {
+        return Err(format!(
+            "span {}: stash_pull_credit {} on {:?} serve",
+            s.seq, a.stash_pull_credit, s.served
+        ));
     }
     Ok(())
 }

@@ -6,6 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use oram_util::{AccessSpan, MetricId, SharedTelemetry, TelemetrySink, WindowSample};
 
+use crate::profile::span_attribution;
 use crate::registry::MetricsRegistry;
 use crate::spans::SpanRing;
 use crate::timeseries::TimeSeries;
@@ -35,6 +36,10 @@ pub struct TelemetryRecorder {
     metrics: MetricsRegistry,
     spans: SpanRing,
     series: TimeSeries,
+    /// The attribution invariant over every span recorded so far: the
+    /// first violation stays, whether or not the ring still holds its
+    /// span.
+    attribution: Result<(), String>,
 }
 
 impl TelemetryRecorder {
@@ -44,6 +49,7 @@ impl TelemetryRecorder {
             metrics: MetricsRegistry::new(),
             spans: SpanRing::new(cfg.span_capacity),
             series: TimeSeries::new(),
+            attribution: Ok(()),
         }
     }
 
@@ -72,6 +78,17 @@ impl TelemetryRecorder {
     pub fn series(&self) -> &TimeSeries {
         &self.series
     }
+
+    /// [`validate_attribution`](crate::validate_attribution) over every
+    /// span ever recorded, checked as each arrived — unlike the ring,
+    /// which forgets all but its newest `span_capacity`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message naming the first offending span.
+    pub fn attribution(&self) -> Result<(), String> {
+        self.attribution.clone()
+    }
 }
 
 impl TelemetrySink for TelemetryRecorder {
@@ -87,6 +104,9 @@ impl TelemetrySink for TelemetryRecorder {
 
     #[inline]
     fn span(&mut self, span: &AccessSpan) {
+        if self.attribution.is_ok() {
+            self.attribution = span_attribution(span);
+        }
         self.spans.push(span);
     }
 
@@ -131,5 +151,44 @@ mod tests {
         assert_eq!(r.metrics().histogram(MetricId::StashOccupancy).count(), 1);
         assert_eq!(r.spans().len(), 1);
         assert_eq!(r.series().windows().len(), 1);
+    }
+
+    #[test]
+    fn attribution_verdict_outlives_the_ring() {
+        let mut span = AccessSpan {
+            seq: 0,
+            real: true,
+            arrival: 0,
+            start: 0,
+            data_ready: 9,
+            end: 9,
+            served: ServeClass::DramReal,
+            forward_index: 0,
+            blocks_in_path: 24,
+            stash_live: 0,
+            attr: AccessAttribution { dram_bus: 8, ..AccessAttribution::ZERO },
+            phases: [PhaseSpan::EMPTY; SPAN_MAX_PHASES],
+            phase_len: 0,
+        };
+        let mut rec = TelemetryRecorder::new(TelemetryConfig::default());
+        assert_eq!(rec.attribution(), Ok(()));
+        // One span a cycle short of its duration, then more good ones
+        // than the default ring (65 536) holds.
+        rec.span(&span);
+        span.attr.dram_bus = 9;
+        for seq in 1..=70_000 {
+            span.seq = seq;
+            rec.span(&span);
+        }
+        assert!(rec.spans().dropped() > 0 && rec.spans().iter().all(|s| s.seq > 0));
+        assert_eq!(crate::validate_attribution(rec.spans()), Ok(()), "the ring forgot it");
+        let verdict = rec.attribution().unwrap_err();
+        assert!(verdict.starts_with("span 0: attribution 8 != duration 9"), "{verdict}");
+        // The text is the ring validator's.
+        let mut ring = SpanRing::new(1);
+        span.seq = 0;
+        span.attr.dram_bus = 8;
+        ring.push(&span);
+        assert_eq!(crate::validate_attribution(&ring), Err(verdict));
     }
 }
