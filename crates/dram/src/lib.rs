@@ -6,9 +6,12 @@
 //!
 //! The model covers what matters for ORAM performance studies:
 //!
-//! * JEDEC core timings (tRCD/CL/tRP/tRAS/tWR/tWTR/tRTP/tCCD/tRRD/tFAW),
+//! * JEDEC core timings (tRCD/CL/CWL/tRP/tRAS/tWR/tRTP/tRRD/tFAW),
 //!   DDR3-1333 defaults matching the paper's Table I (2 channels,
-//!   21.3 GB/s peak);
+//!   21.3 GB/s peak). Not enforced: tWTR (a read may follow a write at
+//!   bus rate) and tCCD, which burst occupancy of the data bus implies
+//!   only while reads hold the bus — [`DramConfig`] carries both values
+//!   for a later model fix;
 //! * per-bank row-buffer state with FR-FCFS scheduling and data-bus
 //!   contention, so sequential path reads stream near peak bandwidth
 //!   while scattered accesses pay activate/precharge penalties;

@@ -116,7 +116,7 @@ impl DramSystem {
     /// `now`, returning each request's completion cycle **in submission
     /// order**. Bank state persists to the next batch.
     ///
-    /// Requests are queued in order; channels schedule independently with
+    /// Requests arrive in order; channels schedule independently with
     /// FR-FCFS, which is how an ORAM path access behaves: the controller
     /// issues the whole path and blocks arrive as banks allow.
     pub fn service_batch(&mut self, now: i64, reqs: &[BlockRequest]) -> Vec<i64> {
@@ -124,7 +124,7 @@ impl DramSystem {
     }
 
     /// Like [`DramSystem::service_batch`] but with explicit control over
-    /// data-bus occupancy for reads (see [`Channel::drain_with`]); used by
+    /// data-bus occupancy for reads (see [`Channel::begin_batch`]); used by
     /// the XOR-compression model, where the in-memory hub consumes read
     /// data locally.
     pub fn service_batch_with(
@@ -151,10 +151,19 @@ impl DramSystem {
     ) {
         report_blocks(&mut self.bus, reqs);
         assert!(u32::try_from(reqs.len()).is_ok(), "batch larger than 2^32 requests");
+        finishes.clear();
+        finishes.resize(reqs.len(), 0);
+        for ch in &mut self.channels {
+            ch.begin_batch(now, occupy_bus);
+        }
+        // A request that finds its row open completes as it arrives; the
+        // rest queue for the drain below.
         for (i, r) in reqs.iter().enumerate() {
             let loc = self.mapping.decode(r.addr);
             let t = Transaction { id: i as u32, loc, is_write: r.is_write };
-            self.channels[loc.channel].submit(t);
+            if let Some(finish) = self.channels[loc.channel].submit(t) {
+                finishes[i] = finish;
+            }
         }
         if let Some(t) = &self.telemetry {
             if !reqs.is_empty() {
@@ -164,13 +173,8 @@ impl DramSystem {
                 }
             }
         }
-        finishes.clear();
-        finishes.resize(reqs.len(), 0);
         for ch in &mut self.channels {
-            ch.begin_batch();
-            ch.drain_unordered(now, occupy_bus, |Completion { id, finish }| {
-                finishes[id as usize] = finish;
-            });
+            ch.drain(|Completion { id, finish }| finishes[id as usize] = finish);
         }
     }
 

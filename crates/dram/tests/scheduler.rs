@@ -10,7 +10,7 @@
 
 use oram_dram::{
     AddressMapping, BlockRequest, ChannelStats, ChannelUtilization, DramConfig, DramSystem,
-    EnergyCounters, Interleave, Location, TxBreakdown,
+    EnergyCounters, Interleave, Location, SubtreeLayout, TxBreakdown,
 };
 use oram_util::Rng64;
 
@@ -347,40 +347,91 @@ fn merged_stats(channels: &[reference::Channel]) -> ChannelStats {
     total
 }
 
-/// Drives `batches` random batches through both models and compares
-/// every simulated output after each one.
+/// [`random_batch`]es over about three rows per bank, so hits, misses
+/// and conflicts all occur; reads hold the bus in 70 % of them.
+fn random_traffic(
+    cfg: DramConfig,
+    max_len: u64,
+) -> impl FnMut(&mut Rng64) -> (Vec<BlockRequest>, bool) {
+    let blocks = (cfg.channels * cfg.ranks * cfg.banks * cfg.bursts_per_row() * 3) as u64;
+    move |rng| (random_batch(rng, blocks, max_len), rng.gen_bool(0.7))
+}
+
+/// The engine's bus traffic at eviction rate 2 over a depth-`levels`
+/// tree in the sub-tree layout: the read-only path of a random leaf, then
+/// the eviction read and the eviction write of the next
+/// reverse-lexicographic leaf — the write finds every row its read
+/// opened, a batch that is all hits on arrival. With `xor` the read-only
+/// reads bypass the data bus, as `Engine::run_phase` issues them under
+/// XOR compression.
+fn path_traffic(
+    cfg: DramConfig,
+    levels: u32,
+    xor: bool,
+) -> impl FnMut(&mut Rng64) -> (Vec<BlockRequest>, bool) {
+    const Z: usize = 5;
+    let layout = SubtreeLayout::fit_to_row(&cfg, Z);
+    let (mut issued, mut leaf) = (0u64, 0u64);
+    move |rng| {
+        let phase = issued % 3;
+        match phase {
+            0 => leaf = rng.below(1 << levels),
+            1 => leaf = (issued / 3).reverse_bits() >> (u64::BITS - levels),
+            _ => {}
+        }
+        issued += 1;
+        let leaf_bucket = (1u64 << levels) + leaf;
+        let reqs = (0..=levels)
+            .flat_map(|level| {
+                let base = layout.block_addr(leaf_bucket >> (levels - level), 0);
+                let is_write = phase == 2;
+                (0..Z as u64).map(move |slot| BlockRequest { addr: base + slot, is_write })
+            })
+            .collect();
+        (reqs, !(xor && phase == 0))
+    }
+}
+
+/// Compares every simulated output of the two models after a batch.
+fn assert_same_outputs(new: &DramSystem, old: &reference::System, ctx: &str) {
+    assert_eq!(new.stats(), merged_stats(&old.channels), "stats: {ctx}");
+    let energy =
+        old.channels.iter().fold(EnergyCounters::default(), |acc, ch| acc.merged(ch.energy));
+    assert_eq!(new.energy(), energy, "energy: {ctx}");
+    let util: Vec<ChannelUtilization> =
+        old.channels.iter().map(reference::Channel::utilization).collect();
+    assert_eq!(new.utilization(), util, "utilization: {ctx}");
+    let crit: Option<TxBreakdown> = old.last_batch_breakdown();
+    assert_eq!(new.last_batch_breakdown(), crit, "critical breakdown: {ctx}");
+}
+
+/// Drives `batches` batches of `traffic` (requests, whether reads hold
+/// the bus) through both models and compares every simulated output
+/// after each one. Returns the shipped model's final statistics.
 fn assert_models_agree(
     cfg: DramConfig,
     interleave: Interleave,
-    max_len: u64,
     batches: u32,
     seed: u64,
-) {
+    mut traffic: impl FnMut(&mut Rng64) -> (Vec<BlockRequest>, bool),
+) -> ChannelStats {
     let mut rng = Rng64::seed_from_u64(seed);
     let mut new = DramSystem::with_interleave(cfg, interleave).expect("valid geometry");
     let mut old = reference::System::new(cfg, interleave);
-    // About three rows per bank: hits, misses and conflicts all occur.
-    let blocks = (cfg.channels * cfg.ranks * cfg.banks * cfg.bursts_per_row() * 3) as u64;
     let mut now = 0i64;
     let mut finishes = Vec::new();
     let mut refreshes_mid_run = false;
     for batch in 0..batches {
-        let reqs = random_batch(&mut rng, blocks, max_len);
-        let occupy_bus = rng.gen_bool(0.7);
-        let ctx = format!("{cfg:?} {interleave:?} seed {seed} batch {batch} (n = {})", reqs.len());
+        let (reqs, occupy_bus) = traffic(&mut rng);
+        let ctx = format!(
+            "{cfg:?} {interleave:?} seed {seed} batch {batch} (n = {}, occupy_bus {occupy_bus})",
+            reqs.len()
+        );
 
         new.service_batch_into(now, &reqs, occupy_bus, &mut finishes);
         let expect = old.service_batch(now, &reqs, occupy_bus);
         assert_eq!(finishes, expect, "finishes: {ctx}");
-        assert_eq!(new.stats(), merged_stats(&old.channels), "stats: {ctx}");
-        let energy =
-            old.channels.iter().fold(EnergyCounters::default(), |acc, ch| acc.merged(ch.energy));
-        assert_eq!(new.energy(), energy, "energy: {ctx}");
-        let util: Vec<ChannelUtilization> =
-            old.channels.iter().map(reference::Channel::utilization).collect();
-        assert_eq!(new.utilization(), util, "utilization: {ctx}");
-        let crit: Option<TxBreakdown> = old.last_batch_breakdown();
-        assert_eq!(new.last_batch_breakdown(), crit, "critical breakdown: {ctx}");
+        assert_same_outputs(&new, &old, &ctx);
 
         refreshes_mid_run |= batch > 0 && new.stats().refreshes > 0;
         // Mostly back to back; sometimes an idle gap (several refresh
@@ -396,6 +447,7 @@ fn assert_models_agree(
     if cfg.trefi > 0 {
         assert!(refreshes_mid_run, "refresh never fired: {cfg:?}");
     }
+    new.stats()
 }
 
 #[test]
@@ -408,11 +460,153 @@ fn bitset_scheduler_matches_the_linear_scan_model() {
             for interleave in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
                 // Up to 300 requests on one channel: five bitset words.
                 let max_len = 300 * cfg.channels as u64;
-                assert_models_agree(cfg, interleave, max_len, 60, seed);
+                assert_models_agree(cfg, interleave, 60, seed, random_traffic(cfg, max_len));
                 // Path-sized batches, many of them: state carried far.
-                assert_models_agree(cfg, interleave, 90, 300, seed + 1);
+                assert_models_agree(cfg, interleave, 300, seed + 1, random_traffic(cfg, 90));
                 seed += 2;
             }
+        }
+    }
+}
+
+#[test]
+fn oram_path_sequences_match_the_linear_scan_model() {
+    // What the engine issues, where nearly every block is a row hit —
+    // half of them the moment they arrive — at the scaled and the paper's
+    // depth, with refresh off, inside most drains, and at the DDR3 rate.
+    let mut seed = 0x0A7B_0001;
+    for cfg in [two_channel(0), two_channel(350), DramConfig::ddr3_1333(), one_channel(350)] {
+        for (levels, accesses) in [(14, 400), (24, 150)] {
+            for xor in [false, true] {
+                let stats = assert_models_agree(
+                    cfg,
+                    Interleave::RowRankBankColChan,
+                    3 * accesses,
+                    seed,
+                    path_traffic(cfg, levels, xor),
+                );
+                let served = stats.row_hits + stats.row_misses + stats.row_conflicts;
+                assert_eq!(served, u64::from(3 * accesses * (levels + 1) * 5));
+                // The layout's point; frequent refresh costs a few hits.
+                assert!(stats.row_hits * 10 > served * 8, "{cfg:?} L = {levels}: {stats:?}");
+                seed += 1;
+            }
+        }
+    }
+}
+
+/// Block address of `(channel, rank, bank, row, column)` under
+/// [`Interleave::RowRankBankColChan`].
+fn encode(cfg: &DramConfig, loc: Location) -> u64 {
+    let mut a = loc.row;
+    a = a * cfg.ranks as u64 + loc.rank as u64;
+    a = a * cfg.banks as u64 + loc.bank as u64;
+    a = a * cfg.bursts_per_row() as u64 + loc.column as u64;
+    a * cfg.channels as u64 + loc.channel as u64
+}
+
+#[test]
+fn refresh_edges_match_the_linear_scan_model() {
+    // One channel, two ranks, first refresh of both ranks due at 1000.
+    let cfg = DramConfig { trefi: 1000, ..one_channel(0) };
+    let at = |rank, bank, row, column| {
+        let loc = Location { channel: 0, rank, bank, row, column };
+        let addr = encode(&cfg, loc);
+        assert_eq!(AddressMapping::new(&cfg, Interleave::RowRankBankColChan).decode(addr), loc);
+        addr
+    };
+    let read = |rank, bank, row, column| BlockRequest::read(at(rank, bank, row, column));
+    let write = |rank, bank, row, column| BlockRequest::write(at(rank, bank, row, column));
+    // Opens row 3 of bank 0 in either rank and row 5 of rank 0's bank 1,
+    // done long before the refresh.
+    let warm_up = vec![read(0, 0, 3, 0), read(1, 0, 3, 0), read(0, 1, 5, 0)];
+    // Its first block would hit rank 0's open row; then a hit in the
+    // other rank, a conflict with followers, more hits behind them.
+    let mixed = vec![
+        read(0, 0, 3, 1),
+        read(1, 0, 3, 1),
+        write(0, 1, 6, 0),
+        write(0, 1, 6, 1),
+        read(0, 0, 3, 2),
+        read(1, 0, 3, 2),
+        read(1, 2, 9, 0),
+    ];
+    let rank0_only = vec![read(0, 0, 3, 1), read(0, 1, 5, 1), read(0, 0, 4, 0), read(0, 0, 3, 2)];
+    let rank1_only = vec![read(1, 0, 3, 1), read(1, 0, 3, 2)];
+
+    struct Case {
+        name: &'static str,
+        /// Batches after the warm-up, each with its arrival cycle.
+        batches: Vec<(i64, Vec<BlockRequest>)>,
+        /// Refreshes performed and row hits scored by the end.
+        refreshes: u64,
+        row_hits: u64,
+    }
+    let cases = [
+        Case {
+            name: "one cycle before the deadline: nothing is due, open rows hit on arrival",
+            batches: vec![(999, mixed.clone())],
+            refreshes: 0,
+            row_hits: 5,
+        },
+        Case {
+            name: "now == refresh_due: both ranks refresh in one drain, the first block's row gone",
+            batches: vec![(1000, mixed.clone())],
+            refreshes: 2,
+            row_hits: 3,
+        },
+        Case {
+            name: "one cycle past the deadline",
+            batches: vec![(1001, mixed.clone())],
+            refreshes: 2,
+            row_hits: 3,
+        },
+        Case {
+            name: "three intervals overdue",
+            batches: vec![(3005, mixed.clone())],
+            refreshes: 6,
+            row_hits: 3,
+        },
+        Case {
+            name: "the due rank is not the one the batch touches first",
+            batches: vec![(1000, rank1_only.iter().chain(&rank0_only).copied().collect())],
+            refreshes: 2,
+            row_hits: 2,
+        },
+        Case {
+            name: "a rank left due by one batch refreshes in a later one",
+            batches: vec![
+                (1000, rank0_only.clone()),
+                (1200, rank0_only.clone()),
+                (1400, rank1_only.clone()),
+                (1500, mixed.clone()),
+            ],
+            refreshes: 2,
+            row_hits: 2 + 2 + 1 + 5,
+        },
+        Case {
+            name: "an empty batch at the deadline refreshes nothing and resets the breakdown",
+            batches: vec![(1000, vec![]), (1000, mixed.clone())],
+            refreshes: 2,
+            row_hits: 3,
+        },
+    ];
+    for case in cases {
+        for occupy_bus in [true, false] {
+            let ctx = format!("{} (occupy_bus {occupy_bus})", case.name);
+            let mut new = DramSystem::new(cfg).unwrap();
+            let mut old = reference::System::new(cfg, Interleave::RowRankBankColChan);
+            let done = new.service_batch_with(0, &warm_up, occupy_bus);
+            assert_eq!(done, old.service_batch(0, &warm_up, occupy_bus), "warm-up: {ctx}");
+            assert!(done.iter().all(|&f| f < 100), "warm-up ran into the deadline: {done:?}");
+            for (now, reqs) in &case.batches {
+                let got = new.service_batch_with(*now, reqs, occupy_bus);
+                assert_eq!(got, old.service_batch(*now, reqs, occupy_bus), "finishes: {ctx}");
+                assert_same_outputs(&new, &old, &ctx);
+                assert_eq!(new.last_batch_breakdown().is_none(), reqs.is_empty(), "{ctx}");
+            }
+            assert_eq!(new.stats().refreshes, case.refreshes, "{ctx}");
+            assert_eq!(new.stats().row_hits, case.row_hits, "{ctx}");
         }
     }
 }
