@@ -209,7 +209,8 @@ pub(crate) fn uniform_when_sampled(
 }
 
 /// Runs a full trace audit of one (config, workload) pair: structural
-/// check, leaf uniformity, and the stash bound.
+/// check, the stash bound, the controller's own invariants after the
+/// run, and leaf uniformity.
 fn audit_one(
     report: &mut AuditReport,
     case: String,
@@ -237,6 +238,10 @@ fn audit_one(
             format!("stash peaked at {max_live} blocks, capacity {}", cfg.stash_capacity),
             window_of(&events),
         );
+        return;
+    }
+    if let Err(e) = ctl.check_invariants() {
+        report.fail(case, format!("protocol invariant: {e}"), window_of(&events));
         return;
     }
     match leaf_uniformity(&summary.leaves, cfg.levels) {

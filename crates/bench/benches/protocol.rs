@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the ORAM protocol layer: controller access
-//! throughput per duplication policy, stash primitives, what it costs to
-//! build and drop a controller or an engine — and a hard zero-allocation
-//! check over the steady-state access loop.
+//! throughput per duplication policy and at the two shapes `repro serve`
+//! is benchmarked at, stash primitives, what it costs to build and drop
+//! a controller or an engine — and a hard zero-allocation check over the
+//! steady-state access loop.
 //!
 //! Run with `cargo bench --bench protocol`. The allocation checks exit
 //! non-zero if the hot loop ever touches the heap again, or if building
@@ -14,6 +15,8 @@ use oram_protocol::{
     Stash,
 };
 use oram_sim::{Engine, SystemConfig};
+use oram_util::Rng64;
+use oram_workloads::ZipfianSampler;
 use std::hint::black_box;
 
 #[global_allocator]
@@ -52,6 +55,17 @@ fn prefilled(cfg: OramConfig, working_set: u64) -> (OramController, impl FnMut()
         BlockAddr::new(if step % 4 == 0 { i % 96 } else { i })
     };
     (ctl, next)
+}
+
+/// Runs `hot_loop` (10k accesses) and reports whether it stayed off the
+/// heap, as the gate line `name`.
+fn zero_alloc_gate(name: &str, hot_loop: impl FnOnce()) -> bool {
+    let before = ALLOC.allocations();
+    hot_loop();
+    let delta = ALLOC.allocations() - before;
+    let verdict = if delta == 0 { "OK" } else { "FAIL" };
+    println!("{name:<40} {delta:>6} allocs in 10k accesses  [{verdict}]");
+    delta == 0
 }
 
 fn controller_access() {
@@ -115,19 +129,15 @@ fn steady_state_allocation_check() -> bool {
             for _ in 0..4000 {
                 black_box(ctl.access(Request::read(next())));
             }
-            let before = ALLOC.allocations();
-            for step in 0..10_000u64 {
-                match step % 5 {
-                    0 => black_box(ctl.access(Request::write(next(), step))),
-                    4 => black_box(ctl.dummy_access()),
-                    _ => black_box(ctl.access(Request::read(next()))),
-                };
-            }
-            let delta = ALLOC.allocations() - before;
-            let verdict = if delta == 0 { "OK" } else { "FAIL" };
-            let gate = format!("steady_state_allocs/{geometry}/{name}");
-            println!("{gate:<40} {delta:>6} allocs in 10k accesses  [{verdict}]");
-            ok &= delta == 0;
+            ok &= zero_alloc_gate(&format!("steady_state_allocs/{geometry}/{name}"), || {
+                for step in 0..10_000u64 {
+                    match step % 5 {
+                        0 => black_box(ctl.access(Request::write(next(), step))),
+                        4 => black_box(ctl.dummy_access()),
+                        _ => black_box(ctl.access(Request::read(next()))),
+                    };
+                }
+            });
         }
     }
     ok
@@ -151,21 +161,16 @@ fn recursive_plb_hit_allocation_check() -> bool {
         i = (i + 17) % 64;
         black_box(ctl.access(Request::read(BlockAddr::new(i))));
     }
-    let before = ALLOC.allocations();
-    for step in 0..10_000u64 {
-        i = (i + 17) % 64;
-        match step % 5 {
-            0 => black_box(ctl.access(Request::write(BlockAddr::new(i), step))),
-            4 => black_box(ctl.dummy_access()),
-            _ => black_box(ctl.access(Request::read(BlockAddr::new(i)))),
-        };
-    }
-    let delta = ALLOC.allocations() - before;
-    let verdict = if delta == 0 { "OK" } else { "FAIL" };
-    println!(
-        "steady_state_allocs/recursive_plb_hit {delta:>6} allocs in 10k accesses  [{verdict}]"
-    );
-    delta == 0
+    zero_alloc_gate("steady_state_allocs/recursive_plb_hit", || {
+        for step in 0..10_000u64 {
+            i = (i + 17) % 64;
+            match step % 5 {
+                0 => black_box(ctl.access(Request::write(BlockAddr::new(i), step))),
+                4 => black_box(ctl.dummy_access()),
+                _ => black_box(ctl.access(Request::read(BlockAddr::new(i)))),
+            };
+        }
+    })
 }
 
 /// Most allocator calls one build may make, at any depth. A tree is one
@@ -174,17 +179,57 @@ fn recursive_plb_hit_allocation_check() -> bool {
 /// steps of whatever a 1024-block prefill fills.
 const CONSTRUCT_ALLOC_CAP: u64 = 256;
 
-/// Build + drop, timed and allocation-gated: the controller alone and
-/// the engine with a 1024-block prefill, at the `fig17`/`serve_flat`
-/// shape (L=14, flat position map) and the `serve_recursive` one (L=18,
-/// a level tree per recursion level on top of the data tree).
-fn construct() -> bool {
-    println!("-- construct: build + drop --");
+/// The `fig17`/`serve_flat` shape (L=14, flat position map) and the
+/// `serve_recursive` one (L=18, a level tree per recursion level on top
+/// of the data tree), both Tiny ORAM.
+fn serve_shapes() -> (SystemConfig, SystemConfig) {
     let mut flat = SystemConfig::scaled_default();
     flat.oram.levels = 14;
     let mut recursive = SystemConfig::scaled_default();
     recursive.oram.levels = 18;
     recursive.oram.posmap = PosMapSelect::Recursive { onchip_kb: 1 };
+    (flat, recursive)
+}
+
+/// The controller alone at the two serve shapes, over the prefilled
+/// working sets `repro serve` gives them: Zipf (θ = 0.99) addresses, 30 %
+/// writes. Most buckets of these paths are empty — 1024 and 8192 blocks
+/// under 2^14 and 2^18 leaves — which is what the tree store's vacancy
+/// bit is for. Allocation-gated like the loops above, chain walks of the
+/// recursive map included.
+fn serve_shape_access() -> bool {
+    println!("-- controller at the serve shapes --");
+    let (flat, recursive) = serve_shapes();
+    let mut ok = true;
+    for (name, cfg, blocks) in
+        [("l18_recursive_tiny", recursive.oram, 8192u64), ("l14_serve_shape", flat.oram, 1024)]
+    {
+        let mut ctl = OramController::new(cfg).unwrap();
+        ctl.prefill((0..blocks).map(|a| (BlockAddr::new(a), a)));
+        let mut zipf = ZipfianSampler::new(blocks, 0.99, 0x5E7E);
+        let mut rng = Rng64::seed_from_u64(0x5E7E);
+        let mut step = 0u64;
+        let mut next = move || {
+            step += 1;
+            let addr = BlockAddr::new(zipf.sample());
+            if rng.gen_bool(0.3) { Request::write(addr, step) } else { Request::read(addr) }
+        };
+        let r = bench(&format!("controller/{name}"), 20, 2000, || black_box(ctl.access(next())));
+        println!("{r}");
+        ok &= zero_alloc_gate(&format!("steady_state_allocs/{name}"), || {
+            for _ in 0..10_000 {
+                black_box(ctl.access(next()));
+            }
+        });
+    }
+    ok
+}
+
+/// Build + drop, timed and allocation-gated: the controller alone and
+/// the engine with a 1024-block prefill, at the two serve shapes.
+fn construct() -> bool {
+    println!("-- construct: build + drop --");
+    let (flat, recursive) = serve_shapes();
     let mut ok = true;
     for (shape, sys) in [("L14_flat", flat), ("L18_recursive", recursive)] {
         let builds: [(&str, &dyn Fn()); 2] = [
@@ -214,13 +259,14 @@ fn construct() -> bool {
 
 fn main() {
     controller_access();
+    let mut steady = serve_shape_access();
     stash_ops();
     eviction_path();
     let built_flat = construct();
     if !built_flat {
         eprintln!("building a controller or an engine allocated per bucket — tree arena regression");
     }
-    let mut steady = steady_state_allocation_check();
+    steady &= steady_state_allocation_check();
     steady &= recursive_plb_hit_allocation_check();
     if !steady {
         eprintln!("steady-state ORAM access loop allocated — zero-allocation regression");

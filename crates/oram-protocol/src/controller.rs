@@ -185,6 +185,9 @@ pub struct OramController {
     /// Reusable root→leaf path buffer: after the first access it is a
     /// `path_into` refill, never a fresh allocation.
     path_buf: Vec<BucketId>,
+    /// Reusable `Z`-block scratch the eviction write half composes each
+    /// bucket in before handing it to [`OramTree::write_bucket`].
+    bucket_buf: Vec<Block>,
     /// Off-chip bucket reads per tree level (index = level, `levels + 1`
     /// entries) — the bucket-touch heatmap's read axis. Preallocated, so
     /// the hot path only increments.
@@ -237,6 +240,7 @@ impl OramController {
             stats: OramStats::default(),
             trace: TraceRecorder::new(cfg.record_trace),
             path_buf: Vec::with_capacity(cfg.levels as usize + 1),
+            bucket_buf: vec![Block::DUMMY; cfg.z],
             level_reads: vec![0; cfg.levels as usize + 1],
             level_writes: vec![0; cfg.levels as usize + 1],
             dup_queues: DupQueues::new(shape, cfg.stash_capacity + shape.blocks_per_path()),
@@ -279,8 +283,21 @@ impl OramController {
 
     #[inline]
     fn tl_count(&self, id: MetricId, delta: u64) {
-        if let Some(t) = &self.telemetry {
-            t.lock().expect("telemetry poisoned").count(id, delta);
+        self.tl_counts(&[(id, delta)]);
+    }
+
+    /// Reports several counters under one lock of the sink — a path
+    /// phase accumulates its per-slot events in locals and calls this
+    /// once. Zero deltas are not reported.
+    #[inline]
+    fn tl_counts(&self, deltas: &[(MetricId, u64)]) {
+        let Some(t) = &self.telemetry else { return };
+        if deltas.iter().all(|&(_, delta)| delta == 0) {
+            return;
+        }
+        let mut sink = t.lock().expect("telemetry poisoned");
+        for &(id, delta) in deltas.iter().filter(|d| d.1 != 0) {
+            sink.count(id, delta);
         }
     }
 
@@ -449,9 +466,11 @@ impl OramController {
             let before = self.hot.stats();
             self.hot.observe(req.addr);
             let after = self.hot.stats();
-            self.tl_count(MetricId::HotCacheHit, after.hits - before.hits);
-            self.tl_count(MetricId::HotCacheMiss, after.misses - before.misses);
-            self.tl_count(MetricId::HotCacheEvict, after.evictions - before.evictions);
+            self.tl_counts(&[
+                (MetricId::HotCacheHit, after.hits - before.hits),
+                (MetricId::HotCacheMiss, after.misses - before.misses),
+                (MetricId::HotCacheEvict, after.evictions - before.evictions),
+            ]);
         }
         self.note_request_for_dynamic(true);
 
@@ -492,9 +511,11 @@ impl OramController {
             let before = self.posmap.plb_stats();
             let e = self.posmap.lookup_or_assign(req.addr, &mut self.rng);
             let after = self.posmap.plb_stats();
-            self.tl_count(MetricId::PlbHit, after.hits - before.hits);
-            self.tl_count(MetricId::PlbMiss, after.misses - before.misses);
-            self.tl_count(MetricId::PlbEvict, after.evictions - before.evictions);
+            self.tl_counts(&[
+                (MetricId::PlbHit, after.hits - before.hits),
+                (MetricId::PlbMiss, after.misses - before.misses),
+                (MetricId::PlbEvict, after.evictions - before.evictions),
+            ]);
             e
         };
         let leaf = entry.label;
@@ -649,6 +670,8 @@ impl OramController {
         // treetop), so early-exit bookkeeping can't skew it.
         let dram_levels = path.len() - (treetop as usize).min(path.len());
         let blocks_in_path = dram_levels * z;
+        // Per-slot telemetry events of this phase, reported once below.
+        let (mut stale, mut shadow_pulls) = (0u64, 0u64);
 
         self.emit(BusEvent::PhaseStart(BusPhase::ReadOnly));
         for (level, &bid) in path.iter().enumerate() {
@@ -657,6 +680,14 @@ impl OramController {
                 self.trace.record(bid, false);
                 self.level_reads[level] += 1;
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
+            }
+            // The bus has seen the bucket read; a vacant bucket has
+            // nothing to decode, and its memory stays untouched.
+            if !self.tree.is_occupied(bid) {
+                if !on_chip {
+                    dram_index += z;
+                }
+                continue;
             }
             for slot in 0..z {
                 let blk = self.tree.slot(bid, slot);
@@ -669,8 +700,7 @@ impl OramController {
                 }
                 // Stale-copy invalidation (version or label mismatch).
                 if !self.is_current_copy(&blk) {
-                    self.stats.stale_discarded += 1;
-                    self.tl_count(MetricId::StaleDiscarded, 1);
+                    stale += 1;
                     continue;
                 }
                 // Algorithm 2 inserts "real or shadow" blocks. Tiny ORAM's
@@ -684,9 +714,7 @@ impl OramController {
                 // next eviction. The requested block itself is promoted to
                 // a live resident (and remapped) after the loop.
                 if blk.is_shadow() || Some(blk.addr) == req.map(|r| r.addr) {
-                    if blk.is_shadow() {
-                        self.tl_count(MetricId::ShadowStashPull, 1);
-                    }
+                    shadow_pulls += u64::from(blk.is_shadow());
                     self.stash.insert(blk);
                 }
                 // Forward the requested data on its first current copy.
@@ -707,6 +735,11 @@ impl OramController {
         }
 
         self.emit(BusEvent::PhaseEnd(BusPhase::ReadOnly));
+        self.stats.stale_discarded += stale;
+        self.tl_counts(&[
+            (MetricId::StaleDiscarded, stale),
+            (MetricId::ShadowStashPull, shadow_pulls),
+        ]);
         let phase = PathPhase::new(PhaseKind::ReadOnly, leaf, self.shape, treetop);
 
         // Post-processing for a real request: apply the op, remap, promote.
@@ -853,7 +886,6 @@ impl OramController {
     /// (Algorithm 1).
     fn evict(&mut self) -> (PathPhase, PathPhase) {
         self.stats.evictions += 1;
-        self.tl_count(MetricId::Evictions, 1);
         self.tl_sample(MetricId::StashOccupancy, self.stash.live() as u64);
         let leaf = self.eviction_order.next_leaf();
         let z = self.cfg.z;
@@ -862,6 +894,7 @@ impl OramController {
         self.shape.path_into(leaf, &mut path);
 
         // ---- Read half: pull every current block on the path live. ----
+        let (mut stale, mut shadow_pulls) = (0u64, 0u64);
         self.emit(BusEvent::PhaseStart(BusPhase::EvictionRead));
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
@@ -870,14 +903,16 @@ impl OramController {
                 self.level_reads[level] += 1;
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
+            if !self.tree.is_occupied(bid) {
+                continue;
+            }
             for slot in 0..z {
                 let blk = self.tree.slot(bid, slot);
                 if blk.is_dummy() {
                     continue;
                 }
                 if !self.is_current_copy(&blk) {
-                    self.stats.stale_discarded += 1;
-                    self.tl_count(MetricId::StaleDiscarded, 1);
+                    stale += 1;
                     continue;
                 }
                 if blk.is_real() {
@@ -892,12 +927,18 @@ impl OramController {
                     self.stash.ensure_live(blk.addr);
                     self.posmap.set_site(blk.addr, RealCopySite::Stash);
                 } else {
-                    self.tl_count(MetricId::ShadowStashPull, 1);
+                    shadow_pulls += 1;
                     self.stash.insert(blk);
                 }
             }
         }
         self.emit(BusEvent::PhaseEnd(BusPhase::EvictionRead));
+        self.stats.stale_discarded += stale;
+        self.tl_counts(&[
+            (MetricId::Evictions, 1),
+            (MetricId::StaleDiscarded, stale),
+            (MetricId::ShadowStashPull, shadow_pulls),
+        ]);
 
         // ---- Write half: Algorithm 1, leaf to root. ----
         let policy = self.cfg.dup_policy;
@@ -944,6 +985,9 @@ impl OramController {
         // stash_blk_select, for the whole path at once: the live blocks
         // in the order the slots below take them.
         self.stash.plan_eviction(&self.shape, leaf);
+        let mut bucket = std::mem::take(&mut self.bucket_buf);
+        let (mut rd_shadows, mut hd_shadows, mut recirculated, mut dummies) =
+            (0u64, 0u64, 0u64, 0u64);
         for (level_idx, &bid) in path.iter().enumerate().rev() {
             if self.skip_rewrite(level_idx, path.len()) {
                 continue;
@@ -954,8 +998,8 @@ impl OramController {
                 self.trace.record(bid, true);
             }
             let scheme = scheme_for_slot(policy, partition_level, level);
-            for slot in 0..z {
-                let new_block = if let Some(blk) = self.stash.pop_planned(level) {
+            for slot in bucket.iter_mut() {
+                *slot = if let Some(blk) = self.stash.pop_planned(level) {
                     self.posmap.set_site(blk.addr, RealCopySite::Tree { level });
                     self.stats.real_blocks_written += 1;
                     // Freshly written blocks become duplication candidates
@@ -971,25 +1015,34 @@ impl OramController {
                     match self.dup_queues.select(scheme, level, self.cfg.chain_duplication) {
                         Some(c) => {
                             if scheme == SlotScheme::Rd {
-                                self.stats.rd_shadows_written += 1;
-                                self.tl_count(MetricId::RdShadowWritten, 1);
+                                rd_shadows += 1;
                             } else {
-                                self.stats.hd_shadows_written += 1;
-                                self.tl_count(MetricId::HdShadowWritten, 1);
+                                hd_shadows += 1;
                             }
-                            if c.recirculated {
-                                self.stats.recirculated_shadows += 1;
-                                self.tl_count(MetricId::RecirculatedShadow, 1);
-                            }
+                            recirculated += u64::from(c.recirculated);
                             c.to_shadow_block()
                         }
-                        None => self.dummy_write(),
+                        None => {
+                            dummies += 1;
+                            Block::DUMMY
+                        }
                     }
                 };
-                self.tree.set_slot(bid, slot, new_block);
             }
+            self.tree.write_bucket(bid, &bucket);
         }
         self.path_buf = path;
+        self.bucket_buf = bucket;
+        self.stats.rd_shadows_written += rd_shadows;
+        self.stats.hd_shadows_written += hd_shadows;
+        self.stats.recirculated_shadows += recirculated;
+        self.stats.dummy_blocks_written += dummies;
+        self.tl_counts(&[
+            (MetricId::RdShadowWritten, rd_shadows),
+            (MetricId::HdShadowWritten, hd_shadows),
+            (MetricId::RecirculatedShadow, recirculated),
+            (MetricId::DummyBlockWritten, dummies),
+        ]);
 
         // The write loop above fills leaf-first, but the DRAM write order
         // is the controller's choice: the phase describes it root-side
@@ -999,12 +1052,6 @@ impl OramController {
             PathPhase::new(PhaseKind::EvictionRead, leaf, self.shape, treetop),
             PathPhase::new(PhaseKind::EvictionWrite, leaf, self.shape, treetop),
         )
-    }
-
-    fn dummy_write(&mut self) -> Block {
-        self.stats.dummy_blocks_written += 1;
-        self.tl_count(MetricId::DummyBlockWritten, 1);
-        Block::DUMMY
     }
 
     fn current_partition_level(&self) -> u32 {
@@ -1022,12 +1069,16 @@ impl OramController {
     /// Checks the Path ORAM invariant for every current block: the live
     /// copy of each address is either in the stash or on the path to its
     /// label, and every current shadow sits strictly root-ward of its real
-    /// copy. O(tree); test/diagnostic use only.
+    /// copy; that the tree store flags a bucket occupied iff it holds a
+    /// block ([`OramTree::check_occupancy`]); and the same of every ORAM
+    /// of a recursive position map. O(tree); test/diagnostic use only.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.tree.check_occupancy()?;
+        self.posmap.check_invariants()?;
         let shape = self.shape;
         for raw in 1..=shape.bucket_count() {
             let bid = BucketId::new(raw);

@@ -185,6 +185,17 @@ pub trait PosMapBackend: std::fmt::Debug + Send {
     fn chain_levels(&self) -> u16 {
         0
     }
+
+    /// Runs [`crate::OramController::check_invariants`] on every ORAM a
+    /// backend is itself made of (none for flat backends). O(those
+    /// trees); test/diagnostic use only.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    fn check_invariants(&self) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 /// Builds the position-map backend selected by `cfg.posmap` for a data

@@ -343,6 +343,13 @@ impl PosMapBackend for RecursivePosMap {
     fn chain_levels(&self) -> u16 {
         self.levels.len() as u16
     }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        for (i, level) in self.levels.iter().enumerate() {
+            level.ctl.check_invariants().map_err(|e| format!("posmap level {}: {e}", i + 1))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

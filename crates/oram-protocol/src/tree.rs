@@ -301,19 +301,32 @@ fn unpack(w: &Word) -> Block {
     }
 }
 
+/// Whether every word of a bucket's range is the dummy word.
+#[inline]
+fn all_dummy(words: &[Word]) -> bool {
+    words.iter().all(|w| *w == [0; 4])
+}
+
 /// Physical storage behind [`OramTree`]: every slot of the tree in one
 /// allocation, a bucket being the index range `base .. base + Z`.
+///
+/// Both variants maintain one property: a bucket is *occupied* iff some
+/// word of its range is non-zero, i.e. iff it holds a block. A vacant
+/// bucket reads as all-dummy *without touching its words*, and an
+/// all-dummy write onto one stores nothing — so memory no block ever
+/// lived in is never faulted in, and a bucket a block has left stops
+/// costing anything again.
 #[derive(Debug, Clone)]
 enum SlotStore {
     /// All `slot_count()` words; bucket `raw` starts at `(raw − 1) · Z`.
-    /// Bit `raw` of `written` is set once the bucket has been written: a
-    /// bucket that never was reads as all-dummy *without touching its
-    /// words*, so a read cannot fault in a page that a later write would
-    /// only have to fault in again.
-    Dense { words: Vec<Word>, written: Vec<u64> },
-    /// Only the buckets written so far, appended to `words` in first-
-    /// write order; a bucket absent from `base` reads as all-dummy.
-    Sparse { base: DetHashMap<u64, usize>, words: Vec<Word> },
+    /// Bit `raw` of `occupied` is set iff the bucket is occupied.
+    Dense { words: Vec<Word>, occupied: Vec<u64> },
+    /// Only the occupied buckets: `base` maps each to its range of
+    /// `words`. A bucket that empties leaves `base` and its (zeroed)
+    /// range goes on `free`, to be handed to the next bucket that fills
+    /// before `words` grows — the arena tracks the working set, not the
+    /// number of buckets the run has ever passed through.
+    Sparse { base: DetHashMap<u64, usize>, words: Vec<Word>, free: Vec<usize> },
 }
 
 /// The ORAM tree storage: geometry plus the slot arena.
@@ -331,17 +344,17 @@ impl OramTree {
     /// Creates an all-dummy tree of the given shape in O(1): trees up to
     /// [`DENSE_BUCKET_LIMIT`] buckets reserve one zeroed arena whose
     /// pages are first touched when a block is written to them; deeper
-    /// trees store only the buckets that are actually written, so a
+    /// trees store only the buckets that hold a block, so a
     /// 2^30-address domain costs memory proportional to the working
     /// set, not the tree.
     pub fn new(shape: TreeShape) -> Self {
         let store = if shape.bucket_count() <= DENSE_BUCKET_LIMIT {
             SlotStore::Dense {
                 words: vec![[0u64; 4]; shape.slot_count() as usize],
-                written: vec![0; shape.bucket_count() as usize / 64 + 1],
+                occupied: vec![0; shape.bucket_count() as usize / 64 + 1],
             }
         } else {
-            SlotStore::Sparse { base: DetHashMap::default(), words: Vec::new() }
+            SlotStore::Sparse { base: DetHashMap::default(), words: Vec::new(), free: Vec::new() }
         };
         OramTree { shape, store }
     }
@@ -351,18 +364,56 @@ impl OramTree {
         self.shape
     }
 
-    /// Arena index of slot 0 of bucket `id`; `None` for a bucket that was
-    /// never written (it reads as all-dummy).
+    /// Arena index of slot 0 of bucket `id`; `None` for a vacant bucket
+    /// (it reads as all-dummy).
     #[inline]
     fn base_of(&self, id: BucketId) -> Option<usize> {
         assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
         match &self.store {
-            SlotStore::Dense { written, .. } => {
+            SlotStore::Dense { occupied, .. } => {
                 let raw = id.raw() as usize;
-                (written[raw / 64] >> (raw % 64) & 1 == 1)
+                (occupied[raw / 64] >> (raw % 64) & 1 == 1)
                     .then(|| (raw - 1) * self.shape.slots_per_bucket)
             }
             SlotStore::Sparse { base, .. } => base.get(&id.raw()).copied(),
+        }
+    }
+
+    /// Marks bucket `id` occupied and returns the arena index of its
+    /// slot 0. A vacant sparse bucket gets an all-dummy range, recycled
+    /// from the free list when there is one.
+    #[inline]
+    fn claim(&mut self, id: BucketId) -> usize {
+        let z = self.shape.slots_per_bucket;
+        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
+        match &mut self.store {
+            SlotStore::Dense { occupied, .. } => {
+                let raw = id.raw() as usize;
+                occupied[raw / 64] |= 1 << (raw % 64);
+                (raw - 1) * z
+            }
+            SlotStore::Sparse { base, words, free } => {
+                *base.entry(id.raw()).or_insert_with(|| {
+                    free.pop().unwrap_or_else(|| {
+                        words.resize(words.len() + z, [0; 4]);
+                        words.len() - z
+                    })
+                })
+            }
+        }
+    }
+
+    /// Marks the occupied bucket `id`, whose words the caller has just
+    /// zeroed, vacant.
+    fn vacate(&mut self, id: BucketId) {
+        match &mut self.store {
+            SlotStore::Dense { occupied, .. } => {
+                let raw = id.raw() as usize;
+                occupied[raw / 64] &= !(1 << (raw % 64));
+            }
+            SlotStore::Sparse { base, free, .. } => {
+                free.extend(base.remove(&id.raw()));
+            }
         }
     }
 
@@ -370,6 +421,23 @@ impl OramTree {
         match &self.store {
             SlotStore::Dense { words, .. } | SlotStore::Sparse { words, .. } => words,
         }
+    }
+
+    fn words_mut(&mut self) -> &mut [Word] {
+        match &mut self.store {
+            SlotStore::Dense { words, .. } | SlotStore::Sparse { words, .. } => words,
+        }
+    }
+
+    /// Whether bucket `id` holds a block. `false` means every slot reads
+    /// [`Block::DUMMY`], answered without touching the bucket's memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket is outside the tree.
+    #[inline]
+    pub fn is_occupied(&self, id: BucketId) -> bool {
+        self.base_of(id).is_some()
     }
 
     /// The block in slot `i` of bucket `id`.
@@ -383,8 +451,8 @@ impl OramTree {
         self.base_of(id).map_or(Block::DUMMY, |at| unpack(&self.words()[at + i]))
     }
 
-    /// Overwrites slot `i` of bucket `id` (materializing the bucket when
-    /// sparse).
+    /// Overwrites slot `i` of bucket `id`. A dummy into a vacant bucket
+    /// is a no-op; a dummy that empties an occupied bucket vacates it.
     ///
     /// # Panics
     ///
@@ -393,22 +461,42 @@ impl OramTree {
     pub fn set_slot(&mut self, id: BucketId, i: usize, block: Block) {
         let z = self.shape.slots_per_bucket;
         assert!(i < z, "slot index out of range");
-        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
-        let (words, at) = match &mut self.store {
-            SlotStore::Dense { words, written } => {
-                let raw = id.raw() as usize;
-                written[raw / 64] |= 1 << (raw % 64);
-                (words, (raw - 1) * z)
+        if block.is_dummy() {
+            let Some(at) = self.base_of(id) else { return };
+            self.words_mut()[at + i] = [0; 4];
+            if all_dummy(&self.words()[at..at + z]) {
+                self.vacate(id);
             }
-            SlotStore::Sparse { base, words } => {
-                let at = *base.entry(id.raw()).or_insert_with(|| {
-                    words.resize(words.len() + z, [0; 4]);
-                    words.len() - z
-                });
-                (words, at)
+        } else {
+            let at = self.claim(id);
+            self.words_mut()[at + i] = pack(block);
+        }
+    }
+
+    /// Overwrites all `Z` slots of bucket `id` — what an eviction does
+    /// to each bucket of its path. All-dummy onto a vacant bucket does
+    /// nothing at all (no store, no page touched, no sparse entry);
+    /// all-dummy onto an occupied one zeroes its words and vacates it;
+    /// anything else stores `Z` words and marks it occupied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks.len() != Z` or the bucket is outside the tree.
+    #[inline]
+    pub fn write_bucket(&mut self, id: BucketId, blocks: &[Block]) {
+        let z = self.shape.slots_per_bucket;
+        assert_eq!(blocks.len(), z, "a bucket is written Z blocks at a time");
+        if blocks.iter().all(Block::is_dummy) {
+            if let Some(at) = self.base_of(id) {
+                self.words_mut()[at..at + z].fill([0; 4]);
+                self.vacate(id);
             }
-        };
-        words[at + i] = pack(block);
+        } else {
+            let at = self.claim(id);
+            for (w, b) in self.words_mut()[at..at + z].iter_mut().zip(blocks) {
+                *w = pack(*b);
+            }
+        }
     }
 
     /// Copies bucket `id` into `out`, for callers that need a whole
@@ -446,6 +534,75 @@ impl OramTree {
     /// (diagnostics only — O(size of tree)).
     pub fn shadow_block_count(&self) -> usize {
         self.count_kind(KIND_SHADOW)
+    }
+
+    /// Number of buckets that hold a block (diagnostics — O(buckets / 64)
+    /// dense, O(1) sparse).
+    pub fn occupied_buckets(&self) -> usize {
+        match &self.store {
+            SlotStore::Dense { occupied, .. } => {
+                occupied.iter().map(|w| w.count_ones() as usize).sum()
+            }
+            SlotStore::Sparse { base, .. } => base.len(),
+        }
+    }
+
+    /// Length of the slot arena in words (diagnostics). Fixed at
+    /// `slot_count()` for a dense tree; a sparse one grows it only when
+    /// a bucket fills while no vacated range is free.
+    pub fn arena_words(&self) -> usize {
+        self.words().len()
+    }
+
+    /// Checks the store's own invariant: a bucket is flagged occupied
+    /// (dense) or mapped (sparse) iff some word of it is non-zero, and a
+    /// sparse arena is exactly tiled by mapped and free ranges, none of
+    /// them both. O(size of tree); test/diagnostic use only.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation found.
+    pub fn check_occupancy(&self) -> Result<(), String> {
+        let z = self.shape.slots_per_bucket;
+        match &self.store {
+            SlotStore::Dense { words, occupied } => {
+                for (ix, bucket) in words.chunks_exact(z).enumerate() {
+                    let raw = ix + 1;
+                    let flagged = occupied[raw / 64] >> (raw % 64) & 1 == 1;
+                    if flagged == all_dummy(bucket) {
+                        return Err(format!(
+                            "bucket {raw}: occupied bit {flagged} but all-dummy {}",
+                            !flagged
+                        ));
+                    }
+                }
+            }
+            SlotStore::Sparse { base, words, free } => {
+                // Each range is claimed at most once, by the map or by
+                // the free list; together they cover the arena.
+                let mut owner = vec![false; words.len() / z];
+                let mapped = base.iter().map(|(&raw, &at)| (Some(raw), at));
+                for (raw, at) in mapped.chain(free.iter().map(|&at| (None, at))) {
+                    if at % z != 0 || at + z > words.len() {
+                        return Err(format!("arena range {at} is not a bucket of the arena"));
+                    }
+                    if std::mem::replace(&mut owner[at / z], true) {
+                        return Err(format!("arena range {at} is mapped or free twice"));
+                    }
+                    // A mapped range holds a block; a free one is zeroed.
+                    if raw.is_some() == all_dummy(&words[at..at + z]) {
+                        return Err(match raw {
+                            Some(raw) => format!("bucket {raw} is mapped but all-dummy"),
+                            None => format!("free arena range {at} holds a block"),
+                        });
+                    }
+                }
+                if let Some(lost) = owner.iter().position(|&o| !o) {
+                    return Err(format!("arena range {} is neither mapped nor free", lost * z));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

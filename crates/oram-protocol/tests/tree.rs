@@ -8,13 +8,14 @@
 //! whole controller runs at the benchmark's recursive shape (L = 18) to
 //! counters captured before the change.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use oram_protocol::{
     Block, BlockAddr, BlockKind, BucketId, DupPolicy, LeafLabel, OramConfig, OramController,
-    OramTree, PosMapSelect, Request, TreeShape,
+    OramTree, PhaseKind, PosMapSelect, Request, TreeShape,
 };
 use oram_util::Rng64;
+use oram_workloads::ZipfianSampler;
 
 /// One bucket of the reference store: its own `Vec` of `Z` blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,6 +93,16 @@ fn random_block(rng: &mut Rng64, shape: &TreeShape) -> Block {
     }
 }
 
+/// What a slot reads back after `blk` was stored in it.
+fn canonical(blk: Block) -> Block {
+    if blk.is_dummy() { Block::DUMMY } else { blk }
+}
+
+/// What the reference says [`OramTree::is_occupied`] must answer.
+fn holds_a_block(bucket: &Bucket) -> bool {
+    bucket.slots.iter().any(|b| !b.is_dummy())
+}
+
 fn drive_against_reference(levels: u32, z: usize, steps: u64) {
     let shape = TreeShape::new(levels, z);
     let mut rng = Rng64::seed_from_u64(0x7EE ^ u64::from(levels) << 8 ^ z as u64);
@@ -106,6 +117,10 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
         .map(|_| 1 + rng.below(shape.bucket_count()))
         .collect();
     let mut scratch = vec![Block::DUMMY; z];
+    // `write_bucket` calls seen, by case: all-dummy onto a vacant bucket,
+    // all-dummy onto an occupied one, mixed, full.
+    let mut bucket_writes = [0u64; 4];
+    let mut emptied_slot_by_slot = 0u64;
     for step in 0..steps {
         let raw = match rng.below(8) {
             0 => 1,
@@ -114,10 +129,56 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
             _ => pool[rng.below(pool.len() as u64) as usize],
         };
         let (id, slot) = (BucketId::new(raw), rng.below(z as u64) as usize);
-        if rng.below(3) != 0 {
-            let blk = random_block(&mut rng, &shape);
-            arena.set_slot(id, slot, blk);
-            reference.bucket_mut(id).slots[slot] = if blk.is_dummy() { Block::DUMMY } else { blk };
+        match rng.below(8) {
+            0..=2 => {
+                let blk = random_block(&mut rng, &shape);
+                arena.set_slot(id, slot, blk);
+                reference.bucket_mut(id).slots[slot] = canonical(blk);
+            }
+            3 | 4 => {
+                // A whole bucket at once, as the eviction write half does.
+                let fill = match rng.below(3) {
+                    0 => 0,
+                    1 => z,
+                    _ => rng.below(z as u64 + 1) as usize,
+                };
+                let blocks: Vec<Block> = (0..z)
+                    .map(|i| loop {
+                        let blk = random_block(&mut rng, &shape);
+                        if blk.is_dummy() == (i >= fill) {
+                            break blk;
+                        }
+                    })
+                    .collect();
+                let case = match fill {
+                    0 if !arena.is_occupied(id) => 0,
+                    0 => 1,
+                    f if f < z => 2,
+                    _ => 3,
+                };
+                bucket_writes[case] += 1;
+                let words_before = arena.arena_words();
+                arena.write_bucket(id, &blocks);
+                if case == 0 {
+                    assert_eq!(arena.arena_words(), words_before, "a vacant bucket stayed vacant");
+                }
+                reference.bucket_mut(id).slots = blocks.into_iter().map(canonical).collect();
+            }
+            5 => {
+                // Dummies slot by slot: the bucket is vacant exactly when
+                // the last block has gone.
+                for i in 0..z {
+                    arena.set_slot(id, i, Block::DUMMY);
+                    reference.bucket_mut(id).slots[i] = Block::DUMMY;
+                    assert_eq!(
+                        arena.is_occupied(id),
+                        holds_a_block(&reference.bucket(id)),
+                        "L={levels} Z={z} step {step} bucket {raw} after slot {i}"
+                    );
+                }
+                emptied_slot_by_slot += 1;
+            }
+            _ => {}
         }
         let want = reference.bucket(id);
         assert_eq!(
@@ -130,7 +191,31 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
             scratch, want.slots,
             "L={levels} Z={z} step {step} bucket {raw}"
         );
+        assert_eq!(
+            arena.is_occupied(id),
+            holds_a_block(&want),
+            "L={levels} Z={z} step {step} bucket {raw}"
+        );
+        assert_eq!(
+            arena.occupied_buckets(),
+            reference.buckets.values().filter(|b| holds_a_block(b)).count(),
+            "L={levels} Z={z} step {step}"
+        );
+        if step % 500 == 0 || levels <= 3 {
+            arena
+                .check_occupancy()
+                .unwrap_or_else(|e| panic!("L={levels} Z={z} step {step}: {e}"));
+            assert_eq!(arena.real_block_count(), reference.count(BlockKind::Real));
+            assert_eq!(arena.shadow_block_count(), reference.count(BlockKind::Shadow));
+        }
     }
+    // (A one-slot bucket has no mixed case.)
+    let each_case = bucket_writes.iter().enumerate().all(|(case, &n)| n > 20 || (case == 2 && z == 1));
+    assert!(
+        each_case && emptied_slot_by_slot > 20,
+        "L={levels} Z={z}: bucket writes by case {bucket_writes:?}, emptied {emptied_slot_by_slot}"
+    );
+    arena.check_occupancy().unwrap();
     assert_eq!(
         arena.real_block_count(),
         reference.count(BlockKind::Real),
@@ -147,6 +232,16 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
         assert_eq!(
             scratch, reference.buckets[&raw].slots,
             "L={levels} Z={z} bucket {raw}"
+        );
+    }
+    // A sparse arena holds the buckets that were occupied at once, not
+    // every bucket the run has written: vacated ranges were reused.
+    if arena.arena_words() != shape.slot_count() as usize {
+        assert!(
+            arena.arena_words() < reference.buckets.len() * z,
+            "L={levels} Z={z}: {} words for {} buckets ever written",
+            arena.arena_words(),
+            reference.buckets.len()
         );
     }
 }
@@ -195,6 +290,114 @@ fn every_slot_of_a_small_dense_tree_is_its_own() {
         }
     }
     assert_eq!(tree.real_block_count(), shape.slot_count() as usize);
+}
+
+/// FNV-1a over the `Debug` text of whatever a run produced.
+#[derive(Clone, Copy)]
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, item: &dyn std::fmt::Debug) {
+        for byte in format!("{item:?}|").bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// One row of the controller table: 1 200 seeded reads, writes and
+/// dummies (two fifths of them, so a dynamic partition moves) at L = 8 over a partly prefilled working set (the rest is
+/// first touched inside the run), a 4-entry PLB of 4-address pages so a recursive
+/// position map has a chain and keeps walking it. Returns the digest of everything the
+/// accesses returned — value, `served`, phases, costed posmap phases —
+/// and the digest of the state they left: `OramStats`, stash and PLB
+/// counters, `level_touches`, and every slot of the tree.
+fn controller_table_run(policy: DupPolicy, treetop: u32, recursive: bool) -> (u64, u64) {
+    let mut cfg = OramConfig::small_test()
+        .with_levels(8)
+        .with_dup_policy(policy)
+        .with_treetop(treetop)
+        .with_seed(0x7AB1E);
+    cfg.plb_entries = 4;
+    cfg.plb_page_addrs = 4;
+    if recursive {
+        cfg = cfg.with_posmap(PosMapSelect::Recursive { onchip_kb: 1 });
+    }
+    let mut ctl = OramController::new(cfg).unwrap();
+    ctl.prefill((0..200u64).map(|a| (BlockAddr::new(a), a ^ 0x5EED)));
+    let mut rng = Rng64::seed_from_u64(0x7AB1E ^ u64::from(treetop));
+    let mut returned = Digest::new();
+    for step in 0..1_200u64 {
+        let addr = BlockAddr::new(if rng.gen_bool(0.4) { rng.below(24) } else { rng.below(300) });
+        let result = match rng.below(10) {
+            0..=3 => ctl.dummy_access(),
+            4 | 5 => ctl.access(Request::write(addr, step)),
+            _ => ctl.access(Request::read(addr)),
+        };
+        returned.feed(&result);
+        returned.feed(&ctl.posmap_pending());
+        ctl.check_invariants()
+            .unwrap_or_else(|e| panic!("{policy:?} treetop {treetop} recursive {recursive} step {step}: {e}"));
+    }
+    let mut state = Digest::new();
+    state.feed(&ctl.stats());
+    state.feed(&ctl.stash_stats());
+    state.feed(&ctl.plb_stats());
+    state.feed(&ctl.level_touches());
+    let shape = ctl.shape();
+    for raw in 1..=shape.bucket_count() {
+        for slot in 0..shape.slots_per_bucket() {
+            state.feed(&ctl.tree().slot(BucketId::new(raw), slot));
+        }
+    }
+    (returned.0, state.0)
+}
+
+/// Digests of [`controller_table_run`] captured at the commit whose
+/// access loops still read and wrote every bucket slot by slot through
+/// `slot`/`set_slot` (364d07e): policy, treetop levels, recursive
+/// position map, what the accesses returned, the state they left.
+const CONTROLLER_TABLE: [(DupPolicy, u32, bool, u64, u64); 20] = [
+    (DupPolicy::Off, 0, false, 0x39fff79bf1720395, 0xadae186220725d8d),
+    (DupPolicy::Off, 0, true, 0x3c98d4f9fd085a34, 0xadae186220725d8d),
+    (DupPolicy::Off, 3, false, 0x2f3bdabe25a2e511, 0x8e6e31af21afc389),
+    (DupPolicy::Off, 3, true, 0xc6e67ba49a36f854, 0x8e6e31af21afc389),
+    (DupPolicy::RdOnly, 0, false, 0x453cd5210702aabc, 0xe7cc3e6f12fa494b),
+    (DupPolicy::RdOnly, 0, true, 0xf7e17acd54f31229, 0xe7cc3e6f12fa494b),
+    (DupPolicy::RdOnly, 3, false, 0xd435f98a23fc9f37, 0xfec81e108af08f54),
+    (DupPolicy::RdOnly, 3, true, 0x3bc07d5366b5f30c, 0xfec81e108af08f54),
+    (DupPolicy::HdOnly, 0, false, 0x5e2cf1e0c36a9570, 0xa6244b1d49f9b78d),
+    (DupPolicy::HdOnly, 0, true, 0x6d3f1a914d5d4823, 0xa6244b1d49f9b78d),
+    (DupPolicy::HdOnly, 3, false, 0x263c25ecea123a85, 0xc28e6c295e90d440),
+    (DupPolicy::HdOnly, 3, true, 0xd0ece56a15223f5a, 0xc28e6c295e90d440),
+    (DupPolicy::Static { partition_level: 4 }, 0, false, 0xf993355c56c139c3, 0x75ba747277842c20),
+    (DupPolicy::Static { partition_level: 4 }, 0, true, 0xac810ded31b8938f, 0x75ba747277842c20),
+    (DupPolicy::Static { partition_level: 4 }, 3, false, 0xc137a09b36c4a3b7, 0xcf58390019b009df),
+    (DupPolicy::Static { partition_level: 4 }, 3, true, 0x9f85e37ef92a6b5a, 0xcf58390019b009df),
+    (DupPolicy::Dynamic { counter_bits: 3 }, 0, false, 0x6b1726efa0000ff4, 0xbc3c2395a48ae9e8),
+    (DupPolicy::Dynamic { counter_bits: 3 }, 0, true, 0xbf0c549ef0888c20, 0xbc3c2395a48ae9e8),
+    (DupPolicy::Dynamic { counter_bits: 3 }, 3, false, 0xc7224c9a5c56a8f1, 0x4a49e754bf882166),
+    (DupPolicy::Dynamic { counter_bits: 3 }, 3, true, 0xdd36d671250b9991, 0x4a49e754bf882166),
+];
+
+/// Skipping vacant buckets and writing whole buckets changes nothing a
+/// caller can see: under every policy, with and without a treetop, over
+/// a flat and a recursive position map, each access returns what the
+/// slot-by-slot controller returned and leaves the tree, the counters
+/// and the per-level touches it left — with the store's occupancy
+/// invariant checked after every access.
+#[test]
+fn vacancy_skipping_controller_matches_the_slot_by_slot_controller() {
+    for (policy, treetop, recursive, returned, state) in CONTROLLER_TABLE {
+        assert_eq!(
+            controller_table_run(policy, treetop, recursive),
+            (returned, state),
+            "{policy:?} treetop {treetop} recursive {recursive}: (returned, state) digests"
+        );
+    }
 }
 
 /// 20 000 mixed accesses at the shape `serve_recursive` runs: L = 18, a
@@ -263,3 +466,97 @@ reads [24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 244
 writes [4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894]
 invariants Ok(())
 tree real 268357 shadow 43426";
+
+/// The buckets of the eviction write phases in `result`, added to `seen`:
+/// the buckets an all-`set_slot` write half stored into, dummies or not.
+fn note_rewritten(result: &oram_protocol::AccessResult, seen: &mut HashSet<u64>) {
+    for phase in result.phases.iter().filter(|p| p.kind == PhaseKind::EvictionWrite) {
+        seen.extend(phase.buckets().map(BucketId::raw));
+    }
+}
+
+/// The memory claim as counts (peak RSS is the benchmark's to measure).
+/// At the paper's depth the tree is sparse. When every slot of an
+/// eviction was stored, dummies included, its arena took every bucket an
+/// eviction had ever passed through and grew with the length of the run
+/// (RSS ×3.2 from 50 k to 200 k accesses over 8192 blocks). Now it holds
+/// the most buckets that were occupied at once; what still grows, slowly,
+/// is the stale copies reads leave behind until an eviction comes by.
+#[test]
+fn sparse_arena_tracks_the_working_set_not_the_run_length() {
+    const BLOCKS: u64 = 8192;
+    let mut ctl = OramController::new(OramConfig::paper_table1()).unwrap();
+    let z = ctl.shape().slots_per_bucket();
+    ctl.prefill((0..BLOCKS).map(|a| (BlockAddr::new(a), a)));
+    let mut rng = Rng64::seed_from_u64(0x24_5BA5E);
+    let mut rewritten = HashSet::new();
+    let (mut words_at_50k, mut rewritten_at_50k) = (0, 0);
+    for step in 1..=200_000u64 {
+        let result = ctl.access(Request::read(BlockAddr::new(rng.below(BLOCKS))));
+        note_rewritten(&result, &mut rewritten);
+        if step % 2_000 == 0 {
+            let tree = ctl.tree();
+            let blocks = tree.real_block_count() + tree.shadow_block_count();
+            assert!(
+                tree.occupied_buckets() <= blocks,
+                "step {step}: {} buckets occupied by {blocks} blocks",
+                tree.occupied_buckets()
+            );
+            assert!(tree.occupied_buckets() * z <= tree.arena_words(), "step {step}");
+        }
+        if step == 50_000 {
+            (words_at_50k, rewritten_at_50k) = (ctl.tree().arena_words(), rewritten.len());
+        }
+    }
+    let words = ctl.tree().arena_words();
+    assert!(
+        words * 2 < words_at_50k * 3,
+        "four times the accesses grew the arena from {words_at_50k} to {words} words"
+    );
+    // What the arena would be had every rewritten bucket been stored.
+    assert!(rewritten.len() > 3 * rewritten_at_50k, "{rewritten_at_50k} → {}", rewritten.len());
+    assert!(
+        words * 10 < rewritten.len() * z,
+        "{words} words in the arena, {} buckets rewritten",
+        rewritten.len()
+    );
+    ctl.tree().check_occupancy().unwrap();
+}
+
+/// `serve_recursive`'s data tree: 8192 blocks under 2^18 leaves, so from
+/// level 13 down a path is almost all empty buckets — and they stay
+/// vacant. The bit used to mean "written": every eviction set it on all
+/// 19 buckets of its path for good, and every later read of such a
+/// bucket decoded its words.
+#[test]
+fn deep_levels_of_a_dense_tree_stay_vacant() {
+    const BLOCKS: u64 = 8192;
+    let mut cfg = OramConfig::paper_table1().with_levels(18);
+    cfg.stash_capacity = 200;
+    let mut ctl = OramController::new(cfg).unwrap();
+    ctl.prefill((0..BLOCKS).map(|a| (BlockAddr::new(a), a)));
+    let mut zipf = ZipfianSampler::new(BLOCKS, 0.99, 0x18_D3E9);
+    let mut rng = Rng64::seed_from_u64(0x18_D3E9);
+    let mut rewritten = HashSet::new();
+    for step in 0..12_000u64 {
+        let addr = BlockAddr::new(zipf.sample());
+        let result = if rng.gen_bool(0.3) {
+            ctl.access(Request::write(addr, step))
+        } else {
+            ctl.access(Request::read(addr))
+        };
+        note_rewritten(&result, &mut rewritten);
+    }
+    for level in 13..=18u32 {
+        let at_level = (1u64 << level)..(2u64 << level);
+        let occupied =
+            at_level.clone().filter(|&raw| ctl.tree().is_occupied(BucketId::new(raw))).count();
+        assert!(
+            occupied * 10 < at_level.clone().count(),
+            "level {level}: {occupied} buckets occupied"
+        );
+    }
+    // Not for want of evictions: a third of level 13 has been rewritten.
+    let rewritten_at_13 = rewritten.iter().filter(|&&raw| BucketId::new(raw).level() == 13).count();
+    assert!(rewritten_at_13 * 10 > 3 << 13, "{rewritten_at_13} level-13 buckets rewritten");
+}
