@@ -147,38 +147,42 @@ fn path_case(name: &str, cfg: DramConfig, observer: Option<SharedObserver>) -> b
 }
 
 /// `dram/oram_paths_l14` once more, one line per batch kind: host time per
-/// block and the share of blocks that hit an open row (from `stats()`
-/// deltas). Each batch is timed on its own, so the figures carry the
-/// timer's ≈0.5 ns/block. A read-only path finds the rows other paths
-/// left open; an eviction write finds every row its read just opened.
+/// block, the share of blocks that hit an open row and the same-row runs
+/// the scheduler cut the batch into (from `stats()` and `runs()` deltas).
+/// Each batch is timed on its own, so the figures carry the timer's
+/// ≈0.5 ns/block. A read-only path finds the rows other paths left open;
+/// an eviction write finds every row its read just opened.
 fn path_kinds(cfg: DramConfig) {
     const ACCESSES: usize = 20_000;
     const KINDS: [&str; 3] = ["read_only", "eviction_read", "eviction_write"];
     let layout = SubtreeLayout::fit_to_row(&cfg, Z);
     let mut paths = Paths::new(LEVELS, |bucket| layout.block_addr(bucket, 0));
     let mut replay = Replay::new(DramSystem::new(cfg).unwrap());
-    let (mut ns, mut hits) = ([0u128; 3], [0u64; 3]);
+    let (mut ns, mut hits, mut runs) = ([0u128; 3], [0u64; 3], [0u64; 3]);
     for access in 0..ACCESSES + 200 {
         for kind in 0..KINDS.len() {
             paths.advance();
-            let before = replay.dram.stats().row_hits;
+            let before = (replay.dram.stats().row_hits, replay.dram.runs());
             let start = Instant::now();
             black_box(replay.issue(&paths.reqs));
             let elapsed = start.elapsed().as_nanos();
             // The first 200 accesses warm the row buffers and the caches.
             if access >= 200 {
                 ns[kind] += elapsed;
-                hits[kind] += replay.dram.stats().row_hits - before;
+                hits[kind] += replay.dram.stats().row_hits - before.0;
+                runs[kind] += replay.dram.runs() - before.1;
             }
         }
     }
     let blocks = (ACCESSES * (LEVELS as usize + 1) * Z) as f64;
     for (kind, name) in KINDS.iter().enumerate() {
         println!(
-            "{:<40} {:>12.1} ns/block   {:.1} % row hits",
+            "{:<40} {:>12.1} ns/block   {:.1} % row hits   {:.1} runs/batch of {:.1} blocks",
             format!("dram/oram_paths_l14/{name}"),
             ns[kind] as f64 / blocks,
-            100.0 * hits[kind] as f64 / blocks
+            100.0 * hits[kind] as f64 / blocks,
+            runs[kind] as f64 / ACCESSES as f64,
+            blocks / runs[kind] as f64
         );
     }
 }

@@ -1,8 +1,8 @@
-//! Per-channel memory controller: transaction queue, FR-FCFS scheduling,
-//! command generation under bank/rank/bus constraints, and refresh.
+//! Per-channel memory controller: run queue, FR-FCFS scheduling, command
+//! generation under bank/rank/bus constraints, and refresh.
 //!
 //! The controller is *event-stepped* rather than ticked: it repeatedly
-//! picks the best transaction (row hits first, then oldest), computes the
+//! picks the best waiting work (row hits first, then oldest), computes the
 //! earliest legal issue time for its next command given all constraints,
 //! and commits it. That keeps full-path ORAM workloads (hundreds of
 //! transactions per access) fast to simulate while preserving the timing
@@ -12,47 +12,61 @@
 //! only because a burst occupies the bus for `burst_cycles ≥ tCCD` — with
 //! `occupy_bus = false` every read of a bank may issue in the same cycle.
 //!
-//! # What queues and what does not
+//! # The unit is a run
 //!
 //! A batch ([`Channel::begin_batch`], [`Channel::submit`]…,
-//! [`Channel::drain`]) arrives whole at one cycle `now`. FR-FCFS takes the
-//! waiting row hits oldest-first before anything else, and a column
-//! command opens or closes no row, so while no refresh is due
+//! [`Channel::drain`]) arrives whole at one cycle `now`. What the channel
+//! queues, picks and times is a **run**: a maximal stretch of consecutive
+//! arrivals with the same bank, row and direction — the sub-tree layout
+//! makes that ≈ 7 blocks of an ORAM path, a scattered block is a run of
+//! one. FR-FCFS serves a run's blocks back to back: they are adjacent in
+//! age, and a bank's open row is the same for all of them, so whenever
+//! the first is the pick the others are the next picks. Between them only
+//! column commands to one open row issue, and then the k-th issue time is
+//! the first plus `k` bursts (plus nothing for reads that bypass the data
+//! bus): `column_run` times the first command as a single transaction
+//! would be and the rest in closed form.
+//!
+//! # What queues and what does not
+//!
+//! FR-FCFS takes the waiting row hits oldest-first before anything else,
+//! and a column command opens or closes no row, so while no refresh is due
 //! (`refresh_due > now`, the same test for every transaction of the
 //! batch) two things are known without scheduling anything:
 //!
-//! * a transaction that finds its row open **when it arrives** is the
-//!   next pick — every older hit was served the same way — so `submit`
-//!   issues its column command on the spot and it never enters the queue;
+//! * a run that finds its row open **when it arrives** is the next pick —
+//!   every older hit was served the same way — so it is timed the moment
+//!   the next arrival closes it and never enters the queue;
 //! * after an activate, the hits it made (the rest of a sub-tree's row,
 //!   on ORAM paths) are the next picks in age order and that set is fixed
 //!   until the next row command, so `drain` serves them in one pass over
 //!   the `hit` words instead of one pick each.
 //!
-//! A transaction that *will* hit once an older miss has opened its row
-//! still queues: a later arrival whose row is open already goes first and
-//! moves `bus_free`. A due refresh is the one thing that can turn a
-//! waiting "hit" into a miss (it idles the rank when the first
-//! transaction for that rank is serviced), so while one is due nothing is
-//! served on arrival and the drain picks one transaction at a time, as
-//! the reference model in `tests/scheduler.rs` does throughout.
+//! A run that *will* hit once an older miss has opened its row still
+//! queues: a later arrival whose row is open already goes first and moves
+//! `bus_free`. A due refresh is the one thing that can turn a waiting
+//! "hit" into a miss (it idles the rank when the first transaction for
+//! that rank is serviced), so while one is due nothing is served on
+//! arrival or streamed: every run is a pick, and a pick starts with its
+//! rank's refresh check, as each transaction of the reference model in
+//! `tests/scheduler.rs` does.
 //!
 //! # Scheduler data structure
 //!
 //! A drain services a whole ORAM path phase, so the pick must not rescan
-//! the queue. The queue is a `Vec` in submission (= age) order that is
-//! never compacted; two bitsets over its indices drive FR-FCFS:
+//! the queue. The queue is a `Vec` of runs in submission (= age) order
+//! that is never compacted; two bitsets over its indices drive FR-FCFS:
 //!
-//! * `live` — bit `i` set while transaction `i` is unserviced;
+//! * `live` — bit `i` set while run `i` is unserviced;
 //! * `hit` — bit `i` set while `i` is live **and** its bank's open row
 //!   is `i`'s row.
 //!
 //! The pick is the lowest set bit of `hit` (oldest row hit), else the
 //! lowest set bit of `live` (oldest overall) — exactly what a linear scan
 //! in age order returns. `hit` stays exact because a bit can only change
-//! when its transaction retires or when its bank's open row changes, and
-//! a bank's open row changes in three places only: an activate (row miss,
-//! or the second half of a conflict), the precharge that opens a conflict
+//! when its run retires or when its bank's open row changes, and a bank's
+//! open row changes in three places only: an activate (row miss, or the
+//! second half of a conflict), the precharge that opens a conflict
 //! (always followed by that activate before the next pick), and a refresh
 //! idling every bank of a rank. A per-bank membership mask (`member`)
 //! names the queue entries of one bank, so those events recompute or
@@ -68,22 +82,13 @@ use crate::energy::EnergyCounters;
 /// [`Channel::begin_batch`] that opened it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transaction {
-    /// Caller-chosen identifier returned in the [`Completion`].
+    /// Index of the transaction's finish cycle in the buffer handed to
+    /// [`Channel::submit`] and [`Channel::drain`].
     pub id: u32,
     /// Decoded target location.
     pub loc: Location,
     /// `true` for writes.
     pub is_write: bool,
-}
-
-/// A finished transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// The id given at submission.
-    pub id: u32,
-    /// Cycle at which the data burst completed (read data valid at the
-    /// pins / write data fully transferred).
-    pub finish: i64,
 }
 
 /// Cycle decomposition (DRAM clock) of one serviced transaction: where
@@ -211,14 +216,34 @@ pub struct ChannelStats {
     pub refreshes: u64,
 }
 
-/// A queued transaction, reduced to what servicing it needs.
+/// A run: consecutive arrivals of one batch on the same bank, row and
+/// direction, which FR-FCFS serves back to back.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
+struct Run {
     row: u64,
-    id: u32,
+    /// Flat bank index and direction as one word, `bank · 2 + is_write`,
+    /// so that one compare tells whether an arrival continues the run.
+    key: u32,
+    /// Where the run's transaction ids start in `Channel::ids`.
+    first: u32,
+    /// Transactions in the run; unknown (0) while it is the open tail.
+    len: u32,
+}
+
+impl Run {
+    /// The tail before a batch's first arrival: a key no transaction has.
+    const NONE: Run = Run { row: 0, key: u32::MAX, first: 0, len: 0 };
+
     /// Flat bank index, `rank · banks + bank`.
-    bank: u32,
-    is_write: bool,
+    #[inline]
+    fn bank(self) -> usize {
+        (self.key >> 1) as usize
+    }
+
+    #[inline]
+    fn is_write(self) -> bool {
+        self.key & 1 != 0
+    }
 }
 
 /// One bank with its utilization counters beside it.
@@ -270,10 +295,17 @@ pub struct Channel {
     cfg: DramConfig,
     /// `[rank · banks + bank]`.
     banks: Vec<BankSlot>,
-    /// The transactions of the batch that could not be served on arrival,
-    /// in submission (= age) order. Entries stay in place while the batch
+    /// The ids of the batch's transactions in arrival order; a run names
+    /// a range of it. Cleared, capacity kept, when the batch drains.
+    ids: Vec<u32>,
+    /// The run the latest arrival belongs to, open until an arrival that
+    /// does not continue it closes it: its length is how far `ids` has got
+    /// by then ([`Run::NONE`] between batches).
+    tail: Run,
+    /// The runs of the batch that could not be served on arrival, in
+    /// submission (= age) order. Entries stay in place while the batch
     /// drains; the bitsets below say which are still waiting.
-    queue: Vec<Queued>,
+    queue: Vec<Run>,
     /// Bit `i`: `queue[i]` is unserviced.
     live: Vec<u64>,
     /// Bit `i`: `queue[i]` is unserviced and its row is open in its bank.
@@ -286,8 +318,6 @@ pub struct Channel {
     now: i64,
     /// Whether the batch's read bursts hold the shared data bus.
     occupy_bus: bool,
-    /// Transactions submitted since the last drain, served or queued.
-    arrivals: usize,
     /// Cycle after which the shared data bus is free.
     bus_free: i64,
     /// Recent activate times per rank (for tFAW / tRRD).
@@ -309,6 +339,8 @@ pub struct Channel {
     /// Arrivals ahead of each arriving transaction in its batch (dense,
     /// saturating).
     queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
+    /// Runs timed so far.
+    runs: u64,
 }
 
 /// Index of the lowest set bit across `words`.
@@ -323,13 +355,14 @@ impl Channel {
         let first_refresh = if cfg.trefi == 0 { i64::MAX } else { cfg.trefi as i64 };
         Channel {
             banks: vec![BankSlot { bank: Bank::new(), touches: 0, busy: 0 }; cfg.ranks * cfg.banks],
+            ids: Vec::new(),
+            tail: Run::NONE,
             queue: Vec::new(),
             live: Vec::new(),
             hit: Vec::new(),
             member: Vec::new(),
             now: 0,
             occupy_bus: true,
-            arrivals: 0,
             bus_free: 0,
             recent_activates: vec![ActivateWindow::new(); cfg.ranks],
             next_refresh: vec![first_refresh; cfg.ranks],
@@ -339,6 +372,7 @@ impl Channel {
             batch_crit: None,
             busy_cycles: 0,
             queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
+            runs: 0,
             cfg,
         }
     }
@@ -350,7 +384,10 @@ impl Channel {
     /// and returns a single block). The previous batch must have been
     /// drained.
     pub fn begin_batch(&mut self, now: i64, occupy_bus: bool) {
-        debug_assert!(self.queue.is_empty(), "previous batch not drained");
+        debug_assert!(
+            self.queue.is_empty() && self.tail.key == Run::NONE.key,
+            "previous batch not drained"
+        );
         self.now = now;
         self.occupy_bus = occupy_bus;
         self.batch_crit = None;
@@ -378,7 +415,14 @@ impl Channel {
     /// transaction of a batch until the batch drains: the arrivals since
     /// the last [`Channel::drain`].
     pub fn pending(&self) -> usize {
-        self.arrivals
+        self.ids.len()
+    }
+
+    /// Runs timed so far — what the scheduler handled, where
+    /// [`ChannelStats`] counts the transactions in them. A host-side
+    /// figure: no simulated output depends on where runs break.
+    pub fn runs(&self) -> u64 {
+        self.runs
     }
 
     /// Statistics snapshot.
@@ -399,62 +443,94 @@ impl Channel {
         }
     }
 
-    /// Takes one transaction of the open batch. One that finds its row
+    /// Takes one transaction of the open batch: it continues the tail run
+    /// or closes it and starts the next. A closed run that finds its row
     /// open with no refresh due is the next FR-FCFS pick whatever arrives
     /// behind it — every older hit was served the same way, a column
     /// command opens or closes no row, and no refresh can fall due during
     /// a batch, whose transactions all test against the same `now` — so
-    /// its column command issues here and its data-finish cycle is
-    /// returned. Anything else waits for [`Channel::drain`] (`None`).
+    /// it is timed here, its data-finish cycles written to `finishes` at
+    /// its transactions' ids. Anything else waits for [`Channel::drain`].
     #[inline]
-    pub fn submit(&mut self, t: Transaction) -> Option<i64> {
-        self.arrivals += 1;
-        let flat = t.loc.rank * self.cfg.banks + t.loc.bank;
-        let queued = Queued { row: t.loc.row, id: t.id, bank: flat as u32, is_write: t.is_write };
-        let open = self.banks[flat].bank.is_open(queued.row);
-        if open && self.refresh_due > self.now {
-            debug_assert!(lowest(&self.hit).is_none(), "an older row hit is still queued");
-            return Some(self.column(queued, None));
+    pub fn submit(&mut self, t: Transaction, finishes: &mut [i64]) {
+        let flat = (t.loc.rank * self.cfg.banks + t.loc.bank) as u32;
+        let key = flat << 1 | u32::from(t.is_write);
+        let at = self.ids.len() as u32;
+        self.ids.push(t.id);
+        if self.tail.key == key && self.tail.row == t.loc.row {
+            return;
         }
-        let i = self.queue.len();
-        let (w, bit) = (i / WORD, 1u64 << (i % WORD));
-        if w == self.live.len() {
-            self.live.push(0);
-            self.hit.push(0);
-            self.member.resize(self.member.len() + self.banks.len(), 0);
+        if let Some(run) = self.close_tail(at) {
+            if self.refresh_due > self.now && self.banks[run.bank()].bank.is_open(run.row) {
+                self.column_run(run, None, finishes);
+            } else {
+                self.queue.push(run);
+            }
         }
-        self.live[w] |= bit;
-        self.member[w * self.banks.len() + flat] |= bit;
-        if open {
-            self.hit[w] |= bit;
-        }
-        self.queue.push(queued);
-        None
+        self.tail = Run { row: t.loc.row, key, first: at, len: 0 };
     }
 
-    /// Services every queued transaction of the batch, delivering
-    /// completions through `sink` in service order (not finish order)
-    /// without allocating.
-    pub fn drain(&mut self, mut sink: impl FnMut(Completion)) {
-        // Nothing is queued when every arrival found its row open (an
-        // eviction write), or when none came (a one-block batch's other
-        // channel).
-        if !self.queue.is_empty() {
+    /// The tail run, closed by the arrival with index `end` in `ids`, if
+    /// there is one.
+    #[inline]
+    fn close_tail(&self, end: u32) -> Option<Run> {
+        let tail = self.tail;
+        (tail.key != Run::NONE.key).then_some(Run { len: end - tail.first, ..tail })
+    }
+
+    /// Builds `live`, `hit` and `member` (all empty since the last drain)
+    /// over the queued runs. Left until the batch drains: every bank's
+    /// open row is still what each arrival saw — only column commands have
+    /// run — and one pass here is cheaper than the same work spread over
+    /// the arrival loop.
+    fn index_queue(&mut self) {
+        let stride = self.banks.len();
+        let words = self.queue.len().div_ceil(WORD);
+        self.live.resize(words, 0);
+        self.hit.resize(words, 0);
+        self.member.resize(words * stride, 0);
+        for (w, runs) in self.queue.chunks(WORD).enumerate() {
+            let mut hit = 0u64;
+            for (i, run) in runs.iter().enumerate() {
+                let flat = run.bank();
+                self.member[w * stride + flat] |= 1 << i;
+                hit |= u64::from(self.banks[flat].bank.is_open(run.row)) << i;
+            }
+            self.live[w] = u64::MAX >> (WORD - runs.len());
+            self.hit[w] = hit;
+        }
+    }
+
+    /// Services every queued run of the batch, writing each transaction's
+    /// data-finish cycle to `finishes` at its id, without allocating.
+    pub fn drain(&mut self, finishes: &mut [i64]) {
+        let tail = self.close_tail(self.ids.len() as u32);
+        self.tail = Run::NONE;
+        // Nothing is queued when every earlier run found its row open (an
+        // eviction write). Then the tail is all that waits, and the pick.
+        // Behind queued runs it waits like them: if its row is open and no
+        // refresh is due it is the one hit, and the loop's first stream
+        // serves it before anything else, as on arrival.
+        if self.queue.is_empty() {
+            if let Some(tail) = tail {
+                self.service_one(tail, finishes);
+            }
+        } else {
+            self.queue.extend(tail);
+            self.index_queue();
             loop {
-                // FR-FCFS: the oldest transaction whose row is open, else
-                // the oldest overall.
+                // FR-FCFS: the oldest run whose row is open, else the
+                // oldest overall.
                 let hit = lowest(&self.hit);
                 if hit.is_some() && self.refresh_due > self.now {
-                    self.stream_hits(&mut sink);
+                    self.stream_hits(finishes);
                     continue;
                 }
                 let Some(idx) = hit.or_else(|| lowest(&self.live)) else { break };
                 let (w, bit) = (idx / WORD, 1u64 << (idx % WORD));
                 self.live[w] &= !bit;
                 self.hit[w] &= !bit;
-                let t = self.queue[idx];
-                let finish = self.service_one(t);
-                sink(Completion { id: t.id, finish });
+                self.service_one(self.queue[idx], finishes);
             }
             self.queue.clear();
             self.live.clear();
@@ -462,12 +538,13 @@ impl Channel {
             self.member.clear();
         }
         // The batch's k-th arrival found k transactions ahead of it.
-        let dense = self.arrivals.min(QUEUE_DEPTH_BUCKETS - 1);
+        let arrivals = self.ids.len();
+        let dense = arrivals.min(QUEUE_DEPTH_BUCKETS - 1);
         for seen in &mut self.queue_depth_hist[..dense] {
             *seen += 1;
         }
-        self.queue_depth_hist[QUEUE_DEPTH_BUCKETS - 1] += (self.arrivals - dense) as u64;
-        self.arrivals = 0;
+        self.queue_depth_hist[QUEUE_DEPTH_BUCKETS - 1] += (arrivals - dense) as u64;
+        self.ids.clear();
     }
 
     /// Serves every waiting row hit, oldest first, in one pass over the
@@ -477,14 +554,13 @@ impl Channel {
     /// line: inlined, its loop slows the pick loop of traffic that never
     /// gets here (scattered reads by 15 %).
     #[inline(never)]
-    fn stream_hits(&mut self, sink: &mut impl FnMut(Completion)) {
+    fn stream_hits(&mut self, finishes: &mut [i64]) {
         for w in 0..self.hit.len() {
             let mut hits = std::mem::take(&mut self.hit[w]);
             self.live[w] &= !hits;
             while hits != 0 {
-                let t = self.queue[w * WORD + hits.trailing_zeros() as usize];
-                let finish = self.column(t, None);
-                sink(Completion { id: t.id, finish });
+                let run = self.queue[w * WORD + hits.trailing_zeros() as usize];
+                self.column_run(run, None, finishes);
                 hits &= hits - 1;
             }
         }
@@ -511,106 +587,133 @@ impl Channel {
         }
     }
 
-    /// Issues all commands needed by a picked `t` and returns its
-    /// data-finish time.
-    fn service_one(&mut self, t: Queued) -> i64 {
-        let (flat, base) = (t.bank as usize, self.now);
+    /// Issues all commands a picked `run` needs. The rank's refresh check
+    /// and the row operation belong to the run's first transaction; the
+    /// others follow it as row hits — a second check would find the rank
+    /// refreshed — so a due refresh takes nothing from the closed form.
+    fn service_one(&mut self, run: Run, finishes: &mut [i64]) {
+        let (flat, base) = (run.bank(), self.now);
         if self.refresh_due <= base {
             self.maybe_refresh(flat / self.cfg.banks, base);
         }
-        // The row operation the column command waits behind: none on a
-        // row hit, precharge-to-column-ready on a conflict,
+        // The row operation the first column command waits behind: none
+        // on a row hit, precharge-to-column-ready on a conflict,
         // activate-to-column-ready on a miss.
         let row_op = match self.banks[flat].bank.state() {
-            RowState::Open(r) if r == t.row => None,
+            RowState::Open(r) if r == run.row => None,
             RowState::Open(_) => {
                 self.stats.row_conflicts += 1;
                 let bank = &mut self.banks[flat].bank;
                 let at = bank.earliest(Command::Precharge, &self.cfg).max(base);
                 bank.issue(Command::Precharge, at, 0, &self.cfg);
                 self.stats.precharges += 1;
-                self.activate(t, base);
+                self.activate(run, base);
                 Some((at, self.banks[flat].bank.row_ready(&self.cfg)))
             }
             RowState::Idle => {
                 self.stats.row_misses += 1;
-                let at = self.activate(t, base);
+                let at = self.activate(run, base);
                 Some((at, self.banks[flat].bank.row_ready(&self.cfg)))
             }
         };
-        self.column(t, row_op)
+        self.column_run(run, row_op, finishes);
     }
 
-    /// Issues `t`'s column command on its open row — constrained by bank
-    /// readiness and bus occupancy — and returns its data-finish time.
-    /// `row_op` is the `[start, end]` interval of the row operation the
-    /// command waited behind; `None` makes it a row hit. Arrival, the hit
-    /// stream and the tail of a miss all end here, so this is the one
-    /// place a transfer is timed and accounted.
-    #[inline]
-    fn column(&mut self, t: Queued, row_op: Option<(i64, i64)>) -> i64 {
+    /// Issues `run`'s column commands on its open row and writes their
+    /// data-finish cycles to `finishes`. The first is constrained by bank
+    /// readiness and bus occupancy; behind it nothing but this run's own
+    /// bursts moves either, so command `k` issues `k` bursts later, or in
+    /// the same cycle when the run's reads bypass the data bus. `row_op`
+    /// is the `[start, end]` interval of the row operation the first
+    /// command waited behind (`None`: it is a row hit, as the others
+    /// always are). Arrival, the hit stream and the picks all end here, so
+    /// this is the one place a transfer is timed and accounted — once per
+    /// run: every bank timestamp is a maximum over issue times, which
+    /// ascend, so the last command alone leaves the state all of them
+    /// would. Inlined at its three call sites: a call costs more than the
+    /// code it shares (PR 18 measured it for the per-block routine).
+    #[inline(always)]
+    fn column_run(&mut self, run: Run, row_op: Option<(i64, i64)>, finishes: &mut [i64]) {
         let base = self.now;
+        let n = u64::from(run.len);
         let burst = self.cfg.burst_cycles() as i64;
-        let slot = &mut self.banks[t.bank as usize];
-        let cmd = if t.is_write { Command::Write } else { Command::Read };
+        let slot = &mut self.banks[run.bank()];
+        let cmd = if run.is_write() { Command::Write } else { Command::Read };
         let bank_ready = slot.bank.earliest(cmd, &self.cfg).max(base);
-        // The data burst occupies the bus [issue+latency, issue+latency+burst).
-        let latency = if t.is_write { self.cfg.cwl } else { self.cfg.cl } as i64;
-        let use_bus = self.occupy_bus || t.is_write;
-        let issue = if use_bus {
-            bank_ready.max(self.bus_free - latency)
+        // A data burst occupies the bus [issue+latency, issue+latency+burst).
+        let latency = if run.is_write() { self.cfg.cwl } else { self.cfg.cl } as i64;
+        let use_bus = self.occupy_bus || run.is_write();
+        let (issue, step) = if use_bus {
+            (bank_ready.max(self.bus_free - latency), burst)
         } else {
-            bank_ready
+            (bank_ready, 0)
         };
-        slot.bank.issue(cmd, issue, t.row, &self.cfg);
-        let finish = issue + latency + burst;
+        let transfer = latency + burst;
+        let last_issue = issue + (n as i64 - 1) * step;
+        slot.bank.issue(cmd, last_issue, run.row, &self.cfg);
         if use_bus {
-            self.bus_free = finish;
-            self.busy_cycles += burst as u64;
+            self.bus_free = last_issue + transfer;
+            self.busy_cycles += n * burst as u64;
+        }
+        let mut finish = issue + transfer;
+        for &id in &self.ids[run.first as usize..(run.first + run.len) as usize] {
+            finishes[id as usize] = finish;
+            finish += step;
         }
 
-        // Exact decomposition of [base, finish]: row cycles are the part
-        // of the row interval the column command actually waited behind;
-        // everything else before issue is queueing.
+        // Exact decomposition of [base, finish] for the first command:
+        // row cycles are the part of the row interval it actually waited
+        // behind; everything else before issue is queueing. The others
+        // waited behind no row operation.
         let row_d = match row_op {
-            Some((start, end)) => end.min(issue).saturating_sub(start.max(base)).max(0) as u64,
+            Some((start, end)) => {
+                self.stats.row_hits += n - 1;
+                end.min(issue).saturating_sub(start.max(base)).max(0) as u64
+            }
             None => {
-                self.stats.row_hits += 1;
+                self.stats.row_hits += n;
                 0
             }
         };
-        let queue_d = (issue - base) as u64 - row_d;
-        let transfer_d = (finish - issue) as u64;
-        if self.batch_crit.is_none_or(|c| finish > c.finish) {
-            self.batch_crit =
-                Some(TxBreakdown { queue: queue_d, row: row_d, transfer: transfer_d, finish });
+        // The batch's critical transaction is the first to finish
+        // strictly later than all before it: the run's last when its
+        // finishes ascend, its first when they tie.
+        let (crit_issue, crit_row) =
+            if step > 0 && n > 1 { (last_issue, 0) } else { (issue, row_d) };
+        if self.batch_crit.is_none_or(|c| crit_issue + transfer > c.finish) {
+            self.batch_crit = Some(TxBreakdown {
+                queue: (crit_issue - base) as u64 - crit_row,
+                row: crit_row,
+                transfer: transfer as u64,
+                finish: crit_issue + transfer,
+            });
         }
-        slot.touches += 1;
-        slot.busy += row_d + transfer_d;
+        slot.touches += n;
+        slot.busy += row_d + n * transfer as u64;
 
-        if t.is_write {
-            self.stats.writes += 1;
+        if run.is_write() {
+            self.stats.writes += n;
         } else {
-            self.stats.reads += 1;
+            self.stats.reads += n;
         }
-        self.busy_until = self.busy_until.max(finish);
-        finish
+        self.busy_until = self.busy_until.max(last_issue + transfer);
+        self.runs += 1;
     }
 
-    /// Opens `t`'s row respecting tRRD and tFAW for the rank, returning
+    /// Opens `run`'s row respecting tRRD and tFAW for the rank, returning
     /// the cycle the activate was committed at.
-    fn activate(&mut self, t: Queued, base: i64) -> i64 {
-        let flat = t.bank as usize;
+    fn activate(&mut self, run: Run, base: i64) -> i64 {
+        let flat = run.bank();
         let window = &mut self.recent_activates[flat / self.cfg.banks];
         let bank = &mut self.banks[flat].bank;
         let at = bank
             .earliest(Command::Activate, &self.cfg)
             .max(base)
             .max(window.earliest(&self.cfg));
-        bank.issue(Command::Activate, at, t.row, &self.cfg);
+        bank.issue(Command::Activate, at, run.row, &self.cfg);
         window.record(at);
         self.stats.activates += 1;
-        self.rescan_bank(flat, Some(t.row));
+        self.rescan_bank(flat, Some(run.row));
         at
     }
 
@@ -663,19 +766,25 @@ mod tests {
         Transaction { id, loc: m.decode(addr), is_write: write }
     }
 
+    /// One transaction's outcome.
+    struct Done {
+        id: u32,
+        finish: i64,
+    }
+
     /// Runs `txs` as one batch arriving at `now` (reads holding the bus)
-    /// and returns the completions in finish order, whether they were
+    /// and returns their outcomes in finish order, whether they were
     /// served on arrival or by the drain.
-    fn run(ch: &mut Channel, now: i64, txs: &[Transaction]) -> Vec<Completion> {
+    fn run(ch: &mut Channel, now: i64, txs: &[Transaction]) -> Vec<Done> {
+        let mut finishes = vec![0; txs.iter().map(|t| t.id as usize + 1).max().unwrap_or(0)];
         ch.begin_batch(now, true);
-        let mut done = Vec::with_capacity(txs.len());
         for &t in txs {
-            if let Some(finish) = ch.submit(t) {
-                done.push(Completion { id: t.id, finish });
-            }
+            ch.submit(t, &mut finishes);
         }
-        ch.drain(|c| done.push(c));
-        done.sort_by_key(|c| c.finish);
+        ch.drain(&mut finishes);
+        let mut done: Vec<Done> =
+            txs.iter().map(|t| Done { id: t.id, finish: finishes[t.id as usize] }).collect();
+        done.sort_by_key(|d| d.finish);
         done
     }
 
@@ -704,6 +813,24 @@ mod tests {
         // burst_cycles (bus-limited streaming).
         let gaps: Vec<i64> = done.windows(2).map(|w| w[1].finish - w[0].finish).collect();
         assert!(gaps.iter().all(|&g| g == c.burst_cycles() as i64), "{gaps:?}");
+    }
+
+    #[test]
+    fn a_run_ends_where_bank_row_or_direction_changes() {
+        let c = cfg();
+        let mut ch = Channel::new(c);
+        let same_row = |i: u32, write| tx(i, u64::from(i) * c.channels as u64, write, &c);
+        // Four reads of one row, two writes to it, then a read of the
+        // next bank: three runs, timed as 4 + 2 + 1 transactions.
+        let next_bank = (c.bursts_per_row() * c.channels) as u64;
+        let mut txs: Vec<Transaction> = (0..4).map(|i| same_row(i, false)).collect();
+        txs.extend((4..6).map(|i| same_row(i, true)));
+        txs.push(tx(6, next_bank, false, &c));
+        let done = run(&mut ch, 0, &txs);
+        assert_eq!(ch.runs(), 3);
+        assert_eq!((ch.stats().reads, ch.stats().writes), (5, 2));
+        assert_eq!((ch.stats().row_misses, ch.stats().row_hits), (2, 5));
+        assert!(done.iter().all(|d| d.finish > 0));
     }
 
     #[test]

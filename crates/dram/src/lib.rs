@@ -46,8 +46,7 @@ pub use address::{AddressMapping, Interleave, Location, SubtreeLayout};
 pub use bank::{Bank, Command, RowState};
 pub use config::DramConfig;
 pub use controller::{
-    Channel, ChannelStats, ChannelUtilization, Completion, Transaction, TxBreakdown,
-    QUEUE_DEPTH_BUCKETS,
+    Channel, ChannelStats, ChannelUtilization, Transaction, TxBreakdown, QUEUE_DEPTH_BUCKETS,
 };
 pub use energy::{EnergyCounters, EnergyModel};
 pub use system::{report_blocks, BlockRequest, DramSystem};

@@ -5,7 +5,7 @@ use oram_util::{BusEvent, EventBatch, MetricId, SharedObserver, SharedTelemetry}
 
 use crate::address::{AddressMapping, Interleave};
 use crate::config::DramConfig;
-use crate::controller::{Channel, ChannelStats, ChannelUtilization, Completion, Transaction, TxBreakdown};
+use crate::controller::{Channel, ChannelStats, ChannelUtilization, Transaction, TxBreakdown};
 use crate::energy::EnergyCounters;
 
 /// One block request submitted to the system: a 64-byte read or write at a
@@ -156,14 +156,13 @@ impl DramSystem {
         for ch in &mut self.channels {
             ch.begin_batch(now, occupy_bus);
         }
-        // A request that finds its row open completes as it arrives; the
+        // Each channel cuts its arrivals into same-row runs. A run that
+        // finds its row open completes as the next arrival closes it; the
         // rest queue for the drain below.
         for (i, r) in reqs.iter().enumerate() {
             let loc = self.mapping.decode(r.addr);
             let t = Transaction { id: i as u32, loc, is_write: r.is_write };
-            if let Some(finish) = self.channels[loc.channel].submit(t) {
-                finishes[i] = finish;
-            }
+            self.channels[loc.channel].submit(t, finishes);
         }
         if let Some(t) = &self.telemetry {
             if !reqs.is_empty() {
@@ -174,7 +173,7 @@ impl DramSystem {
             }
         }
         for ch in &mut self.channels {
-            ch.drain(|Completion { id, finish }| finishes[id as usize] = finish);
+            ch.drain(finishes);
         }
     }
 
@@ -203,6 +202,13 @@ impl DramSystem {
         let latency = done[0] - now;
         self.scratch = done;
         latency
+    }
+
+    /// Same-row runs timed so far across channels: the units the
+    /// scheduler queued, picked and timed for the transactions
+    /// [`DramSystem::stats`] counts (see [`Channel::runs`]).
+    pub fn runs(&self) -> u64 {
+        self.channels.iter().map(Channel::runs).sum()
     }
 
     /// Merged statistics across channels.

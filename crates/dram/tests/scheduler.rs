@@ -4,9 +4,10 @@
 //! `reference` below is the original per-channel controller kept as a
 //! test oracle: a `VecDeque` queue rescanned linearly through
 //! `banks[rank][bank]` for every FR-FCFS pick and compacted with
-//! `VecDeque::remove`, fed by the div/mod address decode. The shipped
-//! [`DramSystem`] (bitset pick, flat banks, shift/mask decode) must agree
-//! with it on every simulated output after every batch.
+//! `VecDeque::remove`, fed by the div/mod address decode, one transaction
+//! at a time. The shipped [`DramSystem`] (same-row runs timed in closed
+//! form, bitset pick, flat banks, shift/mask decode) must agree with it on
+//! every simulated output after every batch.
 
 use oram_dram::{
     AddressMapping, BlockRequest, ChannelStats, ChannelUtilization, DramConfig, DramSystem,
@@ -495,14 +496,96 @@ fn oram_path_sequences_match_the_linear_scan_model() {
     }
 }
 
+/// Batches made of same-row runs, the unit the shipped scheduler queues:
+/// 1–12 runs of 1–40 blocks, each on one (channel, rank, bank, row) and in
+/// one direction, columns in any order. A third of the runs go back to a
+/// place an earlier run of the batch used (the same row again behind
+/// other runs, or another row of that bank: a conflict with followers).
+/// Each channel sees its runs whole and in order; the channels' streams
+/// are interleaved block by block, as consecutive addresses are. Reads
+/// hold the bus in half the batches.
+fn run_traffic(
+    cfg: DramConfig,
+    interleave: Interleave,
+) -> impl FnMut(&mut Rng64) -> (Vec<BlockRequest>, bool) {
+    move |rng| {
+        let mut places: Vec<Location> = Vec::new();
+        let mut streams: Vec<Vec<BlockRequest>> = vec![Vec::new(); cfg.channels];
+        for _ in 0..1 + rng.below(12) {
+            let mut place = Location {
+                channel: rng.below(cfg.channels as u64) as usize,
+                rank: rng.below(cfg.ranks as u64) as usize,
+                bank: rng.below(cfg.banks as u64) as usize,
+                row: rng.below(3),
+                column: 0,
+            };
+            if !places.is_empty() && rng.gen_bool(0.33) {
+                place = places[rng.below(places.len() as u64) as usize];
+                if rng.gen_bool(0.3) {
+                    place.row = (place.row + 1) % 3;
+                }
+            }
+            places.push(place);
+            let is_write = rng.gen_bool(0.4);
+            for _ in 0..1 + rng.below(40) {
+                let column = rng.below(cfg.bursts_per_row() as u64) as usize;
+                let addr = encode_with(&cfg, interleave, Location { column, ..place });
+                streams[place.channel].push(BlockRequest { addr, is_write });
+            }
+        }
+        let mut heads = vec![0; cfg.channels];
+        let mut reqs = Vec::new();
+        loop {
+            let waiting: Vec<usize> =
+                (0..cfg.channels).filter(|&c| heads[c] < streams[c].len()).collect();
+            if waiting.is_empty() {
+                break;
+            }
+            let c = waiting[rng.below(waiting.len() as u64) as usize];
+            reqs.push(streams[c][heads[c]]);
+            heads[c] += 1;
+        }
+        (reqs, rng.gen_bool(0.5))
+    }
+}
+
+#[test]
+fn run_shaped_batches_match_the_linear_scan_model() {
+    // Refresh off, inside most drains (a run is then picked with a
+    // refresh due, its own rank's or another's), and at the DDR3 rate.
+    let mut seed = 0x5EED_2001;
+    for trefi in [0, 350, 5200] {
+        for cfg in [two_channel(trefi), one_channel(trefi), odd_geometry(trefi)] {
+            for interleave in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+                let stats =
+                    assert_models_agree(cfg, interleave, 160, seed, run_traffic(cfg, interleave));
+                let served = stats.row_hits + stats.row_misses + stats.row_conflicts;
+                // Runs of 20 blocks on average: nearly everything hits.
+                assert!(stats.row_hits * 10 > served * 8, "{cfg:?}: {stats:?}");
+                assert!(stats.row_conflicts > 0, "{cfg:?}: {stats:?}");
+                seed += 1;
+            }
+        }
+    }
+}
+
 /// Block address of `(channel, rank, bank, row, column)` under
-/// [`Interleave::RowRankBankColChan`].
-fn encode(cfg: &DramConfig, loc: Location) -> u64 {
-    let mut a = loc.row;
-    a = a * cfg.ranks as u64 + loc.rank as u64;
-    a = a * cfg.banks as u64 + loc.bank as u64;
-    a = a * cfg.bursts_per_row() as u64 + loc.column as u64;
+/// `interleave`: the inverse of the decode.
+fn encode_with(cfg: &DramConfig, interleave: Interleave, loc: Location) -> u64 {
+    let (ranks, banks, bursts) =
+        (cfg.ranks as u64, cfg.banks as u64, cfg.bursts_per_row() as u64);
+    let (rank, bank, column) = (loc.rank as u64, loc.bank as u64, loc.column as u64);
+    let row = loc.row;
+    let a = match interleave {
+        Interleave::RowRankBankColChan => ((row * ranks + rank) * banks + bank) * bursts + column,
+        Interleave::RowColRankBankChan => ((row * bursts + column) * ranks + rank) * banks + bank,
+    };
     a * cfg.channels as u64 + loc.channel as u64
+}
+
+/// [`encode_with`] under [`Interleave::RowRankBankColChan`].
+fn encode(cfg: &DramConfig, loc: Location) -> u64 {
+    encode_with(cfg, Interleave::RowRankBankColChan, loc)
 }
 
 #[test]
@@ -590,6 +673,41 @@ fn refresh_edges_match_the_linear_scan_model() {
             refreshes: 2,
             row_hits: 3,
         },
+        Case {
+            name: "a run queued on its open row while its rank is due: its first block \
+                   refreshes the rank and opens the row again, the rest follow as hits",
+            batches: vec![(1000, (1..=6).map(|column| read(0, 0, 3, column)).collect())],
+            refreshes: 1,
+            row_hits: 5,
+        },
+        Case {
+            name: "runs picked while the other rank stays due and is never touched: \
+                   nothing is served on arrival, hit or not",
+            batches: vec![
+                (1000, vec![read(0, 0, 3, 1)]),
+                (
+                    1100,
+                    (2..=6)
+                        .map(|column| read(0, 0, 3, column))
+                        .chain((1..=4).map(|column| write(0, 1, 5, column)))
+                        .collect(),
+                ),
+            ],
+            refreshes: 1,
+            row_hits: 5 + 3,
+        },
+        Case {
+            name: "the refresh an older hit in the rank sets off closes a waiting run's row: \
+                   the run is then a miss with followers",
+            batches: vec![(
+                1000,
+                std::iter::once(read(0, 1, 5, 1))
+                    .chain((1..=5).map(|column| read(0, 0, 3, column)))
+                    .collect(),
+            )],
+            refreshes: 1,
+            row_hits: 4,
+        },
     ];
     for case in cases {
         for occupy_bus in [true, false] {
@@ -608,6 +726,82 @@ fn refresh_edges_match_the_linear_scan_model() {
             assert_eq!(new.stats().refreshes, case.refreshes, "{ctx}");
             assert_eq!(new.stats().row_hits, case.row_hits, "{ctx}");
         }
+    }
+}
+
+#[test]
+fn run_edges_match_the_linear_scan_model() {
+    /// Serves `reqs` at `now` on both models, compares every output and
+    /// returns the finishes with the number of runs the shipped model
+    /// timed.
+    fn serve(
+        new: &mut DramSystem,
+        old: &mut reference::System,
+        now: i64,
+        reqs: &[BlockRequest],
+        occupy_bus: bool,
+        ctx: &str,
+    ) -> (Vec<i64>, u64) {
+        let runs = new.runs();
+        let got = new.service_batch_with(now, reqs, occupy_bus);
+        assert_eq!(got, old.service_batch(now, reqs, occupy_bus), "finishes: {ctx}");
+        assert_same_outputs(new, old, ctx);
+        (got, new.runs() - runs)
+    }
+    let both = |cfg| {
+        (
+            DramSystem::new(cfg).unwrap(),
+            reference::System::new(cfg, Interleave::RowRankBankColChan),
+        )
+    };
+    let cfg = one_channel(0);
+    let at = |bank, row, column| encode(&cfg, Location { channel: 0, rank: 0, bank, row, column });
+    let row_of_reads = |bank, row| -> Vec<BlockRequest> {
+        (0..6).map(|column| BlockRequest::read(at(bank, row, column))).collect()
+    };
+    let burst = cfg.burst_cycles() as i64;
+    let transfer = cfg.cl + cfg.burst_cycles();
+
+    // Reads that bypass the data bus all issue in the cycle the row is
+    // ready, so a run's finishes tie, and the batch-critical transaction
+    // is the first to reach the latest finish: the run's first block, the
+    // one that waited behind the activate.
+    let (mut new, mut old) = both(cfg);
+    let (done, runs) = serve(&mut new, &mut old, 0, &row_of_reads(0, 3), false, "tie, miss");
+    assert_eq!((done, runs), (vec![(cfg.trcd + transfer) as i64; 6], 1));
+    let first =
+        TxBreakdown { queue: 0, row: cfg.trcd, transfer, finish: (cfg.trcd + transfer) as i64 };
+    assert_eq!(new.last_batch_breakdown(), Some(first), "the run's first block is critical");
+    // The same run as hits on arrival, and behind a conflict on its bank.
+    serve(&mut new, &mut old, 100, &row_of_reads(0, 3), false, "tie, hits");
+    let conflict: Vec<BlockRequest> =
+        row_of_reads(0, 4).into_iter().chain(row_of_reads(0, 3)).collect();
+    let (done, runs) = serve(&mut new, &mut old, 200, &conflict, false, "tie, conflict");
+    assert!(done[..6].iter().all(|&f| f == done[0]) && done[6..].iter().all(|&f| f == done[6]));
+    assert_eq!(runs, 2);
+
+    // Reads that hold the bus finish a burst apart, so the last block of
+    // the run is critical, and it waited behind no row operation.
+    let (mut new, mut old) = both(cfg);
+    let (done, _) = serve(&mut new, &mut old, 0, &row_of_reads(0, 3), true, "ascending");
+    assert!(done.windows(2).all(|w| w[1] - w[0] == burst), "{done:?}");
+    let last = new.last_batch_breakdown().unwrap();
+    assert_eq!((last.row, last.finish), (0, done[5]));
+
+    // A bucket that straddles a row boundary is two runs: the row's last
+    // two columns, then the first three of the next bank's row.
+    let (mut new, mut old) = both(cfg);
+    let bucket: Vec<BlockRequest> =
+        (126..=130).map(|i| BlockRequest::read(at(2, 1, 0) + i)).collect();
+    let (_, runs) = serve(&mut new, &mut old, 0, &bucket, true, "row edge");
+    assert_eq!((runs, new.stats().row_misses, new.stats().row_hits), (2, 2, 3));
+
+    // One block on one channel of two: the other channel drains nothing.
+    let (mut new, mut old) = both(two_channel(0));
+    for (now, addr) in [(0, 5), (300, 7), (600, 4)] {
+        let reqs = [BlockRequest::read(addr)];
+        let (_, runs) = serve(&mut new, &mut old, now, &reqs, true, "one block");
+        assert_eq!(runs, 1);
     }
 }
 
