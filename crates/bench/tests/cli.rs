@@ -11,6 +11,19 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("spawn repro")
 }
 
+/// Every vector exits 2, its stderr opening with exactly `first_line`
+/// (the messages are part of the contract, not just the exit code) and
+/// carrying the subcommand's `usage`.
+fn assert_usage_errors(usage: &str, vectors: &[(&[&str], &str)]) {
+    for (args, first_line) in vectors {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().next(), Some(*first_line), "args {args:?}");
+        assert!(err.contains(usage), "args {args:?}");
+    }
+}
+
 #[test]
 fn unknown_experiment_exits_2_with_usage() {
     let out = repro(&["figNaN"]);
@@ -27,20 +40,16 @@ fn missing_experiment_exits_2() {
 
 #[test]
 fn malformed_flags_exit_2() {
-    for args in [
-        &["table1", "--threads", "zero"][..],
-        &["table1", "--threads"][..],
-        &["table1", "--csv"][..],
-        &["table1", "--levels", "many"][..],
-        &["table1", "--no-such-flag"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro"),
-            "args {args:?}"
-        );
-    }
+    assert_usage_errors(
+        "usage: repro",
+        &[
+            (&["table1", "--threads", "zero"], "--threads needs a positive integer"),
+            (&["table1", "--threads"], "--threads needs a positive integer"),
+            (&["table1", "--csv"], "--csv needs a directory"),
+            (&["table1", "--levels", "many"], "--levels needs an unsigned integer"),
+            (&["table1", "--no-such-flag"], "unexpected argument \"--no-such-flag\""),
+        ],
+    );
 }
 
 #[test]
@@ -65,20 +74,16 @@ fn help_exits_0() {
 
 #[test]
 fn trace_usage_errors_exit_2() {
-    for args in [
-        &["trace", "--misses", "NaN"][..],
-        &["trace", "--misses", "0"][..],
-        &["trace", "--out"][..],
-        &["trace", "--window", "0"][..],
-        &["trace", "--no-such-flag"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro trace"),
-            "args {args:?}"
-        );
-    }
+    assert_usage_errors(
+        "usage: repro trace",
+        &[
+            (&["trace", "--misses", "NaN"], "--misses needs a positive integer"),
+            (&["trace", "--misses", "0"], "--misses needs a positive integer"),
+            (&["trace", "--out"], "--out needs a directory"),
+            (&["trace", "--window", "0"], "--window needs a positive cycle count"),
+            (&["trace", "--no-such-flag"], "unexpected argument \"--no-such-flag\""),
+        ],
+    );
 }
 
 #[test]
@@ -167,20 +172,16 @@ fn trace_quiet_suppresses_the_timing_line() {
 
 #[test]
 fn profile_usage_errors_exit_2() {
-    for args in [
-        &["profile", "--misses", "NaN"][..],
-        &["profile", "--misses", "0"][..],
-        &["profile", "--json"][..],
-        &["profile", "--workload"][..],
-        &["profile", "--no-such-flag"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro profile"),
-            "args {args:?}"
-        );
-    }
+    assert_usage_errors(
+        "usage: repro profile",
+        &[
+            (&["profile", "--misses", "NaN"], "--misses needs a positive integer"),
+            (&["profile", "--misses", "0"], "--misses needs a positive integer"),
+            (&["profile", "--json"], "--json needs a path"),
+            (&["profile", "--workload"], "--workload needs a name"),
+            (&["profile", "--no-such-flag"], "unexpected argument \"--no-such-flag\""),
+        ],
+    );
 }
 
 #[test]
@@ -237,20 +238,22 @@ fn profile_then_compare_round_trips_through_the_guard() {
 
 #[test]
 fn compare_usage_errors_exit_2() {
-    for args in [
-        &["compare"][..],
-        &["compare", "one.json"][..],
-        &["compare", "a.json", "b.json", "c.json"][..],
-        &["compare", "a.json", "b.json", "--tolerance", "NaN"][..],
-        &["compare", "a.json", "b.json", "--no-such-flag"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro compare"),
-            "args {args:?}"
-        );
-    }
+    assert_usage_errors(
+        "usage: repro compare",
+        &[
+            (&["compare"], "expected exactly two profile files"),
+            (&["compare", "one.json"], "expected exactly two profile files"),
+            (&["compare", "a.json", "b.json", "c.json"], "expected exactly two profile files"),
+            (
+                &["compare", "a.json", "b.json", "--tolerance", "NaN"],
+                "--tolerance needs a non-negative percentage",
+            ),
+            (
+                &["compare", "a.json", "b.json", "--no-such-flag"],
+                "unexpected argument \"--no-such-flag\"",
+            ),
+        ],
+    );
 }
 
 #[test]
@@ -262,73 +265,109 @@ fn compare_missing_file_exits_1() {
 
 #[test]
 fn serve_usage_errors_exit_2() {
-    for args in [
-        &["serve", "--clients", "0"][..],
-        &["serve", "--requests", "NaN"][..],
-        &["serve", "--load", "-1"][..],
-        &["serve", "--scheduler", "nonesuch"][..],
-        &["serve", "--json"][..],
-        &["serve", "--sweep", "--json", "/tmp/x.json"][..],
-        &["serve", "--sweep", "--load", "2"][..],
-        &["serve", "--shards", "0"][..],
-        &["serve", "--shards", "NaN"][..],
-        &["serve", "--shards"][..],
-        &["serve", "--threads", "0"][..],
-        &["serve", "--shard-sweep", "--shards", "2"][..],
-        &["serve", "--shard-sweep", "--json", "/tmp/x.json"][..],
-        &["serve", "--shard-sweep", "--sweep"][..],
-        &["serve", "--backend"][..],
-        &["serve", "--backend", "tape"][..],
-        &["serve", "--backend", "dram", "--rtt-us", "100"][..],
-        &["serve", "--backend", "dram", "--batch", "8"][..],
-        &["serve", "--rtt-us", "100"][..],
-        &["serve", "--backend", "wan", "--rtt-us", "0"][..],
-        &["serve", "--backend", "wan", "--rtt-us", "NaN"][..],
-        &["serve", "--backend", "wan", "--batch", "0"][..],
-        &["serve", "--backend", "dram", "--disk-dir", "/tmp/x"][..],
-        &["serve", "--wan-sweep", "--backend", "disk"][..],
-        &["serve", "--wan-sweep", "--rtt-us", "100"][..],
-        &["serve", "--wan-sweep", "--batch", "8"][..],
-        &["serve", "--wan-sweep", "--sweep"][..],
-        &["serve", "--wan-sweep", "--json", "/tmp/x.json"][..],
-        &["serve", "--csv", "/tmp/x"][..],
-        &["serve", "--metrics-addr"][..],
-        &["serve", "--metrics-linger"][..],
-        &["serve", "--metrics-linger", "NaN"][..],
-        &["serve", "--metrics-linger", "5"][..],
-        &["serve", "--shard-sweep", "--metrics-addr", "127.0.0.1:0"][..],
-        &["serve", "--wan-sweep", "--metrics-addr", "127.0.0.1:0"][..],
-        &["serve", "--shard-sweep", "--top"][..],
-        &["serve", "--wan-sweep", "--top"][..],
-        &["serve", "--posmap"][..],
-        &["serve", "--posmap", "nonesuch"][..],
-        &["serve", "--plb-entries", "0"][..],
-        &["serve", "--plb-entries", "NaN"][..],
-        &["serve", "--posmap-onchip-kb", "0"][..],
-        &["serve", "--posmap-budget-mb", "0"][..],
-        &["serve", "--domain", "0"][..],
-        &["serve", "--plb-entries", "8"][..],
-        &["serve", "--posmap-onchip-kb", "32"][..],
-        &["serve", "--posmap-sweep", "--sweep"][..],
-        &["serve", "--posmap-sweep", "--json", "/tmp/x.json"][..],
-        &["serve", "--posmap-sweep", "--posmap", "recursive"][..],
-        &["serve", "--posmap-sweep", "--plb-entries", "64"][..],
-        &["serve", "--posmap-sweep", "--levels", "12"][..],
-        &["serve", "--posmap-sweep", "--domain", "512"][..],
-        &["serve", "--posmap-sweep", "--shards", "2"][..],
-        &["serve", "--posmap-sweep", "--load", "2"][..],
-        &["serve", "--posmap-sweep", "--backend", "disk"][..],
-        &["serve", "--posmap-sweep", "--metrics-addr", "127.0.0.1:0"][..],
-        &["serve", "--posmap-sweep", "--top"][..],
-        &["serve", "--no-such-flag"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro serve"),
-            "args {args:?}"
-        );
-    }
+    const SWEEP: &str = "--sweep is incompatible with --json and --load";
+    const SHARD_SWEEP: &str =
+        "--shard-sweep is incompatible with --sweep, --json, --load and --shards";
+    const WAN_SWEEP: &str = "\
+        --wan-sweep is incompatible with --sweep, --shard-sweep, --json, --load, \
+        --shards, --rtt-us and --batch (the sweep sets its own RTT x batch grid)";
+    const POSMAP_SWEEP: &str = "\
+        --posmap-sweep is incompatible with --sweep, --shard-sweep, --wan-sweep, \
+        --json, --load, --shards, --posmap, --plb-entries, --levels and --domain (the \
+        sweep sets its own depth x PLB grid)";
+    const LIVE_ON_A_GRID: &str = "\
+        --metrics-addr and --top are incompatible with --shard-sweep, --wan-sweep and \
+        --posmap-sweep (those sweeps re-run many configurations; attach the live plane \
+        to a plain run or --sweep)";
+    const WAN_ONLY: &str = "--rtt-us and --batch apply only to --backend wan";
+    const RECURSIVE_ONLY: &str =
+        "--plb-entries and --posmap-onchip-kb apply only to --posmap recursive";
+    assert_usage_errors(
+        "usage: repro serve",
+        &[
+            (&["serve", "--clients", "0"], "--clients needs a positive integer"),
+            (&["serve", "--requests", "NaN"], "--requests needs a positive integer"),
+            (&["serve", "--load", "-1"], "--load needs a positive number"),
+            (
+                &["serve", "--scheduler", "nonesuch"],
+                "unknown scheduler \"nonesuch\" (fcfs, round_robin, oldest_first)",
+            ),
+            (&["serve", "--json"], "--json needs a path"),
+            (&["serve", "--sweep", "--json", "/tmp/x.json"], SWEEP),
+            (&["serve", "--sweep", "--load", "2"], SWEEP),
+            (&["serve", "--shards", "0"], "--shards needs a positive integer"),
+            (&["serve", "--shards", "NaN"], "--shards needs a positive integer"),
+            (&["serve", "--shards"], "--shards needs a positive integer"),
+            (&["serve", "--threads", "0"], "--threads needs a positive integer"),
+            (&["serve", "--shard-sweep", "--shards", "2"], SHARD_SWEEP),
+            (&["serve", "--shard-sweep", "--json", "/tmp/x.json"], SHARD_SWEEP),
+            (&["serve", "--shard-sweep", "--sweep"], SHARD_SWEEP),
+            (&["serve", "--backend"], "--backend needs a name (dram, disk or wan)"),
+            (
+                &["serve", "--backend", "tape"],
+                "unknown backend \"tape\" (expected dram, disk or wan)",
+            ),
+            (&["serve", "--backend", "dram", "--rtt-us", "100"], WAN_ONLY),
+            (&["serve", "--backend", "dram", "--batch", "8"], WAN_ONLY),
+            (&["serve", "--rtt-us", "100"], WAN_ONLY),
+            (&["serve", "--backend", "wan", "--rtt-us", "0"], "--rtt-us needs a positive number"),
+            (&["serve", "--backend", "wan", "--rtt-us", "NaN"], "--rtt-us needs a positive number"),
+            (&["serve", "--backend", "wan", "--batch", "0"], "--batch needs a positive integer"),
+            (
+                &["serve", "--backend", "dram", "--disk-dir", "/tmp/x"],
+                "--disk-dir applies only to --backend disk",
+            ),
+            (&["serve", "--wan-sweep", "--backend", "disk"], "--wan-sweep requires --backend wan"),
+            (&["serve", "--wan-sweep", "--rtt-us", "100"], WAN_SWEEP),
+            (&["serve", "--wan-sweep", "--batch", "8"], WAN_SWEEP),
+            (&["serve", "--wan-sweep", "--sweep"], WAN_SWEEP),
+            (&["serve", "--wan-sweep", "--json", "/tmp/x.json"], WAN_SWEEP),
+            (
+                &["serve", "--csv", "/tmp/x"],
+                "--csv applies only to --wan-sweep, --shard-sweep and --posmap-sweep",
+            ),
+            (&["serve", "--metrics-addr"], "--metrics-addr needs HOST:PORT"),
+            (&["serve", "--metrics-linger"], "--metrics-linger needs seconds"),
+            (&["serve", "--metrics-linger", "NaN"], "--metrics-linger needs seconds"),
+            (
+                &["serve", "--metrics-linger", "5"],
+                "--metrics-linger applies only with --metrics-addr",
+            ),
+            (&["serve", "--shard-sweep", "--metrics-addr", "127.0.0.1:0"], LIVE_ON_A_GRID),
+            (&["serve", "--wan-sweep", "--metrics-addr", "127.0.0.1:0"], LIVE_ON_A_GRID),
+            (&["serve", "--shard-sweep", "--top"], LIVE_ON_A_GRID),
+            (&["serve", "--wan-sweep", "--top"], LIVE_ON_A_GRID),
+            (&["serve", "--posmap"], "--posmap needs a mode (flat or recursive)"),
+            (
+                &["serve", "--posmap", "nonesuch"],
+                "unknown posmap \"nonesuch\" (expected flat or recursive)",
+            ),
+            (&["serve", "--plb-entries", "0"], "--plb-entries needs a positive integer"),
+            (&["serve", "--plb-entries", "NaN"], "--plb-entries needs a positive integer"),
+            (&["serve", "--posmap-onchip-kb", "0"], "--posmap-onchip-kb needs a positive integer"),
+            (&["serve", "--posmap-budget-mb", "0"], "--posmap-budget-mb needs a positive integer"),
+            (&["serve", "--domain", "0"], "--domain needs a positive integer"),
+            (&["serve", "--plb-entries", "8"], RECURSIVE_ONLY),
+            (&["serve", "--posmap-onchip-kb", "32"], RECURSIVE_ONLY),
+            (&["serve", "--posmap-sweep", "--sweep"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--json", "/tmp/x.json"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--posmap", "recursive"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--plb-entries", "64"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--levels", "12"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--domain", "512"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--shards", "2"], POSMAP_SWEEP),
+            (&["serve", "--posmap-sweep", "--load", "2"], POSMAP_SWEEP),
+            (
+                &["serve", "--posmap-sweep", "--backend", "disk"],
+                "--posmap-sweep runs on the DRAM reference backend",
+            ),
+            (&["serve", "--posmap-sweep", "--metrics-addr", "127.0.0.1:0"], LIVE_ON_A_GRID),
+            (&["serve", "--posmap-sweep", "--top"], LIVE_ON_A_GRID),
+            (&["serve", "--no-such-flag"], "unexpected argument \"--no-such-flag\""),
+            // Two rules broken at once: the earlier one in the table is reported.
+            (&["serve", "--wan-sweep", "--sweep", "--backend", "disk"], WAN_SWEEP),
+        ],
+    );
 }
 
 /// A flat position map that would not fit the configured memory budget
@@ -360,6 +399,41 @@ fn domain_past_tree_capacity_is_a_one_line_exit_2() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("block slots; raise --levels"), "{err}");
     assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    // So is a domain the zipfian request generator cannot draw from:
+    // knowable from the flags, so exit 2 before the run, not 1 inside it.
+    let out = repro(&["serve", "--quick", "--domain", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        err,
+        "repro serve: --domain 1 is below the 2 blocks the zipfian request generator needs\n"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+/// A preset (`--quick`, `--full`) picks defaults; it never overrides a
+/// flag, whichever comes first on the command line.
+#[test]
+fn presets_do_not_eat_earlier_flags() {
+    let serve: &[&str] = &["--quiet", "--scheduler", "fcfs", "--requests", "40", "--levels", "11"];
+    for (sub, preset, flags) in [
+        ("serve", "--quick", &[serve, &["--seed", "9"]].concat()[..]),
+        ("profile", "--quick", &["--quiet", "--misses", "250"][..]),
+        ("soak", "--quick", &["--quiet", "--requests-total", "800", "--tenants", "2"][..]),
+        // The control: the experiment path kept its flags in locals.
+        ("table1", "--full", &["--levels", "12"][..]),
+    ] {
+        let preset_first = repro(&[&[sub, preset], flags].concat());
+        let preset_last = repro(&[&[sub], flags, &[preset]].concat());
+        assert_eq!(preset_first.status.code(), Some(0), "repro {sub} {preset} {flags:?}");
+        assert_eq!(preset_last.status.code(), Some(0), "repro {sub} {flags:?} {preset}");
+        assert!(!preset_first.stdout.is_empty(), "repro {sub}");
+        assert_eq!(
+            String::from_utf8_lossy(&preset_first.stdout),
+            String::from_utf8_lossy(&preset_last.stdout),
+            "repro {sub}: {preset} after {flags:?} changed the run"
+        );
+    }
 }
 
 /// End-to-end recursive-posmap serve: the status line reports the chain
@@ -767,19 +841,15 @@ fn shard_sweep_writes_the_knee_csv() {
 
 #[test]
 fn audit_usage_errors_exit_2() {
-    for args in [
-        &["audit", "--seed", "NaN"][..],
-        &["audit", "--seed"][..],
-        &["audit", "--trace-out"][..],
-        &["audit", "--frobnicate"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("usage: repro audit"),
-            "args {args:?}"
-        );
-    }
+    assert_usage_errors(
+        "usage: repro audit",
+        &[
+            (&["audit", "--seed", "NaN"], "--seed needs an unsigned integer"),
+            (&["audit", "--seed"], "--seed needs an unsigned integer"),
+            (&["audit", "--trace-out"], "--trace-out needs a path"),
+            (&["audit", "--frobnicate"], "unexpected argument \"--frobnicate\""),
+        ],
+    );
 }
 
 /// A valid `--slo-spec` replaces the default objectives: the custom
@@ -859,17 +929,24 @@ fn malformed_slo_spec_is_a_one_line_exit_2() {
 /// the incident flags on the sweeps.
 #[test]
 fn incident_flag_incompatibilities_exit_2() {
-    for args in [
-        &["serve", "--quick", "--force-incident"][..],
-        &["serve", "--quick", "--sweep", "--incident-dir", "x"][..],
-        &["incident"][..],
-        &["incident", "--no-such-flag"][..],
-        &["soak", "--quick", "--tenants", "0"][..],
-        &["soak", "--quick", "--switch-backend", "dram"][..],
-    ] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "args {args:?}");
-    }
+    assert_usage_errors(
+        "usage: repro",
+        &[
+            (&["serve", "--quick", "--force-incident"], "--force-incident requires --incident-dir"),
+            (
+                &["serve", "--quick", "--sweep", "--incident-dir", "x"],
+                "--slo-spec and --incident-dir are incompatible with the sweeps (the flight \
+                 recorder and SLO overrides attach to a single plain run)",
+            ),
+            (&["incident"], "usage: repro incident <dir>"),
+            (&["incident", "--no-such-flag"], "unexpected argument \"--no-such-flag\""),
+            (&["soak", "--quick", "--tenants", "0"], "--tenants needs a positive integer"),
+            (
+                &["soak", "--quick", "--switch-backend", "dram"],
+                "repro soak: switch backend dram equals the starting backend",
+            ),
+        ],
+    );
 }
 
 /// The forced incident bundle lands on disk and `repro incident`
