@@ -4,8 +4,8 @@
 //! levels (level 0 is the root, level `L` the leaves). Each node is a
 //! *bucket* of `Z` block slots. This module provides the index arithmetic —
 //! bucket ids, paths, common-prefix levels, the reverse-lexicographic
-//! eviction order — and the bucket storage itself: one flat arena of
-//! packed slots per tree, a bucket being an index range of it.
+//! eviction order — and the bucket storage itself: the packed slots of
+//! the occupied buckets in one arena per tree, found through an index.
 
 use crate::types::{Block, BlockAddr, BlockKind, LeafLabel};
 use oram_util::DetHashMap;
@@ -254,17 +254,17 @@ fn bit_reverse(v: u64, bits: u32) -> u64 {
     v.reverse_bits() >> (64 - bits)
 }
 
-/// Bucket count above which [`OramTree`] switches from the dense arena
-/// to the sparse one. `2^21` buckets ≈ a few hundred MiB of address
-/// space at Z = 5 — beyond that deep trees (billion-block address
-/// domains) only ever materialize the buckets a run actually touches.
+/// Bucket count from which [`OramTree`] indexes its buckets with a hash
+/// map instead of a flat table. Below it the table and the reserved
+/// arena are a few hundred MiB of address space at most (Z = 5) — beyond
+/// it, deep trees (billion-block address domains) only ever index and
+/// grow by the buckets a run actually fills.
 const DENSE_BUCKET_LIMIT: u64 = 1 << 21;
 
 /// One stored slot: `[addr, label | kind << 62, data, version]`.
 ///
-/// The all-zero word *is* the dummy: a fresh arena comes from the
-/// zeroed-allocation path (`calloc`, untouched zero pages), so an
-/// all-dummy tree costs no writes to build and none to drop.
+/// The all-zero word *is* the dummy: a range enters the arena zeroed and
+/// is zeroed again when its bucket empties.
 type Word = [u64; 4];
 
 const KIND_SHIFT: u32 = 62;
@@ -307,26 +307,15 @@ fn all_dummy(words: &[Word]) -> bool {
     words.iter().all(|w| *w == [0; 4])
 }
 
-/// Physical storage behind [`OramTree`]: every slot of the tree in one
-/// allocation, a bucket being the index range `base .. base + Z`.
-///
-/// Both variants maintain one property: a bucket is *occupied* iff some
-/// word of its range is non-zero, i.e. iff it holds a block. A vacant
-/// bucket reads as all-dummy *without touching its words*, and an
-/// all-dummy write onto one stores nothing — so memory no block ever
-/// lived in is never faulted in, and a bucket a block has left stops
-/// costing anything again.
+/// Which arena range each occupied bucket owns, stored as `1 + range`;
+/// 0 (or no entry) means vacant.
 #[derive(Debug, Clone)]
-enum SlotStore {
-    /// All `slot_count()` words; bucket `raw` starts at `(raw − 1) · Z`.
-    /// Bit `raw` of `occupied` is set iff the bucket is occupied.
-    Dense { words: Vec<Word>, occupied: Vec<u64> },
-    /// Only the occupied buckets: `base` maps each to its range of
-    /// `words`. A bucket that empties leaves `base` and its (zeroed)
-    /// range goes on `free`, to be handed to the next bucket that fills
-    /// before `words` grows — the arena tracks the working set, not the
-    /// number of buckets the run has ever passed through.
-    Sparse { base: DetHashMap<u64, usize>, words: Vec<Word>, free: Vec<usize> },
+enum BucketIndex {
+    /// Entry `raw − 1` for every bucket, zero-allocated: building it
+    /// touches no page.
+    Flat(Vec<u32>),
+    /// Entries for the occupied buckets only.
+    Hashed(DetHashMap<u64, u32>),
 }
 
 /// The ORAM tree storage: geometry plus the slot arena.
@@ -334,29 +323,43 @@ enum SlotStore {
 /// This models the *untrusted external memory*; the simulator separately
 /// charges DRAM timing for every slot touched. Contents here are the
 /// plaintext view that only the trusted controller can see.
+///
+/// Only *occupied* buckets — those holding a block — have memory: `Z`
+/// consecutive words of `words`, packed in the order buckets filled and
+/// found through `index`. A bucket is occupied iff some word of its range
+/// is non-zero. A vacant bucket reads as all-dummy without a word being
+/// looked at, and an all-dummy write onto one stores nothing. A bucket
+/// that empties is zeroed and its range goes on `free`, which the next
+/// bucket to fill takes from before `words` grows, so the arena is `Z ×`
+/// the most buckets that were ever occupied at once.
 #[derive(Debug, Clone)]
 pub struct OramTree {
     shape: TreeShape,
-    store: SlotStore,
+    index: BucketIndex,
+    words: Vec<Word>,
+    free: Vec<u32>,
 }
 
 impl OramTree {
-    /// Creates an all-dummy tree of the given shape in O(1): trees up to
-    /// [`DENSE_BUCKET_LIMIT`] buckets reserve one zeroed arena whose
-    /// pages are first touched when a block is written to them; deeper
-    /// trees store only the buckets that hold a block, so a
-    /// 2^30-address domain costs memory proportional to the working
-    /// set, not the tree.
+    /// Creates an all-dummy tree of the given shape in O(1), touching no
+    /// memory. Below [`DENSE_BUCKET_LIMIT`] buckets the index is a zeroed
+    /// table and the arena and free list reserve a whole tree's worth of
+    /// address space, so filling the tree never reallocates; a deeper
+    /// tree indexes, and grows by, only the buckets it fills, so a
+    /// 2^30-address domain costs memory proportional to the working set.
     pub fn new(shape: TreeShape) -> Self {
-        let store = if shape.bucket_count() <= DENSE_BUCKET_LIMIT {
-            SlotStore::Dense {
-                words: vec![[0u64; 4]; shape.slot_count() as usize],
-                occupied: vec![0; shape.bucket_count() as usize / 64 + 1],
-            }
+        let buckets = shape.bucket_count();
+        let (index, reserve) = if buckets < DENSE_BUCKET_LIMIT {
+            (BucketIndex::Flat(vec![0; buckets as usize]), buckets as usize)
         } else {
-            SlotStore::Sparse { base: DetHashMap::default(), words: Vec::new(), free: Vec::new() }
+            (BucketIndex::Hashed(DetHashMap::default()), 0)
         };
-        OramTree { shape, store }
+        OramTree {
+            shape,
+            index,
+            words: Vec::with_capacity(reserve * shape.slots_per_bucket),
+            free: Vec::with_capacity(reserve),
+        }
     }
 
     /// The tree's geometry.
@@ -364,69 +367,60 @@ impl OramTree {
         self.shape
     }
 
+    /// The index key of bucket `id`: every lookup and claim goes through
+    /// here, so an id outside `1 ..= bucket_count()` never reaches the
+    /// index.
+    #[inline]
+    fn key(&self, id: BucketId) -> u64 {
+        let raw = id.raw();
+        assert!(raw >= 1 && raw <= self.shape.bucket_count(), "bucket outside the tree");
+        raw
+    }
+
     /// Arena index of slot 0 of bucket `id`; `None` for a vacant bucket
     /// (it reads as all-dummy).
     #[inline]
     fn base_of(&self, id: BucketId) -> Option<usize> {
-        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
-        match &self.store {
-            SlotStore::Dense { occupied, .. } => {
-                let raw = id.raw() as usize;
-                (occupied[raw / 64] >> (raw % 64) & 1 == 1)
-                    .then(|| (raw - 1) * self.shape.slots_per_bucket)
-            }
-            SlotStore::Sparse { base, .. } => base.get(&id.raw()).copied(),
-        }
+        let raw = self.key(id);
+        let entry = match &self.index {
+            BucketIndex::Flat(table) => table[raw as usize - 1],
+            BucketIndex::Hashed(map) => map.get(&raw).copied().unwrap_or(0),
+        };
+        entry.checked_sub(1).map(|range| range as usize * self.shape.slots_per_bucket)
     }
 
     /// Marks bucket `id` occupied and returns the arena index of its
-    /// slot 0. A vacant sparse bucket gets an all-dummy range, recycled
-    /// from the free list when there is one.
+    /// slot 0. A vacant bucket gets an all-dummy range: the last one
+    /// freed, or a new one at the end of the arena.
     #[inline]
     fn claim(&mut self, id: BucketId) -> usize {
         let z = self.shape.slots_per_bucket;
-        assert!(id.raw() <= self.shape.bucket_count(), "bucket outside the tree");
-        match &mut self.store {
-            SlotStore::Dense { occupied, .. } => {
-                let raw = id.raw() as usize;
-                occupied[raw / 64] |= 1 << (raw % 64);
-                (raw - 1) * z
-            }
-            SlotStore::Sparse { base, words, free } => {
-                *base.entry(id.raw()).or_insert_with(|| {
-                    free.pop().unwrap_or_else(|| {
-                        words.resize(words.len() + z, [0; 4]);
-                        words.len() - z
-                    })
-                })
-            }
+        let raw = self.key(id);
+        let entry = match &mut self.index {
+            BucketIndex::Flat(table) => &mut table[raw as usize - 1],
+            BucketIndex::Hashed(map) => map.entry(raw).or_insert(0),
+        };
+        if *entry == 0 {
+            *entry = 1 + self.free.pop().unwrap_or_else(|| {
+                self.words.resize(self.words.len() + z, [0; 4]);
+                (self.words.len() / z - 1) as u32
+            });
         }
+        (*entry - 1) as usize * z
     }
 
-    /// Marks the occupied bucket `id`, whose words the caller has just
-    /// zeroed, vacant.
-    fn vacate(&mut self, id: BucketId) {
-        match &mut self.store {
-            SlotStore::Dense { occupied, .. } => {
-                let raw = id.raw() as usize;
-                occupied[raw / 64] &= !(1 << (raw % 64));
+    /// Zeroes the occupied bucket `id`, whose range starts at `at`, and
+    /// frees the range.
+    fn vacate(&mut self, id: BucketId, at: usize) {
+        let z = self.shape.slots_per_bucket;
+        self.words[at..at + z].fill([0; 4]);
+        match &mut self.index {
+            BucketIndex::Flat(table) => table[id.raw() as usize - 1] = 0,
+            BucketIndex::Hashed(map) => {
+                map.remove(&id.raw());
             }
-            SlotStore::Sparse { base, free, .. } => {
-                free.extend(base.remove(&id.raw()));
-            }
         }
-    }
-
-    fn words(&self) -> &[Word] {
-        match &self.store {
-            SlotStore::Dense { words, .. } | SlotStore::Sparse { words, .. } => words,
-        }
-    }
-
-    fn words_mut(&mut self) -> &mut [Word] {
-        match &mut self.store {
-            SlotStore::Dense { words, .. } | SlotStore::Sparse { words, .. } => words,
-        }
+        self.free.push((at / z) as u32);
     }
 
     /// Whether bucket `id` holds a block. `false` means every slot reads
@@ -448,7 +442,7 @@ impl OramTree {
     #[inline]
     pub fn slot(&self, id: BucketId, i: usize) -> Block {
         assert!(i < self.shape.slots_per_bucket, "slot index out of range");
-        self.base_of(id).map_or(Block::DUMMY, |at| unpack(&self.words()[at + i]))
+        self.base_of(id).map_or(Block::DUMMY, |at| unpack(&self.words[at + i]))
     }
 
     /// Overwrites slot `i` of bucket `id`. A dummy into a vacant bucket
@@ -463,21 +457,21 @@ impl OramTree {
         assert!(i < z, "slot index out of range");
         if block.is_dummy() {
             let Some(at) = self.base_of(id) else { return };
-            self.words_mut()[at + i] = [0; 4];
-            if all_dummy(&self.words()[at..at + z]) {
-                self.vacate(id);
+            self.words[at + i] = [0; 4];
+            if all_dummy(&self.words[at..at + z]) {
+                self.vacate(id, at);
             }
         } else {
             let at = self.claim(id);
-            self.words_mut()[at + i] = pack(block);
+            self.words[at + i] = pack(block);
         }
     }
 
     /// Overwrites all `Z` slots of bucket `id` — what an eviction does
     /// to each bucket of its path. All-dummy onto a vacant bucket does
-    /// nothing at all (no store, no page touched, no sparse entry);
-    /// all-dummy onto an occupied one zeroes its words and vacates it;
-    /// anything else stores `Z` words and marks it occupied.
+    /// nothing at all (no store, no page touched, no index entry);
+    /// all-dummy onto an occupied one vacates it; anything else stores
+    /// `Z` words and marks it occupied.
     ///
     /// # Panics
     ///
@@ -488,12 +482,11 @@ impl OramTree {
         assert_eq!(blocks.len(), z, "a bucket is written Z blocks at a time");
         if blocks.iter().all(Block::is_dummy) {
             if let Some(at) = self.base_of(id) {
-                self.words_mut()[at..at + z].fill([0; 4]);
-                self.vacate(id);
+                self.vacate(id, at);
             }
         } else {
             let at = self.claim(id);
-            for (w, b) in self.words_mut()[at..at + z].iter_mut().zip(blocks) {
+            for (w, b) in self.words[at..at + z].iter_mut().zip(blocks) {
                 *w = pack(*b);
             }
         }
@@ -510,7 +503,7 @@ impl OramTree {
         assert_eq!(out.len(), self.shape.slots_per_bucket, "buffer must hold exactly Z blocks");
         match self.base_of(id) {
             Some(at) => {
-                for (o, w) in out.iter_mut().zip(&self.words()[at..]) {
+                for (o, w) in out.iter_mut().zip(&self.words[at..]) {
                     *o = unpack(w);
                 }
             }
@@ -518,91 +511,73 @@ impl OramTree {
         }
     }
 
-    /// Counts stored blocks of `kind` (order-independent, so sparse
-    /// materialization order cannot leak).
+    /// Counts stored blocks of `kind` (order-independent, so the order
+    /// buckets claimed their ranges cannot leak).
     fn count_kind(&self, kind: u64) -> usize {
-        self.words().iter().filter(|w| w[1] >> KIND_SHIFT == kind).count()
+        self.words.iter().filter(|w| w[1] >> KIND_SHIFT == kind).count()
     }
 
     /// Total number of real blocks currently stored in the tree
-    /// (diagnostics only — O(size of tree)).
+    /// (diagnostics only — O(size of the arena)).
     pub fn real_block_count(&self) -> usize {
         self.count_kind(KIND_REAL)
     }
 
     /// Total number of shadow blocks currently stored in the tree
-    /// (diagnostics only — O(size of tree)).
+    /// (diagnostics only — O(size of the arena)).
     pub fn shadow_block_count(&self) -> usize {
         self.count_kind(KIND_SHADOW)
     }
 
-    /// Number of buckets that hold a block (diagnostics — O(buckets / 64)
-    /// dense, O(1) sparse).
+    /// Number of buckets that hold a block (diagnostics, O(1): the arena
+    /// ranges that are not free, each of which the index maps one bucket
+    /// to — [`OramTree::check_occupancy`] checks that).
     pub fn occupied_buckets(&self) -> usize {
-        match &self.store {
-            SlotStore::Dense { occupied, .. } => {
-                occupied.iter().map(|w| w.count_ones() as usize).sum()
-            }
-            SlotStore::Sparse { base, .. } => base.len(),
-        }
+        self.words.len() / self.shape.slots_per_bucket - self.free.len()
     }
 
-    /// Length of the slot arena in words (diagnostics). Fixed at
-    /// `slot_count()` for a dense tree; a sparse one grows it only when
-    /// a bucket fills while no vacated range is free.
+    /// Length of the slot arena in words (diagnostics): `Z ×` the most
+    /// buckets that were ever occupied at once.
     pub fn arena_words(&self) -> usize {
-        self.words().len()
+        self.words.len()
     }
 
-    /// Checks the store's own invariant: a bucket is flagged occupied
-    /// (dense) or mapped (sparse) iff some word of it is non-zero, and a
-    /// sparse arena is exactly tiled by mapped and free ranges, none of
-    /// them both. O(size of tree); test/diagnostic use only.
+    /// Checks the store's own invariant: the indexed and the free ranges
+    /// tile the arena, none of them twice; an indexed range holds a block
+    /// and a free one is zeroed. O(buckets + arena); test/diagnostic use
+    /// only.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn check_occupancy(&self) -> Result<(), String> {
         let z = self.shape.slots_per_bucket;
-        match &self.store {
-            SlotStore::Dense { words, occupied } => {
-                for (ix, bucket) in words.chunks_exact(z).enumerate() {
-                    let raw = ix + 1;
-                    let flagged = occupied[raw / 64] >> (raw % 64) & 1 == 1;
-                    if flagged == all_dummy(bucket) {
-                        return Err(format!(
-                            "bucket {raw}: occupied bit {flagged} but all-dummy {}",
-                            !flagged
-                        ));
-                    }
-                }
+        let indexed: Box<dyn Iterator<Item = (u64, u32)>> = match &self.index {
+            BucketIndex::Flat(table) => Box::new((1..).zip(table.iter().copied())),
+            BucketIndex::Hashed(map) => Box::new(map.iter().map(|(&raw, &entry)| (raw, entry))),
+        };
+        let indexed =
+            indexed.filter(|&(_, entry)| entry != 0).map(|(raw, entry)| (Some(raw), entry - 1));
+        let mut owned = vec![false; self.words.len() / z];
+        for (raw, range) in indexed.chain(self.free.iter().map(|&range| (None, range))) {
+            let at = range as usize * z;
+            let Some(owner) = owned.get_mut(range as usize) else {
+                return Err(format!("arena range {at} is past the arena"));
+            };
+            if std::mem::replace(owner, true) {
+                return Err(format!("arena range {at} is indexed or free twice"));
             }
-            SlotStore::Sparse { base, words, free } => {
-                // Each range is claimed at most once, by the map or by
-                // the free list; together they cover the arena.
-                let mut owner = vec![false; words.len() / z];
-                let mapped = base.iter().map(|(&raw, &at)| (Some(raw), at));
-                for (raw, at) in mapped.chain(free.iter().map(|&at| (None, at))) {
-                    if at % z != 0 || at + z > words.len() {
-                        return Err(format!("arena range {at} is not a bucket of the arena"));
-                    }
-                    if std::mem::replace(&mut owner[at / z], true) {
-                        return Err(format!("arena range {at} is mapped or free twice"));
-                    }
-                    // A mapped range holds a block; a free one is zeroed.
-                    if raw.is_some() == all_dummy(&words[at..at + z]) {
-                        return Err(match raw {
-                            Some(raw) => format!("bucket {raw} is mapped but all-dummy"),
-                            None => format!("free arena range {at} holds a block"),
-                        });
-                    }
-                }
-                if let Some(lost) = owner.iter().position(|&o| !o) {
-                    return Err(format!("arena range {} is neither mapped nor free", lost * z));
-                }
+            if raw.is_some() == all_dummy(&self.words[at..at + z]) {
+                return Err(match raw {
+                    Some(raw) => format!("bucket {raw} is indexed but all-dummy"),
+                    None => format!("free arena range {at} holds a block"),
+                });
             }
         }
-        Ok(())
+        match owned.iter().position(|&o| !o) {
+            Some(lost) => Err(format!("arena range {} is neither indexed nor free", lost * z)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -757,6 +732,132 @@ mod tests {
     #[should_panic(expected = "slot index out of range")]
     fn slot_index_past_z_is_rejected() {
         OramTree::new(TreeShape::new(3, 2)).slot(BucketId::ROOT, 2);
+    }
+
+    fn tagged(n: u64) -> Block {
+        Block::real(BlockAddr::new(n), LeafLabel::new(n % 8), n, n)
+    }
+
+    /// A tree of `shape` whatever its depth, but with the hash index.
+    fn hashed(shape: TreeShape) -> OramTree {
+        OramTree { index: BucketIndex::Hashed(DetHashMap::default()), ..OramTree::new(shape) }
+    }
+
+    /// Heap ids start at 1; id 0 would read as "vacant" from a hash index
+    /// and write at `table[−1]` through a flat one.
+    #[test]
+    #[should_panic(expected = "bucket outside the tree")]
+    fn bucket_zero_is_rejected_on_write() {
+        OramTree::new(TreeShape::new(3, 2)).set_slot(BucketId(0), 0, tagged(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket outside the tree")]
+    fn bucket_zero_is_rejected_on_read() {
+        hashed(TreeShape::new(3, 2)).slot(BucketId(0), 0);
+    }
+
+    /// Ranges are handed out in claim order, the last one freed first,
+    /// and a flat-indexed tree's arena and free list never move.
+    #[test]
+    fn ranges_pack_in_claim_order_and_freed_ones_go_first() {
+        let shape = TreeShape::new(3, 2);
+        for mut t in [OramTree::new(shape), hashed(shape)] {
+            let (words, free) = (t.words.as_ptr(), t.free.as_ptr());
+            for raw in [15, 1, 8] {
+                t.set_slot(BucketId::new(raw), 1, tagged(raw));
+            }
+            let bases = [15, 1, 8].map(|raw| t.base_of(BucketId::new(raw)));
+            assert_eq!(bases, [Some(0), Some(2), Some(4)]);
+            t.write_bucket(BucketId::new(1), &[Block::DUMMY; 2]);
+            t.set_slot(BucketId::new(5), 0, tagged(5));
+            assert_eq!(t.base_of(BucketId::new(5)), Some(2), "the freed range is taken first");
+            assert_eq!((t.arena_words(), t.occupied_buckets()), (6, 3));
+            for raw in 1..=shape.bucket_count() {
+                t.set_slot(BucketId::new(raw), 0, tagged(raw));
+            }
+            for raw in 1..=shape.bucket_count() {
+                t.write_bucket(BucketId::new(raw), &[Block::DUMMY; 2]);
+            }
+            assert_eq!((t.arena_words(), t.occupied_buckets()), (shape.slot_count() as usize, 0));
+            t.check_occupancy().unwrap();
+            if matches!(t.index, BucketIndex::Flat(_)) {
+                assert_eq!((t.words.as_ptr(), t.free.as_ptr()), (words, free), "reallocated");
+            }
+        }
+    }
+
+    /// The index only finds ranges; which range a bucket gets is the
+    /// arena's business. So one seeded write sequence leaves the same
+    /// arena, free list and answers under either index kind — the oracle
+    /// in `tests/tree.rs` reaches the hash index only past the dense
+    /// limit, this ties it to the flat one at the dense depths.
+    #[test]
+    fn both_index_kinds_lay_out_the_same_arena() {
+        for (levels, z) in [(3u32, 1usize), (10, 4), (14, 5)] {
+            let shape = TreeShape::new(levels, z);
+            let mut trees = [OramTree::new(shape), hashed(shape)];
+            let mut rng = oram_util::Rng64::seed_from_u64(0x1DE7 ^ u64::from(levels));
+            let pool: Vec<u64> = (0..32).map(|_| 1 + rng.below(shape.bucket_count())).collect();
+            for step in 0..4_000 {
+                let id = BucketId::new(pool[rng.below(32) as usize]);
+                let (op, slot) = (rng.below(4), rng.below(z as u64) as usize);
+                let fill = rng.below(z as u64 + 1);
+                let bucket: Vec<Block> = (0..z as u64)
+                    .map(|i| if i < fill { tagged(step + i) } else { Block::DUMMY })
+                    .collect();
+                for t in &mut trees {
+                    match op {
+                        0 => t.set_slot(id, slot, tagged(step)),
+                        1 => t.set_slot(id, slot, Block::DUMMY),
+                        _ => t.write_bucket(id, &bucket),
+                    }
+                }
+                let [flat, hashed] = trees.each_ref().map(|t| (&t.words, &t.free, t.base_of(id)));
+                assert_eq!(flat, hashed, "L={levels} step {step}");
+            }
+            for t in &trees {
+                t.check_occupancy().unwrap_or_else(|e| panic!("L={levels}: {e}"));
+            }
+        }
+    }
+
+    /// `check_occupancy` names each way the store can go wrong, under
+    /// either index kind.
+    #[test]
+    fn check_occupancy_rejects_each_corruption() {
+        let shape = TreeShape::new(4, 2);
+        for make in [OramTree::new, hashed] {
+            let cases = [
+                "free arena range 4 holds a block",
+                "bucket 3 is indexed but all-dummy",
+                "arena range 0 is indexed or free twice",
+                "arena range 4 is neither indexed nor free",
+            ];
+            for (case, want) in cases.into_iter().enumerate() {
+                // Buckets 3 and 5 hold ranges 0 and 1; range 2 is free.
+                let mut t = make(shape);
+                for raw in [3, 5, 9] {
+                    t.set_slot(BucketId::new(raw), 0, tagged(raw));
+                }
+                t.set_slot(BucketId::new(9), 0, Block::DUMMY);
+                t.check_occupancy().unwrap();
+                match case {
+                    0 => t.words[4] = pack(tagged(4)),
+                    1 => t.words[0] = [0; 4],
+                    2 => match &mut t.index {
+                        BucketIndex::Flat(table) => table[6] = 1,
+                        BucketIndex::Hashed(map) => {
+                            map.insert(7, 1);
+                        }
+                    },
+                    _ => {
+                        t.free.pop();
+                    }
+                }
+                assert_eq!(t.check_occupancy(), Err(want.to_string()));
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The slot arena against the store it replaced.
 //!
-//! [`OramTree`] keeps every slot of a tree in one allocation of packed
-//! words, dense or (past 2^21 buckets) sparse. Before that the tree was a
-//! `Vec<Bucket>`, one heap `Vec<Block>` per bucket. That store is kept
-//! here, outside the library, as the reference: seeded random write/read
-//! sequences drive both and require identical contents. A last test pins
-//! whole controller runs at the benchmark's recursive shape (L = 18) to
-//! counters captured before the change.
+//! [`OramTree`] keeps the occupied buckets of a tree packed in one arena
+//! of words, found through a flat index table or (past 2^21 buckets) a
+//! hash index. Before that the tree was a `Vec<Bucket>`, one heap
+//! `Vec<Block>` per bucket. That store is kept here, outside the library,
+//! as the reference: seeded random write/read sequences drive both and
+//! require identical contents — the "dense" cases through the flat
+//! index, the "sparse" ones through the hash index. Whole controller runs
+//! are pinned to digests and counters captured before the change, and the
+//! arena's size is pinned to occupancy as counts.
 
 use std::collections::{HashMap, HashSet};
 
@@ -121,6 +123,9 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
     // all-dummy onto an occupied one, mixed, full.
     let mut bucket_writes = [0u64; 4];
     let mut emptied_slot_by_slot = 0u64;
+    // Most buckets occupied at once: a step fills at most one bucket, so
+    // sampling after each step sees every peak.
+    let mut high_water = 0;
     for step in 0..steps {
         let raw = match rng.below(8) {
             0 => 1,
@@ -196,11 +201,12 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
             holds_a_block(&want),
             "L={levels} Z={z} step {step} bucket {raw}"
         );
-        assert_eq!(
-            arena.occupied_buckets(),
-            reference.buckets.values().filter(|b| holds_a_block(b)).count(),
-            "L={levels} Z={z} step {step}"
-        );
+        let occupied = reference.buckets.values().filter(|b| holds_a_block(b)).count();
+        assert_eq!(arena.occupied_buckets(), occupied, "L={levels} Z={z} step {step}");
+        // The arena holds the buckets that were occupied at once, not
+        // every bucket the run has written: vacated ranges are reused.
+        high_water = high_water.max(occupied);
+        assert_eq!(arena.arena_words(), z * high_water, "L={levels} Z={z} step {step}");
         if step % 500 == 0 || levels <= 3 {
             arena
                 .check_occupancy()
@@ -234,16 +240,6 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
             "L={levels} Z={z} bucket {raw}"
         );
     }
-    // A sparse arena holds the buckets that were occupied at once, not
-    // every bucket the run has written: vacated ranges were reused.
-    if arena.arena_words() != shape.slot_count() as usize {
-        assert!(
-            arena.arena_words() < reference.buckets.len() * z,
-            "L={levels} Z={z}: {} words for {} buckets ever written",
-            arena.arena_words(),
-            reference.buckets.len()
-        );
-    }
 }
 
 #[test]
@@ -266,8 +262,8 @@ fn sparse_arena_matches_the_bucket_vec_store() {
 
 #[test]
 fn every_slot_of_a_small_dense_tree_is_its_own() {
-    // Writing one slot changes that slot and no neighbour: the index
-    // arithmetic `(raw − 1) · Z + i` neither overlaps nor skips.
+    // Writing one slot changes that slot and no neighbour: the ranges the
+    // index hands out neither overlap nor skip, up to the whole tree.
     let shape = TreeShape::new(3, 4);
     let mut tree = OramTree::new(shape);
     let tag = |raw: u64, slot: usize| {
@@ -290,6 +286,8 @@ fn every_slot_of_a_small_dense_tree_is_its_own() {
         }
     }
     assert_eq!(tree.real_block_count(), shape.slot_count() as usize);
+    assert_eq!(tree.arena_words(), shape.slot_count() as usize);
+    tree.check_occupancy().unwrap();
 }
 
 /// FNV-1a over the `Debug` text of whatever a run produced.
@@ -559,4 +557,51 @@ fn deep_levels_of_a_dense_tree_stay_vacant() {
     // Not for want of evictions: a third of level 13 has been rewritten.
     let rewritten_at_13 = rewritten.iter().filter(|&&raw| BucketId::new(raw).level() == 13).count();
     assert!(rewritten_at_13 * 10 > 3 << 13, "{rewritten_at_13} level-13 buckets rewritten");
+}
+
+/// Memory follows occupancy, as counts, at `serve_recursive`'s shape
+/// (L = 18, 8 192 blocks, recursive position map): the data tree's arena
+/// is `Z ×` the buckets occupied once the prefill is done, and through
+/// 20 000 mixed accesses `Z ×` the most occupied at once — where a
+/// heap-order arena spans every bucket of the tree. "At once" can fall
+/// inside an access, which these samples between accesses miss: the
+/// eviction write half goes leaf first and may fill a deep bucket before
+/// it empties a shallow one, so the bound allows one path on top.
+#[test]
+fn arena_follows_occupancy_at_the_serve_recursive_shape() {
+    const BLOCKS: u64 = 8192;
+    let mut cfg = OramConfig::paper_table1()
+        .with_levels(18)
+        .with_posmap(PosMapSelect::Recursive { onchip_kb: 1 });
+    cfg.stash_capacity = 200;
+    let mut ctl = OramController::new(cfg).unwrap();
+    let z = ctl.shape().slots_per_bucket();
+    let path = ctl.shape().levels() as usize + 1;
+    ctl.prefill((0..BLOCKS).map(|a| (BlockAddr::new(a), a)));
+    let mut high_water = ctl.tree().occupied_buckets();
+    assert_eq!(ctl.tree().arena_words(), z * high_water, "a prefill only fills buckets");
+    let mut zipf = ZipfianSampler::new(BLOCKS, 0.99, 0x5E7E);
+    let mut rng = Rng64::seed_from_u64(0x5E7E);
+    for step in 1..=20_000u64 {
+        let addr = BlockAddr::new(zipf.sample());
+        match rng.below(10) {
+            0..=3 => ctl.dummy_access(),
+            4 | 5 => ctl.access(Request::write(addr, step)),
+            _ => ctl.access(Request::read(addr)),
+        };
+        let tree = ctl.tree();
+        high_water = high_water.max(tree.occupied_buckets());
+        assert!(
+            tree.arena_words() <= z * (high_water + path),
+            "step {step}: {} words, at most {high_water} buckets occupied between accesses",
+            tree.arena_words()
+        );
+        if step % 2_000 == 0 {
+            // Indexed and free ranges tile the arena, so it is exactly
+            // `Z ×` (indexed + free).
+            tree.check_occupancy().unwrap_or_else(|e| panic!("step {step}: {e}"));
+        }
+    }
+    let words = ctl.tree().arena_words();
+    assert!(words * 40 < ctl.shape().slot_count() as usize, "{words} words");
 }

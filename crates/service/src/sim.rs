@@ -110,7 +110,16 @@ struct ClientState {
 }
 
 impl ClientState {
-    fn new(spec: ClientSpec, master_seed: u64, index: usize, start_cycle: u64) -> Self {
+    /// `zipfs` holds one sampler per distinct `(domain, θ)` built so far
+    /// this run; a client with the same mix reseeds it rather than summing
+    /// the normalisation again.
+    fn new(
+        spec: ClientSpec,
+        master_seed: u64,
+        index: usize,
+        start_cycle: u64,
+        zipfs: &mut Vec<ZipfianSampler>,
+    ) -> Self {
         // SplitMix-style per-client stream separation: one multiply is
         // enough because Rng64's seeding finalizes with SplitMix64.
         let base = master_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -122,7 +131,15 @@ impl ClientState {
         let zipf = match spec.addresses {
             AddressMix::Zipfian { domain, theta }
             | AddressMix::ZipfianShifted { domain, theta, .. } => {
-                Some(ZipfianSampler::new(domain, theta, base ^ 0xA11CE))
+                let seed = base ^ 0xA11CE;
+                Some(match zipfs.iter().find(|z| z.domain() == domain && z.theta() == theta) {
+                    Some(built) => built.reseeded(seed),
+                    None => {
+                        let zipf = ZipfianSampler::new(domain, theta, seed);
+                        zipfs.push(zipf.clone());
+                        zipf
+                    }
+                })
             }
             _ => None,
         };
@@ -317,11 +334,12 @@ impl Frontend {
     /// whose engine clock is already deep into a previous phase.
     fn new_at(cfg: ServiceConfig, start_cycle: u64) -> Result<Self, String> {
         cfg.validate()?;
+        let mut zipfs = Vec::new();
         let mut clients: Vec<ClientState> = cfg
             .clients
             .iter()
             .enumerate()
-            .map(|(i, spec)| ClientState::new(*spec, cfg.seed, i, start_cycle))
+            .map(|(i, spec)| ClientState::new(*spec, cfg.seed, i, start_cycle, &mut zipfs))
             .collect();
         for c in &mut clients {
             // VecDeque grows to a power of two; reserving the bound up
@@ -1066,7 +1084,7 @@ mod tests {
                 write_frac: 0.0,
                 requests: 0,
             };
-            let mut c = ClientState::new(spec, 42, 0, 0);
+            let mut c = ClientState::new(spec, 42, 0, 0, &mut Vec::new());
             (0..2_000).map(|_| c.draw_addr()).collect::<Vec<u64>>()
         };
         let base = draws(AddressMix::Zipfian { domain: 512, theta: 0.9 });

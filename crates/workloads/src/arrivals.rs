@@ -105,7 +105,7 @@ impl ZipfianSampler {
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n);
         ZipfianSampler {
-            rng: Rng64::seed_from_u64(seed ^ 0x21bf_2a11_5e0f_91c5),
+            rng: Self::stream(seed),
             n,
             theta,
             alpha,
@@ -113,6 +113,17 @@ impl ZipfianSampler {
             eta,
             zeta_2,
         }
+    }
+
+    /// The same distribution drawn from a fresh stream: equal, draw for
+    /// draw, to `ZipfianSampler::new(self.domain(), self.theta(), seed)`,
+    /// without summing the `n`-term normalisation again.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        ZipfianSampler { rng: Self::stream(seed), ..self.clone() }
+    }
+
+    fn stream(seed: u64) -> Rng64 {
+        Rng64::seed_from_u64(seed ^ 0x21bf_2a11_5e0f_91c5)
     }
 
     /// The address domain size.
@@ -207,6 +218,22 @@ mod tests {
         let sa: Vec<u64> = (0..500).map(|_| a.sample()).collect();
         let sb: Vec<u64> = (0..500).map(|_| b.sample()).collect();
         assert_eq!(sa, sb);
+    }
+
+    #[test]
+    fn reseeded_sampler_draws_what_a_fresh_one_draws() {
+        let cases = [(2, 0.5, 0), (1000, 0.99, 4), (4096, 0.9, 77), (1 << 18, 0.99, 0xA11CE)];
+        for (n, theta, seed) in cases {
+            let mut derived = ZipfianSampler::new(n, theta, 1).reseeded(seed);
+            let mut fresh = ZipfianSampler::new(n, theta, seed);
+            for draw in 0..10_000 {
+                assert_eq!(
+                    derived.sample(),
+                    fresh.sample(),
+                    "n={n} theta={theta} seed={seed} draw {draw}"
+                );
+            }
+        }
     }
 
     #[test]
