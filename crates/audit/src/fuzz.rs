@@ -25,7 +25,9 @@ use crate::distinguisher::{
 use crate::invariants::{check_trace, TraceSpec, TraceSummary};
 use crate::posmap::{check_posmap_trace, recursive_flat_data_identity, strip_posmap_events};
 use crate::recorder::Recorder;
-use crate::stats::{bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform};
+use crate::stats::{
+    bin_counts, chi_square_two_sample, chi_square_uniform, leaf_uniformity, LeafCounts,
+};
 
 /// Tuning knobs of one audit run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,33 +150,6 @@ fn window_of(events: &[BusEvent]) -> String {
         .join("\n")
 }
 
-/// Leaf-uniformity checks sized to the sample: chi-square always (with
-/// adaptive binning), KS when the leaf domain is small enough to walk.
-fn leaf_uniformity(leaves: &[u64], levels: u32) -> Result<(), String> {
-    if leaves.len() < 128 {
-        return Err(format!("only {} bus-visible path reads: sample too small", leaves.len()));
-    }
-    let domain = 1u64 << levels;
-    let bins = (leaves.len() as u64 / 16).next_power_of_two().min(64).clamp(4, domain);
-    let chi = chi_square_uniform(&bin_counts(leaves, domain, bins as usize));
-    if !chi.pass {
-        return Err(format!(
-            "leaf distribution rejected by {} ({:.2} > {:.2})",
-            chi.name, chi.statistic, chi.critical
-        ));
-    }
-    if domain <= 4096 {
-        let ks = ks_uniform(leaves, domain);
-        if !ks.pass {
-            return Err(format!(
-                "leaf distribution rejected by {} ({:.4} > {:.4})",
-                ks.name, ks.statistic, ks.critical
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Audits a service-issued bus trace: structural invariants always, and
 /// leaf uniformity whenever the trace carries enough bus-visible path
 /// reads for the tests to have power (128; below that the statistical
@@ -193,19 +168,18 @@ pub fn check_service_trace(
     cfg: &OramConfig,
     events: &[BusEvent],
 ) -> Result<TraceSummary, String> {
-    uniform_when_sampled(check_trace(&TraceSpec::from_oram(cfg), events)?, cfg.levels)
+    let summary = check_trace(&TraceSpec::from_oram(cfg), events)?;
+    uniform_when_sampled(&LeafCounts::from_leaves(&summary.leaves, cfg.levels))?;
+    Ok(summary)
 }
 
-/// The statistical half of [`check_service_trace`], over the summary of a
-/// structurally valid trace of a depth-`levels` tree.
-pub(crate) fn uniform_when_sampled(
-    summary: TraceSummary,
-    levels: u32,
-) -> Result<TraceSummary, String> {
-    if summary.leaves.len() >= 128 {
-        leaf_uniformity(&summary.leaves, levels)?;
+/// The statistical half of [`check_service_trace`], over the leaf counts
+/// of a structurally valid trace.
+pub(crate) fn uniform_when_sampled(counts: &LeafCounts) -> Result<(), String> {
+    if counts.total() >= 128 {
+        leaf_uniformity(counts)?;
     }
-    Ok(summary)
+    Ok(())
 }
 
 /// Runs a full trace audit of one (config, workload) pair: structural
@@ -244,7 +218,7 @@ fn audit_one(
         report.fail(case, format!("protocol invariant: {e}"), window_of(&events));
         return;
     }
-    match leaf_uniformity(&summary.leaves, cfg.levels) {
+    match leaf_uniformity(&LeafCounts::from_leaves(&summary.leaves, cfg.levels)) {
         Ok(()) => report.ok(format!(
             "{case}: {} accesses, {} evictions, stash peak {max_live}",
             summary.accesses, summary.evictions

@@ -6,10 +6,13 @@
 //! trace's structure from the configuration alone, the structure leaks
 //! nothing about the access pattern.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use oram_protocol::{EvictionOrder, OramConfig};
 use oram_util::{BusEvent, BusPhase};
+
+use crate::stats::LeafCounts;
 
 /// The publicly known parameters a trace is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +57,8 @@ pub struct TraceSummary {
     /// traces).
     pub dram_blocks: u64,
     /// The observed leaf of every read-only path read, in order — the
-    /// raw material for the statistical layer.
+    /// raw material for the statistical layer. Empty from a
+    /// [`LaneAudit`](crate::LaneAudit), which counts the leaves instead.
     pub leaves: Vec<u64>,
 }
 
@@ -63,28 +67,46 @@ pub struct TraceSummary {
 const FLAT_BUCKET_LIMIT: u64 = 1 << 21;
 
 /// `compact` word of a bucket no trace event has mapped yet.
-const UNSEEN: u64 = 0;
+const UNSEEN: u32 = 0;
 /// `compact` word of a bucket whose mapping lives in `overflow`.
-const IN_OVERFLOW: u64 = 1;
+const IN_OVERFLOW: u32 = 1;
+
+/// A mapping kept in [`BucketLayout::overflow`].
+#[derive(Debug)]
+enum Mapping {
+    /// `base, base + 1, …`: one word, however long the bucket.
+    Consecutive(u64),
+    /// Anything else, address by address.
+    Scattered(Vec<u64>),
+}
 
 /// The canonical bucket → physical-address mapping a trace has shown so
 /// far. Every layout the engine produces gives a bucket `z` consecutive
-/// block addresses, so the flat table keeps one word per bucket id — the
-/// base address — and only a scattered mapping (or an id past the table)
-/// pays for a map entry.
+/// block addresses, so the flat table keeps one `u32` word per bucket id
+/// — the base address — and only a mapping whose base does not fit the
+/// word, a scattered one, or an id past the table pays for a map entry.
 #[derive(Debug)]
 struct BucketLayout {
     /// Per bucket id: [`UNSEEN`], [`IN_OVERFLOW`], or `base + 2` of a
-    /// consecutive mapping.
-    compact: Vec<u64>,
-    overflow: HashMap<u64, Vec<u64>>,
+    /// consecutive mapping whose base is at most `2^32 − 3`.
+    compact: Vec<u32>,
+    overflow: HashMap<u64, Mapping>,
 }
 
-/// The `compact` word for `addrs` when they are `base, base + 1, …`.
-fn compact_word(addrs: &[u64]) -> Option<u64> {
+/// The base of `addrs` when they are `base, base + 1, …`.
+fn consecutive_base(addrs: &[u64]) -> Option<u64> {
     let (&base, rest) = addrs.split_first()?;
-    let consecutive = rest.iter().zip(1u64..).all(|(&a, k)| base.checked_add(k) == Some(a));
-    base.checked_add(2).filter(|_| consecutive)
+    rest.iter().zip(1u64..).all(|(&a, k)| base.checked_add(k) == Some(a)).then_some(base)
+}
+
+/// The `compact` word of a consecutive mapping from `base`, if it fits.
+fn word_of(base: u64) -> Option<u32> {
+    base.checked_add(2).and_then(|w| u32::try_from(w).ok())
+}
+
+/// The `len` addresses of a consecutive mapping from `base`.
+fn run_from(base: u64, len: usize) -> Vec<u64> {
+    (0..len as u64).map(|k| base.wrapping_add(k)).collect()
 }
 
 impl BucketLayout {
@@ -96,31 +118,47 @@ impl BucketLayout {
     }
 
     /// Whether `bucket` is already mapped to the consecutive addresses
-    /// starting at `base` (the one lookup the per-bucket fast path makes).
+    /// starting at `base` in the table (the one lookup the per-bucket fast
+    /// path makes; a mapping in the overflow map answers `false`).
     #[inline]
     fn is_consecutive_from(&self, bucket: u64, base: u64) -> bool {
         let word = usize::try_from(bucket).ok().and_then(|ix| self.compact.get(ix));
-        base.checked_add(2).is_some_and(|w| word == Some(&w))
+        word_of(base).is_some_and(|w| word == Some(&w))
     }
 
     /// Records `addrs` as the mapping of `bucket` on first sight;
     /// afterwards returns the recorded mapping if `addrs` differs.
     fn disagrees(&mut self, bucket: u64, addrs: &[u64]) -> Option<Vec<u64>> {
-        let slot = usize::try_from(bucket).ok().and_then(|ix| self.compact.get_mut(ix));
-        let word = compact_word(addrs);
-        if let Some(slot) = slot {
-            if *slot == UNSEEN {
-                *slot = word.unwrap_or(IN_OVERFLOW);
-                if word.is_some() {
-                    return None;
+        let base = consecutive_base(addrs);
+        if let Some(slot) = usize::try_from(bucket).ok().and_then(|ix| self.compact.get_mut(ix)) {
+            match *slot {
+                UNSEEN => {
+                    let word = base.and_then(word_of);
+                    *slot = word.unwrap_or(IN_OVERFLOW);
+                    if word.is_some() {
+                        return None;
+                    }
                 }
-            } else if *slot != IN_OVERFLOW {
-                let base = *slot - 2;
-                return (word != Some(*slot)).then(|| (0..addrs.len() as u64).map(|k| base + k).collect());
+                IN_OVERFLOW => {}
+                word => {
+                    let known = u64::from(word) - 2;
+                    return (base != Some(known)).then(|| run_from(known, addrs.len()));
+                }
             }
         }
-        let known = self.overflow.entry(bucket).or_insert_with(|| addrs.to_vec());
-        (known != addrs).then(|| known.clone())
+        match self.overflow.entry(bucket) {
+            Entry::Vacant(entry) => {
+                entry.insert(match base {
+                    Some(base) => Mapping::Consecutive(base),
+                    None => Mapping::Scattered(addrs.to_vec()),
+                });
+                None
+            }
+            Entry::Occupied(entry) => match entry.get() {
+                &Mapping::Consecutive(known) => (base != Some(known)).then(|| run_from(known, addrs.len())),
+                Mapping::Scattered(known) => (known != addrs).then(|| known.clone()),
+            },
+        }
     }
 }
 
@@ -142,10 +180,12 @@ fn err(ix: usize, msg: String) -> Result<(), String> {
 ///
 /// Every buffer is sized from the [`TraceSpec`] at construction, so
 /// feeding a device-level trace allocates only as
-/// [`TraceSummary::leaves`] grows (8 B per path read). Kept state is
-/// O(`L` + `z`) plus the bucket-layout table, one word per bucket id the
-/// tree can hold. (A controller-only trace carries no `DramBlock` events,
-/// so its buckets queue up for the whole trace, as they always did.)
+/// [`TraceSummary::leaves`] grows (8 B per path read) — or not at all in
+/// the counting fold a [`LaneAudit`](crate::LaneAudit) runs. Kept state
+/// is O(`L` + `z`) plus the bucket-layout table, one `u32` word per bucket
+/// id the tree can hold. (A controller-only trace carries no `DramBlock`
+/// events, so its buckets queue up for the whole trace, as they always
+/// did.)
 ///
 /// [`check_trace`] is this fold applied to a slice; see it for the
 /// invariants verified.
@@ -168,6 +208,9 @@ pub struct TraceFold {
     pending: VecDeque<(u64, bool)>,
     front_addrs: Vec<u64>,
     layout: BucketLayout,
+    /// Where each read-only path's leaf goes: counts, or (when `None`)
+    /// [`TraceSummary::leaves`].
+    leaf_counts: Option<LeafCounts>,
 }
 
 impl TraceFold {
@@ -191,19 +234,19 @@ impl TraceFold {
             pending: VecDeque::with_capacity(3 * path),
             front_addrs: Vec::with_capacity(spec.z),
             layout: BucketLayout::new(spec),
+            leaf_counts: None,
         }
+    }
+
+    /// A fold that counts the leaves of the read-only paths instead of
+    /// storing them: its [`TraceSummary::leaves`] stays empty.
+    pub(crate) fn counting_leaves(spec: &TraceSpec) -> Self {
+        TraceFold { leaf_counts: Some(LeafCounts::new(spec.levels)), ..TraceFold::new(spec) }
     }
 
     /// Events consumed so far.
     pub(crate) fn events_seen(&self) -> usize {
         self.seen
-    }
-
-    /// Makes room for `path_reads` more entries of
-    /// [`TraceSummary::leaves`], so a run of known length never
-    /// reallocates them.
-    pub(crate) fn reserve_path_reads(&mut self, path_reads: usize) {
-        self.summary.leaves.reserve(path_reads);
     }
 
     /// Consumes the next `events` of the trace.
@@ -372,7 +415,10 @@ impl TraceFold {
                     BusPhase::ReadOnly => {
                         self.summary.path_reads += 1;
                         self.ro_since_evict += 1;
-                        self.summary.leaves.push(leaf);
+                        match &mut self.leaf_counts {
+                            Some(counts) => counts.add(leaf),
+                            None => self.summary.leaves.push(leaf),
+                        }
                     }
                     BusPhase::EvictionRead => {
                         let expected = self.evict_order.next_leaf().raw();
@@ -493,6 +539,13 @@ impl TraceFold {
     ///
     /// Returns the end-of-trace violation.
     pub fn finish(self) -> Result<TraceSummary, String> {
+        self.finish_counted().map(|(summary, _)| summary)
+    }
+
+    /// [`TraceFold::finish`] of a [`TraceFold::counting_leaves`] fold,
+    /// with its leaf counts.
+    pub(crate) fn finish_counted(mut self) -> Result<(TraceSummary, Option<LeafCounts>), String> {
+        let counts = self.leaf_counts.take();
         if self.in_access || self.cur_phase.is_some() {
             return Err("trace ends inside an access".into());
         }
@@ -504,7 +557,7 @@ impl TraceFold {
                 self.pending.len()
             ));
         }
-        Ok(self.summary)
+        Ok((self.summary, counts))
     }
 }
 
@@ -681,15 +734,84 @@ mod tests {
         assert!(layout.is_consecutive_from(3, 0));
         assert_eq!(layout.disagrees(3, &[0, 0]), Some(vec![0, 1]));
         assert!(!layout.is_consecutive_from(4, 0), "unseen is not a mapping from 0");
-        // The last mapping one word can hold ends at the last address.
+        // A consecutive mapping whose base does not fit the word takes the
+        // overflow path, and answers as one that fits does.
         assert_eq!(layout.disagrees(6, &[u64::MAX - 2, u64::MAX - 1]), None);
-        assert!(layout.is_consecutive_from(6, u64::MAX - 2));
+        assert!(!layout.is_consecutive_from(6, u64::MAX - 2));
+        assert_eq!(layout.disagrees(6, &[u64::MAX - 2, u64::MAX - 1]), None);
         assert_eq!(layout.disagrees(6, &[0, 1]), Some(vec![u64::MAX - 2, u64::MAX - 1]));
         for base in [u64::MAX - 1, u64::MAX] {
             assert_eq!(layout.disagrees(5, &[base, base.wrapping_add(1)]), None);
             assert!(!layout.is_consecutive_from(5, base));
             assert!(layout.disagrees(5, &[1, 2]).is_some());
             layout = BucketLayout::new(&spec);
+        }
+    }
+
+    /// At L = 21 the table ends at id 2^21 − 1; 2^21 and past take the
+    /// overflow map.
+    const WIDE: TraceSpec = TraceSpec { levels: 21, z: 3, treetop_levels: 0, eviction_rate: 5 };
+
+    /// The word boundary, case by case: a consecutive mapping from each
+    /// base, first seen, repeated and then moved, at ids inside the table
+    /// and at and past its end. The fast path holds exactly the bases whose
+    /// word fits (`base + 2 ≤ 2^32 − 1`) at ids inside the table; every
+    /// other mapping answers alike from the overflow map.
+    #[test]
+    fn layout_words_end_at_the_u32_boundary() {
+        let edges = [0, (1 << 32) - 3, (1 << 32) - 2, u64::MAX - 2, u64::MAX];
+        for bucket in [1u64, (1 << 21) - 1, 1 << 21, (1 << 21) + 1, 1 << 40] {
+            for base in edges {
+                // From `u64::MAX` the run wraps: a scattered mapping.
+                let run = run_from(base, 3);
+                let mut layout = BucketLayout::new(&WIDE);
+                assert_eq!(layout.disagrees(bucket, &run), None, "first sight of {bucket} at {base}");
+                assert_eq!(layout.disagrees(bucket, &run), None);
+                let fast = bucket < 1 << 21 && base <= (1 << 32) - 3;
+                assert_eq!(layout.is_consecutive_from(bucket, base), fast, "{bucket} at {base}");
+                assert_eq!(layout.disagrees(bucket, &[run[0], run[2], run[1]]), Some(run.clone()));
+                assert_eq!(layout.disagrees(bucket, &run), None, "the first mapping stays");
+            }
+        }
+    }
+
+    /// Random first-sight / repeat / move sequences over ids inside and
+    /// past the table and bases around both word boundaries: every answer
+    /// is a plain map's, and the fast path says "consecutive from `base`"
+    /// exactly when the map holds that run and its word fits.
+    #[test]
+    fn layout_table_answers_as_a_plain_map_does() {
+        let ids = [1u64, 2, 77, (1 << 21) - 1, 1 << 21, (1 << 21) + 5, 1 << 40, u64::MAX];
+        let bases =
+            [0, 1, (1 << 32) - 4, (1 << 32) - 3, (1 << 32) - 2, 1 << 32, u64::MAX - 3, u64::MAX - 2];
+        let mut rng = oram_util::Rng64::seed_from_u64(0x1A70);
+        let mut layout = BucketLayout::new(&WIDE);
+        let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();
+        let z = WIDE.z;
+        for step in 0..20_000 {
+            let bucket = ids[rng.below(ids.len() as u64) as usize];
+            let pick = |rng: &mut oram_util::Rng64| bases[rng.below(bases.len() as u64) as usize];
+            let addrs = match (rng.below(4), oracle.get(&bucket)) {
+                (0, Some(known)) => known.clone(),
+                (1, _) => (0..z).map(|_| pick(&mut rng) + rng.below(3)).collect(),
+                _ => run_from(pick(&mut rng), z),
+            };
+            let want = match oracle.entry(bucket) {
+                Entry::Vacant(entry) => {
+                    entry.insert(addrs.clone());
+                    None
+                }
+                Entry::Occupied(entry) => (entry.get() != &addrs).then(|| entry.get().clone()),
+            };
+            let ctx = format!("step {step}: bucket {bucket} {addrs:?}");
+            assert_eq!(layout.disagrees(bucket, &addrs), want, "{ctx}");
+            for base in [addrs[0], pick(&mut rng)] {
+                let known = &oracle[&bucket];
+                let fast = bucket < 1 << 21
+                    && consecutive_base(known) == Some(base)
+                    && base <= (1 << 32) - 3;
+                assert_eq!(layout.is_consecutive_from(bucket, base), fast, "{ctx}, from {base}");
+            }
         }
     }
 

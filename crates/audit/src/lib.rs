@@ -70,4 +70,7 @@ pub use posmap::{
     PosmapSummary,
 };
 pub use recorder::{Recorder, TraceBuffer};
-pub use stats::{bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform, GofTest};
+pub use stats::{
+    bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform, ks_uniform_counts, GofTest,
+    LeafCounts,
+};

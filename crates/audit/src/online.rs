@@ -1,8 +1,7 @@
 //! The serve-path audit as a [`BusObserver`]: both trace grammars folded
 //! over the bus events while the run produces them, so auditing a lane
 //! keeps the folds' O(`L` + `z`) state (plus the bucket-layout table and
-//! 8 B per path read for the uniformity tests) instead of its whole
-//! trace.
+//! the leaf counts the uniformity tests read) instead of its whole trace.
 //!
 //! Use the [`Recorder`](crate::Recorder) instead when the trace itself is
 //! wanted afterwards — to print the window around a failure, to diff two
@@ -34,12 +33,16 @@ const FINISHED: &str = "audit already finished";
 /// grammar is latched and that fold stops; once the data path has failed
 /// nothing more is checked, because its error is the one reported.
 ///
+/// The leaves of the read-only paths are counted as they pass
+/// ([`LeafCounts`](crate::LeafCounts)), so a lane's memory does not grow with the length of
+/// its run, and the data summary comes back with no leaf sample.
+///
 /// ```
 /// use oram_audit::LaneAudit;
 /// use oram_sim::{Engine, SystemConfig};
 ///
 /// let sys = SystemConfig::small_test();
-/// let audit = LaneAudit::shared(&sys.oram, 0);
+/// let audit = LaneAudit::shared(&sys.oram);
 /// let mut engine = Engine::new(sys).unwrap();
 /// engine.attach_bus_observer(audit.clone());
 /// engine.serve_request(3, false, 0);
@@ -49,7 +52,6 @@ const FINISHED: &str = "audit already finished";
 /// ```
 #[derive(Debug)]
 pub struct LaneAudit {
-    levels: u32,
     /// Each grammar's fold while it holds, its first violation after.
     trace: Result<TraceFold, String>,
     posmap: Result<PosmapFold, String>,
@@ -57,18 +59,16 @@ pub struct LaneAudit {
 
 impl LaneAudit {
     /// An audit for an engine configured with `cfg`, attached from its
-    /// creation. `path_reads` is how many path reads to make room for up
-    /// front (0 is fine: the leaf sample then grows as a `Vec` does).
-    pub fn new(cfg: &OramConfig, path_reads: usize) -> Self {
-        let mut trace = TraceFold::new(&TraceSpec::from_oram(cfg));
-        trace.reserve_path_reads(path_reads);
-        LaneAudit { levels: cfg.levels, trace: Ok(trace), posmap: Ok(PosmapFold::new()) }
+    /// creation.
+    pub fn new(cfg: &OramConfig) -> Self {
+        let trace = TraceFold::counting_leaves(&TraceSpec::from_oram(cfg));
+        LaneAudit { trace: Ok(trace), posmap: Ok(PosmapFold::new()) }
     }
 
     /// [`LaneAudit::new`] behind the handle an engine's
     /// `attach_bus_observer` takes (a clone of it) and the caller keeps.
-    pub fn shared(cfg: &OramConfig, path_reads: usize) -> Arc<Mutex<LaneAudit>> {
-        Arc::new(Mutex::new(LaneAudit::new(cfg, path_reads)))
+    pub fn shared(cfg: &OramConfig) -> Arc<Mutex<LaneAudit>> {
+        Arc::new(Mutex::new(LaneAudit::new(cfg)))
     }
 
     /// Ends the audited stream and reports on it: the data-path grammar,
@@ -86,10 +86,8 @@ impl LaneAudit {
         let trace = std::mem::replace(&mut self.trace, Err(FINISHED.into())).map_err(service)?;
         let posmap = std::mem::replace(&mut self.posmap, Err(FINISHED.into()));
         let events = trace.events_seen();
-        let data = trace
-            .finish()
-            .and_then(|summary| uniform_when_sampled(summary, self.levels))
-            .map_err(service)?;
+        let (data, counts) = trace.finish_counted().map_err(service)?;
+        uniform_when_sampled(&counts.expect("a lane counts its leaves")).map_err(service)?;
         let posmap = posmap
             .and_then(|fold| fold.finish_at(events))
             .map_err(|e| format!("posmap trace audit: {e}"))?;

@@ -93,11 +93,20 @@ pub fn chi_square_two_sample(a: &[u64], b: &[u64]) -> GofTest {
 /// wash out.
 pub fn ks_uniform(values: &[u64], domain: u64) -> GofTest {
     assert!(domain > 0 && !values.is_empty());
-    let n = values.len() as f64;
     let mut counts = vec![0u64; domain as usize];
     for &v in values {
         counts[v as usize] += 1;
     }
+    ks_uniform_counts(&counts)
+}
+
+/// [`ks_uniform`] of a sample given as one count per value of
+/// `0..counts.len()`.
+pub fn ks_uniform_counts(counts: &[u64]) -> GofTest {
+    let domain = counts.len() as u64;
+    let n: u64 = counts.iter().sum();
+    assert!(domain > 0 && n > 0);
+    let n = n as f64;
     let mut cum = 0u64;
     let mut d_max = 0.0f64;
     for (v, &c) in counts.iter().enumerate() {
@@ -131,6 +140,124 @@ pub fn bin_counts(values: &[u64], domain: u64, max_bins: usize) -> Vec<u64> {
         counts[(v / width) as usize] += 1;
     }
     counts
+}
+
+/// Largest leaf domain whose sample the uniformity check walks with
+/// [`ks_uniform`]; past it, chi-square alone.
+const KS_MAX_DOMAIN: u64 = 4096;
+
+/// Most bins the uniformity check's chi-square uses.
+const MAX_BINS: u64 = 64;
+
+/// A sample of leaves of a depth-`L` tree as the uniformity check reads
+/// it: 64 (or `2^L`, if fewer) equal-width bin counts, plus one count per
+/// leaf when `2^L ≤ 4096`. These are the arrays
+/// [`bin_counts`] and [`ks_uniform`] build from the sample, so a sample
+/// folded here leaf by leaf tests exactly as the stored sample does, in
+/// memory that does not grow with its length.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeafCounts {
+    levels: u32,
+    total: u64,
+    bins: Vec<u64>,
+    per_leaf: Vec<u64>,
+}
+
+impl LeafCounts {
+    /// No leaves yet, of a depth-`levels` tree.
+    pub fn new(levels: u32) -> Self {
+        let domain = 1u64 << levels;
+        let per_leaf = if domain <= KS_MAX_DOMAIN { domain as usize } else { 0 };
+        LeafCounts {
+            levels,
+            total: 0,
+            bins: vec![0; domain.min(MAX_BINS) as usize],
+            per_leaf: vec![0; per_leaf],
+        }
+    }
+
+    /// The counts of a stored sample.
+    pub fn from_leaves(leaves: &[u64], levels: u32) -> Self {
+        let mut counts = LeafCounts::new(levels);
+        leaves.iter().for_each(|&leaf| counts.add(leaf));
+        counts
+    }
+
+    /// Counts one more `leaf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf` is outside the tree's `0..2^L`.
+    #[inline]
+    pub fn add(&mut self, leaf: u64) {
+        let domain = 1u64 << self.levels;
+        assert!(leaf < domain, "value {leaf} outside domain {domain}");
+        let width = domain / self.bins.len() as u64;
+        self.total += 1;
+        self.bins[(leaf / width) as usize] += 1;
+        if let Some(count) = self.per_leaf.get_mut(leaf as usize) {
+            *count += 1;
+        }
+    }
+
+    /// Tree depth `L`.
+    pub fn levels(&self) -> u32 {
+        self.levels
+    }
+
+    /// Leaves counted.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// [`bin_counts`] of the sample over `2^L` with `bins` bins (a power
+    /// of two, at most `min(64, 2^L)`), merged from the fine bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins` is not such a power of two.
+    pub fn binned(&self, bins: usize) -> Vec<u64> {
+        let fine = self.bins.len();
+        assert!(bins.is_power_of_two() && bins <= fine, "{bins} bins of {fine}");
+        self.bins.chunks(fine / bins).map(|run| run.iter().sum()).collect()
+    }
+
+    /// One count per leaf, when `2^L ≤ 4096`.
+    pub fn per_leaf(&self) -> Option<&[u64]> {
+        (!self.per_leaf.is_empty()).then_some(&self.per_leaf[..])
+    }
+}
+
+/// Leaf-uniformity checks sized to the sample: chi-square always (with
+/// adaptive binning), KS when the leaf domain is small enough to walk.
+///
+/// # Errors
+///
+/// Returns why the sample is too small, or which test rejected it.
+pub(crate) fn leaf_uniformity(counts: &LeafCounts) -> Result<(), String> {
+    let n = counts.total();
+    if n < 128 {
+        return Err(format!("only {n} bus-visible path reads: sample too small"));
+    }
+    let domain = 1u64 << counts.levels();
+    let bins = (n / 16).next_power_of_two().min(MAX_BINS).clamp(4, domain);
+    let chi = chi_square_uniform(&counts.binned(bins as usize));
+    if !chi.pass {
+        return Err(format!(
+            "leaf distribution rejected by {} ({:.2} > {:.2})",
+            chi.name, chi.statistic, chi.critical
+        ));
+    }
+    if let Some(per_leaf) = counts.per_leaf() {
+        let ks = ks_uniform_counts(per_leaf);
+        if !ks.pass {
+            return Err(format!(
+                "leaf distribution rejected by {} ({:.4} > {:.4})",
+                ks.name, ks.statistic, ks.critical
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -179,6 +306,90 @@ mod tests {
         let skew: Vec<u64> = (0..6000).map(|_| rng.below(domain) / 2).collect();
         let diff = chi_square_two_sample(&bin_counts(&a, domain, 32), &bin_counts(&skew, domain, 32));
         assert!(!diff.pass, "{diff:?}");
+    }
+
+    /// The sample-based check the counts replaced, kept as the reference:
+    /// the same binning and tests, straight from the stored leaves.
+    fn sample_uniformity(leaves: &[u64], levels: u32) -> Result<(), String> {
+        if leaves.len() < 128 {
+            return Err(format!("only {} bus-visible path reads: sample too small", leaves.len()));
+        }
+        let domain = 1u64 << levels;
+        let bins = (leaves.len() as u64 / 16).next_power_of_two().min(64).clamp(4, domain);
+        let chi = chi_square_uniform(&bin_counts(leaves, domain, bins as usize));
+        if !chi.pass {
+            return Err(format!(
+                "leaf distribution rejected by {} ({:.2} > {:.2})",
+                chi.name, chi.statistic, chi.critical
+            ));
+        }
+        if domain <= 4096 {
+            let ks = ks_uniform(leaves, domain);
+            if !ks.pass {
+                return Err(format!(
+                    "leaf distribution rejected by {} ({:.4} > {:.4})",
+                    ks.name, ks.statistic, ks.critical
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts folded leaf by leaf give the stored sample's statistics bit
+    /// for bit — chi-square at every binning the check can pick, KS where
+    /// it runs — and its verdict, over uniform, biased and too-small
+    /// samples.
+    #[test]
+    fn counted_leaves_test_exactly_as_the_sample_does() {
+        let mut rng = Rng64::seed_from_u64(0xC0_4275);
+        let mut verdicts = [0u32; 2];
+        for levels in [3u32, 10, 12, 14] {
+            let domain = 1u64 << levels;
+            for case in 0..24 {
+                let n = [0, 1, 127, 128, 129, 700, 5_000][case % 7] + rng.below(40);
+                let sample: Vec<u64> = (0..n)
+                    .map(|_| match case % 3 {
+                        0 => rng.below(domain),
+                        // The lower half only, as `BiasedRemap` draws.
+                        1 => rng.below(domain) / 2,
+                        // Mostly uniform, a few leaves too often.
+                        _ if rng.below(8) == 0 => rng.below(domain.min(5)),
+                        _ => rng.below(domain),
+                    })
+                    .collect();
+                let mut counts = LeafCounts::new(levels);
+                sample.iter().for_each(|&leaf| counts.add(leaf));
+                assert_eq!(counts, LeafCounts::from_leaves(&sample, levels));
+                assert_eq!(counts.total(), n);
+                let ctx = format!("L={levels} case {case} n={n}");
+                if n == 0 {
+                    assert_eq!(leaf_uniformity(&counts), sample_uniformity(&sample, levels), "{ctx}");
+                    continue;
+                }
+                let mut bins = 4;
+                while bins <= domain.min(64) as usize {
+                    let binned = chi_square_uniform(&counts.binned(bins));
+                    let stored = chi_square_uniform(&bin_counts(&sample, domain, bins));
+                    let bits = |t: &GofTest| t.statistic.to_bits();
+                    assert_eq!(bits(&binned), bits(&stored), "{ctx} bins {bins}");
+                    assert_eq!(binned, stored, "{ctx} bins {bins}");
+                    bins *= 2;
+                }
+                match counts.per_leaf() {
+                    Some(per_leaf) => {
+                        let folded = ks_uniform_counts(per_leaf);
+                        let stored = ks_uniform(&sample, domain);
+                        assert_eq!(folded.statistic.to_bits(), stored.statistic.to_bits(), "{ctx}");
+                        assert_eq!(folded, stored, "{ctx}");
+                    }
+                    None => assert!(domain > KS_MAX_DOMAIN, "{ctx}"),
+                }
+                let verdict = leaf_uniformity(&counts);
+                assert_eq!(verdict, sample_uniformity(&sample, levels), "{ctx}");
+                verdicts[usize::from(verdict.is_ok())] += 1;
+            }
+        }
+        assert!(verdicts.iter().all(|&v| v > 10), "passes and failures both exercised: {verdicts:?}");
     }
 
     #[test]

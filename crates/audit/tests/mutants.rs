@@ -21,9 +21,9 @@
 //! folding the same grammars over a running engine's bus events — the
 //! path `repro serve` audits itself through.
 
-use oram_audit::{check_trace, LaneAudit, Recorder, TraceSpec};
-use oram_audit::stats::{bin_counts, chi_square_uniform, ks_uniform};
-use oram_protocol::{BlockAddr, Mutant, OramConfig, OramController, Request};
+use oram_audit::{check_service_trace, check_trace, LaneAudit, LeafCounts, Recorder, TraceSpec};
+use oram_audit::stats::{bin_counts, chi_square_uniform, ks_uniform, ks_uniform_counts};
+use oram_protocol::{BlockAddr, BusObserver, Mutant, OramConfig, OramController, Request};
 use oram_sim::{Engine, ShardMutant, ShardRequest, ShardedOram, SystemConfig};
 
 fn traced_run(cfg: OramConfig, mutant: Mutant, accesses: u64) -> Vec<oram_protocol::BusEvent> {
@@ -84,12 +84,44 @@ fn biased_remap_is_caught_by_the_statistical_layer() {
     assert!(!ks.pass, "KS missed the biased remap: {ks:?}");
 }
 
+/// A lane counts its leaves where `check_service_trace` stores them, and
+/// the two reach the same verdict, word for word, on the honest trace and
+/// on the biased remapper's — whose statistics the counts reproduce bit
+/// for bit.
+#[test]
+fn counted_and_stored_leaves_judge_the_biased_remap_alike() {
+    let cfg = OramConfig::small_test();
+    let domain = 1u64 << cfg.levels;
+    for mutant in [Mutant::None, Mutant::BiasedRemap] {
+        let events = traced_run(cfg, mutant, 3000);
+        let mut lane = LaneAudit::new(&cfg);
+        lane.on_events(&events);
+        let stored = check_service_trace(&cfg, &events)
+            .map(|summary| summary.path_reads)
+            .map_err(|e| format!("service trace audit: {e}"));
+        let counted = lane.finish().map(|(summary, _)| summary.path_reads);
+        assert_eq!(counted, stored, "{mutant:?}");
+        assert_eq!(stored.is_ok(), mutant == Mutant::None, "{stored:?}");
+
+        let leaves = check_trace(&TraceSpec::from_oram(&cfg), &events).unwrap().leaves;
+        let counts = LeafCounts::from_leaves(&leaves, cfg.levels);
+        let chi = (
+            chi_square_uniform(&counts.binned(32)),
+            chi_square_uniform(&bin_counts(&leaves, domain, 32)),
+        );
+        assert_eq!(chi.0.statistic.to_bits(), chi.1.statistic.to_bits(), "{mutant:?}");
+        let ks = (ks_uniform_counts(counts.per_leaf().unwrap()), ks_uniform(&leaves, domain));
+        assert_eq!(ks.0.statistic.to_bits(), ks.1.statistic.to_bits(), "{mutant:?}");
+        assert_eq!((chi.0.pass, ks.0.pass), (mutant == Mutant::None, mutant == Mutant::None));
+    }
+}
+
 /// The verdict of a [`LaneAudit`] attached to an engine (controller and
 /// storage backend both) while it serves `accesses` requests under
 /// `mutant`.
 fn online_verdict(mutant: Mutant, accesses: u64) -> Result<u64, String> {
     let sys = SystemConfig::small_test();
-    let audit = LaneAudit::shared(&sys.oram, 0);
+    let audit = LaneAudit::shared(&sys.oram);
     let mut engine = Engine::new(sys).unwrap();
     engine.controller_mut().set_mutant(mutant);
     engine.attach_bus_observer(audit.clone());

@@ -220,7 +220,7 @@ fn fold_ns_per_event(levels: u32) {
         r.median_ns
     };
     let built = per_batch(&format!("audit/path_batches_l{levels}"), None);
-    let mut audit = LaneAudit::new(&oram(levels), (1 << levels) + (1 << 16));
+    let mut audit = LaneAudit::new(&oram(levels));
     let checked = per_batch(&format!("audit/path_batches_l{levels}_checked"), Some(&mut audit));
     let (data, _) = audit.finish().expect("the generated trace is valid");
     // Two of three batches carry one framing event besides the phase's.
@@ -267,13 +267,12 @@ fn main() {
     assert!(recorder.dropped() > 0, "the ring never wrapped");
 
     // The online audit in the recorder's place: both trace grammars
-    // folded over the same calls. Room for every path read of the run up
-    // front, so the leaf sample (8 B per path read, all it keeps of the
-    // trace) does not grow inside the gate.
-    let audit = LaneAudit::shared(&oram(LEVELS), 1 << 16);
+    // folded over the same calls. It counts leaves instead of storing
+    // them, so nothing it keeps grows with the run.
+    let audit = LaneAudit::shared(&oram(LEVELS));
     ok &= path_case("dram/oram_paths_l14_audited", cfg, Some(audit.clone()));
     let (data, _) = audit.lock().unwrap().finish().expect("the generated trace is valid");
-    assert!(data.dram_blocks > 0 && data.path_reads < 1 << 16, "{data:?}");
+    assert!(data.dram_blocks > 0 && data.leaves.is_empty(), "{data:?}");
 
     let scattered: Vec<Vec<BlockRequest>> = (0..64u64)
         .map(|b| (0..75u64).map(|i| BlockRequest::read((b * 75 + i) * 104_729)).collect())

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use oram_audit::LaneAudit;
 use oram_cpu::{MissRecord, ReplayMisses};
 use oram_obsv::{render_top, LivePlane};
-use oram_protocol::PosMapSelect;
+use oram_protocol::{PosMapSelect, RecursivePosMap, TreeShape};
 use oram_service::{
     LatencySummary, SchedPolicy, SchedulerSummary, ServiceConfig, ServiceMeta, ServiceReport,
     ServiceResult, ShardedServiceSim, SERVE_CLASS_NAMES,
@@ -423,13 +423,10 @@ fn run_policy_on<B: StorageBackend>(
         ShardedOram::with_backend_factory(sys.clone(), opts.shards, opts.threads, make_backend)
             .map_err(|e| format!("{name}: {e}"))?;
     backend.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
-    // No lane issues more path reads than the run has requests; past a
-    // million the leaf sample just grows as a `Vec` does.
-    let path_reads = (opts.clients as u64).saturating_mul(opts.requests).min(1 << 20) as usize;
     let probes: Vec<_> = (0..opts.shards)
         .map(|i| {
             let engine = backend.engine_mut(i);
-            let audit = LaneAudit::shared(&engine.config().oram, path_reads);
+            let audit = LaneAudit::shared(&engine.config().oram);
             let telem = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
             // A lone engine runs on the service thread, so a live plane
             // can be teed in engine-side: the telemetry recorder stays
@@ -598,8 +595,8 @@ pub fn run_serve_live(
 
 /// The recursive-posmap status line of a serve run: chain depth,
 /// modeled on-chip state against the terminal-map budget, and PLB
-/// capacity. The geometry is fixed by the configuration, so a probe
-/// engine (never run) answers without touching the measured output.
+/// capacity. The geometry is fixed by the configuration, so it is worked
+/// out from it ([`RecursivePosMap::chain`]) without building a map.
 /// Empty in flat mode.
 ///
 /// # Errors
@@ -609,17 +606,16 @@ pub fn posmap_status(opts: &ServeOptions) -> Result<String, String> {
     if opts.posmap != PosmapKind::Recursive {
         return Ok(String::new());
     }
-    let sys = serve_system(opts)?;
-    let plb_entries = sys.oram.plb_entries;
-    let engine = Engine::new(sys).map_err(|e| format!("posmap probe: engine: {e}"))?;
-    let ctl = engine.controller();
+    let oram = serve_system(opts)?.oram;
+    let shape = TreeShape::new(oram.levels, oram.z);
+    let chain = RecursivePosMap::chain(&oram, shape, opts.posmap_onchip_kb);
     Ok(format!(
         "posmap: recursive, {} chain levels, on-chip state {:.1} KiB \
          (terminal-map budget {} KiB), plb {} entries\n",
-        ctl.posmap_chain_levels(),
-        ctl.posmap_onchip_bytes() as f64 / 1024.0,
+        chain.counts.len(),
+        chain.onchip_bytes as f64 / 1024.0,
         opts.posmap_onchip_kb,
-        plb_entries,
+        oram.plb_entries,
     ))
 }
 
@@ -1633,7 +1629,7 @@ mod tests {
         assert_eq!(a.report.meta.posmap, "recursive");
         assert!(a.report.to_json().contains("\"posmap\":\"recursive\""));
         assert!(a.report.schedulers[0].completed > 0);
-        // The status line reports the probe geometry.
+        // The status line reports the chain geometry.
         assert!(a.posmap_section.starts_with("posmap: recursive, "), "{}", a.posmap_section);
         assert!(a.posmap_section.contains("budget 1 KiB"));
         // Bit-deterministic across runs.

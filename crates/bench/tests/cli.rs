@@ -438,8 +438,23 @@ fn presets_do_not_eat_earlier_flags() {
 
 /// End-to-end recursive-posmap serve: the status line reports the chain
 /// geometry, the report meta is tagged, and the run is deterministic.
+/// The line is pinned as the probe engine that used to work it out
+/// printed it, at the default on-chip budget (no chain) and at 1 KiB.
 #[test]
 fn recursive_posmap_serve_prints_the_status_line() {
+    let quick = repro(&["serve", "--quick", "--quiet", "--posmap", "recursive"]);
+    assert_eq!(quick.status.code(), Some(0), "{}", String::from_utf8_lossy(&quick.stderr));
+    let status = |out: &std::process::Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout.lines().find(|l| l.starts_with("posmap: ")).map(str::to_string)
+    };
+    assert_eq!(
+        status(&quick).as_deref(),
+        Some(
+            "posmap: recursive, 0 chain levels, on-chip state 36.0 KiB (terminal-map budget \
+             64 KiB), plb 1024 entries"
+        )
+    );
     let run = || {
         repro(&[
             "serve",
@@ -458,8 +473,13 @@ fn recursive_posmap_serve_prints_the_status_line() {
     let out = run();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(stdout.contains("posmap: recursive,"), "{stdout}");
-    assert!(stdout.contains("chain levels"), "{stdout}");
+    assert_eq!(
+        status(&out).as_deref(),
+        Some(
+            "posmap: recursive, 1 chain levels, on-chip state 26.7 KiB (terminal-map budget \
+             1 KiB), plb 1024 entries"
+        )
+    );
     assert!(stdout.contains("posmap recursive"), "{stdout}");
     let again = run();
     assert_eq!(stdout, String::from_utf8_lossy(&again.stdout), "non-deterministic");

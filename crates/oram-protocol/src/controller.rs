@@ -400,7 +400,11 @@ impl OramController {
             // evictions would.
             for level in (0..=self.shape.levels()).rev() {
                 let bid = self.shape.bucket_on_path(label, level);
-                if let Some(slot) = (0..self.cfg.z).find(|&s| self.tree.slot(bid, s).is_dummy()) {
+                let free = match self.tree.slots(bid) {
+                    Some(mut slots) => slots.position(|b| b.is_dummy()),
+                    None => Some(0),
+                };
+                if let Some(slot) = free {
                     self.tree.set_slot(bid, slot, blk);
                     self.posmap.set_site(addr, RealCopySite::Tree { level });
                     placed = true;
@@ -683,14 +687,13 @@ impl OramController {
             }
             // The bus has seen the bucket read; a vacant bucket has
             // nothing to decode, and its memory stays untouched.
-            if !self.tree.is_occupied(bid) {
+            let Some(slots) = self.tree.slots(bid) else {
                 if !on_chip {
                     dram_index += z;
                 }
                 continue;
-            }
-            for slot in 0..z {
-                let blk = self.tree.slot(bid, slot);
+            };
+            for blk in slots {
                 let flat = if on_chip { None } else { Some(dram_index) };
                 if !on_chip {
                     dram_index += 1;
@@ -865,8 +868,13 @@ impl OramController {
         let mut flat = 0usize;
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
-            for slot in 0..z {
-                let blk = self.tree.slot(bid, slot);
+            let Some(slots) = self.tree.slots(bid) else {
+                if !on_chip {
+                    flat += z;
+                }
+                continue;
+            };
+            for blk in slots {
                 if !on_chip {
                     if blk.is_real() && blk.addr == addr && blk.version == current_version {
                         return Some(flat);
@@ -888,7 +896,6 @@ impl OramController {
         self.stats.evictions += 1;
         self.tl_sample(MetricId::StashOccupancy, self.stash.live() as u64);
         let leaf = self.eviction_order.next_leaf();
-        let z = self.cfg.z;
         let treetop = self.cfg.treetop_levels;
         let mut path = std::mem::take(&mut self.path_buf);
         self.shape.path_into(leaf, &mut path);
@@ -903,11 +910,8 @@ impl OramController {
                 self.level_reads[level] += 1;
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
-            if !self.tree.is_occupied(bid) {
-                continue;
-            }
-            for slot in 0..z {
-                let blk = self.tree.slot(bid, slot);
+            let Some(slots) = self.tree.slots(bid) else { continue };
+            for blk in slots {
                 if blk.is_dummy() {
                     continue;
                 }

@@ -71,7 +71,7 @@ pub use posmap::{
     build_posmap, FlatPosMap, PlbStats, PosEntry, PosMapBackend, PositionMap, PosmapPhase,
     RealCopySite, SparseFlatPosMap,
 };
-pub use posmap_recursive::{RecursivePosMap, ENTRIES_PER_BLOCK};
+pub use posmap_recursive::{PosmapChain, RecursivePosMap, ENTRIES_PER_BLOCK};
 pub use shadow::{
     scheme_for_slot, DriCounter, DupCandidate, DupPolicy, DupQueues, DynamicPartitioner,
     SlotScheme,

@@ -71,6 +71,27 @@ struct PosmapLevel {
     count: u64,
 }
 
+/// The chain a [`RecursivePosMap`] builds for a configuration, worked
+/// out from the configuration alone ([`RecursivePosMap::chain`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PosmapChain {
+    /// Posmap blocks stored at each ORAM level, largest (nearest the
+    /// data) first. Empty when the level-1 map already fits on chip.
+    pub counts: Vec<u64>,
+    /// Blocks covered by the terminal on-chip map.
+    pub top_count: u64,
+    /// Modeled on-chip state in bytes: the terminal map (8 B per label),
+    /// the PLB tags (16 B per entry) and the level controllers' stashes
+    /// (one decrypted block ≈ 40 B each). The functional entry map is
+    /// *not* counted — it models state the chain stores off chip.
+    pub onchip_bytes: u64,
+}
+
+/// Stash capacity of a chain level whose tree has `tree_levels` levels.
+fn level_stash_capacity(z: usize, tree_levels: u32) -> usize {
+    z * (tree_levels as usize + 1) + 192
+}
+
 /// The recursive position map (see the module docs).
 #[derive(Debug)]
 pub struct RecursivePosMap {
@@ -88,6 +109,8 @@ pub struct RecursivePosMap {
     levels: Vec<PosmapLevel>,
     /// Blocks covered by the terminal on-chip map.
     top_count: u64,
+    /// [`PosmapChain::onchip_bytes`].
+    onchip_bytes: u64,
     /// Path phases produced by PLB-miss walks since the last clear.
     pending: Vec<PosmapPhase>,
 }
@@ -102,19 +125,7 @@ impl RecursivePosMap {
     /// Panics if `cfg.plb_entries`, `cfg.plb_page_addrs` or `onchip_kb`
     /// is zero.
     pub fn new(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> Self {
-        assert!(cfg.plb_entries > 0 && cfg.plb_page_addrs > 0 && onchip_kb > 0);
-        let budget_bytes = onchip_kb as u64 * 1024;
-        // Address domain the map must cover: the data tree's block
-        // capacity (callers address `0..domain`; the flat map makes the
-        // same assumption when it sizes itself by high-water address).
-        let domain = shape.slot_count().max(1);
-        let mut counts = Vec::new();
-        let mut c = domain.div_ceil(cfg.plb_page_addrs);
-        while c * 8 > budget_bytes {
-            counts.push(c);
-            c = c.div_ceil(ENTRIES_PER_BLOCK);
-        }
-        let top_count = c;
+        let PosmapChain { counts, top_count, onchip_bytes } = Self::chain(cfg, shape, onchip_kb);
 
         // Build one real ORAM per off-chip level, laid out back-to-back
         // past the data tree in raw-bucket-id space.
@@ -126,7 +137,7 @@ impl RecursivePosMap {
                 levels: tree_levels,
                 z: cfg.z,
                 eviction_rate: cfg.eviction_rate,
-                stash_capacity: cfg.z * (tree_levels as usize + 1) + 192,
+                stash_capacity: level_stash_capacity(cfg.z, tree_levels),
                 dup_policy: DupPolicy::Off,
                 treetop_levels: 0,
                 plb_entries: 1,
@@ -160,8 +171,39 @@ impl RecursivePosMap {
             plb_stats: PlbStats::default(),
             levels,
             top_count,
+            onchip_bytes,
             pending: Vec::with_capacity(walk_capacity),
         }
+    }
+
+    /// The chain [`RecursivePosMap::new`] builds for these arguments,
+    /// without building it: a level per map that does not fit `onchip_kb`
+    /// KiB at 8 B per label, each [`ENTRIES_PER_BLOCK`] times smaller than
+    /// the one below.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.plb_entries`, `cfg.plb_page_addrs` or `onchip_kb`
+    /// is zero.
+    pub fn chain(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> PosmapChain {
+        assert!(cfg.plb_entries > 0 && cfg.plb_page_addrs > 0 && onchip_kb > 0);
+        let budget_bytes = onchip_kb as u64 * 1024;
+        // Address domain the map must cover: the data tree's block
+        // capacity (callers address `0..domain`; the flat map makes the
+        // same assumption when it sizes itself by high-water address).
+        let domain = shape.slot_count().max(1);
+        let mut counts = Vec::new();
+        let mut c = domain.div_ceil(cfg.plb_page_addrs);
+        while c * 8 > budget_bytes {
+            counts.push(c);
+            c = c.div_ceil(ENTRIES_PER_BLOCK);
+        }
+        let stashes: u64 = counts
+            .iter()
+            .map(|&count| level_stash_capacity(cfg.z, tree_levels_for(count)) as u64 * 40)
+            .sum();
+        let onchip_bytes = c * 8 + cfg.plb_entries as u64 * 16 + stashes;
+        PosmapChain { counts, top_count: c, onchip_bytes }
     }
 
     /// Posmap block index at chain level `l` (1-based) for a PLB page.
@@ -328,16 +370,7 @@ impl PosMapBackend for RecursivePosMap {
     }
 
     fn onchip_bytes(&self) -> u64 {
-        // Terminal map (8 B/label) + PLB tags (16 B/entry) + the level
-        // controllers' stashes (one decrypted block ≈ 40 B each). The
-        // functional entry map is *not* counted — it models state the
-        // chain stores off chip.
-        let stashes: u64 = self
-            .levels
-            .iter()
-            .map(|l| l.ctl.config().stash_capacity as u64 * 40)
-            .sum();
-        self.top_count * 8 + self.plb_sets.len() as u64 * 16 + stashes
+        self.onchip_bytes
     }
 
     fn chain_levels(&self) -> u16 {
@@ -376,6 +409,27 @@ mod tests {
         assert_eq!(pm.level_geometry()[0].1, 256);
         assert_eq!(pm.top_count(), 8);
         assert!(pm.top_count() * 8 <= 1024, "terminal map within budget");
+    }
+
+    /// The chain worked out from the configuration is the one `new`
+    /// builds, at the shapes the tests and `serve_recursive` run.
+    #[test]
+    fn chain_geometry_matches_the_built_map() {
+        let shapes = [(9, 4, 1, 16), (14, 4, 1, 16), (7, 4, 64, 16), (18, 5, 1, 1024)];
+        for (levels, z, onchip_kb, plb) in shapes {
+            let cfg = OramConfig { levels, z, plb_entries: plb, ..OramConfig::small_test() };
+            let shape = TreeShape::new(levels, z);
+            let chain = RecursivePosMap::chain(&cfg, shape, onchip_kb);
+            let pm = RecursivePosMap::new(&cfg, shape, onchip_kb);
+            let built: Vec<u64> = pm.level_geometry().iter().map(|&(_, count)| count).collect();
+            assert_eq!(chain.counts, built, "L={levels}");
+            assert_eq!(chain.counts.len(), pm.chain_levels() as usize);
+            assert_eq!(chain.top_count, pm.top_count());
+            let stashes: u64 =
+                pm.levels.iter().map(|l| l.ctl.config().stash_capacity as u64 * 40).sum();
+            let onchip = pm.top_count * 8 + pm.plb_sets.len() as u64 * 16 + stashes;
+            assert_eq!((chain.onchip_bytes, pm.onchip_bytes()), (onchip, onchip), "L={levels}");
+        }
     }
 
     #[test]

@@ -255,11 +255,21 @@ fn bit_reverse(v: u64, bits: u32) -> u64 {
 }
 
 /// Bucket count from which [`OramTree`] indexes its buckets with a hash
-/// map instead of a flat table. Below it the table and the reserved
-/// arena are a few hundred MiB of address space at most (Z = 5) — beyond
-/// it, deep trees (billion-block address domains) only ever index and
-/// grow by the buckets a run actually fills.
+/// map instead of the grouped table. Below it the directory and the
+/// reserved pool and arena are a few hundred MiB of address space at most
+/// (Z = 5) — beyond it, deep trees (billion-block address domains) only
+/// ever index and grow by the buckets a run actually fills.
 const DENSE_BUCKET_LIMIT: u64 = 1 << 21;
+
+/// Bucket ids per group of the grouped index: 16 `u32` entries, a cache
+/// line's worth.
+const GROUP: usize = 16;
+
+/// The index entries of [`GROUP`] consecutive bucket ids.
+type Group = [u32; GROUP];
+
+/// A group with no occupied bucket.
+const EMPTY: Group = [0; GROUP];
 
 /// One stored slot: `[addr, label | kind << 62, data, version]`.
 ///
@@ -311,11 +321,42 @@ fn all_dummy(words: &[Word]) -> bool {
 /// 0 (or no entry) means vacant.
 #[derive(Debug, Clone)]
 enum BucketIndex {
-    /// Entry `raw − 1` for every bucket, zero-allocated: building it
-    /// touches no page.
-    Flat(Vec<u32>),
+    /// Two levels. `dir[raw / GROUP]` is `1 + g` when some id of that
+    /// group of [`GROUP`] ids is occupied (their entries are `pool[g]`),
+    /// 0 when none is. The directory is zero-allocated and the pool
+    /// reserved for every group, so building the index touches no page
+    /// and filling it never reallocates. A group whose last entry clears
+    /// goes on `free`, which the next group to open takes from before the
+    /// pool grows.
+    Grouped { dir: Vec<u32>, pool: Vec<Group>, free: Vec<u32> },
     /// Entries for the occupied buckets only.
     Hashed(DetHashMap<u64, u32>),
+}
+
+/// Checks that `claims` — `(owner, unit)` pairs, `None` owning a unit of
+/// the free list — hand out each of `len` units exactly once, and runs
+/// `check` on each claim; `name` words a unit in the errors.
+fn check_tiling<O: Copy>(
+    len: usize,
+    claims: impl Iterator<Item = (Option<O>, u32)>,
+    name: impl Fn(u32) -> String,
+    container: &str,
+    mut check: impl FnMut(Option<O>, u32) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut owned = vec![false; len];
+    for (owner, unit) in claims {
+        let Some(taken) = owned.get_mut(unit as usize) else {
+            return Err(format!("{} is past the {container}", name(unit)));
+        };
+        if std::mem::replace(taken, true) {
+            return Err(format!("{} is indexed or free twice", name(unit)));
+        }
+        check(owner, unit)?;
+    }
+    match owned.iter().position(|&o| !o) {
+        Some(lost) => Err(format!("{} is neither indexed nor free", name(lost as u32))),
+        None => Ok(()),
+    }
 }
 
 /// The ORAM tree storage: geometry plus the slot arena.
@@ -342,15 +383,22 @@ pub struct OramTree {
 
 impl OramTree {
     /// Creates an all-dummy tree of the given shape in O(1), touching no
-    /// memory. Below [`DENSE_BUCKET_LIMIT`] buckets the index is a zeroed
-    /// table and the arena and free list reserve a whole tree's worth of
-    /// address space, so filling the tree never reallocates; a deeper
-    /// tree indexes, and grows by, only the buckets it fills, so a
-    /// 2^30-address domain costs memory proportional to the working set.
+    /// memory. Below [`DENSE_BUCKET_LIMIT`] buckets the index is grouped
+    /// (a zeroed directory over a reserved pool) and the arena and free
+    /// list reserve a whole tree's worth of address space, so filling the
+    /// tree never reallocates; a deeper tree indexes, and grows by, only
+    /// the buckets it fills, so a 2^30-address domain costs memory
+    /// proportional to the working set.
     pub fn new(shape: TreeShape) -> Self {
         let buckets = shape.bucket_count();
         let (index, reserve) = if buckets < DENSE_BUCKET_LIMIT {
-            (BucketIndex::Flat(vec![0; buckets as usize]), buckets as usize)
+            let groups = buckets as usize / GROUP + 1;
+            let index = BucketIndex::Grouped {
+                dir: vec![0; groups],
+                pool: Vec::with_capacity(groups),
+                free: Vec::with_capacity(groups),
+            };
+            (index, buckets as usize)
         } else {
             (BucketIndex::Hashed(DetHashMap::default()), 0)
         };
@@ -381,10 +429,13 @@ impl OramTree {
     /// (it reads as all-dummy).
     #[inline]
     fn base_of(&self, id: BucketId) -> Option<usize> {
-        let raw = self.key(id);
+        let raw = self.key(id) as usize;
         let entry = match &self.index {
-            BucketIndex::Flat(table) => table[raw as usize - 1],
-            BucketIndex::Hashed(map) => map.get(&raw).copied().unwrap_or(0),
+            BucketIndex::Grouped { dir, pool, .. } => match dir[raw / GROUP] {
+                0 => 0,
+                g => pool[g as usize - 1][raw % GROUP],
+            },
+            BucketIndex::Hashed(map) => map.get(&(raw as u64)).copied().unwrap_or(0),
         };
         entry.checked_sub(1).map(|range| range as usize * self.shape.slots_per_bucket)
     }
@@ -395,10 +446,19 @@ impl OramTree {
     #[inline]
     fn claim(&mut self, id: BucketId) -> usize {
         let z = self.shape.slots_per_bucket;
-        let raw = self.key(id);
+        let raw = self.key(id) as usize;
         let entry = match &mut self.index {
-            BucketIndex::Flat(table) => &mut table[raw as usize - 1],
-            BucketIndex::Hashed(map) => map.entry(raw).or_insert(0),
+            BucketIndex::Grouped { dir, pool, free } => {
+                let g = &mut dir[raw / GROUP];
+                if *g == 0 {
+                    *g = 1 + free.pop().unwrap_or_else(|| {
+                        pool.push(EMPTY);
+                        pool.len() as u32 - 1
+                    });
+                }
+                &mut pool[*g as usize - 1][raw % GROUP]
+            }
+            BucketIndex::Hashed(map) => map.entry(raw as u64).or_insert(0),
         };
         if *entry == 0 {
             *entry = 1 + self.free.pop().unwrap_or_else(|| {
@@ -410,12 +470,21 @@ impl OramTree {
     }
 
     /// Zeroes the occupied bucket `id`, whose range starts at `at`, and
-    /// frees the range.
+    /// frees the range (and its index group, if that was its last entry).
     fn vacate(&mut self, id: BucketId, at: usize) {
         let z = self.shape.slots_per_bucket;
         self.words[at..at + z].fill([0; 4]);
         match &mut self.index {
-            BucketIndex::Flat(table) => table[id.raw() as usize - 1] = 0,
+            BucketIndex::Grouped { dir, pool, free } => {
+                let raw = id.raw() as usize;
+                let g = &mut dir[raw / GROUP];
+                let group = &mut pool[*g as usize - 1];
+                group[raw % GROUP] = 0;
+                if *group == EMPTY {
+                    free.push(*g - 1);
+                    *g = 0;
+                }
+            }
             BucketIndex::Hashed(map) => {
                 map.remove(&id.raw());
             }
@@ -492,21 +561,30 @@ impl OramTree {
         }
     }
 
+    /// The `Z` slots of bucket `id` in order, found with one index lookup;
+    /// `None` for a vacant bucket (every slot reads [`Block::DUMMY`]),
+    /// answered without touching the bucket's memory. What the access
+    /// loops read a path with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket is outside the tree.
+    #[inline]
+    pub fn slots(&self, id: BucketId) -> Option<impl Iterator<Item = Block> + '_> {
+        let z = self.shape.slots_per_bucket;
+        self.base_of(id).map(|at| self.words[at..at + z].iter().map(unpack))
+    }
+
     /// Copies bucket `id` into `out`, for callers that need a whole
-    /// bucket as `&[Block]` (the durable-store mirror); the access loops
-    /// read slot by slot instead.
+    /// bucket as `&[Block]` (the durable-store mirror).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != Z` or the bucket is outside the tree.
     pub fn read_bucket(&self, id: BucketId, out: &mut [Block]) {
         assert_eq!(out.len(), self.shape.slots_per_bucket, "buffer must hold exactly Z blocks");
-        match self.base_of(id) {
-            Some(at) => {
-                for (o, w) in out.iter_mut().zip(&self.words[at..]) {
-                    *o = unpack(w);
-                }
-            }
+        match self.slots(id) {
+            Some(slots) => out.iter_mut().zip(slots).for_each(|(o, b)| *o = b),
             None => out.fill(Block::DUMMY),
         }
     }
@@ -542,9 +620,22 @@ impl OramTree {
         self.words.len()
     }
 
+    /// Groups the grouped index's pool has handed out, in use or free
+    /// (diagnostics; 0 under the hash index). A group in use holds an
+    /// occupied bucket, so this is at most the most buckets ever occupied
+    /// at once — `arena_words() / Z`.
+    pub fn index_groups(&self) -> usize {
+        match &self.index {
+            BucketIndex::Grouped { pool, .. } => pool.len(),
+            BucketIndex::Hashed(_) => 0,
+        }
+    }
+
     /// Checks the store's own invariant: the indexed and the free ranges
     /// tile the arena, none of them twice; an indexed range holds a block
-    /// and a free one is zeroed. O(buckets + arena); test/diagnostic use
+    /// and a free one is zeroed. Under the grouped index, likewise the
+    /// groups the directory names and the free groups tile the pool, and a
+    /// named group holds an entry. O(buckets + arena); test/diagnostic use
     /// only.
     ///
     /// # Errors
@@ -552,32 +643,49 @@ impl OramTree {
     /// Returns a description of the first violation found.
     pub fn check_occupancy(&self) -> Result<(), String> {
         let z = self.shape.slots_per_bucket;
-        let indexed: Box<dyn Iterator<Item = (u64, u32)>> = match &self.index {
-            BucketIndex::Flat(table) => Box::new((1..).zip(table.iter().copied())),
-            BucketIndex::Hashed(map) => Box::new(map.iter().map(|(&raw, &entry)| (raw, entry))),
-        };
-        let indexed =
-            indexed.filter(|&(_, entry)| entry != 0).map(|(raw, entry)| (Some(raw), entry - 1));
-        let mut owned = vec![false; self.words.len() / z];
-        for (raw, range) in indexed.chain(self.free.iter().map(|&range| (None, range))) {
+        let mut indexed = Vec::new();
+        match &self.index {
+            BucketIndex::Grouped { dir, pool, free } => {
+                let named = (0..).zip(dir).filter(|&(_, &g)| g != 0).map(|(k, &g)| (Some(k), g - 1));
+                let claims = named.chain(free.iter().map(|&g| (None, g)));
+                let name = |g| format!("index group {g}");
+                check_tiling(pool.len(), claims, name, "pool", |k, g| {
+                    let group = &pool[g as usize];
+                    match k {
+                        Some(_) if *group == EMPTY => {
+                            Err(format!("index group {g} is indexed but empty"))
+                        }
+                        None if *group != EMPTY => {
+                            Err(format!("free index group {g} holds an entry"))
+                        }
+                        Some(k) => {
+                            let raws = k * GROUP as u64..;
+                            indexed.extend(raws.zip(*group).filter(|&(_, e)| e != 0));
+                            Ok(())
+                        }
+                        None => Ok(()),
+                    }
+                })?;
+            }
+            BucketIndex::Hashed(map) => {
+                indexed.extend(map.iter().filter(|&(_, &e)| e != 0).map(|(&raw, &e)| (raw, e)));
+            }
+        }
+        let claims = indexed.into_iter().map(|(raw, entry)| (Some(raw), entry - 1));
+        let claims = claims.chain(self.free.iter().map(|&range| (None, range)));
+        let name = |range| format!("arena range {}", range as usize * z);
+        check_tiling(self.words.len() / z, claims, name, "arena", |raw, range| {
             let at = range as usize * z;
-            let Some(owner) = owned.get_mut(range as usize) else {
-                return Err(format!("arena range {at} is past the arena"));
-            };
-            if std::mem::replace(owner, true) {
-                return Err(format!("arena range {at} is indexed or free twice"));
+            match raw {
+                Some(raw) if all_dummy(&self.words[at..at + z]) => {
+                    Err(format!("bucket {raw} is indexed but all-dummy"))
+                }
+                None if !all_dummy(&self.words[at..at + z]) => {
+                    Err(format!("free arena range {at} holds a block"))
+                }
+                _ => Ok(()),
             }
-            if raw.is_some() == all_dummy(&self.words[at..at + z]) {
-                return Err(match raw {
-                    Some(raw) => format!("bucket {raw} is indexed but all-dummy"),
-                    None => format!("free arena range {at} holds a block"),
-                });
-            }
-        }
-        match owned.iter().position(|&o| !o) {
-            Some(lost) => Err(format!("arena range {} is neither indexed nor free", lost * z)),
-            None => Ok(()),
-        }
+        })
     }
 }
 
@@ -757,13 +865,23 @@ mod tests {
         hashed(TreeShape::new(3, 2)).slot(BucketId(0), 0);
     }
 
+    /// The pointers of every buffer a grouped-index tree reserved: the
+    /// arena, its free list, and the index's directory, pool and free list.
+    fn buffers(t: &OramTree) -> Vec<usize> {
+        let mut at = vec![t.words.as_ptr() as usize, t.free.as_ptr() as usize];
+        if let BucketIndex::Grouped { dir, pool, free } = &t.index {
+            at.extend([dir.as_ptr() as usize, pool.as_ptr() as usize, free.as_ptr() as usize]);
+        }
+        at
+    }
+
     /// Ranges are handed out in claim order, the last one freed first,
-    /// and a flat-indexed tree's arena and free list never move.
+    /// and a grouped-index tree's arena, index and free lists never move.
     #[test]
     fn ranges_pack_in_claim_order_and_freed_ones_go_first() {
         let shape = TreeShape::new(3, 2);
         for mut t in [OramTree::new(shape), hashed(shape)] {
-            let (words, free) = (t.words.as_ptr(), t.free.as_ptr());
+            let reserved = buffers(&t);
             for raw in [15, 1, 8] {
                 t.set_slot(BucketId::new(raw), 1, tagged(raw));
             }
@@ -781,17 +899,53 @@ mod tests {
             }
             assert_eq!((t.arena_words(), t.occupied_buckets()), (shape.slot_count() as usize, 0));
             t.check_occupancy().unwrap();
-            if matches!(t.index, BucketIndex::Flat(_)) {
-                assert_eq!((t.words.as_ptr(), t.free.as_ptr()), (words, free), "reallocated");
+            if matches!(t.index, BucketIndex::Grouped { .. }) {
+                assert_eq!(buffers(&t), reserved, "reallocated");
             }
         }
+    }
+
+    /// Ids group by `raw / 16`, so the 31 buckets of an L = 4 tree use two
+    /// groups; a group opens with its first occupied id and goes back on
+    /// the free list (zeroed) with its last, and filling every bucket of a
+    /// tree never moves the pool.
+    #[test]
+    fn index_groups_open_and_close_with_their_buckets() {
+        let shape = TreeShape::new(4, 1);
+        let mut t = OramTree::new(shape);
+        let reserved = buffers(&t);
+        let groups = |t: &OramTree| match &t.index {
+            BucketIndex::Grouped { dir, free, .. } => (dir.clone(), free.clone()),
+            BucketIndex::Hashed(_) => unreachable!(),
+        };
+        t.set_slot(BucketId::new(17), 0, tagged(17));
+        t.set_slot(BucketId::new(3), 0, tagged(3));
+        t.set_slot(BucketId::new(31), 0, tagged(31));
+        assert_eq!(groups(&t), (vec![2, 1], vec![]), "group 0 holds ids 16..32, group 1 ids 0..16");
+        t.set_slot(BucketId::new(17), 0, Block::DUMMY);
+        assert_eq!(groups(&t).0, vec![2, 1], "31 keeps the group open");
+        t.write_bucket(BucketId::new(31), &[Block::DUMMY]);
+        assert_eq!(groups(&t), (vec![2, 0], vec![0]));
+        t.set_slot(BucketId::new(30), 0, tagged(30));
+        assert_eq!(groups(&t), (vec![2, 1], vec![]), "the freed group is taken first");
+        assert_eq!(t.index_groups(), 2);
+        t.check_occupancy().unwrap();
+        for raw in 1..=shape.bucket_count() {
+            t.set_slot(BucketId::new(raw), 0, tagged(raw));
+        }
+        for raw in 1..=shape.bucket_count() {
+            t.set_slot(BucketId::new(raw), 0, Block::DUMMY);
+        }
+        assert_eq!(groups(&t), (vec![0, 0], vec![1, 0]));
+        t.check_occupancy().unwrap();
+        assert_eq!(buffers(&t), reserved, "reallocated");
     }
 
     /// The index only finds ranges; which range a bucket gets is the
     /// arena's business. So one seeded write sequence leaves the same
     /// arena, free list and answers under either index kind — the oracle
     /// in `tests/tree.rs` reaches the hash index only past the dense
-    /// limit, this ties it to the flat one at the dense depths.
+    /// limit, this ties it to the grouped one at the dense depths.
     #[test]
     fn both_index_kinds_lay_out_the_same_arena() {
         for (levels, z) in [(3u32, 1usize), (10, 4), (14, 5)] {
@@ -813,8 +967,8 @@ mod tests {
                         _ => t.write_bucket(id, &bucket),
                     }
                 }
-                let [flat, hashed] = trees.each_ref().map(|t| (&t.words, &t.free, t.base_of(id)));
-                assert_eq!(flat, hashed, "L={levels} step {step}");
+                let [grouped, hashed] = trees.each_ref().map(|t| (&t.words, &t.free, t.base_of(id)));
+                assert_eq!(grouped, hashed, "L={levels} step {step}");
             }
             for t in &trees {
                 t.check_occupancy().unwrap_or_else(|e| panic!("L={levels}: {e}"));
@@ -823,18 +977,21 @@ mod tests {
     }
 
     /// `check_occupancy` names each way the store can go wrong, under
-    /// either index kind.
+    /// either index kind, and each way the grouped index's directory can.
     #[test]
     fn check_occupancy_rejects_each_corruption() {
         let shape = TreeShape::new(4, 2);
         for make in [OramTree::new, hashed] {
+            let grouped = matches!(make(shape).index, BucketIndex::Grouped { .. });
             let cases = [
                 "free arena range 4 holds a block",
                 "bucket 3 is indexed but all-dummy",
                 "arena range 0 is indexed or free twice",
                 "arena range 4 is neither indexed nor free",
+                "index group 4 is past the pool",
+                "index group 0 is indexed or free twice",
             ];
-            for (case, want) in cases.into_iter().enumerate() {
+            for (case, want) in cases.into_iter().enumerate().take(if grouped { 6 } else { 4 }) {
                 // Buckets 3 and 5 hold ranges 0 and 1; range 2 is free.
                 let mut t = make(shape);
                 for raw in [3, 5, 9] {
@@ -846,14 +1003,22 @@ mod tests {
                     0 => t.words[4] = pack(tagged(4)),
                     1 => t.words[0] = [0; 4],
                     2 => match &mut t.index {
-                        BucketIndex::Flat(table) => table[6] = 1,
+                        BucketIndex::Grouped { pool, .. } => pool[0][7] = 1,
                         BucketIndex::Hashed(map) => {
                             map.insert(7, 1);
                         }
                     },
-                    _ => {
+                    3 => {
                         t.free.pop();
                     }
+                    // The directory names groups past the pool, or one
+                    // group twice (ids 16..32 are all vacant).
+                    _ => match &mut t.index {
+                        BucketIndex::Grouped { dir, .. } => {
+                            dir[1] = if case == 4 { 5 } else { dir[0] };
+                        }
+                        BucketIndex::Hashed(_) => unreachable!(),
+                    },
                 }
                 assert_eq!(t.check_occupancy(), Err(want.to_string()));
             }

@@ -1,14 +1,15 @@
 //! The slot arena against the store it replaced.
 //!
 //! [`OramTree`] keeps the occupied buckets of a tree packed in one arena
-//! of words, found through a flat index table or (past 2^21 buckets) a
+//! of words, found through a grouped index (a directory of one word per
+//! 16 bucket ids over a pool of 16-entry groups) or (past 2^21 buckets) a
 //! hash index. Before that the tree was a `Vec<Bucket>`, one heap
 //! `Vec<Block>` per bucket. That store is kept here, outside the library,
 //! as the reference: seeded random write/read sequences drive both and
-//! require identical contents — the "dense" cases through the flat
+//! require identical contents — the "dense" cases through the grouped
 //! index, the "sparse" ones through the hash index. Whole controller runs
 //! are pinned to digests and counters captured before the change, and the
-//! arena's size is pinned to occupancy as counts.
+//! arena's and the index's sizes are pinned to occupancy as counts.
 
 use std::collections::{HashMap, HashSet};
 
@@ -207,6 +208,9 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
         // every bucket the run has written: vacated ranges are reused.
         high_water = high_water.max(occupied);
         assert_eq!(arena.arena_words(), z * high_water, "L={levels} Z={z} step {step}");
+        // A group in use holds an occupied bucket, and freed groups are
+        // taken before the pool grows.
+        assert!(arena.index_groups() <= high_water, "L={levels} Z={z} step {step}");
         if step % 500 == 0 || levels <= 3 {
             arena
                 .check_occupancy()
@@ -566,7 +570,9 @@ fn deep_levels_of_a_dense_tree_stay_vacant() {
 /// heap-order arena spans every bucket of the tree. "At once" can fall
 /// inside an access, which these samples between accesses miss: the
 /// eviction write half goes leaf first and may fill a deep bucket before
-/// it empties a shallow one, so the bound allows one path on top.
+/// it empties a shallow one, so the bound allows one path on top. The
+/// index holds at most one 16-entry group per bucket the arena holds,
+/// where a flat table has one entry per bucket id.
 #[test]
 fn arena_follows_occupancy_at_the_serve_recursive_shape() {
     const BLOCKS: u64 = 8192;
@@ -596,6 +602,12 @@ fn arena_follows_occupancy_at_the_serve_recursive_shape() {
             "step {step}: {} words, at most {high_water} buckets occupied between accesses",
             tree.arena_words()
         );
+        assert!(
+            tree.index_groups() * z <= tree.arena_words(),
+            "step {step}: {} index groups for {} arena ranges",
+            tree.index_groups(),
+            tree.arena_words() / z
+        );
         if step % 2_000 == 0 {
             // Indexed and free ranges tile the arena, so it is exactly
             // `Z ×` (indexed + free).
@@ -604,4 +616,8 @@ fn arena_follows_occupancy_at_the_serve_recursive_shape() {
     }
     let words = ctl.tree().arena_words();
     assert!(words * 40 < ctl.shape().slot_count() as usize, "{words} words");
+    // The pool (64 B per group) is under half a flat table (4 B per
+    // bucket id).
+    let groups = ctl.tree().index_groups();
+    assert!(groups * 64 * 2 < ctl.shape().bucket_count() as usize * 4, "{groups} index groups");
 }
