@@ -330,8 +330,7 @@ const SERVE_USAGE: &str = "\
                         cycles monotone non-increasing in the batch size\n\
                         (incompatible with the other sweeps, --json, --load,\n\
                         --shards, --rtt-us and --batch)\n\
-     --csv <dir>        with --wan-sweep, --shard-sweep or --posmap-sweep,\n\
-                        also write the figure/knee table as CSV\n\
+     --csv <dir>        with any sweep, also write its figure table as CSV\n\
      --sweep            sweep load factors instead and locate the saturation\n\
                         knee (incompatible with --json and --load)\n\
      --shard-sweep      sweep loads at each of 1/2/4 shards and compare the\n\
@@ -556,8 +555,8 @@ pub static SERVE: Command = Command {
         },
         Rule::OnlyWhen {
             flags: &["--csv"],
-            when: |p| p.any(GRID_SWEEPS),
-            msg: "--csv applies only to --wan-sweep, --shard-sweep and --posmap-sweep",
+            when: |p| p.has("--sweep") || p.any(GRID_SWEEPS),
+            msg: "--csv applies only to --sweep, --shard-sweep, --wan-sweep and --posmap-sweep",
         },
         Rule::OnlyWhen {
             flags: &["--metrics-addr", "--top"],

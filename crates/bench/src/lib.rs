@@ -30,11 +30,8 @@ pub use microbench::{bench, BenchReport, CountingAlloc};
 pub use profile::run_profile;
 pub use progress::Heartbeat;
 pub use serve::{
-    run_posmap_sweep, run_serve, run_serve_live, run_serve_sweep, run_serve_sweep_live,
-    run_shard_sweep, run_wan_sweep, BackendKind, LiveRun, PosmapKind, PosmapSweepReport,
-    ServeArtifacts, ServeOptions, ShardSweepReport, SweepReport, TopTicker, WanSweepReport,
-    POSMAP_SWEEP_LEVELS, POSMAP_SWEEP_PLB, SHARD_SWEEP, SHARD_SWEEP_LOADS, WAN_SWEEP_BATCHES,
-    WAN_SWEEP_RTTS_US,
+    run_serve, run_serve_live, run_sweep, BackendKind, LiveRun, PosmapKind, ServeArtifacts,
+    ServeOptions, Sweep, SweepReport, TopTicker,
 };
 pub use soak::{compare_soak_reports, run_soak, SoakOptions, SoakReport};
 pub use table::Table;

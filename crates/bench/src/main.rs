@@ -24,10 +24,10 @@ use cli::{Command, Parsed, USAGE_ERROR};
 use oram_audit::{run_audit, AuditOptions};
 use oram_bench::experiments as exp;
 use oram_bench::{
-    compare_soak_reports, run_incident, run_posmap_sweep, run_profile, run_serve_live,
-    run_serve_sweep_live, run_shard_sweep, run_soak, run_trace, run_trace_with_progress,
-    run_wan_sweep, write_artifacts, write_incident_bundle, BackendKind, ExpOptions, Heartbeat,
-    LiveRun, PosmapKind, ServeOptions, SoakOptions, SoakReport, Table, TraceOptions,
+    compare_soak_reports, run_incident, run_profile, run_serve_live, run_soak, run_sweep,
+    run_trace, run_trace_with_progress, write_artifacts, write_incident_bundle, BackendKind,
+    ExpOptions, Heartbeat, LiveRun, PosmapKind, ServeOptions, SoakOptions, SoakReport, Sweep,
+    Table, TraceOptions,
 };
 use oram_obsv::{parse_slo_spec, FlightConfig, IncidentMeta, LiveConfig, LivePlane, MetricsServer};
 use oram_service::{compare_service_reports, SchedPolicy, ServiceReport};
@@ -260,7 +260,7 @@ fn profile_main(p: &Parsed) -> ExitCode {
 }
 
 /// `ServeOptions` from the flags: the preset, then every flag that was
-/// given (`--wan-sweep` implies the WAN backend).
+/// given.
 fn serve_options(p: &Parsed) -> ServeOptions {
     let mut opts = if p.has("--quick") { ServeOptions::quick() } else { ServeOptions::full() };
     opts.clients = p.get("--clients").unwrap_or(opts.clients);
@@ -272,11 +272,7 @@ fn serve_options(p: &Parsed) -> ServeOptions {
     opts.seed = p.get("--seed").unwrap_or(opts.seed);
     opts.shards = p.get("--shards").unwrap_or(opts.shards);
     opts.threads = p.get("--threads").unwrap_or(opts.threads);
-    opts.backend = if p.has("--wan-sweep") {
-        BackendKind::Wan
-    } else {
-        p.get_by("--backend", BackendKind::parse).unwrap_or(opts.backend)
-    };
+    opts.backend = p.get_by("--backend", BackendKind::parse).unwrap_or(opts.backend);
     opts.rtt_us = p.get("--rtt-us").unwrap_or(opts.rtt_us);
     opts.wan_batch = p.get("--batch").unwrap_or(opts.wan_batch);
     opts.disk_dir = p.path("--disk-dir");
@@ -284,36 +280,6 @@ fn serve_options(p: &Parsed) -> ServeOptions {
     opts.plb_entries = p.get("--plb-entries");
     opts.posmap_onchip_kb = p.get("--posmap-onchip-kb").unwrap_or(opts.posmap_onchip_kb);
     opts
-}
-
-/// Prints a finished sweep, writes its figure table where `--csv` asks
-/// for one, and closes with the timing line. `false` after a failure.
-fn finish_sweep(
-    what: &str,
-    result: Result<(String, Option<Table>), String>,
-    csv_dir: Option<&Path>,
-    quiet: bool,
-    started: Instant,
-) -> bool {
-    match result {
-        Ok((rendered, table)) => {
-            print!("{rendered}");
-            if let (Some(dir), Some(table)) = (csv_dir, table) {
-                if let Err(e) = table.write_csv(dir) {
-                    eprintln!("failed to write CSV: {e}");
-                    return false;
-                }
-            }
-            if !quiet {
-                eprintln!("[serve {what} in {:.1}s]", started.elapsed().as_secs_f64());
-            }
-            true
-        }
-        Err(e) => {
-            eprintln!("repro serve: validation failed: {e}");
-            false
-        }
-    }
 }
 
 /// The `repro serve` subcommand: the service front-end under every
@@ -418,90 +384,85 @@ fn serve_main(p: &Parsed) -> ExitCode {
         _ => None,
     };
     let progress = Some(&hb);
-    let sweep = if p.has("--wan-sweep") {
-        Some(("wan sweep", run_wan_sweep(&opts, progress).map(|r| (r.render(), Some(r.table())))))
-    } else if posmap_sweep {
-        let swept = run_posmap_sweep(&opts, progress);
-        Some(("posmap sweep", swept.map(|r| (r.render(), Some(r.table())))))
-    } else if p.has("--shard-sweep") {
-        let swept = run_shard_sweep(&opts, progress);
-        Some(("shard sweep", swept.map(|r| (r.render(), Some(r.knee_table())))))
-    } else if p.has("--sweep") {
-        let swept = run_serve_sweep_live(&opts, progress, live.as_ref());
-        Some(("sweep", swept.map(|r| (r.render(), None))))
-    } else {
-        None
-    };
-    let ok = match sweep {
-        Some((what, result)) => {
-            finish_sweep(what, result, p.path("--csv").as_deref(), quiet, started)
-        }
-        None => match run_serve_live(&opts, progress, live.as_ref()) {
-            Ok(arts) => {
-                print!("{}", arts.report.render());
-                print!("{}", arts.posmap_section);
-                print!("{}", arts.client_section);
-                let mut ok = true;
-                if let Some(path) = p.path("--json") {
-                    if let Err(e) = std::fs::write(&path, arts.report.to_json()) {
-                        eprintln!("failed to write {}: {e}", path.display());
-                        ok = false;
-                    }
+    let ran = match Sweep::ALL.into_iter().find(|s| p.has(s.flag())) {
+        Some(sweep) => {
+            run_sweep(sweep, sweep.axes(), &opts, progress, live.as_ref()).map(|report| {
+                print!("{}", report.text);
+                if let Some(Err(e)) = p.path("--csv").map(|dir| report.figure.write_csv(&dir)) {
+                    eprintln!("failed to write CSV: {e}");
+                    return false;
                 }
-                // Incident forensics: dump the frozen flight recorder's
-                // bundle. A forced freeze always lands one; otherwise the
-                // bundle appears only when a trigger alert fired mid-run.
-                if let (Some(dir), Some(lr)) = (&incident_dir, &live) {
-                    let mut plane = lr.plane.lock().expect("plane lock");
-                    if p.has("--force-incident") {
-                        plane.force_incident();
-                    }
-                    if plane.flight().is_some_and(|f| f.is_frozen()) {
-                        let meta = IncidentMeta {
-                            seed: opts.seed,
-                            levels: opts.levels,
-                            clients: opts.clients,
-                            shards: opts.shards,
-                            requests: opts.requests,
-                            load: opts.load,
-                            scheduler: opts
-                                .scheduler
-                                .map_or_else(|| "all".to_string(), |s| s.name().to_string()),
-                            backend: opts.backend.name().to_string(),
-                        };
-                        let dumped = plane
-                            .render_incident(&meta)
-                            .and_then(|b| write_incident_bundle(dir, &b));
-                        match dumped {
-                            Ok(()) => {
-                                if !quiet {
-                                    eprintln!("[incident bundle in {}]", dir.display());
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!("repro serve: incident bundle: {e}");
-                                ok = false;
+                if !quiet {
+                    let name = sweep.flag()[2..].replace('-', " ");
+                    eprintln!("[serve {name} in {:.1}s]", started.elapsed().as_secs_f64());
+                }
+                true
+            })
+        }
+        None => run_serve_live(&opts, progress, live.as_ref()).map(|arts| {
+            print!("{}", arts.report.render());
+            print!("{}", arts.posmap_section);
+            print!("{}", arts.client_section);
+            let mut ok = true;
+            if let Some(path) = p.path("--json") {
+                if let Err(e) = std::fs::write(&path, arts.report.to_json()) {
+                    eprintln!("failed to write {}: {e}", path.display());
+                    ok = false;
+                }
+            }
+            // Incident forensics: dump the frozen flight recorder's
+            // bundle. A forced freeze always lands one; otherwise the
+            // bundle appears only when a trigger alert fired mid-run.
+            if let (Some(dir), Some(lr)) = (&incident_dir, &live) {
+                let mut plane = lr.plane.lock().expect("plane lock");
+                if p.has("--force-incident") {
+                    plane.force_incident();
+                }
+                if plane.flight().is_some_and(|f| f.is_frozen()) {
+                    let meta = IncidentMeta {
+                        seed: opts.seed,
+                        levels: opts.levels,
+                        clients: opts.clients,
+                        shards: opts.shards,
+                        requests: opts.requests,
+                        load: opts.load,
+                        scheduler: opts
+                            .scheduler
+                            .map_or_else(|| "all".to_string(), |s| s.name().to_string()),
+                        backend: opts.backend.name().to_string(),
+                    };
+                    let dumped = plane
+                        .render_incident(&meta)
+                        .and_then(|b| write_incident_bundle(dir, &b));
+                    match dumped {
+                        Ok(()) => {
+                            if !quiet {
+                                eprintln!("[incident bundle in {}]", dir.display());
                             }
                         }
-                    } else if !quiet {
-                        eprintln!("[no incident: no trigger alert fired]");
+                        Err(e) => {
+                            eprintln!("repro serve: incident bundle: {e}");
+                            ok = false;
+                        }
                     }
+                } else if !quiet {
+                    eprintln!("[no incident: no trigger alert fired]");
                 }
-                if ok && !quiet {
-                    eprintln!(
-                        "[serve ({} policies) in {:.1}s]",
-                        arts.report.schedulers.len(),
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-                ok
             }
-            Err(e) => {
-                eprintln!("repro serve: validation failed: {e}");
-                false
+            if ok && !quiet {
+                eprintln!(
+                    "[serve ({} policies) in {:.1}s]",
+                    arts.report.schedulers.len(),
+                    started.elapsed().as_secs_f64()
+                );
             }
-        },
+            ok
+        }),
     };
+    let ok = ran.unwrap_or_else(|e| {
+        eprintln!("repro serve: validation failed: {e}");
+        false
+    });
     finish_metrics(server, p.get("--metrics-linger").unwrap_or(0), ok, quiet);
     exit_code(ok)
 }

@@ -5,13 +5,15 @@
 //! per-level bucket-touch heatmap, and energy.
 //!
 //! Unlike `repro trace` (which goes through the one-call runner), this
-//! module drives the [`Engine`] directly so it can read the controller's
-//! level-touch counters and the DRAM channels' utilization state before
-//! and after the measured misses — the deltas are exactly the measured
-//! portion, warmup excluded.
+//! module builds the [`Engine`] itself and hands it to the runner's
+//! measured replay, so it can read the controller's level-touch counters
+//! and the DRAM channels' utilization state before and after the
+//! measured misses — the deltas are exactly the measured portion, warmup
+//! excluded.
 
-use oram_cpu::ReplayMisses;
-use oram_sim::{build_miss_stream, scale_profile, Engine, RunOptions, SystemConfig};
+use oram_sim::{
+    build_miss_stream, replay_measured, scale_profile, Engine, RunOptions, SystemConfig,
+};
 use oram_telemetry::{
     ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, TelemetryConfig,
     TelemetryRecorder,
@@ -65,30 +67,16 @@ pub fn run_profile(
 
         let mut engine = Engine::new(cfg.clone()).expect("validated config");
         engine.prefill_working_set(scaled.working_set_blocks);
-        if !warm.is_empty() {
-            engine.run(&mut ReplayMisses::new(warm.to_vec()));
-        }
-
-        // Snapshot the monotone backend counters after warmup: the
-        // post-run deltas cover exactly the measured misses.
-        let util_base = engine.dram().utilization();
-        let (lr, lw) = engine.controller().level_touches();
-        let (level_reads_base, level_writes_base) = (lr.to_vec(), lw.to_vec());
-
         let rec = TelemetryRecorder::shared(TelemetryConfig { span_capacity: opts.span_capacity });
-        engine.attach_telemetry(TelemetryRecorder::as_sink(&rec), opts.window_cycles);
-        let before = engine.stats();
-        let after = engine.run(&mut ReplayMisses::new(measured.to_vec()));
-        engine.detach_telemetry();
-
-        let total_cycles = after.total_cycles - before.total_cycles;
-        let data_cycles = after.data_cycles - before.data_cycles;
-        // Energy by measured share of time, as the experiment runner does.
-        let energy_mj = if after.total_cycles > 0 {
-            after.energy_mj * (total_cycles as f64 / after.total_cycles as f64)
-        } else {
-            0.0
-        };
+        let sink = (TelemetryRecorder::as_sink(&rec), opts.window_cycles);
+        // The monotone backend counters, snapshotted after warmup: the
+        // post-run deltas cover exactly the measured misses.
+        let (window, (util_base, level_reads_base, level_writes_base)) =
+            replay_measured(&mut engine, warm, measured, Some(sink), |e| {
+                let (lr, lw) = e.controller().level_touches();
+                (e.dram().utilization(), lr.to_vec(), lw.to_vec())
+            });
+        let total_cycles = window.total_cycles;
 
         let rec = rec.lock().expect("recorder poisoned");
         rec.attribution().map_err(|e| format!("{name}: attribution: {e}"))?;
@@ -132,8 +120,8 @@ pub fn run_profile(
         policies.push(PolicyProfile {
             policy: name.to_string(),
             total_cycles,
-            data_cycles,
-            dri_cycles: total_cycles - data_cycles,
+            data_cycles: window.data_cycles,
+            dri_cycles: window.dri_cycles,
             attr_queue,
             attr_row,
             attr_network,
@@ -145,7 +133,7 @@ pub fn run_profile(
             plb_evictions: m.counter(MetricId::PlbEvict),
             forward_saved: sum(MetricId::ForwardSavedCycles),
             stash_pull_credit: sum(MetricId::StashPullCreditCycles),
-            energy_mj,
+            energy_mj: window.energy_mj,
             channels,
             level_reads: diff(lr, &level_reads_base),
             level_writes: diff(lw, &level_writes_base),

@@ -1,8 +1,9 @@
 //! The `repro serve` subcommand's engine: drives the multi-client
 //! service front-end over every scheduler policy on the identical
 //! offered workload, self-validates each run, and summarizes tail
-//! latency and throughput. A load-sweep mode scales the offered rate
-//! and locates the saturation knee.
+//! latency and throughput. Four sweeps run one engine over a grid of
+//! option edits: load (the saturation knee), shard count, WAN RTT ×
+//! batch, and posmap depth × PLB capacity.
 //!
 //! The validation is the subcommand's contract: a zero exit code means
 //! the service conservation laws held (every generated request was
@@ -13,13 +14,12 @@
 //! uniformity) — coalescing and batch scheduling must be invisible on
 //! the memory bus.
 
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use oram_audit::LaneAudit;
-use oram_cpu::{MissRecord, ReplayMisses};
+use oram_cpu::MissRecord;
 use oram_obsv::{render_top, LivePlane};
 use oram_protocol::{PosMapSelect, RecursivePosMap, TreeShape};
 use oram_service::{
@@ -27,11 +27,11 @@ use oram_service::{
     ServiceResult, ShardedServiceSim, SERVE_CLASS_NAMES,
 };
 use oram_sim::{
-    build_miss_stream, scale_profile, DiskBackend, DiskConfig, DramBackend, Engine, RunOptions,
-    ShardedOram, StorageBackend, SystemConfig, WanBackend, WanConfig,
+    build_miss_stream, replay_measured, scale_profile, DiskBackend, DiskConfig, DramBackend,
+    Engine, RunOptions, ShardedOram, StorageBackend, SystemConfig, WanBackend, WanConfig,
 };
 use oram_telemetry::{TeeSink, TelemetryConfig, TelemetryRecorder};
-use oram_util::MetricId;
+use oram_util::{AccessSpan, MetricId, TelemetrySink, WindowSample};
 use oram_workloads::spec;
 
 use crate::progress::Heartbeat;
@@ -141,7 +141,7 @@ impl LiveRun {
 /// simulation stays cheap between redraws.
 #[derive(Debug)]
 pub struct TopTicker {
-    last: Cell<Option<Instant>>,
+    last: std::cell::Cell<Option<Instant>>,
 }
 
 impl TopTicker {
@@ -150,7 +150,7 @@ impl TopTicker {
 
     /// A ticker that draws on its first call, then rate-limits.
     pub fn new() -> Self {
-        TopTicker { last: Cell::new(None) }
+        TopTicker { last: std::cell::Cell::new(None) }
     }
 
     /// Redraws if at least [`TopTicker::PERIOD`] elapsed since the last
@@ -251,13 +251,13 @@ impl ServeOptions {
         ServeOptions { requests: 1000, domain: 1024, levels: 14, ..ServeOptions::quick() }
     }
 
-    /// The service configuration at a given load factor (scheduler is
-    /// set per run).
-    fn service_config(&self, load: f64) -> ServiceConfig {
+    /// The service configuration at the options' load factor (scheduler
+    /// is set per run).
+    fn service_config(&self) -> ServiceConfig {
         ServiceConfig::symmetric_open(
             self.clients,
             self.requests,
-            self.base_gap_cycles / load,
+            self.base_gap_cycles / self.load,
             self.domain,
             self.seed,
         )
@@ -355,13 +355,12 @@ impl Drop for EphemeralDir {
     }
 }
 
-/// Runs one policy at one load factor through the full validation
-/// stack and returns the summary plus the raw result: the backend
-/// ladder in front of [`run_policy_on`].
+/// Runs one policy at the options' load factor through the full
+/// validation stack and returns the summary plus the raw result: the
+/// backend ladder in front of [`run_policy_on`].
 fn run_policy(
     opts: &ServeOptions,
     policy: SchedPolicy,
-    load: f64,
     live: Option<&LiveRun>,
 ) -> Result<(SchedulerSummary, ServiceResult), String> {
     let name = policy.name();
@@ -372,13 +371,13 @@ fn run_policy(
     sys.pipeline = opts.shards > 1;
     match opts.backend {
         BackendKind::Dram => {
-            run_policy_on(opts, policy, load, &sys, live, |_| DramBackend::new(sys.dram))
+            run_policy_on(opts, policy, &sys, live, |_| DramBackend::new(sys.dram))
         }
-        BackendKind::Wan => run_policy_on(opts, policy, load, &sys, live, |_| {
+        BackendKind::Wan => run_policy_on(opts, policy, &sys, live, |_| {
             wan_backend(opts.rtt_us, opts.wan_batch, &sys).map_err(|e| format!("wan: {e}"))
         }),
         BackendKind::Disk => {
-            let tag = format!("{name}_{load:.2}").replace('.', "p");
+            let tag = format!("{name}_{:.2}", opts.load).replace('.', "p");
             let (root, _cleanup) = match &opts.disk_dir {
                 Some(d) => (d.join(tag), None),
                 None => {
@@ -387,7 +386,7 @@ fn run_policy(
                     (d.clone(), Some(EphemeralDir(d)))
                 }
             };
-            run_policy_on(opts, policy, load, &sys, live, |i| {
+            run_policy_on(opts, policy, &sys, live, |i| {
                 disk_backend(root.join(format!("shard_{i}")), &sys).map_err(|e| format!("disk: {e}"))
             })
         }
@@ -410,13 +409,12 @@ fn run_policy(
 fn run_policy_on<B: StorageBackend>(
     opts: &ServeOptions,
     policy: SchedPolicy,
-    load: f64,
     sys: &SystemConfig,
     live: Option<&LiveRun>,
     make_backend: impl FnMut(usize) -> Result<B, String>,
 ) -> Result<(SchedulerSummary, ServiceResult), String> {
     let name = policy.name();
-    let mut cfg = opts.service_config(load);
+    let mut cfg = opts.service_config();
     cfg.scheduler = policy;
 
     let mut backend =
@@ -566,14 +564,14 @@ pub fn run_serve_live(
     let mut schedulers = Vec::new();
     let mut client_section = String::new();
     for (done, &policy) in policies.iter().enumerate() {
-        let (summary, res) = run_policy(opts, policy, opts.load, live)?;
+        let (summary, res) = run_policy(opts, policy, live)?;
         schedulers.push(summary);
         client_section.push_str(&render_clients(policy, &res));
         if let Some(hb) = progress {
             hb.tick(done + 1, policies.len());
         }
     }
-    let cfg = opts.service_config(opts.load);
+    let cfg = opts.service_config();
     let report = ServiceReport {
         meta: ServiceMeta {
             clients: opts.clients as u64,
@@ -619,604 +617,377 @@ pub fn posmap_status(opts: &ServeOptions) -> Result<String, String> {
     ))
 }
 
-/// Load factors the sweep visits, spanning well under to well past
-/// saturation.
-pub const SWEEP_LOADS: [f64; 8] = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0];
-
-/// Load factors the *shard* sweep visits: the sharded backend pushes the
-/// saturation knee far past the single-backend range, so the sweep must
-/// reach much heavier loads for every shard count to show its knee.
-pub const SHARD_SWEEP_LOADS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
-/// One measured operating point of the load sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Offered-rate multiplier.
-    pub load: f64,
-    /// Offered requests per million cycles (generated, pre-admission).
-    pub offered_rpmc: f64,
-    /// Completed requests per million cycles.
-    pub achieved_rpmc: f64,
-    /// Fraction of generated requests bounced by admission control.
-    pub rejected_frac: f64,
-    /// Latency summary at this point.
-    pub latency: LatencySummary,
+/// One swept dimension: the values it visits and the edit each value
+/// makes to a point's options.
+#[derive(Debug, Clone, Copy)]
+pub struct Axis {
+    /// The values visited, in sweep order.
+    pub values: &'static [f64],
+    /// Applies one value to a point's options.
+    pub set: fn(&mut ServeOptions, f64),
 }
 
-/// A full load sweep: every operating point plus the detected knee.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepReport {
-    /// Policy the sweep ran under.
-    pub policy: SchedPolicy,
-    /// Measured points, in swept-load order ([`SWEEP_LOADS`] for the
-    /// plain sweep, [`SHARD_SWEEP_LOADS`] under the shard sweep).
-    pub points: Vec<SweepPoint>,
-    /// First load factor where admission control rejected more than 5%
-    /// of offered requests — the saturation knee. `None` if the sweep
-    /// never saturated.
-    pub knee: Option<f64>,
+/// Load factors, from well under to well past saturation.
+const LOADS: Axis =
+    Axis { values: &[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0], set: |o, v| o.load = v };
+
+/// The shard sweep's load factors: sharding pushes the knee far past
+/// the single-engine range, so every shard count needs heavier loads.
+const SHARD_LOADS: Axis = Axis { values: &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], ..LOADS };
+
+/// Shard counts.
+const SHARDS: Axis = Axis { values: &[1.0, 2.0, 4.0], set: |o, v| o.shards = v as usize };
+
+/// WAN round-trip times (µs): same-metro, regional and cross-region.
+const RTTS_US: Axis = Axis { values: &[50.0, 200.0, 800.0], set: |o, v| o.rtt_us = v };
+
+/// Requests amortized per WAN round trip.
+const BATCHES: Axis =
+    Axis { values: &[1.0, 2.0, 4.0, 8.0, 16.0], set: |o, v| o.wan_batch = v as usize };
+
+/// Tree depths, up to a billion-block tree (2^30 addresses) where a flat
+/// map is unbuildable; the address domain follows the depth.
+const LEVELS: Axis = Axis {
+    values: &[14.0, 18.0, 24.0, 30.0],
+    set: |o, v| {
+        o.levels = v as u32;
+        o.domain = 1 << o.levels.min(30);
+    },
+};
+
+/// PLB capacities in entries; 0 is the depth's flat baseline.
+const PLBS: Axis = Axis {
+    values: &[0.0, 64.0, 256.0, 1024.0],
+    set: |o, v| {
+        o.plb_entries = (v > 0.0).then_some(v as usize);
+        o.posmap = if v > 0.0 { PosmapKind::Recursive } else { PosmapKind::Flat };
+    },
+};
+
+/// A `repro serve` sweep: a grid of points over its axes, one
+/// measurement per point — a validated service run or a measured replay
+/// — and a self-check of each point against the ones before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// `--sweep`: load factors under one policy, locating the saturation
+    /// knee.
+    Load,
+    /// `--shard-sweep`: a load sweep per shard count on the identical
+    /// offered workload, so the knees compare directly.
+    Shard,
+    /// `--wan-sweep`: RTT × request batch over one replayed miss stream;
+    /// at a fixed RTT, per-request cycles never rise with the batch.
+    Wan,
+    /// `--posmap-sweep`: tree depth × (flat, PLB capacity) over one
+    /// replayed request stream; recursion never undercuts flat.
+    Posmap,
 }
 
-impl SweepReport {
-    /// Renders the sweep table plus the knee verdict.
-    pub fn render(&self) -> String {
-        let mut out = format!("load sweep ({}):\n", self.policy.name());
-        out.push_str(&format!(
-            "  {:>6} {:>12} {:>13} {:>9} {:>10} {:>10} {:>10}\n",
-            "load", "offered/Mc", "achieved/Mc", "rej%", "p50", "p99", "p99.9"
-        ));
-        for p in &self.points {
-            out.push_str(&format!(
-                "  {:>6.2} {:>12.2} {:>13.2} {:>8.1}% {:>10} {:>10} {:>10}\n",
-                p.load,
-                p.offered_rpmc,
-                p.achieved_rpmc,
-                p.rejected_frac * 100.0,
-                p.latency.p50,
-                p.latency.p99,
-                p.latency.p999,
-            ));
-        }
-        match self.knee {
-            Some(k) => out.push_str(&format!(
-                "saturation knee at load {k:.2} (first point rejecting > 5% of offered requests)\n"
-            )),
-            None => out.push_str("no saturation knee within the swept range\n"),
-        }
-        out
-    }
-}
+/// One measured point: its options and what it measured.
+pub type Point = (ServeOptions, Sample);
 
-/// Sweeps [`SWEEP_LOADS`] under one policy (the configured one, or
-/// FCFS) and locates the saturation knee. Every point runs the same
-/// validation stack as [`run_serve`].
-///
-/// # Errors
-///
-/// Returns the first point's validation failure.
-pub fn run_serve_sweep(
-    opts: &ServeOptions,
-    progress: Option<&Heartbeat>,
-) -> Result<SweepReport, String> {
-    sweep_loads(opts, &SWEEP_LOADS, progress, None)
-}
+impl Sweep {
+    /// Every sweep.
+    pub const ALL: [Sweep; 4] = [Sweep::Load, Sweep::Shard, Sweep::Wan, Sweep::Posmap];
 
-/// [`run_serve_sweep`] with an optional live observability plane: the
-/// plane accumulates across every swept load point.
-///
-/// # Errors
-///
-/// As [`run_serve_sweep`], plus a plane conservation failure.
-pub fn run_serve_sweep_live(
-    opts: &ServeOptions,
-    progress: Option<&Heartbeat>,
-    live: Option<&LiveRun>,
-) -> Result<SweepReport, String> {
-    sweep_loads(opts, &SWEEP_LOADS, progress, live)
-}
-
-/// The sweep engine behind [`run_serve_sweep`] and [`run_shard_sweep`]:
-/// one validated run per load factor, knee detection at the 5% rejection
-/// threshold.
-fn sweep_loads(
-    opts: &ServeOptions,
-    loads: &[f64],
-    progress: Option<&Heartbeat>,
-    live: Option<&LiveRun>,
-) -> Result<SweepReport, String> {
-    let policy = opts.scheduler.unwrap_or(SchedPolicy::Fcfs);
-    let mut points = Vec::new();
-    let mut knee = None;
-    for (done, &load) in loads.iter().enumerate() {
-        let (summary, res) = run_policy(opts, policy, load, live)?;
-        let generated: u64 = res.clients.iter().map(|c| c.generated).sum();
-        let cycles = summary.total_cycles.max(1);
-        let rejected_frac =
-            if generated == 0 { 0.0 } else { summary.rejected as f64 / generated as f64 };
-        points.push(SweepPoint {
-            load,
-            offered_rpmc: generated as f64 * 1e6 / cycles as f64,
-            achieved_rpmc: summary.throughput_rpmc,
-            rejected_frac,
-            latency: summary.latency,
-        });
-        if knee.is_none() && rejected_frac > 0.05 {
-            knee = Some(load);
-        }
-        if let Some(hb) = progress {
-            hb.tick(done + 1, loads.len());
+    /// The `repro serve` flag that runs this sweep.
+    pub const fn flag(self) -> &'static str {
+        match self {
+            Sweep::Load => "--sweep",
+            Sweep::Shard => "--shard-sweep",
+            Sweep::Wan => "--wan-sweep",
+            Sweep::Posmap => "--posmap-sweep",
         }
     }
-    Ok(SweepReport { policy, points, knee })
-}
 
-/// Shard counts the shard sweep visits.
-pub const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
+    /// The swept axes, outermost first.
+    pub fn axes(self) -> &'static [Axis] {
+        match self {
+            Sweep::Load => &[LOADS],
+            Sweep::Shard => &[SHARDS, SHARD_LOADS],
+            Sweep::Wan => &[RTTS_US, BATCHES],
+            Sweep::Posmap => &[LEVELS, PLBS],
+        }
+    }
 
-/// A load sweep per shard count: how the saturation knee moves as the
-/// address space is partitioned across more concurrent shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSweepReport {
-    /// Policy every sweep ran under.
-    pub policy: SchedPolicy,
-    /// `(shard count, sweep)` pairs in [`SHARD_SWEEP`] order.
-    pub entries: Vec<(usize, SweepReport)>,
-}
-
-impl ShardSweepReport {
-    /// The achieved throughput at the saturation knee (or at the heaviest
-    /// swept load if the sweep never saturated) for one entry.
-    pub fn knee_throughput(sweep: &SweepReport) -> f64 {
-        let point = match sweep.knee {
-            Some(k) => sweep.points.iter().find(|p| p.load == k),
-            None => sweep.points.last(),
+    /// Measures one point. A replay reuses `stream` while the depth
+    /// stays the same.
+    fn measure(
+        self,
+        opts: &ServeOptions,
+        live: Option<&LiveRun>,
+        stream: &mut Option<Stream>,
+    ) -> Result<Sample, String> {
+        let tag = match self {
+            Sweep::Load | Sweep::Shard => {
+                let (summary, res) =
+                    run_policy(opts, opts.scheduler.unwrap_or(SchedPolicy::Fcfs), live)?;
+                return Ok(Sample {
+                    cycles: summary.total_cycles,
+                    requests: res.clients.iter().map(|c| c.generated).sum(),
+                    achieved_rpmc: summary.throughput_rpmc,
+                    rejected: summary.rejected,
+                    latency: summary.latency,
+                    ..Sample::default()
+                });
+            }
+            Sweep::Wan => format!("wan sweep rtt {} batch {}", opts.rtt_us, opts.wan_batch),
+            Sweep::Posmap => format!("posmap sweep L{}", opts.levels),
         };
-        point.map_or(0.0, |p| p.achieved_rpmc)
-    }
-
-    /// The latency summary at load 1.0 for one entry (zeros if the
-    /// sweep skipped that load).
-    fn at_load_one(sweep: &SweepReport) -> (u64, u64) {
-        sweep
-            .points
-            .iter()
-            .find(|p| p.load == 1.0)
-            .map_or((0, 0), |p| (p.latency.p99, p.latency.p999))
-    }
-
-    /// Renders the cross-shard summary table followed by each per-shard
-    /// sweep.
-    pub fn render(&self) -> String {
-        let mut out = format!("shard sweep ({}):\n", self.policy.name());
-        out.push_str(&format!(
-            "  {:>6} {:>8} {:>13} {:>10} {:>10}\n",
-            "shards", "knee", "knee req/Mcyc", "p99@1.0", "p99.9@1.0"
-        ));
-        for (m, sweep) in &self.entries {
-            let knee = sweep
-                .knee
-                .map_or_else(|| "none".to_string(), |k| format!("{k:.2}"));
-            let (p99, p999) = Self::at_load_one(sweep);
-            out.push_str(&format!(
-                "  {:>6} {:>8} {:>13.2} {:>10} {:>10}\n",
-                m,
-                knee,
-                Self::knee_throughput(sweep),
-                p99,
-                p999
-            ));
+        let mut sys = serve_system(opts).map_err(|e| format!("{tag}: {e}"))?;
+        if self == Sweep::Posmap && sys.oram.posmap == PosMapSelect::Flat {
+            // The flat baseline runs the flat map's sparse twin: cost-
+            // identical (no costed walk, zero posmap attribution) without
+            // its O(N) footprint, so billion-block depths have one at all.
+            sys.oram.posmap = PosMapSelect::Sparse;
         }
-        for (m, sweep) in &self.entries {
-            out.push_str(&format!("-- shards {m} --\n"));
-            out.push_str(&sweep.render());
-        }
-        out
-    }
-
-    /// The knee table for CSV export: one row per shard count with the
-    /// knee load, knee throughput, and the load-1.0 tail (p99 and
-    /// p99.9). A sweep that never saturated writes knee 0.
-    pub fn knee_table(&self) -> Table {
-        let mut t = Table::new(
-            "Fig C1: shard sweep saturation knee",
-            &["knee_load", "knee_req_per_mcyc", "p99_at_load1", "p99_9_at_load1"],
-        );
-        for (m, sweep) in &self.entries {
-            let (p99, p999) = Self::at_load_one(sweep);
-            t.push(
-                format!("shards_{m}"),
-                vec![
-                    sweep.knee.unwrap_or(0.0),
-                    Self::knee_throughput(sweep),
-                    p99 as f64,
-                    p999 as f64,
-                ],
-            );
-        }
-        t
-    }
-}
-
-/// Runs one [`SHARD_SWEEP_LOADS`] sweep per [`SHARD_SWEEP`] shard count
-/// on the identical offered workload, so the knees are directly
-/// comparable.
-///
-/// # Errors
-///
-/// Returns the first sweep's validation failure.
-pub fn run_shard_sweep(
-    opts: &ServeOptions,
-    progress: Option<&Heartbeat>,
-) -> Result<ShardSweepReport, String> {
-    let policy = opts.scheduler.unwrap_or(SchedPolicy::Fcfs);
-    let mut entries = Vec::new();
-    for (done, &m) in SHARD_SWEEP.iter().enumerate() {
-        let o = ServeOptions { shards: m, ..opts.clone() };
-        entries.push((m, sweep_loads(&o, &SHARD_SWEEP_LOADS, None, None)?));
-        if let Some(hb) = progress {
-            hb.tick(done + 1, SHARD_SWEEP.len());
+        let stream = match stream {
+            Some(s) if s.depth == (opts.levels, opts.domain) => s,
+            _ => stream.insert(self.stream(opts, &sys)?),
+        };
+        let engine_err = |e: String| format!("{tag}: engine: {e}");
+        if self == Sweep::Wan {
+            let backend = wan_backend(opts.rtt_us, opts.wan_batch, &sys)
+                .map_err(|e| format!("{tag}: {e}"))?;
+            let mut engine = Engine::with_backend(sys, backend).map_err(engine_err)?;
+            replay(&mut engine, stream, &tag)
+        } else {
+            replay(&mut Engine::new(sys).map_err(engine_err)?, stream, &tag)
         }
     }
-    Ok(ShardSweepReport { policy, entries })
-}
 
-/// Round-trip times (µs) the WAN sweep visits: same-metro, regional,
-/// and cross-region regimes.
-pub const WAN_SWEEP_RTTS_US: [f64; 3] = [50.0, 200.0, 800.0];
-
-/// Request batch sizes the WAN sweep visits at each RTT.
-pub const WAN_SWEEP_BATCHES: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// One measured operating point of the WAN sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WanSweepPoint {
-    /// Configured round-trip time in microseconds.
-    pub rtt_us: f64,
-    /// Requests amortized per network round trip.
-    pub batch: usize,
-    /// Cycles over the measured misses.
-    pub total_cycles: u64,
-    /// `total_cycles / measured misses` — the figure's y-axis.
-    pub per_request_cycles: f64,
-    /// Cycles attributed to network round trips.
-    pub network_cycles: u64,
-    /// 99th-percentile end-to-end access latency (cycles), from the
-    /// telemetry spans of the measured misses.
-    pub p99_cycles: u64,
-    /// 99.9th-percentile end-to-end access latency (cycles).
-    pub p999_cycles: u64,
-}
-
-/// The RTT-vs-batch WAN sweep: per-request cost as batching amortizes
-/// round trips, at several latency regimes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WanSweepReport {
-    /// Workload driving the miss stream.
-    pub workload: String,
-    /// Measured misses per point (identical stream at every point).
-    pub misses: u64,
-    /// Tree depth `L`.
-    pub levels: u32,
-    /// Master seed.
-    pub seed: u64,
-    /// Points in `(RTT, batch)` lexicographic sweep order.
-    pub points: Vec<WanSweepPoint>,
-}
-
-impl WanSweepReport {
-    /// Renders the per-point table plus the amortization verdict.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "wan sweep ({} misses of {}, levels {}):\n",
-            self.misses, self.workload, self.levels
-        );
-        out.push_str(&format!(
-            "  {:>8} {:>6} {:>14} {:>12} {:>6} {:>10} {:>10}\n",
-            "rtt_us", "batch", "cycles/req", "network", "net%", "p99", "p99.9"
-        ));
-        for p in &self.points {
-            let netpct = if p.total_cycles == 0 {
-                0.0
-            } else {
-                100.0 * p.network_cycles as f64 / p.total_cycles as f64
-            };
-            out.push_str(&format!(
-                "  {:>8.0} {:>6} {:>14.1} {:>12} {:>5.1}% {:>10} {:>10}\n",
-                p.rtt_us,
-                p.batch,
-                p.per_request_cycles,
-                p.network_cycles,
-                netpct,
-                p.p99_cycles,
-                p.p999_cycles
-            ));
+    /// The request stream a replay sweep measures at `opts`' depth: the
+    /// WAN sweep replays a workload's cache-filtered miss stream, the
+    /// posmap sweep a hot-span mix over the depth's address domain.
+    fn stream(self, opts: &ServeOptions, sys: &SystemConfig) -> Result<Stream, String> {
+        let depth = (opts.levels, opts.domain);
+        if self == Sweep::Posmap {
+            let hot_span = (sys.oram.plb_page_addrs * 256).min(opts.domain);
+            let n = (opts.requests as usize).max(1);
+            let mut records = posmap_sweep_stream(n / 4, opts.domain, hot_span, opts.seed ^ 0xD15C);
+            let warmup = records.len();
+            records.extend(posmap_sweep_stream(n, opts.domain, hot_span, opts.seed));
+            return Ok(Stream { depth, prefill: opts.domain.min(4096), records, warmup });
         }
-        out.push_str(
-            "per-request cycles are monotone non-increasing in the batch size at every RTT\n",
-        );
-        out
+        let ro = RunOptions {
+            misses: opts.requests,
+            warmup_misses: opts.requests / 4,
+            seed: opts.seed,
+            fill_target: 0.35,
+            o3: None,
+        };
+        let scaled = scale_profile(&spec::profile(WAN_WORKLOAD), sys, ro.fill_target);
+        let records = build_miss_stream(&scaled, sys.hierarchy, &ro);
+        let warmup = (ro.warmup_misses as usize).min(records.len());
+        if warmup == records.len() {
+            return Err("wan sweep: no measured misses".to_string());
+        }
+        Ok(Stream { depth, prefill: scaled.working_set_blocks, records, warmup })
     }
 
-    /// The figure table: one row per RTT, one column per batch size,
-    /// cell = per-request cycles; followed by `p99_rtt_*` and
-    /// `p99_9_rtt_*` rows carrying the tail latency at the same points.
-    pub fn table(&self) -> Table {
-        let cols: Vec<String> =
-            WAN_SWEEP_BATCHES.iter().map(|b| format!("batch_{b}")).collect();
-        let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let mut t = Table::new(
-            "Fig B1: WAN per-request cycles vs request batch",
-            &col_refs,
-        );
-        for &rtt in &WAN_SWEEP_RTTS_US {
-            let row: Vec<f64> = self
-                .points
-                .iter()
-                .filter(|p| p.rtt_us == rtt)
-                .map(|p| p.per_request_cycles)
-                .collect();
-            t.push(format!("rtt_{rtt:.0}us"), row);
-        }
-        for (tag, pick) in [
-            ("p99", (|p: &WanSweepPoint| p.p99_cycles) as fn(&WanSweepPoint) -> u64),
-            ("p99_9", |p: &WanSweepPoint| p.p999_cycles),
-        ] {
-            for &rtt in &WAN_SWEEP_RTTS_US {
-                let row: Vec<f64> = self
-                    .points
-                    .iter()
-                    .filter(|p| p.rtt_us == rtt)
-                    .map(|p| pick(p) as f64)
-                    .collect();
-                t.push(format!("{tag}_rtt_{rtt:.0}us"), row);
-            }
-        }
-        t
-    }
-}
-
-/// Sweeps [`WAN_SWEEP_RTTS_US`] × [`WAN_SWEEP_BATCHES`] over the
-/// identical replayed miss stream and self-checks the amortization law:
-/// at fixed RTT, per-request cycles must be monotone non-increasing in
-/// the batch size. The stream is replayed through [`Engine::run`]
-/// directly (no admission control), so the per-request figure divides by
-/// a fixed miss count and the law is exact.
-///
-/// # Errors
-///
-/// Returns the first configuration or monotonicity failure.
-pub fn run_wan_sweep(
-    opts: &ServeOptions,
-    progress: Option<&Heartbeat>,
-) -> Result<WanSweepReport, String> {
-    let workload = "mcf";
-    let sys = serve_system(opts)?;
-    let ro = RunOptions {
-        misses: opts.requests,
-        warmup_misses: opts.requests / 4,
-        seed: opts.seed,
-        fill_target: 0.35,
-        o3: None,
-    };
-    let scaled = scale_profile(&spec::profile(workload), &sys, ro.fill_target);
-    let records = build_miss_stream(&scaled, sys.hierarchy, &ro);
-    let split = (ro.warmup_misses as usize).min(records.len());
-    let (warm, measured) = records.split_at(split);
-    if measured.is_empty() {
-        return Err("wan sweep: no measured misses".to_string());
-    }
-
-    let total_points = WAN_SWEEP_RTTS_US.len() * WAN_SWEEP_BATCHES.len();
-    let mut points = Vec::with_capacity(total_points);
-    for &rtt_us in &WAN_SWEEP_RTTS_US {
-        let mut prev: Option<f64> = None;
-        for &batch in &WAN_SWEEP_BATCHES {
-            let backend =
-                wan_backend(rtt_us, batch, &sys).map_err(|e| format!("wan sweep: {e}"))?;
-            let mut engine = Engine::with_backend(sys.clone(), backend)
-                .map_err(|e| format!("wan sweep: engine: {e}"))?;
-            engine.prefill_working_set(scaled.working_set_blocks);
-            if !warm.is_empty() {
-                engine.run(&mut ReplayMisses::new(warm.to_vec()));
-            }
-            let rec = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
-            engine.attach_telemetry(TelemetryRecorder::as_sink(&rec), 50_000);
-            let before = engine.stats();
-            let after = engine.run(&mut ReplayMisses::new(measured.to_vec()));
-            engine.detach_telemetry();
-
-            let total_cycles = after.total_cycles - before.total_cycles;
-            let per_request_cycles = total_cycles as f64 / measured.len() as f64;
-            let (network_cycles, p99_cycles, p999_cycles) = {
-                let rec = rec.lock().expect("recorder poisoned");
-                rec.attribution()
-                    .map_err(|e| format!("wan sweep rtt {rtt_us} batch {batch}: {e}"))?;
-                let mut lat: Vec<u64> =
-                    rec.spans().iter().map(|s| s.end - s.arrival).collect();
-                let summary = LatencySummary::from_samples(&mut lat);
-                (
-                    rec.metrics().histogram(MetricId::AttrNetwork).sum(),
-                    summary.p99,
-                    summary.p999,
-                )
-            };
-            if let Some(prev) = prev {
-                if per_request_cycles > prev {
-                    return Err(format!(
-                        "wan sweep: batching slowed the run at rtt {rtt_us}us: batch {batch} \
-                         costs {per_request_cycles:.1} cycles/request, smaller batch cost \
-                         {prev:.1}"
-                    ));
+    /// Checks the newest point against the ones before it.
+    fn check(self, points: &[Point]) -> Result<(), String> {
+        let Some(((o, s), earlier)) = points.split_last() else { return Ok(()) };
+        let now = s.per_request();
+        match self {
+            Sweep::Wan => match earlier.last() {
+                Some((p, prev)) if p.rtt_us == o.rtt_us && now > prev.per_request() => {
+                    Err(format!(
+                        "wan sweep: batching slowed the run at rtt {}us: batch {} costs {now:.1} \
+                         cycles/request, smaller batch cost {:.1}",
+                        o.rtt_us,
+                        o.wan_batch,
+                        prev.per_request()
+                    ))
                 }
-            }
-            prev = Some(per_request_cycles);
-            points.push(WanSweepPoint {
-                rtt_us,
-                batch,
-                total_cycles,
-                per_request_cycles,
-                network_cycles,
-                p99_cycles,
-                p999_cycles,
-            });
-            if let Some(hb) = progress {
-                hb.tick(points.len(), total_points);
-            }
+                _ => Ok(()),
+            },
+            Sweep::Posmap => match (o.plb_entries, flat_baseline(points)) {
+                (Some(plb), Some(flat)) if now < flat => Err(format!(
+                    "posmap sweep: recursion undercut the flat baseline at L{} plb {plb}: \
+                     {now:.1} vs {flat:.1} cycles/request",
+                    o.levels
+                )),
+                _ => Ok(()),
+            },
+            Sweep::Load | Sweep::Shard => Ok(()),
         }
     }
-    Ok(WanSweepReport {
-        workload: workload.to_string(),
-        misses: measured.len() as u64,
-        levels: opts.levels,
-        seed: opts.seed,
-        points,
-    })
+
+    /// The text and figure table of the measured points.
+    fn report(self, opts: &ServeOptions, points: Vec<Point>) -> SweepReport {
+        let policy = opts.scheduler.unwrap_or(SchedPolicy::Fcfs).name();
+        let (text, figure) = match self {
+            Sweep::Load => load_table(policy, "", &points),
+            Sweep::Shard => shard_table(policy, &points),
+            Sweep::Wan => wan_table(&points),
+            Sweep::Posmap => posmap_table(opts, &points),
+        };
+        SweepReport { points, text, figure }
+    }
 }
 
-/// Tree depths the posmap sweep visits. The deepest point covers a
-/// billion-block address space (2^30 addresses), where a flat map's
-/// footprint is unbuildable and recursion is mandatory.
-pub const POSMAP_SWEEP_LEVELS: [u32; 4] = [14, 18, 24, 30];
+/// The workload whose miss stream the WAN sweep replays.
+const WAN_WORKLOAD: &str = "mcf";
 
-/// PLB capacities (entries) the posmap sweep visits at each depth.
-pub const POSMAP_SWEEP_PLB: [usize; 3] = [64, 256, 1024];
-
-/// One measured operating point of the posmap sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PosmapSweepPoint {
-    /// Tree depth `L`.
-    pub levels: u32,
-    /// PLB capacity in entries; 0 marks the depth's flat baseline.
-    pub plb_entries: usize,
-    /// Cycles over the measured requests.
-    pub total_cycles: u64,
-    /// `total_cycles / measured requests` — the figure's y-axis.
-    pub per_request_cycles: f64,
-    /// Cycles attributed to costed posmap walks.
+/// What one point measured: a validated service run, or the measured
+/// window of a replay.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Sample {
+    /// Cycles: the whole service run, or the replay's measured window.
+    pub cycles: u64,
+    /// Requests offered: generated by the clients, or replayed.
+    pub requests: u64,
+    /// Completed requests per million cycles (service runs).
+    pub achieved_rpmc: f64,
+    /// Requests bounced by admission control (none in a replay).
+    pub rejected: u64,
+    /// Latency of every completed request, or of every access span in
+    /// the measured window.
+    pub latency: LatencySummary,
+    /// Cycles attributed to network round trips (replays).
+    pub network_cycles: u64,
+    /// Cycles attributed to costed posmap walks (replays).
     pub posmap_cycles: u64,
-    /// This point's per-request cycles over the depth's flat baseline
-    /// (1.0 for the baseline itself).
-    pub slowdown_vs_flat: f64,
-    /// PLB hits over lookups in the measured window (0 when the chain
-    /// fits on chip and the PLB is never consulted).
+    /// PLB hits over lookups in the window (replays; 0 without lookups).
     pub plb_hit_rate: f64,
-    /// Off-chip posmap recursion levels at this geometry.
+    /// Off-chip posmap recursion levels (replays).
     pub chain_levels: u16,
-    /// Modeled on-chip posmap state (terminal map + PLB tags + level
-    /// stashes) in bytes.
+    /// Modeled on-chip posmap state in bytes (replays).
     pub onchip_bytes: u64,
 }
 
-/// The depth-vs-PLB posmap sweep: recursion overhead over the flat
-/// baseline as the tree deepens to 2^30 addresses, at several PLB
-/// capacities.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PosmapSweepReport {
-    /// Measured requests per point (identical generator at every point).
-    pub requests: u64,
-    /// On-chip budget (KiB) the recursive chains terminate under.
-    pub onchip_kb: u32,
-    /// Master seed.
-    pub seed: u64,
-    /// Points in `(depth; flat, then PLB sizes)` sweep order.
-    pub points: Vec<PosmapSweepPoint>,
-}
-
-impl PosmapSweepReport {
-    /// Renders the per-point table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "posmap sweep ({} requests/point, on-chip budget {} KiB):\n",
-            self.requests, self.onchip_kb
-        );
-        out.push_str(&format!(
-            "  {:>6} {:>10} {:>6} {:>12} {:>9} {:>8} {:>8} {:>6} {:>10}\n",
-            "levels", "posmap", "plb", "cycles/req", "slowdown", "posmap%", "plb_hit%", "chain",
-            "onchip_kb"
-        ));
-        for p in &self.points {
-            let posmap_pct = if p.total_cycles == 0 {
-                0.0
-            } else {
-                100.0 * p.posmap_cycles as f64 / p.total_cycles as f64
-            };
-            let (mode, plb) = if p.plb_entries == 0 {
-                ("flat", "-".to_string())
-            } else {
-                ("recursive", p.plb_entries.to_string())
-            };
-            out.push_str(&format!(
-                "  {:>6} {:>10} {:>6} {:>12.1} {:>8.3}x {:>7.1}% {:>7.1}% {:>6} {:>10.1}\n",
-                p.levels,
-                mode,
-                plb,
-                p.per_request_cycles,
-                p.slowdown_vs_flat,
-                posmap_pct,
-                p.plb_hit_rate * 100.0,
-                p.chain_levels,
-                p.onchip_bytes as f64 / 1024.0,
-            ));
+impl Sample {
+    /// Fraction of offered requests bounced by admission control.
+    pub fn rejected_frac(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.rejected as f64 / self.requests as f64
         }
-        out.push_str("recursion costs nothing where the terminal map fits on chip\n");
-        out
     }
 
-    /// The figure table: one row per `(depth, posmap mode)` point with
-    /// the per-request cycles, overhead over flat, posmap share, and
-    /// PLB hit rate.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Fig D1: recursive posmap overhead vs tree depth and PLB size",
-            &["cycles_per_req", "slowdown_vs_flat", "posmap_pct", "plb_hit_pct"],
-        );
-        for p in &self.points {
-            let posmap_pct = if p.total_cycles == 0 {
-                0.0
-            } else {
-                100.0 * p.posmap_cycles as f64 / p.total_cycles as f64
-            };
-            let label = if p.plb_entries == 0 {
-                format!("L{}_flat", p.levels)
-            } else {
-                format!("L{}_plb{}", p.levels, p.plb_entries)
-            };
-            t.push(
-                label,
-                vec![
-                    p.per_request_cycles,
-                    p.slowdown_vs_flat,
-                    posmap_pct,
-                    p.plb_hit_rate * 100.0,
-                ],
-            );
-        }
-        t
+    /// Cycles per replayed request.
+    pub fn per_request(&self) -> f64 {
+        self.cycles as f64 / self.requests as f64
     }
 }
 
-/// A deterministic xorshift64 step (the sweep's address generator; the
-/// stream must be identical at every operating point).
-fn posmap_sweep_rng(s: &mut u64) -> u64 {
-    *s ^= *s << 13;
-    *s ^= *s >> 7;
-    *s ^= *s << 17;
-    *s
+/// Runs `sweep` over `axes` (normally [`Sweep::axes`]): every point of
+/// the grid, each measured and self-checked in sweep order. A service
+/// sweep feeds `live` (when given) at every point.
+///
+/// # Errors
+///
+/// Returns the first point's configuration, validation or self-check
+/// failure.
+pub fn run_sweep(
+    sweep: Sweep,
+    axes: &[Axis],
+    opts: &ServeOptions,
+    progress: Option<&Heartbeat>,
+    live: Option<&LiveRun>,
+) -> Result<SweepReport, String> {
+    let grid = axes.iter().fold(vec![opts.clone()], |grid, axis| {
+        let at = |o: &ServeOptions, v| {
+            let mut o = o.clone();
+            (axis.set)(&mut o, v);
+            o
+        };
+        grid.iter().flat_map(|o| axis.values.iter().map(move |&v| at(o, v))).collect()
+    });
+    let (total, mut points, mut stream) = (grid.len(), Vec::with_capacity(grid.len()), None);
+    for (done, o) in grid.into_iter().enumerate() {
+        let sample = sweep.measure(&o, live, &mut stream)?;
+        points.push((o, sample));
+        sweep.check(&points)?;
+        if let Some(hb) = progress {
+            hb.tick(done + 1, total);
+        }
+    }
+    Ok(sweep.report(opts, points))
 }
 
-/// The sweep's request stream: 7/8 of the traffic inside a fixed hot
-/// span (a posmap page working set the larger PLBs can hold), the rest
-/// uniform over the whole domain, so the hit rate responds to the PLB
-/// capacity while deep trees still see cold pages.
+/// A replay sweep's request stream at one depth.
+#[derive(Debug)]
+struct Stream {
+    /// The `(levels, domain)` it was built for.
+    depth: (u32, u64),
+    /// Working-set blocks prefilled before the replay.
+    prefill: u64,
+    /// The warm-up records, then the measured ones.
+    records: Vec<MissRecord>,
+    /// How many leading records warm up.
+    warmup: usize,
+}
+
+/// The end-to-end latency of every access span a sink sees.
+#[derive(Debug, Default)]
+struct SpanLatencies(Vec<u64>);
+
+impl TelemetrySink for SpanLatencies {
+    fn count(&mut self, _: MetricId, _: u64) {}
+    fn sample(&mut self, _: MetricId, _: u64) {}
+    fn span(&mut self, span: &AccessSpan) {
+        self.0.push(span.end - span.arrival);
+    }
+    fn window(&mut self, _: &WindowSample) {}
+}
+
+/// Prefills the stream's working set and replays it through
+/// [`replay_measured`] under a recorder teed with a tap that keeps every
+/// measured span's latency; checks every span's attribution.
+fn replay<B: StorageBackend>(
+    engine: &mut Engine<B>,
+    stream: &Stream,
+    tag: &str,
+) -> Result<Sample, String> {
+    let (warm, measured) = stream.records.split_at(stream.warmup);
+    engine.prefill_working_set(stream.prefill);
+    // The recorder's ring keeps no span: it checks each span's
+    // attribution as it arrives, and the tails come from the tap, so
+    // they cover every measured span and not the newest ring-full.
+    let rec = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 0 });
+    let tap = Arc::new(Mutex::new(SpanLatencies::default()));
+    let sink = TeeSink::shared(TelemetryRecorder::as_sink(&rec), tap.clone());
+    let (window, plb_before) = replay_measured(engine, warm, measured, Some((sink, 50_000)), |e| {
+        e.controller().plb_stats()
+    });
+    let plb = engine.controller().plb_stats();
+    let rec = rec.lock().expect("recorder poisoned");
+    rec.attribution().map_err(|e| format!("{tag}: {e}"))?;
+    let hits = plb.hits - plb_before.hits;
+    let lookups = hits + (plb.misses - plb_before.misses);
+    let latency = LatencySummary::from_samples(&mut tap.lock().expect("tap poisoned").0);
+    Ok(Sample {
+        cycles: window.total_cycles,
+        requests: measured.len() as u64,
+        latency,
+        network_cycles: rec.metrics().histogram(MetricId::AttrNetwork).sum(),
+        posmap_cycles: rec.metrics().histogram(MetricId::AttrPosmap).sum(),
+        plb_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
+        chain_levels: engine.controller().posmap_chain_levels(),
+        onchip_bytes: engine.controller().posmap_onchip_bytes(),
+        ..Sample::default()
+    })
+}
+
+/// The posmap sweep's request stream: 7/8 of the traffic inside a fixed
+/// hot span (a posmap page working set the larger PLBs can hold), the
+/// rest uniform over the whole domain, so the hit rate responds to the
+/// PLB capacity while deep trees still see cold pages. Addresses come
+/// from a deterministic xorshift64, identical at every point.
 fn posmap_sweep_stream(n: usize, domain: u64, hot_span: u64, seed: u64) -> Vec<MissRecord> {
     let mut s = seed | 1;
     (0..n)
         .map(|_| {
-            let r = posmap_sweep_rng(&mut s);
-            let span = if r.is_multiple_of(8) { domain } else { hot_span };
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let span = if s.is_multiple_of(8) { domain } else { hot_span };
             MissRecord {
-                block_addr: (r >> 8) % span.max(1),
-                is_write: r.is_multiple_of(3),
+                block_addr: (s >> 8) % span.max(1),
+                is_write: s.is_multiple_of(3),
                 gap_cycles: 0,
                 blocking: true,
             }
@@ -1224,122 +995,215 @@ fn posmap_sweep_stream(n: usize, domain: u64, hot_span: u64, seed: u64) -> Vec<M
         .collect()
 }
 
-/// Measures one `(depth, posmap mode)` point over the replayed stream.
-/// The flat baseline runs the sparse functional map — cost-identical to
-/// the flat array (no costed walk, zero posmap attribution) without its
-/// O(N) footprint, so billion-block depths have a baseline at all.
-fn posmap_sweep_point(
-    opts: &ServeOptions,
-    levels: u32,
-    plb: Option<usize>,
-) -> Result<PosmapSweepPoint, String> {
-    let tag = format!("posmap sweep L{levels}");
-    let mut sys = SystemConfig::scaled_default();
-    sys.oram.levels = levels;
-    sys.oram.posmap = match plb {
-        Some(_) => PosMapSelect::Recursive { onchip_kb: opts.posmap_onchip_kb },
-        None => PosMapSelect::Sparse,
-    };
-    if let Some(entries) = plb {
-        sys.oram.plb_entries = entries;
-    }
-    sys.validate().map_err(|e| format!("{tag}: invalid configuration: {e}"))?;
-
-    let domain = (1u64 << levels).min(1 << 30);
-    let hot_span = (sys.oram.plb_page_addrs * 256).min(domain);
-    let mut engine = Engine::new(sys).map_err(|e| format!("{tag}: engine: {e}"))?;
-    engine.prefill_working_set(domain.min(4096));
-
-    let n = (opts.requests as usize).max(1);
-    let warm = posmap_sweep_stream(n / 4, domain, hot_span, opts.seed ^ 0xD15C);
-    let measured = posmap_sweep_stream(n, domain, hot_span, opts.seed);
-    engine.run(&mut ReplayMisses::new(warm));
-
-    let rec = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
-    engine.attach_telemetry(TelemetryRecorder::as_sink(&rec), 50_000);
-    let plb_before = engine.controller().plb_stats();
-    let before = engine.stats();
-    let after = engine.run(&mut ReplayMisses::new(measured));
-    engine.detach_telemetry();
-    let plb_after = engine.controller().plb_stats();
-
-    let total_cycles = after.total_cycles - before.total_cycles;
-    let posmap_cycles = {
-        let rec = rec.lock().expect("recorder poisoned");
-        rec.attribution().map_err(|e| format!("{tag}: {e}"))?;
-        rec.metrics().histogram(MetricId::AttrPosmap).sum()
-    };
-    let hits = plb_after.hits - plb_before.hits;
-    let lookups = hits + (plb_after.misses - plb_before.misses);
-    Ok(PosmapSweepPoint {
-        levels,
-        plb_entries: plb.unwrap_or(0),
-        total_cycles,
-        per_request_cycles: total_cycles as f64 / n as f64,
-        posmap_cycles,
-        slowdown_vs_flat: 1.0, // the caller rescales against the baseline
-        plb_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-        chain_levels: engine.controller().posmap_chain_levels(),
-        onchip_bytes: engine.controller().posmap_onchip_bytes(),
-    })
+/// The per-request cycles of the last point's flat baseline: the
+/// nearest flat point at its depth, itself included.
+fn flat_baseline(points: &[Point]) -> Option<f64> {
+    let (o, _) = points.last()?;
+    let flat = |(p, _): &&Point| p.posmap == PosmapKind::Flat && p.levels == o.levels;
+    points.iter().rev().find(flat).map(|(_, s)| s.per_request())
 }
 
-/// The sweep engine behind [`run_posmap_sweep`], parameterized on the
-/// depth list. Per depth: the flat-cost baseline first, then one
-/// recursive point per [`POSMAP_SWEEP_PLB`] capacity, all over the
-/// identical request stream. Self-checks the cost model's additivity:
-/// recursion never undercuts its own flat baseline.
-fn posmap_sweep_at(
-    opts: &ServeOptions,
-    depths: &[u32],
-    progress: Option<&Heartbeat>,
-) -> Result<PosmapSweepReport, String> {
-    let total_points = depths.len() * (1 + POSMAP_SWEEP_PLB.len());
-    let mut points = Vec::with_capacity(total_points);
-    for &levels in depths {
-        let flat = posmap_sweep_point(opts, levels, None)?;
-        let flat_per_req = flat.per_request_cycles;
-        points.push(flat);
-        if let Some(hb) = progress {
-            hb.tick(points.len(), total_points);
-        }
-        for &plb in &POSMAP_SWEEP_PLB {
-            let mut p = posmap_sweep_point(opts, levels, Some(plb))?;
-            p.slowdown_vs_flat =
-                if flat_per_req == 0.0 { 1.0 } else { p.per_request_cycles / flat_per_req };
-            if p.slowdown_vs_flat < 1.0 {
-                return Err(format!(
-                    "posmap sweep: recursion undercut the flat baseline at L{levels} \
-                     plb {plb}: {:.1} vs {flat_per_req:.1} cycles/request",
-                    p.per_request_cycles
-                ));
-            }
-            points.push(p);
-            if let Some(hb) = progress {
-                hb.tick(points.len(), total_points);
-            }
-        }
-    }
-    Ok(PosmapSweepReport {
-        requests: opts.requests.max(1),
-        onchip_kb: opts.posmap_onchip_kb,
-        seed: opts.seed,
-        points,
-    })
+/// What a sweep measured and how it reads: every point, the text, and
+/// the figure table `--csv` writes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepReport {
+    /// Every point, in sweep order.
+    pub points: Vec<Point>,
+    /// The text output.
+    pub text: String,
+    /// The figure table.
+    pub figure: Table,
 }
 
-/// Sweeps [`POSMAP_SWEEP_LEVELS`] × (flat, [`POSMAP_SWEEP_PLB`]) over
-/// the identical deterministic request stream: the recursion-overhead
-/// figure family, up to a 2^30-address tree.
-///
-/// # Errors
-///
-/// Returns the first configuration or additivity failure.
-pub fn run_posmap_sweep(
-    opts: &ServeOptions,
-    progress: Option<&Heartbeat>,
-) -> Result<PosmapSweepReport, String> {
-    posmap_sweep_at(opts, &POSMAP_SWEEP_LEVELS, progress)
+/// The one text renderer of the sweeps: the heading, a header row and
+/// one row per point, each cell right-aligned in its column's width,
+/// then the verdict.
+fn section(
+    heading: &str,
+    columns: &[(&str, usize)],
+    rows: Vec<Vec<String>>,
+    verdict: &str,
+) -> String {
+    let header = columns.iter().map(|(h, _)| h.to_string()).collect();
+    let mut out = heading.to_string();
+    for row in std::iter::once(header).chain(rows) {
+        let cells: Vec<_> = row.iter().zip(columns).map(|(c, (_, w))| format!("{c:>w$}")).collect();
+        out += &format!("  {}\n", cells.join(" "));
+    }
+    out + verdict
+}
+
+/// A number with `d` decimals.
+fn fx(v: f64, d: usize) -> String {
+    format!("{v:.d$}")
+}
+
+/// The first load at which admission control rejected more than 5% of
+/// offered requests: the saturation knee.
+fn knee(points: &[Point]) -> Option<f64> {
+    points.iter().find(|(_, s)| s.rejected_frac() > 0.05).map(|(o, _)| o.load)
+}
+
+/// One load sweep's text under `heading`, and its figure: a row per load.
+fn load_table(policy: &str, heading: &str, points: &[Point]) -> (String, Table) {
+    let mut figure = Table::new(
+        "Fig A1: load sweep throughput and tail latency",
+        &["offered_req_per_mcyc", "achieved_req_per_mcyc", "rejected_pct", "p50", "p99", "p99_9"],
+    );
+    let mut rows = Vec::new();
+    for (o, s) in points {
+        let l = &s.latency;
+        let offered = s.requests as f64 * 1e6 / s.cycles.max(1) as f64;
+        let rej = s.rejected_frac() * 100.0;
+        let tail = [l.p50, l.p99, l.p999];
+        let head = [fx(o.load, 2), fx(offered, 2), fx(s.achieved_rpmc, 2), format!("{rej:.1}%")];
+        rows.push(head.into_iter().chain(tail.map(|v| v.to_string())).collect());
+        let values = [[offered, s.achieved_rpmc, rej], tail.map(|v| v as f64)].concat();
+        figure.push(format!("load_{:.2}", o.load), values);
+    }
+    let verdict = match knee(points) {
+        Some(k) => format!(
+            "saturation knee at load {k:.2} (first point rejecting > 5% of offered requests)\n"
+        ),
+        None => "no saturation knee within the swept range\n".to_string(),
+    };
+    let columns = [
+        ("load", 6),
+        ("offered/Mc", 12),
+        ("achieved/Mc", 13),
+        ("rej%", 9),
+        ("p50", 10),
+        ("p99", 10),
+        ("p99.9", 10),
+    ];
+    (section(&format!("{heading}load sweep ({policy}):\n"), &columns, rows, &verdict), figure)
+}
+
+/// The shard sweep: a summary row per shard count (the knee load, the
+/// throughput there — at the heaviest load if it never saturated — and
+/// the load-1.0 tail), then each shard count's load sweep. The figure
+/// carries the summary, knee 0 where none.
+fn shard_table(policy: &str, points: &[Point]) -> (String, Table) {
+    let mut figure = Table::new(
+        "Fig C1: shard sweep saturation knee",
+        &["knee_load", "knee_req_per_mcyc", "p99_at_load1", "p99_9_at_load1"],
+    );
+    let (mut rows, mut sweeps) = (Vec::new(), String::new());
+    for sweep in points.chunk_by(|(a, _), (b, _)| a.shards == b.shards) {
+        let m = sweep[0].0.shards;
+        let knee = knee(sweep);
+        let at_knee = sweep.iter().rfind(|(o, _)| knee.is_none_or(|k| o.load == k));
+        let rpmc = at_knee.map_or(0.0, |(_, s)| s.achieved_rpmc);
+        let at_one = sweep.iter().find(|(o, _)| o.load == 1.0).map(|(_, s)| s.latency);
+        let (p99, p999) = at_one.map_or((0, 0), |l| (l.p99, l.p999));
+        let knee_text = knee.map_or_else(|| "none".to_string(), |k| format!("{k:.2}"));
+        rows.push(vec![m.to_string(), knee_text, fx(rpmc, 2), p99.to_string(), p999.to_string()]);
+        let values = vec![knee.unwrap_or(0.0), rpmc, p99 as f64, p999 as f64];
+        figure.push(format!("shards_{m}"), values);
+        sweeps += &load_table(policy, &format!("-- shards {m} --\n"), sweep).0;
+    }
+    let columns =
+        [("shards", 6), ("knee", 8), ("knee req/Mcyc", 13), ("p99@1.0", 10), ("p99.9@1.0", 10)];
+    (section(&format!("shard sweep ({policy}):\n"), &columns, rows, "") + &sweeps, figure)
+}
+
+/// The WAN sweep: a row per point; the figure has a row per RTT and a
+/// column per batch (per-request cycles), then the p99 and p99.9 rows.
+fn wan_table(points: &[Point]) -> (String, Table) {
+    let rows = points
+        .iter()
+        .map(|(o, s)| {
+            let (l, n) = (&s.latency, s.network_cycles);
+            let net = if s.cycles == 0 { 0.0 } else { 100.0 * n as f64 / s.cycles as f64 };
+            vec![
+                fx(o.rtt_us, 0),
+                o.wan_batch.to_string(),
+                fx(s.per_request(), 1),
+                n.to_string(),
+                format!("{net:.1}%"),
+                l.p99.to_string(),
+                l.p999.to_string(),
+            ]
+        })
+        .collect();
+    let by_rtt: Vec<_> = points.chunk_by(|(a, _), (b, _)| a.rtt_us == b.rtt_us).collect();
+    let cols: Vec<_> = by_rtt[0].iter().map(|(o, _)| format!("batch_{}", o.wan_batch)).collect();
+    let mut figure = Table::new(
+        "Fig B1: WAN per-request cycles vs request batch",
+        &cols.iter().map(String::as_str).collect::<Vec<_>>(),
+    );
+    let value = |s: &Sample| [s.per_request(), s.latency.p99 as f64, s.latency.p999 as f64];
+    for (i, tag) in ["", "p99_", "p99_9_"].into_iter().enumerate() {
+        for row in &by_rtt {
+            let label = format!("{tag}rtt_{:.0}us", row[0].0.rtt_us);
+            figure.push(label, row.iter().map(|(_, s)| value(s)[i]).collect());
+        }
+    }
+    let (o, s) = &points[0];
+    let columns = [
+        ("rtt_us", 8),
+        ("batch", 6),
+        ("cycles/req", 14),
+        ("network", 12),
+        ("net%", 6),
+        ("p99", 10),
+        ("p99.9", 10),
+    ];
+    let heading =
+        format!("wan sweep ({} misses of {WAN_WORKLOAD}, levels {}):\n", s.requests, o.levels);
+    let verdict = "per-request cycles are monotone non-increasing in the batch size at every RTT\n";
+    (section(&heading, &columns, rows, verdict), figure)
+}
+
+/// The posmap sweep: a row per `(depth, posmap mode)` point, in the text
+/// and in the figure.
+fn posmap_table(opts: &ServeOptions, points: &[Point]) -> (String, Table) {
+    let mut figure = Table::new(
+        "Fig D1: recursive posmap overhead vs tree depth and PLB size",
+        &["cycles_per_req", "slowdown_vs_flat", "posmap_pct", "plb_hit_pct"],
+    );
+    let mut rows = Vec::new();
+    for (i, (o, s)) in points.iter().enumerate() {
+        let per = s.per_request();
+        let slowdown = match (o.plb_entries, flat_baseline(&points[..=i])) {
+            (Some(_), Some(flat)) if flat != 0.0 => per / flat,
+            _ => 1.0,
+        };
+        let pm = if s.cycles == 0 { 0.0 } else { 100.0 * s.posmap_cycles as f64 / s.cycles as f64 };
+        let hit = s.plb_hit_rate * 100.0;
+        let plb = o.plb_entries.map_or("-".to_string(), |p| p.to_string());
+        let label = o.plb_entries.map_or("flat".to_string(), |p| format!("plb{p}"));
+        figure.push(format!("L{}_{label}", o.levels), vec![per, slowdown, pm, hit]);
+        rows.push(vec![
+            o.levels.to_string(),
+            o.posmap.name().to_string(),
+            plb,
+            fx(per, 1),
+            format!("{slowdown:.3}x"),
+            format!("{pm:.1}%"),
+            format!("{hit:.1}%"),
+            s.chain_levels.to_string(),
+            fx(s.onchip_bytes as f64 / 1024.0, 1),
+        ]);
+    }
+    let columns = [
+        ("levels", 6),
+        ("posmap", 10),
+        ("plb", 6),
+        ("cycles/req", 12),
+        ("slowdown", 9),
+        ("posmap%", 8),
+        ("plb_hit%", 8),
+        ("chain", 6),
+        ("onchip_kb", 10),
+    ];
+    let heading = format!(
+        "posmap sweep ({} requests/point, on-chip budget {} KiB):\n",
+        opts.requests.max(1),
+        opts.posmap_onchip_kb
+    );
+    let verdict = "recursion costs nothing where the terminal map fits on chip\n";
+    (section(&heading, &columns, rows, verdict), figure)
 }
 
 #[cfg(test)]
@@ -1501,7 +1365,7 @@ mod tests {
         o.shards = 2;
         let sys = serve_system(&o).unwrap();
         let store = scratch_dir("failing_shard");
-        let err = run_policy_on(&o, SchedPolicy::Fcfs, 1.0, &sys, None, |i| match i {
+        let err = run_policy_on(&o, SchedPolicy::Fcfs, &sys, None, |i| match i {
             0 => disk_backend(store.0.join("shard_0"), &sys),
             _ => Err("disk: no space".to_string()),
         })
@@ -1522,7 +1386,7 @@ mod tests {
         let o = tiny();
         let mut sys = serve_system(&o).unwrap();
         sys.pipeline = true;
-        let mut cfg = o.service_config(1.0);
+        let mut cfg = o.service_config();
         cfg.scheduler = SchedPolicy::Fcfs;
         cfg.coalescing = false;
         cfg.queue_capacity = o.requests as usize;
@@ -1591,7 +1455,7 @@ mod tests {
         let (mut events, mut posmap_events) = (0, 0);
         let mut hasher = oram_util::DetState.build_hasher();
         for policy in SchedPolicy::ALL {
-            let mut cfg = opts.service_config(opts.load);
+            let mut cfg = opts.service_config();
             cfg.scheduler = policy;
             let mut engine = Engine::new(serve_system(&opts).unwrap()).unwrap();
             engine.prefill_working_set(cfg.address_span().min(PREFILL_CAP));
@@ -1678,83 +1542,105 @@ mod tests {
         let mut o = tiny();
         o.requests = 120;
         o.posmap_onchip_kb = 1; // force off-chip levels at shallow test depths
-        let sweep = posmap_sweep_at(&o, &[12, 14], None).expect("posmap sweep");
-        let per_depth = 1 + POSMAP_SWEEP_PLB.len();
+        let depths = [Axis { values: &[12.0, 14.0], ..LEVELS }, PLBS];
+        let sweep = run_sweep(Sweep::Posmap, &depths, &o, None, None).expect("posmap sweep");
+        let per_depth = PLBS.values.len();
         assert_eq!(sweep.points.len(), 2 * per_depth);
-        for chunk in sweep.points.chunks(per_depth) {
-            let flat = &chunk[0];
-            assert_eq!(flat.plb_entries, 0);
-            assert_eq!(flat.posmap_cycles, 0);
-            assert_eq!(flat.chain_levels, 0);
-            assert_eq!(flat.slowdown_vs_flat, 1.0);
-            for p in &chunk[1..] {
-                assert!(p.chain_levels >= 1, "L{} plb {}", p.levels, p.plb_entries);
-                assert!(p.slowdown_vs_flat >= 1.0);
-                assert!(p.onchip_bytes > 0);
+        for (chunk, rows) in sweep.points.chunks(per_depth).zip(sweep.figure.rows.chunks(per_depth))
+        {
+            let (flat, f) = &chunk[0];
+            assert_eq!(flat.plb_entries, None);
+            assert_eq!((f.posmap_cycles, f.chain_levels), (0, 0));
+            assert_eq!(rows[0].1[1], 1.0, "the baseline's slowdown");
+            for ((p, s), (_, row)) in chunk.iter().zip(rows).skip(1) {
+                assert!(s.chain_levels >= 1, "L{} plb {:?}", p.levels, p.plb_entries);
+                assert!(row[1] >= 1.0);
+                assert!(s.onchip_bytes > 0);
             }
             // The smallest PLB cannot hold the domain's page set, so
             // misses must walk; a PLB covering every page may serve the
             // whole measured window on chip (that is the figure's point).
-            assert!(
-                chunk[1].posmap_cycles > 0,
-                "L{} plb {} never walked",
-                flat.levels,
-                chunk[1].plb_entries
-            );
+            let (smallest, largest) = (&chunk[1].1, &chunk[per_depth - 1].1);
+            assert!(smallest.posmap_cycles > 0, "L{} never walked", flat.levels);
             // More PLB entries never hit less on the fixed hot span.
             assert!(
-                chunk[per_depth - 1].plb_hit_rate >= chunk[1].plb_hit_rate,
-                "L{}: plb {} hit {:.3} < plb {} hit {:.3}",
+                largest.plb_hit_rate >= smallest.plb_hit_rate,
+                "L{}: hit {:.3} < {:.3}",
                 flat.levels,
-                chunk[per_depth - 1].plb_entries,
-                chunk[per_depth - 1].plb_hit_rate,
-                chunk[1].plb_entries,
-                chunk[1].plb_hit_rate,
+                largest.plb_hit_rate,
+                smallest.plb_hit_rate,
             );
         }
         // One figure row per point, and the sweep is deterministic.
-        assert_eq!(sweep.table().rows.len(), sweep.points.len());
-        assert!(sweep.render().contains("plb_hit%"));
-        assert_eq!(posmap_sweep_at(&o, &[12, 14], None).expect("rerun"), sweep);
+        assert_eq!(sweep.figure.rows.len(), sweep.points.len());
+        assert!(sweep.text.contains("plb_hit%"));
+        let again = run_sweep(Sweep::Posmap, &depths, &o, None, None).expect("rerun");
+        assert_eq!(again, sweep);
     }
 
     #[test]
     fn wan_sweep_amortizes_round_trips() {
         let mut o = tiny();
         o.requests = 120;
-        let sweep = run_wan_sweep(&o, None).expect("wan sweep");
-        assert_eq!(
-            sweep.points.len(),
-            WAN_SWEEP_RTTS_US.len() * WAN_SWEEP_BATCHES.len()
-        );
+        let sweep = run_sweep(Sweep::Wan, Sweep::Wan.axes(), &o, None, None).expect("wan sweep");
+        assert_eq!(sweep.points.len(), RTTS_US.values.len() * BATCHES.values.len());
         // Monotone non-increasing per RTT is validated inside the sweep;
         // spot-check the strict end-to-end win where RTTs dominate.
-        for &rtt in &WAN_SWEEP_RTTS_US {
-            let row: Vec<&WanSweepPoint> =
-                sweep.points.iter().filter(|p| p.rtt_us == rtt).collect();
-            assert!(
-                row.last().unwrap().per_request_cycles
-                    < row.first().unwrap().per_request_cycles,
-                "batching must win at rtt {rtt}"
-            );
-            assert!(row.iter().all(|p| p.network_cycles > 0));
-            assert!(row.iter().all(|p| p.p99_cycles > 0 && p.p99_cycles <= p.p999_cycles));
+        for row in sweep.points.chunk_by(|(a, _), (b, _)| a.rtt_us == b.rtt_us) {
+            let (first, last) = (&row[0].1, &row[row.len() - 1].1);
+            assert!(last.per_request() < first.per_request(), "batching must win");
+            assert!(row.iter().all(|(_, s)| s.network_cycles > 0));
+            assert!(row.iter().all(|(_, s)| s.latency.p99 > 0 && s.latency.p99 <= s.latency.p999));
         }
         // Higher RTT costs more at fixed batch.
         let at_batch_1: Vec<f64> = sweep
             .points
             .iter()
-            .filter(|p| p.batch == 1)
-            .map(|p| p.per_request_cycles)
+            .filter(|(o, _)| o.wan_batch == 1)
+            .map(|(_, s)| s.per_request())
             .collect();
         assert!(at_batch_1.windows(2).all(|w| w[0] < w[1]));
         // One cycles/req row per RTT plus p99 and p99.9 rows per RTT.
-        let t = sweep.table();
-        assert_eq!(t.rows.len(), 3 * WAN_SWEEP_RTTS_US.len());
-        assert!(sweep.render().contains("monotone non-increasing"));
-        assert!(sweep.render().contains("p99.9"));
+        assert_eq!(sweep.figure.rows.len(), 3 * RTTS_US.values.len());
+        assert!(sweep.text.contains("monotone non-increasing"));
+        assert!(sweep.text.contains("p99.9"));
         // Deterministic for the compare gate.
-        assert_eq!(run_wan_sweep(&o, None).expect("rerun"), sweep);
+        let again = run_sweep(Sweep::Wan, Sweep::Wan.axes(), &o, None, None).expect("rerun");
+        assert_eq!(again, sweep);
+    }
+
+    /// The WAN sweep's tails cover every measured access, not the newest
+    /// ring-full: its replay keeps no span in its recorder's ring, and
+    /// its tails are still those of the span-for-span record.
+    #[test]
+    fn replay_tails_cover_every_measured_span() {
+        let mut o = tiny();
+        o.requests = 200;
+        (RTTS_US.set)(&mut o, RTTS_US.values[0]);
+        (BATCHES.set)(&mut o, BATCHES.values[0]);
+        let sys = serve_system(&o).unwrap();
+        let stream = Sweep::Wan.stream(&o, &sys).unwrap();
+        let engine = || {
+            let backend = wan_backend(o.rtt_us, o.wan_batch, &sys).unwrap();
+            Engine::with_backend(sys.clone(), backend).unwrap()
+        };
+        let sample = replay(&mut engine(), &stream, "wan").unwrap();
+        let measured = (stream.records.len() - stream.warmup) as u64;
+        assert_eq!(sample.latency.count, measured, "one latency per measured access");
+
+        // The span-for-span record: a ring that holds the whole window.
+        let mut e = engine();
+        e.prefill_working_set(stream.prefill);
+        let rec = TelemetryRecorder::shared(TelemetryConfig { span_capacity: 1 << 16 });
+        let (warm, tail) = stream.records.split_at(stream.warmup);
+        let sink = Some((TelemetryRecorder::as_sink(&rec), 50_000));
+        replay_measured(&mut e, warm, tail, sink, |_| {});
+        let rec = rec.lock().unwrap();
+        assert_eq!(rec.spans().dropped(), 0);
+        let mut lat: Vec<u64> = rec.spans().iter().map(|s| s.end - s.arrival).collect();
+        assert_eq!(sample.latency, LatencySummary::from_samples(&mut lat));
+        let sweep = run_sweep(Sweep::Wan, Sweep::Wan.axes(), &o, None, None).unwrap();
+        assert_eq!(sweep.points[0].1, sample, "the sweep measures the same point");
     }
 
     #[test]
@@ -1809,16 +1695,24 @@ mod tests {
 
     #[test]
     fn shard_sweep_knee_table_has_tail_columns() {
-        let report = ShardSweepReport {
-            policy: SchedPolicy::Fcfs,
-            entries: vec![],
-        };
-        let t = report.knee_table();
+        let mut o = tiny();
+        o.requests = 20;
+        let axes = [Axis { values: &[1.0, 2.0], ..SHARDS }, Axis { values: &[1.0], ..LOADS }];
+        let report = run_sweep(Sweep::Shard, &axes, &o, None, None).expect("shard sweep");
         assert_eq!(
-            t.columns,
+            report.figure.columns,
             ["knee_load", "knee_req_per_mcyc", "p99_at_load1", "p99_9_at_load1"]
         );
-        assert!(report.render().contains("p99.9@1.0"));
+        let labels: Vec<&str> = report.figure.rows.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, ["shards_1", "shards_2"]);
+        // No knee at load 1.0: the throughput column falls back to the
+        // heaviest load, and the tail columns read the load-1.0 point.
+        for ((_, row), (_, s)) in report.figure.rows.iter().zip(&report.points) {
+            let tail = [s.latency.p99 as f64, s.latency.p999 as f64];
+            assert_eq!(row, &[0.0, s.achieved_rpmc, tail[0], tail[1]]);
+        }
+        assert!(report.text.contains("p99.9@1.0"));
+        assert!(report.text.contains("-- shards 2 --\nload sweep (fcfs):\n"), "{}", report.text);
     }
 
     #[test]
@@ -1827,16 +1721,44 @@ mod tests {
         // queues on a multi-thousand-cycle ORAM access time.
         let mut o = tiny();
         o.base_gap_cycles = 4_000.0;
-        let sweep = run_serve_sweep(&o, None).expect("sweep");
-        assert_eq!(sweep.points.len(), SWEEP_LOADS.len());
-        let knee = sweep.knee.expect("overloaded sweep must saturate");
+        let sweep = run_sweep(Sweep::Load, Sweep::Load.axes(), &o, None, None).expect("sweep");
+        assert_eq!(sweep.points.len(), LOADS.values.len());
+        let knee = knee(&sweep.points).expect("overloaded sweep must saturate");
         assert!(knee > 0.25, "knee at the lightest load suggests a broken base rate");
-        assert!(sweep.render().contains("saturation knee"));
+        assert!(sweep.text.contains("saturation knee"));
         // Rejections are monotone-ish: the heaviest load rejects more
         // than the lightest.
-        assert!(
-            sweep.points.last().unwrap().rejected_frac
-                > sweep.points.first().unwrap().rejected_frac
+        let rejected = |i: usize| sweep.points[i].1.rejected_frac();
+        assert!(rejected(sweep.points.len() - 1) > rejected(0));
+        // The figure carries the same points.
+        assert_eq!(sweep.figure.rows.len(), sweep.points.len());
+        assert_eq!(sweep.figure.rows[0].0, "load_0.25");
+    }
+
+    #[test]
+    fn self_checks_keep_their_error_texts() {
+        let o = |rtt_us, wan_batch| ServeOptions { rtt_us, wan_batch, ..tiny() };
+        let s = |cycles| Sample { cycles, requests: 10, ..Sample::default() };
+        let err = Sweep::Wan.check(&[(o(50.0, 1), s(100)), (o(50.0, 2), s(120))]).unwrap_err();
+        assert_eq!(
+            err,
+            "wan sweep: batching slowed the run at rtt 50us: batch 2 costs 12.0 cycles/request, \
+             smaller batch cost 10.0"
         );
+        // A new RTT starts a new row.
+        assert!(Sweep::Wan.check(&[(o(50.0, 16), s(100)), (o(200.0, 1), s(900))]).is_ok());
+
+        let p = |plb| {
+            let mut o = ServeOptions { levels: 18, ..tiny() };
+            (PLBS.set)(&mut o, plb);
+            o
+        };
+        let err = Sweep::Posmap.check(&[(p(0.0), s(100)), (p(64.0), s(90))]).unwrap_err();
+        assert_eq!(
+            err,
+            "posmap sweep: recursion undercut the flat baseline at L18 plb 64: 9.0 vs 10.0 \
+             cycles/request"
+        );
+        assert!(Sweep::Posmap.check(&[(p(0.0), s(100)), (p(64.0), s(100))]).is_ok());
     }
 }

@@ -324,7 +324,7 @@ fn serve_usage_errors_exit_2() {
             (&["serve", "--wan-sweep", "--json", "/tmp/x.json"], WAN_SWEEP),
             (
                 &["serve", "--csv", "/tmp/x"],
-                "--csv applies only to --wan-sweep, --shard-sweep and --posmap-sweep",
+                "--csv applies only to --sweep, --shard-sweep, --wan-sweep and --posmap-sweep",
             ),
             (&["serve", "--metrics-addr"], "--metrics-addr needs HOST:PORT"),
             (&["serve", "--metrics-linger"], "--metrics-linger needs seconds"),
@@ -1033,4 +1033,54 @@ fn soak_quick_report_passes_its_own_compare_gate() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `repro serve [--quick] --<sweep> --csv` and diffs its stdout and
+/// every CSV it wrote against `tests/golden/serve_sweeps/`, byte for
+/// byte, at both sizes. The golden files are `<sweep>_<size>.txt` and
+/// `<sweep>_<size>_<figure>.csv`.
+fn assert_sweep_matches_golden(sweep: &str) {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_sweeps");
+    for size in ["quick", "full"] {
+        let name = format!("{sweep}_{size}");
+        let dir = std::env::temp_dir().join(format!("repro_golden_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let flag = format!("--{sweep}");
+        let mut args = vec!["serve", "--quiet", flag.as_str()];
+        if size == "quick" {
+            args.push("--quick");
+        }
+        let out = repro(&[&args[..], &["--csv", dir.to_str().expect("utf-8 temp path")]].concat());
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        let want = std::fs::read_to_string(golden.join(format!("{name}.txt"))).expect("golden");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{name} stdout");
+        let csvs: Vec<_> = std::fs::read_dir(&dir).expect("csv dir").map(|e| e.unwrap()).collect();
+        assert_eq!(csvs.len(), 1, "{name}: one figure table");
+        let file = csvs[0].file_name().into_string().expect("utf-8 file name");
+        let want = std::fs::read_to_string(golden.join(format!("{name}_{file}")))
+            .unwrap_or_else(|e| panic!("{name}: no golden for {file}: {e}"));
+        let got = std::fs::read_to_string(csvs[0].path()).expect("csv");
+        assert_eq!(got, want, "{name} {file}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn load_sweep_output_is_golden() {
+    assert_sweep_matches_golden("sweep");
+}
+
+#[test]
+fn shard_sweep_output_is_golden() {
+    assert_sweep_matches_golden("shard-sweep");
+}
+
+#[test]
+fn wan_sweep_output_is_golden() {
+    assert_sweep_matches_golden("wan-sweep");
+}
+
+#[test]
+fn posmap_sweep_output_is_golden() {
+    assert_sweep_matches_golden("posmap-sweep");
 }

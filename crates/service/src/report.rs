@@ -18,7 +18,7 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// Summary statistics of one latency population.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Samples summarized.
     pub count: u64,

@@ -372,29 +372,25 @@ impl Frontend {
         }
     }
 
-    /// Injects one request into a client's queue at cycle `now`, subject
-    /// to normal admission control; `false` means rejected (queue full).
-    fn inject(&mut self, now: u64, client: usize, addr: u64, write: bool) -> bool {
+    /// Admission control for one request arriving at `arrival`: queued
+    /// if the client's queue has room, rejected otherwise, and counted
+    /// either way. `false` means rejected (queue full).
+    #[inline]
+    fn admit(&mut self, client: usize, addr: u64, write: bool, arrival: u64) -> bool {
         let seq = self.next_seq;
-        let telemetry_on = self.telemetry.is_some();
-        let cap = self.cfg.queue_capacity;
         let c = &mut self.clients[client];
         c.generated += 1;
-        if c.queue.len() >= cap {
+        if c.queue.len() >= self.cfg.queue_capacity {
             c.rejected += 1;
-            if telemetry_on {
-                self.count(MetricId::ServiceRejected);
-            }
-            self.observe_rejected(now, client);
+            self.count(MetricId::ServiceRejected);
+            self.observe_rejected(arrival, client);
             return false;
         }
-        c.queue.push_back(QueuedRequest { seq, addr, write, arrival: now });
+        c.queue.push_back(QueuedRequest { seq, addr, write, arrival });
         c.admitted += 1;
         self.next_seq += 1;
-        if telemetry_on {
-            self.count(MetricId::ServiceAdmitted);
-        }
-        self.observe_admitted(now, client);
+        self.count(MetricId::ServiceAdmitted);
+        self.observe_admitted(arrival, client);
         true
     }
 
@@ -419,22 +415,11 @@ impl Frontend {
     /// Admits (or rejects) client `i`'s pending arrival and schedules
     /// the stream's next one.
     fn admit_one(&mut self, i: usize) {
-        let cap = self.cfg.queue_capacity;
-        let seq = self.next_seq;
         let c = &mut self.clients[i];
         let arrival = c.next_arrival;
         let addr = c.draw_addr();
         let write = c.draw_write();
-        c.generated += 1;
-
-        let admitted = if c.queue.len() >= cap {
-            c.rejected += 1;
-            false
-        } else {
-            c.queue.push_back(QueuedRequest { seq, addr, write, arrival });
-            c.admitted += 1;
-            true
-        };
+        let admitted = self.admit(i, addr, write, arrival);
 
         // Schedule the stream's next arrival. Closed loops wait for the
         // completion of the request just queued — unless it was
@@ -442,6 +427,7 @@ impl Frontend {
         // client has at most one request in flight); a rejected closed
         // request would otherwise deadlock the stream, so treat the
         // rejection itself as an instant (failed) completion.
+        let c = &mut self.clients[i];
         c.next_arrival = if c.generated >= c.spec.requests {
             NEVER
         } else {
@@ -456,15 +442,6 @@ impl Frontend {
                 }
             }
         };
-
-        if admitted {
-            self.next_seq += 1;
-            self.count(MetricId::ServiceAdmitted);
-            self.observe_admitted(arrival, i);
-        } else {
-            self.count(MetricId::ServiceRejected);
-            self.observe_rejected(arrival, i);
-        }
     }
 
     /// Picks the client whose queue head the policy issues next, or
@@ -786,7 +763,7 @@ impl<T: ServeTarget> ServiceDriver<T> {
     /// Panics if `client` is out of range.
     pub fn inject(&mut self, client: usize, addr: u64, write: bool) -> bool {
         let now = self.target.cycle();
-        self.front.inject(now, client, addr, write)
+        self.front.admit(client, addr, write, now)
     }
 
     /// Selects up to `max` group leaders against the current clock,

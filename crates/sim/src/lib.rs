@@ -56,6 +56,7 @@ pub use pool::{default_threads, parallel_map, parallel_map_notify, THREADS_ENV};
 pub use shard::ShardMutant;
 pub use shard::{ShardRequest, ShardedOram};
 pub use runner::{
-    build_miss_stream, run_workload, run_workload_traced, scale_profile, RunOptions, RunResult,
+    build_miss_stream, replay_measured, run_workload, run_workload_traced, scale_profile,
+    RunOptions, RunResult,
 };
 pub use stats::{gmean, Histogram, SimStats};

@@ -7,6 +7,7 @@
 //! insecure baseline on identical miss streams.
 
 use oram_cpu::{HierarchyConfig, InOrderCore, MissRecord, MissStream, O3Config, O3Frontend, ReplayMisses};
+use oram_storage::StorageBackend;
 use oram_util::SharedTelemetry;
 use oram_workloads::{TraceGenerator, WorkloadProfile};
 
@@ -205,17 +206,7 @@ fn run_workload_with(
     // --- ORAM system ---
     let mut engine = Engine::new(cfg.clone()).expect("valid config");
     engine.prefill_working_set(scaled.working_set_blocks);
-    if !warm.is_empty() {
-        engine.run(&mut ReplayMisses::new(warm.to_vec()));
-    }
-    if let Some((sink, window_cycles)) = telemetry {
-        // Attach only now, so warmup noise never reaches the sink.
-        engine.attach_telemetry(sink, window_cycles);
-    }
-    let before = engine.stats();
-    let after = engine.run(&mut ReplayMisses::new(measured.to_vec()));
-    engine.detach_telemetry();
-    let oram = subtract_stats(&after, &before, cfg);
+    let (oram, ()) = replay_measured(&mut engine, warm, measured, telemetry, |_| ());
 
     // --- Insecure baseline (same measured records) ---
     let mut ins = InsecureSystem::new(cfg.clone()).expect("valid config");
@@ -224,8 +215,36 @@ fn run_workload_with(
     RunResult { oram, insecure }
 }
 
+/// The measured replay every closed-loop run shares: replays `warm`
+/// through `engine` dark, attaches `telemetry` (sink, time-series window
+/// in cycles), replays `measured`, detaches, and returns the statistics
+/// of the measured replay alone. `at_measure` sees the engine between
+/// the two replays; its answer comes back beside the statistics, so a
+/// caller can difference its own counters over exactly the measured
+/// window.
+pub fn replay_measured<B: StorageBackend, T>(
+    engine: &mut Engine<B>,
+    warm: &[MissRecord],
+    measured: &[MissRecord],
+    telemetry: Option<(SharedTelemetry, u64)>,
+    at_measure: impl FnOnce(&Engine<B>) -> T,
+) -> (SimStats, T) {
+    if !warm.is_empty() {
+        engine.run(&mut ReplayMisses::new(warm.to_vec()));
+    }
+    let mark = at_measure(engine);
+    if let Some((sink, window_cycles)) = telemetry {
+        // Attach only now, so warmup noise never reaches the sink.
+        engine.attach_telemetry(sink, window_cycles);
+    }
+    let before = engine.stats();
+    let after = engine.run(&mut ReplayMisses::new(measured.to_vec()));
+    engine.detach_telemetry();
+    (subtract_stats(&after, &before), mark)
+}
+
 /// Subtracts the warmup portion out of cumulative statistics.
-fn subtract_stats(after: &SimStats, before: &SimStats, cfg: &SystemConfig) -> SimStats {
+fn subtract_stats(after: &SimStats, before: &SimStats) -> SimStats {
     let mut s = *after;
     s.total_cycles = after.total_cycles - before.total_cycles;
     s.data_cycles = after.data_cycles - before.data_cycles;
@@ -241,7 +260,6 @@ fn subtract_stats(after: &SimStats, before: &SimStats, cfg: &SystemConfig) -> Si
         s.energy_mj =
             after.energy_mj * (s.total_cycles as f64 / after.total_cycles as f64);
     }
-    let _ = cfg;
     s
 }
 
