@@ -1,6 +1,5 @@
 //! Result types describing what one ORAM access did, at the granularity
-//! the timing simulator needs, plus the externally visible trace used by
-//! the security tests.
+//! the timing simulator needs.
 //!
 //! These types sit on the hottest path in the whole system — one
 //! [`AccessResult`] per simulated LLC miss — so they are plain-old-data:
@@ -9,7 +8,7 @@
 //! a fixed inline array (an access produces at most three phases). The
 //! whole result is `Copy` and never touches the heap.
 
-use crate::tree::{BucketId, PathIter, TreeShape};
+use crate::tree::{PathIter, TreeShape};
 use crate::types::LeafLabel;
 
 /// Where the requested data became available to the CPU.
@@ -208,62 +207,10 @@ impl AccessResult {
     }
 }
 
-/// One externally observable event: everything an attacker probing the
-/// memory bus can see (which bucket, read or write — contents are
-/// ciphertext and indistinguishable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Bucket touched.
-    pub bucket: BucketId,
-    /// `true` for writes.
-    pub is_write: bool,
-}
-
-/// Recorder for the externally visible access pattern.
-///
-/// The security integration tests compare traces between the baseline and
-/// shadow-block controllers: they must be *identical* for identical request
-/// sequences and seeds, which is precisely the paper's security argument
-/// (Sec. IV-B1).
-#[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
-    events: Vec<TraceEvent>,
-    enabled: bool,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder; when `enabled` is `false` all records are
-    /// dropped at negligible cost.
-    pub fn new(enabled: bool) -> Self {
-        TraceRecorder { events: Vec::new(), enabled }
-    }
-
-    /// Records one bus event.
-    pub fn record(&mut self, bucket: BucketId, is_write: bool) {
-        if self.enabled {
-            self.events.push(TraceEvent { bucket, is_write });
-        }
-    }
-
-    /// The recorded event sequence.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Drops all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::BucketId;
 
     #[test]
     fn dram_block_accounting() {
@@ -318,25 +265,5 @@ mod tests {
         for _ in 0..4 {
             l.push(p);
         }
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let mut t = TraceRecorder::new(false);
-        t.record(BucketId::ROOT, false);
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn enabled_recorder_keeps_order() {
-        let mut t = TraceRecorder::new(true);
-        t.record(BucketId::ROOT, false);
-        t.record(BucketId::new(5), true);
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events()[0].bucket, BucketId::ROOT);
-        assert!(t.events()[1].is_write);
-        t.clear();
-        assert!(t.events().is_empty());
     }
 }

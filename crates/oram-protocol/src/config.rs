@@ -5,19 +5,18 @@ use crate::shadow::DupPolicy;
 
 /// Which position-map organization the controller instantiates.
 ///
-/// `Flat` is the original O(N)-on-chip array — byte-identical behavior
-/// to before the backend abstraction existed. `Sparse` keeps identical
-/// semantics but stores entries in a hash map so billion-address
-/// domains cost memory proportional to the touched working set.
+/// `Flat` and `Sparse` are the one on-chip map ([`crate::FlatPosMap`])
+/// over its dense and its hashed index: the same answers, with memory
+/// proportional to the address space or to the touched working set.
 /// `Recursive` stores posmap entries in a chain of smaller ORAMs
 /// (Path ORAM recursion) fronted by the PLB; only the top-level map
 /// — sized to fit `onchip_kb` — plus the PLB stay on chip, and every
 /// PLB miss issues real, costed accesses to the posmap ORAMs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PosMapSelect {
-    /// Flat on-chip array (the pre-subsystem default).
+    /// On-chip map over the dense index (the default).
     Flat,
-    /// Flat semantics, sparse hash-map storage for huge domains.
+    /// On-chip map over the hashed index, for huge domains.
     Sparse,
     /// Recursive posmap-ORAM chain with an on-chip budget in KiB.
     Recursive {
@@ -57,9 +56,6 @@ pub struct OramConfig {
     pub hot_cache_ways: usize,
     /// Seed for label assignment / remapping and dummy-path selection.
     pub seed: u64,
-    /// Record the externally visible access trace (bucket sequences) for
-    /// security analysis. Costs memory; off by default.
-    pub record_trace: bool,
     /// Ablation: offer stash-resident shadows as duplication candidates at
     /// evictions (Sec. V-B2). Disabling kills shadow recirculation, so
     /// shadows die the first time an eviction crosses their bucket.
@@ -89,7 +85,6 @@ impl OramConfig {
             hot_cache_sets: 16,
             hot_cache_ways: 2,
             seed: 0xD0E5_11AD,
-            record_trace: false,
             recirculate_stash_shadows: true,
             chain_duplication: true,
             posmap: PosMapSelect::Flat,
@@ -114,7 +109,6 @@ impl OramConfig {
             hot_cache_sets: 64,
             hot_cache_ways: 2,
             seed: 0xD0E5_11AD,
-            record_trace: false,
             recirculate_stash_shadows: true,
             chain_duplication: true,
             posmap: PosMapSelect::Flat,
@@ -151,12 +145,6 @@ impl OramConfig {
         self
     }
 
-    /// Builder-style: enables trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -183,10 +171,8 @@ impl OramConfig {
         if self.treetop_levels > self.levels {
             return Err("treetop_levels exceeds tree depth".into());
         }
-        if let DupPolicy::Static { partition_level } = self.dup_policy {
-            if partition_level > self.levels + 1 {
-                return Err("partition level beyond leaf level + 1".into());
-            }
+        if self.plb_entries == 0 || self.plb_page_addrs == 0 {
+            return Err("the PLB needs at least one entry of at least one address".into());
         }
         if let DupPolicy::Dynamic { counter_bits } = self.dup_policy {
             if !(1..=16).contains(&counter_bits) {

@@ -22,7 +22,7 @@ use oram_util::{
     BusEvent, BusPhase, EventBatch, MetricId, Rng64, SharedObserver, SharedTelemetry,
 };
 
-use crate::access::{AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom, TraceRecorder};
+use crate::access::{AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom};
 use crate::config::OramConfig;
 use crate::hotcache::HotAddressCache;
 use crate::posmap::{build_posmap, PosMapBackend, PosmapPhase, RealCopySite};
@@ -181,7 +181,6 @@ pub struct OramController {
     rng: Rng64,
     ro_since_eviction: u32,
     stats: OramStats,
-    trace: TraceRecorder,
     /// Reusable root→leaf path buffer: after the first access it is a
     /// `path_into` refill, never a fresh allocation.
     path_buf: Vec<BucketId>,
@@ -238,7 +237,6 @@ impl OramController {
             rng: Rng64::seed_from_u64(cfg.seed),
             ro_since_eviction: 0,
             stats: OramStats::default(),
-            trace: TraceRecorder::new(cfg.record_trace),
             path_buf: Vec::with_capacity(cfg.levels as usize + 1),
             bucket_buf: vec![Block::DUMMY; cfg.z],
             level_reads: vec![0; cfg.levels as usize + 1],
@@ -366,18 +364,15 @@ impl OramController {
         self.posmap.chain_levels()
     }
 
-    /// The recorded externally visible trace (empty unless
-    /// [`OramConfig::record_trace`] was set).
-    pub fn trace(&self) -> &[crate::access::TraceEvent] {
-        self.trace.events()
-    }
-
-    /// The current partitioning level, if a partitioned policy is active.
+    /// The current partitioning level, if a partitioned policy is active;
+    /// a static level above the leaves reads as `L + 1` (every slot HD).
     pub fn partition_level(&self) -> Option<u32> {
         match self.cfg.dup_policy {
-            DupPolicy::Static { partition_level } => Some(partition_level),
+            DupPolicy::Static { partition_level } => {
+                Some(partition_level.min(self.cfg.levels + 1))
+            }
             DupPolicy::Dynamic { .. } => self.dynamic.as_ref().map(|d| d.level()),
-            _ => None,
+            DupPolicy::Off => None,
         }
     }
 
@@ -681,7 +676,6 @@ impl OramController {
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
             if !on_chip {
-                self.trace.record(bid, false);
                 self.level_reads[level] += 1;
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
@@ -906,7 +900,6 @@ impl OramController {
         for (level, &bid) in path.iter().enumerate() {
             let on_chip = (level as u32) < treetop;
             if !on_chip {
-                self.trace.record(bid, false);
                 self.level_reads[level] += 1;
                 self.emit(BusEvent::Bucket { bucket: bid.raw(), write: false });
             }
@@ -946,7 +939,7 @@ impl OramController {
 
         // ---- Write half: Algorithm 1, leaf to root. ----
         let policy = self.cfg.dup_policy;
-        let partition_level = self.current_partition_level();
+        let partition_level = self.partition_level().unwrap_or(0);
         // HD-Dup fills the levels root-ward of the partition, so level 0
         // tells whether this path write reads priorities at all.
         let hd_in_play = scheme_for_slot(policy, partition_level, 0) == SlotScheme::Hd;
@@ -997,10 +990,6 @@ impl OramController {
                 continue;
             }
             let level = level_idx as u32;
-            let on_chip = level < treetop;
-            if !on_chip {
-                self.trace.record(bid, true);
-            }
             let scheme = scheme_for_slot(policy, partition_level, level);
             for slot in bucket.iter_mut() {
                 *slot = if let Some(blk) = self.stash.pop_planned(level) {
@@ -1058,24 +1047,15 @@ impl OramController {
         )
     }
 
-    fn current_partition_level(&self) -> u32 {
-        match self.cfg.dup_policy {
-            DupPolicy::Static { partition_level } => partition_level,
-            DupPolicy::Dynamic { .. } => {
-                self.dynamic.as_ref().map(|d| d.level()).unwrap_or(0)
-            }
-            DupPolicy::RdOnly => 0,
-            DupPolicy::HdOnly => self.cfg.levels + 1,
-            DupPolicy::Off => 0,
-        }
-    }
-
     /// Checks the Path ORAM invariant for every current block: the live
     /// copy of each address is either in the stash or on the path to its
     /// label, and every current shadow sits strictly root-ward of its real
-    /// copy; that the tree store flags a bucket occupied iff it holds a
-    /// block ([`OramTree::check_occupancy`]); and the same of every ORAM
-    /// of a recursive position map. O(tree); test/diagnostic use only.
+    /// copy; that the posmap's [`RealCopySite`] of every address with a
+    /// copy holds a current real copy, and every live current real stash
+    /// entry is sited in the stash; that the tree store flags a bucket
+    /// occupied iff it holds a block ([`OramTree::check_occupancy`]); and
+    /// the same of every ORAM of a recursive position map. O(tree);
+    /// test/diagnostic use only.
     ///
     /// # Errors
     ///
@@ -1095,6 +1075,7 @@ impl OramController {
                 let Some(pe) = self.posmap.peek(blk.addr) else {
                     return Err(format!("tree block {} unknown to posmap", blk.addr));
                 };
+                self.check_site(blk.addr)?;
                 let current = pe.version == blk.version && pe.label == blk.label;
                 if !current {
                     continue; // stale copies are permitted garbage
@@ -1116,7 +1097,40 @@ impl OramController {
                 // check above already guaranteed.
             }
         }
+        for e in self.stash.entries() {
+            let blk = e.block;
+            self.check_site(blk.addr)?;
+            let Some(pe) = self.posmap.peek(blk.addr) else { continue };
+            let live_current = blk.is_real()
+                && !e.replaceable
+                && pe.version == blk.version
+                && pe.label == blk.label;
+            if live_current && pe.site != RealCopySite::Stash {
+                return Err(format!("live stash copy of {} sited at {:?}", blk.addr, pe.site));
+            }
+        }
         Ok(())
+    }
+
+    /// Checks that the posmap's site for `addr` holds a real copy of the
+    /// posmap's version (and, in the tree, its label).
+    fn check_site(&self, addr: BlockAddr) -> Result<(), String> {
+        let Some(pe) = self.posmap.peek(addr) else { return Ok(()) };
+        let current = |b: &Block| b.is_real() && b.addr == addr && b.version == pe.version;
+        let found = match pe.site {
+            RealCopySite::Tree { level } => {
+                let bid = self.shape.bucket_on_path(pe.label, level);
+                let held = |b: Block| current(&b) && b.label == pe.label;
+                self.tree.slots(bid).is_some_and(|mut slots| slots.any(held))
+            }
+            RealCopySite::Stash => self.stash.peek(addr).is_some_and(|e| current(&e.block)),
+            RealCopySite::Unmapped => true,
+        };
+        if found {
+            Ok(())
+        } else {
+            Err(format!("{addr} sited at {:?} holds no current real copy there", pe.site))
+        }
     }
 
     /// Immutable view of the tree (diagnostics / tests).
@@ -1137,11 +1151,20 @@ impl OramController {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
     use crate::shadow::DupPolicy;
 
     fn controller(policy: DupPolicy) -> OramController {
         OramController::new(OramConfig::small_test().with_dup_policy(policy)).unwrap()
+    }
+
+    /// Attaches a bus observer that collects every event from here on.
+    fn observe(ctl: &mut OramController) -> Arc<Mutex<Vec<BusEvent>>> {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        ctl.set_observer(Some(events.clone() as SharedObserver));
+        events
     }
 
     #[test]
@@ -1400,12 +1423,13 @@ mod tests {
 
     #[test]
     fn trace_records_bus_events_when_enabled() {
-        let cfg = OramConfig::small_test().with_trace();
-        let mut ctl = OramController::new(cfg).unwrap();
+        let mut ctl = controller(DupPolicy::Off);
+        let events = observe(&mut ctl);
         ctl.access(Request::read(BlockAddr::new(1)));
-        assert!(!ctl.trace().is_empty());
+        let events = events.lock().unwrap();
+        let buckets = events.iter().filter(|e| matches!(e, BusEvent::Bucket { .. })).count();
         // A read-only access touches exactly L+1 buckets.
-        assert_eq!(ctl.trace().len(), ctl.shape().levels() as usize + 1);
+        assert_eq!(buckets, ctl.shape().levels() as usize + 1);
     }
 
     #[test]
@@ -1455,10 +1479,10 @@ mod tests {
     fn split_phase_access_matches_monolithic_access() {
         // access() is defined as issue + complete; a controller driven
         // through the split API must stay bit-identical to one driven
-        // through the monolithic call — results, stats, and trace.
-        let cfg = OramConfig::small_test().with_trace();
-        let mut whole = OramController::new(cfg).unwrap();
-        let mut split = OramController::new(cfg).unwrap();
+        // through the monolithic call — results, stats, and bus trace.
+        let mut whole = controller(DupPolicy::Off);
+        let mut split = controller(DupPolicy::Off);
+        let (whole_bus, split_bus) = (observe(&mut whole), observe(&mut split));
         for i in 0..500u64 {
             let addr = BlockAddr::new((i * 13) % 96);
             let req = if i % 5 == 0 { Request::write(addr, i) } else { Request::read(addr) };
@@ -1473,7 +1497,17 @@ mod tests {
             assert_eq!(a, b, "access {i}");
         }
         assert_eq!(whole.stats(), split.stats());
-        assert_eq!(whole.trace(), split.trace());
+        assert_eq!(*whole_bus.lock().unwrap(), *split_bus.lock().unwrap());
+    }
+
+    #[test]
+    fn zero_sized_plb_is_a_config_error() {
+        let mut cfg = OramConfig::small_test();
+        cfg.plb_entries = 0;
+        assert!(OramController::new(cfg).is_err());
+        let mut cfg = OramConfig::small_test().with_posmap(crate::PosMapSelect::Sparse);
+        cfg.plb_page_addrs = 0;
+        assert!(OramController::new(cfg).is_err());
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //!   as a binary tree of `Z`-slot buckets.
 //! * [`Stash`] — the on-chip CAM with replaceable entries and merge rules.
 //! * [`PosMapBackend`] — the position-map seam: [`FlatPosMap`] (the
-//!   original on-chip array), [`SparseFlatPosMap`] (hash-map storage for
-//!   huge domains) and [`RecursivePosMap`] (the map stored in a chain of
-//!   smaller ORAMs behind the PLB), all carrying the trusted metadata
-//!   (versions, real-copy sites) that keeps duplicated copies coherent.
+//!   on-chip map, over a dense or a hashed index) and [`RecursivePosMap`]
+//!   (the map stored in a chain of smaller ORAMs behind the PLB), both
+//!   carrying the trusted metadata (versions, real-copy sites) that keeps
+//!   duplicated copies coherent.
+//! * [`DupPolicy`] — Tiny ORAM, a partitioning level `P` (pure RD-Dup and
+//!   pure HD-Dup are its two ends), or the dynamic partitioner.
 //! * [`HotAddressCache`] — the LFU access-counter cache driving HD-Dup.
-//! * [`TraceRecorder`] — the externally visible access pattern, used by the
-//!   security tests to show the shadow controller is indistinguishable
-//!   from the baseline.
+//! * [`BusObserver`] — the externally visible access pattern, which the
+//!   security tests compare to show the shadow controller is
+//!   indistinguishable from the baseline.
 //!
 //! Timing is deliberately *not* modeled here: the controller reports which
 //! buckets each access touches and at which flat path position the
@@ -57,10 +59,7 @@ mod stash;
 mod tree;
 mod types;
 
-pub use access::{
-    AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom, TraceEvent, TraceRecorder,
-    MAX_PHASES,
-};
+pub use access::{AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom, MAX_PHASES};
 pub use config::{OramConfig, PosMapSelect};
 #[cfg(feature = "mutants")]
 pub use controller::Mutant;
@@ -68,8 +67,7 @@ pub use controller::{AccessTicket, OramController, OramStats};
 pub use oram_util::{BusEvent, BusObserver, BusPhase, SharedObserver};
 pub use hotcache::{HotAddressCache, HotCacheStats};
 pub use posmap::{
-    build_posmap, FlatPosMap, PlbStats, PosEntry, PosMapBackend, PositionMap, PosmapPhase,
-    RealCopySite, SparseFlatPosMap,
+    build_posmap, FlatPosMap, PlbStats, PosEntry, PosMapBackend, PosmapPhase, RealCopySite,
 };
 pub use posmap_recursive::{PosmapChain, RecursivePosMap, ENTRIES_PER_BLOCK};
 pub use shadow::{

@@ -4,18 +4,12 @@
 //! current leaf label. Real hardware recurses the map into the ORAM itself
 //! and fronts it with a PLB (Freecursive ORAM [14]). This module defines
 //! the [`PosMapBackend`] abstraction the controller programs against —
-//! mirroring the `StorageBackend` seam on the DRAM side — plus the two
-//! on-chip implementations:
-//!
-//! * [`FlatPosMap`] — the original flat `Vec<PosEntry>` indexed by block
-//!   address (the paper baseline's "unified program address space"),
-//!   byte-identical in behavior to the pre-backend controller;
-//! * [`SparseFlatPosMap`] — the same semantics with hash-map storage, so
-//!   billion-address domains cost memory proportional to the touched
-//!   working set instead of the address space.
-//!
-//! The recursive posmap-ORAM chain lives in
-//! [`crate::posmap_recursive::RecursivePosMap`].
+//! mirroring the `StorageBackend` seam on the DRAM side — plus the
+//! on-chip [`FlatPosMap`], whose entries sit behind one of two index
+//! kinds: dense (indexed by block address, the paper baseline's "unified
+//! program address space") or hashed (memory proportional to the touched
+//! working set, for billion-address domains). The recursive posmap-ORAM
+//! chain lives in [`crate::posmap_recursive::RecursivePosMap`].
 //!
 //! Beyond the label, the controller tracks two pieces of trusted metadata
 //! per address:
@@ -201,17 +195,12 @@ pub trait PosMapBackend: std::fmt::Debug + Send {
 /// Builds the position-map backend selected by `cfg.posmap` for a data
 /// tree of the given shape.
 pub fn build_posmap(cfg: &OramConfig, shape: TreeShape) -> Box<dyn PosMapBackend> {
+    let flat = |hashed| {
+        Box::new(FlatPosMap::new(shape.leaf_count(), cfg.plb_entries, cfg.plb_page_addrs, hashed))
+    };
     match cfg.posmap {
-        PosMapSelect::Flat => Box::new(FlatPosMap::new(
-            shape.leaf_count(),
-            cfg.plb_entries,
-            cfg.plb_page_addrs,
-        )),
-        PosMapSelect::Sparse => Box::new(SparseFlatPosMap::new(
-            shape.leaf_count(),
-            cfg.plb_entries,
-            cfg.plb_page_addrs,
-        )),
+        PosMapSelect::Flat => flat(false),
+        PosMapSelect::Sparse => flat(true),
         PosMapSelect::Recursive { onchip_kb } => Box::new(
             crate::posmap_recursive::RecursivePosMap::new(cfg, shape, onchip_kb),
         ),
@@ -219,9 +208,8 @@ pub fn build_posmap(cfg: &OramConfig, shape: TreeShape) -> Box<dyn PosMapBackend
 }
 
 /// Direct-mapped PLB over position-map *pages*; each page covers
-/// `page_addrs` consecutive block addresses. Shared by the two flat
-/// backends (the recursive backend tags entries by chain level and has
-/// its own install logic).
+/// `page_addrs` consecutive block addresses (the recursive backend tags
+/// entries by chain level and has its own install logic).
 #[derive(Debug, Clone)]
 struct DirectPlb {
     sets: Vec<Option<u64>>,
@@ -252,270 +240,135 @@ impl DirectPlb {
     }
 }
 
-/// The flat position map with its PLB front.
+/// The flat position map with its PLB front: one map, two index kinds.
 ///
-/// Storage is a flat `Vec<PosEntry>` indexed by block address — program
-/// addresses are dense small integers here, exactly the layout real
-/// position-map hardware assumes — so the per-access lookup is one bounds
-/// check and one indexed load instead of a `HashMap` probe, and it stops
-/// allocating once the working set has been touched.
+/// The dense index is a `Vec<PosEntry>` indexed by block address —
+/// program addresses are dense small integers here, exactly the layout
+/// real position-map hardware assumes — so the per-access lookup is one
+/// bounds check and one indexed load, and it stops allocating once the
+/// working set has been touched. The hashed index
+/// ([`PosMapSelect::Sparse`]) keys the same entries by address, so
+/// billion-address domains and the recursive posmap's level controllers
+/// (whose state conceptually lives in the *next* level) cost memory
+/// proportional to the touched working set instead of the address space.
 #[derive(Debug, Clone)]
 pub struct FlatPosMap {
     leaf_count: u64,
-    /// Flat table indexed by raw block address; [`UNASSIGNED`] labels
-    /// mark never-touched addresses. Grows geometrically on first touch
-    /// of a new high-water address and never shrinks, so steady-state
-    /// lookups are allocation-free.
-    entries: Vec<PosEntry>,
+    index: PosIndex,
     plb: DirectPlb,
 }
 
-/// Backward-compatible name: the flat map was the only position map
-/// before the backend seam existed.
-pub type PositionMap = FlatPosMap;
+#[derive(Debug, Clone)]
+enum PosIndex {
+    /// Indexed by raw block address; [`UNASSIGNED`] labels mark
+    /// never-touched addresses. Grows geometrically on first touch of a
+    /// new high-water address and never shrinks.
+    Dense(Vec<PosEntry>),
+    /// Keyed by raw block address; a missing key is a never-touched
+    /// address.
+    Hashed(DetHashMap<u64, PosEntry>),
+}
 
 impl FlatPosMap {
     /// Creates a position map for a tree with `leaf_count` leaves and a
     /// PLB of `plb_entries` page entries, each covering `plb_page_addrs`
     /// consecutive addresses (64 KB PLB with 64 B lines over 4 B entries →
-    /// 1024 entries × 16 addresses in the paper's configuration).
+    /// 1024 entries × 16 addresses in the paper's configuration), over
+    /// the hashed index when `hashed` is set and the dense one otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if any argument is zero.
-    pub fn new(leaf_count: u64, plb_entries: usize, plb_page_addrs: u64) -> Self {
+    /// Panics if any numeric argument is zero.
+    pub fn new(leaf_count: u64, plb_entries: usize, plb_page_addrs: u64, hashed: bool) -> Self {
         assert!(leaf_count > 0);
-        FlatPosMap {
-            leaf_count,
-            entries: Vec::new(),
-            plb: DirectPlb::new(plb_entries, plb_page_addrs),
-        }
-    }
-
-    /// Number of leaves (labels are drawn from `0..leaf_count`).
-    pub fn leaf_count(&self) -> u64 {
-        self.leaf_count
-    }
-
-    /// PLB statistics.
-    pub fn plb_stats(&self) -> PlbStats {
-        self.plb.stats
-    }
-
-    /// Entry slot for `addr`, growing the flat table if this is a new
-    /// high-water address.
-    fn slot_mut(&mut self, addr: BlockAddr) -> &mut PosEntry {
-        let ix = addr.raw() as usize;
-        if ix >= self.entries.len() {
-            let new_len = (ix + 1).max(self.entries.len() * 2);
-            self.entries.resize(new_len, VACANT);
-        }
-        &mut self.entries[ix]
+        let index = if hashed {
+            PosIndex::Hashed(DetHashMap::default())
+        } else {
+            PosIndex::Dense(Vec::new())
+        };
+        FlatPosMap { leaf_count, index, plb: DirectPlb::new(plb_entries, plb_page_addrs) }
     }
 
     #[inline]
     fn get(&self, addr: BlockAddr) -> Option<&PosEntry> {
-        self.entries.get(addr.raw() as usize).filter(|e| e.label != UNASSIGNED)
-    }
-
-    /// Looks up (creating on first touch) the entry for `addr`, assigning a
-    /// fresh random label to never-seen addresses. Also runs the PLB model.
-    pub fn lookup_or_assign(&mut self, addr: BlockAddr, rng: &mut Rng64) -> PosEntry {
-        self.plb.touch(addr);
-        let leaf_count = self.leaf_count;
-        let e = self.slot_mut(addr);
-        if e.label == UNASSIGNED {
-            e.label = LeafLabel::new(rng.below(leaf_count));
-        }
-        *e
-    }
-
-    /// Peeks at the entry without creating it or touching the PLB.
-    #[inline]
-    pub fn peek(&self, addr: BlockAddr) -> Option<PosEntry> {
-        self.get(addr).copied()
-    }
-
-    /// Remaps `addr` to a fresh uniformly random leaf, returning the new
-    /// label. The entry must exist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` has never been looked up.
-    pub fn remap(&mut self, addr: BlockAddr, rng: &mut Rng64) -> LeafLabel {
-        let label = LeafLabel::new(rng.below(self.leaf_count));
-        self.remap_to(addr, label);
-        label
-    }
-
-    /// Remaps `addr` to the given label (the controller draws the random
-    /// label itself so that its RNG consumption is policy-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` has never been looked up or `label` is out of
-    /// range.
-    pub fn remap_to(&mut self, addr: BlockAddr, label: LeafLabel) {
-        assert!(label.raw() < self.leaf_count, "label out of range");
-        let e = self.slot_mut(addr);
-        assert!(e.label != UNASSIGNED, "remap of unknown address");
-        e.label = label;
-    }
-
-    /// Bumps and returns the version for `addr` (CPU write or shadow
-    /// promotion). The entry must exist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` has never been looked up.
-    pub fn bump_version(&mut self, addr: BlockAddr) -> Version {
-        let e = self.slot_mut(addr);
-        assert!(e.label != UNASSIGNED, "version bump of unknown address");
-        e.version += 1;
-        e.version
-    }
-
-    /// Records where the live real copy of `addr` now resides (no-op for
-    /// addresses never looked up).
-    pub fn set_site(&mut self, addr: BlockAddr, site: RealCopySite) {
-        if let Some(e) = self
-            .entries
-            .get_mut(addr.raw() as usize)
-            .filter(|e| e.label != UNASSIGNED)
-        {
-            e.site = site;
+        match &self.index {
+            PosIndex::Dense(v) => v.get(addr.raw() as usize).filter(|e| e.label != UNASSIGNED),
+            PosIndex::Hashed(m) => m.get(&addr.raw()),
         }
     }
 
-    /// Current version for `addr` (0 if never seen).
     #[inline]
-    pub fn version(&self, addr: BlockAddr) -> Version {
-        self.get(addr).map_or(0, |e| e.version)
+    fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut PosEntry> {
+        match &mut self.index {
+            PosIndex::Dense(v) => {
+                v.get_mut(addr.raw() as usize).filter(|e| e.label != UNASSIGNED)
+            }
+            PosIndex::Hashed(m) => m.get_mut(&addr.raw()),
+        }
     }
+}
 
-    /// Returns `true` if the given copy metadata is current (not stale).
-    #[inline]
-    pub fn is_current(&self, addr: BlockAddr, version: Version) -> bool {
-        self.version(addr) == version
-    }
+/// The hashed index's half of [`PosMapBackend::lookup_or_assign`], kept
+/// out of line: inlined, the map insert's register pressure made every
+/// dense lookup pay for it (prefill ≈ 40 % slower per block).
+#[inline(never)]
+fn hashed_lookup_or_assign(
+    map: &mut DetHashMap<u64, PosEntry>,
+    addr: BlockAddr,
+    leaf_count: u64,
+    rng: &mut Rng64,
+) -> PosEntry {
+    *map.entry(addr.raw()).or_insert_with(|| PosEntry {
+        label: LeafLabel::new(rng.below(leaf_count)),
+        version: 0,
+        site: RealCopySite::Unmapped,
+    })
 }
 
 impl PosMapBackend for FlatPosMap {
     fn lookup_or_assign(&mut self, addr: BlockAddr, rng: &mut Rng64) -> PosEntry {
-        FlatPosMap::lookup_or_assign(self, addr, rng)
-    }
-
-    fn peek(&self, addr: BlockAddr) -> Option<PosEntry> {
-        FlatPosMap::peek(self, addr)
-    }
-
-    fn remap_to(&mut self, addr: BlockAddr, label: LeafLabel) {
-        FlatPosMap::remap_to(self, addr, label)
-    }
-
-    fn bump_version(&mut self, addr: BlockAddr) -> Version {
-        FlatPosMap::bump_version(self, addr)
-    }
-
-    fn set_site(&mut self, addr: BlockAddr, site: RealCopySite) {
-        FlatPosMap::set_site(self, addr, site)
-    }
-
-    fn version(&self, addr: BlockAddr) -> Version {
-        FlatPosMap::version(self, addr)
-    }
-
-    fn is_current(&self, addr: BlockAddr, version: Version) -> bool {
-        FlatPosMap::is_current(self, addr, version)
-    }
-
-    fn plb_stats(&self) -> PlbStats {
-        FlatPosMap::plb_stats(self)
-    }
-
-    fn leaf_count(&self) -> u64 {
-        self.leaf_count
-    }
-
-    fn kind(&self) -> &'static str {
-        "flat"
-    }
-
-    fn onchip_bytes(&self) -> u64 {
-        // The whole table is (fictionally) on chip, plus the PLB tags.
-        self.entries.capacity() as u64 * std::mem::size_of::<PosEntry>() as u64
-            + self.plb.sets.len() as u64 * 16
-    }
-}
-
-/// Flat-map semantics over sparse hash-map storage.
-///
-/// Behaviorally identical to [`FlatPosMap`] — a never-inserted key plays
-/// the role of the [`UNASSIGNED`] sentinel — but memory scales with the
-/// touched working set, which makes it usable both for huge address
-/// domains and as the internal map of recursive posmap-ORAM level
-/// controllers (whose state conceptually lives in the *next* level).
-#[derive(Debug, Clone)]
-pub struct SparseFlatPosMap {
-    leaf_count: u64,
-    entries: DetHashMap<u64, PosEntry>,
-    plb: DirectPlb,
-}
-
-impl SparseFlatPosMap {
-    /// Creates a sparse position map; arguments as [`FlatPosMap::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is zero.
-    pub fn new(leaf_count: u64, plb_entries: usize, plb_page_addrs: u64) -> Self {
-        assert!(leaf_count > 0);
-        SparseFlatPosMap {
-            leaf_count,
-            entries: DetHashMap::default(),
-            plb: DirectPlb::new(plb_entries, plb_page_addrs),
-        }
-    }
-}
-
-impl PosMapBackend for SparseFlatPosMap {
-    fn lookup_or_assign(&mut self, addr: BlockAddr, rng: &mut Rng64) -> PosEntry {
         self.plb.touch(addr);
         let leaf_count = self.leaf_count;
-        *self.entries.entry(addr.raw()).or_insert_with(|| PosEntry {
-            label: LeafLabel::new(rng.below(leaf_count)),
-            version: 0,
-            site: RealCopySite::Unmapped,
-        })
+        match &mut self.index {
+            PosIndex::Dense(v) => {
+                let ix = addr.raw() as usize;
+                if ix >= v.len() {
+                    let new_len = (ix + 1).max(v.len() * 2);
+                    v.resize(new_len, VACANT);
+                }
+                let e = &mut v[ix];
+                if e.label == UNASSIGNED {
+                    e.label = LeafLabel::new(rng.below(leaf_count));
+                }
+                *e
+            }
+            PosIndex::Hashed(m) => hashed_lookup_or_assign(m, addr, leaf_count, rng),
+        }
     }
 
     fn peek(&self, addr: BlockAddr) -> Option<PosEntry> {
-        self.entries.get(&addr.raw()).copied()
+        self.get(addr).copied()
     }
 
     fn remap_to(&mut self, addr: BlockAddr, label: LeafLabel) {
         assert!(label.raw() < self.leaf_count, "label out of range");
-        let e = self.entries.get_mut(&addr.raw()).expect("remap of unknown address");
-        e.label = label;
+        self.get_mut(addr).expect("remap of unknown address").label = label;
     }
 
     fn bump_version(&mut self, addr: BlockAddr) -> Version {
-        let e = self
-            .entries
-            .get_mut(&addr.raw())
-            .expect("version bump of unknown address");
+        let e = self.get_mut(addr).expect("version bump of unknown address");
         e.version += 1;
         e.version
     }
 
     fn set_site(&mut self, addr: BlockAddr, site: RealCopySite) {
-        if let Some(e) = self.entries.get_mut(&addr.raw()) {
+        if let Some(e) = self.get_mut(addr) {
             e.site = site;
         }
     }
 
     fn version(&self, addr: BlockAddr) -> Version {
-        self.entries.get(&addr.raw()).map_or(0, |e| e.version)
+        self.get(addr).map_or(0, |e| e.version)
     }
 
     fn plb_stats(&self) -> PlbStats {
@@ -527,12 +380,20 @@ impl PosMapBackend for SparseFlatPosMap {
     }
 
     fn kind(&self) -> &'static str {
-        "sparse"
+        match self.index {
+            PosIndex::Dense(_) => "flat",
+            PosIndex::Hashed(_) => "sparse",
+        }
     }
 
     fn onchip_bytes(&self) -> u64 {
-        self.entries.len() as u64 * (std::mem::size_of::<PosEntry>() as u64 + 8)
-            + self.plb.sets.len() as u64 * 16
+        let entry = std::mem::size_of::<PosEntry>() as u64;
+        // The whole table is (fictionally) on chip, plus the PLB tags.
+        let table = match &self.index {
+            PosIndex::Dense(v) => v.capacity() as u64 * entry,
+            PosIndex::Hashed(m) => m.len() as u64 * (entry + 8),
+        };
+        table + self.plb.sets.len() as u64 * 16
     }
 }
 
@@ -542,7 +403,7 @@ mod tests {
 
     #[test]
     fn assigns_labels_in_range() {
-        let mut pm = PositionMap::new(16, 8, 4);
+        let mut pm = FlatPosMap::new(16, 8, 4, false);
         let mut rng = Rng64::seed_from_u64(1);
         for a in 0..100u64 {
             let e = pm.lookup_or_assign(BlockAddr::new(a), &mut rng);
@@ -554,7 +415,7 @@ mod tests {
 
     #[test]
     fn lookup_is_stable_until_remap() {
-        let mut pm = PositionMap::new(1024, 8, 4);
+        let mut pm = FlatPosMap::new(1024, 8, 4, false);
         let mut rng = Rng64::seed_from_u64(2);
         let a = BlockAddr::new(7);
         let first = pm.lookup_or_assign(a, &mut rng).label;
@@ -562,7 +423,9 @@ mod tests {
         // Remap draws fresh randomness; over many tries it must change.
         let mut changed = false;
         for _ in 0..64 {
-            if pm.remap(a, &mut rng) != first {
+            let label = LeafLabel::new(rng.below(pm.leaf_count()));
+            pm.remap_to(a, label);
+            if label != first {
                 changed = true;
                 break;
             }
@@ -572,7 +435,7 @@ mod tests {
 
     #[test]
     fn versions_bump_monotonically() {
-        let mut pm = PositionMap::new(4, 8, 4);
+        let mut pm = FlatPosMap::new(4, 8, 4, false);
         let mut rng = Rng64::seed_from_u64(3);
         let a = BlockAddr::new(0);
         pm.lookup_or_assign(a, &mut rng);
@@ -584,7 +447,7 @@ mod tests {
 
     #[test]
     fn unseen_addresses_read_as_absent() {
-        let mut pm = PositionMap::new(16, 8, 4);
+        let mut pm = FlatPosMap::new(16, 8, 4, false);
         let mut rng = Rng64::seed_from_u64(7);
         // Touch a high address so lower ones exist as vacant slots.
         pm.lookup_or_assign(BlockAddr::new(50), &mut rng);
@@ -596,7 +459,7 @@ mod tests {
 
     #[test]
     fn plb_hits_on_spatial_locality() {
-        let mut pm = PositionMap::new(1024, 64, 16);
+        let mut pm = FlatPosMap::new(1024, 64, 16, false);
         let mut rng = Rng64::seed_from_u64(4);
         // 16 consecutive addresses share a PLB page: 1 miss + 15 hits.
         for a in 0..16u64 {
@@ -609,7 +472,7 @@ mod tests {
 
     #[test]
     fn plb_conflict_misses() {
-        let mut pm = PositionMap::new(1024, 2, 1);
+        let mut pm = FlatPosMap::new(1024, 2, 1, false);
         let mut rng = Rng64::seed_from_u64(5);
         // Pages 0 and 2 collide in a 2-set direct-mapped PLB.
         pm.lookup_or_assign(BlockAddr::new(0), &mut rng);
@@ -622,7 +485,7 @@ mod tests {
 
     #[test]
     fn site_tracking_round_trip() {
-        let mut pm = PositionMap::new(4, 8, 4);
+        let mut pm = FlatPosMap::new(4, 8, 4, false);
         let mut rng = Rng64::seed_from_u64(6);
         let a = BlockAddr::new(1);
         pm.lookup_or_assign(a, &mut rng);
@@ -632,13 +495,14 @@ mod tests {
         assert_eq!(pm.peek(a).unwrap().site, RealCopySite::Stash);
     }
 
-    /// The sparse backend must be observationally identical to the flat
-    /// one under the trait interface (a larger seeded fuzz of the same
-    /// property, recursive included, lives in `tests/properties.rs`).
+    /// The hashed index must be observationally identical to the dense
+    /// one (a larger seeded fuzz of the same property, recursive
+    /// included, lives in `tests/properties.rs`).
     #[test]
     fn sparse_matches_flat_semantics() {
-        let mut flat = FlatPosMap::new(64, 8, 4);
-        let mut sparse = SparseFlatPosMap::new(64, 8, 4);
+        let mut flat = FlatPosMap::new(64, 8, 4, false);
+        let mut sparse = FlatPosMap::new(64, 8, 4, true);
+        assert_eq!((flat.kind(), sparse.kind()), ("flat", "sparse"));
         let mut r1 = Rng64::seed_from_u64(9);
         let mut r2 = Rng64::seed_from_u64(9);
         let mut drive = Rng64::seed_from_u64(10);
@@ -646,38 +510,29 @@ mod tests {
             let a = BlockAddr::new(drive.below(96));
             match drive.below(5) {
                 0 => assert_eq!(
-                    PosMapBackend::lookup_or_assign(&mut flat, a, &mut r1),
-                    PosMapBackend::lookup_or_assign(&mut sparse, a, &mut r2),
+                    flat.lookup_or_assign(a, &mut r1),
+                    sparse.lookup_or_assign(a, &mut r2)
                 ),
-                1 => assert_eq!(
-                    PosMapBackend::peek(&flat, a),
-                    PosMapBackend::peek(&sparse, a)
-                ),
+                1 => assert_eq!(flat.peek(a), sparse.peek(a)),
                 2 => {
-                    if PosMapBackend::peek(&flat, a).is_some() {
+                    if flat.peek(a).is_some() {
                         let l = LeafLabel::new(drive.below(64));
-                        PosMapBackend::remap_to(&mut flat, a, l);
-                        PosMapBackend::remap_to(&mut sparse, a, l);
+                        flat.remap_to(a, l);
+                        sparse.remap_to(a, l);
                     }
                 }
                 3 => {
-                    if PosMapBackend::peek(&flat, a).is_some() {
-                        assert_eq!(
-                            PosMapBackend::bump_version(&mut flat, a),
-                            PosMapBackend::bump_version(&mut sparse, a)
-                        );
+                    if flat.peek(a).is_some() {
+                        assert_eq!(flat.bump_version(a), sparse.bump_version(a));
                     }
                 }
                 _ => {
-                    PosMapBackend::set_site(&mut flat, a, RealCopySite::Stash);
-                    PosMapBackend::set_site(&mut sparse, a, RealCopySite::Stash);
+                    flat.set_site(a, RealCopySite::Stash);
+                    sparse.set_site(a, RealCopySite::Stash);
                 }
             }
-            assert_eq!(
-                PosMapBackend::version(&flat, a),
-                PosMapBackend::version(&sparse, a)
-            );
+            assert_eq!(flat.version(a), sparse.version(a));
         }
-        assert_eq!(flat.plb_stats(), PosMapBackend::plb_stats(&sparse));
+        assert_eq!(flat.plb_stats(), sparse.plb_stats());
     }
 }

@@ -147,7 +147,6 @@ impl RecursivePosMap {
                 // Decorrelated from the data controller's stream and
                 // from sibling levels.
                 seed: cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                record_trace: false,
                 recirculate_stash_shadows: true,
                 chain_duplication: true,
                 // The level's own posmap stands in for state stored at

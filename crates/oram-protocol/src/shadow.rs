@@ -9,6 +9,7 @@
 //! which are shared by many paths and therefore pulled into the stash most
 //! often. The partitioning level `P` splits the tree: dummy slots at
 //! levels `>= P` are filled by RD-Dup, slots at levels `< P` by HD-Dup.
+//! Pure RD-Dup and pure HD-Dup are its two ends, `P = 0` and `P > L`.
 
 
 use std::collections::BinaryHeap;
@@ -21,13 +22,10 @@ use crate::types::{Block, BlockAddr, LeafLabel, Version};
 pub enum DupPolicy {
     /// Baseline Tiny ORAM: dummy slots stay dummy.
     Off,
-    /// Pure Rear Data Duplication (equivalent to a partitioning level of 0).
-    RdOnly,
-    /// Pure Hot Data Duplication (partitioning level above the leaf level).
-    HdOnly,
     /// Static partitioning at a fixed level.
     Static {
-        /// The partitioning level `P`: RD-Dup at levels `>= P`, HD-Dup below.
+        /// The partitioning level `P`: RD-Dup at levels `>= P`, HD-Dup
+        /// below. Any `P` above the leaf level `L` makes every slot HD.
         partition_level: u32,
     },
     /// Dynamic partitioning driven by the DRI saturating counter.
@@ -37,7 +35,13 @@ pub enum DupPolicy {
     },
 }
 
+#[allow(non_upper_case_globals)]
 impl DupPolicy {
+    /// Pure Rear Data Duplication: partitioning level 0.
+    pub const RdOnly: DupPolicy = DupPolicy::Static { partition_level: 0 };
+    /// Pure Hot Data Duplication: a partitioning level above every leaf.
+    pub const HdOnly: DupPolicy = DupPolicy::Static { partition_level: u32::MAX };
+
     /// Returns `true` if any duplication happens at all.
     pub fn is_enabled(self) -> bool {
         !matches!(self, DupPolicy::Off)
@@ -446,8 +450,6 @@ pub enum SlotScheme {
 pub fn scheme_for_slot(policy: DupPolicy, partition_level: u32, slot_level: u32) -> SlotScheme {
     match policy {
         DupPolicy::Off => SlotScheme::None,
-        DupPolicy::RdOnly => SlotScheme::Rd,
-        DupPolicy::HdOnly => SlotScheme::Hd,
         DupPolicy::Static { .. } | DupPolicy::Dynamic { .. } => {
             if slot_level >= partition_level {
                 SlotScheme::Rd
@@ -637,7 +639,7 @@ mod tests {
         use SlotScheme::*;
         assert_eq!(scheme_for_slot(DupPolicy::Off, 0, 5), None);
         assert_eq!(scheme_for_slot(DupPolicy::RdOnly, 0, 5), Rd);
-        assert_eq!(scheme_for_slot(DupPolicy::HdOnly, 0, 5), Hd);
+        assert_eq!(scheme_for_slot(DupPolicy::HdOnly, u32::MAX, 5), Hd);
         let p = DupPolicy::Static { partition_level: 7 };
         assert_eq!(scheme_for_slot(p, 7, 7), Rd);
         assert_eq!(scheme_for_slot(p, 7, 10), Rd);

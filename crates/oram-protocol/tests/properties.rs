@@ -7,7 +7,7 @@
 //! without an external property-testing framework.
 
 use oram_protocol::{
-    build_posmap, Block, BlockAddr, BucketId, BusEvent, BusObserver, DupCandidate, EvictionOrder,
+    build_posmap, Block, BlockAddr, BucketId, BusEvent, DupCandidate, EvictionOrder,
     HotAddressCache, InsertOutcome, LeafLabel, OramConfig, OramController, PosMapSelect,
     RealCopySite, Request, SharedObserver, Stash, TreeShape,
 };
@@ -212,24 +212,13 @@ fn recursive_and_flat_posmaps_agree_functionally() {
     }
 }
 
-/// A bus-event sink; keeps the typed handle so the trace can be read
-/// back out after the run.
-#[derive(Debug, Default)]
-struct TraceSink(Vec<BusEvent>);
-
-impl BusObserver for TraceSink {
-    fn on_event(&mut self, event: BusEvent) {
-        self.0.push(event);
-    }
-}
-
 fn bus_trace(cfg: OramConfig) -> Vec<BusEvent> {
     let mut ctl = OramController::new(cfg).unwrap();
     // Prefill only a slice of the working set: the remaining addresses
     // are first-touched inside the observed window, so the recursive
     // backend must walk its chain while the trace is recording.
     ctl.prefill((0..20u64).map(|i| (BlockAddr::new(i), i)));
-    let sink = Arc::new(Mutex::new(TraceSink::default()));
+    let sink = Arc::new(Mutex::new(Vec::new()));
     ctl.set_observer(Some(sink.clone() as SharedObserver));
     let mut x = 0x9E3779B97F4A7C15u64;
     for i in 0..1500u64 {
@@ -247,7 +236,7 @@ fn bus_trace(cfg: OramConfig) -> Vec<BusEvent> {
         }
     }
     ctl.set_observer(None);
-    let events = sink.lock().unwrap().0.clone();
+    let events = sink.lock().unwrap().clone();
     events
 }
 

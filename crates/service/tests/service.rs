@@ -10,21 +10,7 @@ use oram_service::{
     AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfig, ServiceSim,
 };
 use oram_sim::{Engine, SystemConfig};
-use oram_util::{BusEvent, BusObserver, MetricId, SharedTelemetry, TelemetrySink};
-
-/// Minimal trace collector (the audit crate has a full recorder, but it
-/// depends on this crate's consumers; a local collector keeps the
-/// dependency graph acyclic).
-#[derive(Debug, Default)]
-struct TraceLog {
-    events: Vec<BusEvent>,
-}
-
-impl BusObserver for TraceLog {
-    fn on_event(&mut self, event: BusEvent) {
-        self.events.push(event);
-    }
-}
+use oram_util::{BusEvent, MetricId, SharedTelemetry, TelemetrySink};
 
 /// Counter-only telemetry sink for the service metrics.
 #[derive(Debug, Default)]
@@ -77,7 +63,7 @@ fn inject_cfg(clients: usize, coalescing: bool) -> ServiceConfig {
 
 #[test]
 fn coalesced_burst_issues_exactly_one_access() {
-    let trace = Arc::new(Mutex::new(TraceLog::default()));
+    let trace = Arc::new(Mutex::new(Vec::<BusEvent>::new()));
     let counters = Arc::new(Mutex::new(Counters::default()));
     let mut eng = engine();
     eng.attach_bus_observer(trace.clone());
@@ -100,7 +86,6 @@ fn coalesced_burst_issues_exactly_one_access() {
     let starts = trace
         .lock()
         .unwrap()
-        .events
         .iter()
         .filter(|e| **e == BusEvent::AccessStart)
         .count();
@@ -121,7 +106,7 @@ fn coalesced_burst_issues_exactly_one_access() {
 #[test]
 fn coalesced_trace_is_byte_identical_to_single_access() {
     // Run A: a 4-wide coalesced burst of reads of block 17.
-    let trace_a = Arc::new(Mutex::new(TraceLog::default()));
+    let trace_a = Arc::new(Mutex::new(Vec::<BusEvent>::new()));
     let mut eng = engine();
     eng.attach_bus_observer(trace_a.clone());
     let mut sim = ServiceSim::new(inject_cfg(4, true), eng).expect("valid config");
@@ -133,14 +118,14 @@ fn coalesced_trace_is_byte_identical_to_single_access() {
     assert_eq!(res_a.issued(), 1);
 
     // Run B: one single request for the same block on a fresh engine.
-    let trace_b = Arc::new(Mutex::new(TraceLog::default()));
+    let trace_b = Arc::new(Mutex::new(Vec::<BusEvent>::new()));
     let mut eng = engine();
     eng.attach_bus_observer(trace_b.clone());
     let out = eng.serve_request(17, false, 0);
     assert!(out.end > 0);
 
-    let a = &trace_a.lock().unwrap().events;
-    let b = &trace_b.lock().unwrap().events;
+    let a = &*trace_a.lock().unwrap();
+    let b = &*trace_b.lock().unwrap();
     assert!(!a.is_empty());
     assert_eq!(a, b, "coalescing must not change the bus-visible trace");
 }

@@ -154,17 +154,9 @@ impl StorageBackend for WanBackend {
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use oram_util::{BusEvent, BusObserver};
+    use oram_util::BusEvent;
 
     use super::*;
-
-    #[derive(Debug, Default)]
-    struct Tape(Vec<BusEvent>);
-    impl BusObserver for Tape {
-        fn on_event(&mut self, e: BusEvent) {
-            self.0.push(e);
-        }
-    }
 
     fn run(cfg: WanConfig, n: usize) -> (Vec<i64>, BatchBreakdown) {
         let mut wan = WanBackend::new(cfg).unwrap();
@@ -216,14 +208,14 @@ mod tests {
 
     #[test]
     fn observer_sees_every_request_in_order() {
-        let tape = Arc::new(Mutex::new(Tape::default()));
+        let tape = Arc::new(Mutex::new(Vec::<BusEvent>::new()));
         let mut wan = WanBackend::new(WanConfig::default_wan()).unwrap();
         wan.set_observer(Some(tape.clone()));
         let reqs =
             vec![BlockRequest::read(7), BlockRequest::write(9), BlockRequest::read(11)];
         let mut f = Vec::new();
         wan.service_batch_into(0, &reqs, true, &mut f);
-        let got = &tape.lock().unwrap().0;
+        let got = &tape.lock().unwrap();
         assert_eq!(
             got.as_slice(),
             &[

@@ -98,6 +98,14 @@ pub trait BusObserver: std::fmt::Debug + Send {
     }
 }
 
+/// The plain collector: keeps every event, in issue order — the access
+/// trace the security tests compare.
+impl BusObserver for Vec<BusEvent> {
+    fn on_event(&mut self, event: BusEvent) {
+        self.push(event);
+    }
+}
+
 /// A shareable, thread-safe observer handle.
 ///
 /// The same handle can be attached to the controller and the DRAM system

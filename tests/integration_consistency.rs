@@ -4,8 +4,12 @@
 //! state space (deterministically seeded, so failures reproduce exactly).
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-use oram_protocol::{BlockAddr, DupPolicy, OramConfig, OramController, Request};
+use oram_protocol::{
+    AccessResult, BlockAddr, BusEvent, DupPolicy, OramConfig, OramController, OramStats,
+    PosMapSelect, Request, SharedObserver,
+};
 use oram_util::Rng64;
 
 fn policies() -> Vec<DupPolicy> {
@@ -154,5 +158,106 @@ fn stash_live_occupancy_stays_bounded() {
             max_live < cap,
             "live stash occupancy {max_live} reached capacity {cap}"
         );
+    }
+}
+
+/// What one value-reference run leaves behind: every access's result,
+/// the statistics, and the bus-event stream an observer saw.
+type RunRecord = (Vec<AccessResult>, OramStats, Vec<BusEvent>);
+
+/// Drives `cfg` through reads, writes and dummies over a reuse domain,
+/// checking every returned value against a map and the protocol
+/// invariants after every access.
+fn value_reference_run(cfg: OramConfig, accesses: u64) -> RunRecord {
+    let label = format!("{:?} {:?} L={}", cfg.posmap, cfg.dup_policy, cfg.levels);
+    let mut ctl = OramController::new(cfg).unwrap();
+    if matches!(cfg.posmap, PosMapSelect::Recursive { .. }) {
+        assert!(ctl.posmap_chain_levels() > 0, "{label}: the posmap chain is empty");
+    }
+    let bus = Arc::new(Mutex::new(Vec::new()));
+    ctl.set_observer(Some(bus.clone() as SharedObserver));
+    // Three quarters of the slots at L = 5 (Z = 4): dense enough that an
+    // eviction cannot always re-place every block it pulls, which is
+    // where a forgotten site update shows.
+    let domain = 6u64 << cfg.levels;
+    let mut reference: HashMap<BlockAddr, u64> = HashMap::new();
+    let mut served = Vec::new();
+    let mut x = 0x5EED_FA11u64;
+    for step in 0..accesses {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let addr = BlockAddr::new(x % domain);
+        let result = match x % 8 {
+            0 => ctl.dummy_access(),
+            1 | 2 => {
+                reference.insert(addr, step);
+                ctl.access(Request::write(addr, step))
+            }
+            _ => {
+                let r = ctl.access(Request::read(addr));
+                let want = reference.get(&addr).copied().unwrap_or(0);
+                assert_eq!(r.value, want, "{label}: step {step} read {addr}");
+                r
+            }
+        };
+        served.push(result);
+        if let Err(e) = ctl.check_invariants() {
+            panic!("{label}: step {step}: {e}");
+        }
+    }
+    ctl.set_observer(None);
+    let events = bus.lock().unwrap().clone();
+    (served, ctl.stats(), events)
+}
+
+/// The value reference over the axes the protocol spells as parameters:
+/// the position map's two index kinds and its recursive chain, and every
+/// policy, pure RD-Dup and pure HD-Dup included, at two depths. Beyond
+/// right values and invariants it pins the identities those spellings
+/// rest on: a partitioning level anywhere above the leaves is pure
+/// HD-Dup, and the hashed index is the dense one.
+#[test]
+fn value_reference_over_policies_and_posmaps() {
+    for levels in [5u32, 8] {
+        let policies = [
+            DupPolicy::Off,
+            DupPolicy::RdOnly,
+            DupPolicy::HdOnly,
+            DupPolicy::Static { partition_level: 3 },
+            DupPolicy::Static { partition_level: levels + 1 },
+            DupPolicy::Static { partition_level: levels + 4 },
+            DupPolicy::Dynamic { counter_bits: 3 },
+        ];
+        let posmaps =
+            [PosMapSelect::Flat, PosMapSelect::Sparse, PosMapSelect::Recursive { onchip_kb: 1 }];
+        let mut runs: Vec<Vec<RunRecord>> = Vec::new();
+        for posmap in posmaps {
+            let mut cfg = OramConfig::small_test().with_levels(levels).with_posmap(posmap);
+            // One address per PLB page, so that 1 KB leaves a chain.
+            cfg.plb_entries = 8;
+            cfg.plb_page_addrs = 1;
+            runs.push(
+                policies
+                    .iter()
+                    .map(|&p| value_reference_run(cfg.with_dup_policy(p), 600))
+                    .collect(),
+            );
+        }
+        for (posmap, by_policy) in posmaps.iter().zip(&runs) {
+            for i in [4, 5] {
+                assert!(
+                    by_policy[i] == by_policy[2],
+                    "{posmap:?} L={levels}: {:?} differs from HdOnly",
+                    policies[i]
+                );
+            }
+        }
+        for (i, policy) in policies.iter().enumerate() {
+            assert!(
+                runs[1][i] == runs[0][i],
+                "L={levels} {policy:?}: the hashed index differs from the dense one"
+            );
+        }
     }
 }

@@ -9,23 +9,44 @@
 //! that, plus the Sec. III distinguisher showing why naive reordering (no
 //! duplication) would have been insecure.
 
+use std::sync::{Arc, Mutex};
+
 use oram_cpu::RefStream;
 use oram_protocol::{
-    BlockAddr, DupPolicy, OramConfig, OramController, Request, ServedFrom, TraceEvent,
+    BlockAddr, BucketId, BusEvent, DupPolicy, OramConfig, OramController, Request, ServedFrom,
+    SharedObserver,
 };
 use oram_workloads::synthetic::{Cycle, Scan};
 
-fn traced_config(policy: DupPolicy) -> OramConfig {
-    OramConfig::small_test().with_dup_policy(policy).with_trace()
+/// A controller under `policy` with a bus observer attached; the handle
+/// collects every externally visible event.
+fn traced(policy: DupPolicy) -> (OramController, Arc<Mutex<Vec<BusEvent>>>) {
+    let mut ctl =
+        OramController::new(OramConfig::small_test().with_dup_policy(policy)).unwrap();
+    let events = Arc::new(Mutex::new(Vec::new()));
+    ctl.set_observer(Some(events.clone() as SharedObserver));
+    (ctl, events)
+}
+
+/// The bucket touches among `events`, in issue order: `(bucket, write)`.
+fn buckets(events: &Mutex<Vec<BusEvent>>) -> Vec<(BucketId, bool)> {
+    let events = events.lock().unwrap();
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            BusEvent::Bucket { bucket, write } => Some((BucketId::new(bucket), write)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Runs a request sequence and returns the externally visible trace.
-fn run_trace(policy: DupPolicy, requests: &[Request]) -> Vec<TraceEvent> {
-    let mut ctl = OramController::new(traced_config(policy)).unwrap();
+fn run_trace(policy: DupPolicy, requests: &[Request]) -> Vec<(BucketId, bool)> {
+    let (mut ctl, events) = traced(policy);
     for r in requests {
         ctl.access(*r);
     }
-    ctl.trace().to_vec()
+    buckets(&events)
 }
 
 fn mixed_requests(n: u64, ws: u64) -> Vec<Request> {
@@ -81,7 +102,7 @@ fn dummy_requests_are_also_trace_identical() {
     // Interleave real (single-touch) and dummy accesses the way timing
     // protection does.
     let run = |policy: DupPolicy| {
-        let mut ctl = OramController::new(traced_config(policy)).unwrap();
+        let (mut ctl, events) = traced(policy);
         for i in 0..600u64 {
             if i % 3 == 0 {
                 ctl.dummy_access();
@@ -89,7 +110,7 @@ fn dummy_requests_are_also_trace_identical() {
                 ctl.access(Request::read(BlockAddr::new(1000 + i)));
             }
         }
-        ctl.trace().to_vec()
+        buckets(&events)
     };
     assert_eq!(run(DupPolicy::Off), run(DupPolicy::Dynamic { counter_bits: 3 }));
 }
@@ -102,18 +123,17 @@ fn dummy_requests_are_also_trace_identical() {
 #[test]
 fn leaf_choices_stay_uniform_with_reuse() {
     for policy in [DupPolicy::Off, DupPolicy::Dynamic { counter_bits: 3 }] {
-        let mut ctl = OramController::new(traced_config(policy)).unwrap();
+        let (mut ctl, events) = traced(policy);
         for r in mixed_requests(4000, 90) {
             ctl.access(r);
         }
         let levels = ctl.config().levels;
         let leaf_count = 1u64 << levels;
         // Histogram the leaf-level buckets of read-only path reads.
-        let leaves: Vec<u64> = ctl
-            .trace()
+        let leaves: Vec<u64> = buckets(&events)
             .iter()
-            .filter(|e| !e.is_write && e.bucket.level() == levels)
-            .map(|e| e.bucket.raw() - leaf_count)
+            .filter(|&&(bucket, write)| !write && bucket.level() == levels)
+            .map(|(bucket, _)| bucket.raw() - leaf_count)
             .collect();
         assert!(leaves.len() > 500, "need a meaningful sample");
         let mut hist = vec![0u64; leaf_count as usize];
@@ -151,7 +171,7 @@ fn trace_shape_is_request_count_dependent_only() {
     // every read burst touches exactly L+1 buckets root-to-leaf.
     let levels = OramConfig::small_test().levels as usize + 1;
     for trace in [&a, &b] {
-        let reads: Vec<_> = trace.iter().filter(|e| !e.is_write).collect();
+        let reads: Vec<_> = trace.iter().filter(|e| !e.1).collect();
         assert_eq!(reads.len() % levels, 0, "reads come in whole paths");
     }
 }
@@ -164,17 +184,17 @@ fn paths_in_trace_are_root_to_leaf() {
     // a root-to-leaf chain.
     let mut i = 0;
     while i < trace.len() {
-        if trace[i].is_write {
+        if trace[i].1 {
             i += 1;
             continue;
         }
         let path: Vec<_> = trace[i..i + levels as usize + 1].to_vec();
-        assert!(path.iter().all(|e| !e.is_write), "path reads are contiguous");
+        assert!(path.iter().all(|e| !e.1), "path reads are contiguous");
         for (lvl, e) in path.iter().enumerate() {
-            assert_eq!(e.bucket.level() as usize, lvl, "root-to-leaf order");
+            assert_eq!(e.0.level() as usize, lvl, "root-to-leaf order");
         }
         for w in path.windows(2) {
-            assert_eq!(w[1].bucket.parent(), Some(w[0].bucket));
+            assert_eq!(w[1].0.parent(), Some(w[0].0));
         }
         i += levels as usize + 1;
     }
@@ -194,16 +214,11 @@ fn rrwp_distinguisher_fails_against_shadow_blocks() {
     // read. We reconstruct "which path was read" from the trace by taking
     // the leaf-level bucket of each read path.
     let leaf_sequence = |requests: &[Request]| -> Vec<u64> {
-        let mut ctl =
-            OramController::new(traced_config(DupPolicy::Dynamic { counter_bits: 3 })).unwrap();
-        for r in requests {
-            ctl.access(*r);
-        }
-        let levels = ctl.config().levels as usize;
-        ctl.trace()
+        let levels = OramConfig::small_test().levels;
+        run_trace(DupPolicy::Dynamic { counter_bits: 3 }, requests)
             .iter()
-            .filter(|e| !e.is_write && e.bucket.level() as usize == levels)
-            .map(|e| e.bucket.raw())
+            .filter(|&&(bucket, write)| !write && bucket.level() == levels)
+            .map(|(bucket, _)| bucket.raw())
             .collect()
     };
 
