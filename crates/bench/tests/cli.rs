@@ -140,6 +140,30 @@ fn trace_run_exports_validated_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `repro trace --quick` against `tests/golden/trace_quick/`, byte for
+/// byte: the counter and histogram totals, the time-series windows and
+/// the Eq. 1 report of every policy. The spans and Chrome traces are
+/// validated by the subcommand itself.
+#[test]
+fn trace_quick_exports_are_golden() {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_quick");
+    let dir = std::env::temp_dir().join(format!("repro_trace_golden_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = repro(&["trace", "--quick", "--quiet", "--out", dir.to_str().expect("utf-8 temp path")]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut files = vec!["report.txt".to_string()];
+    for policy in ["tiny", "rd_dup", "hd_dup", "dynamic3"] {
+        files.push(format!("metrics_{policy}.csv"));
+        files.push(format!("timeseries_{policy}.csv"));
+    }
+    for file in &files {
+        let want = std::fs::read_to_string(golden.join(file)).expect("golden");
+        let got = std::fs::read_to_string(dir.join(file)).expect("export");
+        assert_eq!(got, want, "{file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quiet_flag_is_accepted() {
     // --quiet must parse on the experiment path (heartbeats are already
