@@ -74,7 +74,7 @@ pub fn run_profile(
         let (window, (util_base, level_reads_base, level_writes_base)) =
             replay_measured(&mut engine, warm, measured, Some(sink), |e| {
                 let (lr, lw) = e.controller().level_touches();
-                (e.dram().utilization(), lr.to_vec(), lw.to_vec())
+                (e.dram().utilization(), lr, lw)
             });
         let total_cycles = window.total_cycles;
 
@@ -135,8 +135,8 @@ pub fn run_profile(
             stash_pull_credit: sum(MetricId::StashPullCreditCycles),
             energy_mj: window.energy_mj,
             channels,
-            level_reads: diff(lr, &level_reads_base),
-            level_writes: diff(lw, &level_writes_base),
+            level_reads: diff(&lr, &level_reads_base),
+            level_writes: diff(&lw, &level_writes_base),
         });
         if let Some(hb) = progress {
             hb.tick(done + 1, TRACE_POLICIES.len());

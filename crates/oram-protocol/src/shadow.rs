@@ -396,6 +396,9 @@ pub struct DynamicPartitioner {
     counter: DriCounter,
     level: u32,
     max_level: u32,
+    /// Counter increments, decrements and level changes so far (see
+    /// [`DynamicPartitioner::moves`]).
+    moves: (u64, u64, u64),
 }
 
 impl DynamicPartitioner {
@@ -406,6 +409,7 @@ impl DynamicPartitioner {
             counter: DriCounter::new(counter_bits),
             level: max_level / 2,
             max_level,
+            moves: (0, 0, 0),
         }
     }
 
@@ -414,21 +418,28 @@ impl DynamicPartitioner {
         self.level
     }
 
-    /// Reference to the underlying counter.
-    pub fn counter(&self) -> &DriCounter {
-        &self.counter
+    /// Counter increments, counter decrements and partitioning-level
+    /// changes since construction. Transitions only: a saturated counter
+    /// or a clamped level that does not move counts nothing.
+    pub fn moves(&self) -> (u64, u64, u64) {
+        self.moves
     }
 
     /// Feeds one request observation and nudges the partitioning level:
     /// short DRIs (counter below half) grow the HD-Dup region, long DRIs
-    /// shrink it (paper Sec. IV-D2).
-    pub fn on_request(&mut self, is_real: bool) {
+    /// shrink it (paper Sec. IV-D2). Returns whether the level moved.
+    pub fn on_request(&mut self, is_real: bool) -> bool {
+        let (value, level) = (self.counter.value(), self.level);
         self.counter.record(is_real);
         if self.counter.prefers_rd() {
             self.level = self.level.saturating_sub(1);
         } else if self.level < self.max_level {
             self.level += 1;
         }
+        self.moves.0 += u64::from(self.counter.value() > value);
+        self.moves.1 += u64::from(self.counter.value() < value);
+        self.moves.2 += u64::from(self.level != level);
+        self.level != level
     }
 }
 

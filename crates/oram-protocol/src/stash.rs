@@ -135,10 +135,7 @@ impl Stash {
     /// Number of live (non-replaceable) entries — the quantity that matters
     /// for stash-overflow analysis.
     pub fn live(&self) -> usize {
-        debug_assert_eq!(
-            self.live_count,
-            self.slots.iter().flatten().filter(|e| !e.replaceable).count()
-        );
+        debug_assert_eq!(self.check_live_count(), Ok(()));
         self.live_count
     }
 
@@ -459,6 +456,21 @@ impl Stash {
     /// Iterates over all occupied entries.
     pub fn entries(&self) -> impl Iterator<Item = &StashEntry> {
         self.slots.iter().flatten()
+    }
+
+    /// Checks the incrementally kept live count against a recount of the
+    /// live entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns both numbers when they differ.
+    pub fn check_live_count(&self) -> Result<(), String> {
+        let recount = self.entries().filter(|e| !e.replaceable).count();
+        if recount == self.live_count {
+            Ok(())
+        } else {
+            Err(format!("stash live count {} != {recount} live entries", self.live_count))
+        }
     }
 }
 

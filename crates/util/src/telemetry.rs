@@ -13,7 +13,7 @@
 //!
 //! The attachment pattern is the same as for the bus observer: every
 //! instrumented component carries an `Option<SharedTelemetry>`, and when
-//! none is attached each hook site costs a single branch on `None` — the
+//! none is attached a report costs a single branch on `None` — the
 //! steady-state access loop stays allocation-free and effectively
 //! unchanged. The trait lives here, in the only crate all instrumented
 //! layers already depend on; the `oram-telemetry` crate provides the
@@ -478,10 +478,11 @@ pub struct WindowSample {
 
 /// A sink for telemetry events.
 ///
-/// Implementations must be cheap: counter hooks fire several times per
-/// access whenever a sink is attached. The standard implementation (the
-/// `oram-telemetry` registry/ring/time-series recorder) performs no
-/// allocation in `count`, `sample` or `span`.
+/// Implementations must be cheap: whenever a sink is attached, the
+/// controller reports each access half's counter deltas and samples in
+/// one batch of calls, and the engine adds one span per access. The
+/// standard implementation (the `oram-telemetry` registry/ring/time-series
+/// recorder) performs no allocation in `count`, `sample` or `span`.
 pub trait TelemetrySink: std::fmt::Debug + Send {
     /// Adds `delta` to a counter metric.
     fn count(&mut self, id: MetricId, delta: u64);
