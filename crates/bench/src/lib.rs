@@ -33,7 +33,7 @@ pub use serve::{
     run_serve, run_serve_live, run_sweep, BackendKind, LiveRun, PosmapKind, ServeArtifacts,
     ServeOptions, Sweep, SweepReport, TopTicker,
 };
-pub use soak::{compare_soak_reports, run_soak, SoakOptions, SoakReport};
+pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use table::Table;
 pub use trace::{
     run_trace, run_trace_with_progress, write_artifacts, TraceArtifacts, TraceOptions,

@@ -8,6 +8,7 @@
 //! produces a byte-identical scrape — which is what lets CI diff a live
 //! scrape against a seeded baseline.
 
+use oram_telemetry::json::{Layout, Writer};
 use oram_util::ServeClass;
 
 use crate::plane::{LivePlane, CLASSES, PHASE_NAMES};
@@ -195,56 +196,41 @@ pub fn render_prometheus(p: &LivePlane) -> String {
 /// Renders the `/slo` JSON: burn state per objective plus the tail of
 /// the structured event stream.
 pub fn render_slo_json(p: &LivePlane) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\"objectives\":[");
+    let mut w = Writer::new();
+    w.object(Layout::COMPACT).key("objectives").array(Layout::COMPACT);
     for (i, slo) in p.config().slos.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
         let b = p.burn(i);
-        let kind = match slo.kind {
+        w.object(Layout::COMPACT).field("name", slo.name.as_str()).key("kind");
+        match slo.kind {
             crate::slo::SloKind::LatencyAbove { threshold_cycles } => {
-                format!("{{\"latency_above_cycles\":{threshold_cycles}}}")
+                w.object(Layout::COMPACT).field("latency_above_cycles", threshold_cycles).end()
             }
-            crate::slo::SloKind::Rejection => "\"rejection\"".to_string(),
+            crate::slo::SloKind::Rejection => w.value("rejection"),
         };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"kind\":{kind},\"budget\":{},\"burn_fast\":{},\"burn_slow\":{},\"breached\":{}}}",
-            slo.name,
-            f(slo.budget),
-            f(b.fast),
-            f(b.slow),
-            b.breached
-        ));
+        w.field("budget", slo.budget).field("burn_fast", b.fast).field("burn_slow", b.slow);
+        w.field("breached", b.breached).end();
     }
-    out.push_str("],\"events\":[");
+    w.end().key("events").array(Layout::COMPACT);
     let events = p.events();
     let tail = events.len().saturating_sub(64);
-    for (i, ev) in events[tail..].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    for ev in &events[tail..] {
         let name = p.config().slos.get(ev.slo as usize).map(|s| s.name.as_str());
-        out.push_str(&ev.to_json(name));
+        ev.write_json(&mut w, name);
     }
-    out.push_str(&format!(
-        "],\"events_dropped\":{},\"windows_closed\":{}}}",
-        p.events_dropped(),
-        p.closed_windows()
-    ));
-    out
+    w.end().field("events_dropped", p.events_dropped());
+    w.field("windows_closed", p.closed_windows()).end();
+    w.finish()
 }
 
 /// Renders the `/healthz` JSON.
 pub fn render_healthz(p: &LivePlane) -> String {
     let breached = (0..p.config().slos.len()).any(|i| p.burn(i).breached);
-    format!(
-        "{{\"status\":\"{}\",\"windows_closed\":{},\"requests_completed\":{},\"alerts\":{}}}",
-        if breached { "degraded" } else { "ok" },
-        p.closed_windows(),
-        p.total().completed,
-        p.events().len()
-    )
+    let mut w = Writer::new();
+    w.object(Layout::COMPACT).field("status", if breached { "degraded" } else { "ok" });
+    w.field("windows_closed", p.closed_windows());
+    w.field("requests_completed", p.total().completed);
+    w.field("alerts", p.events().len()).end();
+    w.finish()
 }
 
 /// Renders the `repro top` terminal panel: cumulative and last-window

@@ -21,6 +21,8 @@
 //! guard against paging on a single noisy window while still catching
 //! sustained overspend quickly.
 
+use oram_telemetry::json::{Layout, Writer};
+
 /// Maximum objectives a plane tracks (fixed arrays on the hot path).
 pub const MAX_SLOS: usize = 8;
 
@@ -201,22 +203,19 @@ pub struct SloEvent {
 }
 
 impl SloEvent {
-    /// Renders the event as one JSON object (allocation is fine here —
-    /// export paths are off the hot path).
+    /// Renders the event as one JSON object.
     pub fn to_json(&self, slo_name: Option<&str>) -> String {
-        let slo = match slo_name {
-            Some(n) => format!("\"{n}\""),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"window\":{},\"cycle\":{},\"kind\":\"{}\",\"slo\":{},\"value\":{},\"threshold\":{}}}",
-            self.window_index,
-            self.cycle,
-            self.kind.name(),
-            slo,
-            self.value,
-            self.threshold
-        )
+        let mut w = Writer::new();
+        self.write_json(&mut w, slo_name);
+        w.finish()
+    }
+
+    /// Writes the event as one JSON object: the `/slo` body's events
+    /// and the incident bundle's `alerts.jsonl` rows.
+    pub fn write_json(&self, w: &mut Writer, slo_name: Option<&str>) {
+        w.object(Layout::COMPACT).field("window", self.window_index).field("cycle", self.cycle);
+        w.field("kind", self.kind.name()).field("slo", slo_name).field("value", self.value);
+        w.field("threshold", self.threshold).end();
     }
 }
 

@@ -38,7 +38,7 @@ mod sim;
 
 pub use config::{AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfig};
 pub use report::{
-    compare_service_reports, percentile, LatencySummary, SchedulerSummary, ServiceMeta,
+    percentile, LatencySummary, SchedulerSummary, ServiceMeta,
     ServiceReport,
 };
 pub use sim::{

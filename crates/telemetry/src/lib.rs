@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod compare;
 pub mod export;
 pub mod json;
 pub mod profile;
@@ -37,11 +38,14 @@ pub mod timeseries;
 mod recorder;
 
 pub use export::{
-    spans_to_chrome_trace, spans_to_jsonl, validate_chrome_trace, validate_jsonl,
+    spans_from_jsonl, spans_to_chrome_trace, spans_to_jsonl, validate_chrome_trace,
+    validate_jsonl,
+};
+pub use compare::{
+    compare_reports, CompareOutcome, Gate, MetricDelta, Report, DEFAULT_TOLERANCE,
 };
 pub use profile::{
-    compare_reports, validate_attribution, ChannelProfile, CompareOutcome, MetricDelta,
-    PolicyProfile, ProfileMeta, ProfileReport, DEFAULT_TOLERANCE,
+    validate_attribution, ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport,
 };
 pub use recorder::{TelemetryConfig, TelemetryRecorder};
 pub use registry::{LogHistogram, MetricsRegistry};

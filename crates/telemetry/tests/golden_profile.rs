@@ -10,7 +10,8 @@
 //! ```
 
 use oram_telemetry::{
-    compare_reports, ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, DEFAULT_TOLERANCE,
+    compare_reports, ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, Report,
+    DEFAULT_TOLERANCE,
 };
 
 const GOLDEN_PROFILE: &str = include_str!("golden/profile.txt");
