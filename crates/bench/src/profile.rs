@@ -208,4 +208,13 @@ mod tests {
         let again = run_profile(&tiny_opts(), None).expect("profile reruns");
         assert_eq!(again, report);
     }
+
+    #[test]
+    fn profile_json_is_a_fixed_point_of_the_writer() {
+        use oram_telemetry::Report;
+        let text = run_profile(&tiny_opts(), None).expect("profile runs").to_json();
+        let back = ProfileReport::parse(&text).expect("own JSON parses");
+        assert_eq!(back.to_json(), text);
+        assert_eq!(ProfileReport::parse(&back.to_json()).unwrap(), back);
+    }
 }
