@@ -291,7 +291,7 @@ fn service_trace<R>(
     let (res, mut engine) = sim.finish();
     engine.detach_bus_observer();
     res.validate()?;
-    let stash_max = engine.stash_occupancy().max() as u64;
+    let stash_max = engine.stash_occupancy().max();
     Ok(rec.with_events(|events| read(events, &res, stash_max, &engine.config().oram)))
 }
 
@@ -495,7 +495,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
                         s.dram_blocks,
                         s.accesses,
                         hist.max(),
-                        hist.p999()
+                        hist.quantile_floor(0.999)
                     ));
                 }
                 Ok(_) => report.fail(

@@ -4,10 +4,8 @@
 //! `oram-telemetry` is post-hoc (spans and counters exported after a
 //! run), this crate watches a serve/soak *while it runs*:
 //!
-//! * [`QuantileSketch`] — a fixed-memory log-linear quantile sketch
-//!   (interpolated p50/p99/p99.9, relative error ≤ 1/16) recording in
-//!   O(1) with zero allocation.
-//! * [`LivePlane`] — sliding sim-time windows of sketches and
+//! * [`LivePlane`] — sliding sim-time windows of
+//!   [`oram_util::QuantileSketch`]es (interpolated p50/p99/p99.9) and
 //!   dimensional counters (tenant, shard, serve class, backend phase),
 //!   fed by both telemetry streams: it implements
 //!   [`oram_util::TelemetrySink`] for the engine side (spans, Eq. 1
@@ -38,7 +36,6 @@ pub mod flight;
 pub mod plane;
 pub mod prom;
 pub mod server;
-pub mod sketch;
 pub mod slo;
 pub mod trend;
 
@@ -53,6 +50,5 @@ pub use plane::{
 };
 pub use prom::{render_healthz, render_prometheus, render_slo_json, render_top};
 pub use server::{http_get, MetricsServer};
-pub use sketch::QuantileSketch;
 pub use slo::{parse_slo_spec, AlertKind, SloEvent, SloKind, SloSpec, MAX_SLOS};
 pub use trend::TrendEstimator;

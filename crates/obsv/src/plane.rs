@@ -30,15 +30,14 @@ use std::sync::{Arc, Mutex};
 
 use oram_telemetry::json::{Layout, Value, Writer};
 use oram_util::{
-    AccessSpan, LiveObserver, MetricId, ServeClass, SharedLive, SharedTelemetry, TelemetrySink,
-    WindowSample,
+    AccessSpan, LiveObserver, MetricId, QuantileSketch, ServeClass, SharedLive, SharedTelemetry,
+    TelemetrySink, WindowSample,
 };
 
 use crate::flight::{
     FlightConfig, FlightRecorder, FlightTrigger, IncidentBundle, IncidentMeta, ServiceEventKind,
     RING_NAMES, TRIGGER_FORCED,
 };
-use crate::sketch::QuantileSketch;
 use crate::slo::{AlertKind, SloEvent, SloKind, SloSpec, MAX_SLOS};
 use crate::trend::TrendEstimator;
 

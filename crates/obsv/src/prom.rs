@@ -9,10 +9,9 @@
 //! scrape against a seeded baseline.
 
 use oram_telemetry::json::{Layout, Writer};
-use oram_util::ServeClass;
+use oram_util::{QuantileSketch, ServeClass};
 
 use crate::plane::{LivePlane, CLASSES, PHASE_NAMES};
-use crate::sketch::QuantileSketch;
 
 /// Formats an `f64` the way the exposition format expects (fixed
 /// six-digit precision keeps renders byte-stable across platforms).

@@ -23,14 +23,14 @@ use oram_protocol::{
 use oram_storage::{DramBackend, StorageBackend};
 use oram_util::telemetry::SPAN_MAX_PHASES;
 use oram_util::{
-    AccessAttribution, AccessSpan, BusPhase, MetricId, PhaseSpan, ServeClass, SharedTelemetry,
-    WindowSample,
+    AccessAttribution, AccessSpan, BusPhase, MetricId, PhaseSpan, QuantileSketch, ServeClass,
+    SharedTelemetry, WindowSample,
 };
 
 use oram_cpu::{MissRecord, MissStream};
 
 use crate::config::SystemConfig;
-use crate::stats::{Histogram, SimStats};
+use crate::stats::SimStats;
 
 /// How one access resolved in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ pub struct Engine<B: StorageBackend = DramBackend> {
     finishes: Vec<i64>,
     /// Per-access live stash occupancy (sampled after every controller
     /// access; the Path ORAM overflow argument lives in its tail).
-    stash_hist: Histogram,
+    stash_hist: QuantileSketch,
     /// Optional telemetry sink; `None` costs one branch per hook site.
     telemetry: Option<SharedTelemetry>,
     /// Time-series window length in CPU cycles (0 disables windows).
@@ -182,7 +182,7 @@ impl<B: StorageBackend> Engine<B> {
             stats: SimStats::default(),
             reqs: Vec::with_capacity(path_blocks),
             finishes: Vec::with_capacity(path_blocks),
-            stash_hist: Histogram::with_max(cfg.oram.stash_capacity),
+            stash_hist: QuantileSketch::new(),
             telemetry: None,
             window_cycles: 0,
             span_seq: 0,
@@ -282,9 +282,9 @@ impl<B: StorageBackend> Engine<B> {
         self.window = self.window_snapshot(cur.index + 1);
     }
 
-    /// The live stash-occupancy histogram, one sample per controller
+    /// The live stash-occupancy sketch, one sample per controller
     /// access (real or dummy) since construction.
-    pub fn stash_occupancy(&self) -> &Histogram {
+    pub fn stash_occupancy(&self) -> &QuantileSketch {
         &self.stash_hist
     }
 
@@ -446,7 +446,7 @@ impl<B: StorageBackend> Engine<B> {
     /// memory system at `arrival <= start`).
     fn execute_real(&mut self, req: Request, arrival: u64, start: u64) -> (AccessTiming, ServeClass) {
         let result = self.controller.access(req);
-        self.stash_hist.record(self.controller.stash().live());
+        self.stash_hist.record(self.controller.stash().live() as u64);
         let timing = self.execute_phases(&result, start);
         if timing.touched_dram {
             self.stats.data_requests += 1;
@@ -483,7 +483,7 @@ impl<B: StorageBackend> Engine<B> {
     /// genuinely overlapping transfers.
     fn execute_real_pipelined(&mut self, req: Request, ready: u64) -> (AccessTiming, ServeClass) {
         let (result, ticket) = self.controller.access_issue(req);
-        self.stash_hist.record(self.controller.stash().live());
+        self.stash_hist.record(self.controller.stash().live() as u64);
         self.phase_scratch_len = 0;
         self.attr_scratch = AccessAttribution::ZERO;
 
@@ -593,7 +593,7 @@ impl<B: StorageBackend> Engine<B> {
     /// Runs a dummy access at `slot`.
     fn execute_dummy(&mut self, slot: u64) {
         let result = self.controller.dummy_access();
-        self.stash_hist.record(self.controller.stash().live());
+        self.stash_hist.record(self.controller.stash().live() as u64);
         let timing = self.execute_phases(&result, slot);
         self.stats.dummy_requests += 1;
         // Dummy time is DRI by definition (it is not a data request); the
@@ -1104,12 +1104,12 @@ mod tests {
         let mut s = ReplayMisses::new(misses);
         e.run(&mut s);
         let h = e.stash_occupancy();
-        assert_eq!(h.total(), 6000);
-        assert!(h.max() <= cap, "stash occupancy {} exceeded capacity {}", h.max(), cap);
+        assert_eq!(h.count(), 6000);
+        assert!(h.max() <= cap as u64, "stash occupancy {} exceeded capacity {}", h.max(), cap);
         // The empirical bound with margin: regressions in eviction or
         // remap logic blow well past this before hitting capacity.
         assert!(h.max() <= 120, "max live occupancy regressed: {}", h.max());
-        assert!(h.p999() <= h.max());
+        assert!(h.quantile_floor(0.999) <= h.max());
         assert!(h.mean() > 0.0);
     }
 

@@ -59,4 +59,4 @@ pub use runner::{
     build_miss_stream, replay_measured, run_workload, run_workload_traced, scale_profile,
     RunOptions, RunResult,
 };
-pub use stats::{gmean, Histogram, SimStats};
+pub use stats::{gmean, SimStats};

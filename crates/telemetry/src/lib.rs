@@ -1,7 +1,7 @@
 //! # oram-telemetry
 //!
 //! The measurement substrate of the Shadow Block reproduction: a
-//! fixed-schema metrics registry (counters + log-bucketed histograms),
+//! fixed-schema metrics registry (counters + quantile-sketch histograms),
 //! a fixed-capacity per-access span tracer with JSONL and Chrome
 //! `trace_event` exporters, periodic time-series windows as CSV, and a
 //! human-readable end-of-run report reproducing the paper's Eq. 1
@@ -48,7 +48,7 @@ pub use profile::{
     validate_attribution, ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport,
 };
 pub use recorder::{TelemetryConfig, TelemetryRecorder};
-pub use registry::{LogHistogram, MetricsRegistry};
+pub use registry::MetricsRegistry;
 pub use report::{PolicyReport, RunReport};
 pub use spans::SpanRing;
 pub use tee::TeeSink;

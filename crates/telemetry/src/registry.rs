@@ -1,138 +1,22 @@
-//! The metrics registry: fixed-schema counters and log-bucketed
+//! The metrics registry: fixed-schema counters and quantile-sketch
 //! histograms, sized once at construction so the record path never
 //! allocates.
 
-use oram_util::{MetricId, MetricKind};
+use oram_util::{MetricId, MetricKind, QuantileSketch};
 
-/// Number of log2 buckets. Bucket `i` holds values whose bit length is
-/// `i` (bucket 0 holds the value 0), so 65 buckets cover all of `u64`.
-pub const LOG_BUCKETS: usize = 65;
+/// Counter metrics: the schema puts every counter before the first
+/// histogram.
+const COUNTERS: usize = MetricId::ServedPosition as usize;
+/// Histogram metrics, one sketch each.
+const HISTOGRAMS: usize = MetricId::ALL.len() - COUNTERS;
 
-#[inline]
-fn bucket_of(value: u64) -> usize {
-    (64 - value.leading_zeros()) as usize
-}
-
-/// A log2-bucketed histogram with exact count/sum/min/max.
-///
-/// Distribution metrics (latencies, queue depths, path positions) span
-/// several orders of magnitude; log bucketing gives bounded storage and
-/// an allocation-free `record` while keeping quantiles accurate to a
-/// factor of two and the mean exact (the sum is tracked separately).
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    buckets: [u64; LOG_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        LogHistogram { buckets: [0; LOG_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// Records one sample. Never allocates.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Exact arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket holding quantile `q` in `[0, 1]`:
-    /// the largest value with the same bit length as the samples there.
-    /// Exact min/max are reported for the extreme quantiles.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        if q <= 0.0 {
-            return self.min();
-        }
-        if q >= 1.0 {
-            return self.max;
-        }
-        let rank = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Largest value in bucket i, clamped to the observed max.
-                let hi = if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 };
-                return hi.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merges `other` into `self` (exact for counts/sums/extremes).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The raw bucket counts (bucket `i` = values of bit length `i`).
-    pub fn buckets(&self) -> &[u64; LOG_BUCKETS] {
-        &self.buckets
-    }
-}
-
-/// The full fixed-schema registry: one counter or histogram per
+/// The full fixed-schema registry: one counter or sketch per
 /// [`MetricId`]. Construction allocates everything; recording never
 /// does.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    counters: [u64; MetricId::ALL.len()],
-    hists: Vec<LogHistogram>,
+    counters: [u64; COUNTERS],
+    hists: Vec<QuantileSketch>,
 }
 
 impl Default for MetricsRegistry {
@@ -145,8 +29,8 @@ impl MetricsRegistry {
     /// An empty registry covering the whole schema.
     pub fn new() -> Self {
         MetricsRegistry {
-            counters: [0; MetricId::ALL.len()],
-            hists: vec![LogHistogram::new(); MetricId::ALL.len()],
+            counters: [0; COUNTERS],
+            hists: vec![QuantileSketch::new(); HISTOGRAMS],
         }
     }
 
@@ -169,7 +53,7 @@ impl MetricsRegistry {
     #[inline]
     pub fn sample(&mut self, id: MetricId, value: u64) {
         debug_assert_eq!(id.kind(), MetricKind::Histogram, "{id:?} is not a histogram");
-        self.hists[id.index()].record(value);
+        self.hists[id.index() - COUNTERS].record(value);
     }
 
     /// Current value of a counter.
@@ -177,9 +61,9 @@ impl MetricsRegistry {
         self.counters[id.index()]
     }
 
-    /// The histogram behind a distribution metric.
-    pub fn histogram(&self, id: MetricId) -> &LogHistogram {
-        &self.hists[id.index()]
+    /// The sketch behind a distribution metric.
+    pub fn histogram(&self, id: MetricId) -> &QuantileSketch {
+        &self.hists[id.index() - COUNTERS]
     }
 
     /// Merges another registry into this one, metric by metric.
@@ -202,7 +86,8 @@ impl MetricsRegistry {
     /// CSV export: one row per metric with fixed columns
     /// `metric,kind,count,sum,min,max,mean,p50,p99`.
     /// Counters report their total in `count` and leave the
-    /// distribution columns zero.
+    /// distribution columns zero; `p50`/`p99` are bit-length upper
+    /// bounds ([`QuantileSketch::quantile_pow2_upper`]).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("metric,kind,count,sum,min,max,mean,p50,p99\n");
         for id in MetricId::ALL {
@@ -224,8 +109,8 @@ impl MetricsRegistry {
                         h.min(),
                         h.max(),
                         h.mean(),
-                        h.quantile(0.5),
-                        h.quantile(0.99),
+                        h.quantile_pow2_upper(0.5),
+                        h.quantile_pow2_upper(0.99),
                     ));
                 }
             }
@@ -253,8 +138,8 @@ impl MetricsRegistry {
                             h.count(),
                             h.mean(),
                             h.min(),
-                            h.quantile(0.5),
-                            h.quantile(0.99),
+                            h.quantile_pow2_upper(0.5),
+                            h.quantile_pow2_upper(0.99),
                             h.max(),
                         ));
                     }
@@ -269,22 +154,30 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    const H: MetricId = MetricId::ServedPosition;
+
+    fn registry_of(samples: &[u64]) -> MetricsRegistry {
+        let mut r = MetricsRegistry::new();
+        for &v in samples {
+            r.sample(H, v);
+        }
+        r
+    }
+
+    /// The `p50` column reads the bit length of the median sample: the
+    /// largest value of that length.
     #[test]
     fn buckets_by_bit_length() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
+        for (v, hi) in [(0, 0), (1, 1), (2, 3), (3, 3), (4, 7), (u64::MAX, u64::MAX)] {
+            let r = registry_of(&[v, u64::MAX]);
+            assert_eq!(r.histogram(H).quantile_pow2_upper(0.5), hi, "v={v}");
+        }
     }
 
     #[test]
     fn histogram_tracks_exact_extremes_and_mean() {
-        let mut h = LogHistogram::new();
-        for v in [3, 9, 27, 81] {
-            h.record(v);
-        }
+        let h = registry_of(&[3, 9, 27, 81]);
+        let h = h.histogram(H);
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), 3);
         assert_eq!(h.max(), 81);
@@ -294,43 +187,30 @@ mod tests {
 
     #[test]
     fn quantiles_bounded_by_bucket_and_max() {
-        let mut h = LogHistogram::new();
-        for v in 0..100u64 {
-            h.record(v);
-        }
+        let r = registry_of(&(0..100).collect::<Vec<u64>>());
+        let h = r.histogram(H);
         // p0/p100 are exact.
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), 99);
+        assert_eq!(h.quantile_pow2_upper(0.0), 0);
+        assert_eq!(h.quantile_pow2_upper(1.0), 99);
         // Any quantile is within a factor of two of the true value and
         // never exceeds the observed max.
         for q in [0.1, 0.5, 0.9, 0.99] {
-            let est = h.quantile(q);
+            let est = h.quantile_pow2_upper(q);
             let true_v = ((q * 100.0).ceil() as u64).saturating_sub(1);
             assert!(est <= 99, "q={q} est={est}");
-            assert!(est >= true_v, "log-bucket upper bound must dominate: q={q} est={est}");
+            assert!(est >= true_v, "bit-length upper bound must dominate: q={q} est={est}");
             assert!(est <= true_v.max(1) * 2, "q={q} est={est} true={true_v}");
         }
     }
 
     #[test]
     fn merge_equals_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for v in [1u64, 5, 70, 4000] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [0u64, 2, 900, 65535] {
-            b.record(v);
-            both.record(v);
-        }
+        let mut a = registry_of(&[1, 5, 70, 4000]);
+        let b = registry_of(&[0, 2, 900, 65535]);
+        let both = registry_of(&[1, 5, 70, 4000, 0, 2, 900, 65535]);
         a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.sum(), both.sum());
-        assert_eq!(a.min(), both.min());
-        assert_eq!(a.max(), both.max());
-        assert_eq!(a.buckets(), both.buckets());
+        assert_eq!(a.histogram(H), both.histogram(H));
+        assert_eq!(a.to_csv(), both.to_csv());
     }
 
     #[test]

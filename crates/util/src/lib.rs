@@ -21,6 +21,9 @@
 //! * [`TelemetrySink`] / [`MetricId`] — the trusted-side telemetry
 //!   interface (designer-facing counters, spans and windows) consumed
 //!   by the `oram-telemetry` crate.
+//! * [`QuantileSketch`] — the one distribution type: a fixed-memory
+//!   log-linear quantile sketch behind the metrics registry, the
+//!   engine's stash occupancy and the live plane.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,6 +33,7 @@ mod digit;
 pub mod hash;
 pub mod observe;
 mod rng;
+mod sketch;
 pub mod telemetry;
 
 pub use addrmap::FixedAddrMap;
@@ -37,6 +41,7 @@ pub use digit::Digit;
 pub use hash::{DetHashMap, DetState};
 pub use observe::{BusEvent, BusObserver, BusPhase, EventBatch, SharedObserver};
 pub use rng::Rng64;
+pub use sketch::QuantileSketch;
 pub use telemetry::{
     AccessAttribution, AccessSpan, LiveObserver, MetricId, MetricKind, PhaseSpan, ServeClass,
     SharedLive, SharedTelemetry, TelemetrySink, WindowSample,

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 /// Identifier of one metric in the fixed registry schema.
 ///
 /// Counters accumulate event totals; distribution metrics feed
-/// log-bucketed histograms. The split is encoded by [`MetricId::kind`],
+/// quantile-sketch histograms. The split is encoded by [`MetricId::kind`],
 /// and [`MetricId::ALL`] enumerates the schema so sinks can size fixed
 /// storage up front and exports are stable across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,7 +91,7 @@ pub enum MetricId {
     PlbMiss,
     /// Valid PLB entries displaced by a conflicting page install.
     PlbEvict,
-    // ---- distributions (log-bucketed histograms) ----
+    // ---- distributions (quantile sketches) ----
     /// Flat path position (0 = root side) at which DRAM-served requests
     /// completed.
     ServedPosition,
@@ -147,7 +147,7 @@ pub enum MetricId {
 pub enum MetricKind {
     /// Monotone event count.
     Counter,
-    /// Log-bucketed value distribution.
+    /// Value distribution, kept in a [`crate::QuantileSketch`].
     Histogram,
 }
 
