@@ -362,10 +362,10 @@ impl Stash {
         true
     }
 
-    /// Re-labels a resident entry (remap after an access) and promotes it to
-    /// a live real block. Returns `false` if absent.
+    /// Re-labels a resident entry under the version its remap drew and
+    /// promotes it to a live real block. Returns `false` if absent.
     pub fn relabel(&mut self, addr: BlockAddr, label: LeafLabel, version: Version) -> bool {
-        self.promote_live(addr, |b| Block::real(addr, label, b.data, version.max(b.version)))
+        self.promote_live(addr, |b| Block::real(addr, label, b.data, version))
     }
 
     /// Replaces the resident entry for `addr` with the live real block

@@ -67,9 +67,12 @@ impl fmt::Display for LeafLabel {
 /// detect stale copies (both stale shadow blocks and stale real copies left
 /// in the tree by read-only path reads).
 ///
-/// The paper states that "stale shadow blocks are invalidated in the path
-/// read" without specifying a mechanism; a trusted-side version counter is
-/// the cleanest realization and has no externally visible effect.
+/// Every remap (a read's included) and every write bumps it, so a copy is
+/// current exactly when its version equals the position map's — the label
+/// needs no second check — and every block has exactly one current real
+/// copy. The paper states that "stale shadow blocks are invalidated in the
+/// path read" without specifying a mechanism; a trusted-side version
+/// counter is the cleanest realization and has no externally visible effect.
 pub type Version = u64;
 
 /// What kind of content a block slot holds.

@@ -366,7 +366,7 @@ StashStats { hits: 31, misses: 12042, replaceable_hits: 0, overflows: 0, shadows
 reads [24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961, 24961]
 writes [4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992, 4992]";
 const PIN_RD_DUP: &str = "\
-OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 136, replaceable_stash_served: 106, shadow_stash_served: 106, treetop_served: 0, shadow_advanced: 2711, dram_served: 11937, fresh_served: 0, served_position_sum: 581542, real_position_sum: 145014, ro_path_reads: 19864, evictions: 4966, rd_shadows_written: 242825, hd_shadows_written: 0, real_blocks_written: 71380, dummy_blocks_written: 58245, stale_discarded: 41798, stash_shadow_candidates: 909431, recirculated_shadows: 124409 }
+OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 136, replaceable_stash_served: 106, shadow_stash_served: 106, treetop_served: 0, shadow_advanced: 2711, dram_served: 11937, fresh_served: 0, served_position_sum: 581542, real_position_sum: 145014, ro_path_reads: 19864, evictions: 4966, rd_shadows_written: 242825, hd_shadows_written: 0, real_blocks_written: 71380, dummy_blocks_written: 58245, stale_discarded: 41804, stash_shadow_candidates: 909431, recirculated_shadows: 124409 }
 StashStats { hits: 136, misses: 11937, replaceable_hits: 106, overflows: 0, shadows_dropped: 0, max_live: 29, max_occupied: 200 }
 reads [24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830, 24830]
 writes [4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966, 4966]";
@@ -376,12 +376,12 @@ StashStats { hits: 431, misses: 11642, replaceable_hits: 402, overflows: 0, shad
 reads [24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461, 24461]
 writes [4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892, 4892]";
 const PIN_DYNAMIC3: &str = "\
-OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 424, replaceable_stash_served: 394, shadow_stash_served: 394, treetop_served: 0, shadow_advanced: 4509, dram_served: 11649, fresh_served: 0, served_position_sum: 550738, real_position_sum: 197601, ro_path_reads: 19576, evictions: 4894, rd_shadows_written: 39574, hd_shadows_written: 199710, real_blocks_written: 70641, dummy_blocks_written: 57125, stale_discarded: 60107, stash_shadow_candidates: 896187, recirculated_shadows: 34193 }
+OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 424, replaceable_stash_served: 394, shadow_stash_served: 394, treetop_served: 0, shadow_advanced: 4509, dram_served: 11649, fresh_served: 0, served_position_sum: 550738, real_position_sum: 197601, ro_path_reads: 19576, evictions: 4894, rd_shadows_written: 39574, hd_shadows_written: 199710, real_blocks_written: 70641, dummy_blocks_written: 57125, stale_discarded: 60110, stash_shadow_candidates: 896187, recirculated_shadows: 34193 }
 StashStats { hits: 424, misses: 11649, replaceable_hits: 394, overflows: 0, shadows_dropped: 0, max_live: 30, max_occupied: 200 }
 reads [24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470, 24470]
 writes [4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894, 4894]";
 const PIN_DYNAMIC3_NO_CHAIN: &str = "\
-OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 722, replaceable_stash_served: 689, shadow_stash_served: 689, treetop_served: 0, shadow_advanced: 4627, dram_served: 11351, fresh_served: 0, served_position_sum: 576223, real_position_sum: 201196, ro_path_reads: 19278, evictions: 4819, rd_shadows_written: 21171, hd_shadows_written: 126039, real_blocks_written: 69888, dummy_blocks_written: 144327, stale_discarded: 39063, stash_shadow_candidates: 873559, recirculated_shadows: 92694 }
+OramStats { real_requests: 12073, dummy_requests: 7927, stash_served: 722, replaceable_stash_served: 689, shadow_stash_served: 689, treetop_served: 0, shadow_advanced: 4627, dram_served: 11351, fresh_served: 0, served_position_sum: 576223, real_position_sum: 201196, ro_path_reads: 19278, evictions: 4819, rd_shadows_written: 21171, hd_shadows_written: 126039, real_blocks_written: 69888, dummy_blocks_written: 144327, stale_discarded: 39066, stash_shadow_candidates: 873559, recirculated_shadows: 92694 }
 StashStats { hits: 722, misses: 11351, replaceable_hits: 689, overflows: 0, shadows_dropped: 0, max_live: 30, max_occupied: 200 }
 reads [24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097, 24097]
 writes [4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819, 4819]";
