@@ -9,7 +9,7 @@ use oram_cpu::{MissRecord, ReplayMisses};
 use oram_obsv::{
     render_prometheus, render_slo_json, FlightConfig, IncidentMeta, LiveConfig, LivePlane,
 };
-use oram_protocol::{OramConfig, PosMapSelect, Request};
+use oram_protocol::{OramConfig, OramController, PosMapSelect, Request};
 use oram_service::{AddressMix, SchedPolicy, ServiceConfig, ServiceResult, ServiceSim};
 use oram_sim::{
     DiskBackend, DiskConfig, Engine, ShardRequest, ShardedOram, StorageBackend, SystemConfig,
@@ -183,21 +183,33 @@ pub(crate) fn uniform_when_sampled(counts: &LeafCounts) -> Result<(), String> {
 }
 
 /// Runs a full trace audit of one (config, workload) pair: structural
-/// check, the stash bound, the controller's own invariants after the
-/// run, and leaf uniformity.
+/// check, the stash bound, the controller's own invariants, and leaf
+/// uniformity. The invariants are O(tree): they are checked after every
+/// access up to L = 10 (every randomized case) and after the last above
+/// that. A failure names the access after which they broke, and the trace
+/// stops there.
 fn audit_one(
     report: &mut AuditReport,
     case: String,
     cfg: OramConfig,
     reqs: &[Request],
 ) {
-    let (events, ctl) = match record_trace(cfg, reqs) {
-        Ok(r) => r,
+    let mut ctl = match OramController::new(cfg) {
+        Ok(ctl) => ctl,
         Err(e) => {
             report.fail(case, format!("controller rejected config: {e}"), String::new());
             return;
         }
     };
+    let rec = Recorder::unbounded();
+    ctl.set_observer(Some(rec.observer()));
+    let invariants = reqs.iter().enumerate().try_for_each(|(step, &req)| {
+        ctl.access(req);
+        let due = cfg.levels <= 10 || step + 1 == reqs.len();
+        let checked = if due { ctl.check_invariants() } else { Ok(()) };
+        checked.map_err(|e| format!("after access {step}: {e}"))
+    });
+    let events = rec.snapshot();
     let summary = match check_trace(&TraceSpec::from_oram(&cfg), &events) {
         Ok(s) => s,
         Err(e) => {
@@ -214,8 +226,8 @@ fn audit_one(
         );
         return;
     }
-    if let Err(e) = ctl.check_invariants() {
-        report.fail(case, format!("protocol invariant: {e}"), window_of(&events));
+    if let Err(e) = invariants {
+        report.fail(case, format!("protocol invariant {e}"), window_of(&events));
         return;
     }
     match leaf_uniformity(&LeafCounts::from_leaves(&summary.leaves, cfg.levels)) {
