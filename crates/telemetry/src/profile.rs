@@ -634,9 +634,10 @@ mod tests {
 
     #[test]
     fn the_pre_network_baseline_parses_with_zero_defaults() {
-        // The checked-in baseline predates the network, posmap and PLB
-        // fields; it is the only fixture of that schema.
-        let text = include_str!("../../../bench_results/BENCH_profile_baseline.json");
+        // The profile baseline as it was checked in before the network,
+        // posmap and PLB fields existed; it is the only fixture of that
+        // schema.
+        let text = include_str!("../tests/golden/profile_pre_network.json");
         assert!(!text.contains("attr_network") && !text.contains("plb_hits"));
         let parsed = ProfileReport::parse(text).unwrap();
         assert!(!parsed.policies.is_empty());
