@@ -67,7 +67,7 @@ impl<F: Fn(u64) -> u64> Paths<F> {
     }
 
     /// Builds the next batch into `self.frame` and `self.reqs`, the way
-    /// `Engine::run_phase` does (a bucket's slots are contiguous: map it
+    /// `Engine::service_batch` does (a bucket's slots are contiguous: map it
     /// once).
     fn advance(&mut self) {
         let (kind, is_write) = match self.issued % 3 {

@@ -576,11 +576,7 @@ impl OramController {
 
         // The eviction cadence advances at issue time, so back-to-back
         // issues see the same schedule whether or not completions overlap.
-        self.ro_since_eviction += 1;
-        let eviction_due = self.ro_since_eviction >= self.cfg.eviction_rate - 1;
-        if eviction_due {
-            self.ro_since_eviction = 0;
-        }
+        let eviction_due = self.eviction_cadence();
 
         self.bus.flush();
         self.report();
@@ -620,9 +616,7 @@ impl OramController {
         let mut phases = PhaseList::new();
         phases.push(ro);
 
-        self.ro_since_eviction += 1;
-        if self.ro_since_eviction >= self.cfg.eviction_rate - 1 {
-            self.ro_since_eviction = 0;
+        if self.eviction_cadence() {
             let (er, ew) = self.evict();
             phases.push(er);
             phases.push(ew);
@@ -632,6 +626,17 @@ impl OramController {
         self.bus.flush();
         self.report();
         AccessResult { served: ServedFrom::Stash, value: 0, stash_hit_shadow: false, phases }
+    }
+
+    /// Counts one path read (real or dummy) towards the eviction
+    /// cadence: `true` on every `A − 1`-th, whose access must evict.
+    fn eviction_cadence(&mut self) -> bool {
+        self.ro_since_eviction += 1;
+        let due = self.ro_since_eviction >= self.cfg.eviction_rate - 1;
+        if due {
+            self.ro_since_eviction = 0;
+        }
+        due
     }
 
     fn note_request_for_dynamic(&mut self, is_real: bool) {

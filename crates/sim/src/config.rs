@@ -37,11 +37,12 @@ pub struct SystemConfig {
     /// request when protection is on).
     pub long_gap_factor: f64,
     /// Intra-controller pipelining: overlap access `k+1`'s path read with
-    /// access `k`'s eviction writeback where no hazard (shared off-treetop
-    /// path bucket, or stash near capacity) forces a stall. Timing-only —
-    /// protocol state still mutates in strict issue order. Incompatible
-    /// with timing protection, whose fixed slot grid assumes a serialized
-    /// controller.
+    /// access `k`'s eviction where no hazard (the same leaf, or a stash
+    /// that a path's worth of blocks could overflow) forces a stall.
+    /// Timing-only: it decides whether the memory system frees after the
+    /// path read or after the eviction; protocol state and the bus trace
+    /// are the same either way. Incompatible with timing protection, whose
+    /// fixed slot grid assumes a serialized controller.
     pub pipeline: bool,
 }
 
