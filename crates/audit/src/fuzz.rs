@@ -610,7 +610,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
     // address (dispatch profile preserved exactly) and comparing the
     // (completion-window × shard) distributions of the two runs.
     {
-        let sys = SystemConfig::small_test();
+        // Pipelined, as `repro serve --shards M` runs its shards.
+        let sys = SystemConfig::small_test().with_pipeline();
         let shards = 4usize;
         let ws = 256u64;
         let shard_seed = opts.seed ^ 0x51AB_D0CE;
