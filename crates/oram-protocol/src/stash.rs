@@ -339,7 +339,18 @@ impl Stash {
     ///
     /// Returns `false` if `addr` is not resident.
     pub fn write(&mut self, addr: BlockAddr, data: u64, version: Version) -> bool {
-        self.promote_live(addr, |b| Block::real(addr, b.label, data, version))
+        let Some(slot) = self.index.get(addr.raw()) else {
+            return false;
+        };
+        let Some(entry) = self.slots[slot as usize].as_mut() else {
+            return false;
+        };
+        entry.block = Block::real(addr, entry.block.label, data, version);
+        let was = std::mem::replace(&mut entry.replaceable, false);
+        self.note_replaceable_change(was, false);
+        self.sync_replaceable_bits(slot as usize);
+        self.touch_high_water();
+        true
     }
 
     /// Forces the resident entry for `addr` live (non-replaceable). Used by
@@ -359,29 +370,6 @@ impl Stash {
             self.sync_replaceable_bits(slot as usize);
             self.touch_high_water();
         }
-        true
-    }
-
-    /// Re-labels a resident entry under the version its remap drew and
-    /// promotes it to a live real block. Returns `false` if absent.
-    pub fn relabel(&mut self, addr: BlockAddr, label: LeafLabel, version: Version) -> bool {
-        self.promote_live(addr, |b| Block::real(addr, label, b.data, version))
-    }
-
-    /// Replaces the resident entry for `addr` with the live real block
-    /// `f(resident block)`. Returns `false` if `addr` is not resident.
-    fn promote_live(&mut self, addr: BlockAddr, f: impl FnOnce(Block) -> Block) -> bool {
-        let Some(slot) = self.index.get(addr.raw()) else {
-            return false;
-        };
-        let Some(entry) = self.slots[slot as usize].as_mut() else {
-            return false;
-        };
-        entry.block = f(entry.block);
-        let was = std::mem::replace(&mut entry.replaceable, false);
-        self.note_replaceable_change(was, false);
-        self.sync_replaceable_bits(slot as usize);
-        self.touch_high_water();
         true
     }
 

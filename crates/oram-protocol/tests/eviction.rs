@@ -299,11 +299,7 @@ fn victim_sets_agree_with_the_slot_scan() {
                     stash.write(addr, step, 5);
                 }
                 8 => {
-                    if rng.gen_bool(0.5) {
-                        stash.relabel(addr, LeafLabel::new(rng.below(64)), 5);
-                    } else {
-                        stash.ensure_live(addr);
-                    }
+                    stash.ensure_live(addr);
                 }
                 _ => {
                     stash.remove(addr);
