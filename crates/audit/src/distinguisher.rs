@@ -28,9 +28,7 @@
 //! returns the smallest address shift that preserves both; arbitrary
 //! renamings get the distributional guarantee instead.
 
-use oram_protocol::{
-    BlockAddr, DupPolicy, OramConfig, OramController, Op, Request,
-};
+use oram_protocol::{BlockAddr, DupPolicy, Op, OramConfig, OramController, Request};
 use oram_sim::{Engine, SystemConfig};
 use oram_util::BusEvent;
 
@@ -277,8 +275,7 @@ pub fn relabeled_traces_identical(
     if a != b {
         return Err(format!("relabeled trace diverges: {}", first_diff(&a, &b)));
     }
-    check_trace(&TraceSpec::from_oram(&cfg), &a)
-        .map_err(|e| format!("trace invalid: {e}"))?;
+    check_trace(&TraceSpec::from_oram(&cfg), &a).map_err(|e| format!("trace invalid: {e}"))?;
     Ok(())
 }
 
@@ -306,10 +303,7 @@ pub fn distribution_distinguisher(
     // Keep the expected count per bin ≥ ~8 so the chi-square
     // approximation holds on short fuzz runs.
     let bins = (samples / 8).next_power_of_two().clamp(4, 64);
-    Ok(chi_square_two_sample(
-        &bin_counts(&la, domain, bins),
-        &bin_counts(&lb, domain, bins),
-    ))
+    Ok(chi_square_two_sample(&bin_counts(&la, domain, bins), &bin_counts(&lb, domain, bins)))
 }
 
 /// End-to-end relabeling identity under timing protection: two engines

@@ -19,8 +19,8 @@ use oram_util::{BusEvent, LiveObserver, Rng64};
 
 use crate::distinguisher::{
     cross_policy_traces_identical, distribution_distinguisher, fresh_stream, record_trace,
-    relabel_offset, relabeled_traces_identical, reuse_stream,
-    timing_protected_relabeled_identical, PolicyUnderTest,
+    relabel_offset, relabeled_traces_identical, reuse_stream, timing_protected_relabeled_identical,
+    PolicyUnderTest,
 };
 use crate::invariants::{check_trace, TraceSpec, TraceSummary};
 use crate::posmap::{check_posmap_trace, recursive_flat_data_identity, strip_posmap_events};
@@ -164,10 +164,7 @@ fn window_of(events: &[BusEvent]) -> String {
 /// # Errors
 ///
 /// Returns the structural violation or the failed statistical test.
-pub fn check_service_trace(
-    cfg: &OramConfig,
-    events: &[BusEvent],
-) -> Result<TraceSummary, String> {
+pub fn check_service_trace(cfg: &OramConfig, events: &[BusEvent]) -> Result<TraceSummary, String> {
     let summary = check_trace(&TraceSpec::from_oram(cfg), events)?;
     uniform_when_sampled(&LeafCounts::from_leaves(&summary.leaves, cfg.levels))?;
     Ok(summary)
@@ -188,12 +185,7 @@ pub(crate) fn uniform_when_sampled(counts: &LeafCounts) -> Result<(), String> {
 /// access up to L = 10 (every randomized case) and after the last above
 /// that. A failure names the access after which they broke, and the trace
 /// stops there.
-fn audit_one(
-    report: &mut AuditReport,
-    case: String,
-    cfg: OramConfig,
-    reqs: &[Request],
-) {
+fn audit_one(report: &mut AuditReport, case: String, cfg: OramConfig, reqs: &[Request]) {
     let mut ctl = match OramController::new(cfg) {
         Ok(ctl) => ctl,
         Err(e) => {
@@ -246,10 +238,10 @@ fn workload(kind: u32, n: u64, working_set: u64, rng: &mut Rng64) -> Vec<Request
     (0..n)
         .map(|i| {
             let addr = match kind % 3 {
-                0 => rng.below(ws),                                     // uniform
-                1 if rng.below(10) < 9 => rng.below((ws / 8).max(1)),   // hot set
-                1 => rng.below(ws),                                     // cold tail
-                _ => i % ws,                                            // sequential
+                0 => rng.below(ws),                                   // uniform
+                1 if rng.below(10) < 9 => rng.below((ws / 8).max(1)), // hot set
+                1 => rng.below(ws),                                   // cold tail
+                _ => i % ws,                                          // sequential
             };
             let addr = BlockAddr::new(addr + 1);
             if i % 5 == 4 {
@@ -617,11 +609,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         let shard_seed = opts.seed ^ 0x51AB_D0CE;
         let mut wrng = Rng64::seed_from_u64(shard_seed);
         let reqs_a: Vec<ShardRequest> = (0..opts.accesses)
-            .map(|i| ShardRequest {
-                addr: wrng.below(ws),
-                write: i % 5 == 4,
-                arrival: i * 60,
-            })
+            .map(|i| ShardRequest { addr: wrng.below(ws), write: i % 5 == 4, arrival: i * 60 })
             .collect();
         // Same multiset of `addr mod M` (so identical dispatch), every
         // shard-local address permuted.
@@ -629,8 +617,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         let reqs_b: Vec<ShardRequest> = reqs_a
             .iter()
             .map(|r| {
-                let permuted = (r.addr / shards as u64).wrapping_mul(13).wrapping_add(7)
-                    % local_span;
+                let permuted =
+                    (r.addr / shards as u64).wrapping_mul(13).wrapping_add(7) % local_span;
                 ShardRequest { addr: permuted * shards as u64 + r.addr % shards as u64, ..*r }
             })
             .collect();
@@ -744,8 +732,11 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
             .and_then(|b| Engine::with_backend(sys.clone(), b))
             .map(|e| backend_trace(e, ws, &misses))
             .map_err(|e| format!("wan engine rejected config: {e}"));
-        let disk_dir = std::env::temp_dir()
-            .join(format!("oram_audit_disk_{}_{:x}", std::process::id(), opts.seed));
+        let disk_dir = std::env::temp_dir().join(format!(
+            "oram_audit_disk_{}_{:x}",
+            std::process::id(),
+            opts.seed
+        ));
         let _ = std::fs::remove_dir_all(&disk_dir);
         let bucket_count = (1u64 << (sys.oram.levels + 1)) - 1;
         let disk = DiskBackend::new(DiskConfig::new(disk_dir.clone(), sys.oram.z, bucket_count))
@@ -756,9 +747,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
 
         match (dram, disk, wan) {
             (Ok(dram), Ok(disk), Ok(wan)) => {
-                for (name, (events, oram)) in
-                    [("dram", &dram), ("disk", &disk), ("wan", &wan)]
-                {
+                for (name, (events, oram)) in [("dram", &dram), ("disk", &disk), ("wan", &wan)] {
                     let case = format!("backend/{name} trace (seed {backend_seed:#x})");
                     match check_service_trace(oram, events) {
                         Ok(s) if s.accesses > 0 => report.ok(format!(
@@ -819,10 +808,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         for policy in PolicyUnderTest::ALL {
             let cfg = policy.system_config(SystemConfig::small_test());
             let offset = relabel_offset(&cfg.oram);
-            let case = format!(
-                "obsv/relabeled metric stream/{} (seed {obsv_seed:#x})",
-                policy.name()
-            );
+            let case =
+                format!("obsv/relabeled metric stream/{} (seed {obsv_seed:#x})", policy.name());
 
             // Replays the miss stream shifted by `shift` with the plane
             // fed from both sides — engine telemetry sink and the
@@ -836,8 +823,8 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
                     cfg.oram.stash_capacity as u32,
                 ));
                 plane.lock().expect("plane lock").attach_flight(FlightConfig::default());
-                let mut engine = Engine::new(cfg.clone())
-                    .map_err(|e| format!("engine rejected config: {e}"))?;
+                let mut engine =
+                    Engine::new(cfg.clone()).map_err(|e| format!("engine rejected config: {e}"))?;
                 engine.attach_telemetry(LivePlane::as_sink(&plane), 2_000);
                 let mut now = 0u64;
                 for m in &misses {

@@ -155,7 +155,9 @@ impl BucketLayout {
                 None
             }
             Entry::Occupied(entry) => match entry.get() {
-                &Mapping::Consecutive(known) => (base != Some(known)).then(|| run_from(known, addrs.len())),
+                &Mapping::Consecutive(known) => {
+                    (base != Some(known)).then(|| run_from(known, addrs.len()))
+                }
                 Mapping::Scattered(known) => (known != addrs).then(|| known.clone()),
             },
         }
@@ -482,9 +484,7 @@ impl TraceFold {
                         self.ro_since_evict = 0;
                         self.summary.evictions += 1;
                     }
-                    n => {
-                        return err(ix, format!("access ended with {n} phases, expected 1 or 3"))
-                    }
+                    n => return err(ix, format!("access ended with {n} phases, expected 1 or 3")),
                 }
                 self.in_access = false;
                 self.summary.accesses += 1;
@@ -650,10 +650,8 @@ mod tests {
             assert!(check_trace(&spec, &broken).is_err(), "dropped event {victim}");
         }
         // Reordering two bucket events breaks layout order.
-        let first_bucket = events
-            .iter()
-            .position(|e| matches!(e, BusEvent::Bucket { .. }))
-            .unwrap();
+        let first_bucket =
+            events.iter().position(|e| matches!(e, BusEvent::Bucket { .. })).unwrap();
         let mut swapped = events.clone();
         swapped.swap(first_bucket, first_bucket + 1);
         assert!(check_trace(&spec, &swapped).is_err());
@@ -692,11 +690,9 @@ mod tests {
         assert!(s.dram_blocks > 0);
         // The root bucket is on every path: move one block of its last
         // visit and the checker must quote both mappings.
-        let last = events
-            .iter()
-            .rposition(|e| matches!(e, BusEvent::DramBlock { .. }))
-            .unwrap();
-        let root_block = last + 1 - (spec.levels as usize + 1 - spec.treetop_levels as usize) * spec.z;
+        let last = events.iter().rposition(|e| matches!(e, BusEvent::DramBlock { .. })).unwrap();
+        let root_block =
+            last + 1 - (spec.levels as usize + 1 - spec.treetop_levels as usize) * spec.z;
         let mut moved = events.clone();
         let BusEvent::DramBlock { addr, write } = moved[root_block] else { panic!("not a block") };
         moved[root_block] = BusEvent::DramBlock { addr: addr + 1_000_000, write };
@@ -765,7 +761,11 @@ mod tests {
                 // From `u64::MAX` the run wraps: a scattered mapping.
                 let run = run_from(base, 3);
                 let mut layout = BucketLayout::new(&WIDE);
-                assert_eq!(layout.disagrees(bucket, &run), None, "first sight of {bucket} at {base}");
+                assert_eq!(
+                    layout.disagrees(bucket, &run),
+                    None,
+                    "first sight of {bucket} at {base}"
+                );
                 assert_eq!(layout.disagrees(bucket, &run), None);
                 let fast = bucket < 1 << 21 && base <= (1 << 32) - 3;
                 assert_eq!(layout.is_consecutive_from(bucket, base), fast, "{bucket} at {base}");
@@ -782,8 +782,16 @@ mod tests {
     #[test]
     fn layout_table_answers_as_a_plain_map_does() {
         let ids = [1u64, 2, 77, (1 << 21) - 1, 1 << 21, (1 << 21) + 5, 1 << 40, u64::MAX];
-        let bases =
-            [0, 1, (1 << 32) - 4, (1 << 32) - 3, (1 << 32) - 2, 1 << 32, u64::MAX - 3, u64::MAX - 2];
+        let bases = [
+            0,
+            1,
+            (1 << 32) - 4,
+            (1 << 32) - 3,
+            (1 << 32) - 2,
+            1 << 32,
+            u64::MAX - 3,
+            u64::MAX - 2,
+        ];
         let mut rng = oram_util::Rng64::seed_from_u64(0x1A70);
         let mut layout = BucketLayout::new(&WIDE);
         let mut oracle: HashMap<u64, Vec<u64>> = HashMap::new();

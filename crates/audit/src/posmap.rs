@@ -50,11 +50,7 @@ pub struct PosmapSummary {
 /// event except `PosmapBucket`. In `--posmap recursive` mode this is
 /// what the data-path checkers (and the flat-identity diffs) consume.
 pub fn strip_posmap_events(events: &[BusEvent]) -> Vec<BusEvent> {
-    events
-        .iter()
-        .filter(|e| !matches!(e, BusEvent::PosmapBucket { .. }))
-        .copied()
-        .collect()
+    events.iter().filter(|e| !matches!(e, BusEvent::PosmapBucket { .. })).copied().collect()
 }
 
 /// One root→leaf chain. `buckets` is empty only while the chain does not
@@ -251,8 +247,7 @@ pub fn recursive_flat_data_identity(cfg: OramConfig, reqs: &[Request]) -> Result
     let (rec_events, _) = record_trace(cfg, reqs)?;
     let flat_cfg = cfg.with_posmap(PosMapSelect::Flat);
     let (flat_events, _) = record_trace(flat_cfg, reqs)?;
-    let posmap_events =
-        rec_events.len() as u64 - strip_posmap_events(&rec_events).len() as u64;
+    let posmap_events = rec_events.len() as u64 - strip_posmap_events(&rec_events).len() as u64;
     if posmap_events == 0 {
         return Err("recursive run produced no posmap traffic: identity is vacuous".into());
     }
@@ -329,16 +324,9 @@ mod tests {
         let broken = [ev(1, 1, false), ev(2, 1, false), ev(6, 1, false)];
         assert!(check_posmap_trace(&broken).unwrap_err().contains("not a child"));
         // Chain starting off-root.
-        assert!(check_posmap_trace(&[ev(2, 1, false)])
-            .unwrap_err()
-            .contains("outside any chain"));
+        assert!(check_posmap_trace(&[ev(2, 1, false)]).unwrap_err().contains("outside any chain"));
         // Write chain that rewrites a different path than it read.
-        let skewed = [
-            ev(1, 1, false),
-            ev(3, 1, false),
-            ev(1, 1, true),
-            ev(2, 1, true),
-        ];
+        let skewed = [ev(1, 1, false), ev(3, 1, false), ev(1, 1, true), ev(2, 1, true)];
         assert!(check_posmap_trace(&skewed).unwrap_err().contains("does not rewrite"));
         // Depth change within a level.
         let ragged = [ev(1, 1, false), ev(2, 1, false), ev(1, 1, false)];

@@ -56,7 +56,11 @@ pub fn chi_square_uniform(counts: &[u64]) -> GofTest {
             d * d / expected
         })
         .sum();
-    GofTest::conclude("chi-square uniform", statistic, chi_square_critical(counts.len() as f64 - 1.0))
+    GofTest::conclude(
+        "chi-square uniform",
+        statistic,
+        chi_square_critical(counts.len() as f64 - 1.0),
+    )
 }
 
 /// Two-sample chi-square homogeneity test: were `a` and `b` drawn from
@@ -304,7 +308,8 @@ mod tests {
         assert!(same.pass, "{same:?}");
 
         let skew: Vec<u64> = (0..6000).map(|_| rng.below(domain) / 2).collect();
-        let diff = chi_square_two_sample(&bin_counts(&a, domain, 32), &bin_counts(&skew, domain, 32));
+        let diff =
+            chi_square_two_sample(&bin_counts(&a, domain, 32), &bin_counts(&skew, domain, 32));
         assert!(!diff.pass, "{diff:?}");
     }
 
@@ -363,7 +368,11 @@ mod tests {
                 assert_eq!(counts.total(), n);
                 let ctx = format!("L={levels} case {case} n={n}");
                 if n == 0 {
-                    assert_eq!(leaf_uniformity(&counts), sample_uniformity(&sample, levels), "{ctx}");
+                    assert_eq!(
+                        leaf_uniformity(&counts),
+                        sample_uniformity(&sample, levels),
+                        "{ctx}"
+                    );
                     continue;
                 }
                 let mut bins = 4;
@@ -389,7 +398,10 @@ mod tests {
                 verdicts[usize::from(verdict.is_ok())] += 1;
             }
         }
-        assert!(verdicts.iter().all(|&v| v > 10), "passes and failures both exercised: {verdicts:?}");
+        assert!(
+            verdicts.iter().all(|&v| v > 10),
+            "passes and failures both exercised: {verdicts:?}"
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@ use oram_audit::{
     PosmapSummary, Recorder, TraceFold, TraceSpec, TraceSummary,
 };
 use oram_cpu::{MissRecord, ReplayMisses};
-use oram_protocol::{BlockAddr, BusEvent, BusObserver, BusPhase, OramConfig, PosMapSelect, Request};
+use oram_protocol::{
+    BlockAddr, BusEvent, BusObserver, BusPhase, OramConfig, PosMapSelect, Request,
+};
 use oram_sim::{Engine, SystemConfig};
 use oram_util::Rng64;
 
@@ -67,8 +69,7 @@ fn cases() -> Vec<(&'static str, OramConfig, Vec<BusEvent>)> {
 type Verdict = Result<(TraceSummary, PosmapSummary), String>;
 
 fn post_hoc(cfg: &OramConfig, events: &[BusEvent]) -> Verdict {
-    let data =
-        check_service_trace(cfg, events).map_err(|e| format!("service trace audit: {e}"))?;
+    let data = check_service_trace(cfg, events).map_err(|e| format!("service trace audit: {e}"))?;
     let posmap = check_posmap_trace(events).map_err(|e| format!("posmap trace audit: {e}"))?;
     Ok((data, posmap))
 }
@@ -180,8 +181,7 @@ fn corrupted_traces_fail_with_the_same_words_however_they_are_cut() {
         });
         let phase_start = position(&events, 30, |e| matches!(e, BusEvent::PhaseStart(_)));
         corrupt("truncated inside an access", &|t| t.truncate(phase_start + 3));
-        let write_end =
-            position(&events, 5, |e| *e == BusEvent::PhaseEnd(BusPhase::EvictionWrite));
+        let write_end = position(&events, 5, |e| *e == BusEvent::PhaseEnd(BusPhase::EvictionWrite));
         corrupt("eviction write leaves its read path", &|t| {
             let BusEvent::Bucket { bucket: leaf, write } = t[write_end - 1] else { unreachable!() };
             t[write_end - 1] = BusEvent::Bucket { bucket: leaf ^ 1, write };
@@ -213,7 +213,9 @@ fn corrupted_traces_fail_with_the_same_words_however_they_are_cut() {
             let is_root = |e: &BusEvent| matches!(e, BusEvent::PosmapBucket { bucket: 1, .. });
             let second_root = position(&events, 1, is_root);
             let depth = (second_root..)
-                .take_while(|&i| is_posmap(&events[i]) && (i == second_root || !is_root(&events[i])))
+                .take_while(|&i| {
+                    is_posmap(&events[i]) && (i == second_root || !is_root(&events[i]))
+                })
                 .count();
             let chain_end = second_root + depth - 1;
             corrupt("posmap chain cut short", &|t| {

@@ -27,8 +27,8 @@
 //! [`LaneAudit`] observer folding the same grammars over a running
 //! engine's bus events — the path `repro serve` audits itself through.
 
-use oram_audit::{check_service_trace, check_trace, LaneAudit, LeafCounts, Recorder, TraceSpec};
 use oram_audit::stats::{bin_counts, chi_square_uniform, ks_uniform, ks_uniform_counts};
+use oram_audit::{check_service_trace, check_trace, LaneAudit, LeafCounts, Recorder, TraceSpec};
 use oram_protocol::{BlockAddr, BusObserver, Mutant, OramConfig, OramController, Request};
 use oram_sim::{Engine, ShardMutant, ShardRequest, ShardedOram, SystemConfig};
 use oram_util::Rng64;
@@ -73,9 +73,7 @@ fn biased_remap_is_caught_by_the_statistical_layer() {
     let domain = 1u64 << cfg.levels;
 
     // Positive control: honest leaves look uniform.
-    let honest = check_trace(&spec, &traced_run(cfg, Mutant::None, 3000))
-        .unwrap()
-        .leaves;
+    let honest = check_trace(&spec, &traced_run(cfg, Mutant::None, 3000)).unwrap().leaves;
     assert!(honest.len() > 500, "want a real sample, got {}", honest.len());
     assert!(chi_square_uniform(&bin_counts(&honest, domain, 32)).pass);
     assert!(ks_uniform(&honest, domain).pass);
@@ -209,11 +207,7 @@ fn sharded_dispatch(mutant: ShardMutant, requests: u64) -> Vec<u64> {
     backend.set_mutant(mutant);
     backend.prefill_working_set(256);
     let reqs: Vec<ShardRequest> = (0..requests)
-        .map(|i| ShardRequest {
-            addr: (i * 131) % 256,
-            write: i % 5 == 4,
-            arrival: i * 60,
-        })
+        .map(|i| ShardRequest { addr: (i * 131) % 256, write: i % 5 == 4, arrival: i * 60 })
         .collect();
     let mut outs = Vec::new();
     for chunk in reqs.chunks(32) {

@@ -12,8 +12,8 @@ use std::hint::black_box;
 use oram_bench::{bench, CountingAlloc};
 use oram_cpu::ReplayMisses;
 use oram_sim::{
-    build_miss_stream, scale_profile, Engine, RunOptions, StorageBackend, SystemConfig,
-    WanBackend, WanConfig,
+    build_miss_stream, scale_profile, Engine, RunOptions, StorageBackend, SystemConfig, WanBackend,
+    WanConfig,
 };
 use oram_workloads::spec;
 
@@ -52,8 +52,7 @@ fn replay_throughput() {
     println!("{r}");
 
     let wan = WanBackend::new(WanConfig::default_wan()).expect("wan backend");
-    let (mut wan, records) =
-        warmed(Engine::with_backend(system(), wan).expect("engine"), 2000);
+    let (mut wan, records) = warmed(Engine::with_backend(system(), wan).expect("engine"), 2000);
     let r = bench("backend/wan_default", 10, 3, || {
         black_box(wan.run(&mut ReplayMisses::new(records.clone())))
     });

@@ -92,7 +92,8 @@ impl<F: Fn(u64) -> u64> Paths<F> {
             let bucket = leaf_bucket >> (self.levels - level);
             self.frame.push(BusEvent::Bucket { bucket, write: is_write });
             let base = (self.base_of)(bucket);
-            self.reqs.extend((0..Z as u64).map(|slot| BlockRequest { addr: base + slot, is_write }));
+            self.reqs
+                .extend((0..Z as u64).map(|slot| BlockRequest { addr: base + slot, is_write }));
         }
         self.frame.push(BusEvent::PhaseEnd(kind));
         if kind == BusPhase::EvictionWrite {

@@ -36,10 +36,7 @@ const POLICIES: [(&str, DupPolicy); 4] = [
 fn geometries() -> [(&'static str, OramConfig, u64); 2] {
     let mut fig17 = OramConfig::paper_table1().with_levels(14);
     fig17.stash_capacity = 200;
-    [
-        ("small_L10", OramConfig::small_test().with_levels(10), 400),
-        ("fig17_L14", fig17, 40_000),
-    ]
+    [("small_L10", OramConfig::small_test().with_levels(10), 400), ("fig17_L14", fig17, 40_000)]
 }
 
 /// A prefilled controller and the address stream driven over it: a
@@ -212,7 +209,11 @@ fn serve_shape_access() -> bool {
         let mut next = move || {
             step += 1;
             let addr = BlockAddr::new(zipf.sample());
-            if rng.gen_bool(0.3) { Request::write(addr, step) } else { Request::read(addr) }
+            if rng.gen_bool(0.3) {
+                Request::write(addr, step)
+            } else {
+                Request::read(addr)
+            }
         };
         let r = bench(&format!("controller/{name}"), 20, 2000, || black_box(ctl.access(next())));
         println!("{r}");
@@ -264,7 +265,9 @@ fn main() {
     eviction_path();
     let built_flat = construct();
     if !built_flat {
-        eprintln!("building a controller or an engine allocated per bucket — tree arena regression");
+        eprintln!(
+            "building a controller or an engine allocated per bucket — tree arena regression"
+        );
     }
     steady &= steady_state_allocation_check();
     steady &= recursive_plb_hit_allocation_check();

@@ -63,10 +63,7 @@ fn steady_state_allocation_check<T: ServeTarget>(label: &str, warmed: impl Fn() 
         let (res, _) = sim.finish();
         assert_eq!(res.completed() + res.rejected(), 10_000, "{}", policy.name());
         let verdict = if delta == 0 { "OK" } else { "FAIL" };
-        println!(
-            "{label}/{:<12} {delta:>6} allocs in 10k requests  [{verdict}]",
-            policy.name()
-        );
+        println!("{label}/{:<12} {delta:>6} allocs in 10k requests  [{verdict}]", policy.name());
         ok &= delta == 0;
     }
     ok

@@ -513,7 +513,13 @@ pub static SERVE: Command = Command {
         Rule::Conflicts {
             flag: "--wan-sweep",
             with: &[
-                "--sweep", "--shard-sweep", "--json", "--load", "--shards", "--rtt-us", "--batch",
+                "--sweep",
+                "--shard-sweep",
+                "--json",
+                "--load",
+                "--shards",
+                "--rtt-us",
+                "--batch",
             ],
             msg: "--wan-sweep is incompatible with --sweep, --shard-sweep, --json, --load, \
                   --shards, --rtt-us and --batch (the sweep sets its own RTT x batch grid)",
@@ -526,8 +532,16 @@ pub static SERVE: Command = Command {
         Rule::Conflicts {
             flag: "--posmap-sweep",
             with: &[
-                "--sweep", "--shard-sweep", "--wan-sweep", "--json", "--load", "--shards",
-                "--posmap", "--plb-entries", "--levels", "--domain",
+                "--sweep",
+                "--shard-sweep",
+                "--wan-sweep",
+                "--json",
+                "--load",
+                "--shards",
+                "--posmap",
+                "--plb-entries",
+                "--levels",
+                "--domain",
             ],
             msg: "--posmap-sweep is incompatible with --sweep, --shard-sweep, --wan-sweep, \
                   --json, --load, --shards, --posmap, --plb-entries, --levels and --domain \

@@ -195,10 +195,10 @@ pub fn table1(opts: &ExpOptions) -> Table {
     );
     t.push("tree levels L", vec![f64::from(paper.levels), f64::from(scaled.oram.levels)]);
     t.push("bucket slots Z", vec![paper.z as f64, scaled.oram.z as f64]);
-    t.push("eviction rate A", vec![
-        f64::from(paper.eviction_rate),
-        f64::from(scaled.oram.eviction_rate),
-    ]);
+    t.push(
+        "eviction rate A",
+        vec![f64::from(paper.eviction_rate), f64::from(scaled.oram.eviction_rate)],
+    );
     t.push("stash blocks M", vec![paper.stash_capacity as f64, scaled.oram.stash_capacity as f64]);
     t.push("AES latency (cyc)", vec![32.0, f64::from(scaled.aes_latency_cycles)]);
     t.push("CPU GHz", vec![2.0, scaled.cpu_freq_ghz]);
@@ -213,10 +213,8 @@ pub fn fig6a(opts: &ExpOptions) -> Table {
     let cfg = opts.base_config();
     let profile = scale_profile(&spec::profile("hmmer"), &cfg, 0.35);
     let recs = build_miss_stream(&profile, cfg.hierarchy, &opts.run_options());
-    let mut t = Table::new(
-        "Fig 6a: hmmer LLC miss intervals (cycles) vs miss index",
-        &["interval"],
-    );
+    let mut t =
+        Table::new("Fig 6a: hmmer LLC miss intervals (cycles) vs miss index", &["interval"]);
     for (i, r) in recs.iter().enumerate().take(500) {
         t.push(format!("{i}"), vec![r.gap_cycles as f64]);
     }
@@ -231,11 +229,7 @@ pub fn fig6b(opts: &ExpOptions) -> Table {
         "Fig 6b: hmmer cumulative execution time (cycles) vs misses",
         &["RD-Dup", "HD-Dup", "Dynamic"],
     );
-    let policies = [
-        DupPolicy::RdOnly,
-        DupPolicy::HdOnly,
-        DupPolicy::Dynamic { counter_bits: 3 },
-    ];
+    let policies = [DupPolicy::RdOnly, DupPolicy::HdOnly, DupPolicy::Dynamic { counter_bits: 3 }];
     let cfg0 = opts.base_config();
     let profile = scale_profile(&spec::profile("hmmer"), &cfg0, 0.35);
     let recs = build_miss_stream(&profile, cfg0.hierarchy, &opts.run_options());
@@ -255,10 +249,7 @@ pub fn fig6b(opts: &ExpOptions) -> Table {
     });
     let points = curves.iter().map(Vec::len).min().unwrap_or(0);
     for i in 0..points {
-        t.push(
-            format!("{}", (i as u64 + 1) * chunk),
-            curves.iter().map(|c| c[i]).collect(),
-        );
+        t.push(format!("{}", (i as u64 + 1) * chunk), curves.iter().map(|c| c[i]).collect());
     }
     t
 }
@@ -308,9 +299,15 @@ pub fn fig9_14(opts: &ExpOptions, timing: bool) -> Table {
     let mut t = Table::new(
         format!("{id}: normalized time vs static partitioning level"),
         &[
-            "sjeng-intv", "sjeng-data", "sjeng-tot",
-            "h264-intv", "h264-data", "h264-tot",
-            "namd-intv", "namd-data", "namd-tot",
+            "sjeng-intv",
+            "sjeng-data",
+            "sjeng-tot",
+            "h264-intv",
+            "h264-data",
+            "h264-tot",
+            "namd-intv",
+            "namd-data",
+            "namd-tot",
             "gmean-tot",
         ],
     );
@@ -328,11 +325,8 @@ pub fn fig9_14(opts: &ExpOptions, timing: bool) -> Table {
         cells.extend(wls.iter().map(|wl| Cell::new(opts, wl, policy, timing)));
     }
     let res = run_cells(opts, &cells);
-    let base: HashMap<&str, f64> = wls
-        .iter()
-        .zip(&res)
-        .map(|(wl, r)| (*wl, r.oram.total_cycles as f64))
-        .collect();
+    let base: HashMap<&str, f64> =
+        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.oram.total_cycles as f64)).collect();
     for (pi, &p) in plevels.iter().enumerate() {
         let sweep = &res[wls.len() * (pi + 1)..wls.len() * (pi + 2)];
         let mut row = Vec::new();
@@ -344,11 +338,8 @@ pub fn fig9_14(opts: &ExpOptions, timing: bool) -> Table {
             row.push(r.oram.data_cycles as f64 / b);
             row.push(r.oram.total_cycles as f64 / b);
         }
-        let totals: Vec<f64> = wls
-            .iter()
-            .zip(sweep)
-            .map(|(wl, r)| r.oram.total_cycles as f64 / base[wl])
-            .collect();
+        let totals: Vec<f64> =
+            wls.iter().zip(sweep).map(|(wl, r)| r.oram.total_cycles as f64 / base[wl]).collect();
         row.push(gmean(&totals));
         t.push(format!("P={p}"), row);
     }
@@ -370,22 +361,16 @@ pub fn fig10(opts: &ExpOptions, timing: bool) -> Table {
         cells.extend(wls.iter().map(|wl| Cell::new(opts, wl, policy, timing)));
     }
     let res = run_cells(opts, &cells);
-    let base: HashMap<&str, f64> = wls
-        .iter()
-        .zip(&res)
-        .map(|(wl, r)| (*wl, r.oram.total_cycles as f64))
-        .collect();
+    let base: HashMap<&str, f64> =
+        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.oram.total_cycles as f64)).collect();
     for (bi, &bits) in widths.iter().enumerate() {
         let sweep = &res[wls.len() * (bi + 1)..wls.len() * (bi + 2)];
         let norm = |name: &str| {
             let ix = wls.iter().position(|w| *w == name).expect("workload exists");
             sweep[ix].oram.total_cycles as f64 / base[name]
         };
-        let all: Vec<f64> = wls
-            .iter()
-            .zip(sweep)
-            .map(|(wl, r)| r.oram.total_cycles as f64 / base[wl])
-            .collect();
+        let all: Vec<f64> =
+            wls.iter().zip(sweep).map(|(wl, r)| r.oram.total_cycles as f64 / base[wl]).collect();
         t.push(
             format!("{bits}-bit"),
             vec![norm("sjeng"), norm("h264ref"), norm("namd"), gmean(&all)],
@@ -424,10 +409,7 @@ pub fn fig11_15(opts: &ExpOptions, timing: bool) -> Table {
         }
         t.push(*wl, row);
     }
-    t.push(
-        "gmean",
-        vec![gmean(&cols[0]), gmean(&cols[1]), gmean(&cols[2]), 1.0],
-    );
+    t.push("gmean", vec![gmean(&cols[0]), gmean(&cols[1]), gmean(&cols[2]), 1.0]);
     t
 }
 
@@ -478,10 +460,7 @@ pub fn fig16(opts: &ExpOptions) -> Table {
         .collect();
     let res = run_cells(opts, &cells);
     for (i, wl) in wls.iter().enumerate() {
-        t.push(
-            *wl,
-            (0..4).map(|k| res[4 * i + k].oram.oram.on_chip_hit_rate()).collect(),
-        );
+        t.push(*wl, (0..4).map(|k| res[4 * i + k].oram.oram.on_chip_hit_rate()).collect());
     }
     t
 }
@@ -510,10 +489,7 @@ pub fn fig17(opts: &ExpOptions) -> Table {
     let res = run_cells(opts, &cells);
     for (i, wl) in wls.iter().enumerate() {
         let base = res[5 * i].oram.total_cycles as f64;
-        t.push(
-            *wl,
-            (1..5).map(|k| base / res[5 * i + k].oram.total_cycles as f64).collect(),
-        );
+        t.push(*wl, (1..5).map(|k| base / res[5 * i + k].oram.total_cycles as f64).collect());
     }
     t
 }
@@ -521,10 +497,8 @@ pub fn fig17(opts: &ExpOptions) -> Table {
 /// Fig. 18: speedup of dynamic-3 over Tiny for the in-order core and the
 /// quad-core out-of-order front-end.
 pub fn fig18(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
-        "Fig 18: speedup over Tiny ORAM by CPU type",
-        &["Out-of-Order", "In-order"],
-    );
+    let mut t =
+        Table::new("Fig 18: speedup over Tiny ORAM by CPU type", &["Out-of-Order", "In-order"]);
     let wls = workload_names();
     let dyn3 = DupPolicy::Dynamic { counter_bits: 3 };
     let cells: Vec<Cell> = wls
@@ -556,12 +530,11 @@ pub fn fig18(opts: &ExpOptions) -> Table {
 /// Fig. 19: gmean speedup of dynamic-3 over Tiny for different ORAM tree
 /// sizes (scaled stand-ins for the paper's 1–16 GB sweep).
 pub fn fig19(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
-        "Fig 19: gmean speedup over Tiny vs ORAM size (tree depth)",
-        &["speedup"],
-    );
+    let mut t =
+        Table::new("Fig 19: gmean speedup over Tiny vs ORAM size (tree depth)", &["speedup"]);
     let dyn3 = DupPolicy::Dynamic { counter_bits: 3 };
-    let sizes = [("1GB~L-2", -2i32), ("2GB~L-1", -1), ("4GB~L", 0), ("8GB~L+1", 1), ("16GB~L+2", 2)];
+    let sizes =
+        [("1GB~L-2", -2i32), ("2GB~L-1", -1), ("4GB~L", 0), ("8GB~L+1", 1), ("16GB~L+2", 2)];
     let wls = workload_names();
     let mut cells = Vec::new();
     let mut depths = Vec::new();
@@ -614,8 +587,7 @@ pub fn ablation(opts: &ExpOptions) -> Table {
         wls.iter().map(|wl| Cell::new(opts, wl, DupPolicy::Off, true)).collect();
     for &(_, recirc, chain) in &variants {
         cells.extend(wls.iter().map(|wl| {
-            Cell::new(opts, wl, DupPolicy::Dynamic { counter_bits: 3 }, true)
-                .toggles(recirc, chain)
+            Cell::new(opts, wl, DupPolicy::Dynamic { counter_bits: 3 }, true).toggles(recirc, chain)
         }));
     }
     let res = run_cells(opts, &cells);

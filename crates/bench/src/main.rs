@@ -56,8 +56,8 @@ fn run_one(name: &str, opts: &ExpOptions) -> Option<Vec<Table>> {
         "all" => {
             let mut v = Vec::new();
             for n in [
-                "table1", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12",
-                "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ablation",
+                "table1", "fig6a", "fig6b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+                "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "ablation",
             ] {
                 v.extend(run_one(n, opts).expect("known name"));
             }
@@ -432,9 +432,8 @@ fn serve_main(p: &Parsed) -> ExitCode {
                             .map_or_else(|| "all".to_string(), |s| s.name().to_string()),
                         backend: opts.backend.name().to_string(),
                     };
-                    let dumped = plane
-                        .render_incident(&meta)
-                        .and_then(|b| write_incident_bundle(dir, &b));
+                    let dumped =
+                        plane.render_incident(&meta).and_then(|b| write_incident_bundle(dir, &b));
                     match dumped {
                         Ok(()) => {
                             if !quiet {

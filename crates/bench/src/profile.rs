@@ -15,8 +15,7 @@ use oram_sim::{
     build_miss_stream, replay_measured, scale_profile, Engine, RunOptions, SystemConfig,
 };
 use oram_telemetry::{
-    ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, TelemetryConfig,
-    TelemetryRecorder,
+    ChannelProfile, PolicyProfile, ProfileMeta, ProfileReport, TelemetryConfig, TelemetryRecorder,
 };
 use oram_util::MetricId;
 use oram_workloads::spec;
@@ -159,12 +158,7 @@ mod tests {
     use super::*;
 
     fn tiny_opts() -> TraceOptions {
-        TraceOptions {
-            misses: 400,
-            warmup: 100,
-            levels: 12,
-            ..TraceOptions::quick()
-        }
+        TraceOptions { misses: 400, warmup: 100, levels: 12, ..TraceOptions::quick() }
     }
 
     #[test]
@@ -181,7 +175,11 @@ mod tests {
         for p in &report.policies {
             // total = queue + row + net + bus + eviction + posmap + idle, exactly.
             assert_eq!(
-                p.attr_queue + p.attr_row + p.attr_network + p.attr_bus + p.attr_eviction
+                p.attr_queue
+                    + p.attr_row
+                    + p.attr_network
+                    + p.attr_bus
+                    + p.attr_eviction
                     + p.attr_posmap
                     + p.idle_cycles(),
                 p.total_cycles,

@@ -47,8 +47,7 @@ impl Heartbeat {
         let now = Instant::now();
         {
             let mut last = self.last.lock().expect("heartbeat poisoned");
-            let due = done == total
-                || last.is_none_or(|t| now.duration_since(t) >= MIN_INTERVAL);
+            let due = done == total || last.is_none_or(|t| now.duration_since(t) >= MIN_INTERVAL);
             if !due {
                 return;
             }

@@ -281,8 +281,7 @@ pub struct ServeArtifacts {
 
 /// Folds a validated run into its scheduler summary line.
 fn summarize(name: &str, res: &ServiceResult) -> SchedulerSummary {
-    let mut lat: Vec<u64> =
-        res.clients.iter().flat_map(|c| c.latencies.iter().copied()).collect();
+    let mut lat: Vec<u64> = res.clients.iter().flat_map(|c| c.latencies.iter().copied()).collect();
     let latency = LatencySummary::from_samples(&mut lat);
     let completed = res.completed();
     let total_cycles = res.stats.total_cycles;
@@ -387,7 +386,8 @@ fn run_policy(
                 }
             };
             run_policy_on(opts, policy, &sys, live, |i| {
-                disk_backend(root.join(format!("shard_{i}")), &sys).map_err(|e| format!("disk: {e}"))
+                disk_backend(root.join(format!("shard_{i}")), &sys)
+                    .map_err(|e| format!("disk: {e}"))
             })
         }
     }
@@ -1316,8 +1316,8 @@ mod tests {
     /// A fresh directory for a disk-backed test run, removed on drop
     /// (named per caller: tests in this binary run concurrently).
     fn scratch_dir(tag: &str) -> EphemeralDir {
-        let dir = std::env::temp_dir()
-            .join(format!("oram_serve_test_{}_{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("oram_serve_test_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         EphemeralDir(dir)
     }

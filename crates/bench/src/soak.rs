@@ -23,9 +23,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use oram_obsv::{
-    AlertKind, FlightConfig, IncidentMeta, LiveConfig, LivePlane, EQ1_RESIDUAL_PPM,
-};
+use oram_obsv::{AlertKind, FlightConfig, IncidentMeta, LiveConfig, LivePlane, EQ1_RESIDUAL_PPM};
 use oram_service::{AddressMix, ServiceConfig, ServiceSim};
 use oram_sim::{Engine, StorageBackend, SystemConfig};
 use oram_telemetry::json::{Layout, Value, Writer};
@@ -102,12 +100,7 @@ impl SoakOptions {
 
     /// The long-horizon default: one million requests.
     pub fn full() -> Self {
-        SoakOptions {
-            requests_total: 1_000_000,
-            levels: 14,
-            domain: 1024,
-            ..SoakOptions::quick()
-        }
+        SoakOptions { requests_total: 1_000_000, levels: 14, domain: 1024, ..SoakOptions::quick() }
     }
 
     /// Requests each client generates per phase.
@@ -516,7 +509,7 @@ pub fn run_soak(opts: &SoakOptions, hb: Option<&Heartbeat>) -> Result<SoakReport
                 levels: opts.levels,
                 clients: opts.tenants,
                 shards: 1,
-                    requests: opts.requests_total,
+                requests: opts.requests_total,
                 load: 1.0,
                 scheduler: "fcfs".into(),
                 backend: opts.backend.name().into(),
@@ -835,11 +828,8 @@ impl Report for SoakReport {
             rows.push((format!("tenant{t}.p99"), s.p99 as f64, Gate::Rise));
             rows.push((format!("tenant{t}.p99_9"), s.p99_9 as f64, Gate::Rise));
         }
-        let rejected_frac = if self.generated == 0 {
-            0.0
-        } else {
-            self.rejected as f64 / self.generated as f64
-        };
+        let rejected_frac =
+            if self.generated == 0 { 0.0 } else { self.rejected as f64 / self.generated as f64 };
         rows.push(("throughput_rpmc".into(), self.throughput_rpmc, Gate::Fall));
         rows.push(("rejected_frac".into(), rejected_frac, Gate::RiseAbs));
         for (name, verdict) in CHECK_NAMES.into_iter().zip(&self.checks) {

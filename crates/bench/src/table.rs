@@ -41,13 +41,8 @@ impl Table {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== {} ==", self.title);
-        let label_w = self
-            .rows
-            .iter()
-            .map(|(l, _)| l.len())
-            .chain(std::iter::once(9))
-            .max()
-            .unwrap_or(9);
+        let label_w =
+            self.rows.iter().map(|(l, _)| l.len()).chain(std::iter::once(9)).max().unwrap_or(9);
         let col_w: Vec<usize> = self.columns.iter().map(|c| c.len().max(9)).collect();
         let _ = write!(out, "{:label_w$}", "");
         for (c, w) in self.columns.iter().zip(&col_w) {

@@ -1,7 +1,6 @@
 //! Generic set-associative, write-back/write-allocate cache with LRU
 //! replacement — the building block for the L1/L2 hierarchy.
 
-
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAccess {
@@ -231,7 +230,7 @@ mod tests {
     #[test]
     fn writeback_reconstructs_correct_address() {
         let mut c = Cache::new(64 * 8, 2); // 4 sets
-        // Block addresses 3, 7, 11 all map to set 3.
+                                           // Block addresses 3, 7, 11 all map to set 3.
         c.access(3, true);
         c.access(7, false);
         let out = c.access(11, false);
@@ -320,7 +319,8 @@ mod tests {
                 );
             }
             for addr in 0..span {
-                let resident = oracle.sets[addr as usize % sets].iter().any(|l| l.tag == addr / sets as u64);
+                let resident =
+                    oracle.sets[addr as usize % sets].iter().any(|l| l.tag == addr / sets as u64);
                 assert_eq!(flat.contains(addr), resident, "{sets}x{ways} addr {addr}");
             }
         }

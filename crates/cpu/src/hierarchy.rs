@@ -5,7 +5,6 @@
 //! (1-cycle), 1 MB 8-way L2 (10-cycle), 64-byte lines, LRU, write-back /
 //! write-allocate. Dirty LLC victims become non-blocking write misses.
 
-
 use crate::cache::{Cache, CacheAccess, CacheStats};
 use crate::stream::{MemRef, MissRecord};
 

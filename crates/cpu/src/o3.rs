@@ -16,7 +16,6 @@
 //! The result is the higher memory intensity the paper observes, which
 //! reduces DRI and therefore RD-Dup's advantage.
 
-
 use crate::stream::{MissRecord, MissStream};
 
 /// Configuration of the O3 window model.
@@ -92,8 +91,7 @@ impl<S: MissStream> MissStream for O3Frontend<S> {
             match self.cores[c].next_miss() {
                 Some(mut m) => {
                     // Scale the gap for overlap with outstanding misses.
-                    m.gap_cycles =
-                        m.gap_cycles * u64::from(self.cfg.gap_scale_pct) / 100;
+                    m.gap_cycles = m.gap_cycles * u64::from(self.cfg.gap_scale_pct) / 100;
                     if m.blocking {
                         // Only every `window`-th demand miss blocks.
                         self.window_pos[c] = (self.window_pos[c] + 1) % self.cfg.window;
@@ -125,9 +123,7 @@ mod tests {
         let b = ReplayMisses::new(vec![miss(10, 0), miss(20, 0)]);
         let cfg = O3Config { cores: 2, window: 1, gap_scale_pct: 100 };
         let mut fe = O3Frontend::new(vec![a, b], cfg);
-        let order: Vec<u64> = std::iter::from_fn(|| fe.next_miss())
-            .map(|m| m.block_addr)
-            .collect();
+        let order: Vec<u64> = std::iter::from_fn(|| fe.next_miss()).map(|m| m.block_addr).collect();
         assert_eq!(order, vec![1, 10, 2, 20]);
     }
 
@@ -144,9 +140,8 @@ mod tests {
         let a = ReplayMisses::new((0..8).map(|i| miss(i, 0)).collect());
         let cfg = O3Config { cores: 1, window: 4, gap_scale_pct: 100 };
         let mut fe = O3Frontend::new(vec![a], cfg);
-        let blocking: Vec<bool> = std::iter::from_fn(|| fe.next_miss())
-            .map(|m| m.blocking)
-            .collect();
+        let blocking: Vec<bool> =
+            std::iter::from_fn(|| fe.next_miss()).map(|m| m.blocking).collect();
         // Positions 3 and 7 (every 4th) block; the rest overlap.
         assert_eq!(blocking, vec![false, false, false, true, false, false, false, true]);
     }

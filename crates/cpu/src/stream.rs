@@ -4,7 +4,6 @@
 //! them into [`MissRecord`]s — the only thing the ORAM subsystem ever
 //! sees. The simulator is trace-driven at this boundary.
 
-
 /// One memory reference as issued by the core (before any cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRef {

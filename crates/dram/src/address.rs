@@ -7,7 +7,6 @@
 //! row-buffer locality; [`SubtreeLayout`] converts bucket ids to physical
 //! block addresses accordingly.
 
-
 use crate::config::DramConfig;
 use oram_util::Digit;
 
@@ -221,8 +220,7 @@ mod tests {
         // to a contiguous range starting at 0.
         let layout = SubtreeLayout::new(3, 1);
         let total_buckets = (1u64 << 9) - 1;
-        let mut addrs: Vec<u64> =
-            (1..=total_buckets).map(|h| layout.block_addr(h, 0)).collect();
+        let mut addrs: Vec<u64> = (1..=total_buckets).map(|h| layout.block_addr(h, 0)).collect();
         addrs.sort_unstable();
         for (i, a) in addrs.iter().enumerate() {
             assert_eq!(*a, i as u64, "layout must be dense");
@@ -233,10 +231,7 @@ mod tests {
     fn buckets_of_one_subtree_are_contiguous() {
         let layout = SubtreeLayout::new(2, 2);
         // Band 1 subtree rooted at heap 4 contains buckets {4, 8, 9}.
-        let addrs: Vec<u64> = [4u64, 8, 9]
-            .iter()
-            .map(|&h| layout.block_addr(h, 0) / 2)
-            .collect();
+        let addrs: Vec<u64> = [4u64, 8, 9].iter().map(|&h| layout.block_addr(h, 0) / 2).collect();
         let min = *addrs.iter().min().unwrap();
         let max = *addrs.iter().max().unwrap();
         assert_eq!(max - min, 2, "subtree buckets span exactly 3 slots");

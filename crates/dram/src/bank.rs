@@ -5,7 +5,6 @@
 //! and [`Bank::issue`] commits a command. Rank-level constraints (tRRD,
 //! tFAW, bus contention) live in the channel controller.
 
-
 use crate::config::DramConfig;
 
 /// DRAM command kinds relevant to the timing model.
@@ -102,15 +101,13 @@ impl Bank {
                 debug_assert!(self.is_open(row), "read on wrong/closed row");
                 let data_end = at + (cfg.cl + cfg.burst_cycles()) as i64;
                 self.last_read_end = data_end;
-                self.precharge_ready =
-                    self.precharge_ready.max(at + cfg.trtp as i64);
+                self.precharge_ready = self.precharge_ready.max(at + cfg.trtp as i64);
             }
             Command::Write => {
                 debug_assert!(self.is_open(row), "write on wrong/closed row");
                 let data_end = at + (cfg.cwl + cfg.burst_cycles()) as i64;
                 self.last_write_end = data_end;
-                self.precharge_ready =
-                    self.precharge_ready.max(data_end + cfg.twr as i64);
+                self.precharge_ready = self.precharge_ready.max(data_end + cfg.twr as i64);
             }
         }
     }
@@ -170,10 +167,7 @@ mod tests {
         assert!(b.is_open(5));
         assert_eq!(b.earliest(Command::Read, &c), c.trcd as i64);
         b.issue(Command::Read, c.trcd as i64, 5, &c);
-        assert_eq!(
-            b.last_read_end(),
-            (c.trcd + c.cl + c.burst_cycles()) as i64
-        );
+        assert_eq!(b.last_read_end(), (c.trcd + c.cl + c.burst_cycles()) as i64);
     }
 
     #[test]
@@ -192,10 +186,7 @@ mod tests {
         let w_at = c.trcd as i64;
         b.issue(Command::Write, w_at, 1, &c);
         let data_end = w_at + (c.cwl + c.burst_cycles()) as i64;
-        assert_eq!(
-            b.earliest(Command::Precharge, &c),
-            data_end + c.twr as i64
-        );
+        assert_eq!(b.earliest(Command::Precharge, &c), data_end + c.twr as i64);
     }
 
     #[test]

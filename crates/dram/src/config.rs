@@ -4,7 +4,6 @@
 //! by DRAMSim2's defaults): a 666.7 MHz DRAM clock (tCK = 1.5 ns), 64-bit
 //! channel data bus, burst length 8, and the standard core timings.
 
-
 /// Geometry and timing of one DRAM configuration. All timings are in DRAM
 /// clock cycles unless noted.
 #[derive(Debug, Clone, Copy, PartialEq)]

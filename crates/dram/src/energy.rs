@@ -8,7 +8,6 @@
 //! property is the split between per-access dynamic energy (proportional
 //! to block transfers) and time-proportional static energy.
 
-
 /// Raw event counters a channel accumulates; converted to joules by an
 /// [`EnergyModel`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,8 +100,10 @@ mod tests {
 
     #[test]
     fn merged_adds_counters() {
-        let a = EnergyCounters { activates: 1, read_bursts: 2, busy_until: 5, ..Default::default() };
-        let b = EnergyCounters { activates: 3, write_bursts: 4, busy_until: 9, ..Default::default() };
+        let a =
+            EnergyCounters { activates: 1, read_bursts: 2, busy_until: 5, ..Default::default() };
+        let b =
+            EnergyCounters { activates: 3, write_bursts: 4, busy_until: 9, ..Default::default() };
         let m = a.merged(b);
         assert_eq!(m.activates, 4);
         assert_eq!(m.read_bursts, 2);

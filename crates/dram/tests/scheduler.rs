@@ -572,8 +572,7 @@ fn run_shaped_batches_match_the_linear_scan_model() {
 /// Block address of `(channel, rank, bank, row, column)` under
 /// `interleave`: the inverse of the decode.
 fn encode_with(cfg: &DramConfig, interleave: Interleave, loc: Location) -> u64 {
-    let (ranks, banks, bursts) =
-        (cfg.ranks as u64, cfg.banks as u64, cfg.bursts_per_row() as u64);
+    let (ranks, banks, bursts) = (cfg.ranks as u64, cfg.banks as u64, cfg.bursts_per_row() as u64);
     let (rank, bank, column) = (loc.rank as u64, loc.bank as u64, loc.column as u64);
     let row = loc.row;
     let a = match interleave {
@@ -749,10 +748,7 @@ fn run_edges_match_the_linear_scan_model() {
         (got, new.runs() - runs)
     }
     let both = |cfg| {
-        (
-            DramSystem::new(cfg).unwrap(),
-            reference::System::new(cfg, Interleave::RowRankBankColChan),
-        )
+        (DramSystem::new(cfg).unwrap(), reference::System::new(cfg, Interleave::RowRankBankColChan))
     };
     let cfg = one_channel(0);
     let at = |bank, row, column| encode(&cfg, Location { channel: 0, rank: 0, bank, row, column });

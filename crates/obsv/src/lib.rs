@@ -44,9 +44,8 @@ pub use flight::{
     ServiceEvent, ServiceEventKind, BUNDLE_FILES, RING_NAMES, TRIGGER_FORCED,
 };
 pub use plane::{
-    BundleMeta, BurnState, LiveConfig, LivePlane, WindowAgg, EQ1_RESIDUAL_PPM,
-    FAST_BURN_THRESHOLD, KNEE_REJECT_PPM, PHASES, PHASE_NAMES, RING_WINDOWS, SLOW_BURN_THRESHOLD,
-    SLOW_BURN_WINDOWS,
+    BundleMeta, BurnState, LiveConfig, LivePlane, WindowAgg, EQ1_RESIDUAL_PPM, FAST_BURN_THRESHOLD,
+    KNEE_REJECT_PPM, PHASES, PHASE_NAMES, RING_WINDOWS, SLOW_BURN_THRESHOLD, SLOW_BURN_WINDOWS,
 };
 pub use prom::{render_healthz, render_prometheus, render_slo_json, render_top};
 pub use server::{http_get, MetricsServer};

@@ -89,7 +89,12 @@ impl LiveConfig {
     /// A plane shaped for a serve run: `tenants` clients, `shards`
     /// shards, the default objectives scaled to the workload's base
     /// inter-arrival gap, and the standard 50k-cycle window.
-    pub fn for_serve(tenants: usize, shards: usize, base_gap_cycles: u64, stash_bound: u32) -> Self {
+    pub fn for_serve(
+        tenants: usize,
+        shards: usize,
+        base_gap_cycles: u64,
+        stash_bound: u32,
+    ) -> Self {
         LiveConfig {
             window_cycles: 50_000,
             tenants: tenants.max(1),
@@ -659,7 +664,14 @@ impl LivePlane {
         let k = kind.index();
         if breach && !self.alert_active[k] {
             self.alert_counts[k] += 1;
-            self.push_event(SloEvent { window_index, cycle, kind, slo: u32::MAX, value, threshold });
+            self.push_event(SloEvent {
+                window_index,
+                cycle,
+                kind,
+                slo: u32::MAX,
+                value,
+                threshold,
+            });
         }
         self.alert_active[k] = breach;
     }
@@ -959,7 +971,14 @@ mod tests {
         let mut p = plane(SloSpec::default_set(1_000));
         for i in 0..10_000u64 {
             let now = i * 37;
-            p.request_complete(now, (i % 3) as u32, (i % 2) as u32, ServeClass::DramReal, 500 + i % 3_000, i % 5 == 0);
+            p.request_complete(
+                now,
+                (i % 3) as u32,
+                (i % 2) as u32,
+                ServeClass::DramReal,
+                500 + i % 3_000,
+                i % 5 == 0,
+            );
             if i % 11 == 0 {
                 p.request_rejected(now, (i % 3) as u32);
             }

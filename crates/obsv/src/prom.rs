@@ -33,10 +33,7 @@ fn class_name(k: usize) -> &'static str {
 fn summary(out: &mut String, name: &str, labels: &str, s: &QuantileSketch) {
     let sep = if labels.is_empty() { "" } else { "," };
     for (q, qs) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-        out.push_str(&format!(
-            "{name}{{{labels}{sep}quantile=\"{qs}\"}} {}\n",
-            s.quantile(q)
-        ));
+        out.push_str(&format!("{name}{{{labels}{sep}quantile=\"{qs}\"}} {}\n", s.quantile(q)));
     }
     out.push_str(&format!("{name}_sum{{{labels}}} {}\n", s.sum()));
     out.push_str(&format!("{name}_count{{{labels}}} {}\n", s.count()));
@@ -51,11 +48,26 @@ pub fn render_prometheus(p: &LivePlane) -> String {
     let mut out = String::with_capacity(8 * 1024);
     let t = p.total();
 
-    head(&mut out, "oram_requests_completed_total", "counter", "Requests completed by the service layer.");
+    head(
+        &mut out,
+        "oram_requests_completed_total",
+        "counter",
+        "Requests completed by the service layer.",
+    );
     out.push_str(&format!("oram_requests_completed_total {}\n", t.completed));
-    head(&mut out, "oram_requests_rejected_total", "counter", "Requests rejected by admission control.");
+    head(
+        &mut out,
+        "oram_requests_rejected_total",
+        "counter",
+        "Requests rejected by admission control.",
+    );
     out.push_str(&format!("oram_requests_rejected_total {}\n", t.rejected));
-    head(&mut out, "oram_requests_coalesced_total", "counter", "Completions that rode an MSHR leader.");
+    head(
+        &mut out,
+        "oram_requests_coalesced_total",
+        "counter",
+        "Completions that rode an MSHR leader.",
+    );
     out.push_str(&format!("oram_requests_coalesced_total {}\n", t.coalesced));
 
     head(
@@ -83,11 +95,17 @@ pub fn render_prometheus(p: &LivePlane) -> String {
 
     head(&mut out, "oram_tenant_requests_total", "counter", "Completions per tenant.");
     for i in 0..p.config().tenants {
-        out.push_str(&format!("oram_tenant_requests_total{{tenant=\"{i}\"}} {}\n", t.tenant_completed[i]));
+        out.push_str(&format!(
+            "oram_tenant_requests_total{{tenant=\"{i}\"}} {}\n",
+            t.tenant_completed[i]
+        ));
     }
     head(&mut out, "oram_tenant_rejected_total", "counter", "Rejections per tenant.");
     for i in 0..p.config().tenants {
-        out.push_str(&format!("oram_tenant_rejected_total{{tenant=\"{i}\"}} {}\n", t.tenant_rejected[i]));
+        out.push_str(&format!(
+            "oram_tenant_rejected_total{{tenant=\"{i}\"}} {}\n",
+            t.tenant_rejected[i]
+        ));
     }
     head(
         &mut out,
@@ -104,9 +122,17 @@ pub fn render_prometheus(p: &LivePlane) -> String {
         );
     }
 
-    head(&mut out, "oram_shard_requests_total", "counter", "Completions per shard (addr mod M routing).");
+    head(
+        &mut out,
+        "oram_shard_requests_total",
+        "counter",
+        "Completions per shard (addr mod M routing).",
+    );
     for i in 0..p.config().shards {
-        out.push_str(&format!("oram_shard_requests_total{{shard=\"{i}\"}} {}\n", t.shard_completed[i]));
+        out.push_str(&format!(
+            "oram_shard_requests_total{{shard=\"{i}\"}} {}\n",
+            t.shard_completed[i]
+        ));
     }
 
     head(&mut out, "oram_class_requests_total", "counter", "Completions per serve class.");
@@ -157,7 +183,11 @@ pub fn render_prometheus(p: &LivePlane) -> String {
         "Error-budget burn rate over the last closed window (1.0 = on budget).",
     );
     for (i, slo) in p.config().slos.iter().enumerate() {
-        out.push_str(&format!("oram_slo_burn_fast{{slo=\"{}\"}} {}\n", slo.name, f(p.burn(i).fast)));
+        out.push_str(&format!(
+            "oram_slo_burn_fast{{slo=\"{}\"}} {}\n",
+            slo.name,
+            f(p.burn(i).fast)
+        ));
     }
     head(
         &mut out,
@@ -166,7 +196,11 @@ pub fn render_prometheus(p: &LivePlane) -> String {
         "Error-budget burn rate over the last 12 closed windows.",
     );
     for (i, slo) in p.config().slos.iter().enumerate() {
-        out.push_str(&format!("oram_slo_burn_slow{{slo=\"{}\"}} {}\n", slo.name, f(p.burn(i).slow)));
+        out.push_str(&format!(
+            "oram_slo_burn_slow{{slo=\"{}\"}} {}\n",
+            slo.name,
+            f(p.burn(i).slow)
+        ));
     }
 
     head(&mut out, "oram_alerts_total", "counter", "Alert raise edges by kind.");
@@ -187,7 +221,12 @@ pub fn render_prometheus(p: &LivePlane) -> String {
     out.push_str(&format!("oram_windows_closed_total {}\n", p.closed_windows()));
     head(&mut out, "oram_engine_windows_total", "counter", "Engine time-series windows observed.");
     out.push_str(&format!("oram_engine_windows_total {}\n", p.engine_windows()));
-    head(&mut out, "oram_events_dropped_total", "counter", "Structured events dropped after the buffer filled.");
+    head(
+        &mut out,
+        "oram_events_dropped_total",
+        "counter",
+        "Structured events dropped after the buffer filled.",
+    );
     out.push_str(&format!("oram_events_dropped_total {}\n", p.events_dropped()));
     out
 }
@@ -336,10 +375,7 @@ mod tests {
             if let Some(rest) = line.strip_prefix("# HELP ") {
                 families += 1;
                 let name = rest.split(' ').next().unwrap();
-                assert!(
-                    text.contains(&format!("# TYPE {name} ")),
-                    "family {name} missing TYPE"
-                );
+                assert!(text.contains(&format!("# TYPE {name} ")), "family {name} missing TYPE");
             } else if !line.starts_with('#') {
                 let (metric, value) = line.rsplit_once(' ').expect("sample line");
                 assert!(metric.starts_with("oram_"), "bad metric {metric}");

@@ -99,15 +99,17 @@ pub fn parse_slo_spec(text: &str) -> Result<Vec<SloSpec>, String> {
         return Err("slo spec: \"slos\" must declare at least one objective".into());
     }
     if arr.len() > MAX_SLOS {
-        return Err(format!("slo spec: at most {MAX_SLOS} objectives supported, got {}", arr.len()));
+        return Err(format!(
+            "slo spec: at most {MAX_SLOS} objectives supported, got {}",
+            arr.len()
+        ));
     }
     let mut out: Vec<SloSpec> = Vec::with_capacity(arr.len());
     for (i, o) in arr.iter().enumerate() {
         let at = |m: &str| format!("slo spec: objective {i}: {m}");
         let name =
             o.get("name").and_then(Value::as_str).ok_or_else(|| at("missing string \"name\""))?;
-        let label_safe =
-            |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+        let label_safe = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
         if name.is_empty() || !name.bytes().all(label_safe) {
             return Err(at("\"name\" must be non-empty snake_case ([a-z0-9_])"));
         }
@@ -271,10 +273,16 @@ mod tests {
             (r#"{"objectives": []}"#, "missing top-level"),
             (r#"{"slos": []}"#, "at least one"),
             (r#"{"slos": [{"kind": "rejection", "budget": 0.1}]}"#, "missing string \"name\""),
-            (r#"{"slos": [{"name": "Bad Name", "kind": "rejection", "budget": 0.1}]}"#, "snake_case"),
+            (
+                r#"{"slos": [{"name": "Bad Name", "kind": "rejection", "budget": 0.1}]}"#,
+                "snake_case",
+            ),
             (r#"{"slos": [{"name": "a", "kind": "rejection", "budget": 0.0}]}"#, "(0, 1]"),
             (r#"{"slos": [{"name": "a", "kind": "rejection", "budget": 2.0}]}"#, "(0, 1]"),
-            (r#"{"slos": [{"name": "a", "kind": "latency_above", "budget": 0.1}]}"#, "threshold_cycles"),
+            (
+                r#"{"slos": [{"name": "a", "kind": "latency_above", "budget": 0.1}]}"#,
+                "threshold_cycles",
+            ),
             (r#"{"slos": [{"name": "a", "kind": "percentile", "budget": 0.1}]}"#, "unknown kind"),
             (r#"{"slos": [{"name": "a", "budget": 0.1}]}"#, "missing string \"kind\""),
             (

@@ -3,9 +3,7 @@
 //! and concurrent scrapes under load must always see a conserved
 //! snapshot (window deltas summing to the registry totals).
 
-use oram_obsv::{
-    http_get, render_prometheus, LiveConfig, LivePlane, MetricsServer, SloSpec,
-};
+use oram_obsv::{http_get, render_prometheus, LiveConfig, LivePlane, MetricsServer, SloSpec};
 use oram_util::{LiveObserver, MetricId, ServeClass, TelemetrySink};
 
 /// A deterministic plane exercising every exported family: two tenants,
@@ -27,7 +25,14 @@ fn golden_plane() -> LivePlane {
             2 => ServeClass::DramShadow,
             _ => ServeClass::Dummy,
         };
-        p.request_complete(i * 37, (i % 2) as u32, (i % 2) as u32, class, 1_000 + (i % 7) * 991, i % 5 == 0);
+        p.request_complete(
+            i * 37,
+            (i % 2) as u32,
+            (i % 2) as u32,
+            class,
+            1_000 + (i % 7) * 991,
+            i % 5 == 0,
+        );
         if i % 11 == 0 {
             p.request_rejected(i * 37, (i % 2) as u32);
         }
@@ -86,7 +91,14 @@ fn scrapes_under_load_observe_conserved_snapshots() {
         std::thread::spawn(move || {
             for i in 0..TOTAL {
                 let mut p = plane.lock().expect("plane lock");
-                p.request_complete(i * 17, (i % 2) as u32, 0, ServeClass::Stash, 300 + i % 500, false);
+                p.request_complete(
+                    i * 17,
+                    (i % 2) as u32,
+                    0,
+                    ServeClass::Stash,
+                    300 + i % 500,
+                    false,
+                );
             }
         })
     };
@@ -176,9 +188,7 @@ fn served_quantiles_agree_with_exact_histogram() {
     for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
         let got: f64 = body
             .lines()
-            .find_map(|l| {
-                l.strip_prefix(&format!("oram_latency_cycles{{quantile=\"{label}\"}} "))
-            })
+            .find_map(|l| l.strip_prefix(&format!("oram_latency_cycles{{quantile=\"{label}\"}} ")))
             .expect("quantile line")
             .trim()
             .parse()

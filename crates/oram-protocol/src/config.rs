@@ -1,6 +1,5 @@
 //! Configuration of the ORAM controller.
 
-
 use crate::shadow::DupPolicy;
 
 /// Which position-map organization the controller instantiates.

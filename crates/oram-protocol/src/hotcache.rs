@@ -6,7 +6,6 @@
 //! Used. HD-Dup consults it to pick the hottest duplication candidate; an
 //! address absent from the cache has priority zero.
 
-
 use crate::types::BlockAddr;
 use oram_util::Digit;
 
@@ -114,10 +113,8 @@ impl HotAddressCache {
         // LFU: evict the line with the smallest counter; a new line starts
         // at 1 so a single-touch newcomer cannot immediately displace a
         // genuinely hot line with count > 1.
-        let victim = lines
-            .iter_mut()
-            .min_by_key(|l| l.as_ref().map_or(0, |x| x.count))
-            .expect("ways > 0");
+        let victim =
+            lines.iter_mut().min_by_key(|l| l.as_ref().map_or(0, |x| x.count)).expect("ways > 0");
         if victim.as_ref().map_or(0, |x| x.count) <= 1 {
             *victim = Some(Line { tag: addr, count: 1 });
             self.stats.evictions += 1;

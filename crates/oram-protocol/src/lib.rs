@@ -64,15 +64,14 @@ pub use config::{OramConfig, PosMapSelect};
 #[cfg(feature = "mutants")]
 pub use controller::Mutant;
 pub use controller::{AccessTicket, OramController, OramStats};
-pub use oram_util::{BusEvent, BusObserver, BusPhase, SharedObserver};
 pub use hotcache::{HotAddressCache, HotCacheStats};
+pub use oram_util::{BusEvent, BusObserver, BusPhase, SharedObserver};
 pub use posmap::{
     build_posmap, FlatPosMap, PlbStats, PosEntry, PosMapBackend, PosmapPhase, RealCopySite,
 };
 pub use posmap_recursive::{PosmapChain, RecursivePosMap, ENTRIES_PER_BLOCK};
 pub use shadow::{
-    scheme_for_slot, DriCounter, DupCandidate, DupPolicy, DupQueues, DynamicPartitioner,
-    SlotScheme,
+    scheme_for_slot, DriCounter, DupCandidate, DupPolicy, DupQueues, DynamicPartitioner, SlotScheme,
 };
 pub use stash::{InsertOutcome, Stash, StashEntry, StashStats};
 pub use tree::{BucketId, EvictionOrder, OramTree, PathIter, TreeShape};

@@ -61,8 +61,7 @@ pub struct PosEntry {
 /// with one.
 const UNASSIGNED: LeafLabel = LeafLabel::new(u64::MAX);
 
-const VACANT: PosEntry =
-    PosEntry { label: UNASSIGNED, version: 0, site: RealCopySite::Unmapped };
+const VACANT: PosEntry = PosEntry { label: UNASSIGNED, version: 0, site: RealCopySite::Unmapped };
 
 /// Statistics for the PLB model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -217,9 +216,9 @@ pub fn build_posmap(cfg: &OramConfig, shape: TreeShape) -> Box<dyn PosMapBackend
     match cfg.posmap {
         PosMapSelect::Flat => flat(false),
         PosMapSelect::Sparse => flat(true),
-        PosMapSelect::Recursive { onchip_kb } => Box::new(
-            crate::posmap_recursive::RecursivePosMap::new(cfg, shape, onchip_kb),
-        ),
+        PosMapSelect::Recursive { onchip_kb } => {
+            Box::new(crate::posmap_recursive::RecursivePosMap::new(cfg, shape, onchip_kb))
+        }
     }
 }
 
@@ -316,9 +315,7 @@ impl FlatPosMap {
     #[inline]
     fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut PosEntry> {
         match &mut self.index {
-            PosIndex::Dense(v) => {
-                v.get_mut(addr.raw() as usize).filter(|e| e.label != UNASSIGNED)
-            }
+            PosIndex::Dense(v) => v.get_mut(addr.raw() as usize).filter(|e| e.label != UNASSIGNED),
             PosIndex::Hashed(m) => m.get_mut(&addr.raw()),
         }
     }

@@ -288,10 +288,7 @@ impl RecursivePosMap {
     /// Per-level chain geometry: `(tree levels, block count)` for each
     /// ORAM level, largest first (reporting/diagnostics).
     pub fn level_geometry(&self) -> Vec<(u32, u64)> {
-        self.levels
-            .iter()
-            .map(|l| (l.ctl.shape().levels(), l.count))
-            .collect()
+        self.levels.iter().map(|l| (l.ctl.shape().levels(), l.count)).collect()
     }
 
     /// Blocks covered by the terminal on-chip map.
@@ -333,10 +330,7 @@ impl PosMapBackend for RecursivePosMap {
     }
 
     fn bump_version(&mut self, addr: BlockAddr) -> Version {
-        let e = self
-            .entries
-            .get_mut(&addr.raw())
-            .expect("version bump of unknown address");
+        let e = self.entries.get_mut(&addr.raw()).expect("version bump of unknown address");
         e.version += 1;
         e.version
     }
@@ -436,8 +430,7 @@ mod tests {
 
     #[test]
     fn small_domains_degenerate_to_zero_levels() {
-        let cfg = OramConfig::small_test()
-            .with_posmap(PosMapSelect::Recursive { onchip_kb: 64 });
+        let cfg = OramConfig::small_test().with_posmap(PosMapSelect::Recursive { onchip_kb: 64 });
         let pm = RecursivePosMap::new(&cfg, TreeShape::new(7, 4), 64);
         assert_eq!(pm.chain_levels(), 0);
         let mut pm = pm;

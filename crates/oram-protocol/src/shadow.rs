@@ -11,7 +11,6 @@
 //! levels `>= P` are filled by RD-Dup, slots at levels `< P` by HD-Dup.
 //! Pure RD-Dup and pure HD-Dup are its two ends, `P = 0` and `P > L`.
 
-
 use std::collections::BinaryHeap;
 
 use crate::tree::TreeShape;
@@ -97,9 +96,13 @@ impl DupCandidate {
     /// `slot_level` on the path to `eviction_leaf`. This is the statement
     /// of the rules; [`DupQueues`] evaluates it once per candidate, as the
     /// level from which the candidate is eligible.
-    pub fn eligible_at(&self, shape: &TreeShape, eviction_leaf: LeafLabel, slot_level: u32) -> bool {
-        slot_level < self.real_level
-            && shape.common_level(eviction_leaf, self.label) >= slot_level
+    pub fn eligible_at(
+        &self,
+        shape: &TreeShape,
+        eviction_leaf: LeafLabel,
+        slot_level: u32,
+    ) -> bool {
+        slot_level < self.real_level && shape.common_level(eviction_leaf, self.label) >= slot_level
     }
 }
 

@@ -159,8 +159,7 @@ impl Stash {
     /// Live real blocks always serve; shadow entries serve too — that is
     /// precisely how HD-Dup caches hot data on chip (Sec. IV-C2).
     pub fn serving(&self, addr: BlockAddr) -> Option<&StashEntry> {
-        self.peek(addr)
-            .filter(|e| !(e.replaceable && e.block.is_real()))
+        self.peek(addr).filter(|e| !(e.replaceable && e.block.is_real()))
     }
 
     /// CAM lookup by program address, recording hit/miss statistics.
@@ -435,10 +434,7 @@ impl Stash {
     /// Iterates over resident shadow entries (duplication candidates whose
     /// real copy lives in the tree).
     pub fn shadow_entries(&self) -> impl Iterator<Item = &StashEntry> {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|e| e.block.is_shadow())
+        self.slots.iter().flatten().filter(|e| e.block.is_shadow())
     }
 
     /// Iterates over all occupied entries.
@@ -521,10 +517,7 @@ mod tests {
     fn stale_copy_is_discarded_on_merge() {
         let mut s = Stash::new(4);
         s.insert(real(1, 0, 20, 5));
-        assert_eq!(
-            s.insert(real(1, 0, 10, 3)),
-            InsertOutcome::MergedDiscardedIncoming
-        );
+        assert_eq!(s.insert(real(1, 0, 10, 3)), InsertOutcome::MergedDiscardedIncoming);
         assert_eq!(s.peek(BlockAddr::new(1)).unwrap().block.data, 20);
     }
 
@@ -540,10 +533,7 @@ mod tests {
     fn duplicate_shadows_merge_to_one() {
         let mut s = Stash::new(4);
         s.insert(real(1, 0, 10, 1).to_shadow());
-        assert_eq!(
-            s.insert(real(1, 0, 10, 1).to_shadow()),
-            InsertOutcome::MergedDiscardedIncoming
-        );
+        assert_eq!(s.insert(real(1, 0, 10, 1).to_shadow()), InsertOutcome::MergedDiscardedIncoming);
         assert_eq!(s.occupied(), 1);
     }
 

@@ -646,7 +646,8 @@ impl OramTree {
         let mut indexed = Vec::new();
         match &self.index {
             BucketIndex::Grouped { dir, pool, free } => {
-                let named = (0..).zip(dir).filter(|&(_, &g)| g != 0).map(|(k, &g)| (Some(k), g - 1));
+                let named =
+                    (0..).zip(dir).filter(|&(_, &g)| g != 0).map(|(k, &g)| (Some(k), g - 1));
                 let claims = named.chain(free.iter().map(|&g| (None, g)));
                 let name = |g| format!("index group {g}");
                 check_tiling(pool.len(), claims, name, "pool", |k, g| {
@@ -758,12 +759,8 @@ mod tests {
                 let (la, lb) = (LeafLabel::new(a), LeafLabel::new(b));
                 let pa = s.path(la);
                 let pb = s.path(lb);
-                let shared = pa
-                    .iter()
-                    .zip(pb.iter())
-                    .take_while(|(x, y)| x == y)
-                    .count() as u32
-                    - 1;
+                let shared =
+                    pa.iter().zip(pb.iter()).take_while(|(x, y)| x == y).count() as u32 - 1;
                 assert_eq!(s.common_level(la, lb), shared, "a={a} b={b}");
             }
         }
@@ -819,8 +816,14 @@ mod tests {
     /// made of.
     #[test]
     fn pack_round_trips_every_kind_and_canonicalizes_dummies() {
-        let real = Block::real(BlockAddr::new(u64::MAX), LeafLabel::new((1 << 47) - 1), u64::MAX, u64::MAX);
-        for blk in [real, real.to_shadow(), Block::real(BlockAddr::new(0), LeafLabel::new(0), 0, 0)] {
+        let real = Block::real(
+            BlockAddr::new(u64::MAX),
+            LeafLabel::new((1 << 47) - 1),
+            u64::MAX,
+            u64::MAX,
+        );
+        for blk in [real, real.to_shadow(), Block::real(BlockAddr::new(0), LeafLabel::new(0), 0, 0)]
+        {
             assert_ne!(pack(blk), [0; 4], "a data block never packs to the dummy word");
             assert_eq!(unpack(&pack(blk)), blk);
         }
@@ -967,7 +970,8 @@ mod tests {
                         _ => t.write_bucket(id, &bucket),
                     }
                 }
-                let [grouped, hashed] = trees.each_ref().map(|t| (&t.words, &t.free, t.base_of(id)));
+                let [grouped, hashed] =
+                    trees.each_ref().map(|t| (&t.words, &t.free, t.base_of(id)));
                 assert_eq!(grouped, hashed, "L={levels} step {step}");
             }
             for t in &trees {

@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-
 /// A program (logical) block address, i.e. the address space the CPU's last
 /// level cache misses into. One `BlockAddr` names one 64-byte data block.
 ///

@@ -172,14 +172,13 @@ fn queues_pick_what_the_pool_scan_picks() {
                 }
                 // Whether pool order decides this pick: two eligible
                 // candidates share the highest key.
-                let keys = reference
-                    .candidates
-                    .iter()
-                    .filter(|c| c.eligible_at(&shape, leaf, level))
-                    .map(|c| match scheme {
-                        SlotScheme::Rd => c.real_level as u64,
-                        _ => hot.priority(c.addr),
-                    });
+                let keys =
+                    reference.candidates.iter().filter(|c| c.eligible_at(&shape, leaf, level)).map(
+                        |c| match scheme {
+                            SlotScheme::Rd => c.real_level as u64,
+                            _ => hot.priority(c.addr),
+                        },
+                    );
                 let top = keys.clone().max();
                 let tied = keys.filter(|&k| Some(k) == top).count() > 1;
 
@@ -323,11 +322,8 @@ fn fig17_geometry_run(policy: DupPolicy, chain: bool) -> String {
     ctl.prefill((0..WORKING_SET).map(|a| (BlockAddr::new(a), a)));
     let mut rng = Rng64::seed_from_u64(0xF1_617);
     for step in 0..20_000u64 {
-        let addr = BlockAddr::new(if rng.gen_bool(0.5) {
-            rng.below(96)
-        } else {
-            rng.below(WORKING_SET)
-        });
+        let addr =
+            BlockAddr::new(if rng.gen_bool(0.5) { rng.below(96) } else { rng.below(WORKING_SET) });
         match rng.below(10) {
             0..=3 => ctl.dummy_access(),
             4 | 5 => ctl.access(Request::write(addr, step)),

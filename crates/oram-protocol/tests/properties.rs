@@ -55,10 +55,7 @@ fn common_level_is_a_meet() {
         // The bucket at the common level is shared; one below diverges.
         assert_eq!(shape.bucket_on_path(la, cl), shape.bucket_on_path(lb, cl));
         if cl < levels {
-            assert_ne!(
-                shape.bucket_on_path(la, cl + 1),
-                shape.bucket_on_path(lb, cl + 1)
-            );
+            assert_ne!(shape.bucket_on_path(la, cl + 1), shape.bucket_on_path(lb, cl + 1));
         }
     }
 }
@@ -189,7 +186,8 @@ fn recursive_and_flat_posmaps_agree_functionally() {
                     let a = seen[op_rng.below(seen.len() as u64) as usize];
                     let addr = BlockAddr::new(a);
                     assert_eq!(flat.bump_version(addr), rec.bump_version(addr));
-                    let site = RealCopySite::Tree { level: op_rng.below(u64::from(levels) + 1) as u32 };
+                    let site =
+                        RealCopySite::Tree { level: op_rng.below(u64::from(levels) + 1) as u32 };
                     flat.set_site(addr, site);
                     rec.set_site(addr, site);
                 }
@@ -260,10 +258,8 @@ fn infinite_plb_recursive_matches_flat_on_the_data_bus() {
         rec.iter().any(|e| matches!(e, BusEvent::PosmapBucket { .. })),
         "recursive run never walked the posmap chain (test is vacuous)"
     );
-    let rec_data: Vec<BusEvent> = rec
-        .into_iter()
-        .filter(|e| !matches!(e, BusEvent::PosmapBucket { .. }))
-        .collect();
+    let rec_data: Vec<BusEvent> =
+        rec.into_iter().filter(|e| !matches!(e, BusEvent::PosmapBucket { .. })).collect();
     assert_eq!(flat, rec_data, "data-ORAM traces diverged");
 }
 

@@ -28,9 +28,7 @@ struct Bucket {
 
 impl Bucket {
     fn empty(z: usize) -> Self {
-        Bucket {
-            slots: vec![Block::DUMMY; z],
-        }
+        Bucket { slots: vec![Block::DUMMY; z] }
     }
 }
 
@@ -43,25 +41,16 @@ struct BucketTree {
 
 impl BucketTree {
     fn bucket(&self, id: BucketId) -> Bucket {
-        self.buckets
-            .get(&id.raw())
-            .cloned()
-            .unwrap_or_else(|| Bucket::empty(self.z))
+        self.buckets.get(&id.raw()).cloned().unwrap_or_else(|| Bucket::empty(self.z))
     }
 
     fn bucket_mut(&mut self, id: BucketId) -> &mut Bucket {
         let z = self.z;
-        self.buckets
-            .entry(id.raw())
-            .or_insert_with(|| Bucket::empty(z))
+        self.buckets.entry(id.raw()).or_insert_with(|| Bucket::empty(z))
     }
 
     fn count(&self, kind: BlockKind) -> usize {
-        self.buckets
-            .values()
-            .flat_map(|b| &b.slots)
-            .filter(|b| b.kind == kind)
-            .count()
+        self.buckets.values().flat_map(|b| &b.slots).filter(|b| b.kind == kind).count()
     }
 }
 
@@ -77,20 +66,12 @@ fn random_block(rng: &mut Rng64, shape: &TreeShape) -> Block {
         0 => shape.leaf_count() - 1,
         _ => rng.below(shape.leaf_count()),
     };
-    let real = Block::real(
-        BlockAddr::new(word(rng)),
-        LeafLabel::new(label),
-        word(rng),
-        word(rng),
-    );
+    let real = Block::real(BlockAddr::new(word(rng)), LeafLabel::new(label), word(rng), word(rng));
     match rng.below(4) {
         // A dummy written over whatever was there, canonical or carrying
         // stray fields: either way the slot must read back `Block::DUMMY`.
         0 => Block::DUMMY,
-        1 => Block {
-            kind: BlockKind::Dummy,
-            ..real
-        },
+        1 => Block { kind: BlockKind::Dummy, ..real },
         2 => real.to_shadow(),
         _ => real,
     }
@@ -98,7 +79,11 @@ fn random_block(rng: &mut Rng64, shape: &TreeShape) -> Block {
 
 /// What a slot reads back after `blk` was stored in it.
 fn canonical(blk: Block) -> Block {
-    if blk.is_dummy() { Block::DUMMY } else { blk }
+    if blk.is_dummy() {
+        Block::DUMMY
+    } else {
+        blk
+    }
 }
 
 /// What the reference says [`OramTree::is_occupied`] must answer.
@@ -110,15 +95,10 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
     let shape = TreeShape::new(levels, z);
     let mut rng = Rng64::seed_from_u64(0x7EE ^ u64::from(levels) << 8 ^ z as u64);
     let mut arena = OramTree::new(shape);
-    let mut reference = BucketTree {
-        z,
-        buckets: HashMap::new(),
-    };
+    let mut reference = BucketTree { z, buckets: HashMap::new() };
     // A small pool of buckets so slots are overwritten many times, plus
     // the root, the last leaf and fresh random buckets.
-    let pool: Vec<u64> = (0..24)
-        .map(|_| 1 + rng.below(shape.bucket_count()))
-        .collect();
+    let pool: Vec<u64> = (0..24).map(|_| 1 + rng.below(shape.bucket_count())).collect();
     let mut scratch = vec![Block::DUMMY; z];
     // `write_bucket` calls seen, by case: all-dummy onto a vacant bucket,
     // all-dummy onto an occupied one, mixed, full.
@@ -187,16 +167,9 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
             _ => {}
         }
         let want = reference.bucket(id);
-        assert_eq!(
-            arena.slot(id, slot),
-            want.slots[slot],
-            "L={levels} Z={z} step {step}"
-        );
+        assert_eq!(arena.slot(id, slot), want.slots[slot], "L={levels} Z={z} step {step}");
         arena.read_bucket(id, &mut scratch);
-        assert_eq!(
-            scratch, want.slots,
-            "L={levels} Z={z} step {step} bucket {raw}"
-        );
+        assert_eq!(scratch, want.slots, "L={levels} Z={z} step {step} bucket {raw}");
         assert_eq!(
             arena.is_occupied(id),
             holds_a_block(&want),
@@ -212,37 +185,25 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
         // taken before the pool grows.
         assert!(arena.index_groups() <= high_water, "L={levels} Z={z} step {step}");
         if step % 500 == 0 || levels <= 3 {
-            arena
-                .check_occupancy()
-                .unwrap_or_else(|e| panic!("L={levels} Z={z} step {step}: {e}"));
+            arena.check_occupancy().unwrap_or_else(|e| panic!("L={levels} Z={z} step {step}: {e}"));
             assert_eq!(arena.real_block_count(), reference.count(BlockKind::Real));
             assert_eq!(arena.shadow_block_count(), reference.count(BlockKind::Shadow));
         }
     }
     // (A one-slot bucket has no mixed case.)
-    let each_case = bucket_writes.iter().enumerate().all(|(case, &n)| n > 20 || (case == 2 && z == 1));
+    let each_case =
+        bucket_writes.iter().enumerate().all(|(case, &n)| n > 20 || (case == 2 && z == 1));
     assert!(
         each_case && emptied_slot_by_slot > 20,
         "L={levels} Z={z}: bucket writes by case {bucket_writes:?}, emptied {emptied_slot_by_slot}"
     );
     arena.check_occupancy().unwrap();
-    assert_eq!(
-        arena.real_block_count(),
-        reference.count(BlockKind::Real),
-        "L={levels} Z={z}"
-    );
-    assert_eq!(
-        arena.shadow_block_count(),
-        reference.count(BlockKind::Shadow),
-        "L={levels} Z={z}"
-    );
+    assert_eq!(arena.real_block_count(), reference.count(BlockKind::Real), "L={levels} Z={z}");
+    assert_eq!(arena.shadow_block_count(), reference.count(BlockKind::Shadow), "L={levels} Z={z}");
     // Every bucket the run wrote, re-read at the end.
     for &raw in reference.buckets.keys() {
         arena.read_bucket(BucketId::new(raw), &mut scratch);
-        assert_eq!(
-            scratch, reference.buckets[&raw].slots,
-            "L={levels} Z={z} bucket {raw}"
-        );
+        assert_eq!(scratch, reference.buckets[&raw].slots, "L={levels} Z={z} bucket {raw}");
     }
 }
 
@@ -341,8 +302,9 @@ fn controller_table_run(policy: DupPolicy, treetop: u32, recursive: bool) -> (u6
         };
         returned.feed(&result);
         returned.feed(&ctl.posmap_pending());
-        ctl.check_invariants()
-            .unwrap_or_else(|e| panic!("{policy:?} treetop {treetop} recursive {recursive} step {step}: {e}"));
+        ctl.check_invariants().unwrap_or_else(|e| {
+            panic!("{policy:?} treetop {treetop} recursive {recursive} step {step}: {e}")
+        });
     }
     let mut state = Digest::new();
     state.feed(&ctl.stats());
@@ -419,11 +381,8 @@ fn recursive_l18_run(policy: DupPolicy) -> String {
     ctl.prefill((0..DOMAIN).map(|a| (BlockAddr::new(a), a)));
     let mut rng = Rng64::seed_from_u64(0x18_4EC);
     for step in 0..20_000u64 {
-        let addr = BlockAddr::new(if rng.gen_bool(0.5) {
-            rng.below(96)
-        } else {
-            rng.below(DOMAIN)
-        });
+        let addr =
+            BlockAddr::new(if rng.gen_bool(0.5) { rng.below(96) } else { rng.below(DOMAIN) });
         match rng.below(10) {
             0..=3 => ctl.dummy_access(),
             4 | 5 => ctl.access(Request::write(addr, step)),

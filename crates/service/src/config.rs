@@ -212,7 +212,8 @@ impl ServiceConfig {
                 return Err(format!("client {i}: write_frac {} outside [0, 1]", c.write_frac));
             }
             match c.arrivals {
-                ArrivalModel::Open { mean_gap_cycles: g } | ArrivalModel::Closed { think_cycles: g } => {
+                ArrivalModel::Open { mean_gap_cycles: g }
+                | ArrivalModel::Closed { think_cycles: g } => {
                     if !(g.is_finite() && g > 0.0) {
                         return Err(format!("client {i}: mean gap {g} must be positive"));
                     }

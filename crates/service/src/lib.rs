@@ -37,10 +37,7 @@ mod report;
 mod sim;
 
 pub use config::{AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfig};
-pub use report::{
-    percentile, LatencySummary, SchedulerSummary, ServiceMeta,
-    ServiceReport,
-};
+pub use report::{percentile, LatencySummary, SchedulerSummary, ServiceMeta, ServiceReport};
 pub use sim::{
     ClientResult, ServeTarget, ServiceDriver, ServiceResult, ServiceSim, ShardedServiceSim,
     SERVE_CLASS_NAMES,

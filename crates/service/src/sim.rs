@@ -145,8 +145,7 @@ impl ClientState {
         };
         // Later arrivals chain off the previous one, so only the first
         // needs the phase offset (soak phases resume mid-clock).
-        let next_arrival =
-            if spec.requests == 0 { NEVER } else { start_cycle + gaps.next_gap() };
+        let next_arrival = if spec.requests == 0 { NEVER } else { start_cycle + gaps.next_gap() };
         ClientState {
             gaps,
             zipf,
@@ -525,9 +524,7 @@ impl Frontend {
             c.coalesced += 1;
         }
         // Closed loop: completion re-arms the stream's next arrival.
-        if matches!(c.spec.arrivals, ArrivalModel::Closed { .. })
-            && c.generated < c.spec.requests
-        {
+        if matches!(c.spec.arrivals, ArrivalModel::Closed { .. }) && c.generated < c.spec.requests {
             c.next_arrival = out.data_ready + c.gaps.next_gap();
         }
         if !leader {
@@ -1065,8 +1062,7 @@ mod tests {
             (0..2_000).map(|_| c.draw_addr()).collect::<Vec<u64>>()
         };
         let base = draws(AddressMix::Zipfian { domain: 512, theta: 0.9 });
-        let moved =
-            draws(AddressMix::ZipfianShifted { domain: 512, theta: 0.9, offset: 100 });
+        let moved = draws(AddressMix::ZipfianShifted { domain: 512, theta: 0.9, offset: 100 });
         assert_eq!(moved.len(), base.len());
         for (b, m) in base.iter().zip(&moved) {
             assert_eq!(*m, (b + 100) % 512);
@@ -1113,8 +1109,7 @@ mod tests {
             s.finish().0
         };
         let run_resume = || {
-            let mut s =
-                ServiceSim::resume(quick_cfg(SchedPolicy::Fcfs), engine(), 0).unwrap();
+            let mut s = ServiceSim::resume(quick_cfg(SchedPolicy::Fcfs), engine(), 0).unwrap();
             s.run();
             s.finish().0
         };
@@ -1124,8 +1119,8 @@ mod tests {
     // ---- sharded backend ----
 
     fn sharded(shards: usize, threads: usize) -> ShardedOram {
-        let mut b = ShardedOram::new(SystemConfig::small_test(), shards, threads)
-            .expect("valid config");
+        let mut b =
+            ShardedOram::new(SystemConfig::small_test(), shards, threads).expect("valid config");
         b.prefill_working_set(512);
         b
     }
@@ -1231,8 +1226,9 @@ mod tests {
                         }
                     }
                     let tag = format!("{} coalescing={coalescing} closed={closed}", policy.name());
-                    let (plain, plain_events) =
-                        logged_run(cfg.clone(), engine(), |e, sink| e.attach_telemetry(sink, 50_000));
+                    let (plain, plain_events) = logged_run(cfg.clone(), engine(), |e, sink| {
+                        e.attach_telemetry(sink, 50_000)
+                    });
                     let (lane, lane_events) = logged_run(cfg, sharded(1, 1), |b, sink| {
                         b.engine_mut(0).attach_telemetry(sink, 50_000)
                     });

@@ -6,9 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use oram_service::{
-    AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfig, ServiceSim,
-};
+use oram_service::{AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfig, ServiceSim};
 use oram_sim::{Engine, SystemConfig};
 use oram_util::{BusEvent, MetricId, SharedTelemetry, TelemetrySink};
 
@@ -83,18 +81,12 @@ fn coalesced_burst_issues_exactly_one_access() {
     assert_eq!(res.coalesced(), 3);
     assert_eq!(res.completed(), 4);
     assert_eq!(res.stats.misses_consumed, 1);
-    let starts = trace
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|e| **e == BusEvent::AccessStart)
-        .count();
+    let starts = trace.lock().unwrap().iter().filter(|e| **e == BusEvent::AccessStart).count();
     assert_eq!(starts, 1, "the bus must see exactly one access");
 
     // Every waiter observed the same completion: all four latencies are
     // equal (identical arrival cycle, one shared data_ready).
-    let lats: Vec<u64> =
-        res.clients.iter().flat_map(|c| c.latencies.iter().copied()).collect();
+    let lats: Vec<u64> = res.clients.iter().flat_map(|c| c.latencies.iter().copied()).collect();
     assert_eq!(lats.len(), 4);
     assert!(lats.windows(2).all(|w| w[0] == w[1]), "waiters diverged: {lats:?}");
 

@@ -182,9 +182,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = SystemConfig::small_test()
-            .with_timing_protection(800)
-            .with_xor_compression();
+        let c = SystemConfig::small_test().with_timing_protection(800).with_xor_compression();
         assert_eq!(c.timing_protection, Some(800));
         assert!(c.xor_compression);
         c.validate().unwrap();

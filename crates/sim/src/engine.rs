@@ -326,8 +326,7 @@ impl<B: StorageBackend> Engine<B> {
     /// persistent backend the whole post-prefill tree is synced so the
     /// durable image starts consistent.
     pub fn prefill(&mut self, addrs: impl IntoIterator<Item = u64>) {
-        self.controller
-            .prefill(addrs.into_iter().map(|a| (BlockAddr::new(a), 0)));
+        self.controller.prefill(addrs.into_iter().map(|a| (BlockAddr::new(a), 0)));
         if self.backend.wants_payloads() {
             for raw in 1..=self.controller.shape().bucket_count() {
                 self.persist_bucket(BucketId::new(raw));
@@ -374,8 +373,7 @@ impl<B: StorageBackend> Engine<B> {
     /// Eq. 1 accounting.
     pub fn serve_request(&mut self, addr: u64, is_write: bool, arrival: u64) -> ServeOutcome {
         self.stats.misses_consumed += 1;
-        let miss =
-            MissRecord { block_addr: addr, is_write, gap_cycles: 0, blocking: true };
+        let miss = MissRecord { block_addr: addr, is_write, gap_cycles: 0, blocking: true };
         let (timing, served) = self.dispatch(&miss, arrival);
         ServeOutcome {
             data_ready: timing.data_ready,
@@ -749,8 +747,7 @@ impl<B: StorageBackend> Engine<B> {
                             // RD-Dup early-forward savings: cycles
                             // between the shadow copy arriving and the
                             // path read draining.
-                            self.attr_scratch.forward_saved =
-                                phase_end.saturating_sub(arrived);
+                            self.attr_scratch.forward_saved = phase_end.saturating_sub(arrived);
                         }
                         Some(arrived + u64::from(self.cfg.aes_latency_cycles))
                     }
@@ -771,8 +768,7 @@ impl<B: StorageBackend> Engine<B> {
                 // rounding; for the DRAM backend `network` is zero and
                 // the cuts collapse to the original three-way split.
                 if let Some(bd) = self.backend.last_batch_breakdown() {
-                    let b_queue =
-                        bd.finish - (bd.row + bd.network + bd.transfer) as i64;
+                    let b_queue = bd.finish - (bd.row + bd.network + bd.transfer) as i64;
                     let b_row = bd.finish - (bd.network + bd.transfer) as i64;
                     let b_net = bd.finish - bd.transfer as i64;
                     let cut_q = self.cfg.to_cpu_cycles(b_queue).clamp(t, phase_end);
@@ -815,8 +811,7 @@ impl<B: StorageBackend> Engine<B> {
         // drains, even though the controller freed earlier.
         self.stats.total_cycles =
             self.controller_free.max(self.pending_evict.map_or(0, |(_, end)| end));
-        self.stats.dri_cycles =
-            self.stats.total_cycles.saturating_sub(self.stats.data_cycles);
+        self.stats.dri_cycles = self.stats.total_cycles.saturating_sub(self.stats.data_cycles);
         self.stats.oram = self.controller.stats();
         self.stats.dram = self.backend.stats();
         let elapsed_ns = self.cfg.cpu_cycles_to_ns(self.stats.total_cycles);
@@ -903,7 +898,8 @@ mod tests {
             assert_eq!(on_disk.as_ref(), Some(slots), "bucket {ix} before the crash");
         }
         drop(e); // no checkpoint: the reopen replays the write-ahead log
-        let mut store = DiskStore::open(&dir, shape.slots_per_bucket(), shape.bucket_count()).unwrap();
+        let mut store =
+            DiskStore::open(&dir, shape.slots_per_bucket(), shape.bucket_count()).unwrap();
         for (ix, slots) in tree.iter().enumerate() {
             assert_eq!(store.read_bucket(ix as u64).unwrap().as_ref(), Some(slots), "bucket {ix}");
         }
@@ -1032,8 +1028,7 @@ mod tests {
         let cap = cfg.oram.stash_capacity;
         let mut e = Engine::new(cfg).unwrap();
         e.prefill_working_set(4096);
-        let misses: Vec<MissRecord> =
-            (0..6000).map(|i| miss((i * 131) % 4096, 40)).collect();
+        let misses: Vec<MissRecord> = (0..6000).map(|i| miss((i * 131) % 4096, 40)).collect();
         let mut s = ReplayMisses::new(misses);
         e.run(&mut s);
         let h = e.stash_occupancy();
@@ -1165,8 +1160,7 @@ mod tests {
         let run = |capacity: usize| {
             let mut cfg = SystemConfig::small_test().with_pipeline();
             cfg.oram.stash_capacity = capacity;
-            let misses: Vec<MissRecord> =
-                (0..600).map(|i| miss((i * 131) % 200, 20)).collect();
+            let misses: Vec<MissRecord> = (0..600).map(|i| miss((i * 131) % 200, 20)).collect();
             let mut e = Engine::new(cfg).unwrap();
             e.prefill_working_set(64);
             let mut s = ReplayMisses::new(misses);

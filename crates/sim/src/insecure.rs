@@ -41,8 +41,7 @@ impl InsecureSystem {
             }
         }
         self.stats.total_cycles = self.mem_free.max(cpu_ready);
-        self.stats.dri_cycles =
-            self.stats.total_cycles.saturating_sub(self.stats.data_cycles);
+        self.stats.dri_cycles = self.stats.total_cycles.saturating_sub(self.stats.data_cycles);
         self.stats.dram = self.dram.stats();
         let elapsed_ns = self.cfg.cpu_cycles_to_ns(self.stats.total_cycles);
         let counters = self.dram.energy();

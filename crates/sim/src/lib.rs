@@ -46,17 +46,17 @@ mod stats;
 
 pub use config::SystemConfig;
 pub use engine::{Engine, ServeOutcome};
+pub use insecure::InsecureSystem;
 pub use oram_storage::{
     BatchBreakdown, DiskBackend, DiskConfig, DiskStore, DramBackend, RecoveredBucket,
     StorageBackend, WanBackend, WanConfig,
 };
-pub use insecure::InsecureSystem;
 pub use pool::{default_threads, parallel_map, parallel_map_notify, THREADS_ENV};
-#[cfg(feature = "mutants")]
-pub use shard::ShardMutant;
-pub use shard::{ShardRequest, ShardedOram};
 pub use runner::{
     build_miss_stream, replay_measured, run_workload, run_workload_traced, scale_profile,
     RunOptions, RunResult,
 };
+#[cfg(feature = "mutants")]
+pub use shard::ShardMutant;
+pub use shard::{ShardRequest, ShardedOram};
 pub use stats::{gmean, SimStats};

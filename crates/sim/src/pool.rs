@@ -121,10 +121,7 @@ where
         debug_assert!(slots[i].is_none(), "index {i} claimed twice");
         slots[i] = Some(r);
     }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every index was claimed by exactly one worker"))
-        .collect()
+    slots.into_iter().map(|r| r.expect("every index was claimed by exactly one worker")).collect()
 }
 
 #[cfg(test)]

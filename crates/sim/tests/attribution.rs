@@ -73,12 +73,7 @@ fn attribution_partitions_every_span_exactly() {
                 // On-chip serves never touch the bus: nothing to attribute.
                 assert_eq!(busy, 0, "{ctx}: on-chip span {} carries bus attribution", s.seq);
             } else {
-                assert_eq!(
-                    busy,
-                    s.end - s.start,
-                    "{ctx}: span {} has unattributed cycles",
-                    s.seq
-                );
+                assert_eq!(busy, s.end - s.start, "{ctx}: span {} has unattributed cycles", s.seq);
             }
             // Credits are mutually exclusive and class-gated.
             assert!(
@@ -110,7 +105,10 @@ fn attribution_partitions_every_span_exactly() {
             .spans()
             .iter()
             .map(|s| {
-                s.attr.dram_queue + s.attr.dram_row + s.attr.network + s.attr.dram_bus
+                s.attr.dram_queue
+                    + s.attr.dram_row
+                    + s.attr.network
+                    + s.attr.dram_bus
                     + s.attr.eviction
             })
             .sum();
@@ -130,7 +128,8 @@ fn credits_follow_the_duplication_policy() {
         let mut cfg = SystemConfig::small_test();
         cfg.oram.dup_policy = policy;
         cfg.validate().unwrap();
-        let ro = RunOptions { misses: 600, warmup_misses: 150, seed: 9, fill_target: 0.3, o3: None };
+        let ro =
+            RunOptions { misses: 600, warmup_misses: 150, seed: 9, fill_target: 0.3, o3: None };
         let rec = TelemetryRecorder::shared(TelemetryConfig::default());
         run_workload_traced(
             &spec::profile("mcf"),

@@ -125,8 +125,7 @@ impl DiskStore {
         if z == 0 || bucket_count == 0 {
             return Err("disk: z and bucket_count must be positive".into());
         }
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("disk: create {}: {e}", dir.display()))?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("disk: create {}: {e}", dir.display()))?;
         let data_path = dir.join("buckets.dat");
         let wal_path = dir.join("wal.log");
         let mut data = OpenOptions::new()
@@ -136,8 +135,7 @@ impl DiskStore {
             .truncate(false)
             .open(&data_path)
             .map_err(|e| format!("disk: open {}: {e}", data_path.display()))?;
-        let file_len =
-            data.metadata().map_err(|e| format!("disk: stat buckets.dat: {e}"))?.len();
+        let file_len = data.metadata().map_err(|e| format!("disk: stat buckets.dat: {e}"))?.len();
         let full_len = HEADER_BYTES + bucket_count * Self::record_bytes(z) as u64;
         if file_len == 0 {
             let mut header = Vec::with_capacity(HEADER_BYTES as usize);
@@ -378,7 +376,14 @@ impl DiskBackend {
             return Err("disk: per_block_cycles must be positive".into());
         }
         let store = DiskStore::open(&cfg.dir, cfg.z, cfg.bucket_count)?;
-        Ok(DiskBackend { cfg, store, bus: EventBatch::default(), stats: ChannelStats::default(), last: None, io_error: None })
+        Ok(DiskBackend {
+            cfg,
+            store,
+            bus: EventBatch::default(),
+            stats: ChannelStats::default(),
+            last: None,
+            io_error: None,
+        })
     }
 
     /// The underlying persistent store.
@@ -471,8 +476,8 @@ mod tests {
     struct TempDir(PathBuf);
     impl TempDir {
         fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir()
-                .join(format!("oram-storage-{tag}-{}", std::process::id()));
+            let dir =
+                std::env::temp_dir().join(format!("oram-storage-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             TempDir(dir)
         }
@@ -489,19 +494,9 @@ mod tests {
                 let v = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(s);
                 match v % 3 {
                     0 => Block::DUMMY,
-                    1 => Block::real(
-                        BlockAddr::new(v % 512),
-                        LeafLabel::new(v % 64),
-                        v,
-                        seed,
-                    ),
-                    _ => Block::real(
-                        BlockAddr::new(v % 512),
-                        LeafLabel::new(v % 64),
-                        v,
-                        seed,
-                    )
-                    .to_shadow(),
+                    1 => Block::real(BlockAddr::new(v % 512), LeafLabel::new(v % 64), v, seed),
+                    _ => Block::real(BlockAddr::new(v % 512), LeafLabel::new(v % 64), v, seed)
+                        .to_shadow(),
                 }
             })
             .collect()
@@ -543,18 +538,14 @@ mod tests {
             store.write_bucket(2, &bucket(100, z)).unwrap();
         }
         // Simulate a crash mid-append: a partial record at the WAL tail.
-        let mut wal =
-            OpenOptions::new().append(true).open(tmp.0.join("wal.log")).unwrap();
+        let mut wal = OpenOptions::new().append(true).open(tmp.0.join("wal.log")).unwrap();
         wal.write_all(&[0xAB; 17]).unwrap();
         drop(wal);
         let mut store = DiskStore::open(&tmp.0, z, n).unwrap();
         assert_eq!(store.read_bucket(2).unwrap().unwrap(), bucket(100, z));
         // Only the complete record is replayed; the 17 garbage bytes
         // never form a committed write.
-        assert_eq!(
-            store.recovered(),
-            &[RecoveredBucket { bucket: 2, slots: bucket(100, z) }]
-        );
+        assert_eq!(store.recovered(), &[RecoveredBucket { bucket: 2, slots: bucket(100, z) }]);
     }
 
     #[test]
@@ -568,16 +559,12 @@ mod tests {
         }
         // Simulate a crash mid in-place write: scribble over half the
         // record in buckets.dat while the WAL still holds it complete.
-        let mut data =
-            OpenOptions::new().write(true).open(tmp.0.join("buckets.dat")).unwrap();
+        let mut data = OpenOptions::new().write(true).open(tmp.0.join("buckets.dat")).unwrap();
         data.seek(SeekFrom::Start(HEADER_BYTES + 6 * rec)).unwrap();
         data.write_all(&vec![0xEE; rec as usize / 2]).unwrap();
         drop(data);
         let mut store = DiskStore::open(&tmp.0, z, n).unwrap();
-        assert_eq!(
-            store.recovered(),
-            &[RecoveredBucket { bucket: 6, slots: bucket(42, z) }]
-        );
+        assert_eq!(store.recovered(), &[RecoveredBucket { bucket: 6, slots: bucket(42, z) }]);
         assert_eq!(store.read_bucket(6).unwrap().unwrap(), bucket(42, z));
     }
 
@@ -622,12 +609,7 @@ mod tests {
                     let len = std::fs::metadata(&wal).unwrap().len();
                     if len > 0 {
                         let keep = next() % len;
-                        OpenOptions::new()
-                            .write(true)
-                            .open(&wal)
-                            .unwrap()
-                            .set_len(keep)
-                            .unwrap();
+                        OpenOptions::new().write(true).open(&wal).unwrap().set_len(keep).unwrap();
                     }
                 }
                 1 => {
@@ -636,10 +618,8 @@ mod tests {
                     // written, which the WAL still shadows complete).
                     let b = wrote[(next() % wrote.len() as u64) as usize];
                     let cut = next() % rec;
-                    let mut data = OpenOptions::new()
-                        .write(true)
-                        .open(tmp.0.join("buckets.dat"))
-                        .unwrap();
+                    let mut data =
+                        OpenOptions::new().write(true).open(tmp.0.join("buckets.dat")).unwrap();
                     data.seek(SeekFrom::Start(HEADER_BYTES + b * rec + cut)).unwrap();
                     data.write_all(&vec![0xDD; (rec - cut) as usize]).unwrap();
                 }
@@ -652,10 +632,9 @@ mod tests {
                         history[b as usize].contains(&slots),
                         "bucket {b} holds a value never committed"
                     ),
-                    None => assert!(
-                        history[b as usize].is_empty(),
-                        "bucket {b} lost committed data"
-                    ),
+                    None => {
+                        assert!(history[b as usize].is_empty(), "bucket {b} lost committed data")
+                    }
                 }
             }
         }

@@ -82,8 +82,9 @@ mod tests {
         let cfg = DramConfig::ddr3_1333();
         let mut raw = DramSystem::new(cfg).unwrap();
         let mut wrapped = DramBackend::new(cfg).unwrap();
-        let reqs: Vec<BlockRequest> =
-            (0..64).map(|i| if i % 7 == 0 { BlockRequest::write(i) } else { BlockRequest::read(i) }).collect();
+        let reqs: Vec<BlockRequest> = (0..64)
+            .map(|i| if i % 7 == 0 { BlockRequest::write(i) } else { BlockRequest::read(i) })
+            .collect();
         let mut fr = Vec::new();
         let mut fw = Vec::new();
         let mut now = 0i64;

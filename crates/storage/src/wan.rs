@@ -81,7 +81,12 @@ impl WanBackend {
     /// Returns the configuration validation error, if any.
     pub fn new(cfg: WanConfig) -> Result<Self, String> {
         cfg.validate()?;
-        Ok(WanBackend { cfg, bus: EventBatch::default(), stats: ChannelStats::default(), last: None })
+        Ok(WanBackend {
+            cfg,
+            bus: EventBatch::default(),
+            stats: ChannelStats::default(),
+            last: None,
+        })
     }
 
     /// The cost model in force.
@@ -211,8 +216,7 @@ mod tests {
         let tape = Arc::new(Mutex::new(Vec::<BusEvent>::new()));
         let mut wan = WanBackend::new(WanConfig::default_wan()).unwrap();
         wan.set_observer(Some(tape.clone()));
-        let reqs =
-            vec![BlockRequest::read(7), BlockRequest::write(9), BlockRequest::read(11)];
+        let reqs = vec![BlockRequest::read(7), BlockRequest::write(9), BlockRequest::read(11)];
         let mut f = Vec::new();
         wan.service_batch_into(0, &reqs, true, &mut f);
         let got = &tape.lock().unwrap();
@@ -230,10 +234,12 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(WanBackend::new(WanConfig { rtt_cycles: 0, per_block_cycles: 1, batch: 1 })
-            .is_err());
-        assert!(WanBackend::new(WanConfig { rtt_cycles: 1, per_block_cycles: 1, batch: 0 })
-            .is_err());
+        assert!(
+            WanBackend::new(WanConfig { rtt_cycles: 0, per_block_cycles: 1, batch: 1 }).is_err()
+        );
+        assert!(
+            WanBackend::new(WanConfig { rtt_cycles: 1, per_block_cycles: 1, batch: 0 }).is_err()
+        );
         let c = WanConfig::from_rtt_us(1000.0, 1.5, 4, 8);
         assert_eq!(c.rtt_cycles, 666_667);
     }

@@ -322,9 +322,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'r' => out.push('\r'),
                     b't' => out.push('\t'),
                     b'u' => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
                             16,
@@ -357,9 +355,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
@@ -582,8 +578,7 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let v = parse(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}}"#)
-            .unwrap();
+        let v = parse(r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));

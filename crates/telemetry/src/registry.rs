@@ -28,10 +28,7 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry covering the whole schema.
     pub fn new() -> Self {
-        MetricsRegistry {
-            counters: [0; COUNTERS],
-            hists: vec![QuantileSketch::new(); HISTOGRAMS],
-        }
+        MetricsRegistry { counters: [0; COUNTERS], hists: vec![QuantileSketch::new(); HISTOGRAMS] }
     }
 
     /// Adds `delta` to a counter.

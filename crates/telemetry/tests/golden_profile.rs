@@ -51,7 +51,10 @@ fn golden_report() -> ProfileReport {
                 forward_saved: 0,
                 stash_pull_credit: 0,
                 energy_mj: 1.25,
-                channels: vec![channel(700_000, 0.62, 4000, 4100), channel(680_000, 0.6, 3900, 4000)],
+                channels: vec![
+                    channel(700_000, 0.62, 4000, 4100),
+                    channel(680_000, 0.6, 3900, 4000),
+                ],
                 level_reads: vec![0, 0, 120, 240, 480],
                 level_writes: vec![40, 80, 160, 320, 640],
             },
@@ -72,7 +75,10 @@ fn golden_report() -> ProfileReport {
                 forward_saved: 240_000,
                 stash_pull_credit: 0,
                 energy_mj: 1.1,
-                channels: vec![channel(610_000, 0.64, 3600, 3700), channel(590_000, 0.63, 3500, 3600)],
+                channels: vec![
+                    channel(610_000, 0.64, 3600, 3700),
+                    channel(590_000, 0.63, 3500, 3600),
+                ],
                 level_reads: vec![0, 0, 110, 220, 440],
                 level_writes: vec![40, 80, 160, 320, 640],
             },

@@ -214,8 +214,7 @@ mod tests {
         m.remove(keys[1]);
         m.remove(keys[8]);
         for (i, &k) in keys.iter().enumerate() {
-            let expect =
-                if [1usize, 4, 8].contains(&i) { None } else { Some(i as u32) };
+            let expect = if [1usize, 4, 8].contains(&i) { None } else { Some(i as u32) };
             assert_eq!(m.get(k), expect, "key {k}");
         }
     }

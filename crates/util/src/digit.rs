@@ -22,10 +22,7 @@ impl Digit {
     /// division it replaces would).
     pub fn new(size: usize) -> Self {
         let size = size as u64;
-        Digit {
-            size,
-            shift: size.is_power_of_two().then(|| size.trailing_zeros()),
-        }
+        Digit { size, shift: size.is_power_of_two().then(|| size.trailing_zeros()) }
     }
 
     /// The radix.
@@ -53,11 +50,7 @@ mod tests {
             let d = Digit::new(size);
             assert_eq!(d.size(), size as u64);
             for a in (0..300u64).chain([u64::MAX - 1, u64::MAX]) {
-                assert_eq!(
-                    d.peel(a),
-                    (a % size as u64, a / size as u64),
-                    "size {size} a {a}"
-                );
+                assert_eq!(d.peel(a), (a % size as u64, a / size as u64), "size {size} a {a}");
             }
         }
     }

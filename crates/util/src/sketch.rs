@@ -165,11 +165,7 @@ impl QuantileSketch {
             }
             // Ranks [cum, cum + c) live in this bucket.
             if target < (cum + c) as f64 {
-                let frac = if c == 1 {
-                    0.5
-                } else {
-                    (target - cum as f64) / (c - 1) as f64
-                };
+                let frac = if c == 1 { 0.5 } else { (target - cum as f64) / (c - 1) as f64 };
                 let w = bucket_width(i);
                 let est = bucket_lower(i) as f64 + frac * (w - 1) as f64;
                 let v = est.round() as u64;

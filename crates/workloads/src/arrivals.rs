@@ -44,10 +44,7 @@ impl PoissonProcess {
             mean_gap_cycles.is_finite() && mean_gap_cycles > 0.0,
             "mean gap must be positive, got {mean_gap_cycles}"
         );
-        PoissonProcess {
-            rng: Rng64::seed_from_u64(seed ^ 0x0A55_0A55_0A55_0A55),
-            mean_gap_cycles,
-        }
+        PoissonProcess { rng: Rng64::seed_from_u64(seed ^ 0x0A55_0A55_0A55_0A55), mean_gap_cycles }
     }
 
     /// The configured mean interarrival gap.
@@ -96,23 +93,12 @@ impl ZipfianSampler {
     /// Panics if `n < 2` or `theta` is outside `(0, 1)`.
     pub fn new(n: u64, theta: f64, seed: u64) -> Self {
         assert!(n >= 2, "need at least two addresses, got {n}");
-        assert!(
-            theta > 0.0 && theta < 1.0,
-            "theta must be in (0, 1), got {theta}"
-        );
+        assert!(theta > 0.0 && theta < 1.0, "theta must be in (0, 1), got {theta}");
         let zeta_n = zeta(n, theta);
         let zeta_2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n);
-        ZipfianSampler {
-            rng: Self::stream(seed),
-            n,
-            theta,
-            alpha,
-            zeta_n,
-            eta,
-            zeta_2,
-        }
+        ZipfianSampler { rng: Self::stream(seed), n, theta, alpha, zeta_n, eta, zeta_2 }
     }
 
     /// The same distribution drawn from a fresh stream: equal, draw for
@@ -265,10 +251,7 @@ mod tests {
         let expect = z.head_mass();
         let draws = 100_000;
         let got = (0..draws).filter(|_| z.sample() == 0).count() as f64 / draws as f64;
-        assert!(
-            (got - expect).abs() < 0.02,
-            "rank-0 mass {got} vs analytic {expect}"
-        );
+        assert!((got - expect).abs() < 0.02, "rank-0 mass {got} vs analytic {expect}");
     }
 
     #[test]

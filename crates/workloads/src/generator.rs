@@ -170,14 +170,8 @@ mod tests {
         let mut p = WorkloadProfile::uniform("s", 10_000, 1.0);
         p.stride_run_prob = 0.8;
         let refs = collect(p, 5, 2000);
-        let sequential = refs
-            .windows(2)
-            .filter(|w| w[1].block_addr == w[0].block_addr + 1)
-            .count();
-        assert!(
-            sequential as f64 / refs.len() as f64 > 0.4,
-            "sequential pairs {sequential}"
-        );
+        let sequential = refs.windows(2).filter(|w| w[1].block_addr == w[0].block_addr + 1).count();
+        assert!(sequential as f64 / refs.len() as f64 > 0.4, "sequential pairs {sequential}");
     }
 
     #[test]
@@ -210,8 +204,7 @@ mod tests {
         let mut p = WorkloadProfile::uniform("pc", 100, 1.0);
         p.pointer_chase_prob = 0.5;
         let refs = collect(p, 8, 1000);
-        let frac =
-            refs.iter().filter(|r| r.depends_on_prev).count() as f64 / refs.len() as f64;
+        let frac = refs.iter().filter(|r| r.depends_on_prev).count() as f64 / refs.len() as f64;
         assert!((frac - 0.5).abs() < 0.08, "chase frac {frac}");
     }
 }

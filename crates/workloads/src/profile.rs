@@ -7,7 +7,6 @@
 //! (which serialize ORAM requests) and phase behaviour (hmmer's periodic
 //! miss-interval swings, Fig. 6a).
 
-
 /// Parameters of one synthetic workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
@@ -93,8 +92,7 @@ impl WorkloadProfile {
     /// Scales the working set (and hence memory footprint) by `factor`,
     /// used to fit paper-scale workloads onto scaled-down trees.
     pub fn scaled(mut self, factor: f64) -> Self {
-        self.working_set_blocks =
-            ((self.working_set_blocks as f64 * factor) as u64).max(16);
+        self.working_set_blocks = ((self.working_set_blocks as f64 * factor) as u64).max(16);
         self
     }
 }

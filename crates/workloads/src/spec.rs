@@ -26,10 +26,8 @@
 use crate::profile::WorkloadProfile;
 
 /// Names of the ten workloads, in the order the figures list them.
-pub const WORKLOAD_NAMES: [&str; 10] = [
-    "mcf", "libquantum", "omnetpp", "hmmer", "sjeng", "h264ref", "namd", "astar", "bzip2",
-    "gcc",
-];
+pub const WORKLOAD_NAMES: [&str; 10] =
+    ["mcf", "libquantum", "omnetpp", "hmmer", "sjeng", "h264ref", "namd", "astar", "bzip2", "gcc"];
 
 /// Returns the profile for `name`.
 ///

@@ -13,7 +13,8 @@ use oram_workloads::spec;
 fn main() {
     let wl = std::env::args().nth(1).unwrap_or_else(|| "hmmer".to_string());
     let profile = spec::profile(&wl);
-    let opts = RunOptions { misses: 3000, warmup_misses: 800, seed: 7, fill_target: 0.35, o3: None };
+    let opts =
+        RunOptions { misses: 3000, warmup_misses: 800, seed: 7, fill_target: 0.35, o3: None };
 
     let mut base_cfg = SystemConfig::scaled_default().with_timing_protection(800);
     base_cfg.oram.levels = 12;
@@ -44,9 +45,6 @@ fn main() {
         let mut cfg = base_cfg.clone();
         cfg.oram.dup_policy = DupPolicy::Dynamic { counter_bits: bits };
         let r = run_workload(&profile, &cfg, &opts);
-        println!(
-            "  {bits}-bit: total {:.4}",
-            r.oram.total_cycles as f64 / base_total
-        );
+        println!("  {bits}-bit: total {:.4}", r.oram.total_cycles as f64 / base_total);
     }
 }

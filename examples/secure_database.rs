@@ -24,9 +24,9 @@ fn query_mix(n: u64, records: u64, hot: u64) -> Vec<MissRecord> {
         x ^= x >> 7;
         x ^= x << 17;
         let (addr, is_write) = match x % 10 {
-            0..=6 => (x % hot, false),            // hot lookup
+            0..=6 => (x % hot, false),                     // hot lookup
             7 | 8 => (hot + (i % (records - hot)), false), // cold scan
-            _ => (x % records, true),             // update
+            _ => (x % records, true),                      // update
         };
         out.push(MissRecord {
             block_addr: addr,

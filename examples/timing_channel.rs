@@ -68,10 +68,7 @@ fn main() {
         "  dummy requests avoided: {}",
         tiny.dummy_requests.saturating_sub(shadow.dummy_requests)
     );
-    println!(
-        "  speedup: {:.3}x",
-        tiny.total_cycles as f64 / shadow.total_cycles as f64
-    );
+    println!("  speedup: {:.3}x", tiny.total_cycles as f64 / shadow.total_cycles as f64);
     // The externally visible property: requests still leave the controller
     // at a constant rate — protection is intact, only the dummy share and
     // the total duration change.

@@ -104,10 +104,8 @@ fn random_sequences_match_reference() {
         let levels = rng.range_inclusive(5, 8) as u32;
         let policy = policies()[rng.below(7) as usize];
         let n_ops = rng.range_inclusive(50, 399);
-        let mut cfg = OramConfig::small_test()
-            .with_dup_policy(policy)
-            .with_seed(seed)
-            .with_levels(levels);
+        let mut cfg =
+            OramConfig::small_test().with_dup_policy(policy).with_seed(seed).with_levels(levels);
         cfg.stash_capacity = (cfg.z * (levels as usize + 1)).max(64) + 48;
         let mut ctl = OramController::new(cfg).unwrap();
         let mut reference: HashMap<BlockAddr, u64> = HashMap::new();
@@ -154,10 +152,7 @@ fn stash_live_occupancy_stays_bounded() {
             ctl.access(Request::read(BlockAddr::new(x % 180)));
         }
         let max_live = ctl.stash_stats().max_live;
-        assert!(
-            max_live < cap,
-            "live stash occupancy {max_live} reached capacity {cap}"
-        );
+        assert!(max_live < cap, "live stash occupancy {max_live} reached capacity {cap}");
     }
 }
 

@@ -21,8 +21,7 @@ use oram_workloads::synthetic::{Cycle, Scan};
 /// A controller under `policy` with a bus observer attached; the handle
 /// collects every externally visible event.
 fn traced(policy: DupPolicy) -> (OramController, Arc<Mutex<Vec<BusEvent>>>) {
-    let mut ctl =
-        OramController::new(OramConfig::small_test().with_dup_policy(policy)).unwrap();
+    let mut ctl = OramController::new(OramConfig::small_test().with_dup_policy(policy)).unwrap();
     let events = Arc::new(Mutex::new(Vec::new()));
     ctl.set_observer(Some(events.clone() as SharedObserver));
     (ctl, events)
@@ -267,10 +266,8 @@ fn rrwp_distinguisher_fails_against_shadow_blocks() {
 fn shadow_serving_never_returns_stale_data_under_adversarial_reuse() {
     // Pathological pattern: write, re-read through different paths,
     // overwrite while shadows of the old version are still in the tree.
-    let mut ctl = OramController::new(
-        OramConfig::small_test().with_dup_policy(DupPolicy::RdOnly),
-    )
-    .unwrap();
+    let mut ctl =
+        OramController::new(OramConfig::small_test().with_dup_policy(DupPolicy::RdOnly)).unwrap();
     let hot = BlockAddr::new(5);
     let mut expected = 0u64;
     let mut x = 77u64;

@@ -27,10 +27,7 @@ fn oram_is_substantially_slower_than_insecure() {
     let namd = run_workload(&spec::profile("namd"), &cfg(DupPolicy::Off, false), &opts());
     assert!(mcf.slowdown() > 3.0, "mcf slowdown {}", mcf.slowdown());
     assert!(namd.slowdown() > 1.0, "namd slowdown {}", namd.slowdown());
-    assert!(
-        mcf.slowdown() > namd.slowdown(),
-        "memory-intensive workloads suffer more"
-    );
+    assert!(mcf.slowdown() > namd.slowdown(), "memory-intensive workloads suffer more");
 }
 
 #[test]
