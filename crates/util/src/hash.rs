@@ -16,6 +16,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
+use crate::splitmix64_mix;
+
 /// A fixed-seed [`BuildHasher`]: every map built from it hashes
 /// identically in every process.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,10 +42,7 @@ pub struct DetHasher {
 impl DetHasher {
     #[inline]
     fn mix(&mut self, word: u64) {
-        let mut z = self.state ^ word.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.state = z ^ (z >> 31);
+        self.state = splitmix64_mix(self.state ^ word.wrapping_mul(0xBF58_476D_1CE4_E5B9));
     }
 }
 
