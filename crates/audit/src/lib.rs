@@ -69,7 +69,7 @@ pub use posmap::{
     check_posmap_trace, recursive_flat_data_identity, strip_posmap_events, PosmapFold,
     PosmapSummary,
 };
-pub use recorder::{Recorder, TraceBuffer};
+pub use recorder::Recorder;
 pub use stats::{
     bin_counts, chi_square_two_sample, chi_square_uniform, ks_uniform, ks_uniform_counts, GofTest,
     LeafCounts,

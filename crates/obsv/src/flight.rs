@@ -5,7 +5,7 @@
 //! The live plane aggregates — by the time an SLO burn alert pages, the
 //! individual spans and admission decisions that explain it have been
 //! folded into window counters. The recorder keeps the raw recent
-//! history in four preallocated overwrite-oldest rings:
+//! history in four preallocated overwrite-oldest [`Ring`]s:
 //!
 //! * engine [`AccessSpan`]s with full cycle attribution,
 //! * service admission / rejection / coalesce events,
@@ -27,8 +27,8 @@
 //! distinguisher holds the rendered bundle bytes to that contract.
 
 use oram_telemetry::json::{self, Layout, Value, Writer};
-use oram_telemetry::{spans_to_chrome_trace, spans_to_jsonl, SpanRing};
-use oram_util::{AccessSpan, WindowSample};
+use oram_telemetry::{spans_to_chrome_trace, spans_to_jsonl};
+use oram_util::{AccessSpan, Ring, WindowSample};
 
 use crate::slo::SloEvent;
 
@@ -111,61 +111,12 @@ impl Default for FlightConfig {
     }
 }
 
-/// A preallocated overwrite-oldest ring of `Copy` records (the same
-/// discipline as the telemetry `SpanRing`, reused for the recorder's
-/// non-span streams).
-#[derive(Debug)]
-struct Ring<T: Copy> {
-    buf: Vec<T>,
-    capacity: usize,
-    head: usize,
-    pushed: u64,
-}
-
-impl<T: Copy> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        Ring { buf: Vec::with_capacity(capacity), capacity, head: 0, pushed: 0 }
-    }
-
-    #[inline]
-    fn push(&mut self, item: T) {
-        self.pushed += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() < self.capacity {
-            self.buf.push(item);
-        } else {
-            self.buf[self.head] = item;
-        }
-        self.head = (self.head + 1) % self.capacity;
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.pushed - self.buf.len() as u64
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        let (newer, older) = if self.buf.len() < self.capacity {
-            (&self.buf[..], &self.buf[..0])
-        } else {
-            let (b, a) = self.buf.split_at(self.head);
-            (a, b)
-        };
-        newer.iter().chain(older.iter())
-    }
-}
-
 /// The flight recorder. Owned by a [`crate::LivePlane`] (attach with
 /// [`crate::LivePlane::attach_flight`]); the plane feeds it from both
 /// telemetry streams and freezes it on trigger alerts.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    spans: SpanRing,
+    spans: Ring<AccessSpan>,
     events: Ring<ServiceEvent>,
     slo_events: Ring<SloEvent>,
     windows: Ring<WindowSample>,
@@ -177,7 +128,7 @@ impl FlightRecorder {
     /// Nothing allocates after this.
     pub fn new(cfg: FlightConfig) -> Self {
         FlightRecorder {
-            spans: SpanRing::new(cfg.span_capacity),
+            spans: Ring::new(cfg.span_capacity),
             events: Ring::new(cfg.event_capacity),
             slo_events: Ring::new(cfg.slo_capacity),
             windows: Ring::new(cfg.window_capacity),
@@ -199,7 +150,7 @@ impl FlightRecorder {
     #[inline]
     pub fn record_span(&mut self, span: &AccessSpan) {
         if self.trigger.is_none() {
-            self.spans.push(span);
+            self.spans.push(*span);
         }
     }
 
@@ -237,7 +188,7 @@ impl FlightRecorder {
     }
 
     /// The held spans, oldest first.
-    pub fn spans(&self) -> &SpanRing {
+    pub fn spans(&self) -> &Ring<AccessSpan> {
         &self.spans
     }
 

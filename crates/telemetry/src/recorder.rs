@@ -4,11 +4,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use oram_util::{AccessSpan, MetricId, SharedTelemetry, TelemetrySink, WindowSample};
+use oram_util::{AccessSpan, MetricId, Ring, SharedTelemetry, TelemetrySink, WindowSample};
 
 use crate::profile::span_attribution;
 use crate::registry::MetricsRegistry;
-use crate::spans::SpanRing;
 use crate::timeseries::TimeSeries;
 
 /// Sizing knobs for a [`TelemetryRecorder`].
@@ -34,7 +33,7 @@ impl Default for TelemetryConfig {
 #[derive(Debug)]
 pub struct TelemetryRecorder {
     metrics: MetricsRegistry,
-    spans: SpanRing,
+    spans: Ring<AccessSpan>,
     series: TimeSeries,
     /// The attribution invariant over every span recorded so far: the
     /// first violation stays, whether or not the ring still holds its
@@ -47,7 +46,7 @@ impl TelemetryRecorder {
     pub fn new(cfg: TelemetryConfig) -> Self {
         TelemetryRecorder {
             metrics: MetricsRegistry::new(),
-            spans: SpanRing::new(cfg.span_capacity),
+            spans: Ring::new(cfg.span_capacity),
             series: TimeSeries::new(),
             attribution: Ok(()),
         }
@@ -70,7 +69,7 @@ impl TelemetryRecorder {
     }
 
     /// The span ring.
-    pub fn spans(&self) -> &SpanRing {
+    pub fn spans(&self) -> &Ring<AccessSpan> {
         &self.spans
     }
 
@@ -107,7 +106,7 @@ impl TelemetrySink for TelemetryRecorder {
         if self.attribution.is_ok() {
             self.attribution = span_attribution(span);
         }
-        self.spans.push(span);
+        self.spans.push(*span);
     }
 
     fn window(&mut self, w: &WindowSample) {
@@ -185,10 +184,10 @@ mod tests {
         let verdict = rec.attribution().unwrap_err();
         assert!(verdict.starts_with("span 0: attribution 8 != duration 9"), "{verdict}");
         // The text is the ring validator's.
-        let mut ring = SpanRing::new(1);
+        let mut ring = Ring::new(1);
         span.seq = 0;
         span.attr.dram_bus = 8;
-        ring.push(&span);
+        ring.push(span);
         assert_eq!(crate::validate_attribution(&ring), Err(verdict));
     }
 }

@@ -15,6 +15,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use crate::Ring;
+
 /// The phase of an ORAM access a bus event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusPhase {
@@ -103,6 +105,18 @@ pub trait BusObserver: std::fmt::Debug + Send {
 impl BusObserver for Vec<BusEvent> {
     fn on_event(&mut self, event: BusEvent) {
         self.push(event);
+    }
+}
+
+/// The bounded (or [`Ring::unbounded`]) collector behind the audit's
+/// trace recorder; a batch lands in at most three slice copies.
+impl BusObserver for Ring<BusEvent> {
+    fn on_event(&mut self, event: BusEvent) {
+        self.push(event);
+    }
+
+    fn on_events(&mut self, events: &[BusEvent]) {
+        self.extend(events);
     }
 }
 
