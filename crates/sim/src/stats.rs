@@ -25,9 +25,10 @@ pub struct SimStats {
     pub misses_consumed: u64,
     /// DRAM energy in millijoules (dynamic + background over total time).
     pub energy_mj: f64,
-    /// Final ORAM controller statistics.
+    /// ORAM controller statistics over the same span as the fields
+    /// above (the measured window alone, for a measured replay).
     pub oram: OramStats,
-    /// Final DRAM scheduling statistics.
+    /// DRAM scheduling statistics over the same span.
     pub dram: ChannelStats,
 }
 
