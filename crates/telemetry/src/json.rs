@@ -339,11 +339,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             c if c < 0x20 => return Err(format!("raw control byte at {}", *pos)),
             _ => {
-                // Copy a full UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain bytes up to the next quote,
+                // backslash or control byte in one piece. All three are
+                // ASCII, so the run ends on a char boundary of the `&str`
+                // that `parse` was given.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?);
             }
         }
     }
@@ -600,6 +604,35 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_strings_next_to_escapes_roundtrip() {
+        // 2-, 3- and 4-byte UTF-8 characters against escapes on both
+        // sides, many times over in one long document.
+        let s = "é\"ü\\€\n日本\t😀\u{1}ß";
+        let mut w = Writer::new();
+        w.array(Layout::COMPACT);
+        for _ in 0..2000 {
+            w.value(s);
+        }
+        w.end();
+        let doc = w.finish();
+        let items = parse(&doc).unwrap();
+        let items = items.as_array().unwrap();
+        assert_eq!(items.len(), 2000);
+        assert!(items.iter().all(|v| v.as_str() == Some(s)));
+        let mut again = Writer::new();
+        again.array(Layout::COMPACT);
+        for v in items {
+            again.value(v.as_str().unwrap());
+        }
+        again.end();
+        assert_eq!(again.finish(), doc);
+        // Every rejection still holds.
+        assert!(parse("[\"a\u{1}b\"]").is_err(), "raw control byte");
+        assert!(parse(r#"["é\q"]"#).is_err(), "bad escape");
+        assert!(parse(r#"["日本"#).is_err(), "unterminated string");
     }
 
     #[test]
