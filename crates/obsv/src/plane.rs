@@ -47,7 +47,7 @@ pub const PHASES: usize = 6;
 pub const PHASE_NAMES: [&str; PHASES] =
     ["dram_queue", "dram_row", "dram_bus", "eviction", "network", "posmap"];
 /// Serve classes broken out per window.
-pub const CLASSES: usize = 6;
+pub const CLASSES: usize = ServeClass::ALL.len();
 /// Closed windows kept live in the ring (≥ the slow burn span).
 pub const RING_WINDOWS: usize = 16;
 /// The slow burn-rate span, in windows (the "12x" of fast 1x/slow 12x).

@@ -11,23 +11,12 @@
 use oram_telemetry::json::{Layout, Writer};
 use oram_util::{QuantileSketch, ServeClass};
 
-use crate::plane::{LivePlane, CLASSES, PHASE_NAMES};
+use crate::plane::{LivePlane, PHASE_NAMES};
 
 /// Formats an `f64` the way the exposition format expects (fixed
 /// six-digit precision keeps renders byte-stable across platforms).
 fn f(v: f64) -> String {
     format!("{v:.6}")
-}
-
-fn class_name(k: usize) -> &'static str {
-    match k {
-        0 => ServeClass::Stash.name(),
-        1 => ServeClass::Treetop.name(),
-        2 => ServeClass::DramReal.name(),
-        3 => ServeClass::DramShadow.name(),
-        4 => ServeClass::Fresh.name(),
-        _ => ServeClass::Dummy.name(),
-    }
 }
 
 fn summary(out: &mut String, name: &str, labels: &str, s: &QuantileSketch) {
@@ -136,12 +125,8 @@ pub fn render_prometheus(p: &LivePlane) -> String {
     }
 
     head(&mut out, "oram_class_requests_total", "counter", "Completions per serve class.");
-    for k in 0..CLASSES {
-        out.push_str(&format!(
-            "oram_class_requests_total{{class=\"{}\"}} {}\n",
-            class_name(k),
-            t.class_completed[k]
-        ));
+    for (class, n) in ServeClass::ALL.iter().zip(t.class_completed) {
+        out.push_str(&format!("oram_class_requests_total{{class=\"{}\"}} {n}\n", class.name()));
     }
 
     head(

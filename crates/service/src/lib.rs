@@ -40,5 +40,4 @@ pub use config::{AddressMix, ArrivalModel, ClientSpec, SchedPolicy, ServiceConfi
 pub use report::{percentile, LatencySummary, SchedulerSummary, ServiceMeta, ServiceReport};
 pub use sim::{
     ClientResult, ServeTarget, ServiceDriver, ServiceResult, ServiceSim, ShardedServiceSim,
-    SERVE_CLASS_NAMES,
 };

@@ -63,22 +63,6 @@ struct QueuedRequest {
     arrival: u64,
 }
 
-/// Dense index for per-class serve counters (mirrors [`ServeClass`]).
-fn class_index(c: ServeClass) -> usize {
-    match c {
-        ServeClass::Stash => 0,
-        ServeClass::Treetop => 1,
-        ServeClass::DramReal => 2,
-        ServeClass::DramShadow => 3,
-        ServeClass::Fresh => 4,
-        ServeClass::Dummy => 5,
-    }
-}
-
-/// Names matching the [`ClientResult::served`] index, for reports.
-pub const SERVE_CLASS_NAMES: [&str; 6] =
-    ["stash", "treetop", "dram_real", "dram_shadow", "fresh", "dummy"];
-
 /// Live state of one client stream.
 #[derive(Debug)]
 struct ClientState {
@@ -158,7 +142,7 @@ impl ClientState {
             coalesced: 0,
             completed: 0,
             issued: 0,
-            served: [0; 6],
+            served: [0; ServeClass::ALL.len()],
             latencies: Vec::with_capacity(spec.requests as usize),
             wait_sum: 0,
             wait_max: 0,
@@ -205,8 +189,8 @@ pub struct ClientResult {
     pub completed: u64,
     /// ORAM accesses issued with this client as group leader.
     pub issued: u64,
-    /// Completions per serve class, indexed like [`SERVE_CLASS_NAMES`].
-    pub served: [u64; 6],
+    /// Completions per serve class, indexed like [`ServeClass::ALL`].
+    pub served: [u64; ServeClass::ALL.len()],
     /// Per-request latency (`data_ready − arrival`) in completion order.
     pub latencies: Vec<u64>,
     /// Sum of per-request queue waits (`issue − arrival`).
@@ -293,7 +277,7 @@ impl ServiceResult {
                     c.completed
                 ));
             }
-            if c.served[class_index(ServeClass::Dummy)] != 0 {
+            if c.served[ServeClass::Dummy as usize] != 0 {
                 return Err(format!("client {i}: a real request was served as a dummy"));
             }
         }
@@ -516,7 +500,7 @@ impl Frontend {
         let latency = out.data_ready.saturating_sub(req.arrival);
         let c = &mut self.clients[client];
         c.completed += 1;
-        c.served[class_index(out.served)] += 1;
+        c.served[out.served as usize] += 1;
         c.latencies.push(latency);
         if leader {
             c.issued += 1;

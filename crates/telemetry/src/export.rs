@@ -10,16 +10,6 @@ use oram_util::{AccessAttribution, AccessSpan, PhaseSpan, Ring, ServeClass};
 use crate::json::{self, Layout, Value, Writer};
 use crate::profile::span_attribution;
 
-/// Every serve class, by its schema name ([`ServeClass::name`]).
-const SERVE_CLASSES: [ServeClass; 6] = [
-    ServeClass::Stash,
-    ServeClass::Treetop,
-    ServeClass::DramReal,
-    ServeClass::DramShadow,
-    ServeClass::Fresh,
-    ServeClass::Dummy,
-];
-
 /// Every bus phase, by its schema name ([`phase_name`]).
 const PHASES: [BusPhase; 3] = [BusPhase::ReadOnly, BusPhase::EvictionRead, BusPhase::EvictionWrite];
 
@@ -61,7 +51,7 @@ fn write_span(w: &mut Writer, s: &AccessSpan) {
 /// field for field.
 fn span_from_json(v: &Value) -> Result<AccessSpan, String> {
     let served: &str = v.at("served")?;
-    let served = SERVE_CLASSES
+    let served = ServeClass::ALL
         .into_iter()
         .find(|c| c.name() == served)
         .ok_or_else(|| format!("unknown serve class {served:?}"))?;

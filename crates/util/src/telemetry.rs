@@ -280,6 +280,17 @@ pub enum ServeClass {
 }
 
 impl ServeClass {
+    /// Every class in declaration order, so `ALL[c as usize] == c`: a
+    /// class indexes per-class arrays by its discriminant.
+    pub const ALL: [ServeClass; 6] = [
+        ServeClass::Stash,
+        ServeClass::Treetop,
+        ServeClass::DramReal,
+        ServeClass::DramShadow,
+        ServeClass::Fresh,
+        ServeClass::Dummy,
+    ];
+
     /// Stable snake_case name used in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -547,6 +558,13 @@ pub type SharedLive = Arc<Mutex<dyn LiveObserver>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_serve_class_indexes_its_own_slot() {
+        for (i, c) in ServeClass::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{}", c.name());
+        }
+    }
 
     #[test]
     fn schema_indices_are_dense_and_stable() {
