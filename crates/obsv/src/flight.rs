@@ -202,11 +202,6 @@ impl FlightRecorder {
         self.slo_events.iter()
     }
 
-    /// Held window samples, oldest first.
-    pub fn window_samples(&self) -> impl Iterator<Item = &WindowSample> {
-        self.windows.iter()
-    }
-
     /// Renders the ring contents into the bundle's per-stream files.
     /// `slo_names` maps objective indices to names for the alert export.
     pub(crate) fn render_streams(

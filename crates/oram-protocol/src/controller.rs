@@ -460,12 +460,6 @@ impl OramController {
         self.posmap.pending()
     }
 
-    /// Which position-map backend is active ("flat", "sparse",
-    /// "recursive").
-    pub fn posmap_kind(&self) -> &'static str {
-        self.posmap.kind()
-    }
-
     /// Modeled on-chip posmap state in bytes (terminal map + PLB +
     /// level-ORAM stashes for the recursive backend; the whole table
     /// for flat ones).

@@ -171,9 +171,6 @@ pub trait PosMapBackend: std::fmt::Debug + Send {
     /// Number of leaves (labels are drawn from `0..leaf_count`).
     fn leaf_count(&self) -> u64;
 
-    /// Short identifier for reports ("flat", "sparse", "recursive").
-    fn kind(&self) -> &'static str;
-
     /// Posmap-ORAM phases queued since the last [`Self::clear_pending`]
     /// (empty for flat backends). The engine drains this once per access
     /// and charges DRAM timing for every phase.
@@ -414,13 +411,6 @@ impl PosMapBackend for FlatPosMap {
         self.leaf_count
     }
 
-    fn kind(&self) -> &'static str {
-        match self.index {
-            PosIndex::Dense(_) => "flat",
-            PosIndex::Hashed(_) => "sparse",
-        }
-    }
-
     fn onchip_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<PosEntry>() as u64;
         // The whole table is (fictionally) on chip, plus the PLB tags.
@@ -537,7 +527,6 @@ mod tests {
     fn sparse_matches_flat_semantics() {
         let mut flat = FlatPosMap::new(64, 8, 4, false);
         let mut sparse = FlatPosMap::new(64, 8, 4, true);
-        assert_eq!((flat.kind(), sparse.kind()), ("flat", "sparse"));
         let mut r1 = Rng64::seed_from_u64(9);
         let mut r2 = Rng64::seed_from_u64(9);
         let mut drive = Rng64::seed_from_u64(10);

@@ -353,10 +353,6 @@ impl PosMapBackend for RecursivePosMap {
         self.leaf_count
     }
 
-    fn kind(&self) -> &'static str {
-        "recursive"
-    }
-
     fn pending(&self) -> &[PosmapPhase] {
         &self.pending
     }

@@ -40,12 +40,6 @@ impl RunOptions {
         RunOptions { misses: 3000, warmup_misses: 600, seed: 7, fill_target: 0.35, o3: None }
     }
 
-    /// Builder-style: sets the measured miss count.
-    pub fn with_misses(mut self, n: u64) -> Self {
-        self.misses = n;
-        self
-    }
-
     /// Builder-style: sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -295,11 +295,6 @@ impl<B: StorageBackend> ShardedOram<B> {
             .unwrap_or(0)
     }
 
-    /// One shard's clock.
-    pub fn shard_cycle(&self, shard: usize) -> u64 {
-        self.lanes[shard].lock().expect("shard engine poisoned").cycle()
-    }
-
     /// Mutable access to one shard's engine (telemetry and observer
     /// attachment, prefill, diagnostics).
     pub fn engine_mut(&mut self, shard: usize) -> &mut Engine<B> {
