@@ -17,7 +17,6 @@
 pub mod experiments;
 pub mod incident;
 pub mod microbench;
-pub mod profile;
 pub mod progress;
 pub mod serve;
 pub mod soak;
@@ -27,7 +26,6 @@ pub mod trace;
 pub use experiments::ExpOptions;
 pub use incident::{run_incident, write_incident_bundle, IncidentSummary};
 pub use microbench::{bench, BenchReport, CountingAlloc};
-pub use profile::run_profile;
 pub use progress::Heartbeat;
 pub use serve::{
     run_serve, run_serve_live, run_sweep, BackendKind, LiveRun, PosmapKind, ServeArtifacts,
@@ -36,6 +34,5 @@ pub use serve::{
 pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use table::Table;
 pub use trace::{
-    run_trace, run_trace_with_progress, write_artifacts, TraceArtifacts, TraceOptions,
-    TRACE_POLICIES,
+    run_profile, run_trace, write_artifacts, TraceArtifacts, TraceOptions, TRACE_POLICIES,
 };

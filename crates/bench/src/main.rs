@@ -24,10 +24,9 @@ use cli::{Command, Parsed, USAGE_ERROR};
 use oram_audit::{run_audit, AuditOptions};
 use oram_bench::experiments as exp;
 use oram_bench::{
-    run_incident, run_profile, run_serve_live, run_soak, run_sweep, run_trace,
-    run_trace_with_progress, write_artifacts, write_incident_bundle, BackendKind, ExpOptions,
-    Heartbeat, LiveRun, PosmapKind, ServeOptions, SoakOptions, SoakReport, Sweep, Table,
-    TraceOptions,
+    run_incident, run_profile, run_serve_live, run_soak, run_sweep, run_trace, write_artifacts,
+    write_incident_bundle, BackendKind, ExpOptions, Heartbeat, LiveRun, PosmapKind, ServeOptions,
+    SoakOptions, SoakReport, Sweep, Table, TraceOptions,
 };
 use oram_obsv::{parse_slo_spec, FlightConfig, IncidentMeta, LiveConfig, LivePlane, MetricsServer};
 use oram_service::{SchedPolicy, ServiceReport};
@@ -134,7 +133,7 @@ fn experiment_main(p: &Parsed) -> ExitCode {
             seed: opts.seed,
             ..TraceOptions::full()
         };
-        match run_trace(&topts) {
+        match run_trace(&topts, None) {
             Ok(artifacts) => {
                 if let Err(e) = write_artifacts(&dir, &artifacts) {
                     eprintln!("failed to write {}: {e}", dir.display());
@@ -199,7 +198,7 @@ fn trace_main(p: &Parsed) -> ExitCode {
 
     let started = Instant::now();
     let hb = Heartbeat::new("trace", !quiet && Heartbeat::stderr_is_tty());
-    match run_trace_with_progress(&opts, Some(&hb)) {
+    match run_trace(&opts, Some(&hb)) {
         Ok(artifacts) => {
             if let Err(e) = write_artifacts(&out, &artifacts) {
                 eprintln!("failed to write {}: {e}", out.display());
