@@ -18,11 +18,11 @@
 
 use std::collections::HashMap;
 
-use oram_cpu::{O3Config, ReplayMisses};
+use oram_cpu::O3Config;
 use oram_protocol::DupPolicy;
 use oram_sim::{
-    build_miss_stream, default_threads, gmean, parallel_map, parallel_map_notify, run_workload,
-    scale_profile, Engine, RunOptions, RunResult, SystemConfig,
+    build_miss_stream, default_threads, gmean, parallel_map, parallel_map_notify, run_oram,
+    run_workload, scale_profile, Engine, RunOptions, RunResult, SimStats, SystemConfig,
 };
 use oram_workloads::spec;
 
@@ -155,7 +155,8 @@ impl Cell {
         self
     }
 
-    fn run(&self) -> RunResult {
+    /// The cell's configuration and run options.
+    fn setup(&self) -> (SystemConfig, RunOptions) {
         let mut cfg = self.opts.base_config();
         cfg.oram.dup_policy = self.policy;
         cfg.oram.treetop_levels = self.treetop;
@@ -171,17 +172,35 @@ impl Cell {
         if self.o3 {
             ro = ro.with_o3(O3Config::paper_o3());
         }
+        (cfg, ro)
+    }
+
+    /// The ORAM system's measured statistics: what every figure reads.
+    fn run(&self) -> SimStats {
+        let (cfg, ro) = self.setup();
+        run_oram(&spec::profile(self.wl), &cfg, &ro)
+    }
+
+    /// [`Cell::run`] plus the insecure baseline on the same misses, for
+    /// the figures normalized to it (Figs. 11, 12 and 15).
+    fn run_vs_insecure(&self) -> RunResult {
+        let (cfg, ro) = self.setup();
         run_workload(&spec::profile(self.wl), &cfg, &ro)
     }
 }
 
-/// Runs every cell on the sweep worker pool; results come back in cell
-/// order, so index arithmetic below is the same as for a sequential loop.
-/// With `opts.progress` set, completions drive a rate-limited heartbeat
-/// on stderr (the results are unaffected either way).
-fn run_cells(opts: &ExpOptions, cells: &[Cell]) -> Vec<RunResult> {
+/// Runs `run` on every cell on the sweep worker pool; results come back
+/// in cell order, so index arithmetic below is the same as for a
+/// sequential loop. With `opts.progress` set, completions drive a
+/// rate-limited heartbeat on stderr (the results are unaffected either
+/// way).
+fn run_cells<T: Send>(
+    opts: &ExpOptions,
+    cells: &[Cell],
+    run: impl Fn(&Cell) -> T + Sync,
+) -> Vec<T> {
     let hb = Heartbeat::new("sweep", opts.progress);
-    parallel_map_notify(opts.threads, cells, |c| c.run(), |done, total| hb.tick(done, total))
+    parallel_map_notify(opts.threads, cells, run, |done, total| hb.tick(done, total))
 }
 
 /// Table I: prints the modeled configuration (paper values and the scaled
@@ -242,7 +261,7 @@ pub fn fig6b(opts: &ExpOptions) -> Table {
         engine.prefill_working_set(profile.working_set_blocks);
         let mut curve = Vec::new();
         for chunk_recs in recs.chunks(chunk as usize) {
-            let s = engine.run(&mut ReplayMisses::new(chunk_recs.to_vec()));
+            let s = engine.run(&mut chunk_recs.iter().copied());
             curve.push(s.total_cycles as f64);
         }
         curve
@@ -274,19 +293,19 @@ pub fn fig8_13(opts: &ExpOptions, timing: bool) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     for (i, wl) in wls.iter().enumerate() {
         let (tiny, rd, hd) = (&res[3 * i], &res[3 * i + 1], &res[3 * i + 2]);
-        let base = tiny.oram.total_cycles as f64;
+        let base = tiny.total_cycles as f64;
         t.push(
             *wl,
             vec![
-                hd.oram.data_cycles as f64 / base,
-                hd.oram.dri_cycles as f64 / base,
-                rd.oram.data_cycles as f64 / base,
-                rd.oram.dri_cycles as f64 / base,
-                tiny.oram.data_cycles as f64 / base,
-                tiny.oram.dri_cycles as f64 / base,
+                hd.data_cycles as f64 / base,
+                hd.dri_cycles as f64 / base,
+                rd.data_cycles as f64 / base,
+                rd.dri_cycles as f64 / base,
+                tiny.data_cycles as f64 / base,
+                tiny.dri_cycles as f64 / base,
             ],
         );
     }
@@ -324,9 +343,9 @@ pub fn fig9_14(opts: &ExpOptions, timing: bool) -> Table {
         let policy = DupPolicy::Static { partition_level: p };
         cells.extend(wls.iter().map(|wl| Cell::new(opts, wl, policy, timing)));
     }
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     let base: HashMap<&str, f64> =
-        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.oram.total_cycles as f64)).collect();
+        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.total_cycles as f64)).collect();
     for (pi, &p) in plevels.iter().enumerate() {
         let sweep = &res[wls.len() * (pi + 1)..wls.len() * (pi + 2)];
         let mut row = Vec::new();
@@ -334,12 +353,12 @@ pub fn fig9_14(opts: &ExpOptions, timing: bool) -> Table {
             let ix = wls.iter().position(|w| *w == name).expect("detail workload exists");
             let r = &sweep[ix];
             let b = base[name];
-            row.push(r.oram.dri_cycles as f64 / b);
-            row.push(r.oram.data_cycles as f64 / b);
-            row.push(r.oram.total_cycles as f64 / b);
+            row.push(r.dri_cycles as f64 / b);
+            row.push(r.data_cycles as f64 / b);
+            row.push(r.total_cycles as f64 / b);
         }
         let totals: Vec<f64> =
-            wls.iter().zip(sweep).map(|(wl, r)| r.oram.total_cycles as f64 / base[wl]).collect();
+            wls.iter().zip(sweep).map(|(wl, r)| r.total_cycles as f64 / base[wl]).collect();
         row.push(gmean(&totals));
         t.push(format!("P={p}"), row);
     }
@@ -360,17 +379,17 @@ pub fn fig10(opts: &ExpOptions, timing: bool) -> Table {
         let policy = DupPolicy::Dynamic { counter_bits: bits };
         cells.extend(wls.iter().map(|wl| Cell::new(opts, wl, policy, timing)));
     }
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     let base: HashMap<&str, f64> =
-        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.oram.total_cycles as f64)).collect();
+        wls.iter().zip(&res).map(|(wl, r)| (*wl, r.total_cycles as f64)).collect();
     for (bi, &bits) in widths.iter().enumerate() {
         let sweep = &res[wls.len() * (bi + 1)..wls.len() * (bi + 2)];
         let norm = |name: &str| {
             let ix = wls.iter().position(|w| *w == name).expect("workload exists");
-            sweep[ix].oram.total_cycles as f64 / base[name]
+            sweep[ix].total_cycles as f64 / base[name]
         };
         let all: Vec<f64> =
-            wls.iter().zip(sweep).map(|(wl, r)| r.oram.total_cycles as f64 / base[wl]).collect();
+            wls.iter().zip(sweep).map(|(wl, r)| r.total_cycles as f64 / base[wl]).collect();
         t.push(
             format!("{bits}-bit"),
             vec![norm("sjeng"), norm("h264ref"), norm("namd"), gmean(&all)],
@@ -399,7 +418,7 @@ pub fn fig11_15(opts: &ExpOptions, timing: bool) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run_vs_insecure);
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for (i, wl) in wls.iter().enumerate() {
         let (tiny, st, dy) = (&res[3 * i], &res[3 * i + 1], &res[3 * i + 2]);
@@ -430,7 +449,7 @@ pub fn fig12(opts: &ExpOptions) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run_vs_insecure);
     for (i, wl) in wls.iter().enumerate() {
         let (tiny, st, dy) = (&res[3 * i], &res[3 * i + 1], &res[3 * i + 2]);
         t.push(*wl, vec![tiny.energy_norm(), st.energy_norm(), dy.energy_norm()]);
@@ -458,9 +477,9 @@ pub fn fig16(opts: &ExpOptions) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     for (i, wl) in wls.iter().enumerate() {
-        t.push(*wl, (0..4).map(|k| res[4 * i + k].oram.oram.on_chip_hit_rate()).collect());
+        t.push(*wl, (0..4).map(|k| res[4 * i + k].oram.on_chip_hit_rate()).collect());
     }
     t
 }
@@ -486,10 +505,10 @@ pub fn fig17(opts: &ExpOptions) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     for (i, wl) in wls.iter().enumerate() {
-        let base = res[5 * i].oram.total_cycles as f64;
-        t.push(*wl, (1..5).map(|k| base / res[5 * i + k].oram.total_cycles as f64).collect());
+        let base = res[5 * i].total_cycles as f64;
+        t.push(*wl, (1..5).map(|k| base / res[5 * i + k].total_cycles as f64).collect());
     }
     t
 }
@@ -512,15 +531,15 @@ pub fn fig18(opts: &ExpOptions) -> Table {
             ]
         })
         .collect();
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     for (i, wl) in wls.iter().enumerate() {
         let (tiny_io, dyn_io, tiny_o3, dyn_o3) =
             (&res[4 * i], &res[4 * i + 1], &res[4 * i + 2], &res[4 * i + 3]);
         t.push(
             *wl,
             vec![
-                tiny_o3.oram.total_cycles as f64 / dyn_o3.oram.total_cycles as f64,
-                tiny_io.oram.total_cycles as f64 / dyn_io.oram.total_cycles as f64,
+                tiny_o3.total_cycles as f64 / dyn_o3.total_cycles as f64,
+                tiny_io.total_cycles as f64 / dyn_io.total_cycles as f64,
             ],
         );
     }
@@ -548,7 +567,7 @@ pub fn fig19(opts: &ExpOptions) -> Table {
             cells.push(Cell::new(&sub, wl, dyn3, true));
         }
     }
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     for (si, (label, _)) in sizes.iter().enumerate() {
         let chunk = &res[2 * wls.len() * si..2 * wls.len() * (si + 1)];
         let mut speedups = Vec::new();
@@ -557,8 +576,8 @@ pub fn fig19(opts: &ExpOptions) -> Table {
             // Workloads whose scaled working set collapses into the LLC
             // produce empty runs at the smallest trees; skip them rather
             // than poison the gmean.
-            if tiny.oram.total_cycles > 0 && dy.oram.total_cycles > 0 {
-                speedups.push(tiny.oram.total_cycles as f64 / dy.oram.total_cycles as f64);
+            if tiny.total_cycles > 0 && dy.total_cycles > 0 {
+                speedups.push(tiny.total_cycles as f64 / dy.total_cycles as f64);
             }
         }
         t.push(format!("{label} (L={})", depths[si]), vec![gmean(&speedups)]);
@@ -590,7 +609,7 @@ pub fn ablation(opts: &ExpOptions) -> Table {
             Cell::new(opts, wl, DupPolicy::Dynamic { counter_bits: 3 }, true).toggles(recirc, chain)
         }));
     }
-    let res = run_cells(opts, &cells);
+    let res = run_cells(opts, &cells, Cell::run);
     let base = &res[..wls.len()];
     for (vi, (label, _, _)) in variants.iter().enumerate() {
         let sweep = &res[wls.len() * (vi + 1)..wls.len() * (vi + 2)];
@@ -598,10 +617,9 @@ pub fn ablation(opts: &ExpOptions) -> Table {
         let mut adv = 0.0;
         let mut hits = 0.0;
         for (tiny, r) in base.iter().zip(sweep) {
-            speedups.push(tiny.oram.total_cycles as f64 / r.oram.total_cycles as f64);
-            adv += r.oram.oram.shadow_advanced as f64
-                / (r.oram.oram.real_requests.max(1) as f64 / 1000.0);
-            hits += r.oram.oram.on_chip_hit_rate();
+            speedups.push(tiny.total_cycles as f64 / r.total_cycles as f64);
+            adv += r.oram.shadow_advanced as f64 / (r.oram.real_requests.max(1) as f64 / 1000.0);
+            hits += r.oram.on_chip_hit_rate();
         }
         let n = wls.len() as f64;
         t.push(*label, vec![gmean(&speedups), adv / n, hits / n]);

@@ -81,9 +81,19 @@ impl ReplayMisses {
     }
 }
 
-impl MissStream for ReplayMisses {
-    fn next_miss(&mut self) -> Option<MissRecord> {
+impl Iterator for ReplayMisses {
+    type Item = MissRecord;
+
+    fn next(&mut self) -> Option<MissRecord> {
         self.records.next()
+    }
+}
+
+/// Any iterator of misses is a miss stream — a borrowed recording
+/// replays as `records.iter().copied()`, with nothing copied up front.
+impl<I: Iterator<Item = MissRecord>> MissStream for I {
+    fn next_miss(&mut self) -> Option<MissRecord> {
+        self.next()
     }
 }
 

@@ -44,6 +44,20 @@ pub struct AddressMapping {
     banks: Digit,
     bursts_per_row: Digit,
     interleave: Interleave,
+    /// Under [`Interleave::RowRankBankColChan`] with every radix a power
+    /// of two: each field's shift from the address's low end, and its
+    /// mask. The fields then come from the address independently instead
+    /// of one after another.
+    fields: Option<Fields>,
+}
+
+/// Shifts and masks of the channel, column, bank and rank fields; the row
+/// is everything above `row_shift`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Fields {
+    shift: [u32; 4],
+    mask: [u64; 4],
+    row_shift: u32,
 }
 
 impl AddressMapping {
@@ -55,12 +69,23 @@ impl AddressMapping {
             banks: Digit::new(cfg.banks),
             bursts_per_row: Digit::new(cfg.bursts_per_row()),
             interleave,
+            fields: Fields::new(cfg, interleave),
         }
     }
 
     /// Decodes a physical block address (units of one burst / 64 B).
     #[inline]
     pub fn decode(&self, block_addr: u64) -> Location {
+        if let Some(f) = &self.fields {
+            let field = |i: usize| ((block_addr >> f.shift[i]) & f.mask[i]) as usize;
+            return Location {
+                channel: field(0),
+                column: field(1),
+                bank: field(2),
+                rank: field(3),
+                row: block_addr >> f.row_shift,
+            };
+        }
         let (channel, a) = self.channels.peel(block_addr);
         let (rank, bank, column, row) = match self.interleave {
             Interleave::RowRankBankColChan => {
@@ -86,6 +111,24 @@ impl AddressMapping {
     }
 }
 
+impl Fields {
+    fn new(cfg: &DramConfig, interleave: Interleave) -> Option<Self> {
+        let sizes = [cfg.channels, cfg.bursts_per_row(), cfg.banks, cfg.ranks];
+        if interleave != Interleave::RowRankBankColChan
+            || !sizes.iter().all(|s| s.is_power_of_two())
+        {
+            return None;
+        }
+        let (mut shift, mut mask, mut at) = ([0; 4], [0; 4], 0);
+        for (i, size) in sizes.into_iter().enumerate() {
+            shift[i] = at;
+            mask[i] = size as u64 - 1;
+            at += size.trailing_zeros();
+        }
+        Some(Fields { shift, mask, row_shift: at })
+    }
+}
+
 /// Maps ORAM bucket ids to physical block addresses using the sub-tree
 /// layout: the tree is cut into subtrees of `subtree_levels` levels; each
 /// subtree's buckets are stored contiguously, so one subtree spans few
@@ -94,6 +137,9 @@ impl AddressMapping {
 pub struct SubtreeLayout {
     subtree_levels: u32,
     blocks_per_bucket: usize,
+    /// `level / subtree_levels` for every level a `u64` heap index can
+    /// name: the per-bucket address map divides nothing.
+    band_of: [u8; 64],
 }
 
 impl SubtreeLayout {
@@ -105,7 +151,11 @@ impl SubtreeLayout {
     /// Panics if `subtree_levels` is 0 or `z` is 0.
     pub fn new(subtree_levels: u32, z: usize) -> Self {
         assert!(subtree_levels > 0 && z > 0);
-        SubtreeLayout { subtree_levels, blocks_per_bucket: z }
+        SubtreeLayout {
+            subtree_levels,
+            blocks_per_bucket: z,
+            band_of: std::array::from_fn(|level| (level as u32 / subtree_levels) as u8),
+        }
     }
 
     /// Picks the largest subtree depth whose bucket storage fits in one
@@ -137,8 +187,8 @@ impl SubtreeLayout {
         debug_assert!(slot < self.blocks_per_bucket);
         let k = self.subtree_levels;
         let level = 63 - bucket_heap.leading_zeros();
-        let band = level / k;
-        let level_in_band = level % k;
+        let band = u32::from(self.band_of[level as usize]);
+        let level_in_band = level - band * k;
         // The band-top ancestor of this bucket.
         let top = bucket_heap >> level_in_band;
         // Index of the subtree: number of subtree roots before `top` in
@@ -177,6 +227,46 @@ mod tests {
             assert!(loc.bank < cfg.banks);
             assert!(loc.column < cfg.bursts_per_row());
             assert!(seen.insert(loc), "duplicate location for {a}");
+        }
+    }
+
+    /// The exact div/mod decode.
+    fn div_mod(cfg: &DramConfig, interleave: Interleave, mut a: u64) -> Location {
+        let mut digit = |size: usize| {
+            let d = (a % size as u64) as usize;
+            a /= size as u64;
+            d
+        };
+        let channel = digit(cfg.channels);
+        let (rank, bank, column) = match interleave {
+            Interleave::RowRankBankColChan => {
+                let column = digit(cfg.bursts_per_row());
+                let bank = digit(cfg.banks);
+                (digit(cfg.ranks), bank, column)
+            }
+            Interleave::RowColRankBankChan => {
+                let bank = digit(cfg.banks);
+                let rank = digit(cfg.ranks);
+                (rank, bank, digit(cfg.bursts_per_row()))
+            }
+        };
+        Location { channel, rank, bank, row: a, column }
+    }
+
+    #[test]
+    fn decode_is_div_mod_on_every_geometry() {
+        // Powers of two (the field-mask decode under the default
+        // interleave), and radices that are not.
+        let base = DramConfig::ddr3_1333();
+        let odd = DramConfig { channels: 3, ranks: 1, banks: 6, row_bytes: 96 * 64, ..base };
+        let one = DramConfig { channels: 1, ranks: 4, ..base };
+        for cfg in [base, odd, one] {
+            for il in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+                let m = AddressMapping::new(&cfg, il);
+                for a in (0..20_000u64).chain([u64::MAX - 1, u64::MAX]) {
+                    assert_eq!(m.decode(a), div_mod(&cfg, il, a), "{cfg:?} {il:?} {a}");
+                }
+            }
         }
     }
 

@@ -356,9 +356,14 @@ pub struct Channel {
     batch_crit: Option<TxBreakdown>,
     /// Data-bus burst occupancy accumulated over the run.
     busy_cycles: u64,
-    /// Arrivals ahead of each arriving transaction in its batch (dense,
-    /// saturating).
-    queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
+    /// Drained batches by arrival count, the last entry counting those of
+    /// `QUEUE_DEPTH_BUCKETS − 1` or more. Queue-depth bucket `k` counts the
+    /// batches of more than `k` arrivals, a suffix sum of these taken when
+    /// [`Channel::utilization`] asks: one add per batch, not per arrival.
+    batch_arrivals: [u64; QUEUE_DEPTH_BUCKETS],
+    /// Arrivals past the `QUEUE_DEPTH_BUCKETS − 1`-th of their batch: the
+    /// saturating bucket of the queue-depth histogram.
+    deep_arrivals: u64,
     /// Runs timed so far.
     runs: u64,
 }
@@ -391,7 +396,8 @@ impl Channel {
             busy_until: 0,
             batch_crit: None,
             busy_cycles: 0,
-            queue_depth_hist: [0; QUEUE_DEPTH_BUCKETS],
+            batch_arrivals: [0; QUEUE_DEPTH_BUCKETS],
+            deep_arrivals: 0,
             runs: 0,
             cfg,
         }
@@ -425,10 +431,22 @@ impl Channel {
         ChannelUtilization {
             stats: self.stats,
             busy_cycles: self.busy_cycles,
-            queue_depth_hist: self.queue_depth_hist.to_vec(),
+            queue_depth_hist: self.queue_depth_hist(),
             bank_touches: self.banks.iter().map(|b| b.touches).collect(),
             bank_busy: self.banks.iter().map(|b| b.busy).collect(),
         }
+    }
+
+    /// The queue-depth histogram of [`ChannelUtilization`].
+    fn queue_depth_hist(&self) -> Vec<u64> {
+        let mut hist = vec![0; QUEUE_DEPTH_BUCKETS];
+        let mut deeper = 0;
+        for k in (0..QUEUE_DEPTH_BUCKETS - 1).rev() {
+            deeper += self.batch_arrivals[k + 1];
+            hist[k] = deeper;
+        }
+        hist[QUEUE_DEPTH_BUCKETS - 1] = self.deep_arrivals;
+        hist
     }
 
     /// Queue depth of the controller this models, which holds every
@@ -560,10 +578,8 @@ impl Channel {
         // The batch's k-th arrival found k transactions ahead of it.
         let arrivals = self.ids.len();
         let dense = arrivals.min(QUEUE_DEPTH_BUCKETS - 1);
-        for seen in &mut self.queue_depth_hist[..dense] {
-            *seen += 1;
-        }
-        self.queue_depth_hist[QUEUE_DEPTH_BUCKETS - 1] += (arrivals - dense) as u64;
+        self.batch_arrivals[dense] += 1;
+        self.deep_arrivals += (arrivals - dense) as u64;
         self.ids.clear();
     }
 
@@ -743,24 +759,26 @@ impl Channel {
             return;
         }
         let banks = rank * self.cfg.banks..(rank + 1) * self.cfg.banks;
-        while self.next_refresh[rank] <= now {
-            let deadline = self.next_refresh[rank];
-            // Precharge any open banks in the rank.
-            for slot in &mut self.banks[banks.clone()] {
-                if slot.bank.state() != RowState::Idle {
-                    let at = slot.bank.earliest(Command::Precharge, &self.cfg).max(deadline);
-                    slot.bank.issue(Command::Precharge, at, 0, &self.cfg);
-                    self.stats.precharges += 1;
-                }
+        // Every refresh due by `now`, in closed form: the first precharges
+        // the rank's open banks at its deadline; after it every bank is
+        // idle, so the later ones precharge nothing, and as a stall only
+        // raises a bank's timestamps to its resume cycle, the last one
+        // leaves the state all of them would.
+        let first = self.next_refresh[rank];
+        let trefi = self.cfg.trefi as i64;
+        let due = (now - first) / trefi + 1;
+        // The whole rank is unavailable for tRFC after each deadline.
+        let resume = first + (due - 1) * trefi + self.cfg.trfc as i64;
+        for slot in &mut self.banks[banks.clone()] {
+            if slot.bank.state() != RowState::Idle {
+                let at = slot.bank.earliest(Command::Precharge, &self.cfg).max(first);
+                slot.bank.issue(Command::Precharge, at, 0, &self.cfg);
+                self.stats.precharges += 1;
             }
-            // The whole rank is unavailable for tRFC.
-            let resume = deadline + self.cfg.trfc as i64;
-            for slot in &mut self.banks[banks.clone()] {
-                slot.bank.stall_until(resume, &self.cfg);
-            }
-            self.stats.refreshes += 1;
-            self.next_refresh[rank] += self.cfg.trefi as i64;
+            slot.bank.stall_until(resume, &self.cfg);
         }
+        self.stats.refreshes += due as u64;
+        self.next_refresh[rank] = first + due * trefi;
         self.refresh_due = self.next_refresh.iter().copied().min().expect("at least one rank");
         for flat in banks {
             self.rescan_bank(flat, None);

@@ -569,6 +569,69 @@ fn run_shaped_batches_match_the_linear_scan_model() {
     }
 }
 
+/// Batches of stretches of consecutive addresses, the shape an ORAM
+/// bucket gives a batch, placed where a channel's blocks of the stretch
+/// leave their row: a stretch from the last columns of a bank wraps the
+/// column into the next bank (under [`Interleave::RowRankBankColChan`]),
+/// one from the last bank of the last rank steps to the next row. Some
+/// stretches flip direction partway through; scattered blocks fall
+/// between them. Reads hold the bus in half the batches.
+fn stretch_traffic(
+    cfg: DramConfig,
+    interleave: Interleave,
+) -> impl FnMut(&mut Rng64) -> (Vec<BlockRequest>, bool) {
+    move |rng| {
+        let lap = cfg.channels as u64;
+        let mut reqs = Vec::new();
+        for _ in 0..1 + rng.below(10) {
+            if rng.gen_bool(0.25) {
+                let addr =
+                    rng.below(lap * 3 * (cfg.ranks * cfg.banks * cfg.bursts_per_row()) as u64);
+                reqs.push(BlockRequest { addr, is_write: rng.gen_bool(0.5) });
+                continue;
+            }
+            let last_bank = rng.gen_bool(0.5);
+            let start = Location {
+                channel: rng.below(lap) as usize,
+                rank: if last_bank { cfg.ranks - 1 } else { rng.below(cfg.ranks as u64) as usize },
+                bank: if last_bank { cfg.banks - 1 } else { rng.below(cfg.banks as u64) as usize },
+                row: rng.below(3),
+                column: cfg.bursts_per_row() - 1 - rng.below(3) as usize,
+            };
+            let base = encode_with(&cfg, interleave, start);
+            let len = 1 + rng.below(lap * 6);
+            let flip = rng.gen_bool(0.3).then(|| rng.below(len));
+            let mut is_write = rng.gen_bool(0.4);
+            for i in 0..len {
+                is_write ^= flip == Some(i);
+                reqs.push(BlockRequest { addr: base + i, is_write });
+            }
+        }
+        (reqs, rng.gen_bool(0.5))
+    }
+}
+
+#[test]
+fn stretches_across_row_edges_match_the_linear_scan_model() {
+    // Refresh off, inside most drains, and at the DDR3 rate.
+    let mut seed = 0x5EED_3001;
+    for trefi in [0, 350, 5200] {
+        for cfg in [two_channel(trefi), one_channel(trefi), odd_geometry(trefi)] {
+            for interleave in [Interleave::RowRankBankColChan, Interleave::RowColRankBankChan] {
+                let stats = assert_models_agree(
+                    cfg,
+                    interleave,
+                    200,
+                    seed,
+                    stretch_traffic(cfg, interleave),
+                );
+                assert!(stats.row_hits > 0 && stats.row_conflicts > 0, "{cfg:?}: {stats:?}");
+                seed += 1;
+            }
+        }
+    }
+}
+
 /// Block address of `(channel, rank, bank, row, column)` under
 /// `interleave`: the inverse of the decode.
 fn encode_with(cfg: &DramConfig, interleave: Interleave, loc: Location) -> u64 {

@@ -21,7 +21,7 @@
 //!   live copy sits in the stash), which Rule-2 needs when duplicating a
 //!   stash-resident shadow candidate.
 
-use oram_util::{DetHashMap, Rng64};
+use oram_util::{DetHashMap, Digit, Rng64};
 
 use crate::access::PathPhase;
 use crate::config::{OramConfig, PosMapSelect};
@@ -225,20 +225,28 @@ pub fn build_posmap(cfg: &OramConfig, shape: TreeShape) -> Box<dyn PosMapBackend
 #[derive(Debug, Clone)]
 struct DirectPlb {
     sets: Vec<Option<u64>>,
-    page_addrs: u64,
+    /// Splits an address into (offset, page).
+    page_addrs: Digit,
+    /// Splits a page into (set, tag); the radix is `sets.len()`.
+    set_of: Digit,
     stats: PlbStats,
 }
 
 impl DirectPlb {
     fn new(entries: usize, page_addrs: u64) -> Self {
         assert!(entries > 0 && page_addrs > 0);
-        DirectPlb { sets: vec![None; entries], page_addrs, stats: PlbStats::default() }
+        DirectPlb {
+            sets: vec![None; entries],
+            page_addrs: Digit::new(page_addrs as usize),
+            set_of: Digit::new(entries),
+            stats: PlbStats::default(),
+        }
     }
 
     /// Direct-mapped access for the page containing `addr`.
     fn touch(&mut self, addr: BlockAddr) {
-        let page = addr.raw() / self.page_addrs;
-        let set = (page % self.sets.len() as u64) as usize;
+        let (_, page) = self.page_addrs.peel(addr.raw());
+        let set = self.set_of.peel(page).0 as usize;
         match self.sets[set] {
             Some(p) if p == page => self.stats.hits += 1,
             other => {

@@ -90,6 +90,10 @@ pub struct Engine<B: StorageBackend = DramBackend> {
     /// blocks, then recycled so the steady-state access loop never
     /// allocates.
     reqs: Vec<BlockRequest>,
+    /// The eviction read (and its bucket offset) whose requests `reqs`
+    /// holds, if it was the last batch built: its write half goes out
+    /// over the same addresses.
+    reqs_read: Option<(PathPhase, u64)>,
     /// Reusable completion-time buffer matching `reqs`.
     finishes: Vec<i64>,
     /// Per-access live stash occupancy (sampled after every controller
@@ -183,6 +187,7 @@ impl<B: StorageBackend> Engine<B> {
             mean_access_cycles: 0.0,
             stats: SimStats::default(),
             reqs: Vec::with_capacity(path_blocks),
+            reqs_read: None,
             finishes: Vec::with_capacity(path_blocks),
             stash_hist: QuantileSketch::new(),
             telemetry: None,
@@ -678,7 +683,8 @@ impl<B: StorageBackend> Engine<B> {
 
     /// Issues `phase`'s buckets, shifted by `bucket_offset` in the
     /// backend's address space, as one batch at `t`. Returns the cycle
-    /// (DRAM clock) the batch drains, with the per-block finishes left in
+    /// (DRAM clock) the batch drains — the finish of its critical request,
+    /// which is the latest — with the per-block finishes left in
     /// `self.finishes`; `None` when every bucket is in the treetop.
     fn service_batch(
         &mut self,
@@ -687,20 +693,35 @@ impl<B: StorageBackend> Engine<B> {
         occupy_bus: bool,
         t: u64,
     ) -> Option<i64> {
-        let z = self.cfg.oram.z as u64;
-        let is_write = phase.kind == PhaseKind::EvictionWrite;
-        self.reqs.clear();
-        for b in phase.buckets() {
-            // A bucket's slots are contiguous: map it once.
-            let base = self.layout.block_addr(b.raw() + bucket_offset, 0);
-            self.reqs.extend((0..z).map(|slot| BlockRequest { addr: base + slot, is_write }));
+        let mut read_half = *phase;
+        read_half.kind = PhaseKind::EvictionRead;
+        if phase.kind == PhaseKind::EvictionWrite
+            && self.reqs_read == Some((read_half, bucket_offset))
+        {
+            // An eviction writes back the path its read half fetched:
+            // same leaf, same buckets, same order.
+            for r in &mut self.reqs {
+                r.is_write = true;
+            }
+        } else {
+            let z = self.cfg.oram.z as u64;
+            let is_write = phase.kind == PhaseKind::EvictionWrite;
+            self.reqs.clear();
+            for b in phase.buckets() {
+                // A bucket's slots are contiguous: map it once.
+                let base = self.layout.block_addr(b.raw() + bucket_offset, 0);
+                self.reqs.extend((0..z).map(|slot| BlockRequest { addr: base + slot, is_write }));
+            }
         }
+        self.reqs_read = (phase.kind == PhaseKind::EvictionRead).then_some((*phase, bucket_offset));
         if self.reqs.is_empty() {
             return None;
         }
         let now_dram = self.cfg.to_dram_cycles(t);
         self.backend.service_batch_into(now_dram, &self.reqs, occupy_bus, &mut self.finishes);
-        self.finishes.iter().max().copied()
+        let end = self.backend.last_batch_breakdown().map(|bd| bd.finish);
+        debug_assert_eq!(end, self.finishes.iter().max().copied(), "critical request not the last");
+        end
     }
 
     /// Executes one DRAM phase issued at `t` of an access started at

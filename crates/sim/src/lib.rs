@@ -53,7 +53,7 @@ pub use oram_storage::{
 };
 pub use pool::{default_threads, parallel_map, parallel_map_notify, THREADS_ENV};
 pub use runner::{
-    build_miss_stream, replay_measured, run_workload, run_workload_traced, scale_profile,
+    build_miss_stream, replay_measured, run_oram, run_workload, run_workload_traced, scale_profile,
     RunOptions, RunResult,
 };
 #[cfg(feature = "mutants")]

@@ -6,9 +6,7 @@
 //! hierarchy, warming up, and running both the ORAM system and the
 //! insecure baseline on identical miss streams.
 
-use oram_cpu::{
-    HierarchyConfig, InOrderCore, MissRecord, MissStream, O3Config, O3Frontend, ReplayMisses,
-};
+use oram_cpu::{HierarchyConfig, InOrderCore, MissRecord, MissStream, O3Config, O3Frontend};
 use oram_storage::StorageBackend;
 use oram_util::SharedTelemetry;
 use oram_workloads::{TraceGenerator, WorkloadProfile};
@@ -191,6 +189,18 @@ pub fn run_workload_traced(
     run_workload_with(profile, cfg, opts, Some((telemetry, window_cycles)))
 }
 
+/// Runs one workload under one system configuration on the ORAM system
+/// alone, returning the statistics [`run_workload`] reports as
+/// [`RunResult::oram`]: the same run without the insecure baseline, for
+/// callers that never compare against it.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid, as [`run_workload`] does.
+pub fn run_oram(profile: &WorkloadProfile, cfg: &SystemConfig, opts: &RunOptions) -> SimStats {
+    replay_oram(profile, cfg, opts, None).0
+}
+
 /// Shared body of [`run_workload`] and [`run_workload_traced`].
 fn run_workload_with(
     profile: &WorkloadProfile,
@@ -198,21 +208,31 @@ fn run_workload_with(
     opts: &RunOptions,
     telemetry: Option<(SharedTelemetry, u64)>,
 ) -> RunResult {
+    let (oram, records, split) = replay_oram(profile, cfg, opts, telemetry);
+    // The insecure baseline on the same measured records.
+    let mut ins = InsecureSystem::new(cfg.clone()).expect("valid config");
+    let insecure = ins.run(&mut records[split..].iter().copied());
+    RunResult { oram, insecure }
+}
+
+/// The ORAM half of every closed-loop run: scales `profile` to the tree,
+/// builds its miss stream, prefills an engine and replays the stream
+/// through [`replay_measured`]. Returns the measured statistics, the
+/// records and where the measured ones start.
+fn replay_oram(
+    profile: &WorkloadProfile,
+    cfg: &SystemConfig,
+    opts: &RunOptions,
+    telemetry: Option<(SharedTelemetry, u64)>,
+) -> (SimStats, Vec<MissRecord>, usize) {
     let scaled = scale_profile(profile, cfg, opts.fill_target);
     let records = build_miss_stream(&scaled, cfg.hierarchy, opts);
     let split = (opts.warmup_misses as usize).min(records.len());
     let (warm, measured) = records.split_at(split);
-
-    // --- ORAM system ---
     let mut engine = Engine::new(cfg.clone()).expect("valid config");
     engine.prefill_working_set(scaled.working_set_blocks);
     let (oram, ()) = replay_measured(&mut engine, warm, measured, telemetry, |_| ());
-
-    // --- Insecure baseline (same measured records) ---
-    let mut ins = InsecureSystem::new(cfg.clone()).expect("valid config");
-    let insecure = ins.run(&mut ReplayMisses::new(measured.to_vec()));
-
-    RunResult { oram, insecure }
+    (oram, records, split)
 }
 
 /// The measured replay every closed-loop run shares: replays `warm`
@@ -230,7 +250,7 @@ pub fn replay_measured<B: StorageBackend, T>(
     at_measure: impl FnOnce(&Engine<B>) -> T,
 ) -> (SimStats, T) {
     if !warm.is_empty() {
-        engine.run(&mut ReplayMisses::new(warm.to_vec()));
+        engine.run(&mut warm.iter().copied());
     }
     let mark = at_measure(engine);
     if let Some((sink, window_cycles)) = telemetry {
@@ -238,7 +258,7 @@ pub fn replay_measured<B: StorageBackend, T>(
         engine.attach_telemetry(sink, window_cycles);
     }
     let before = engine.stats();
-    let after = engine.run(&mut ReplayMisses::new(measured.to_vec()));
+    let after = engine.run(&mut measured.iter().copied());
     engine.detach_telemetry();
     (subtract_stats(&after, &before), mark)
 }

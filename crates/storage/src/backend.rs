@@ -73,7 +73,10 @@ impl BatchBreakdown {
 ///   across batches (DRAM row buffers do; the WAN model is
 ///   stateless).
 /// * [`StorageBackend::last_batch_breakdown`] reports the critical
-///   request's cost split for the most recent non-empty batch.
+///   request's cost split for the most recent non-empty batch. The
+///   critical request finishes last: its `finish` is the batch's
+///   latest completion, which the engine reads as the batch end instead
+///   of scanning the per-request finishes.
 ///
 /// Payload persistence is opt-in: backends that return `true` from
 /// [`StorageBackend::wants_payloads`] receive the post-eviction bucket
@@ -134,6 +137,62 @@ pub trait StorageBackend: std::fmt::Debug + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use oram_util::Rng64;
+
+    use crate::{DiskBackend, DiskConfig, DramBackend, WanBackend, WanConfig};
+    use oram_dram::{BlockRequest, DramConfig};
+
+    /// Seeded batches of path-like stretches and scattered blocks, mixed
+    /// directions, arriving back to back or after idle gaps; checks after
+    /// every one that the critical request's finish is the batch's latest.
+    fn critical_finish_is_the_latest(
+        backend: &mut dyn StorageBackend,
+        occupy_bus: bool,
+        seed: u64,
+    ) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let (mut now, mut finishes) = (0i64, Vec::new());
+        for batch in 0..300 {
+            let (mut reqs, len) = (Vec::new(), 1 + rng.below(90) as usize);
+            while reqs.len() < len {
+                let base = rng.below(1 << 16);
+                let is_write = rng.gen_bool(0.3);
+                for addr in base..base + 1 + rng.below(12) {
+                    reqs.push(BlockRequest { addr, is_write });
+                }
+            }
+            backend.service_batch_into(now, &reqs, occupy_bus, &mut finishes);
+            let bd = backend.last_batch_breakdown().expect("non-empty batch");
+            let latest = *finishes.iter().max().expect("non-empty batch");
+            assert_eq!(bd.finish, latest, "{backend:?}: batch {batch}, occupy_bus {occupy_bus}");
+            now = latest + if rng.gen_bool(0.2) { rng.below(20_000) as i64 } else { 0 };
+        }
+    }
+
+    #[test]
+    fn every_backend_ends_a_batch_with_its_critical_request() {
+        for occupy_bus in [true, false] {
+            // DDR3 timing with refresh on, over one and two channels.
+            for channels in [1, 2] {
+                let cfg = DramConfig { channels, ..DramConfig::ddr3_1333() };
+                let mut dram = DramBackend::new(cfg).unwrap();
+                critical_finish_is_the_latest(&mut dram, occupy_bus, 0xC0_0001 + channels as u64);
+            }
+            for batch in 1..=16 {
+                let cfg = WanConfig { rtt_cycles: 700, per_block_cycles: 9, batch };
+                let mut wan = WanBackend::new(cfg).unwrap();
+                critical_finish_is_the_latest(&mut wan, occupy_bus, 0xC0_0100 + batch as u64);
+            }
+            let dir = std::env::temp_dir()
+                .join(format!("oram-storage-critical-{occupy_bus}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut disk = DiskBackend::new(DiskConfig::new(dir.clone(), 5, 1 << 14)).unwrap();
+            critical_finish_is_the_latest(&mut disk, occupy_bus, 0xC0_0200);
+            drop(disk);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 
     #[test]
     fn breakdown_lifts_tx_with_zero_network() {
