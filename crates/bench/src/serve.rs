@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use oram_audit::LaneAudit;
 use oram_cpu::MissRecord;
 use oram_obsv::{render_top, LivePlane};
-use oram_protocol::{PosMapSelect, RecursivePosMap, TreeShape};
+use oram_protocol::{PosMapSelect, PosmapChain, TreeShape};
 use oram_service::{
     LatencySummary, SchedPolicy, SchedulerSummary, ServiceConfig, ServiceMeta, ServiceReport,
     ServiceResult, ShardedServiceSim,
@@ -595,7 +595,7 @@ pub fn run_serve_live(
 /// The recursive-posmap status line of a serve run: chain depth,
 /// modeled on-chip state against the terminal-map budget, and PLB
 /// capacity. The geometry is fixed by the configuration, so it is worked
-/// out from it ([`RecursivePosMap::chain`]) without building a map.
+/// out from it ([`PosmapChain::new`]) without building a map.
 /// Empty in flat mode.
 ///
 /// # Errors
@@ -607,7 +607,7 @@ pub fn posmap_status(opts: &ServeOptions) -> Result<String, String> {
     }
     let oram = serve_system(opts)?.oram;
     let shape = TreeShape::new(oram.levels, oram.z);
-    let chain = RecursivePosMap::chain(&oram, shape, opts.posmap_onchip_kb);
+    let chain = PosmapChain::new(&oram, shape, opts.posmap_onchip_kb);
     Ok(format!(
         "posmap: recursive, {} chain levels, on-chip state {:.1} KiB \
          (terminal-map budget {} KiB), plb {} entries\n",

@@ -4,13 +4,15 @@ use crate::shadow::DupPolicy;
 
 /// Which position-map organization the controller instantiates.
 ///
-/// `Flat` and `Sparse` are the one on-chip map ([`crate::FlatPosMap`])
-/// over its dense and its hashed index: the same answers, with memory
-/// proportional to the address space or to the touched working set.
-/// `Recursive` stores posmap entries in a chain of smaller ORAMs
-/// (Path ORAM recursion) fronted by the PLB; only the top-level map
-/// — sized to fit `onchip_kb` — plus the PLB stay on chip, and every
-/// PLB miss issues real, costed accesses to the posmap ORAMs.
+/// Every selection is the one map ([`crate::PosMap`]) with two fronts;
+/// this picks its index and its front, and the answers are the same.
+/// `Flat` and `Sparse` put the page PLB, which costs nothing, in front of
+/// the dense and the hashed index: memory proportional to the address
+/// space or to the touched working set. `Recursive` puts the posmap-ORAM
+/// chain (Path ORAM recursion) behind its PLB in front of the hashed
+/// index; only the top-level map — sized to fit `onchip_kb` — plus the
+/// PLB stay on chip, and every PLB miss issues real, costed accesses to
+/// the posmap ORAMs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PosMapSelect {
     /// On-chip map over the dense index (the default).

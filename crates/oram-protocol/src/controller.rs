@@ -23,7 +23,7 @@ use oram_util::{BusEvent, BusPhase, EventBatch, MetricId, Rng64, SharedObserver,
 use crate::access::{AccessResult, PathPhase, PhaseKind, PhaseList, ServedFrom};
 use crate::config::OramConfig;
 use crate::hotcache::HotAddressCache;
-use crate::posmap::{build_posmap, PosMapBackend, PosmapPhase, RealCopySite};
+use crate::posmap::{build_posmap, PosMap, PosmapPhase, RealCopySite};
 use crate::shadow::{
     scheme_for_slot, DupCandidate, DupPolicy, DupQueues, DynamicPartitioner, SlotScheme,
 };
@@ -245,9 +245,9 @@ pub struct OramController {
     shape: TreeShape,
     tree: OramTree,
     stash: Stash,
-    /// The position-map backend selected by [`OramConfig::posmap`]
-    /// (flat, sparse, or the recursive posmap-ORAM chain).
-    posmap: Box<dyn PosMapBackend>,
+    /// The position map, with the index and front selected by
+    /// [`OramConfig::posmap`].
+    posmap: PosMap,
     hot: HotAddressCache,
     eviction_order: EvictionOrder,
     dynamic: Option<DynamicPartitioner>,
@@ -453,7 +453,7 @@ impl OramController {
     }
 
     /// Posmap-ORAM phases queued by the most recent access's PLB-miss
-    /// walk (always empty for flat backends). The engine costs these
+    /// walk (always empty behind the page front). The engine costs these
     /// through the DRAM model before the access's data path read; they
     /// are cleared automatically at the next issue.
     pub fn posmap_pending(&self) -> &[PosmapPhase] {
@@ -461,13 +461,13 @@ impl OramController {
     }
 
     /// Modeled on-chip posmap state in bytes (terminal map + PLB +
-    /// level-ORAM stashes for the recursive backend; the whole table
-    /// for flat ones).
+    /// level-ORAM stashes behind the chain; the whole table behind
+    /// the page front).
     pub fn posmap_onchip_bytes(&self) -> u64 {
         self.posmap.onchip_bytes()
     }
 
-    /// Depth of the recursive posmap-ORAM chain (0 for flat backends).
+    /// Depth of the recursive posmap-ORAM chain (0 behind the page front).
     pub fn posmap_chain_levels(&self) -> u16 {
         self.posmap.chain_levels()
     }
@@ -592,7 +592,7 @@ impl OramController {
         self.emit(BusEvent::AccessStart);
 
         // Step-2: position map lookup (assigning a label on first touch).
-        // On a recursive backend a PLB miss walks the posmap-ORAM chain
+        // Behind the chain a PLB miss walks the posmap-ORAM levels
         // here, queueing costed phases the engine drains after this
         // access.
         let leaf = self.posmap.lookup_or_assign(req.addr, &mut self.rng).label;
@@ -947,16 +947,18 @@ impl OramController {
         // duplication candidates (Sec. V-B2) — this recirculation is what
         // lets a block's shadow outlive the rewriting of its bucket.
         let mut stash_shadow_count = 0u64;
-        let recirculate = self.cfg.recirculate_stash_shadows;
-        for entry in self.stash.shadow_entries().filter(|_| recirculate) {
-            let blk = entry.block;
-            let Some(pe) = self.posmap.peek(blk.addr).filter(|pe| pe.version == blk.version) else {
-                continue;
-            };
-            if let RealCopySite::Tree { level } = pe.site {
-                stash_shadow_count += 1;
-                let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
-                self.dup_queues.push(DupCandidate::from_block(&blk, level, true), priority);
+        if self.cfg.recirculate_stash_shadows {
+            for entry in self.stash.shadow_entries() {
+                let blk = entry.block;
+                let Some(pe) = self.posmap.peek(blk.addr).filter(|pe| pe.version == blk.version)
+                else {
+                    continue;
+                };
+                if let RealCopySite::Tree { level } = pe.site {
+                    stash_shadow_count += 1;
+                    let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
+                    self.dup_queues.push(DupCandidate::from_block(&blk, level, true), priority);
+                }
             }
         }
         self.stats.stash_shadow_candidates += stash_shadow_count;

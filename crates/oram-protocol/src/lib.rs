@@ -13,11 +13,10 @@
 //! * [`OramTree`] / [`TreeShape`] — the untrusted external memory modeled
 //!   as a binary tree of `Z`-slot buckets.
 //! * [`Stash`] — the on-chip CAM with replaceable entries and merge rules.
-//! * [`PosMapBackend`] — the position-map seam: [`FlatPosMap`] (the
-//!   on-chip map, over a dense or a hashed index) and [`RecursivePosMap`]
-//!   (the map stored in a chain of smaller ORAMs behind the PLB), both
-//!   carrying the trusted metadata (versions, real-copy sites) that keeps
-//!   duplicated copies coherent.
+//! * [`PosMap`] — the position map: one index of the trusted metadata
+//!   (labels, versions, real-copy sites) that keeps duplicated copies
+//!   coherent, behind one of two fronts: a page PLB, or the recursive
+//!   chain of smaller ORAMs behind its PLB ([`PosmapChain`]).
 //! * [`DupPolicy`] — Tiny ORAM, a partitioning level `P` (pure RD-Dup and
 //!   pure HD-Dup are its two ends), or the dynamic partitioner.
 //! * [`HotAddressCache`] — the LFU access-counter cache driving HD-Dup.
@@ -66,10 +65,8 @@ pub use controller::Mutant;
 pub use controller::{AccessTicket, OramController, OramStats};
 pub use hotcache::{HotAddressCache, HotCacheStats};
 pub use oram_util::{BusEvent, BusObserver, BusPhase, SharedObserver};
-pub use posmap::{
-    build_posmap, FlatPosMap, PlbStats, PosEntry, PosMapBackend, PosmapPhase, RealCopySite,
-};
-pub use posmap_recursive::{PosmapChain, RecursivePosMap, ENTRIES_PER_BLOCK};
+pub use posmap::{build_posmap, PlbStats, PosEntry, PosMap, PosmapPhase, RealCopySite};
+pub use posmap_recursive::{PosmapChain, ENTRIES_PER_BLOCK};
 pub use shadow::{
     scheme_for_slot, DriCounter, DupCandidate, DupPolicy, DupQueues, DynamicPartitioner, SlotScheme,
 };

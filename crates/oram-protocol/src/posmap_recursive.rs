@@ -1,6 +1,6 @@
-//! Recursive position map: the posmap stored in a chain of smaller
-//! ORAMs, fronted by the PLB (Path ORAM recursion + Freecursive-style
-//! caching).
+//! The recursive front of the position map: the posmap stored in a
+//! chain of smaller ORAMs, fronted by the PLB (Path ORAM recursion +
+//! Freecursive-style caching).
 //!
 //! ## Geometry
 //!
@@ -28,7 +28,7 @@
 //! traffic. A miss walks *down* the chain from the deepest level whose
 //! block is PLB-resident (the terminal map is always "resident"):
 //! each step issues one real read access to that level's ORAM, whose
-//! path phases are queued on [`PosMapBackend::pending`] for the engine
+//! path phases are queued on [`crate::PosMap::pending`] for the engine
 //! to cost through the same DRAM/timing model as data accesses, and
 //! whose bucket touches the controller mirrors onto the bus as
 //! [`oram_util::BusEvent::PosmapBucket`] events so the audit layer can
@@ -36,23 +36,19 @@
 //!
 //! ## Modeling shortcut (documented on purpose)
 //!
-//! The *functional* address→entry mapping is kept in one deterministic
-//! hash map rather than being bit-packed into the level ORAM payloads:
-//! the level controllers already reproduce the *access pattern* and
-//! *timing* of the recursion exactly (their own posmaps stand in for
-//! "state stored at the next level"), and the data labels the
-//! controller sees must be backend-independent for the equivalence
-//! property tests to hold. Only the terminal map, the PLB and the level
-//! stashes are counted as modeled on-chip state.
-
-use oram_util::{DetHashMap, Rng64};
+//! The *functional* address→entry mapping is the map's one hashed index
+//! rather than being bit-packed into the level ORAM payloads: the level
+//! controllers already reproduce the *access pattern* and *timing* of the
+//! recursion exactly (their own posmaps stand in for "state stored at the
+//! next level"). Only the terminal map, the PLB and the level stashes are
+//! counted as modeled on-chip state.
 
 use crate::config::{OramConfig, PosMapSelect};
 use crate::controller::OramController;
-use crate::posmap::{remap, PlbStats, PosEntry, PosMapBackend, PosmapPhase, RealCopySite};
+use crate::posmap::{DirectPlb, PosmapPhase};
 use crate::shadow::DupPolicy;
 use crate::tree::TreeShape;
-use crate::types::{BlockAddr, LeafLabel, Request, Version};
+use crate::types::{BlockAddr, Request};
 
 /// Leaf labels of lower-level posmap blocks packed per upper-level
 /// posmap block (64 B block / 8 B label + header slack → 32 had the
@@ -61,18 +57,16 @@ pub const ENTRIES_PER_BLOCK: u64 = 32;
 
 /// One ORAM level of the recursion.
 #[derive(Debug)]
-struct PosmapLevel {
+pub(crate) struct PosmapLevel {
     /// A full ORAM controller storing this level's posmap blocks.
     ctl: OramController,
     /// Raw-bucket-id offset mapping this level's tree past the data
     /// tree (and past shallower levels) in the device address space.
     bucket_offset: u64,
-    /// Number of posmap blocks stored at this level.
-    count: u64,
 }
 
-/// The chain a [`RecursivePosMap`] builds for a configuration, worked
-/// out from the configuration alone ([`RecursivePosMap::chain`]).
+/// The chain a recursive position map builds for a configuration,
+/// worked out from the configuration alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PosmapChain {
     /// Posmap blocks stored at each ORAM level, largest (nearest the
@@ -82,9 +76,41 @@ pub struct PosmapChain {
     pub top_count: u64,
     /// Modeled on-chip state in bytes: the terminal map (8 B per label),
     /// the PLB tags (16 B per entry) and the level controllers' stashes
-    /// (one decrypted block ≈ 40 B each). The functional entry map is
+    /// (one decrypted block ≈ 40 B each). The functional entry index is
     /// *not* counted — it models state the chain stores off chip.
     pub onchip_bytes: u64,
+}
+
+impl PosmapChain {
+    /// The chain [`crate::build_posmap`] builds for a data tree of `shape`
+    /// under `cfg` with a terminal-map budget of `onchip_kb` KiB, without
+    /// building it: a level per map that does not fit at 8 B per label,
+    /// each [`ENTRIES_PER_BLOCK`] times smaller than the one below.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.plb_entries`, `cfg.plb_page_addrs` or `onchip_kb`
+    /// is zero.
+    pub fn new(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> Self {
+        assert!(cfg.plb_entries > 0 && cfg.plb_page_addrs > 0 && onchip_kb > 0);
+        let budget_bytes = onchip_kb as u64 * 1024;
+        // Address domain the map must cover: the data tree's block
+        // capacity (callers address `0..domain`; the dense index makes the
+        // same assumption when it sizes itself by high-water address).
+        let domain = shape.slot_count().max(1);
+        let mut counts = Vec::new();
+        let mut c = domain.div_ceil(cfg.plb_page_addrs);
+        while c * 8 > budget_bytes {
+            counts.push(c);
+            c = c.div_ceil(ENTRIES_PER_BLOCK);
+        }
+        let stashes: u64 = counts
+            .iter()
+            .map(|&count| level_stash_capacity(cfg.z, tree_levels_for(count)) as u64 * 40)
+            .sum();
+        let onchip_bytes = c * 8 + cfg.plb_entries as u64 * 16 + stashes;
+        PosmapChain { counts, top_count: c, onchip_bytes }
+    }
 }
 
 /// Stash capacity of a chain level whose tree has `tree_levels` levels.
@@ -92,46 +118,40 @@ fn level_stash_capacity(z: usize, tree_levels: u32) -> usize {
     z * (tree_levels as usize + 1) + 192
 }
 
-/// The recursive position map (see the module docs).
-#[derive(Debug)]
-pub struct RecursivePosMap {
-    /// Data-ORAM leaf count: the label range of the entries served.
-    leaf_count: u64,
-    /// Functional address→entry state (see the modeling-shortcut note).
-    entries: DetHashMap<u64, PosEntry>,
-    /// Direct-mapped PLB over `(level, block)` tags.
-    plb_sets: Vec<Option<(u16, u64)>>,
-    plb_page_addrs: u64,
-    plb_stats: PlbStats,
-    /// ORAM levels 1..=K, largest (nearest the data) first. Empty when
-    /// the level-1 map already fits on chip — the map degenerates to a
-    /// flat-plus-PLB model with zero posmap traffic.
-    levels: Vec<PosmapLevel>,
-    /// Blocks covered by the terminal on-chip map.
-    top_count: u64,
-    /// [`PosmapChain::onchip_bytes`].
-    onchip_bytes: u64,
-    /// Path phases produced by PLB-miss walks since the last clear.
-    pending: Vec<PosmapPhase>,
+/// Tree depth for a level storing `count` posmap blocks: one leaf per
+/// block (capacity `z·(2^(L+1)−1)` slots, so utilization stays far
+/// below the Path ORAM bound and the level stash cannot grow).
+fn tree_levels_for(count: u64) -> u32 {
+    let l = 64 - count.saturating_sub(1).leading_zeros();
+    l.clamp(1, 31)
 }
 
-impl RecursivePosMap {
-    /// Builds the recursion for a data tree of `shape`, taking the PLB
-    /// geometry, block parameters and seed from `cfg` and sizing the
-    /// chain so the terminal map fits `onchip_kb` KiB at 8 B per label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.plb_entries`, `cfg.plb_page_addrs` or `onchip_kb`
-    /// is zero.
-    pub fn new(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> Self {
-        let PosmapChain { counts, top_count, onchip_bytes } = Self::chain(cfg, shape, onchip_kb);
+/// The recursive front (see the module docs): the level ORAMs, the PLB
+/// over `(level, block)` tags, and the phases its walks queued.
+#[derive(Debug)]
+pub(crate) struct Chain {
+    /// ORAM levels 1..=K, largest (nearest the data) first. Empty when
+    /// the level-1 map already fits on chip — the front degenerates to a
+    /// PLB with zero posmap traffic.
+    pub(crate) levels: Vec<PosmapLevel>,
+    pub(crate) plb: DirectPlb<(u16, u64)>,
+    /// What the levels were built from.
+    pub(crate) geometry: PosmapChain,
+    /// Path phases produced by PLB-miss walks since the last clear.
+    pub(crate) pending: Vec<PosmapPhase>,
+}
+
+impl Chain {
+    /// Builds the chain [`PosmapChain::new`] works out for these
+    /// arguments, taking block parameters and seed from `cfg`.
+    pub(crate) fn new(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> Self {
+        let geometry = PosmapChain::new(cfg, shape, onchip_kb);
 
         // Build one real ORAM per off-chip level, laid out back-to-back
         // past the data tree in raw-bucket-id space.
-        let mut levels = Vec::with_capacity(counts.len());
+        let mut levels = Vec::with_capacity(geometry.counts.len());
         let mut offset = shape.bucket_count();
-        for (i, &count) in counts.iter().enumerate() {
+        for (i, &count) in geometry.counts.iter().enumerate() {
             let tree_levels = tree_levels_for(count);
             let level_cfg = OramConfig {
                 levels: tree_levels,
@@ -157,52 +177,17 @@ impl RecursivePosMap {
             let ctl = OramController::new(level_cfg)
                 .expect("posmap level config is internally generated and valid");
             let bucket_count = ctl.shape().bucket_count();
-            levels.push(PosmapLevel { ctl, bucket_offset: offset, count });
+            levels.push(PosmapLevel { ctl, bucket_offset: offset });
             offset += bucket_count;
         }
 
         let walk_capacity = levels.len() * 3 + 4;
-        RecursivePosMap {
-            leaf_count: shape.leaf_count(),
-            entries: DetHashMap::default(),
-            plb_sets: vec![None; cfg.plb_entries],
-            plb_page_addrs: cfg.plb_page_addrs,
-            plb_stats: PlbStats::default(),
+        Chain {
             levels,
-            top_count,
-            onchip_bytes,
+            plb: DirectPlb::new(cfg.plb_entries),
+            geometry,
             pending: Vec::with_capacity(walk_capacity),
         }
-    }
-
-    /// The chain [`RecursivePosMap::new`] builds for these arguments,
-    /// without building it: a level per map that does not fit `onchip_kb`
-    /// KiB at 8 B per label, each [`ENTRIES_PER_BLOCK`] times smaller than
-    /// the one below.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.plb_entries`, `cfg.plb_page_addrs` or `onchip_kb`
-    /// is zero.
-    pub fn chain(cfg: &OramConfig, shape: TreeShape, onchip_kb: u32) -> PosmapChain {
-        assert!(cfg.plb_entries > 0 && cfg.plb_page_addrs > 0 && onchip_kb > 0);
-        let budget_bytes = onchip_kb as u64 * 1024;
-        // Address domain the map must cover: the data tree's block
-        // capacity (callers address `0..domain`; the flat map makes the
-        // same assumption when it sizes itself by high-water address).
-        let domain = shape.slot_count().max(1);
-        let mut counts = Vec::new();
-        let mut c = domain.div_ceil(cfg.plb_page_addrs);
-        while c * 8 > budget_bytes {
-            counts.push(c);
-            c = c.div_ceil(ENTRIES_PER_BLOCK);
-        }
-        let stashes: u64 = counts
-            .iter()
-            .map(|&count| level_stash_capacity(cfg.z, tree_levels_for(count)) as u64 * 40)
-            .sum();
-        let onchip_bytes = c * 8 + cfg.plb_entries as u64 * 16 + stashes;
-        PosmapChain { counts, top_count: c, onchip_bytes }
     }
 
     /// Posmap block index at chain level `l` (1-based) for a PLB page.
@@ -220,25 +205,11 @@ impl RecursivePosMap {
         // by a multiple of the set count — the audit's combined-trace
         // byte-invariance check relies on exactly that property.
         let mix = (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        ((block ^ mix) % self.plb_sets.len() as u64) as usize
+        ((block ^ mix) % self.plb.sets() as u64) as usize
     }
 
-    #[inline]
     fn plb_holds(&self, level: u16, block: u64) -> bool {
-        self.plb_sets[self.plb_set(level, block)] == Some((level, block))
-    }
-
-    fn plb_install(&mut self, level: u16, block: u64) {
-        let set = self.plb_set(level, block);
-        match self.plb_sets[set] {
-            Some(t) if t == (level, block) => {}
-            other => {
-                if other.is_some() {
-                    self.plb_stats.evictions += 1;
-                }
-                self.plb_sets[set] = Some((level, block));
-            }
-        }
+        self.plb.holds(self.plb_set(level, block), (level, block))
     }
 
     /// One real read access to level `l`'s ORAM for posmap block `b`:
@@ -260,116 +231,27 @@ impl RecursivePosMap {
         }
     }
 
-    /// The PLB front: a level-1 hit is free; otherwise walk down from
-    /// the deepest PLB-resident level (the terminal map counts as
-    /// always resident), issuing one level-ORAM access per step.
-    fn walk_plb(&mut self, addr: BlockAddr) {
-        let page = addr.raw() / self.plb_page_addrs;
+    /// The PLB front for a data address on PLB `page`: a level-1 hit is
+    /// free; otherwise walk down from the deepest PLB-resident level (the
+    /// terminal map counts as always resident), issuing one level-ORAM
+    /// access per step.
+    pub(crate) fn walk(&mut self, page: u64) {
         let k = self.levels.len();
-        let mut deepest = k + 1;
-        for l in 1..=k {
-            if self.plb_holds(l as u16, Self::block_at(page, l)) {
-                deepest = l;
-                break;
-            }
-        }
+        let deepest =
+            (1..=k).find(|&l| self.plb_holds(l as u16, Self::block_at(page, l))).unwrap_or(k + 1);
         if deepest == 1 {
-            self.plb_stats.hits += 1;
+            self.plb.stats.hits += 1;
             return;
         }
-        self.plb_stats.misses += 1;
+        self.plb.stats.misses += 1;
         for l in (1..deepest).rev() {
             let b = Self::block_at(page, l);
             self.access_level(l, b);
-            self.plb_install(l as u16, b);
+            self.plb.install(self.plb_set(l as u16, b), (l as u16, b));
         }
     }
 
-    /// Per-level chain geometry: `(tree levels, block count)` for each
-    /// ORAM level, largest first (reporting/diagnostics).
-    pub fn level_geometry(&self) -> Vec<(u32, u64)> {
-        self.levels.iter().map(|l| (l.ctl.shape().levels(), l.count)).collect()
-    }
-
-    /// Blocks covered by the terminal on-chip map.
-    pub fn top_count(&self) -> u64 {
-        self.top_count
-    }
-}
-
-/// Tree depth for a level storing `count` posmap blocks: one leaf per
-/// block (capacity `z·(2^(L+1)−1)` slots, so utilization stays far
-/// below the Path ORAM bound and the level stash cannot grow).
-fn tree_levels_for(count: u64) -> u32 {
-    let l = 64 - count.saturating_sub(1).leading_zeros();
-    l.clamp(1, 31)
-}
-
-impl PosMapBackend for RecursivePosMap {
-    fn lookup_or_assign(&mut self, addr: BlockAddr, rng: &mut Rng64) -> PosEntry {
-        self.walk_plb(addr);
-        let leaf_count = self.leaf_count;
-        *self.entries.entry(addr.raw()).or_insert_with(|| PosEntry {
-            label: LeafLabel::new(rng.below(leaf_count)),
-            version: 0,
-            site: RealCopySite::Unmapped,
-        })
-    }
-
-    fn peek(&self, addr: BlockAddr) -> Option<PosEntry> {
-        self.entries.get(&addr.raw()).copied()
-    }
-
-    fn remap_to(&mut self, addr: BlockAddr, label: LeafLabel) -> Version {
-        remap(self.leaf_count, self.entries.get_mut(&addr.raw()), label, 1)
-    }
-
-    #[cfg(feature = "mutants")]
-    fn remap_keeping_version(&mut self, addr: BlockAddr, label: LeafLabel) -> Version {
-        remap(self.leaf_count, self.entries.get_mut(&addr.raw()), label, 0)
-    }
-
-    fn bump_version(&mut self, addr: BlockAddr) -> Version {
-        let e = self.entries.get_mut(&addr.raw()).expect("version bump of unknown address");
-        e.version += 1;
-        e.version
-    }
-
-    fn set_site(&mut self, addr: BlockAddr, site: RealCopySite) {
-        if let Some(e) = self.entries.get_mut(&addr.raw()) {
-            e.site = site;
-        }
-    }
-
-    fn entries(&self) -> Box<dyn Iterator<Item = (BlockAddr, PosEntry)> + '_> {
-        Box::new(self.entries.iter().map(|(&a, &e)| (BlockAddr::new(a), e)))
-    }
-
-    fn plb_stats(&self) -> PlbStats {
-        self.plb_stats
-    }
-
-    fn leaf_count(&self) -> u64 {
-        self.leaf_count
-    }
-
-    fn pending(&self) -> &[PosmapPhase] {
-        &self.pending
-    }
-
-    fn clear_pending(&mut self) {
-        self.pending.clear();
-    }
-
-    fn onchip_bytes(&self) -> u64 {
-        self.onchip_bytes
-    }
-
-    fn chain_levels(&self) -> u16 {
-        self.levels.len() as u16
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         for (i, level) in self.levels.iter().enumerate() {
             level.ctl.check_invariants().map_err(|e| format!("posmap level {}: {e}", i + 1))?;
         }
@@ -379,7 +261,10 @@ impl PosMapBackend for RecursivePosMap {
 
 #[cfg(test)]
 mod tests {
+    use oram_util::Rng64;
+
     use super::*;
+    use crate::posmap::{build_posmap, PosMap};
 
     /// `L = 9, z = 4` data tree: 4092 slots → 256 level-1 blocks at 16
     /// addrs/page = 2 KiB > 1 KiB budget → one ORAM level, 8-block top.
@@ -393,43 +278,48 @@ mod tests {
         (cfg, TreeShape::new(9, 4))
     }
 
+    fn one_level_map() -> PosMap {
+        let (cfg, shape) = one_level_cfg();
+        build_posmap(&cfg, shape)
+    }
+
     #[test]
     fn chain_terminates_within_budget() {
         let (cfg, shape) = one_level_cfg();
-        let pm = RecursivePosMap::new(&cfg, shape, 1);
-        assert_eq!(pm.chain_levels(), 1);
-        assert_eq!(pm.level_geometry()[0].1, 256);
-        assert_eq!(pm.top_count(), 8);
-        assert!(pm.top_count() * 8 <= 1024, "terminal map within budget");
+        let chain = Chain::new(&cfg, shape, 1);
+        assert_eq!(chain.levels.len(), 1);
+        assert_eq!(chain.geometry.counts, [256]);
+        assert_eq!(chain.geometry.top_count, 8);
+        assert!(chain.geometry.top_count * 8 <= 1024, "terminal map within budget");
     }
 
     /// The chain worked out from the configuration is the one `new`
-    /// builds, at the shapes the tests and `serve_recursive` run.
+    /// builds, at the shapes the tests and `serve_recursive` run: a level
+    /// tree with a leaf per block, and the on-chip state of what was built.
     #[test]
     fn chain_geometry_matches_the_built_map() {
         let shapes = [(9, 4, 1, 16), (14, 4, 1, 16), (7, 4, 64, 16), (18, 5, 1, 1024)];
         for (levels, z, onchip_kb, plb) in shapes {
             let cfg = OramConfig { levels, z, plb_entries: plb, ..OramConfig::small_test() };
-            let shape = TreeShape::new(levels, z);
-            let chain = RecursivePosMap::chain(&cfg, shape, onchip_kb);
-            let pm = RecursivePosMap::new(&cfg, shape, onchip_kb);
-            let built: Vec<u64> = pm.level_geometry().iter().map(|&(_, count)| count).collect();
-            assert_eq!(chain.counts, built, "L={levels}");
-            assert_eq!(chain.counts.len(), pm.chain_levels() as usize);
-            assert_eq!(chain.top_count, pm.top_count());
+            let chain = Chain::new(&cfg, TreeShape::new(levels, z), onchip_kb);
+            let geometry = &chain.geometry;
+            assert_eq!(geometry.counts.len(), chain.levels.len(), "L={levels}");
+            for (level, &count) in chain.levels.iter().zip(&geometry.counts) {
+                let leaves = level.ctl.shape().leaf_count();
+                assert!(leaves >= count && leaves / 2 < count.max(2), "L={levels}: {count}");
+            }
             let stashes: u64 =
-                pm.levels.iter().map(|l| l.ctl.config().stash_capacity as u64 * 40).sum();
-            let onchip = pm.top_count * 8 + pm.plb_sets.len() as u64 * 16 + stashes;
-            assert_eq!((chain.onchip_bytes, pm.onchip_bytes()), (onchip, onchip), "L={levels}");
+                chain.levels.iter().map(|l| l.ctl.config().stash_capacity as u64 * 40).sum();
+            let onchip = geometry.top_count * 8 + chain.plb.sets() as u64 * 16 + stashes;
+            assert_eq!(geometry.onchip_bytes, onchip, "L={levels}");
         }
     }
 
     #[test]
     fn small_domains_degenerate_to_zero_levels() {
         let cfg = OramConfig::small_test().with_posmap(PosMapSelect::Recursive { onchip_kb: 64 });
-        let pm = RecursivePosMap::new(&cfg, TreeShape::new(7, 4), 64);
+        let mut pm = build_posmap(&cfg, TreeShape::new(7, 4));
         assert_eq!(pm.chain_levels(), 0);
-        let mut pm = pm;
         let mut rng = Rng64::seed_from_u64(1);
         pm.lookup_or_assign(BlockAddr::new(5), &mut rng);
         assert!(pm.pending().is_empty(), "no chain, no posmap traffic");
@@ -437,8 +327,7 @@ mod tests {
 
     #[test]
     fn plb_miss_walks_and_hit_short_circuits() {
-        let (cfg, shape) = one_level_cfg();
-        let mut pm = RecursivePosMap::new(&cfg, shape, 1);
+        let mut pm = one_level_map();
         let mut rng = Rng64::seed_from_u64(2);
         pm.lookup_or_assign(BlockAddr::new(0), &mut rng);
         assert_eq!(pm.plb_stats().misses, 1);
@@ -454,8 +343,8 @@ mod tests {
 
     #[test]
     fn pending_phases_carry_offsets_past_the_data_tree() {
-        let (cfg, shape) = one_level_cfg();
-        let mut pm = RecursivePosMap::new(&cfg, shape, 1);
+        let (_, shape) = one_level_cfg();
+        let mut pm = one_level_map();
         let mut rng = Rng64::seed_from_u64(3);
         pm.lookup_or_assign(BlockAddr::new(0), &mut rng);
         for p in pm.pending() {
@@ -466,26 +355,21 @@ mod tests {
 
     #[test]
     fn deep_domains_build_multi_level_chains() {
-        let cfg = OramConfig {
-            levels: 14,
-            stash_capacity: 160,
-            posmap: PosMapSelect::Recursive { onchip_kb: 1 },
-            ..OramConfig::small_test()
-        };
+        let cfg = OramConfig { levels: 14, stash_capacity: 160, ..OramConfig::small_test() };
         let shape = TreeShape::new(14, 4);
         // 131068 slots → 8192 L1 blocks → 256 L2 blocks → 8 on chip.
-        let pm = RecursivePosMap::new(&cfg, shape, 1);
-        assert_eq!(pm.chain_levels(), 2);
-        assert_eq!(pm.top_count(), 8);
+        let chain = Chain::new(&cfg, shape, 1);
+        assert_eq!(chain.geometry.counts, [8192, 256]);
+        assert_eq!(chain.geometry.top_count, 8);
         // Levels are laid out back-to-back past the data tree.
-        let geo = pm.level_geometry();
-        assert!(geo[0].1 > geo[1].1, "block counts shrink up the chain");
+        let offsets: Vec<u64> = chain.levels.iter().map(|l| l.bucket_offset).collect();
+        let first = shape.bucket_count() + chain.levels[0].ctl.shape().bucket_count();
+        assert_eq!(offsets, [shape.bucket_count(), first]);
     }
 
     #[test]
     fn onchip_state_excludes_the_functional_map() {
-        let (cfg, shape) = one_level_cfg();
-        let mut pm = RecursivePosMap::new(&cfg, shape, 1);
+        let mut pm = one_level_map();
         let before = pm.onchip_bytes();
         let mut rng = Rng64::seed_from_u64(4);
         for a in 0..512u64 {

@@ -288,7 +288,7 @@ impl Stash {
         // in the tree, while resident shadows double as HD-Dup's on-chip
         // cache and the recirculation supply for future duplication, so
         // shadows are victimized only when no other replaceable exists.
-        let slot = lowest_set_bit(&self.evicted_real).or_else(|| lowest_set_bit(&self.shadow))?;
+        let slot = set_bits(&self.evicted_real).next().or_else(|| set_bits(&self.shadow).next())?;
         let entry = self.slots[slot].as_ref().expect("replaceable bit set on an empty slot");
         Some((slot, entry.block.addr))
     }
@@ -432,9 +432,11 @@ impl Stash {
     }
 
     /// Iterates over resident shadow entries (duplication candidates whose
-    /// real copy lives in the tree).
+    /// real copy lives in the tree), in slot order. A shadow entry is
+    /// always replaceable, so the shadow bitset names exactly these slots.
     pub fn shadow_entries(&self) -> impl Iterator<Item = &StashEntry> {
-        self.slots.iter().flatten().filter(|e| e.block.is_shadow())
+        set_bits(&self.shadow)
+            .map(|slot| self.slots[slot].as_ref().expect("shadow bit set on an empty slot"))
     }
 
     /// Iterates over all occupied entries.
@@ -468,10 +470,12 @@ fn set_bit(words: &mut [u64], slot: usize, on: bool) {
     }
 }
 
-/// Index of the lowest set bit of a slot bitset.
-fn lowest_set_bit(words: &[u64]) -> Option<usize> {
-    let (i, w) = words.iter().enumerate().find(|(_, &w)| w != 0)?;
-    Some(i * 64 + w.trailing_zeros() as usize)
+/// Indices of the set bits of a slot bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        std::iter::successors((w != 0).then_some(w), |&w| Some(w & (w - 1)).filter(|&w| w != 0))
+            .map(move |w| i * 64 + w.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -620,6 +624,29 @@ mod tests {
         s.mark_evicted(BlockAddr::new(5));
         s.write(BlockAddr::new(5), 1, 2);
         assert_eq!(s.insert(real(200, 0, 0, 1)), InsertOutcome::Overflow);
+    }
+
+    /// The shadow bitset names the shadow entries a slot scan finds, in
+    /// the same order, across bitset words and through every kind of slot
+    /// change.
+    #[test]
+    fn shadow_entries_match_a_slot_scan() {
+        let mut s = Stash::new(150); // three bitset words
+        let mut rng = oram_util::Rng64::seed_from_u64(11);
+        for _ in 0..4000 {
+            let addr = rng.below(300);
+            let a = BlockAddr::new(addr);
+            match rng.below(5) {
+                0 => _ = s.remove(a),
+                1 => _ = s.write(a, 7, rng.below(4)),
+                2 if s.peek(a).is_some_and(|e| !e.replaceable) => _ = s.mark_evicted(a),
+                3 => _ = s.insert(real(addr, 0, addr, rng.below(4))),
+                _ => _ = s.insert(real(addr, 0, addr, rng.below(4)).to_shadow()),
+            }
+            let scan = s.slots.iter().flatten().filter(|e| e.block.is_shadow());
+            assert!(s.shadow_entries().eq(scan));
+        }
+        assert!(s.shadow_entries().count() > 0);
     }
 
     #[test]

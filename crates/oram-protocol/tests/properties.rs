@@ -8,7 +8,7 @@
 
 use oram_protocol::{
     build_posmap, Block, BlockAddr, BucketId, BusEvent, DupCandidate, EvictionOrder,
-    HotAddressCache, InsertOutcome, LeafLabel, OramConfig, OramController, PosMapSelect,
+    HotAddressCache, InsertOutcome, LeafLabel, OramConfig, OramController, PosMap, PosMapSelect,
     RealCopySite, Request, SharedObserver, Stash, TreeShape,
 };
 use oram_util::Rng64;
@@ -153,25 +153,25 @@ fn eligibility_implies_rules() {
     }
 }
 
-/// The flat and recursive position-map backends are functionally
-/// interchangeable: driven with the same seeded label rng through any
-/// interleaving of lookups, remaps, version bumps and site updates, they
-/// return identical entries — the recursive chain and its PLB only ever
-/// change *cost*, never *answers*.
+/// The position map answers the same under every `PosMapSelect`: the
+/// dense and the hashed index, behind the page PLB or the recursive chain,
+/// driven with the same seeded label rng through any interleaving of
+/// lookups, remaps, version bumps and site updates, return identical
+/// entries and end holding the same entry set — the index kind and the
+/// front only ever change *cost*, never *answers*.
 #[test]
 fn recursive_and_flat_posmaps_agree_functionally() {
     let mut op_rng = Rng64::seed_from_u64(0x06);
     for case in 0..24u64 {
         let levels = op_rng.range_inclusive(6, 12) as u32;
-        let flat_cfg = OramConfig::small_test().with_levels(levels);
-        let rec_cfg = flat_cfg.with_posmap(PosMapSelect::Recursive { onchip_kb: 1 });
-        let shape = TreeShape::new(levels, flat_cfg.z);
-        let mut flat = build_posmap(&flat_cfg, shape);
-        let mut rec = build_posmap(&rec_cfg, shape);
-        // Each backend consumes its own label rng; identical seeds must
-        // yield identical label streams (the trait contract).
-        let mut rng_f = Rng64::seed_from_u64(0xBEEF ^ case);
-        let mut rng_r = Rng64::seed_from_u64(0xBEEF ^ case);
+        let cfg = OramConfig::small_test().with_levels(levels);
+        let shape = TreeShape::new(levels, cfg.z);
+        let selects =
+            [PosMapSelect::Flat, PosMapSelect::Sparse, PosMapSelect::Recursive { onchip_kb: 1 }];
+        let mut maps = selects.map(|select| build_posmap(&cfg.with_posmap(select), shape));
+        // Each map consumes its own label rng; identical seeds must yield
+        // identical label streams.
+        let mut rngs = selects.map(|_| Rng64::seed_from_u64(0xBEEF ^ case));
         let domain = 200u64.min(shape.slot_count());
         let mut seen: Vec<u64> = Vec::new();
         for _ in 0..600 {
@@ -179,33 +179,50 @@ fn recursive_and_flat_posmaps_agree_functionally() {
                 2 if !seen.is_empty() => {
                     let a = seen[op_rng.below(seen.len() as u64) as usize];
                     let label = LeafLabel::new(op_rng.below(shape.leaf_count()));
-                    flat.remap_to(BlockAddr::new(a), label);
-                    rec.remap_to(BlockAddr::new(a), label);
+                    for map in &mut maps {
+                        map.remap_to(BlockAddr::new(a), label);
+                    }
                 }
                 3 if !seen.is_empty() => {
                     let a = seen[op_rng.below(seen.len() as u64) as usize];
                     let addr = BlockAddr::new(a);
-                    assert_eq!(flat.bump_version(addr), rec.bump_version(addr));
                     let site =
                         RealCopySite::Tree { level: op_rng.below(u64::from(levels) + 1) as u32 };
-                    flat.set_site(addr, site);
-                    rec.set_site(addr, site);
+                    let versions = maps.each_mut().map(|map| map.bump_version(addr));
+                    assert!(versions.iter().all(|&v| v == versions[0]), "case {case}: bump({a})");
+                    for map in &mut maps {
+                        map.set_site(addr, site);
+                    }
                 }
                 _ => {
                     let a = op_rng.below(domain);
                     let addr = BlockAddr::new(a);
-                    let ef = flat.lookup_or_assign(addr, &mut rng_f);
-                    let er = rec.lookup_or_assign(addr, &mut rng_r);
-                    assert_eq!(ef, er, "case {case}: lookup({a}) diverged");
-                    rec.clear_pending();
+                    let mut rngs = rngs.iter_mut();
+                    let entries = maps.each_mut().map(|map| {
+                        let entry = map.lookup_or_assign(addr, rngs.next().unwrap());
+                        map.clear_pending();
+                        entry
+                    });
+                    for (e, select) in entries.iter().zip(selects) {
+                        assert_eq!(*e, entries[0], "case {case}: lookup({a}) under {select:?}");
+                    }
                     seen.push(a);
                 }
             }
         }
-        for a in 0..domain {
-            let addr = BlockAddr::new(a);
-            assert_eq!(flat.peek(addr), rec.peek(addr), "case {case}: peek({a})");
-            assert_eq!(flat.version(addr), rec.version(addr), "case {case}: version({a})");
+        let [flat, rest @ ..] = &maps;
+        let sorted = |map: &PosMap| {
+            let mut entries: Vec<_> = map.entries().collect();
+            entries.sort_unstable_by_key(|&(a, _)| a.raw());
+            entries
+        };
+        for (map, select) in rest.iter().zip(&selects[1..]) {
+            assert_eq!(sorted(flat), sorted(map), "case {case}: entries under {select:?}");
+            for a in 0..domain {
+                let addr = BlockAddr::new(a);
+                assert_eq!(flat.peek(addr), map.peek(addr), "case {case}: peek({a})");
+                assert_eq!(flat.version(addr), map.version(addr), "case {case}: version({a})");
+            }
         }
     }
 }
