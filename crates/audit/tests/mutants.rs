@@ -1,7 +1,7 @@
 //! Proof that the auditor catches real protocol faults.
 //!
 //! The `mutants` cargo feature (enabled here through the dev-dependency)
-//! compiles four deliberate bugs into the controller (and one into the
+//! compiles five deliberate bugs into the controller (and one into the
 //! sharded backend):
 //!
 //! * `SkipLeafRewrite` — the eviction write "optimizes away" the leaf
@@ -15,6 +15,10 @@
 //!   loses a block. Both traces are flawless; only the controller's
 //!   exact invariant (one current real copy per sited address) can catch
 //!   them.
+//! * `StaleShadowLevel` — a shadow enters the stash carrying the level of
+//!   the bucket it was read from, not its real copy's, so recirculation
+//!   offers it under a stale Rule-2 bound. Caught by the invariant that a
+//!   stash shadow carries its real copy's posmap site.
 //! * `ShardSkew` — the sharded backend's address→shard mapping collapses
 //!   onto the lower half of the shards (the "sharding function lost a
 //!   bit" bug). Every shard trace stays valid; only the cross-shard
@@ -29,7 +33,9 @@
 
 use oram_audit::stats::{bin_counts, chi_square_uniform, ks_uniform, ks_uniform_counts};
 use oram_audit::{check_service_trace, check_trace, LaneAudit, LeafCounts, Recorder, TraceSpec};
-use oram_protocol::{BlockAddr, BusObserver, Mutant, OramConfig, OramController, Request};
+use oram_protocol::{
+    BlockAddr, BusObserver, DupPolicy, Mutant, OramConfig, OramController, Request,
+};
 use oram_sim::{Engine, ShardMutant, ShardRequest, ShardedOram, SystemConfig};
 use oram_util::Rng64;
 
@@ -122,14 +128,20 @@ fn counted_and_stored_leaves_judge_the_biased_remap_alike() {
 }
 
 /// The first access after which [`OramController::check_invariants`]
-/// rejects the state a `mutant` controller left, over `accesses` random
-/// reads and writes (every third a write) to 96 addresses, with the error.
-fn first_invariant_break(mutant: Mutant, accesses: u64) -> Option<(u64, String)> {
-    let mut ctl = OramController::new(OramConfig::small_test()).unwrap();
+/// rejects the state a `mutant` controller under `policy` left, over
+/// `accesses` random reads and writes (every third a write) to `domain`
+/// addresses, with the error.
+fn first_invariant_break(
+    policy: DupPolicy,
+    domain: u64,
+    mutant: Mutant,
+    accesses: u64,
+) -> Option<(u64, String)> {
+    let mut ctl = OramController::new(OramConfig::small_test().with_dup_policy(policy)).unwrap();
     ctl.set_mutant(mutant);
     let mut rng = Rng64::seed_from_u64(0xB10C);
     for step in 0..accesses {
-        let addr = BlockAddr::new(rng.below(96));
+        let addr = BlockAddr::new(rng.below(domain));
         if step % 3 == 2 {
             ctl.access(Request::write(addr, step));
         } else {
@@ -145,18 +157,28 @@ fn first_invariant_break(mutant: Mutant, accesses: u64) -> Option<(u64, String)>
 #[test]
 fn state_mutants_are_caught_by_the_exact_invariant() {
     // Positive control: the honest controller keeps every invariant.
-    assert_eq!(first_invariant_break(Mutant::None, 3000), None);
+    assert_eq!(first_invariant_break(DupPolicy::Off, 96, Mutant::None, 3000), None);
 
-    let (step, err) = first_invariant_break(Mutant::ReadRemapKeepsVersion, 3000)
-        .expect("a read's remap that keeps the version must be rejected");
+    let (step, err) =
+        first_invariant_break(DupPolicy::Off, 96, Mutant::ReadRemapKeepsVersion, 3000)
+            .expect("a read's remap that keeps the version must be rejected");
     assert!(err.contains("is off the path to"), "step {step}: unexpected rejection reason: {err}");
 
-    let (step, err) = first_invariant_break(Mutant::DropOnDrain, 3000)
+    let (step, err) = first_invariant_break(DupPolicy::Off, 96, Mutant::DropOnDrain, 3000)
         .expect("a block lost by an eviction write must be rejected");
     assert!(
         err.contains("has 0 current real copies"),
         "step {step}: unexpected rejection reason: {err}"
     );
+
+    // With duplication on and more addresses than the stash holds, shadows
+    // reach the stash: the honest controller keeps every invariant, and
+    // the stale carried level is caught.
+    let dynamic = DupPolicy::Dynamic { counter_bits: 3 };
+    assert_eq!(first_invariant_break(dynamic, 300, Mutant::None, 3000), None);
+    let (step, err) = first_invariant_break(dynamic, 300, Mutant::StaleShadowLevel, 3000)
+        .expect("a stash shadow with a stale level must be rejected");
+    assert!(err.contains("carries level"), "step {step}: unexpected rejection reason: {err}");
 }
 
 /// The verdict of a [`LaneAudit`] attached to an engine (controller and

@@ -174,10 +174,10 @@ struct HalfSamples {
 /// The `oram-audit` crate must be able to prove that its trace, statistical
 /// and state checks actually catch protocol faults, so this enum — compiled
 /// only under the `mutants` cargo feature, which nothing but audit
-/// dev-dependencies enables — injects four breaks: two the bus shows (a
-/// bucket missing from an eviction write, biased leaf remapping) and two
+/// dev-dependencies enables — injects five breaks: two the bus shows (a
+/// bucket missing from an eviction write, biased leaf remapping) and three
 /// only [`OramController::check_invariants`] can see (a second current
-/// real copy, a lost block).
+/// real copy, a lost block, a stash shadow carrying a stale level).
 #[cfg(feature = "mutants")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mutant {
@@ -199,6 +199,10 @@ pub enum Mutant {
     /// never written back, and the stash keeps it only as a freed slot.
     /// Invisible on the bus.
     DropOnDrain,
+    /// A path read admits a shadow into the stash carrying the level of
+    /// the bucket it was read from rather than its real copy's: a stale
+    /// Rule-2 bound for every recirculation of it. Invisible on the bus.
+    StaleShadowLevel,
 }
 
 /// Continuation token between [`OramController::access_issue`] and
@@ -504,12 +508,7 @@ impl OramController {
             // not from the steady state.
             for level in (0..=self.shape.levels()).rev() {
                 let bid = self.shape.bucket_on_path(label, level);
-                let free = match self.tree.slots(bid) {
-                    Some(mut slots) => slots.position(|b| b.is_dummy()),
-                    None => Some(0),
-                };
-                if let Some(slot) = free {
-                    self.tree.set_slot(bid, slot, blk);
+                if self.tree.place(bid, blk).is_some() {
                     self.posmap.set_site(addr, RealCopySite::Tree { level });
                     placed = true;
                     break;
@@ -565,7 +564,15 @@ impl OramController {
         // engine after that access; start this one with a clean queue.
         self.posmap.clear_pending();
         self.stats.real_requests += 1;
-        self.hot.observe(req.addr);
+        // The stash caches its shadows' counters for recirculation: drop
+        // the ones that changed (without duplication there are no shadows).
+        let evicted = self.hot.observe(req.addr);
+        if self.cfg.dup_policy.is_enabled() {
+            self.stash.forget_priority(req.addr);
+            if let Some(victim) = evicted {
+                self.stash.forget_priority(victim);
+            }
+        }
         self.note_request_for_dynamic(true);
 
         // Step-1: stash query.
@@ -762,10 +769,10 @@ impl OramController {
                     continue;
                 }
                 // Stale-copy invalidation: every remap is a new version.
-                if !self.posmap.is_current(blk.addr, blk.version) {
+                let Some(site) = self.current_site(&blk) else {
                     self.stats.stale_discarded += 1;
                     continue;
-                }
+                };
                 // Algorithm 2 inserts "real or shadow" blocks. Tiny ORAM's
                 // read-only phase writes nothing back, so non-requested
                 // *real* blocks stay authoritative in the tree and are not
@@ -777,8 +784,12 @@ impl OramController {
                 // next eviction. The requested block itself is promoted to
                 // a live resident (and remapped) after the loop.
                 let requested = req.is_some_and(|r| r.addr == blk.addr);
-                if blk.is_shadow() || requested {
-                    self.shadow_pulls += u64::from(blk.is_shadow());
+                if blk.is_shadow() {
+                    self.shadow_pulls += 1;
+                    if let Some(real_level) = self.carried_level(site, level as u32) {
+                        self.stash.insert_shadow(blk, real_level);
+                    }
+                } else if requested {
                     self.stash.insert(blk);
                 }
                 // Forward the requested data on its first current copy, and
@@ -855,6 +866,28 @@ impl OramController {
         (phase, served, value)
     }
 
+    /// Where the real copy of `blk`'s address sits, if `blk` is current:
+    /// the one posmap probe a path read makes per block.
+    #[inline]
+    fn current_site(&self, blk: &Block) -> Option<RealCopySite> {
+        self.posmap.peek(blk.addr).filter(|pe| pe.version == blk.version).map(|pe| pe.site)
+    }
+
+    /// The level a current shadow read from `bucket_level` carries into
+    /// the stash: its real copy's, at `site`. `None` when the real copy is
+    /// not in the tree: it is live in the stash, where the shadow would
+    /// merge into it and be discarded, so the shadow is not offered.
+    #[inline]
+    fn carried_level(&self, site: RealCopySite, bucket_level: u32) -> Option<u32> {
+        let RealCopySite::Tree { level } = site else { return None };
+        #[cfg(feature = "mutants")]
+        if self.mutant == Mutant::StaleShadowLevel {
+            return Some(bucket_level);
+        }
+        let _ = bucket_level;
+        Some(level)
+    }
+
     /// Whether the injected mutant suppresses the rewrite (and therefore
     /// the bus write) of the path slot at `level_idx`. Always `false`
     /// without the `mutants` feature.
@@ -913,10 +946,10 @@ impl OramController {
                 if blk.is_dummy() {
                     continue;
                 }
-                if !self.posmap.is_current(blk.addr, blk.version) {
+                let Some(site) = self.current_site(&blk) else {
                     self.stats.stale_discarded += 1;
                     continue;
-                }
+                };
                 if blk.is_real() {
                     let outcome = self.stash.insert(blk);
                     assert!(
@@ -930,7 +963,9 @@ impl OramController {
                     self.posmap.set_site(blk.addr, RealCopySite::Stash);
                 } else {
                     self.shadow_pulls += 1;
-                    self.stash.insert(blk);
+                    if let Some(real_level) = self.carried_level(site, level as u32) {
+                        self.stash.insert_shadow(blk, real_level);
+                    }
                 }
             }
         }
@@ -940,30 +975,26 @@ impl OramController {
         let policy = self.cfg.dup_policy;
         let partition_level = self.partition_level().unwrap_or(0);
         // HD-Dup fills the levels root-ward of the partition, so level 0
-        // tells whether this path write reads priorities at all.
+        // tells whether this path write reads counters at all.
         let hd_in_play = scheme_for_slot(policy, partition_level, 0) == SlotScheme::Hd;
-        self.dup_queues.begin(leaf);
-        // Stash-resident shadows whose real copy is in the tree are also
-        // duplication candidates (Sec. V-B2) — this recirculation is what
-        // lets a block's shadow outlive the rewriting of its bucket.
-        let mut stash_shadow_count = 0u64;
-        if self.cfg.recirculate_stash_shadows {
-            for entry in self.stash.shadow_entries() {
-                let blk = entry.block;
-                let Some(pe) = self.posmap.peek(blk.addr).filter(|pe| pe.version == blk.version)
-                else {
-                    continue;
-                };
-                if let RealCopySite::Tree { level } = pe.site {
-                    stash_shadow_count += 1;
-                    let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
-                    self.dup_queues.push(DupCandidate::from_block(&blk, level, true), priority);
-                }
+        if policy.is_enabled() {
+            self.dup_queues.begin(leaf, self.cfg.chain_duplication, partition_level);
+        }
+        // Stash-resident shadows are also duplication candidates (Sec.
+        // V-B2) — this recirculation is what lets a block's shadow outlive
+        // the rewriting of its bucket. Each is current and carries the
+        // level of its real copy, which sits in the tree
+        // (`check_invariants`).
+        if policy.is_enabled() && self.cfg.recirculate_stash_shadows {
+            let hot = hd_in_play.then_some(&self.hot);
+            for (block, level, priority) in self.stash.recirculation_supply(hot) {
+                self.dup_queues.push(DupCandidate::from_block(&block, level, true), priority);
             }
         }
-        self.stats.stash_shadow_candidates += stash_shadow_count;
+        let offered = if policy.is_enabled() { self.dup_queues.len() as u64 } else { 0 };
+        self.stats.stash_shadow_candidates += offered;
         // Recirculation supply available to this eviction's write half.
-        self.samples.dup_queue_depth = Some(self.dup_queues.len() as u64);
+        self.samples.dup_queue_depth = Some(offered);
 
         // The slot-filling loop below runs leaf-first (Algorithm 1), but
         // the bus issues the rewritten path root-side first to match the
@@ -1000,13 +1031,15 @@ impl OramController {
                     // for shallower (later-written) slots.
                     if policy.is_enabled() {
                         let priority = if hd_in_play { self.hot.priority(blk.addr) } else { 0 };
-                        let fresh = DupCandidate::from_block(&blk, level, false);
-                        self.dup_queues.push(fresh, priority);
+                        self.dup_queues
+                            .push(DupCandidate::from_block(&blk, level, false), priority);
                     }
                     blk
                 } else {
                     // dup_blk_select: fill the dummy with a shadow copy.
-                    match self.dup_queues.select(scheme, level, self.cfg.chain_duplication) {
+                    let pick =
+                        if policy.is_enabled() { self.dup_queues.select(level) } else { None };
+                    match pick {
                         Some(c) => {
                             if scheme == SlotScheme::Rd {
                                 self.stats.rd_shadows_written += 1;
@@ -1048,12 +1081,15 @@ impl OramController {
     ///   on its label's path, a current shadow carries its real copy's
     ///   data, no copy is newer than the map, and no shadow is live in the
     ///   stash (shadows never count against its capacity);
+    /// * (iii) every stash shadow is current, and the level it carries is
+    ///   its real copy's tree level — what recirculation offers it under;
     ///
     /// and that the tree store flags a bucket occupied iff it holds a
     /// block ([`OramTree::check_occupancy`]), that the stash's live count
-    /// matches its entries, and the same of every ORAM of a recursive
-    /// position map. Stale copies are permitted garbage. O(tree);
-    /// test/diagnostic use only.
+    /// matches its entries and its cached shadow counters the Hot Address
+    /// Cache's ([`Stash::check_priorities`]), and the same of every ORAM
+    /// of a recursive position map. Stale copies in the tree are permitted
+    /// garbage. O(tree); test/diagnostic use only.
     ///
     /// # Errors
     ///
@@ -1062,6 +1098,7 @@ impl OramController {
         self.tree.check_occupancy()?;
         self.posmap.check_invariants()?;
         self.stash.check_live_count()?;
+        self.stash.check_priorities(&self.hot)?;
         // The posmap entry of a copy (in bucket `raw`, or in the stash)
         // that is current; `None` for a stale one; an error for a copy the
         // posmap does not know or one newer than it.
@@ -1090,6 +1127,19 @@ impl OramController {
                 // (`DupCandidate::eligible_at`); a later eviction may re-place
                 // the real copy root-ward of an old shadow, which is harmless.
                 copies.push((blk, RealCopySite::Tree { level }));
+            }
+        }
+        for (e, level) in self.stash.shadow_entries() {
+            let (addr, v) = (e.block.addr, e.block.version);
+            match self.posmap.peek(addr) {
+                Some(pe) if pe.version == v && pe.site == RealCopySite::Tree { level } => {}
+                pe => {
+                    let (map, site) = (pe.map(|pe| pe.version), pe.map(|pe| pe.site));
+                    return Err(format!(
+                        "stash shadow of {addr} (version {v}) carries level {level}; posmap \
+                         version {map:?} site {site:?}"
+                    ));
+                }
             }
         }
         for e in self.stash.entries() {

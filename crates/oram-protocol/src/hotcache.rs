@@ -90,10 +90,12 @@ impl HotAddressCache {
 
     /// Records one LLC-miss observation of `addr`, incrementing its counter
     /// (allocating a line via LFU replacement if absent). A no-op when
-    /// the cache is disabled.
-    pub fn observe(&mut self, addr: BlockAddr) {
+    /// the cache is disabled. Returns the address whose line went to
+    /// `addr`, if one did: its priority fell to zero. No other address's
+    /// priority changed.
+    pub fn observe(&mut self, addr: BlockAddr) -> Option<BlockAddr> {
         if self.lines.is_empty() {
-            return;
+            return None;
         }
         let base = self.set_base(addr);
         let lines = &mut self.lines[base..base + self.ways];
@@ -101,13 +103,13 @@ impl HotAddressCache {
         if let Some(line) = lines.iter_mut().flatten().find(|l| l.tag == addr) {
             line.count += 1;
             self.stats.hits += 1;
-            return;
+            return None;
         }
         self.stats.misses += 1;
 
         if let Some(slot) = lines.iter_mut().find(|l| l.is_none()) {
             *slot = Some(Line { tag: addr, count: 1 });
-            return;
+            return None;
         }
 
         // LFU: evict the line with the smallest counter; a new line starts
@@ -115,12 +117,14 @@ impl HotAddressCache {
         // genuinely hot line with count > 1.
         let victim =
             lines.iter_mut().min_by_key(|l| l.as_ref().map_or(0, |x| x.count)).expect("ways > 0");
-        if victim.as_ref().map_or(0, |x| x.count) <= 1 {
-            *victim = Some(Line { tag: addr, count: 1 });
-            self.stats.evictions += 1;
+        if victim.as_ref().map_or(0, |x| x.count) > 1 {
+            // The newcomer is not allocated — classic LFU insertion filter
+            // that keeps thrash streams from flushing the hot set.
+            return None;
         }
-        // Otherwise the newcomer is not allocated — classic LFU insertion
-        // filter that keeps thrash streams from flushing the hot set.
+        let evicted = victim.replace(Line { tag: addr, count: 1 }).map(|l| l.tag);
+        self.stats.evictions += 1;
+        evicted
     }
 
     /// Duplication priority of `addr`: its access counter, or zero when
@@ -182,8 +186,9 @@ mod tests {
     #[test]
     fn single_touch_lines_are_replaceable() {
         let mut c = HotAddressCache::new(1, 1);
-        c.observe(BlockAddr::new(1)); // count 1
-        c.observe(BlockAddr::new(2)); // displaces count-1 line
+        assert_eq!(c.observe(BlockAddr::new(1)), None); // count 1
+                                                        // Displaces the count-1 line, and says whose it was.
+        assert_eq!(c.observe(BlockAddr::new(2)), Some(BlockAddr::new(1)));
         assert_eq!(c.priority(BlockAddr::new(1)), 0);
         assert_eq!(c.priority(BlockAddr::new(2)), 1);
         assert_eq!(c.stats().evictions, 1);

@@ -106,22 +106,25 @@ impl DupCandidate {
     }
 }
 
-/// Marks the end of a [`DupQueues`] filing list, and a popped candidate.
+/// Marks a candidate eligible at no level (its real copy sits in the
+/// root).
 const NIL: u32 = u32::MAX;
 
-/// One pooled candidate with what [`DupQueues::push`] precomputed for it.
+/// Row of [`DupQueues::rows`]: the positions eligible at the current level.
+const ELIGIBLE: usize = 0;
+/// First row of [`DupQueues::rows`] that files positions by the level at
+/// which they become eligible, one row per level from the root.
+const FILED: usize = 1;
+
+/// One candidate of the pool with what [`DupQueues::push`] took for it.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
+struct Pooled {
     cand: DupCandidate,
-    /// Deepest level shared with the eviction path (Rule-1 bound).
-    common_level: u32,
-    /// Hot Address Cache counter at push time.
+    /// Deepest level at which it satisfies Rules 1 and 2 (it then does at
+    /// every shallower one), or [`NIL`].
+    from: u32,
+    /// Hot Address Cache counter.
     priority: u64,
-    /// Position in the pool's order — the tie-break among equal keys —
-    /// or [`NIL`] once popped.
-    index: u32,
-    /// Next candidate filed under the same level.
-    next: u32,
 }
 
 /// The duplication candidate pool built during one path write.
@@ -131,86 +134,141 @@ struct Queued {
 /// path write completes. Here one pool serves both orders: a path write
 /// fills slots leaf to root, so a candidate eligible at one level stays
 /// eligible at every shallower one. [`DupQueues::push`] files each
-/// candidate under the level at which it first becomes eligible,
-/// `min(real_level − 1, common_level)`; [`DupQueues::select`] moves the
-/// lists of the levels it has reached into a max-heap keyed by the
-/// scheme's order and takes the top. A pick costs O(log n) instead of a
-/// scan of the pool, and the heap is re-keyed only when the scheme
-/// changes — once per path write, at the partition boundary.
+/// candidate's position in pool order under the level at which it first
+/// becomes eligible, `min(real_level − 1, common_level)`, and under its
+/// real level, in bitsets over pool positions. Reaching a level ORs its
+/// row into the eligible set, so candidates are not ordered one by one:
+///
+/// * an RD pick is the highest eligible position under the deepest real
+///   level that has one — at most `L` rows of a few words;
+/// * an HD pick is the hottest eligible candidate with a non-zero counter
+///   (a cached address) or, when none is eligible, the highest eligible
+///   position. A chained pick keeps its counter and is eligible again one
+///   level up, so a candidate below the `Z` hottest that became eligible
+///   with it is never the hottest at a level of `Z` slots: each level
+///   keeps the `Z` hottest filed under it, reaching the level merges them
+///   into the `Z` hottest eligible, and a pick is the first of those still
+///   eligible at its level. Without chaining picks leave for good, and a
+///   heap ranks every candidate with a non-zero counter.
 #[derive(Debug, Clone)]
 pub struct DupQueues {
     shape: TreeShape,
     eviction_leaf: LeafLabel,
-    /// Every candidate pushed since [`DupQueues::begin`], by id.
-    pool: Vec<Queued>,
-    /// Ids in pool order: `order[i]` has `index == i`. Chained picks
-    /// leave it alone; a popped pick is `swap_remove`d, which moves the
-    /// last candidate into the hole and so changes its tie-break.
-    order: Vec<u32>,
-    /// Head of the list of ids that become eligible at each level.
-    filed: Vec<u32>,
-    /// Levels `>= reached` have been moved into `heap`.
+    chain: bool,
+    /// Slots at levels below it are filled by HD picks, the others by RD.
+    hd_below: u32,
+    /// Every candidate in the pool, in pool order: a position is the
+    /// tie-break among equal keys. Chained picks leave the order alone; a
+    /// popped pick is `swap_remove`d, which moves the last candidate into
+    /// the hole and so changes its tie-break.
+    pool: Vec<Pooled>,
+    /// Bitsets over pool positions, `words` words each: [`ELIGIBLE`], the
+    /// filed rows from [`FILED`] (one per level), then one row per real
+    /// level (the RD key), root first.
+    rows: Vec<u64>,
+    words: usize,
+    /// Levels `>= reached` have been ORed into [`ELIGIBLE`].
     reached: u32,
-    /// Eligible candidates as [`HeapEntry`]s keyed per `keyed_for`. An
-    /// entry whose index is no longer its candidate's is a leftover of a
-    /// `swap_remove` and is skipped.
-    heap: BinaryHeap<HeapEntry>,
+    /// With chaining, per level: the `Z` hottest candidates filed there
+    /// by [`DupQueues::push`] (non-zero counters), hottest first,
+    /// zero-padded.
+    tops: Vec<HeapEntry>,
+    /// With chaining, while keyed for [`SlotScheme::Hd`]: the `Z` hottest
+    /// eligible candidates with a non-zero counter, hottest first,
+    /// zero-padded.
+    best: Vec<HeapEntry>,
+    /// Without chaining, while keyed for [`SlotScheme::Hd`]: candidates
+    /// with a non-zero counter that may be the hottest eligible one. An
+    /// entry whose position is not eligible under that counter is skipped.
+    hot: BinaryHeap<HeapEntry>,
     keyed_for: SlotScheme,
+    /// The level of the latest pick and the picks made at it.
+    picks_at: (u32, usize),
 }
 
-/// `(key, index, id)` packed most significant first, so one integer
-/// comparison orders by key, then by place in the pool. The key is
-/// `real_level` for [`SlotScheme::Rd`], `priority` for [`SlotScheme::Hd`].
+/// `(priority, position)` packed most significant first, so one integer
+/// comparison orders by counter, then by place in the pool: the HD key
+/// [`DupQueues::tops`], `best` and `hot` hold. Never zero, since only
+/// non-zero counters are ranked.
 type HeapEntry = u128;
 
-fn heap_entry(q: &Queued, id: u32, keyed_for: SlotScheme) -> HeapEntry {
-    let key = match keyed_for {
-        SlotScheme::Hd => q.priority,
-        _ => q.cand.real_level as u64,
-    };
-    (key as u128) << 64 | (q.index as u128) << 32 | id as u128
+fn heap_entry(priority: u64, pos: usize) -> HeapEntry {
+    (priority as u128) << 64 | pos as u128
 }
 
-/// The `(index, id)` of a [`HeapEntry`].
-fn unpack(entry: HeapEntry) -> (u32, u32) {
-    ((entry >> 32) as u32, entry as u32)
+/// Inserts `entry` into `top`, hottest first, if it beats the coldest,
+/// which falls off the end.
+#[inline]
+fn insert_hottest(top: &mut [HeapEntry], entry: HeapEntry) {
+    let Some(&coldest) = top.last() else { return };
+    if entry <= coldest {
+        return;
+    }
+    let mut at = top.len() - 1;
+    while at > 0 && top[at - 1] < entry {
+        top[at] = top[at - 1];
+        at -= 1;
+    }
+    top[at] = entry;
+}
+
+/// The highest position set in both `a` and `b`.
+fn highest_common(a: &[u64], b: &[u64]) -> Option<usize> {
+    let (w, word) = a.iter().zip(b).map(|(x, y)| x & y).enumerate().rfind(|&(_, w)| w != 0)?;
+    Some(w * 64 + 63 - word.leading_zeros() as usize)
 }
 
 impl DupQueues {
     /// An empty pool for path writes in a tree of `shape`, with room for
     /// `capacity` candidates per path write before it has to grow.
     pub fn new(shape: TreeShape, capacity: usize) -> Self {
+        let words = capacity.div_ceil(64).max(1);
+        let levels = shape.levels() as usize + 1;
         DupQueues {
             shape,
             eviction_leaf: LeafLabel::new(0),
+            chain: true,
+            hd_below: 0,
             pool: Vec::with_capacity(capacity),
-            order: Vec::with_capacity(capacity),
-            filed: vec![NIL; shape.levels() as usize + 1],
+            rows: vec![0; (FILED + 2 * levels) * words],
+            words,
             reached: shape.levels() + 1,
             // Each pop-mode pick can leave one stale entry behind.
-            heap: BinaryHeap::with_capacity(capacity + shape.blocks_per_path()),
+            hot: BinaryHeap::with_capacity(capacity + shape.blocks_per_path()),
+            tops: vec![0; levels * shape.slots_per_bucket()],
+            best: vec![0; shape.slots_per_bucket()],
             keyed_for: SlotScheme::None,
+            picks_at: (NIL, 0),
         }
     }
 
-    /// Empties the pool and starts the path write to `eviction_leaf`.
-    pub fn begin(&mut self, eviction_leaf: LeafLabel) {
+    /// Empties the pool and starts the path write to `eviction_leaf`,
+    /// whose dummy slots at levels below `hd_below` are filled by HD picks
+    /// and the others by RD picks — the partitioning level
+    /// ([`scheme_for_slot`]). With `chain` its picks stay in the pool
+    /// ([`DupQueues::select`]).
+    pub fn begin(&mut self, eviction_leaf: LeafLabel, chain: bool, hd_below: u32) {
         self.eviction_leaf = eviction_leaf;
+        self.chain = chain;
+        self.hd_below = hd_below;
         self.pool.clear();
-        self.order.clear();
-        self.filed.fill(NIL);
+        self.rows.fill(0);
         self.reached = self.shape.levels() + 1;
-        self.heap.clear();
+        self.tops.fill(0);
+        self.best.fill(0);
+        self.hot.clear();
+        self.keyed_for = SlotScheme::None;
+        self.picks_at = (NIL, 0);
     }
 
     /// Number of candidates currently enqueued.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.pool.len()
     }
 
     /// Returns `true` when no candidates are enqueued.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.pool.is_empty()
     }
 
     /// Enqueues a candidate (a block just evicted deeper on this path, or a
@@ -218,119 +276,268 @@ impl DupQueues {
     /// is its Hot Address Cache counter; only [`SlotScheme::Hd`] picks
     /// read it. Neither it nor the common level can change during a path
     /// write, so both are taken here, once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cand.real_level` is deeper than the leaves.
+    #[inline]
     pub fn push(&mut self, cand: DupCandidate, priority: u64) {
-        let id = self.pool.len() as u32;
+        let pos = self.pool.len();
+        if pos == self.words * 64 {
+            self.grow();
+        }
+        self.pool.push(Pooled { cand, from: self.eligible_from(&cand), priority });
+        self.place(pos);
+    }
+
+    /// `min(real_level − 1, common_level)`, or [`NIL`] for a real copy in
+    /// the root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cand.real_level` is deeper than the leaves.
+    #[inline]
+    fn eligible_from(&self, cand: &DupCandidate) -> u32 {
+        assert!(cand.real_level <= self.shape.levels(), "real copy below the leaves");
         let common_level = self.shape.common_level(self.eviction_leaf, cand.label);
-        self.pool.push(Queued {
-            cand,
-            common_level,
-            priority,
-            index: self.order.len() as u32,
-            next: NIL,
-        });
-        self.order.push(id);
-        if let Some(level) = self.eligible_from(id) {
-            self.file(id, level);
+        cand.real_level.checked_sub(1).map_or(NIL, |l| l.min(common_level))
+    }
+
+    /// Files the candidate just stored at `pos` under its real level (only
+    /// RD picks read that, so only if RD slots can take it), and with
+    /// chaining among the hottest of its level.
+    #[inline]
+    fn place(&mut self, pos: usize) {
+        let Pooled { cand, from, priority } = self.pool[pos];
+        if from != NIL && from >= self.hd_below {
+            self.set(self.keyed_row(cand.real_level), pos, true);
+        }
+        if self.chain && priority > 0 && from != NIL {
+            let (z, entry) = (self.shape.slots_per_bucket(), heap_entry(priority, pos));
+            insert_hottest(&mut self.tops[from as usize * z..][..z], entry);
+        }
+        self.file(pos);
+    }
+
+    /// Doubles the positions every row holds.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let words = self.words * 2;
+        let mut rows = vec![0; self.rows.len() / self.words * words];
+        for (old, new) in self.rows.chunks(self.words).zip(rows.chunks_mut(words)) {
+            new[..self.words].copy_from_slice(old);
+        }
+        (self.rows, self.words) = (rows, words);
+    }
+
+    /// The row of the candidates whose real copy sits at `real_level`.
+    #[inline]
+    fn keyed_row(&self, real_level: u32) -> usize {
+        FILED + self.shape.levels() as usize + 1 + real_level as usize
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        &self.rows[row * self.words..(row + 1) * self.words]
+    }
+
+    fn contains(&self, row: usize, pos: usize) -> bool {
+        self.rows[row * self.words + pos / 64] & 1 << (pos % 64) != 0
+    }
+
+    #[inline]
+    fn set(&mut self, row: usize, pos: usize, on: bool) {
+        let (word, bit) = (&mut self.rows[row * self.words + pos / 64], 1u64 << (pos % 64));
+        if on {
+            *word |= bit;
+        } else {
+            *word &= !bit;
         }
     }
 
-    /// The deepest level at which `id` satisfies Rules 1 and 2 (it then
-    /// does at every shallower level too): `min(real_level − 1,
-    /// common_level)`. `None` for a real copy in the root, which Rule-2
-    /// keeps out of every slot.
-    fn eligible_from(&self, id: u32) -> Option<u32> {
-        let q = &self.pool[id as usize];
-        Some(q.cand.real_level.checked_sub(1)?.min(q.common_level))
+    /// Moves `row`'s bit for position `from` to position `to`.
+    fn move_bit(&mut self, row: usize, from: usize, to: usize) {
+        let on = self.contains(row, from);
+        self.set(row, from, false);
+        self.set(row, to, on);
     }
 
-    /// Makes `id` eligible from `level` on: into the heap if the path
-    /// write is already there, else onto that level's list.
-    fn file(&mut self, id: u32, level: u32) {
-        if level >= self.reached {
-            self.heap.push(heap_entry(&self.pool[id as usize], id, self.keyed_for));
+    /// Makes the candidate at `pos` eligible from its level on: at once if
+    /// the path write is already there, else in that level's row. (A
+    /// chained pick filed again is still among `best`.)
+    #[inline]
+    fn file(&mut self, pos: usize) {
+        let Pooled { from, priority, .. } = self.pool[pos];
+        if from == NIL {
+        } else if from < self.reached {
+            self.set(FILED + from as usize, pos, true);
         } else {
-            self.pool[id as usize].next = std::mem::replace(&mut self.filed[level as usize], id);
+            self.set(ELIGIBLE, pos, true);
+            if self.keyed_for == SlotScheme::Hd && priority > 0 {
+                self.rank(heap_entry(priority, pos));
+            }
+        }
+    }
+
+    /// Ranks an eligible candidate's entry for HD picks.
+    fn rank(&mut self, entry: HeapEntry) {
+        if self.chain {
+            insert_hottest(&mut self.best, entry);
+        } else {
+            self.hot.push(entry);
+        }
+    }
+
+    /// Ranks the candidates filed under `level` that may be the hottest
+    /// eligible one: with chaining the level's `Z` hottest, else every one
+    /// with a non-zero counter.
+    fn rank_level(&mut self, level: u32) {
+        if self.chain {
+            let z = self.shape.slots_per_bucket();
+            for i in 0..z {
+                match self.tops[level as usize * z + i] {
+                    0 => break,
+                    entry => self.rank(entry),
+                }
+            }
+        } else {
+            self.rank_row(FILED + level as usize);
+        }
+    }
+
+    /// Puts every position of `row` with a non-zero counter into the heap.
+    fn rank_row(&mut self, row: usize) {
+        for w in 0..self.words {
+            let mut bits = self.rows[row * self.words + w];
+            while bits != 0 {
+                let pos = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let priority = self.pool[pos].priority;
+                if priority > 0 {
+                    self.hot.push(heap_entry(priority, pos));
+                }
+            }
         }
     }
 
     /// Picks the candidate whose shadow fills a dummy slot at `slot_level`.
     ///
-    /// [`SlotScheme::Rd`] takes, among the eligible candidates, the one
-    /// whose most-root-ward copy sits at the **deepest** level (the rear
-    /// data); [`SlotScheme::Hd`] the one with the highest Hot Address
-    /// Cache counter (zero when uncached). Equal keys go to the candidate
-    /// latest in pool order.
+    /// Below the partitioning level [`DupQueues::begin`] was given the pick
+    /// is [`SlotScheme::Hd`]'s, the candidate with the highest Hot Address
+    /// Cache counter (zero when uncached); at and below it
+    /// [`SlotScheme::Rd`]'s, among the eligible candidates the one whose
+    /// most-root-ward copy sits at the **deepest** level (the rear data).
+    /// Equal keys go to the candidate latest in pool order.
     ///
-    /// With `chain` the pick is *not* removed: following the paper's
-    /// Fig. 4 ("the level of Data-A has changed to level-1 after
-    /// duplication"), its effective level becomes the new shadow's level,
-    /// so the same block can keep climbing through dummy slots toward the
-    /// root across the path write — that chain is what produces large
-    /// advances. Without it the pick leaves the pool (the ablation mode).
+    /// When the path write chains ([`DupQueues::begin`]) the pick is *not*
+    /// removed: following the paper's Fig. 4 ("the level of Data-A has
+    /// changed to level-1 after duplication"), its effective level becomes
+    /// the new shadow's level, so the same block can keep climbing through
+    /// dummy slots toward the root across the path write — that chain is
+    /// what produces large advances. Otherwise the pick leaves the pool
+    /// (the ablation mode).
     ///
     /// Returns the candidate as it was before the pick.
     ///
     /// # Panics
     ///
     /// Panics if `slot_level` is deeper than an earlier call's since
-    /// [`DupQueues::begin`]: slots are filled leaf to root.
-    pub fn select(
-        &mut self,
-        scheme: SlotScheme,
-        slot_level: u32,
-        chain: bool,
-    ) -> Option<DupCandidate> {
-        if scheme == SlotScheme::None {
-            return None;
-        }
+    /// [`DupQueues::begin`] (slots are filled leaf to root), or if a
+    /// chained pick would be the `Z + 1`-th at its level (a bucket has `Z`
+    /// slots).
+    pub fn select(&mut self, slot_level: u32) -> Option<DupCandidate> {
         assert!(slot_level <= self.reached, "duplication slots must be filled leaf to root");
+        let scheme = if slot_level < self.hd_below { SlotScheme::Hd } else { SlotScheme::Rd };
+        if slot_level == self.shape.levels() {
+            return None; // Rule-2 keeps every candidate out of the leaves.
+        }
         if scheme != self.keyed_for {
             self.keyed_for = scheme;
-            let mut entries = std::mem::take(&mut self.heap).into_vec();
-            entries.retain_mut(|e| {
-                let (index, id) = unpack(*e);
-                let q = &self.pool[id as usize];
-                *e = heap_entry(q, id, scheme);
-                q.index == index
-            });
-            self.heap = BinaryHeap::from(entries);
+            self.best.fill(0);
+            self.hot.clear();
+            if scheme == SlotScheme::Hd && self.chain {
+                (self.reached..self.shape.levels()).for_each(|level| self.rank_level(level));
+            } else if scheme == SlotScheme::Hd {
+                self.rank_row(ELIGIBLE);
+            }
         }
         while self.reached > slot_level {
             self.reached -= 1;
-            let mut id = std::mem::replace(&mut self.filed[self.reached as usize], NIL);
-            while id != NIL {
-                let q = &self.pool[id as usize];
-                self.heap.push(heap_entry(q, id, scheme));
-                id = q.next;
+            let (w, filed) = (self.words, FILED + self.reached as usize);
+            let (eligible, rest) = self.rows.split_at_mut(w);
+            eligible.iter_mut().zip(&rest[(filed - 1) * w..][..w]).for_each(|(e, f)| *e |= f);
+            if scheme == SlotScheme::Hd {
+                self.rank_level(self.reached);
             }
         }
 
-        let (index, id) = loop {
-            let (index, id) = unpack(self.heap.pop()?);
-            if self.pool[id as usize].index == index {
-                break (index as usize, id);
-            }
-        };
-        let picked = self.pool[id as usize].cand;
+        let pos = match scheme {
+            SlotScheme::Rd => (slot_level + 1..=self.shape.levels()).rev().find_map(|level| {
+                highest_common(self.row(self.keyed_row(level)), self.row(ELIGIBLE))
+            }),
+            _ => self.top_hd(),
+        }?;
+        if self.picks_at.0 != slot_level {
+            self.picks_at = (slot_level, 0);
+        }
+        self.picks_at.1 += 1;
+        assert!(
+            !self.chain || self.picks_at.1 <= self.shape.slots_per_bucket(),
+            "more chained picks than slots at level {slot_level}"
+        );
+        let picked = self.pool[pos].cand;
         debug_assert!(picked.eligible_at(&self.shape, self.eviction_leaf, slot_level));
-        if chain {
-            self.pool[id as usize].cand.real_level = slot_level;
-            if slot_level > 0 {
-                self.file(id, slot_level - 1);
+        self.set(ELIGIBLE, pos, false);
+        self.set(self.keyed_row(picked.real_level), pos, false);
+        if self.chain {
+            let from = slot_level.checked_sub(1).unwrap_or(NIL);
+            let p = &mut self.pool[pos];
+            (p.cand.real_level, p.from) = (slot_level, from);
+            if from != NIL && from >= self.hd_below {
+                self.set(self.keyed_row(slot_level), pos, true);
             }
-        } else {
-            self.pool[id as usize].index = NIL;
-            self.order.swap_remove(index);
-            if let Some(&moved) = self.order.get(index) {
-                self.pool[moved as usize].index = index as u32;
-                // If it is in the heap, that entry carries its old index:
-                // add the one it now answers to.
-                if self.eligible_from(moved).is_some_and(|level| level >= self.reached) {
-                    self.heap.push(heap_entry(&self.pool[moved as usize], moved, self.keyed_for));
+            self.file(pos);
+            return Some(picked);
+        }
+        let last = self.pool.len() - 1;
+        self.pool.swap_remove(pos);
+        if pos != last {
+            let Pooled { cand, from, priority } = self.pool[pos];
+            self.move_bit(self.keyed_row(cand.real_level), last, pos);
+            if from == NIL {
+            } else if from >= self.reached {
+                self.move_bit(ELIGIBLE, last, pos);
+                // Its heap entry, if any, names the old position.
+                if self.keyed_for == SlotScheme::Hd && priority > 0 {
+                    self.hot.push(heap_entry(priority, pos));
                 }
+            } else {
+                self.move_bit(FILED + from as usize, last, pos);
             }
         }
         Some(picked)
+    }
+
+    /// The HD pick: the hottest eligible candidate, or — no eligible
+    /// counter above zero — the latest eligible in pool order.
+    fn top_hd(&mut self) -> Option<usize> {
+        if self.chain {
+            let ranked = self.best.iter().take_while(|&&e| e != 0);
+            let first =
+                ranked.map(|&e| e as u32 as usize).find(|&pos| self.contains(ELIGIBLE, pos));
+            if first.is_some() {
+                return first;
+            }
+        }
+        while let Some(entry) = self.hot.pop() {
+            let (priority, pos) = ((entry >> 64) as u64, entry as u32 as usize);
+            let current = self.pool.get(pos).is_some_and(|p| p.priority == priority);
+            if current && self.contains(ELIGIBLE, pos) {
+                return Some(pos);
+            }
+        }
+        let eligible = self.row(ELIGIBLE);
+        highest_common(eligible, eligible)
     }
 }
 
@@ -504,28 +711,29 @@ mod tests {
         assert!(!c.eligible_at(&shape, far, 1), "Rule-1: off-path rejected");
     }
 
-    fn queues(shape: TreeShape) -> DupQueues {
+    /// A pool for the path write to leaf 0, all RD-Dup below `hd_below`.
+    fn queues(shape: TreeShape, chain: bool, hd_below: u32) -> DupQueues {
         let mut q = DupQueues::new(shape, 8);
-        q.begin(LeafLabel::new(0));
+        q.begin(LeafLabel::new(0), chain, hd_below);
         q
     }
 
     #[test]
     fn rd_selection_prefers_deepest_real_copy() {
-        let mut q = queues(TreeShape::new(3, 2));
+        let mut q = queues(TreeShape::new(3, 2), true, 0);
         q.push(cand(1, 0, 2), 0);
         q.push(cand(2, 0, 3), 0); // rear data
         q.push(cand(3, 0, 1), 0);
-        let picked = q.select(SlotScheme::Rd, 1, true).unwrap();
+        let picked = q.select(1).unwrap();
         assert_eq!(picked.addr, BlockAddr::new(2));
         assert_eq!(q.len(), 3, "candidates stay queued with updated level");
         // The same block is no longer eligible at the same level (its
         // effective level is now 1), so the next pick differs.
-        let second = q.select(SlotScheme::Rd, 1, true).unwrap();
+        let second = q.select(1).unwrap();
         assert_eq!(second.addr, BlockAddr::new(1));
         // At a shallower slot the chain continues: every candidate now
         // sits at effective level 1, and the latest queued wins the tie.
-        let third = q.select(SlotScheme::Rd, 0, true).unwrap();
+        let third = q.select(0).unwrap();
         assert_eq!(third.real_level, 1, "chain continues from level 1");
         assert_eq!(third.addr, BlockAddr::new(3));
     }
@@ -537,52 +745,50 @@ mod tests {
             hot.observe(BlockAddr::new(3));
         }
         hot.observe(BlockAddr::new(1));
-        let mut q = queues(TreeShape::new(3, 2));
+        let mut q = queues(TreeShape::new(3, 2), true, u32::MAX);
         for c in [cand(1, 0, 2), cand(3, 0, 2), cand(9, 0, 2)] {
             q.push(c, hot.priority(c.addr));
         }
-        let picked = q.select(SlotScheme::Hd, 0, true).unwrap();
+        let picked = q.select(0).unwrap();
         assert_eq!(picked.addr, BlockAddr::new(3));
     }
 
     #[test]
     fn selection_respects_eligibility() {
-        let mut q = queues(TreeShape::new(3, 2));
+        let mut q = queues(TreeShape::new(3, 2), true, 0);
         q.push(cand(1, 0b100, 3), 0); // off-path below level 0 for leaf 0
         q.push(cand(2, 0, 0), 0); // real copy in the root: Rule-2 bars it everywhere
-        assert!(q.select(SlotScheme::Rd, 1, true).is_none());
+        assert!(q.select(1).is_none());
         assert_eq!(q.len(), 2, "ineligible candidates stay queued");
-        assert_eq!(q.select(SlotScheme::Rd, 0, true).map(|c| c.addr), Some(BlockAddr::new(1)));
-        assert!(q.select(SlotScheme::Rd, 0, true).is_none());
+        assert_eq!(q.select(0).map(|c| c.addr), Some(BlockAddr::new(1)));
+        assert!(q.select(0).is_none());
     }
 
     #[test]
     fn popped_pick_moves_the_last_candidate_into_its_place() {
-        let mut q = queues(TreeShape::new(3, 2));
+        let mut q = queues(TreeShape::new(3, 2), false, 0);
         for addr in 1..=4 {
             q.push(cand(addr, 0, if addr == 1 { 3 } else { 2 }), 0);
         }
         // Pool order 1 2 3 4: the deepest (1) goes first, and 4 takes its
         // index 0, so the tie among 2, 3, 4 now reads 4 2 3 — 3 is last.
-        let picks: Vec<u64> = std::iter::from_fn(|| q.select(SlotScheme::Rd, 1, false))
-            .map(|c| c.addr.raw())
-            .collect();
+        let picks: Vec<u64> = std::iter::from_fn(|| q.select(1)).map(|c| c.addr.raw()).collect();
         assert_eq!(picks, [1, 3, 2, 4]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn scheme_change_rekeys_the_eligible_set() {
-        let mut q = queues(TreeShape::new(3, 2));
+        // RD at level 1 and deeper, HD at the root.
+        let mut q = queues(TreeShape::new(3, 2), true, 1);
         q.push(cand(1, 0, 3), 1); // deepest, coldest
         q.push(cand(2, 0, 2), 7); // shallower, hottest
         q.push(cand(3, 0, 2), 3);
-        assert_eq!(q.select(SlotScheme::Rd, 1, true).map(|c| c.addr.raw()), Some(1));
-        assert_eq!(q.select(SlotScheme::Hd, 1, true).map(|c| c.addr.raw()), Some(2));
-        assert_eq!(q.select(SlotScheme::None, 1, true), None);
-        // Level 0: all three climb again, hottest first.
-        assert_eq!(q.select(SlotScheme::Hd, 0, true).map(|c| c.addr.raw()), Some(2));
-        assert_eq!(q.select(SlotScheme::Rd, 0, true).map(|c| c.addr.raw()), Some(3));
+        assert_eq!(q.select(1).map(|c| c.addr.raw()), Some(1));
+        assert_eq!(q.select(1).map(|c| c.addr.raw()), Some(3), "the later of two at level 2");
+        // The root: all three climb again, hottest first.
+        assert_eq!(q.select(0).map(|c| c.addr.raw()), Some(2));
+        assert_eq!(q.select(0).map(|c| c.addr.raw()), Some(3));
     }
 
     #[test]

@@ -8,12 +8,20 @@
 //! * shadow blocks are *always* replaceable the moment they are inserted
 //!   (Rule-3), so duplication can never worsen stash occupancy;
 //! * merge operations collapse multiple copies of the same address: the
-//!   real copy wins over shadows, newer versions win over older ones.
+//!   real copy wins over shadows, newer versions win over older ones;
+//! * a shadow carries the tree level of its real copy, recorded when it
+//!   enters. The real copy cannot move while the shadow is resident:
+//!   whatever moves it brings it into the stash, where it merges over the
+//!   shadow.
 
 use oram_util::FixedAddrMap;
 
+use crate::hotcache::HotAddressCache;
 use crate::tree::TreeShape;
 use crate::types::{Block, BlockAddr, LeafLabel, Version};
+
+/// A slot's cached Hot Address Cache counter before it has been read.
+const UNREAD: u64 = u64::MAX;
 
 /// One stash entry: a decrypted block plus the evicted/replaceable bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +100,12 @@ pub struct Stash {
     /// `trailing_zeros` instead of a scan of every slot.
     evicted_real: Vec<u64>,
     shadow: Vec<u64>,
+    /// Per slot: the tree level of the real copy of the shadow held there
+    /// (meaningless for other slots).
+    real_levels: Vec<u32>,
+    /// Per slot: the Hot Address Cache counter of the shadow held there,
+    /// once read ([`Stash::recirculation_supply`]), or [`UNREAD`].
+    priorities: Vec<u64>,
     /// The current eviction plan ([`Stash::plan_eviction`]): live real
     /// blocks as `(common level with the eviction leaf, slot)`, deepest
     /// first, drained from `plan_cursor` by [`Stash::pop_planned`].
@@ -116,6 +130,8 @@ impl Stash {
             live_count: 0,
             evicted_real: vec![0; capacity.div_ceil(64)],
             shadow: vec![0; capacity.div_ceil(64)],
+            real_levels: vec![0; capacity],
+            priorities: vec![UNREAD; capacity],
             plan: Vec::with_capacity(capacity),
             plan_cursor: 0,
             stats: StashStats::default(),
@@ -180,24 +196,37 @@ impl Stash {
         }
     }
 
-    /// Inserts a block loaded from a path read, applying the merge rules.
-    ///
-    /// Shadow blocks are stored replaceable (Rule-3); real blocks are
-    /// stored live. Dummies must be filtered out by the caller.
+    /// Inserts a real block, applying the merge rules; it is stored live.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `block` is a dummy.
+    /// Panics (in debug builds) if `block` is not real.
     pub fn insert(&mut self, block: Block) -> InsertOutcome {
-        debug_assert!(!block.is_dummy(), "dummies never enter the stash");
+        debug_assert!(block.is_real(), "shadows enter through insert_shadow, dummies never");
+        self.insert_block(block, 0)
+    }
+
+    /// Inserts a shadow block whose real copy sits at tree level
+    /// `real_level`, applying the merge rules; it is stored replaceable
+    /// (Rule-3).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `block` is not a shadow.
+    pub fn insert_shadow(&mut self, block: Block, real_level: u32) -> InsertOutcome {
+        debug_assert!(block.is_shadow(), "real blocks enter through insert");
+        self.insert_block(block, real_level)
+    }
+
+    fn insert_block(&mut self, block: Block, real_level: u32) -> InsertOutcome {
         let incoming_replaceable = block.is_shadow();
 
         if let Some(slot) = self.index.get(block.addr.raw()) {
-            return self.merge_at(slot as usize, block, incoming_replaceable);
+            return self.merge_at(slot as usize, block, real_level);
         }
 
         if let Some(slot) = self.free.pop() {
-            self.store(slot, block, incoming_replaceable);
+            self.store(slot, block, real_level);
             return InsertOutcome::Stored;
         }
 
@@ -206,13 +235,14 @@ impl Stash {
         // freshly loaded shadow is the mechanism by which HD-Dup caches hot
         // data on chip.
         if let Some((slot, victim_addr)) = self.find_replaceable_victim() {
-            self.evict_slot(slot);
-            self.free.pop(); // the slot we just freed
-            self.store(slot, block, incoming_replaceable);
+            // A replaceable victim leaves the live count as it is.
+            self.index.remove(victim_addr.raw());
+            self.slots[slot] = None;
+            self.store(slot, block, real_level);
             return InsertOutcome::ReplacedVictim(victim_addr);
         }
 
-        if block.is_shadow() {
+        if incoming_replaceable {
             self.stats.shadows_dropped += 1;
             InsertOutcome::ShadowDropped
         } else {
@@ -222,8 +252,8 @@ impl Stash {
     }
 
     /// Merge an incoming copy with the resident entry at `slot`.
-    fn merge_at(&mut self, slot: usize, block: Block, incoming_replaceable: bool) -> InsertOutcome {
-        let resident = self.slots[slot].expect("indexed slot must be occupied");
+    fn merge_at(&mut self, slot: usize, block: Block, real_level: u32) -> InsertOutcome {
+        let resident = self.slots[slot].as_ref().expect("indexed slot must be occupied");
         debug_assert_eq!(resident.block.addr, block.addr);
 
         let upgrade = match block.version.cmp(&resident.block.version) {
@@ -240,8 +270,11 @@ impl Stash {
         if upgrade {
             // A real copy arriving over a shadow keeps the data live; a
             // newer version always re-arms the entry as live if it is real.
-            self.note_replaceable_change(resident.replaceable, incoming_replaceable);
+            let (was, incoming_replaceable) = (resident.replaceable, block.is_shadow());
+            self.note_replaceable_change(was, incoming_replaceable);
             self.slots[slot] = Some(StashEntry { block, replaceable: incoming_replaceable });
+            self.real_levels[slot] = real_level;
+            self.priorities[slot] = UNREAD;
             self.sync_replaceable_bits(slot);
             self.touch_high_water();
             InsertOutcome::MergedUpgraded
@@ -250,9 +283,12 @@ impl Stash {
         }
     }
 
-    fn store(&mut self, slot: usize, block: Block, replaceable: bool) {
+    fn store(&mut self, slot: usize, block: Block, real_level: u32) {
         debug_assert!(self.slots[slot].is_none());
+        let replaceable = block.is_shadow();
         self.slots[slot] = Some(StashEntry { block, replaceable });
+        self.real_levels[slot] = real_level;
+        self.priorities[slot] = UNREAD;
         self.sync_replaceable_bits(slot);
         self.index.insert(block.addr.raw(), slot as u32);
         if !replaceable {
@@ -288,7 +324,7 @@ impl Stash {
         // in the tree, while resident shadows double as HD-Dup's on-chip
         // cache and the recirculation supply for future duplication, so
         // shadows are victimized only when no other replaceable exists.
-        let slot = set_bits(&self.evicted_real).next().or_else(|| set_bits(&self.shadow).next())?;
+        let slot = first_bit(&self.evicted_real).or_else(|| first_bit(&self.shadow))?;
         let entry = self.slots[slot].as_ref().expect("replaceable bit set on an empty slot");
         Some((slot, entry.block.addr))
     }
@@ -303,18 +339,6 @@ impl Stash {
         };
         set_bit(&mut self.evicted_real, slot, evicted_real);
         set_bit(&mut self.shadow, slot, shadow);
-    }
-
-    /// Frees `slot`, removing its index entry.
-    fn evict_slot(&mut self, slot: usize) {
-        if let Some(e) = self.slots[slot].take() {
-            self.sync_replaceable_bits(slot);
-            self.index.remove(e.block.addr.raw());
-            if !e.replaceable {
-                self.live_count -= 1;
-            }
-            self.free.push(slot);
-        }
     }
 
     /// Removes the entry for `addr` entirely (used when a block is
@@ -432,11 +456,63 @@ impl Stash {
     }
 
     /// Iterates over resident shadow entries (duplication candidates whose
-    /// real copy lives in the tree), in slot order. A shadow entry is
-    /// always replaceable, so the shadow bitset names exactly these slots.
-    pub fn shadow_entries(&self) -> impl Iterator<Item = &StashEntry> {
-        set_bits(&self.shadow)
-            .map(|slot| self.slots[slot].as_ref().expect("shadow bit set on an empty slot"))
+    /// real copy lives in the tree), in slot order, each with the tree
+    /// level of its real copy. A shadow entry is always replaceable, so
+    /// the shadow bitset names exactly these slots.
+    pub fn shadow_entries(&self) -> impl Iterator<Item = (&StashEntry, u32)> {
+        set_bits(&self.shadow).map(|slot| {
+            let entry = self.slots[slot].as_ref().expect("shadow bit set on an empty slot");
+            (entry, self.real_levels[slot])
+        })
+    }
+
+    /// The resident shadows in slot order, each with the tree level of its
+    /// real copy and its counter in `hot` (zero without one). A counter is
+    /// read once and cached in the slot until the shadow leaves or
+    /// [`Stash::forget_priority`] names its address.
+    pub fn recirculation_supply<'a>(
+        &'a mut self,
+        hot: Option<&'a HotAddressCache>,
+    ) -> impl Iterator<Item = (Block, u32, u64)> + 'a {
+        let (slots, levels, priorities) = (&self.slots, &self.real_levels, &mut self.priorities);
+        set_bits(&self.shadow).map(move |slot| {
+            let block = slots[slot].as_ref().expect("shadow bit set on an empty slot").block;
+            let priority = hot.map_or(0, |hot| {
+                if priorities[slot] == UNREAD {
+                    priorities[slot] = hot.priority(block.addr);
+                }
+                priorities[slot]
+            });
+            (block, levels[slot], priority)
+        })
+    }
+
+    /// Drops the cached counter of `addr`'s shadow, if one is resident:
+    /// the Hot Address Cache changed it.
+    pub fn forget_priority(&mut self, addr: BlockAddr) {
+        if let Some(slot) = self.index.get(addr.raw()) {
+            self.priorities[slot as usize] = UNREAD;
+        }
+    }
+
+    /// Checks every cached shadow counter against `hot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shadow whose cached counter is not its counter.
+    pub fn check_priorities(&self, hot: &HotAddressCache) -> Result<(), String> {
+        for slot in set_bits(&self.shadow) {
+            let addr =
+                self.slots[slot].as_ref().expect("shadow bit set on an empty slot").block.addr;
+            let cached = self.priorities[slot];
+            if cached != UNREAD && cached != hot.priority(addr) {
+                return Err(format!(
+                    "stash shadow of {addr} caches counter {cached}, not {}",
+                    hot.priority(addr)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Iterates over all occupied entries.
@@ -470,6 +546,12 @@ fn set_bit(words: &mut [u64], slot: usize, on: bool) {
     }
 }
 
+/// The lowest set bit of a slot bitset.
+fn first_bit(words: &[u64]) -> Option<usize> {
+    let (i, w) = words.iter().enumerate().find(|(_, &w)| w != 0)?;
+    Some(i * 64 + w.trailing_zeros() as usize)
+}
+
 /// Indices of the set bits of a slot bitset, ascending.
 fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(i, &w)| {
@@ -500,7 +582,7 @@ mod tests {
     fn shadow_is_replaceable_on_insert() {
         let mut s = Stash::new(4);
         let sh = real(1, 0, 10, 1).to_shadow();
-        s.insert(sh);
+        s.insert_shadow(sh, 1);
         let e = s.peek(BlockAddr::new(1)).unwrap();
         assert!(e.replaceable);
         assert!(e.block.is_shadow());
@@ -510,7 +592,7 @@ mod tests {
     #[test]
     fn real_overwrites_shadow_on_merge() {
         let mut s = Stash::new(4);
-        s.insert(real(1, 0, 10, 1).to_shadow());
+        s.insert_shadow(real(1, 0, 10, 1).to_shadow(), 1);
         assert_eq!(s.insert(real(1, 0, 10, 1)), InsertOutcome::MergedUpgraded);
         let e = s.peek(BlockAddr::new(1)).unwrap();
         assert!(e.block.is_real());
@@ -528,7 +610,7 @@ mod tests {
     #[test]
     fn newer_version_supersedes() {
         let mut s = Stash::new(4);
-        s.insert(real(1, 0, 10, 1).to_shadow());
+        s.insert_shadow(real(1, 0, 10, 1).to_shadow(), 1);
         assert_eq!(s.insert(real(1, 0, 30, 2)), InsertOutcome::MergedUpgraded);
         assert_eq!(s.peek(BlockAddr::new(1)).unwrap().block.data, 30);
     }
@@ -536,15 +618,18 @@ mod tests {
     #[test]
     fn duplicate_shadows_merge_to_one() {
         let mut s = Stash::new(4);
-        s.insert(real(1, 0, 10, 1).to_shadow());
-        assert_eq!(s.insert(real(1, 0, 10, 1).to_shadow()), InsertOutcome::MergedDiscardedIncoming);
+        s.insert_shadow(real(1, 0, 10, 1).to_shadow(), 1);
+        assert_eq!(
+            s.insert_shadow(real(1, 0, 10, 1).to_shadow(), 1),
+            InsertOutcome::MergedDiscardedIncoming
+        );
         assert_eq!(s.occupied(), 1);
     }
 
     #[test]
     fn real_block_displaces_replaceable_victim() {
         let mut s = Stash::new(2);
-        s.insert(real(1, 0, 10, 1).to_shadow());
+        s.insert_shadow(real(1, 0, 10, 1).to_shadow(), 1);
         s.insert(real(2, 0, 20, 1));
         // Stash full: 1 shadow (replaceable) + 1 live.
         let out = s.insert(real(3, 0, 30, 1));
@@ -558,7 +643,7 @@ mod tests {
         let mut s = Stash::new(2);
         s.insert(real(1, 0, 10, 1));
         s.insert(real(2, 0, 20, 1));
-        let out = s.insert(real(3, 0, 30, 1).to_shadow());
+        let out = s.insert_shadow(real(3, 0, 30, 1).to_shadow(), 1);
         assert_eq!(out, InsertOutcome::ShadowDropped);
         assert_eq!(s.stats().shadows_dropped, 1);
         assert_eq!(s.stats().overflows, 0);
@@ -576,7 +661,7 @@ mod tests {
     #[test]
     fn write_promotes_shadow_to_live_real() {
         let mut s = Stash::new(4);
-        s.insert(real(1, 3, 10, 1).to_shadow());
+        s.insert_shadow(real(1, 3, 10, 1).to_shadow(), 1);
         assert!(s.write(BlockAddr::new(1), 77, 2));
         let e = s.peek(BlockAddr::new(1)).unwrap();
         assert!(e.block.is_real());
@@ -614,7 +699,7 @@ mod tests {
             s.insert(real(a, 0, a, 1));
         }
         s.remove(BlockAddr::new(3));
-        s.insert(real(3, 0, 0, 1).to_shadow()); // slot 3: shadow
+        s.insert_shadow(real(3, 0, 0, 1).to_shadow(), 1); // slot 3: shadow
         s.mark_evicted(BlockAddr::new(66)); // slot 66: evicted real
         s.mark_evicted(BlockAddr::new(9)); // slot 9: evicted real
         let outcomes: Vec<_> = (100..104).map(|a| s.insert(real(a, 0, 0, 1))).collect();
@@ -627,12 +712,14 @@ mod tests {
     }
 
     /// The shadow bitset names the shadow entries a slot scan finds, in
-    /// the same order, across bitset words and through every kind of slot
-    /// change.
+    /// the same order and with the levels they were inserted with, across
+    /// bitset words and through every kind of slot change.
     #[test]
     fn shadow_entries_match_a_slot_scan() {
         let mut s = Stash::new(150); // three bitset words
         let mut rng = oram_util::Rng64::seed_from_u64(11);
+        // The level each address's shadows carry.
+        let level = |a: BlockAddr| (a.raw() % 13) as u32;
         for _ in 0..4000 {
             let addr = rng.below(300);
             let a = BlockAddr::new(addr);
@@ -641,10 +728,11 @@ mod tests {
                 1 => _ = s.write(a, 7, rng.below(4)),
                 2 if s.peek(a).is_some_and(|e| !e.replaceable) => _ = s.mark_evicted(a),
                 3 => _ = s.insert(real(addr, 0, addr, rng.below(4))),
-                _ => _ = s.insert(real(addr, 0, addr, rng.below(4)).to_shadow()),
+                _ => _ = s.insert_shadow(real(addr, 0, addr, rng.below(4)).to_shadow(), level(a)),
             }
             let scan = s.slots.iter().flatten().filter(|e| e.block.is_shadow());
-            assert!(s.shadow_entries().eq(scan));
+            assert!(s.shadow_entries().map(|(e, _)| e).eq(scan));
+            assert!(s.shadow_entries().all(|(e, l)| l == level(e.block.addr)));
         }
         assert!(s.shadow_entries().count() > 0);
     }
@@ -666,7 +754,7 @@ mod tests {
         s.insert(real(1, 0, 0, 1));
         s.insert(real(2, 0, 0, 1));
         s.mark_evicted(BlockAddr::new(2));
-        s.insert(real(3, 0, 0, 1).to_shadow());
+        s.insert_shadow(real(3, 0, 0, 1).to_shadow(), 1);
         assert_eq!(s.stats().max_live, 2);
         assert_eq!(s.stats().max_occupied, 3);
     }

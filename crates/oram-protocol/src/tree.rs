@@ -514,6 +514,26 @@ impl OramTree {
         self.base_of(id).map_or(Block::DUMMY, |at| unpack(&self.words[at + i]))
     }
 
+    /// Stores `block` in the first dummy slot of bucket `id` and returns
+    /// that slot, found from the kind bits of the packed words with one
+    /// index lookup and no block decoded; `None`, storing nothing, when
+    /// the bucket is full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is a dummy or the bucket is outside the tree.
+    #[inline]
+    pub fn place(&mut self, id: BucketId, block: Block) -> Option<usize> {
+        assert!(!block.is_dummy(), "placing a dummy");
+        let z = self.shape.slots_per_bucket;
+        let (at, slot) = match self.base_of(id) {
+            Some(at) => (at, self.words[at..at + z].iter().position(|w| w[1] >> KIND_SHIFT == 0)?),
+            None => (self.claim(id), 0),
+        };
+        self.words[at + slot] = pack(block);
+        Some(slot)
+    }
+
     /// Overwrites slot `i` of bucket `id`. A dummy into a vacant bucket
     /// is a no-op; a dummy that empties an occupied bucket vacates it.
     ///

@@ -1,12 +1,13 @@
 //! The eviction write half against its references.
 //!
 //! The library sorts the stash once per eviction ([`Stash::plan_eviction`])
-//! and serves duplication picks from a heap ([`DupQueues`]); victim
-//! selection reads two bitsets. Before that, each of the three was a linear
-//! scan repeated per slot. Those scans are kept here, outside the library,
-//! as the reference: seeded random cases drive both and require identical
-//! picks slot by slot, tie-breaks included. A last test pins the counters
-//! of whole controller runs to values captured before the change.
+//! and serves duplication picks from bitsets and a heap of the hottest
+//! candidates ([`DupQueues`]); victim selection reads two bitsets. Before
+//! that, each of the three was a linear scan repeated per slot. Those scans
+//! are kept here, outside the library, as the reference: seeded random
+//! cases drive both and require identical picks slot by slot, tie-breaks
+//! included. A last test pins the counters of whole controller runs to
+//! values captured before the change.
 
 use oram_protocol::{
     scheme_for_slot, Block, BlockAddr, DupCandidate, DupPolicy, DupQueues, HotAddressCache,
@@ -125,7 +126,7 @@ fn queues_pick_what_the_pool_scan_picks() {
 
         let mut reference = ReferenceQueues { candidates: Vec::new() };
         let mut queues = DupQueues::new(shape, 8); // small on purpose: growth is allowed
-        queues.begin(leaf);
+        queues.begin(leaf, chain, partition_level);
         let push = |reference: &mut ReferenceQueues, queues: &mut DupQueues, c: DupCandidate| {
             reference.candidates.push(c);
             queues.push(c, hot.priority(c.addr));
@@ -144,7 +145,10 @@ fn queues_pick_what_the_pool_scan_picks() {
                 recirculated: true,
             }
         };
-        for _ in 0..rng.below(40) {
+        // Small stashes, and stashes full of shadows (150–250, as many as
+        // a 200-slot stash of them offers).
+        let supply = if rng.gen_bool(0.5) { rng.below(40) } else { rng.range_inclusive(150, 250) };
+        for _ in 0..supply {
             let c = recirculated(&mut rng);
             push(&mut reference, &mut queues, c);
         }
@@ -183,7 +187,7 @@ fn queues_pick_what_the_pool_scan_picks() {
                 let tied = keys.filter(|&k| Some(k) == top).count() > 1;
 
                 let want = reference.select(&shape, leaf, &hot, scheme, level, chain);
-                let got = queues.select(scheme, level, chain);
+                let got = queues.select(level);
                 assert_eq!(got, want, "case {case} level {level} {scheme:?} chain={chain}");
                 assert_eq!(queues.len(), reference.candidates.len(), "case {case}");
                 match (want, scheme) {
@@ -223,7 +227,7 @@ fn plan_drains_what_the_stash_scan_selects() {
             );
             match rng.below(4) {
                 0 => {
-                    stash.insert(blk.to_shadow());
+                    stash.insert_shadow(blk.to_shadow(), joined);
                 }
                 1 => {
                     stash.insert(blk);
@@ -272,7 +276,11 @@ fn victim_sets_agree_with_the_slot_scan() {
                     let blk = if rng.gen_bool(0.4) { blk.to_shadow() } else { blk };
                     let displaces = stash.peek(addr).is_none() && stash.occupied() == capacity;
                     let want = reference_victim(&stash);
-                    let outcome = stash.insert(blk);
+                    let outcome = if blk.is_shadow() {
+                        stash.insert_shadow(blk, 1)
+                    } else {
+                        stash.insert(blk)
+                    };
                     if displaces {
                         match want {
                             Some(victim) => {

@@ -94,7 +94,8 @@ fn stash_never_loses_live_blocks() {
             let addr = BlockAddr::new(addr_raw);
             let blk = Block::real(addr, LeafLabel::new(addr_raw % 16), addr_raw, version);
             let blk = if as_shadow { blk.to_shadow() } else { blk };
-            match stash.insert(blk) {
+            let outcome = if as_shadow { stash.insert_shadow(blk, 1) } else { stash.insert(blk) };
+            match outcome {
                 InsertOutcome::Overflow => {
                     assert!(!as_shadow, "shadows never overflow");
                 }

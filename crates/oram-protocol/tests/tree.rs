@@ -7,9 +7,10 @@
 //! `Vec<Block>` per bucket. That store is kept here, outside the library,
 //! as the reference: seeded random write/read sequences drive both and
 //! require identical contents — the "dense" cases through the grouped
-//! index, the "sparse" ones through the hash index. Whole controller runs
-//! are pinned to digests and counters captured before the change, and the
-//! arena's and the index's sizes are pinned to occupancy as counts.
+//! index, the "sparse" ones through the hash index (prefill's `place`
+//! included). Whole controller runs are pinned to digests and counters
+//! captured before the change, and the arena's and the index's sizes are
+//! pinned to occupancy as counts.
 
 use std::collections::{HashMap, HashSet};
 
@@ -163,6 +164,20 @@ fn drive_against_reference(levels: u32, z: usize, steps: u64) {
                     );
                 }
                 emptied_slot_by_slot += 1;
+            }
+            6 => {
+                // Into the first dummy slot, as prefill places a block.
+                let blk = loop {
+                    let blk = random_block(&mut rng, &shape);
+                    if !blk.is_dummy() {
+                        break blk;
+                    }
+                };
+                let first = reference.bucket(id).slots.iter().position(Block::is_dummy);
+                assert_eq!(arena.place(id, blk), first, "L={levels} Z={z} step {step}");
+                if let Some(i) = first {
+                    reference.bucket_mut(id).slots[i] = blk;
+                }
             }
             _ => {}
         }
